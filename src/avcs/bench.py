@@ -99,22 +99,6 @@ def linearity_r2(records, op: str, *, r_min: int = 2) -> float:
     return 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
-def _time_trials(fn, trials: int) -> list[float]:
-    # collector pauses mid-trial would land on whichever op is unlucky
-    samples = []
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(trials):
-            start = time.perf_counter()
-            fn()
-            samples.append((time.perf_counter() - start) * 1000.0)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return samples
-
-
 def _count_muls(fn) -> int:
     with count_group_ops() as ops:
         fn()
@@ -129,6 +113,7 @@ def _interleaved_trials(fns: dict, trials: int) -> dict:
     the same noise distribution, which the linearity fit depends on.
     """
     samples = {key: [] for key in fns}
+    # collector pauses mid-trial would land on whichever op is unlucky
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -211,7 +196,9 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30, *,
 
     for r, ring in rings.items():
         sender_hsm.gen_pseudonym(ring, 600.0, rng)  # warm-up
-        samples = _time_trials(lambda: sender_hsm.gen_pseudonym(ring, 600.0, rng), trials)
+        samples = _interleaved_trials(
+            {"gen_pseudonym": lambda: sender_hsm.gen_pseudonym(ring, 600.0, rng)}, trials
+        )["gen_pseudonym"]
         muls = _count_muls(lambda: sender_hsm.gen_pseudonym(ring, 600.0, rng))
         # mint last so the transient key below matches this certificate
         cert = sender_hsm.gen_pseudonym(ring, 600.0, rng)
@@ -220,13 +207,17 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30, *,
 
         app = sender_hsm.gen_message(_PAYLOAD)  # warm-up
         msg_frame = encode_message_frame(cert_fingerprint(cert_frame), app.M, app.N)
-        samples = _time_trials(lambda: sender_hsm.gen_message(_PAYLOAD), trials)
+        samples = _interleaved_trials(
+            {"gen_message": lambda: sender_hsm.gen_message(_PAYLOAD)}, trials
+        )["gen_message"]
         muls = _count_muls(lambda: sender_hsm.gen_message(_PAYLOAD))
         records.append(_record(curve, r, "gen_message", samples, muls, len(msg_frame)))
 
         pk = cert.parse_c(group).pk
         assert verify_transient(group, pk, app.M, app.N)
-        samples = _time_trials(lambda: verify_transient(group, pk, app.M, app.N), trials)
+        samples = _interleaved_trials(
+            {"verify_message": lambda: verify_transient(group, pk, app.M, app.N)}, trials
+        )["verify_message"]
         muls = _count_muls(lambda: verify_transient(group, pk, app.M, app.N))
         records.append(_record(curve, r, "verify_message", samples, muls, len(msg_frame)))
 
@@ -235,7 +226,9 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30, *,
         probe = receivers.pop()
         assert probe.receive(cert_frame, now).accepted
         it = iter(receivers)
-        samples = _time_trials(lambda: next(it).receive(cert_frame, now), trials)
+        samples = _interleaved_trials(
+            {"receive_cert": lambda: next(it).receive(cert_frame, now)}, trials
+        )["receive_cert"]
         muls = _count_muls(lambda: VehicleState(recv_hsm).receive(cert_frame, now))
         records.append(_record(curve, r, "receive_cert", samples, muls, len(cert_frame)))
 

@@ -160,11 +160,36 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class _ScalarCodec:
+    """Fixed-width scalar encoding and hashing, shared by both groups."""
+
+    q: int
+    scalar_byte_len: int
+
+    def encode_scalar(self, k: int) -> bytes:
+        return (k % self.q).to_bytes(self.scalar_byte_len, "big")
+
+    def decode_scalar(self, data: bytes) -> int:
+        if len(data) != self.scalar_byte_len:
+            raise ParseError("scalar has wrong length")
+        value = int.from_bytes(data, "big")
+        if value >= self.q:
+            raise ParseError("scalar out of range")
+        return value
+
+    def hash_to_scalar(self, tag: str, data: bytes) -> int:
+        # expand to twice the scalar width before reducing so the
+        # result is statistically uniform even when q is not close to
+        # a power of 256
+        wide = expand_bytes(tag, data, 2 * self.scalar_byte_len)
+        return int.from_bytes(wide, "big") % self.q
+
+
 # ---------------------------------------------------------------------------
 # the toy group
 # ---------------------------------------------------------------------------
 
-class ToyGroup:
+class ToyGroup(_ScalarCodec):
     """Integers mod a small prime under addition, generator 1.
 
     Discrete logs are free here (the "public key" k*1 mod q is k), so
@@ -205,24 +230,6 @@ class ToyGroup:
         if value >= self.q:
             raise ParseError("toy element out of range")
         return value
-
-    def encode_scalar(self, k: int) -> bytes:
-        return (k % self.q).to_bytes(self.scalar_byte_len, "big")
-
-    def decode_scalar(self, data: bytes) -> int:
-        if len(data) != self.scalar_byte_len:
-            raise ParseError("scalar has wrong length")
-        value = int.from_bytes(data, "big")
-        if value >= self.q:
-            raise ParseError("scalar out of range")
-        return value
-
-    def hash_to_scalar(self, tag: str, data: bytes) -> int:
-        # expand to twice the scalar width before reducing so the
-        # result is statistically uniform even when q is not close to
-        # a power of 256
-        wide = expand_bytes(tag, data, 2 * self.scalar_byte_len)
-        return int.from_bytes(wide, "big") % self.q
 
     def hash_to_group(self, tag: str, data: bytes) -> int:
         # never returns the identity: honest protocol elements derived
@@ -266,10 +273,7 @@ _P256 = _CurveParams(
     gy=0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
 )
 
-Point = "tuple[int, int] | None"
-
-
-class CurveGroup:
+class CurveGroup(_ScalarCodec):
     """A NIST prime curve with cofactor 1.
 
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
@@ -418,22 +422,7 @@ class CurveGroup:
             y = p - y
         return (x, y)
 
-    def encode_scalar(self, k: int) -> bytes:
-        return (k % self.q).to_bytes(self.scalar_byte_len, "big")
-
-    def decode_scalar(self, data: bytes) -> int:
-        if len(data) != self.scalar_byte_len:
-            raise ParseError("scalar has wrong length")
-        value = int.from_bytes(data, "big")
-        if value >= self.q:
-            raise ParseError("scalar out of range")
-        return value
-
     # -- hashing into the structures -----------------------------------
-
-    def hash_to_scalar(self, tag: str, data: bytes) -> int:
-        wide = expand_bytes(tag, data, 2 * self.scalar_byte_len)
-        return int.from_bytes(wide, "big") % self.q
 
     def hash_to_group(self, tag: str, data: bytes):
         # try-and-increment: about half of all x values lie on the

@@ -42,11 +42,24 @@ __all__ = [
     "PseudonymCertificate",
     "SystemClock",
     "TRANSIENT_SCHEME_ID",
+    "content_tag",
     "join",
     "leak_master_secret",
+    "signed_message",
 ]
 
 TRANSIENT_SCHEME_ID = 1
+
+
+def content_tag(group, C: bytes):
+    """h0(C): the group element a certificate's ``R = f * h0(C)`` binds."""
+    return group.hash_to_group("h0", C)
+
+
+def signed_message(group, C: bytes, R, T) -> bytes:
+    """enc(h2(C || R || T)): the message a certificate's ring signature signs."""
+    L = group.hash_to_scalar("h2", C + group.encode_element(R) + group.encode_element(T))
+    return group.encode_scalar(L)
 
 
 class ManualClock:
@@ -190,7 +203,7 @@ class HardwareModule:
         mfr, _ = split_id(id_str)
         if not self.registry.knows(mfr):
             raise ProvisioningError(f"manufactory {mfr!r} is not registered")
-        self.__identity_key = keygen(mk, id_str, bits_fn=self.registry.bits_fn)
+        self.__identity_key = keygen(mk, id_str, suite=self.registry.suite)
         self.__f = rng.randrange(1, self.group.q)
         return self
 
@@ -210,6 +223,15 @@ class HardwareModule:
     def _window_tag(self, now: float):
         window = math.floor(now / self.min_span_time)
         return self.group.hash_to_group("h1", struct.pack(">Q", window))
+
+    def _bind_and_sign(self, C: bytes, ring: list[str], pos: int, now: float, rng):
+        """Bind C to f and the window at ``now``, ring-sign it as ring[pos]."""
+        group = self.group
+        R = group.scalar_mul(self.__f, content_tag(group, C))
+        T = group.scalar_mul(self.__f, self._window_tag(now))
+        message = signed_message(group, C, R, T)
+        S = ring_sign(message, ring, self.__identity_key, pos, self.registry, rng)
+        return PseudonymCertificate(C, R, T, S)
 
     # -- protocol operations --------------------------------------------
 
@@ -236,17 +258,9 @@ class HardwareModule:
             + group.encode_element(pk)
             + struct.pack(">QQ", math.floor(now), math.ceil(now + validity))
         )
-        R = group.scalar_mul(self.__f, group.hash_to_group("h0", C))
-        T = group.scalar_mul(self.__f, self._window_tag(now))
-        L = group.hash_to_scalar(
-            "h2", C + group.encode_element(R) + group.encode_element(T)
-        )
-        S = ring_sign(
-            group.encode_scalar(L), list(ring), self.__identity_key,
-            ring.index(own), self.registry, rng,
-        )
+        cert = self._bind_and_sign(C, list(ring), ring.index(own), now, rng)
         self._transient = (sk, pk)
-        return PseudonymCertificate(C, R, T, S)
+        return cert
 
     def gen_message(self, M: bytes) -> ApplicationMessage:
         """Sign a payload under the current transient key."""
@@ -267,18 +281,8 @@ class HardwareModule:
         self._require_key()
         if self._supervisor_token is None or token != self._supervisor_token:
             raise SupervisorAuthError("reveal requires the supervisor capability")
-        group = self.group
         now = self._read_clock()
-        R_prime = group.scalar_mul(self.__f, group.hash_to_group("h0", C))
-        T_prime = group.scalar_mul(self.__f, self._window_tag(now))
-        L_prime = group.hash_to_scalar(
-            "h2", C + group.encode_element(R_prime) + group.encode_element(T_prime)
-        )
-        S_prime = ring_sign(
-            group.encode_scalar(L_prime), [self.identity], self.__identity_key,
-            0, self.registry, rng,
-        )
-        return PseudonymCertificate(C, R_prime, T_prime, S_prime)
+        return self._bind_and_sign(C, [self.identity], 0, now, rng)
 
 
 def join(mk, id_str: str, registry: ManufactoryRegistry, rng, *, clock=None,

@@ -33,16 +33,19 @@ from __future__ import annotations
 
 import struct
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DegenerateKeyError, ParseError, UnknownManufactoryError
 from .groups import digest32, expand_bytes, get_group, note_extraction
 
 __all__ = [
+    "HashSuite",
     "IdentityKey",
     "ManufactoryRegistry",
     "MasterKeyPair",
     "N_BITS",
+    "PRODUCTION",
     "RingSignature",
     "forge_tuple",
     "h0_bits",
@@ -82,6 +85,23 @@ def _tuple_hash(group, U) -> int:
 def _chain_hash(group, msg: bytes, x: bytes) -> bytes:
     # keyed by the message, truncated to the scalar width
     return digest32("ring", struct.pack(">I", len(msg)) + msg + x)[: group.scalar_byte_len]
+
+
+@dataclass(frozen=True)
+class HashSuite:
+    """The scheme's hash roles: H0 ``bits(id_str, n)``, the tuple hash
+    ``h1(group, U)`` and the ring-equation hash ``chain(group, msg, x)``.
+
+    Signer and verifier both read it from the registry, so they cannot
+    disagree on it.  Only tests build one other than :data:`PRODUCTION`.
+    """
+
+    bits: Callable = h0_bits
+    h1: Callable = _tuple_hash
+    chain: Callable = _chain_hash
+
+
+PRODUCTION = HashSuite()
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +149,7 @@ def setup(group, n: int = N_BITS, rng=None, manufactory_id: str = "mfr") -> Mast
     """Draw a fresh master key vector of length ``n``.
 
     Production uses n = 256 (the bit length of the identity hash);
-    tests may shrink it alongside a stubbed bit function.
+    tests may shrink it, since H0 is asked for exactly n bits.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -140,18 +160,18 @@ def setup(group, n: int = N_BITS, rng=None, manufactory_id: str = "mfr") -> Mast
     return MasterKeyPair(manufactory_id, group, n, X, Y)
 
 
-def keygen(mk: MasterKeyPair, id_str: str, *, bits_fn=h0_bits) -> IdentityKey:
+def keygen(mk: MasterKeyPair, id_str: str, *, suite: HashSuite = PRODUCTION) -> IdentityKey:
     """Derive the private key for ``id_str`` from the master vector.
 
-    ``bits_fn`` is a test hook replacing the production identity hash;
-    leave it alone outside tests.
+    ``suite`` must be the one held by the registry that will extract
+    the matching public key.
     """
     mfr, _ = split_id(id_str)
     if mfr != mk.manufactory_id:
         raise UnknownManufactoryError(
             f"identity {id_str!r} does not belong to manufactory {mk.manufactory_id!r}"
         )
-    bits = bits_fn(id_str, mk.n)
+    bits = suite.bits(id_str, mk.n)
     d = sum(x for bit, x in zip(bits, mk.X, strict=True) if bit) % mk.group.q
     if d == 0:
         raise DegenerateKeyError(f"identity {id_str!r} hashes to the zero key")
@@ -166,9 +186,9 @@ class ManufactoryRegistry:
     lock so concurrent verifiers do not race.
     """
 
-    def __init__(self, group, *, bits_fn=h0_bits):
+    def __init__(self, group, *, suite: HashSuite = PRODUCTION):
         self.group = group
-        self.bits_fn = bits_fn
+        self.suite = suite
         self._vectors: dict[str, tuple[object, ...]] = {}
         self._cache: dict[str, object] = {}
         self._lock = threading.Lock()
@@ -202,7 +222,7 @@ class ManufactoryRegistry:
         Y = self._vectors.get(mfr)
         if Y is None:
             raise UnknownManufactoryError(f"no registered manufactory for {id_str!r}")
-        bits = self.bits_fn(id_str, len(Y))
+        bits = self.suite.bits(id_str, len(Y))
         E = self.group.identity
         for bit, y in zip(bits, Y, strict=True):
             if bit:
@@ -234,7 +254,7 @@ class ManufactoryRegistry:
 # tuples
 # ---------------------------------------------------------------------------
 
-def forge_tuple(group, E, rng, *, h1_fn=None):
+def forge_tuple(group, E, rng, *, suite: HashSuite = PRODUCTION):
     """Forge one tuple satisfying the verification equation against E.
 
     Draws ``a`` then ``b`` from Z_q*, both redrawn while H1(U) = 0.
@@ -242,13 +262,12 @@ def forge_tuple(group, E, rng, *, h1_fn=None):
     """
     if group.is_identity(E):
         raise DegenerateKeyError("cannot forge against the identity element")
-    h1 = h1_fn or _tuple_hash
     q = group.q
     while True:
         a = rng.randrange(1, q)
         b = rng.randrange(1, q)
         U = group.add(group.scalar_mul(a, group.generator), group.scalar_mul(b, E))
-        e = h1(group, U)
+        e = suite.h1(group, U)
         if e != 0:
             break
     v = -e * pow(b, -1, q) % q
@@ -256,11 +275,10 @@ def forge_tuple(group, E, rng, *, h1_fn=None):
     return m.to_bytes(group.scalar_byte_len, "big"), U, v
 
 
-def verify_tuple(group, m: bytes, U, v: int, E, *, h1_fn=None) -> bool:
+def verify_tuple(group, m: bytes, U, v: int, E, *, suite: HashSuite = PRODUCTION) -> bool:
     """Check m*P = H1(U)*E + v*U.  Costs exactly three scalar muls."""
-    h1 = h1_fn or _tuple_hash
     lhs = group.scalar_mul(int.from_bytes(m, "big") % group.q, group.generator)
-    rhs = group.add(group.scalar_mul(h1(group, U), E), group.scalar_mul(v, U))
+    rhs = group.add(group.scalar_mul(suite.h1(group, U), E), group.scalar_mul(v, U))
     return lhs == rhs
 
 
@@ -361,9 +379,6 @@ def ring_sign(
     signer_pos: int,
     registry: ManufactoryRegistry,
     rng,
-    *,
-    h1_fn=None,
-    chain_fn=None,
 ) -> RingSignature:
     """Sign ``msg`` as the anonymous member ``ring[signer_pos]``.
 
@@ -372,8 +387,7 @@ def ring_sign(
     public-key extractions, which are additions only.
     """
     group = registry.group
-    h1 = h1_fn or _tuple_hash
-    chain = chain_fn or _chain_hash
+    suite = registry.suite
     r = len(ring)
     if r < 1:
         raise ValueError("ring must not be empty")
@@ -392,16 +406,16 @@ def ring_sign(
     for i in range(r):
         if i == signer_pos:
             continue
-        m_list[i], U_list[i], v_list[i] = forge_tuple(group, pubkeys[i], rng, h1_fn=h1)
+        m_list[i], U_list[i], v_list[i] = forge_tuple(group, pubkeys[i], rng, suite=suite)
 
     gamma = rng.randrange(1, 256 ** sbl).to_bytes(sbl, "big")
 
     w = [b""] * r
     j = (signer_pos + 1) % r
-    w[j] = chain(group, msg, gamma)
+    w[j] = suite.chain(group, msg, gamma)
     for _ in range(r - 1):
         nxt = (j + 1) % r
-        w[nxt] = chain(group, msg, _xor(w[j], m_list[j]))
+        w[nxt] = suite.chain(group, msg, _xor(w[j], m_list[j]))
         j = nxt
 
     # glue: with m_s = gamma xor w_s the next link recomputes to
@@ -409,7 +423,7 @@ def ring_sign(
     m_s = _xor(gamma, w[signer_pos])
     l = rng.randrange(1, q)
     U_s = group.scalar_mul(l, group.generator)
-    v_s = (int.from_bytes(m_s, "big") - signer.d * h1(group, U_s)) * pow(l, -1, q) % q
+    v_s = (int.from_bytes(m_s, "big") - signer.d * suite.h1(group, U_s)) * pow(l, -1, q) % q
     m_list[signer_pos], U_list[signer_pos], v_list[signer_pos] = m_s, U_s, v_s
 
     x = rng.randrange(1, r + 1)
@@ -420,9 +434,6 @@ def ring_verify(
     msg: bytes,
     sig: RingSignature,
     registry: ManufactoryRegistry,
-    *,
-    h1_fn=None,
-    chain_fn=None,
 ) -> bool:
     """Accept iff every tuple verifies and the ring equation closes.
 
@@ -431,7 +442,7 @@ def ring_verify(
     scalar multiplications on the accepting path.
     """
     group = registry.group
-    chain = chain_fn or _chain_hash
+    suite = registry.suite
     sbl = group.scalar_byte_len
     r = sig.r
     if r < 1 or len(sig.tuples) != r or not 1 <= sig.x <= r:
@@ -443,11 +454,11 @@ def ring_verify(
     except (ValueError, UnknownManufactoryError, DegenerateKeyError):
         return False
     for (m, U, v), E in zip(sig.tuples, pubkeys):
-        if not verify_tuple(group, m, U, v, E, h1_fn=h1_fn):
+        if not verify_tuple(group, m, U, v, E, suite=suite):
             return False
     w = sig.w
     j = sig.x - 1
     for _ in range(r):
-        w = chain(group, msg, _xor(w, sig.tuples[j][0]))
+        w = suite.chain(group, msg, _xor(w, sig.tuples[j][0]))
         j = (j + 1) % r
     return w == sig.w

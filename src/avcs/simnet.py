@@ -29,7 +29,7 @@ from .errors import AvcsError, ScenarioError
 from .groups import get_group
 from .hardware import TRANSIENT_SCHEME_ID, ManualClock, PseudonymCertificate, join, leak_master_secret
 from .ringsig import ManufactoryRegistry, RingSignature, forge_tuple, setup
-from .vehicle import FRAME_CERT, FRAME_MSG, REJECTION_REASONS, VehicleState, cert_fingerprint, encode_cert_frame, encode_message_frame
+from .vehicle import CLOCK_SKEW, FRAME_CERT, FRAME_MSG, REJECTION_REASONS, VehicleState, cert_fingerprint, encode_cert_frame, encode_message_frame
 
 ADVERSARY_KINDS = ("sybil", "replay", "forger", "masquerade", "compromised")
 
@@ -483,15 +483,21 @@ class _Sim:
             cert = PseudonymCertificate.from_bytes(frame[1:], self.group)
             expiration = cert.parse_c(self.group).expiration
             # past expiration plus any receiver's skew allowance
-            when = expiration + 5.0 + 1.0
+            when = expiration + CLOCK_SKEW + 1.0
             for i in range(spec.repeats):
                 self.schedule(when + i, lambda frame=frame: self.broadcast(spec.name, frame))
 
         self._taps.append(tap)
 
-    def _forged_times(self) -> bytes:
-        now = self.now
-        return struct.pack(">QQ", math.floor(now), math.ceil(now + 30.0))
+    def _forged_envelope(self, rng):
+        """A fresh transient key pair and a made-up C, R and T around it."""
+        group = self.group
+        sk, pk = transient.gen_keypair(group, rng)
+        times = struct.pack(">QQ", math.floor(self.now), math.ceil(self.now + 30.0))
+        C = bytes([TRANSIENT_SCHEME_ID]) + group.encode_element(pk) + times
+        R = group.scalar_mul(rng.randrange(1, group.q), group.generator)
+        T = group.scalar_mul(rng.randrange(1, group.q), group.generator)
+        return sk, pk, C, R, T
 
     def _build_forger(self, spec: AdversarySpec) -> None:
         """Fabricate certificates out of thin air: random tuples, random tags."""
@@ -501,10 +507,7 @@ class _Sim:
         sbl = group.scalar_byte_len
 
         def attempt():
-            sk, pk = transient.gen_keypair(group, rng)
-            C = bytes([TRANSIENT_SCHEME_ID]) + group.encode_element(pk) + self._forged_times()
-            R = group.scalar_mul(rng.randrange(1, q), group.generator)
-            T = group.scalar_mul(rng.randrange(1, q), group.generator)
+            sk, pk, C, R, T = self._forged_envelope(rng)
             ids = tuple(
                 f"{MANUFACTORY}:ghost-{n}" for n in rng.sample(range(10 ** 6), spec.ring)
             )
@@ -542,10 +545,7 @@ class _Sim:
             raise ScenarioError(f"masquerade victim {victim!r}: {exc}") from exc
 
         def attempt():
-            sk, pk = transient.gen_keypair(group, rng)
-            C = bytes([TRANSIENT_SCHEME_ID]) + group.encode_element(pk) + self._forged_times()
-            R = group.scalar_mul(rng.randrange(1, group.q), group.generator)
-            T = group.scalar_mul(rng.randrange(1, group.q), group.generator)
+            _, _, C, R, T = self._forged_envelope(rng)
             m, U, v = forge_tuple(group, E, rng)
             S = RingSignature(1, rng.randbytes(group.scalar_byte_len), (victim,), ((m, U, v),))
             self.broadcast(spec.name, encode_cert_frame(PseudonymCertificate(C, R, T, S), group))

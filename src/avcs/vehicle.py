@@ -27,10 +27,11 @@ from dataclasses import dataclass
 from . import transient
 from .errors import ParseError, ProtocolError, ProvisioningError
 from .groups import digest32
-from .hardware import HardwareModule, PseudonymCertificate
+from .hardware import HardwareModule, PseudonymCertificate, content_tag, signed_message
 from .ringsig import ring_verify
 
 __all__ = [
+    "CLOCK_SKEW",
     "FRAME_CERT",
     "FRAME_MSG",
     "REJECTION_REASONS",
@@ -45,6 +46,9 @@ __all__ = [
 
 FRAME_CERT = 0x01
 FRAME_MSG = 0x02
+
+# seconds a receiver tolerates between its clock and a certificate's times
+CLOCK_SKEW = 5.0
 
 REJECTION_REASONS = (
     "duplicate",
@@ -105,10 +109,8 @@ def _reject(reason: str) -> ReceiveResult:
 @dataclass
 class _BufferedCert:
     frame: bytes
-    cert: PseudonymCertificate
     t_enc: bytes
     pk: object
-    issue: int
     expiration: int
 
 
@@ -116,7 +118,7 @@ class VehicleState:
     """Mutable per-vehicle protocol state around one hardware module."""
 
     def __init__(self, hsm: HardwareModule, *, k: int = 10, ring_size: int = 4,
-                 id_capacity: int = 64, clock_skew: float = 5.0):
+                 id_capacity: int = 64, clock_skew: float = CLOCK_SKEW):
         if k < 1:
             raise ValueError("k must be at least 1")
         if ring_size < 1:
@@ -242,21 +244,15 @@ class VehicleState:
         if now < parsed.issue - self.clock_skew:
             return _reject("expired")
 
-        J = group.hash_to_group("h0", cert.C)
+        J = content_tag(group, cert.C)
         for f in sorted(self.rogue_list):
             if group.scalar_mul(f, J) == cert.R:
                 return _reject("revoked")
 
-        L = group.hash_to_scalar(
-            "h2",
-            cert.C + group.encode_element(cert.R) + group.encode_element(cert.T),
-        )
-        if not ring_verify(group.encode_scalar(L), cert.S, self.hsm.registry):
+        if not ring_verify(signed_message(group, cert.C, cert.R, cert.T), cert.S, self.hsm.registry):
             return _reject("bad-signature")
 
-        self.pseudonym_buf[fingerprint] = _BufferedCert(
-            frame, cert, t_enc, parsed.pk, parsed.issue, parsed.expiration
-        )
+        self.pseudonym_buf[fingerprint] = _BufferedCert(frame, t_enc, parsed.pk, parsed.expiration)
         self._harvest_ids(cert.S.ids)
         return ReceiveResult("accept")
 

@@ -108,10 +108,7 @@ def test_criterion_02_transcript_oracle_bit_identical():
         mismatches = 0
         for seed in range(100):
             registry, mk, msg, ring, pos, signer, pubkeys = transcript_case(seed)
-            sig = ring_sign(
-                msg, ring, signer, pos, registry, random.Random(seed),
-                h1_fn=stub_h1, chain_fn=stub_chain,
-            )
+            sig = ring_sign(msg, ring, signer, pos, registry, random.Random(seed))
             ox, ow, oids, otuples = oracle_ring_sign(
                 TOY23, msg, ring, signer.d, pos, pubkeys, random.Random(seed),
                 stub_h1, stub_chain,

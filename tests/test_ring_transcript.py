@@ -13,6 +13,7 @@ import pytest
 
 from avcs.groups import ToyGroup, count_group_ops
 from avcs.ringsig import (
+    HashSuite,
     ManufactoryRegistry,
     MasterKeyPair,
     keygen,
@@ -32,13 +33,20 @@ from ring_oracle import (
 TOY = ToyGroup(23)
 BIG_TOY = ToyGroup(2147483647)
 
-HAND_BITS = bits_from_map(
-    {
-        "m:a": (1, 0, 1, 0),  # d = 3+7  = 10
-        "m:b": (0, 1, 1, 0),  # d = 5+7  = 12
-        "m:c": (0, 0, 1, 1),  # d = 7+11 = 18
-    }
+HAND_SUITE = HashSuite(
+    bits=bits_from_map(
+        {
+            "m:a": (1, 0, 1, 0),  # d = 3+7  = 10
+            "m:b": (0, 1, 1, 0),  # d = 5+7  = 12
+            "m:c": (0, 0, 1, 1),  # d = 7+11 = 18
+        }
+    ),
+    h1=stub_h1,
+    chain=stub_chain,
 )
+
+# every seeded case uses a four-entry master vector
+STUB_SUITE = HashSuite(bits=random_bits_fn(seed=4242), h1=stub_h1, chain=stub_chain)
 
 # draws for the hand case: forgery at 0 (a=4, b=6), forgery at 2
 # (a=2, b=3), glue gamma=200, signer nonce l=9, published x=3
@@ -54,7 +62,7 @@ HAND_SCRIPT = [
 
 
 def hand_registry():
-    registry = ManufactoryRegistry(TOY, bits_fn=HAND_BITS)
+    registry = ManufactoryRegistry(TOY, suite=HAND_SUITE)
     registry.register("m", (3, 5, 7, 11))
     return registry
 
@@ -69,7 +77,7 @@ def test_hand_computed_r3_transcript():
     #   signer: U1=9, H1(9)=10, v1=(7-12*10)*9^-1 = 2*18 = 13
     registry = hand_registry()
     mk = MasterKeyPair("m", TOY, 4, (3, 5, 7, 11), (3, 5, 7, 11))
-    signer = keygen(mk, "m:b", bits_fn=HAND_BITS)
+    signer = keygen(mk, "m:b", suite=HAND_SUITE)
     assert signer.d == 12
     sig = ring_sign(
         b"hi",
@@ -78,8 +86,6 @@ def test_hand_computed_r3_transcript():
         1,
         registry,
         ScriptedRng(HAND_SCRIPT),
-        h1_fn=stub_h1,
-        chain_fn=stub_chain,
     )
     assert sig.x == 3
     assert sig.w == bytes([121])
@@ -87,7 +93,7 @@ def test_hand_computed_r3_transcript():
     assert sig.tuples[0] == (bytes([17]), 18, 10)
     assert sig.tuples[1] == (bytes([237]), 9, 13)
     assert sig.tuples[2] == (bytes([13]), 10, 18)
-    assert ring_verify(b"hi", sig, registry, h1_fn=stub_h1, chain_fn=stub_chain)
+    assert ring_verify(b"hi", sig, registry)
 
     # the oracle, fed the same script, lands on the same bytes
     ox, ow, oids, otuples = oracle_ring_sign(
@@ -108,8 +114,7 @@ def test_hand_computed_r3_transcript():
 def transcript_case(seed):
     """One seeded toy-group signing case with stubbed hashes."""
     pick = random.Random(10_000 + seed)
-    bits_fn = random_bits_fn(seed=4242)
-    registry = ManufactoryRegistry(TOY, bits_fn=lambda s, n: bits_fn(s, 4))
+    registry = ManufactoryRegistry(TOY, suite=STUB_SUITE)
     mk = setup(TOY, n=4, rng=random.Random(555), manufactory_id="m")
     registry.register("m", mk.Y)
     pool = [f"m:v{i}" for i in range(8)]
@@ -117,7 +122,7 @@ def transcript_case(seed):
     ring = pick.sample(pool, r)
     pos = pick.randrange(r)
     msg = f"case {seed}".encode()
-    signer = keygen(mk, ring[pos], bits_fn=lambda s, n: bits_fn(s, 4))
+    signer = keygen(mk, ring[pos], suite=STUB_SUITE)
     pubkeys = [registry.extract_pubkey(i) for i in ring]
     return registry, mk, msg, ring, pos, signer, pubkeys
 
@@ -125,10 +130,7 @@ def transcript_case(seed):
 def test_transcripts_match_oracle_100_seeded_cases():
     for seed in range(100):
         registry, mk, msg, ring, pos, signer, pubkeys = transcript_case(seed)
-        sig = ring_sign(
-            msg, ring, signer, pos, registry, random.Random(seed),
-            h1_fn=stub_h1, chain_fn=stub_chain,
-        )
+        sig = ring_sign(msg, ring, signer, pos, registry, random.Random(seed))
         ox, ow, oids, otuples = oracle_ring_sign(
             TOY, msg, ring, signer.d, pos, pubkeys, random.Random(seed),
             stub_h1, stub_chain,
@@ -137,7 +139,7 @@ def test_transcripts_match_oracle_100_seeded_cases():
         assert sig.tuples == tuple(otuples)
         assert sig.to_bytes(TOY) == oracle_pack(TOY, ox, ow, oids, otuples)
         # dual routes: each side's verifier accepts the other's output
-        assert ring_verify(msg, sig, registry, h1_fn=stub_h1, chain_fn=stub_chain)
+        assert ring_verify(msg, sig, registry)
         assert oracle_ring_verify(
             TOY, msg, sig.x, sig.w, sig.ids, list(sig.tuples), pubkeys,
             stub_h1, stub_chain,
@@ -172,18 +174,11 @@ def test_transcripts_match_oracle_with_production_hashes():
 
 def test_oracle_rejects_what_verifier_rejects():
     registry, mk, msg, ring, pos, signer, pubkeys = transcript_case(7)
-    sig = ring_sign(msg, ring, signer, pos, registry, random.Random(7),
-                    h1_fn=stub_h1, chain_fn=stub_chain)
+    sig = ring_sign(msg, ring, signer, pos, registry, random.Random(7))
     tampered = list(sig.tuples)
     m, U, v = tampered[0]
     tampered[0] = (m, U, (v + 1) % TOY.q)
-    assert not ring_verify(
-        msg,
-        type(sig)(sig.x, sig.w, sig.ids, tuple(tampered)),
-        registry,
-        h1_fn=stub_h1,
-        chain_fn=stub_chain,
-    )
+    assert not ring_verify(msg, type(sig)(sig.x, sig.w, sig.ids, tuple(tampered)), registry)
     assert not oracle_ring_verify(
         TOY, msg, sig.x, sig.w, sig.ids, tampered, pubkeys, stub_h1, stub_chain
     )

@@ -7,12 +7,13 @@ import pytest
 from avcs.errors import DegenerateKeyError, ParseError, UnknownManufactoryError
 from avcs.groups import P192, ToyGroup, count_group_ops
 from avcs.ringsig import (
+    PRODUCTION,
+    HashSuite,
     IdentityKey,
     ManufactoryRegistry,
     MasterKeyPair,
     RingSignature,
     forge_tuple,
-    h0_bits,
     keygen,
     ring_sign,
     ring_verify,
@@ -25,18 +26,20 @@ from helpers import ScriptedRng, bits_from_map, random_bits_fn, stub_chain, stub
 TOY = ToyGroup(23)
 BIG_TOY = ToyGroup(2147483647)
 
-TOY_BITS = bits_from_map(
-    {
-        "m:a": (1, 0, 1, 0),
-        "m:b": (0, 1, 1, 0),
-        "m:c": (0, 0, 1, 1),
-        "m:zero": (0, 0, 0, 0),
-    }
+TOY_SUITE = HashSuite(
+    bits=bits_from_map(
+        {
+            "m:a": (1, 0, 1, 0),
+            "m:b": (0, 1, 1, 0),
+            "m:c": (0, 0, 1, 1),
+            "m:zero": (0, 0, 0, 0),
+        }
+    )
 )
 
 
 def toy_registry():
-    registry = ManufactoryRegistry(TOY, bits_fn=TOY_BITS)
+    registry = ManufactoryRegistry(TOY, suite=TOY_SUITE)
     registry.register("m", (3, 5, 7, 11))
     return registry
 
@@ -82,13 +85,13 @@ def test_setup_distinct_seeds():
 
 
 def test_keygen_toy_hand_value():
-    key = keygen(toy_master(), "m:a", bits_fn=TOY_BITS)
+    key = keygen(toy_master(), "m:a", suite=TOY_SUITE)
     assert key.d == (3 + 7) % 23 == 10
 
 
 def test_keygen_degenerate_zero_bits():
     with pytest.raises(DegenerateKeyError):
-        keygen(toy_master(), "m:zero", bits_fn=TOY_BITS)
+        keygen(toy_master(), "m:zero", suite=TOY_SUITE)
 
 
 def test_keygen_deterministic():
@@ -99,9 +102,9 @@ def test_keygen_deterministic():
 def test_keygen_rejects_foreign_or_malformed_id():
     mk = toy_master()
     with pytest.raises(UnknownManufactoryError):
-        keygen(mk, "other:a", bits_fn=TOY_BITS)
+        keygen(mk, "other:a", suite=TOY_SUITE)
     with pytest.raises(ValueError):
-        keygen(mk, "no-colon", bits_fn=TOY_BITS)
+        keygen(mk, "no-colon", suite=TOY_SUITE)
     with pytest.raises(ValueError):
         split_id(":empty-prefix")
 
@@ -155,11 +158,12 @@ def test_forge_worked_example():
     # E=10, a=4, b=6 under the stub tuple hash: U = 4 + 60 = 64 = 18
     # (mod 23), H1(18) = 9, b^-1 = 4, v = -36 = 10, m = 40 = 17
     rng = ScriptedRng([(4, (1, 23)), (6, (1, 23))])
-    m, U, v = forge_tuple(TOY, 10, rng, h1_fn=stub_h1)
+    stub = HashSuite(h1=stub_h1)
+    m, U, v = forge_tuple(TOY, 10, rng, suite=stub)
     assert (m, U, v) == (bytes([17]), 18, 10)
     assert stub_h1(TOY, U) == 9
-    assert verify_tuple(TOY, m, U, v, 10, h1_fn=stub_h1)
-    assert not verify_tuple(TOY, bytes([m[0] ^ 1]), U, v, 10, h1_fn=stub_h1)
+    assert verify_tuple(TOY, m, U, v, 10, suite=stub)
+    assert not verify_tuple(TOY, bytes([m[0] ^ 1]), U, v, 10, suite=stub)
 
 
 def test_forge_always_verifies():
@@ -254,12 +258,30 @@ def test_sign_verify_round_trip_every_position():
 
 def test_sign_verify_on_curve():
     mk = setup(P192, n=16, rng=random.Random(8), manufactory_id="m")
-    registry = ManufactoryRegistry(P192, bits_fn=lambda s, n: h0_bits(s, n))
+    registry = ManufactoryRegistry(P192)
     registry.register_master(mk)
     ring = ["m:one", "m:two", "m:three"]
-    signer = keygen(mk, "m:two", bits_fn=lambda s, n=16: h0_bits(s, n))
+    signer = keygen(mk, "m:two")
     sig = ring_sign(b"curve msg", ring, signer, 1, registry, random.Random(2))
     assert ring_verify(b"curve msg", sig, registry)
+
+
+def test_hash_suite_travels_with_registry():
+    # signer and verifier take every hash role from the registry, so a
+    # signature made under a stub suite verifies only under that suite
+    mk = setup(BIG_TOY, n=8, rng=random.Random(17), manufactory_id="m")
+    stub = HashSuite(bits=random_bits_fn(seed=17), h1=stub_h1, chain=stub_chain)
+    stub_registry = ManufactoryRegistry(BIG_TOY, suite=stub)
+    stub_registry.register_master(mk)
+    production_registry = ManufactoryRegistry(BIG_TOY)
+    production_registry.register_master(mk)
+    assert production_registry.suite is PRODUCTION
+
+    ring = ["m:p", "m:q", "m:r"]
+    signer = keygen(mk, "m:q", suite=stub)
+    sig = ring_sign(b"suite", ring, signer, 1, stub_registry, random.Random(3))
+    assert ring_verify(b"suite", sig, stub_registry)
+    assert not ring_verify(b"suite", sig, production_registry)
 
 
 def test_singleton_ring():
@@ -299,11 +321,11 @@ def test_scalar_mul_counts_exact():
 
 def test_scalar_mul_counts_exact_p192():
     mk = setup(P192, n=8, rng=random.Random(71), manufactory_id="m")
-    registry = ManufactoryRegistry(P192, bits_fn=lambda s, n: h0_bits(s, n))
+    registry = ManufactoryRegistry(P192)
     registry.register_master(mk)
     for r in (1, 4):
         ring = [f"m:count-{i}" for i in range(r)]
-        signer = keygen(mk, ring[0], bits_fn=lambda s, n=8: h0_bits(s, n))
+        signer = keygen(mk, ring[0])
         with count_group_ops() as sign_ops:
             sig = ring_sign(b"count", ring, signer, 0, registry, random.Random(r))
         assert sign_ops.scalar_muls == 2 * r - 1
