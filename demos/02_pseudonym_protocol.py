@@ -45,7 +45,7 @@ def main():
     print("== alice broadcasts under a pseudonym ==")
     alice.make_pseudonym(validity=120.0, rng=rng)
     payloads = [f"position report {i}".encode() for i in range(4)]
-    frames = alice.send_stream(payloads)
+    frames = [f for p in payloads for f in alice.send_next(p)]
     print(f"{len(payloads)} payloads became {len(frames)} frames "
           f"(certificate first, resent every k=3 messages)")
     for frame in frames:

@@ -147,7 +147,7 @@ def cmd_demo(args) -> int:
     payloads = [b"road clear ahead", b"braking hard", b"lane change left"]
     print(f"\n{ids[0]} streams {len(payloads)} messages (certificate first, again every k=3):")
     now = clock.now()
-    for frame in sender.send_stream(payloads):
+    for frame in [f for p in payloads for f in sender.send_next(p)]:
         kind = "cert" if frame[0] == 1 else "msg "
         result = receiver.receive(frame, now)
         body = result.payload.decode() if result.payload else ""

@@ -45,10 +45,23 @@ __all__ = [
     "content_tag",
     "join",
     "leak_master_secret",
+    "pack_content",
     "signed_message",
 ]
 
 TRANSIENT_SCHEME_ID = 1
+
+
+def pack_content(group, pk, now: float, validity: float) -> bytes:
+    """C = scheme-id || enc(pk) || floor(now) || ceil(now + validity).
+
+    The inverse of :meth:`PseudonymCertificate.parse_c`.
+    """
+    return (
+        bytes([TRANSIENT_SCHEME_ID])
+        + group.encode_element(pk)
+        + struct.pack(">QQ", math.floor(now), math.ceil(now + validity))
+    )
 
 
 def content_tag(group, C: bytes):
@@ -253,11 +266,7 @@ class HardwareModule:
         now = self._read_clock()
 
         sk, pk = transient.gen_keypair(group, rng)
-        C = (
-            bytes([TRANSIENT_SCHEME_ID])
-            + group.encode_element(pk)
-            + struct.pack(">QQ", math.floor(now), math.ceil(now + validity))
-        )
+        C = pack_content(group, pk, now, validity)
         cert = self._bind_and_sign(C, list(ring), ring.index(own), now, rng)
         self._transient = (sk, pk)
         return cert

@@ -1,6 +1,6 @@
 """Deterministic fleet simulation over a lossy broadcast medium.
 
-A scenario file (INI syntax, see :func:`load_scenario`) describes a
+A scenario file (INI syntax, see :func:`parse_scenario`) describes a
 fleet of honest vehicles plus scripted adversaries.  The run is a
 single-threaded discrete-event loop: one logical clock drives every
 hardware module, every random draw comes from a generator seeded from
@@ -19,15 +19,15 @@ import configparser
 import heapq
 import itertools
 import json
-import math
 import random
-import struct
-from dataclasses import dataclass
+import typing
+from collections import Counter
+from dataclasses import MISSING, dataclass, fields
 
 from . import transient
 from .errors import AvcsError, ScenarioError
 from .groups import get_group
-from .hardware import TRANSIENT_SCHEME_ID, ManualClock, PseudonymCertificate, join, leak_master_secret
+from .hardware import ManualClock, PseudonymCertificate, join, leak_master_secret, pack_content
 from .ringsig import ManufactoryRegistry, RingSignature, forge_tuple, setup
 from .vehicle import CLOCK_SKEW, FRAME_CERT, FRAME_MSG, REJECTION_REASONS, VehicleState, cert_fingerprint, encode_cert_frame, encode_message_frame
 
@@ -48,8 +48,8 @@ MANUFACTORY = "fleet"
 class AdversarySpec:
     name: str
     kind: str
-    start: float
-    # kind-specific knobs, already type-checked by load_scenario
+    start: float = 0.0
+    # kind-specific knobs, already type-checked by parse_scenario
     certs: int = 5          # sybil: certificates minted in one window
     repeats: int = 2        # replay: rebroadcast count
     period: float = 3.0     # forger/masquerade: seconds between attempts
@@ -115,18 +115,38 @@ class Scenario:
                 raise ScenarioError(f"adversary {adv.name!r}: vehicle index out of range")
 
 
+def _field_types(cls) -> dict:
+    """Field name -> (type, required) for a scenario dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING) for f in fields(cls)}
+
+
+# resolved once: get_type_hints is slow next to a whole parse
+_SCENARIO_FIELDS = _field_types(Scenario)
+_ADVERSARY_FIELDS = _field_types(AdversarySpec)
+
+# INI section -> the Scenario fields it holds, in reading order
+_SECTIONS = {
+    "scenario": ("seed", "n_vehicles", "duration", "curve"),
+    "protocol": ("k", "ring_size", "min_span_time", "cert_validity", "msg_rate", "preseed_ids"),
+    "medium": ("loss_rate", "latency_min_ms", "latency_max_ms"),
+}
+_ADVERSARY_KEYS = tuple(name for name in _ADVERSARY_FIELDS if name != "name")
+
+
 class _SectionReader:
     """Pop typed values out of one INI section, complaining about leftovers."""
 
-    def __init__(self, section: str, items: dict):
+    def __init__(self, section: str, items):
         self.section = section
         self.items = dict(items)
 
-    def take(self, key, conv, default=None, required=False):
+    def take(self, key, conv, required):
+        """The value of ``key`` converted by ``conv``, or None if absent."""
         if key not in self.items:
             if required:
                 raise ScenarioError(f"[{self.section}] is missing required key {key!r}")
-            return default
+            return None
         raw = self.items.pop(key)
         try:
             if conv is bool:
@@ -142,13 +162,21 @@ class _SectionReader:
                 f"[{self.section}] {key} = {raw!r} is not a valid {conv.__name__}"
             ) from None
 
-    def finish(self) -> None:
+    def read(self, types: dict, keys) -> dict:
+        """The present ``keys`` as dataclass keyword arguments; no leftovers allowed."""
+        values = {}
+        for key in keys:
+            value = self.take(key, *types[key])
+            if value is not None:
+                values[key] = value
         if self.items:
             stray = ", ".join(sorted(self.items))
             raise ScenarioError(f"[{self.section}] has unknown keys: {stray}")
+        return values
 
 
 def parse_scenario(text: str) -> Scenario:
+    """Build a Scenario from INI text; absent keys keep the field defaults."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -157,63 +185,27 @@ def parse_scenario(text: str) -> Scenario:
     if "scenario" not in cp:
         raise ScenarioError("scenario file needs a [scenario] section")
 
-    sc = _SectionReader("scenario", cp["scenario"])
-    seed = sc.take("seed", int, required=True)
-    n_vehicles = sc.take("n_vehicles", int, required=True)
-    duration = sc.take("duration", float, required=True)
-    curve = sc.take("curve", str, default="p192")
-    sc.finish()
-
-    pr = _SectionReader("protocol", cp["protocol"] if "protocol" in cp else {})
-    k = pr.take("k", int, default=10)
-    ring_size = pr.take("ring_size", int, default=3)
-    min_span_time = pr.take("min_span_time", float, default=5.0)
-    cert_validity = pr.take("cert_validity", float, default=60.0)
-    msg_rate = pr.take("msg_rate", float, default=1.0)
-    preseed_ids = pr.take("preseed_ids", bool, default=True)
-    pr.finish()
-
-    md = _SectionReader("medium", cp["medium"] if "medium" in cp else {})
-    loss_rate = md.take("loss_rate", float, default=0.0)
-    latency_min_ms = md.take("latency_min_ms", float, default=1.0)
-    latency_max_ms = md.take("latency_max_ms", float, default=5.0)
-    md.finish()
+    values = {}
+    for section, keys in _SECTIONS.items():
+        items = cp[section] if section in cp else {}
+        values.update(_SectionReader(section, items).read(_SCENARIO_FIELDS, keys))
 
     adversaries = []
     for section in cp.sections():
-        if section in ("scenario", "protocol", "medium"):
+        if section in _SECTIONS:
             continue
         if not section.startswith("adversary."):
             raise ScenarioError(f"unknown section [{section}]")
         name = section[len("adversary."):]
         if not name:
             raise ScenarioError("adversary section needs a name after the dot")
-        ad = _SectionReader(section, cp[section])
-        kind = ad.take("kind", str, required=True)
-        spec = AdversarySpec(
-            name=name,
-            kind=kind,
-            start=ad.take("start", float, default=0.0),
-            certs=ad.take("certs", int, default=5),
-            repeats=ad.take("repeats", int, default=2),
-            period=ad.take("period", float, default=3.0),
-            ring=ad.take("ring", int, default=3),
-            victim=ad.take("victim", str, default=""),
-            vehicle=ad.take("vehicle", int, default=0),
-        )
-        ad.finish()
-        adversaries.append(spec)
+        spec = _SectionReader(section, cp[section]).read(_ADVERSARY_FIELDS, _ADVERSARY_KEYS)
+        adversaries.append(AdversarySpec(name=name, **spec))
 
-    scenario = Scenario(
-        seed=seed, n_vehicles=n_vehicles, duration=duration, curve=curve,
-        k=k, ring_size=ring_size, min_span_time=min_span_time,
-        cert_validity=cert_validity, msg_rate=msg_rate, loss_rate=loss_rate,
-        latency_min_ms=latency_min_ms, latency_max_ms=latency_max_ms,
-        preseed_ids=preseed_ids, adversaries=tuple(adversaries),
-    )
+    scenario = Scenario(**values, adversaries=tuple(adversaries))
     scenario.validate()
     try:
-        get_group(curve)
+        get_group(scenario.curve)
     except (ValueError, AvcsError) as exc:
         raise ScenarioError(str(exc)) from exc
     return scenario
@@ -243,7 +235,6 @@ class RunReport:
     frames_delivered: int
     frames_dropped: int
     sent: dict                     # source -> {"cert": n, "msg": n}
-    accepted_by_src: dict          # source -> accepted deliveries
     delivery_ratio: dict           # honest source -> accepted msg / possible msg
     throughput: float              # accepted message frames per simulated second
     sybil_detection_latency: dict  # sybil adversary -> seconds (None if never)
@@ -325,21 +316,12 @@ class _Sim:
         self._cert_expiry: dict[str, float] = {}
         self._taps = []            # called as tap(src, frame, time) on every broadcast
         self._last_arrival: dict[tuple[str, str], float] = {}
+        self.adversary_names = frozenset(spec.name for spec in scenario.adversaries)
 
-        self.events: list[str] = []
-        self.counters: dict[str, dict[str, int]] = {}
-        self.sent: dict[str, dict[str, int]] = {}
-        self.accepted_by_src: dict[str, int] = {}
-        self.msg_accepts_by_src: dict[str, int] = {}
-        self.frames_delivered = 0
-        self.frames_dropped = 0
-        self.adversary_names: list[str] = []
-        self.sybil_names: set[str] = set()
-        self.sybil_start: dict[str, float] = {}
-        self.sybil_first_reject: dict[str, float] = {}
+        # what happened, once; report() derives every figure from these
+        self.deliveries: list[tuple] = []  # (time, src, dst, kind, outcome, reason)
+        self.broadcasts: list[tuple] = []  # (src, kind, size)
         self.revocations: list[tuple[float, str]] = []
-        self.cert_sizes: list[int] = []
-        self.msg_sizes: list[int] = []
 
     # -- scheduling -------------------------------------------------------
 
@@ -370,7 +352,6 @@ class _Sim:
                 veh._harvest_ids(identities)
             self.vehicles.append((name, veh))
             self._vehicle_rng[name] = rng
-            self.counters[name] = {key: 0 for key in COUNTER_KEYS}
             # stagger stream starts so same-tick broadcasts stay distinguishable
             start = 0.01 * (i + 1)
             j = 0
@@ -379,8 +360,6 @@ class _Sim:
                 j += 1
 
         for spec in sc.adversaries:
-            self.adversary_names.append(spec.name)
-            self.accepted_by_src.setdefault(spec.name, 0)
             builder = {
                 "sybil": self._build_sybil,
                 "replay": self._build_replay,
@@ -405,10 +384,7 @@ class _Sim:
 
     def broadcast(self, src: str, frame: bytes) -> None:
         kind = _frame_kind(frame)
-        tally = self.sent.setdefault(src, {"cert": 0, "msg": 0})
-        tally[kind] = tally.get(kind, 0) + 1
-        if src not in self.adversary_names:
-            (self.cert_sizes if kind == "cert" else self.msg_sizes).append(len(frame))
+        self.broadcasts.append((src, kind, len(frame)))
         for tap in self._taps:
             tap(src, frame, self.now)
         sc = self.scenario
@@ -416,8 +392,7 @@ class _Sim:
             if dst == src:
                 continue
             if self.medium_rng.random() < sc.loss_rate:
-                self.frames_dropped += 1
-                self._log(self.now, src, dst, kind, "drop", None)
+                self.deliveries.append((self.now, src, dst, kind, "drop", None))
                 continue
             latency = self.medium_rng.uniform(sc.latency_min_ms, sc.latency_max_ms) / 1000.0
             # frames on one src->dst path never overtake each other
@@ -428,24 +403,8 @@ class _Sim:
     def _make_delivery(self, src: str, dst: str, veh: VehicleState, frame: bytes, kind: str):
         def deliver():
             result = veh.receive(frame, self.now)
-            key = "accept" if result.accepted else result.reason
-            self.counters[dst][key] += 1
-            self.frames_delivered += 1
-            if result.accepted:
-                self.accepted_by_src[src] = self.accepted_by_src.get(src, 0) + 1
-                if kind == "msg":
-                    self.msg_accepts_by_src[src] = self.msg_accepts_by_src.get(src, 0) + 1
-            if result.reason == "sybil" and src in self.sybil_names:
-                self.sybil_first_reject.setdefault(src, self.now)
-            self._log(self.now, src, dst, kind, result.outcome, result.reason)
+            self.deliveries.append((self.now, src, dst, kind, result.outcome, result.reason))
         return deliver
-
-    def _log(self, time, src, dst, kind, outcome, reason) -> None:
-        self.events.append(json.dumps(
-            {"time": round(time, 6), "src": src, "dst": dst,
-             "frame": kind, "outcome": outcome, "reason": reason},
-            sort_keys=True,
-        ))
 
     # -- adversaries ----------------------------------------------------
 
@@ -460,8 +419,6 @@ class _Sim:
             self.mk, identity, self.registry, rng,
             clock=self.clock, min_span_time=self.scenario.min_span_time,
         )
-        self.sybil_names.add(spec.name)
-        self.sybil_start[spec.name] = spec.start
 
         def activate():
             for _ in range(spec.certs):
@@ -493,8 +450,7 @@ class _Sim:
         """A fresh transient key pair and a made-up C, R and T around it."""
         group = self.group
         sk, pk = transient.gen_keypair(group, rng)
-        times = struct.pack(">QQ", math.floor(self.now), math.ceil(self.now + 30.0))
-        C = bytes([TRANSIENT_SCHEME_ID]) + group.encode_element(pk) + times
+        C = pack_content(group, pk, self.now, 30.0)
         R = group.scalar_mul(rng.randrange(1, group.q), group.generator)
         T = group.scalar_mul(rng.randrange(1, group.q), group.generator)
         return sk, pk, C, R, T
@@ -572,44 +528,61 @@ class _Sim:
 
     def report(self) -> RunReport:
         sc = self.scenario
-        total = sum(sum(row.values()) for row in self.counters.values())
-        if total != self.frames_delivered:
-            raise AssertionError(
-                f"outcome counters ({total}) disagree with deliveries ({self.frames_delivered})"
-            )
-        n_receivers = len(self.vehicles) - 1
-        delivery_ratio = {}
-        for name, _ in self.vehicles:
-            sent_msgs = self.sent.get(name, {}).get("msg", 0)
-            possible = sent_msgs * n_receivers
-            if possible:
-                delivery_ratio[name] = self.msg_accepts_by_src.get(name, 0) / possible
-        accepted_msgs = sum(self.msg_accepts_by_src.values())
-        latency = {
-            name: (self.sybil_first_reject[name] - self.sybil_start[name]
-                   if name in self.sybil_first_reject else None)
-            for name in sorted(self.sybil_names)
+        names = [name for name, _ in self.vehicles]
+        counters = {name: {key: 0 for key in COUNTER_KEYS} for name in names}
+        accepted = Counter()        # source -> accepted deliveries
+        msg_accepted = Counter()    # source -> accepted message deliveries
+        first_sybil = {}            # source -> time of its first sybil verdict
+        dropped = 0
+        for time, src, dst, kind, outcome, reason in self.deliveries:
+            if outcome == "drop":
+                dropped += 1
+                continue
+            counters[dst]["accept" if outcome == "accept" else reason] += 1
+            if outcome == "accept":
+                accepted[src] += 1
+                if kind == "msg":
+                    msg_accepted[src] += 1
+            if reason == "sybil":
+                first_sybil.setdefault(src, time)
+
+        sent = {}
+        for src, kind, _ in self.broadcasts:
+            tally = sent.setdefault(src, {"cert": 0, "msg": 0})
+            tally[kind] = tally.get(kind, 0) + 1
+        n_receivers = len(names) - 1
+        delivery_ratio = {
+            name: msg_accepted[name] / (sent[name]["msg"] * n_receivers)
+            for name in names
+            if name in sent and sent[name]["msg"] * n_receivers
         }
+        sybils = sorted((spec.name, spec.start) for spec in sc.adversaries if spec.kind == "sybil")
+        honest = [(kind, size) for src, kind, size in self.broadcasts
+                  if src not in self.adversary_names]
         return RunReport(
             seed=sc.seed,
             curve=sc.curve,
             duration=sc.duration,
-            vehicles=tuple(name for name, _ in self.vehicles),
-            counters=self.counters,
-            frames_delivered=self.frames_delivered,
-            frames_dropped=self.frames_dropped,
-            sent=self.sent,
-            accepted_by_src=self.accepted_by_src,
+            vehicles=tuple(names),
+            counters=counters,
+            frames_delivered=len(self.deliveries) - dropped,
+            frames_dropped=dropped,
+            sent=sent,
             delivery_ratio=delivery_ratio,
-            throughput=accepted_msgs / sc.duration,
-            sybil_detection_latency=latency,
-            adversary_accepted={
-                name: self.accepted_by_src.get(name, 0) for name in self.adversary_names
+            throughput=sum(msg_accepted.values()) / sc.duration,
+            sybil_detection_latency={
+                name: first_sybil[name] - start if name in first_sybil else None
+                for name, start in sybils
             },
+            adversary_accepted={spec.name: accepted[spec.name] for spec in sc.adversaries},
             revocations=tuple(self.revocations),
-            cert_size=_size_stats(self.cert_sizes),
-            msg_size=_size_stats(self.msg_sizes),
-            events=tuple(self.events),
+            cert_size=_size_stats([size for kind, size in honest if kind == "cert"]),
+            msg_size=_size_stats([size for kind, size in honest if kind != "cert"]),
+            events=tuple(
+                json.dumps({"time": round(time, 6), "src": src, "dst": dst, "frame": kind,
+                            "outcome": outcome, "reason": reason}, sort_keys=True)
+                for time, src, dst, kind, outcome, reason in self.deliveries
+            ),
         )
 
 

@@ -118,7 +118,7 @@ class VehicleState:
     """Mutable per-vehicle protocol state around one hardware module."""
 
     def __init__(self, hsm: HardwareModule, *, k: int = 10, ring_size: int = 4,
-                 id_capacity: int = 64, clock_skew: float = CLOCK_SKEW):
+                 id_capacity: int = 64):
         if k < 1:
             raise ValueError("k must be at least 1")
         if ring_size < 1:
@@ -127,7 +127,6 @@ class VehicleState:
         self.k = k
         self.ring_size = ring_size
         self.id_capacity = id_capacity
-        self.clock_skew = clock_skew
         self.pseudonym_buf: OrderedDict[bytes, _BufferedCert] = OrderedDict()
         self.id_buf: OrderedDict[str, None] = OrderedDict()
         self.rogue_list: set[int] = set()
@@ -147,27 +146,9 @@ class VehicleState:
         self._stream_sent = 0
         return cert
 
-    def _message_frame(self, payload: bytes) -> bytes:
-        app = self.hsm.gen_message(payload)
-        fingerprint = cert_fingerprint(self.certificate_frame)
-        return encode_message_frame(fingerprint, app.M, app.N)
-
-    def send_stream(self, messages: list[bytes]) -> list[bytes]:
-        """Frame a whole batch: certificate first, again every k-th message."""
-        if self.certificate_frame is None:
-            raise ProvisioningError("no pseudonym certificate to send under")
-        frames = [self.certificate_frame]
-        for i, payload in enumerate(messages, start=1):
-            if i % self.k == 0:
-                frames.append(self.certificate_frame)
-            frames.append(self._message_frame(payload))
-        return frames
-
     def send_next(self, payload: bytes) -> list[bytes]:
-        """Incremental form of send_stream for event-driven callers.
-
-        Concatenating send_next over a payload list yields exactly the
-        frames send_stream would emit for that list.
+        """Frame one payload: the certificate before the first message of
+        a stream and again before every k-th message, then the message.
         """
         if self.certificate_frame is None:
             raise ProvisioningError("no pseudonym certificate to send under")
@@ -177,7 +158,8 @@ class VehicleState:
         self._stream_sent += 1
         if self._stream_sent % self.k == 0:
             frames.append(self.certificate_frame)
-        frames.append(self._message_frame(payload))
+        app = self.hsm.gen_message(payload)
+        frames.append(encode_message_frame(cert_fingerprint(self.certificate_frame), app.M, app.N))
         return frames
 
     # -- ring construction ----------------------------------------------
@@ -197,7 +179,7 @@ class VehicleState:
         dead = [
             fp
             for fp, entry in self.pseudonym_buf.items()
-            if now > entry.expiration + self.clock_skew
+            if now > entry.expiration + CLOCK_SKEW
         ]
         for fp in dead:
             del self.pseudonym_buf[fp]
@@ -239,9 +221,9 @@ class VehicleState:
         if any(buffered.t_enc == t_enc for buffered in self.pseudonym_buf.values()):
             return _reject("sybil")
 
-        if now > parsed.expiration + self.clock_skew:
+        if now > parsed.expiration + CLOCK_SKEW:
             return _reject("expired")
-        if now < parsed.issue - self.clock_skew:
+        if now < parsed.issue - CLOCK_SKEW:
             return _reject("expired")
 
         J = content_tag(group, cert.C)

@@ -1,10 +1,13 @@
 """Scenario loading, event-loop determinism, adversary outcomes."""
 
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from avcs.cli import main as cli_main
 from avcs.errors import ScenarioError
 from avcs.simnet import (
     COUNTER_KEYS,
@@ -17,7 +20,8 @@ from avcs.simnet import (
     run,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO / "scenarios"
 
 TOY = "toy:2147483647"
 
@@ -100,6 +104,14 @@ def test_bundled_scenarios_parse():
         sc = load_scenario(path)
         sc.validate()
     assert len(list(SCENARIO_DIR.glob("*.ini"))) == 4
+
+
+def test_readme_scenarios_parse():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        parse_scenario(block)
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +322,43 @@ def test_event_log_schema():
         assert set(record) == {"time", "src", "dst", "frame", "outcome", "reason"}
         assert record["frame"] in ("cert", "msg")
         assert record["outcome"] in ("accept", "duplicate", "reject", "drop")
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: the bytes `avcs sim` writes for each bundled scenario
+# ---------------------------------------------------------------------------
+
+
+GOLDEN = {
+    "attacks": {
+        "events.jsonl": "9b8ba965179e613989511fe842c69e52e3ac9af11cce668244b60785b06e49b3",
+        "report.txt": "4aa3920d3efdac44a87dd743a367f52084a4c33f84d263b2973bca759000f86e",
+        "counters.csv": "23280a66797dc7f0d9bf690f4f8a8db5e27a959139c26efebe60ba377120d2c6",
+    },
+    "clean": {
+        "events.jsonl": "6abf71f5864f72a66689bc242b0472d1439d12b7ef3f7e3cd21df7e72b613c8e",
+        "report.txt": "9dfee4e8dbd2443ec32bf4bea02e4fc30eaacb961144d8d0835a4d0bbb721b2e",
+        "counters.csv": "72cf6a4b5a96ad0c66141867e79e31ecf19549e052af835877b368c05dcb58a2",
+    },
+    "lossy": {
+        "events.jsonl": "5de64acbe2de7f4e5ab77217126bb37c315013b6585be7d2fdfb23717ca80db3",
+        "report.txt": "2601a351046bf7e4e31f0914e8a01c83468c99d6084482aee16291e98878ccf7",
+        "counters.csv": "351fda55325beb72a94e43753d379501b7841fc8450175a19ae6c716a26197e2",
+    },
+    "sybil": {
+        "events.jsonl": "cbcf1a0d6330994d6b1d99611b17ec3d1e12131a622e2d5bf0559195b0daaacd",
+        "report.txt": "2df5ba3674524aeef6d10542900f640efd8fc13513bf05c50e83b340e68d29a0",
+        "counters.csv": "25a6a8e624fb98c24da3a7ede7215b3191583eb4fe7eb5db7a8de10c63dfd014",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_scenario_outputs_are_golden(name, tmp_path):
+    assert cli_main(["sim", "--scenario", str(SCENARIO_DIR / f"{name}.ini"),
+                     "--out", str(tmp_path)]) == 0
+    digests = {
+        filename: hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
+        for filename in GOLDEN[name]
+    }
+    assert digests == GOLDEN[name]

@@ -25,20 +25,24 @@ def tags(frames):
 # ---------------------------------------------------------------------------
 
 
-def test_send_stream_five_messages_k10():
+def send_all(v, payloads):
+    return [f for p in payloads for f in v.send_next(p)]
+
+
+def test_send_next_five_messages_k10():
     world = toy_world(1)
     v = world.vehicles[0]
     v.make_pseudonym(600, random.Random(1))
-    frames = v.send_stream([f"m{i}".encode() for i in range(5)])
+    frames = send_all(v, [f"m{i}".encode() for i in range(5)])
     assert tags(frames) == [FRAME_CERT] + [FRAME_MSG] * 5
     assert frames[0] == v.certificate_frame
 
 
-def test_send_stream_twenty_messages_k10():
+def test_send_next_twenty_messages_k10():
     world = toy_world(1)
     v = world.vehicles[0]
     v.make_pseudonym(600, random.Random(2))
-    frames = v.send_stream([f"m{i}".encode() for i in range(20)])
+    frames = send_all(v, [f"m{i}".encode() for i in range(20)])
     expected = (
         [FRAME_CERT]
         + [FRAME_MSG] * 9
@@ -52,11 +56,11 @@ def test_send_stream_twenty_messages_k10():
     assert cert_positions == [0, 10, 21]
 
 
-def test_send_stream_k1_resends_before_every_message():
+def test_send_next_k1_resends_before_every_message():
     world = toy_world(1, k=1)
     v = world.vehicles[0]
     v.make_pseudonym(600, random.Random(3))
-    frames = v.send_stream([b"a", b"b", b"c"])
+    frames = send_all(v, [b"a", b"b", b"c"])
     assert tags(frames) == [
         FRAME_CERT,
         FRAME_CERT, FRAME_MSG,
@@ -65,23 +69,9 @@ def test_send_stream_k1_resends_before_every_message():
     ]
 
 
-def test_send_next_matches_send_stream():
-    world = toy_world(1, k=3)
-    v = world.vehicles[0]
-    v.make_pseudonym(600, random.Random(4))
-    payloads = [f"p{i}".encode() for i in range(8)]
-    batch = v.send_stream(payloads)  # pure: does not advance the stream
-    incremental = []
-    for p in payloads:
-        incremental.extend(v.send_next(p))
-    assert incremental == batch
-
-
 def test_send_requires_certificate():
     world = toy_world(1)
     v = world.vehicles[0]
-    with pytest.raises(ProvisioningError):
-        v.send_stream([b"x"])
     with pytest.raises(ProvisioningError):
         v.send_next(b"x")
 
