@@ -37,6 +37,8 @@ CSV_HEADER = "curve,ring_size,op,mean_ms,median_ms,p95_ms,scalar_muls,size_bytes
 # 10-char identities: one-letter manufactory, zero-padded unit number
 _BENCH_MFR = "b"
 _PAYLOAD = b"position=47.3769,8.5417 speed=13.4 heading=284"
+# ring rows feed the linearity fit: spanning seconds, they outlast bursts of outside load
+_RING_ROW_SECONDS = 3.0
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,9 @@ def _count_muls(fn) -> int:
     return ops.scalar_muls
 
 
-def _interleaved_trials(fns: dict, trials: int) -> dict:
-    """Time each fn ``trials`` times, one round-robin pass per trial.
+def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0) -> dict:
+    """Time each fn in round-robin passes: ``trials`` passes, and more
+    until the passes have run for ``min_seconds`` or made ``10 * trials``.
 
     Consecutive trials of a single shape share whatever scheduler noise
     hits that moment; spreading the passes keeps every shape sampling
@@ -117,7 +120,10 @@ def _interleaved_trials(fns: dict, trials: int) -> dict:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(trials):
+        deadline = time.perf_counter() + min_seconds
+        passes = 0
+        while passes < trials or (passes < 10 * trials and time.perf_counter() < deadline):
+            passes += 1
             for key, fn in fns.items():
                 start = time.perf_counter()
                 fn()
@@ -177,12 +183,12 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
     sign_samples = _interleaved_trials(
         {r: (lambda ring=ring: ring_sign(_PAYLOAD, ring, signer, 0, registry, rng))
          for r, ring in rings.items()},
-        trials,
+        trials, _RING_ROW_SECONDS,
     )
     verify_samples = _interleaved_trials(
         {r: (lambda sig=sig: ring_verify(_PAYLOAD, sig, registry))
          for r, sig in sigs.items()},
-        trials,
+        trials, _RING_ROW_SECONDS,
     )
 
     records = []

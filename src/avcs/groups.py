@@ -16,7 +16,9 @@ only passes them back into the owning group object.
 
 Scalar multiplications are the unit of cost accounting for the
 signature scheme.  Wrap a region in :func:`count_group_ops` to get an
-exact call count; outside such a region nothing is recorded.
+exact count; outside such a region nothing is recorded.  ``multi_mul``
+over n pairs counts n, pairs it skips or merges included; ``sum_points``
+and ``add`` count nothing.
 """
 
 from __future__ import annotations
@@ -118,9 +120,9 @@ def count_group_ops():
         _counters.reset(token)
 
 
-def _note_scalar_mul() -> None:
+def _note_scalar_mul(n: int = 1) -> None:
     for counter in _counters.get():
-        counter.scalar_muls += 1
+        counter.scalar_muls += n
 
 
 def note_extraction() -> None:
@@ -220,6 +222,13 @@ class ToyGroup(_ScalarCodec):
         _note_scalar_mul()
         return (k % self.q) * a % self.q
 
+    def multi_mul(self, pairs) -> int:
+        _note_scalar_mul(len(pairs))
+        return sum(k * a for k, a in pairs) % self.q
+
+    def sum_points(self, points) -> int:
+        return sum(points) % self.q
+
     def encode_element(self, a: int) -> bytes:
         return a.to_bytes(self.element_byte_len, "big")
 
@@ -273,14 +282,28 @@ _P256 = _CurveParams(
     gy=0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
 )
 
+def _wnaf(k: int) -> list[int]:
+    """Width-4 NAF digits of ``k >= 0``, least significant first: each
+    nonzero digit is odd, below 8 in size, and followed by three zeros."""
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = (k & 15) - 16 if k & 8 else k & 15
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
 class CurveGroup(_ScalarCodec):
     """A NIST prime curve with cofactor 1.
 
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
-    Scalar multiplication runs double-and-add over Jacobian
-    coordinates with a single field inversion at the end; on this
-    interpreter that lands around a millisecond per multiplication on
-    P-192, which is what the benchmark command reports against.
+    ``scalar_mul`` runs variable-time double-and-add over Jacobian
+    coordinates with one field inversion at the end.  ``multi_mul``
+    evaluates a whole public-scalar equation in one interleaved pass
+    (Straus), so n terms share a single doubling chain.
     """
 
     def __init__(self, params: _CurveParams):
@@ -355,6 +378,24 @@ class CurveGroup(_ScalarCodec):
         Z3 = Z1 * Z2 * H % p
         return (X3, Y3, Z3)
 
+    def _jac_add_affine(self, pt1, pt2):
+        # pt1 Jacobian, pt2 a finite affine point: Z2 = 1 saves work
+        X1, Y1, Z1 = pt1
+        x2, y2 = pt2
+        if not Z1:
+            return (x2, y2, 1)
+        p = self._p
+        Z1Z1 = Z1 * Z1 % p
+        H = (x2 * Z1Z1 - X1) % p
+        R = (y2 * Z1 * Z1Z1 - Y1) % p
+        if not H:
+            return (1, 1, 0) if R else self._jac_double(pt1)
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X1 * HH % p
+        X3 = (R * R - HHH - 2 * V) % p
+        return (X3, (R * (V - X3) - Y1 * HHH) % p, Z1 * H % p)
+
     def _to_jacobian(self, pt):
         if pt is None:
             return (1, 1, 0)
@@ -368,6 +409,23 @@ class CurveGroup(_ScalarCodec):
         zinv = pow(Z, -1, p)
         zinv2 = zinv * zinv % p
         return (X * zinv2 % p, Y * zinv2 * zinv % p)
+
+    def _batch_to_affine(self, pts):
+        # finite Jacobian points to affine with one shared inversion
+        # (Montgomery's trick): invert the product of every Z, then peel
+        p = self._p
+        prefix = [1]
+        for pt in pts:
+            prefix.append(prefix[-1] * pt[2] % p)
+        inv = pow(prefix[-1], -1, p)
+        out = [None] * len(pts)
+        for i in reversed(range(len(pts))):
+            X, Y, Z = pts[i]
+            zinv = inv * prefix[i] % p
+            inv = inv * Z % p
+            zinv2 = zinv * zinv % p
+            out[i] = (X * zinv2 % p, Y * zinv2 * zinv % p)
+        return out
 
     # -- public group API ---------------------------------------------------
 
@@ -386,6 +444,50 @@ class CurveGroup(_ScalarCodec):
                 acc = self._jac_add(acc, addend)
             addend = self._jac_double(addend)
             k >>= 1
+        return self._to_affine(acc)
+
+    def multi_mul(self, pairs):
+        """The sum of ``k * P`` over ``pairs``; variable time, public scalars only.
+
+        Equal points are merged first; each remaining base gets a table
+        of its odd multiples P..7P, and one doubling chain adds them in
+        at the nonzero digits of its scalar's width-4 NAF.
+        """
+        _note_scalar_mul(len(pairs))
+        q, p = self.q, self._p
+        merged: dict = {}
+        for k, pt in pairs:
+            if pt is not None:
+                merged[pt] = (merged.get(pt, 0) + k) % q
+        bases = [(pt, k) for pt, k in merged.items() if k]
+        odd = []  # P, 3P, 5P, 7P of every base
+        for pt, _ in bases:
+            odd.append(self._to_jacobian(pt))
+            twice = self._jac_double(odd[-1])
+            for _ in range(3):
+                odd.append(self._jac_add(odd[-1], twice))
+        odd = self._batch_to_affine(odd)
+        steps: list[list] = [[] for _ in range(q.bit_length() + 1)]
+        for b, (_, k) in enumerate(bases):
+            table = {}
+            for d, (x, y) in zip((1, 3, 5, 7), odd[4 * b : 4 * b + 4]):
+                table[d], table[-d] = (x, y), (x, p - y)
+            for i, d in enumerate(_wnaf(k)):
+                if d:
+                    steps[i].append(table[d])
+        acc = (1, 1, 0)
+        for adds in reversed(steps):
+            acc = self._jac_double(acc)
+            for pt in adds:
+                acc = self._jac_add_affine(acc, pt)
+        return self._to_affine(acc)
+
+    def sum_points(self, points):
+        """The sum of ``points``: mixed additions, one inversion at the end."""
+        acc = (1, 1, 0)
+        for pt in points:
+            if pt is not None:
+                acc = self._jac_add_affine(acc, pt)
         return self._to_affine(acc)
 
     # -- encodings ------------------------------------------------------

@@ -43,7 +43,10 @@ def sign(group, sk: int, pk, msg: bytes) -> bytes:
 
 
 def verify(group, pk, msg: bytes, signature: bytes) -> bool:
-    """Check s*P = R + e*pk.  Hostile-input safe; two scalar muls."""
+    """Check s*P - e*pk = R in one multi-scalar multiplication.
+
+    Hostile-input safe; two logical scalar muls.
+    """
     ebl = group.element_byte_len
     if len(signature) != signature_byte_len(group):
         return False
@@ -55,9 +58,7 @@ def verify(group, pk, msg: bytes, signature: bytes) -> bool:
     e = group.hash_to_scalar(
         "schnorr", group.encode_element(R) + group.encode_element(pk) + msg
     )
-    lhs = group.scalar_mul(s, group.generator)
-    rhs = group.add(R, group.scalar_mul(e, pk))
-    return lhs == rhs
+    return group.multi_mul([(s, group.generator), (-e, pk)]) == R
 
 
 def signature_byte_len(group) -> int:

@@ -3,8 +3,11 @@
 import hashlib
 import random
 import struct
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcs.errors import ParseError
 from avcs.groups import (
@@ -230,3 +233,74 @@ def test_op_counter_scoping():
     # outside any region nothing is recorded and nothing breaks
     TOY.scalar_mul(1, 1)
     assert outer.scalar_muls == 3
+
+
+# --- multi_mul and sum_points against the fold of scalar_mul and add
+
+
+MSM_GROUPS = (P192, P256, TOY, BIG_TOY)
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def fold_mul(group, pairs):
+    return reduce(group.add, (group.scalar_mul(k, pt) for k, pt in pairs), group.identity)
+
+
+@st.composite
+def msm_cases(draw):
+    """(group, pairs): scalars include 0, negatives and multiples of q;
+    bases repeat and include the generator and the identity."""
+    group = draw(st.sampled_from(MSM_GROUPS))
+    q = group.q
+    multiples = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    bases = [group.generator, group.identity] + [
+        group.scalar_mul(k, group.generator) for k in multiples
+    ]
+    scalars = st.one_of(st.sampled_from([0, 1, -1, q - 1, q, 2 * q + 3]), st.integers(-2 * q, 2 * q))
+    pairs = draw(st.lists(st.tuples(scalars, st.sampled_from(bases)), max_size=7))
+    return group, pairs
+
+
+@PROPERTY
+@given(msm_cases())
+def test_multi_mul_matches_fold(case):
+    group, pairs = case
+    expected = fold_mul(group, pairs)
+    with count_group_ops() as ops:
+        assert group.multi_mul(pairs) == expected
+    assert ops.scalar_muls == len(pairs)
+
+
+@PROPERTY
+@given(msm_cases())
+def test_multi_mul_cancelling_sums_are_identity(case):
+    group, pairs = case
+    cancelled = pairs + [(-k, pt) for k, pt in reversed(pairs)]
+    with count_group_ops() as ops:
+        assert group.is_identity(group.multi_mul(cancelled))
+    assert ops.scalar_muls == len(cancelled)
+
+
+@PROPERTY
+@given(msm_cases())
+def test_sum_points_matches_fold(case):
+    group, pairs = case
+    points = [pt for _, pt in pairs]
+    with count_group_ops() as ops:
+        assert group.sum_points(points) == reduce(group.add, points, group.identity)
+    assert ops.scalar_muls == 0
+
+
+@pytest.mark.parametrize("group", MSM_GROUPS, ids=str)
+def test_multi_mul_edge_cases(group):
+    G = group.generator
+    G3 = group.scalar_mul(3, G)
+    assert group.multi_mul([]) == group.identity
+    assert group.multi_mul([(0, G), (5, group.identity)]) == group.identity
+    # cancellation across distinct bases, and a doubling inside the chain
+    assert group.is_identity(group.multi_mul([(3 * 11, G), (-11, G3)]))
+    assert group.multi_mul([(3, G), (1, G3)]) == group.scalar_mul(6, G)
+    assert group.multi_mul([(1, G), (-1, G), (-1, G)]) == group.scalar_mul(group.q - 1, G)
+    with count_group_ops() as ops:
+        group.multi_mul([(0, G), (1, group.identity), (2, G)])
+    assert ops.scalar_muls == 3

@@ -13,6 +13,7 @@ from avcs.simnet import (
     COUNTER_KEYS,
     AdversarySpec,
     Scenario,
+    _Sim,
     counters_csv,
     load_scenario,
     parse_scenario,
@@ -233,6 +234,15 @@ def test_attack_corpus_outcomes():
     assert report.revocations == ((10.0, "veh-000"),)
     # the compromised vehicle is cut off; honest peers keep talking
     assert report.delivery_ratio["veh-000"] < report.delivery_ratio["veh-001"]
+
+
+def test_attacks_leave_no_forged_id_in_the_key_cache():
+    sim = _Sim(load_scenario(SCENARIO_DIR / "attacks.ini"))
+    sim.build()
+    sim.run_loop()
+    cached = list(sim.registry._cache)
+    assert cached
+    assert not [id_str for id_str in cached if ":ghost-" in id_str]
 
 
 def test_replay_rejected_as_expired_only():
