@@ -5,6 +5,10 @@ Two interchangeable backends sit behind one small interface:
 * :class:`CurveGroup` -- the NIST curves P-192 and P-256, written in
   Jacobian coordinates.  No dependency-free arithmetic backend is
   packaged for this interpreter, so the point math lives here.
+  Multiples of the generator read a precomputed table and make the
+  same point operations for every nonzero scalar; multiples of any
+  other point (``f * h0(C)``, ``f * h1(window)``, the rogue-list
+  scan) and ``multi_mul`` are variable time.
 * :class:`ToyGroup` -- the additive group of integers modulo a small
   prime with generator 1.  Scalar multiplication is literal modular
   multiplication, so test oracles can brute-force every claim.
@@ -28,6 +32,7 @@ import hashlib
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MappingError, ParseError
 
@@ -296,15 +301,42 @@ def _wnaf(k: int) -> list[int]:
     return digits
 
 
+def _regular_digits(k: int, n: int, w: int) -> list[int]:
+    """Joye-Tunstall regular recoding of an odd ``0 < k < 2**(w*n)``.
+
+    Exactly ``n`` digits, least significant first, with
+    ``k = sum(d_i * 2**(w*i))``: every digit is odd and below ``2**w``
+    in size, the last one positive, so none is ever zero.
+    """
+    digits = []
+    for _ in range(n - 1):
+        d = (k & ((2 << w) - 1)) - (1 << w)
+        digits.append(d)
+        k = (k - d) >> w
+    digits.append(k)
+    return digits
+
+
 class CurveGroup(_ScalarCodec):
     """A NIST prime curve with cofactor 1.
 
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
-    ``scalar_mul`` runs variable-time double-and-add over Jacobian
-    coordinates with one field inversion at the end.  ``multi_mul``
-    evaluates a whole public-scalar equation in one interleaved pass
-    (Straus), so n terms share a single doubling chain.
+    ``scalar_mul`` of the generator reads a precomputed table, built
+    once per curve, whose row i holds the odd multiples 1, 3, ..., 15
+    of ``16**i * G``: the scalar is recoded into one odd signed digit
+    per row (Joye-Tunstall), so every nonzero scalar costs the same
+    mixed additions, one per row, no doubling, and one inversion.  The
+    addition formula is incomplete: for one scalar and its negative,
+    the last addition meets its own operand and doubles instead.
+    ``scalar_mul`` of any other point (``f * h0(C)``, ``f * h1(window)``,
+    the rogue-list scan) is variable-time double-and-add over Jacobian
+    coordinates with one field inversion at the end.
+    ``multi_mul`` evaluates a whole public-scalar equation in one
+    interleaved pass (Straus), so n terms share a single doubling
+    chain.
     """
+
+    _GEN_WIDTH = 4  # generator-table digits are odd and below 2**4 in size
 
     def __init__(self, params: _CurveParams):
         self._p = params.p
@@ -432,11 +464,41 @@ class CurveGroup(_ScalarCodec):
     def add(self, a, b):
         return self._to_affine(self._jac_add(self._to_jacobian(a), self._to_jacobian(b)))
 
+    @cached_property
+    def _generator_table(self):
+        """Row i: the odd multiples 1, 3, ..., 2**w - 1 of ``2**(w*i) * G``,
+        affine; enough rows to recode any scalar below q."""
+        w = self._GEN_WIDTH
+        n = 1 << (w - 1)  # odd multiples per row
+        jac = []
+        base = self._to_jacobian(self.generator)
+        for _ in range(-(-self.q.bit_length() // w)):
+            twice = self._jac_double(base)
+            jac.append(base)
+            for _ in range(n - 1):
+                jac.append(self._jac_add(jac[-1], twice))
+            for _ in range(w - 1):
+                twice = self._jac_double(twice)
+            base = twice
+        flat = self._batch_to_affine(jac)
+        return [flat[i : i + n] for i in range(0, len(flat), n)]
+
     def scalar_mul(self, k: int, a):
         _note_scalar_mul()
         k %= self.q
         if k == 0 or a is None:
             return None
+        if a == self.generator:
+            # the recoding needs an odd scalar: k*G = -((q - k)*G)
+            odd = k & 1
+            table = self._generator_table
+            digits = _regular_digits(k if odd else self.q - k, len(table), self._GEN_WIDTH)
+            acc = (1, 1, 0)
+            for row, d in zip(table, digits):
+                x, y = row[abs(d) >> 1]
+                acc = self._jac_add_affine(acc, (x, y) if d > 0 else (x, self._p - y))
+            x, y = self._to_affine(acc)
+            return (x, y) if odd else (x, self._p - y)
         acc = (1, 1, 0)
         addend = self._to_jacobian(a)
         while k:
@@ -450,29 +512,33 @@ class CurveGroup(_ScalarCodec):
         """The sum of ``k * P`` over ``pairs``; variable time, public scalars only.
 
         Equal points are merged first; each remaining base gets a table
-        of its odd multiples P..7P, and one doubling chain adds them in
-        at the nonzero digits of its scalar's width-4 NAF.
+        of its odd multiples P..7P (the generator's come from the first
+        row of its table), and one doubling chain adds them in at the
+        nonzero digits of its scalar's width-4 NAF.
         """
         _note_scalar_mul(len(pairs))
-        q, p = self.q, self._p
+        q, p, gen = self.q, self._p, self.generator
         merged: dict = {}
         for k, pt in pairs:
             if pt is not None:
                 merged[pt] = (merged.get(pt, 0) + k) % q
-        bases = [(pt, k) for pt, k in merged.items() if k]
-        odd = []  # P, 3P, 5P, 7P of every base
-        for pt, _ in bases:
-            odd.append(self._to_jacobian(pt))
-            twice = self._jac_double(odd[-1])
+        fresh = [pt for pt, k in merged.items() if k and pt != gen]
+        jac = []  # P, 3P, 5P, 7P of every fresh base
+        for pt in fresh:
+            jac.append(self._to_jacobian(pt))
+            twice = self._jac_double(jac[-1])
             for _ in range(3):
-                odd.append(self._jac_add(odd[-1], twice))
-        odd = self._batch_to_affine(odd)
+                jac.append(self._jac_add(jac[-1], twice))
+        flat = self._batch_to_affine(jac)
+        odd = {pt: flat[4 * b : 4 * b + 4] for b, pt in enumerate(fresh)}
+        if merged.get(gen):
+            odd[gen] = self._generator_table[0][:4]
         steps: list[list] = [[] for _ in range(q.bit_length() + 1)]
-        for b, (_, k) in enumerate(bases):
+        for pt, multiples in odd.items():
             table = {}
-            for d, (x, y) in zip((1, 3, 5, 7), odd[4 * b : 4 * b + 4]):
+            for d, (x, y) in zip((1, 3, 5, 7), multiples):
                 table[d], table[-d] = (x, y), (x, p - y)
-            for i, d in enumerate(_wnaf(k)):
+            for i, d in enumerate(_wnaf(merged[pt])):
                 if d:
                     steps[i].append(table[d])
         acc = (1, 1, 0)

@@ -20,6 +20,7 @@ rather than duplicate.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -128,6 +129,10 @@ class VehicleState:
         self.ring_size = ring_size
         self.id_capacity = id_capacity
         self.pseudonym_buf: OrderedDict[bytes, _BufferedCert] = OrderedDict()
+        # kept in step with pseudonym_buf: the fingerprint buffered under
+        # each encoded T, and the earliest buffered expiration
+        self._fingerprint_by_t: dict[bytes, bytes] = {}
+        self._earliest_expiration = math.inf
         self.id_buf: OrderedDict[str, None] = OrderedDict()
         self.rogue_list: set[int] = set()
         self.current_certificate: PseudonymCertificate | None = None
@@ -176,13 +181,18 @@ class VehicleState:
     # -- receiving ------------------------------------------------------
 
     def _prune(self, now: float) -> None:
+        if now <= self._earliest_expiration + CLOCK_SKEW:
+            return
         dead = [
             fp
             for fp, entry in self.pseudonym_buf.items()
             if now > entry.expiration + CLOCK_SKEW
         ]
         for fp in dead:
-            del self.pseudonym_buf[fp]
+            del self._fingerprint_by_t[self.pseudonym_buf.pop(fp).t_enc]
+        self._earliest_expiration = min(
+            (entry.expiration for entry in self.pseudonym_buf.values()), default=math.inf
+        )
 
     def _harvest_ids(self, ids) -> None:
         own = self.hsm.identity
@@ -218,7 +228,7 @@ class VehicleState:
             return ReceiveResult("duplicate", "duplicate")
 
         t_enc = group.encode_element(cert.T)
-        if any(buffered.t_enc == t_enc for buffered in self.pseudonym_buf.values()):
+        if t_enc in self._fingerprint_by_t:
             return _reject("sybil")
 
         if now > parsed.expiration + CLOCK_SKEW:
@@ -234,7 +244,11 @@ class VehicleState:
         if not ring_verify(signed_message(group, cert.C, cert.R, cert.T), cert.S, self.hsm.registry):
             return _reject("bad-signature")
 
+        if entry is not None:  # another frame with this fingerprint: replace it
+            del self._fingerprint_by_t[entry.t_enc]
         self.pseudonym_buf[fingerprint] = _BufferedCert(frame, t_enc, parsed.pk, parsed.expiration)
+        self._fingerprint_by_t[t_enc] = fingerprint
+        self._earliest_expiration = min(self._earliest_expiration, parsed.expiration)
         self._harvest_ids(cert.S.ids)
         return ReceiveResult("accept")
 

@@ -304,3 +304,88 @@ def test_multi_mul_edge_cases(group):
     with count_group_ops() as ops:
         group.multi_mul([(0, G), (1, group.identity), (2, G)])
     assert ops.scalar_muls == 3
+
+
+# --- multiples of the generator: the precomputed table against double-and-add
+
+
+CURVES = (P192, P256)
+
+
+def double_and_add(group, k, pt):
+    """Reference k * pt from affine additions, independent of any table."""
+    acc = group.identity
+    for bit in bin(k % group.q)[2:]:
+        acc = group.add(group.add(acc, acc), pt) if bit == "1" else group.add(acc, acc)
+    return acc
+
+
+def last_row_doubling_scalar(group):
+    """The odd scalar whose last table addition meets its own operand.
+
+    Its recoding ends in the digit 15 after a partial sum of
+    ``15 * 16**(rows - 1) - q``, so the final mixed addition takes its
+    doubling branch; ``q`` minus it is recoded the same way.
+    """
+    rows = -(-group.q.bit_length() // 4)
+    return 30 * 16 ** (rows - 1) - group.q
+
+
+@st.composite
+def generator_scalars(draw):
+    group = draw(st.sampled_from(CURVES))
+    q = group.q
+    special = [0, 1, 2, 3, 15, 16, 17, q - 2, q - 1, q, q + 1, 2 * q, -1, -2,
+               last_row_doubling_scalar(group), q - last_row_doubling_scalar(group)]
+    k = draw(st.one_of(st.sampled_from(special), st.integers(-2 * q, 2 * q)))
+    return group, k
+
+
+@PROPERTY
+@given(generator_scalars())
+def test_generator_multiples_match_double_and_add(case):
+    group, k = case
+    expected = double_and_add(group, k, group.generator)
+    assert group.scalar_mul(k, group.generator) == expected
+    assert group.multi_mul([(k, group.generator)]) == expected
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_generator_multiples_have_one_operation_pattern(group, monkeypatch):
+    group.scalar_mul(1, group.generator)  # build the table outside the count
+    calls = {"_jac_double": 0, "_jac_add": 0, "_jac_add_affine": 0}
+
+    def counted(name):
+        method = getattr(group, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in calls:  # instance attributes shadow the methods until undone
+        monkeypatch.setitem(vars(group), name, counted(name))
+
+    def pattern(k):
+        for name in calls:
+            calls[name] = 0
+        group.scalar_mul(k, group.generator)
+        return tuple(calls.values())
+
+    rng = random.Random(2009)
+    q = group.q
+    scalars = [1, 2, q - 1, q - 2] + [rng.randrange(1, q) for _ in range(50)]
+    rows = -(-q.bit_length() // 4)
+    assert {pattern(k) for k in scalars} == {(0, 0, rows)}
+    # the incomplete addition formula's one exception on each curve
+    for k in (last_row_doubling_scalar(group), q - last_row_doubling_scalar(group)):
+        assert pattern(k) == (1, 0, rows)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_generator_multiple_counts_one_scalar_mul(group):
+    for k in (0, 1, 2, group.q - 1, group.q, 0xC0FFEE, -7):
+        with count_group_ops() as ops:
+            group.scalar_mul(k, group.generator)
+        assert ops.scalar_muls == 1

@@ -131,6 +131,29 @@ def test_replayed_stale_certificate_reports_expired_not_duplicate():
     assert replay.outcome == "reject" and replay.reason == "expired"
 
 
+def test_pruned_certificate_frees_its_t():
+    world = toy_world(2, start_time=1000.0)
+    v0, v1 = world.vehicles
+    short, _ = deliver_cert(v0, v1, validity=10, seed=7)  # expires 1010
+    assert short.accepted
+    # same window, so the same T; the short certificate is pruned by 1016
+    long_lived, _ = deliver_cert(v0, v1, now=1016.0, validity=600, seed=8)
+    assert long_lived.accepted
+    third, _ = deliver_cert(v0, v1, now=1017.0, validity=600, seed=9)
+    assert third.outcome == "reject" and third.reason == "sybil"
+
+
+def test_fingerprint_collision_replaces_buffered_t(monkeypatch):
+    # every frame gets the same fingerprint: a second certificate
+    # replaces the first in the buffer, and the first one's T goes too
+    monkeypatch.setattr("avcs.vehicle.cert_fingerprint", lambda frame: b"\x00" * 8)
+    world = toy_world(3)
+    v0, v1, v2 = world.vehicles
+    assert deliver_cert(v0, v1, seed=10)[0].accepted
+    assert deliver_cert(v2, v1, seed=11)[0].accepted
+    assert deliver_cert(v0, v1, seed=12)[0].accepted  # same T as the replaced one
+
+
 def test_revoked():
     world = toy_world(2)
     v0, v1 = world.vehicles
