@@ -218,7 +218,8 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
         muls = _count_muls(lambda: sender_hsm.gen_message(_PAYLOAD))
         records.append(_record(curve, r, "gen_message", samples, muls, len(msg_frame)))
 
-        pk = cert.parse_c(group).pk
+        # a receiver's steady state from a certificate's third message on
+        pk = group.prepare(cert.parse_c(group).pk)
         assert verify_transient(group, pk, app.M, app.N)
         samples = _interleaved_trials(
             {"verify_message": lambda: verify_transient(group, pk, app.M, app.N)}, trials

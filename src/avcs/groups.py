@@ -7,8 +7,10 @@ Two interchangeable backends sit behind one small interface:
   packaged for this interpreter, so the point math lives here.
   Multiples of the generator read a precomputed table and make the
   same point operations for every nonzero scalar; multiples of any
-  other point (``f * h0(C)``, ``f * h1(window)``, the rogue-list
-  scan) and ``multi_mul`` are variable time.
+  other point (``f * h0(C)``, ``f * h1(window)``) and ``multi_mul``
+  are variable time.  ``multi_mul`` takes only public scalars: the
+  verification equations and the rogue-list scan, whose leaked ``f``
+  values are public.
 * :class:`ToyGroup` -- the additive group of integers modulo a small
   prime with generator 1.  Scalar multiplication is literal modular
   multiplication, so test oracles can brute-force every claim.
@@ -21,8 +23,8 @@ only passes them back into the owning group object.
 Scalar multiplications are the unit of cost accounting for the
 signature scheme.  Wrap a region in :func:`count_group_ops` to get an
 exact count; outside such a region nothing is recorded.  ``multi_mul``
-over n pairs counts n, pairs it skips or merges included; ``sum_points``
-and ``add`` count nothing.
+over n pairs counts n, pairs it skips or merges included; ``prepare``,
+``sum_points`` and ``add`` count nothing.
 """
 
 from __future__ import annotations
@@ -227,6 +229,10 @@ class ToyGroup(_ScalarCodec):
         _note_scalar_mul()
         return (k % self.q) * a % self.q
 
+    def prepare(self, a: int) -> int:
+        # multiplication is already one step here: nothing to precompute
+        return a
+
     def multi_mul(self, pairs) -> int:
         _note_scalar_mul(len(pairs))
         return sum(k * a for k, a in pairs) % self.q
@@ -287,18 +293,21 @@ _P256 = _CurveParams(
     gy=0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
 )
 
-def _wnaf(k: int) -> list[int]:
-    """Width-4 NAF digits of ``k >= 0``, least significant first: each
-    nonzero digit is odd, below 8 in size, and followed by three zeros."""
-    digits = []
+def _wnaf(k: int) -> list[tuple[int, int]]:
+    """The nonzero width-4 NAF digits of ``k >= 0`` as (position, digit)
+    pairs, least significant first: each digit is odd and below 8 in
+    size, and at least three zeros separate two of them."""
+    terms = []
+    i = 0
     while k:
-        d = 0
-        if k & 1:
-            d = (k & 15) - 16 if k & 8 else k & 15
-            k -= d
-        digits.append(d)
-        k >>= 1
-    return digits
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        i += zeros
+        d = (k & 15) - 16 if k & 8 else k & 15
+        terms.append((i, d))
+        k = (k - d) >> 4
+        i += 4
+    return terms
 
 
 def _regular_digits(k: int, n: int, w: int) -> list[int]:
@@ -317,6 +326,16 @@ def _regular_digits(k: int, n: int, w: int) -> list[int]:
     return digits
 
 
+class _PreparedPoint(tuple):
+    """An affine point carrying the split-scalar table of ``prepare``.
+
+    It equals, hashes and encodes as the plain ``(x, y)`` point, so it
+    goes wherever a point goes; ``multi_mul`` also reads its ``rows``.
+    """
+
+    rows: list
+
+
 class CurveGroup(_ScalarCodec):
     """A NIST prime curve with cofactor 1.
 
@@ -328,15 +347,21 @@ class CurveGroup(_ScalarCodec):
     mixed additions, one per row, no doubling, and one inversion.  The
     addition formula is incomplete: for one scalar and its negative,
     the last addition meets its own operand and doubles instead.
-    ``scalar_mul`` of any other point (``f * h0(C)``, ``f * h1(window)``,
-    the rogue-list scan) is variable-time double-and-add over Jacobian
-    coordinates with one field inversion at the end.
-    ``multi_mul`` evaluates a whole public-scalar equation in one
-    interleaved pass (Straus), so n terms share a single doubling
-    chain.
+    ``scalar_mul`` of any other point (``f * h0(C)``, ``f * h1(window)``)
+    is variable-time double-and-add over Jacobian coordinates with one
+    field inversion at the end.
+    ``multi_mul`` evaluates a whole public-scalar equation (a signature
+    check, the rogue-list scan) in one interleaved pass (Straus), so n
+    terms share a single doubling chain.  A base that lives long, such
+    as a certificate's transient key, can be given to ``prepare`` once:
+    with L = bits(q) / 4, its table holds the odd multiples 1, 3, 5, 7
+    of ``2**(L*j) * P`` for j = 0..3, and an equation over prepared
+    bases and the generator needs a chain of only L + 1 doublings
+    (Lim-Lee).
     """
 
     _GEN_WIDTH = 4  # generator-table digits are odd and below 2**4 in size
+    _SLICES = 4     # a prepared base splits each scalar into this many slices
 
     def __init__(self, params: _CurveParams):
         self._p = params.p
@@ -349,6 +374,7 @@ class CurveGroup(_ScalarCodec):
         self.element_byte_len = 1 + self._field_byte_len
         self.generator = (params.gx, params.gy)
         self.identity = None
+        self._slice_bits = -(-params.q.bit_length() // self._SLICES)
 
     def __repr__(self) -> str:
         return f"CurveGroup({self.group_id})"
@@ -464,24 +490,53 @@ class CurveGroup(_ScalarCodec):
     def add(self, a, b):
         return self._to_affine(self._jac_add(self._to_jacobian(a), self._to_jacobian(b)))
 
+    def _odd_multiples(self, a, rows: int, n: int, shift: int):
+        """The odd multiples 1, 3, ..., 2n-1 of ``2**(shift*j) * a`` for
+        j < rows, row after row, in Jacobian form."""
+        jac = []
+        base = self._to_jacobian(a)
+        for j in range(rows):
+            twice = self._jac_double(base)
+            jac.append(base)
+            for _ in range(n - 1):
+                jac.append(self._jac_add(jac[-1], twice))
+            if j + 1 < rows:
+                for _ in range(shift - 1):
+                    twice = self._jac_double(twice)
+                base = twice
+        return jac
+
     @cached_property
     def _generator_table(self):
         """Row i: the odd multiples 1, 3, ..., 2**w - 1 of ``2**(w*i) * G``,
         affine; enough rows to recode any scalar below q."""
         w = self._GEN_WIDTH
         n = 1 << (w - 1)  # odd multiples per row
-        jac = []
-        base = self._to_jacobian(self.generator)
-        for _ in range(-(-self.q.bit_length() // w)):
-            twice = self._jac_double(base)
-            jac.append(base)
-            for _ in range(n - 1):
-                jac.append(self._jac_add(jac[-1], twice))
-            for _ in range(w - 1):
-                twice = self._jac_double(twice)
-            base = twice
-        flat = self._batch_to_affine(jac)
+        flat = self._batch_to_affine(
+            self._odd_multiples(self.generator, -(-self.q.bit_length() // w), n, w)
+        )
         return [flat[i : i + n] for i in range(0, len(flat), n)]
+
+    @cached_property
+    def _generator_rows(self):
+        """The generator's split table: row j is the first four entries of
+        generator-table row ``L*j / w``, i.e. 1, 3, 5, 7 times ``2**(L*j) * G``."""
+        step = self._slice_bits // self._GEN_WIDTH
+        return [self._generator_table[step * j][:4] for j in range(self._SLICES)]
+
+    def prepare(self, a):
+        """``a`` with its split-scalar table for ``multi_mul``; counts nothing.
+
+        Row j holds the odd multiples 1, 3, 5, 7 of ``2**(L*j) * a``: 16
+        affine points from one inversion.  The identity and a prepared
+        point come back as they are.
+        """
+        if a is None or isinstance(a, _PreparedPoint):
+            return a
+        flat = self._batch_to_affine(self._odd_multiples(a, self._SLICES, 4, self._slice_bits))
+        prepared = _PreparedPoint(a)
+        prepared.rows = [flat[i : i + 4] for i in range(0, len(flat), 4)]
+        return prepared
 
     def scalar_mul(self, k: int, a):
         _note_scalar_mul()
@@ -511,36 +566,45 @@ class CurveGroup(_ScalarCodec):
     def multi_mul(self, pairs):
         """The sum of ``k * P`` over ``pairs``; variable time, public scalars only.
 
-        Equal points are merged first; each remaining base gets a table
-        of its odd multiples P..7P (the generator's come from the first
-        row of its table), and one doubling chain adds them in at the
-        nonzero digits of its scalar's width-4 NAF.
+        Equal points are merged first.  When every base left with a
+        nonzero scalar is prepared or the generator, each scalar is cut
+        into four L-bit slices and slice j is added from the base's row
+        j at the nonzero digits of its width-4 NAF: one chain of L + 1
+        doublings.  Otherwise each base gets its odd multiples P..7P (a
+        prepared base and the generator have them as row 0) and one
+        chain of bits(q) + 1 doublings adds in each whole scalar's NAF.
         """
         _note_scalar_mul(len(pairs))
         q, p, gen = self.q, self._p, self.generator
         merged: dict = {}
+        rows: dict = {}
         for k, pt in pairs:
             if pt is not None:
                 merged[pt] = (merged.get(pt, 0) + k) % q
-        fresh = [pt for pt, k in merged.items() if k and pt != gen]
-        jac = []  # P, 3P, 5P, 7P of every fresh base
-        for pt in fresh:
-            jac.append(self._to_jacobian(pt))
-            twice = self._jac_double(jac[-1])
-            for _ in range(3):
-                jac.append(self._jac_add(jac[-1], twice))
-        flat = self._batch_to_affine(jac)
-        odd = {pt: flat[4 * b : 4 * b + 4] for b, pt in enumerate(fresh)}
-        if merged.get(gen):
-            odd[gen] = self._generator_table[0][:4]
-        steps: list[list] = [[] for _ in range(q.bit_length() + 1)]
-        for pt, multiples in odd.items():
-            table = {}
-            for d, (x, y) in zip((1, 3, 5, 7), multiples):
-                table[d], table[-d] = (x, y), (x, p - y)
-            for i, d in enumerate(_wnaf(merged[pt])):
-                if d:
-                    steps[i].append(table[d])
+                if isinstance(pt, _PreparedPoint):
+                    rows[pt] = pt.rows
+        live = {pt: k for pt, k in merged.items() if k}
+        if gen in live:
+            rows[gen] = self._generator_rows
+        fresh = [pt for pt in live if pt not in rows]
+        if fresh:
+            jac = [m for pt in fresh for m in self._odd_multiples(pt, 1, 4, 0)]
+            flat = self._batch_to_affine(jac)
+            rows.update((pt, [flat[4 * b : 4 * b + 4]]) for b, pt in enumerate(fresh))
+            width, slices = q.bit_length(), 1
+        else:
+            width, slices = self._slice_bits, self._SLICES
+        mask = (1 << width) - 1
+        steps: list[list] = [[] for _ in range(width + 1)]
+        for pt, k in live.items():
+            for row in rows[pt][:slices]:
+                for i, d in _wnaf(k & mask):
+                    if d > 0:
+                        steps[i].append(row[d >> 1])
+                    else:
+                        x, y = row[-d >> 1]
+                        steps[i].append((x, p - y))
+                k >>= width
         acc = (1, 1, 0)
         for adds in reversed(steps):
             acc = self._jac_double(acc)

@@ -45,7 +45,8 @@ def sign(group, sk: int, pk, msg: bytes) -> bytes:
 def verify(group, pk, msg: bytes, signature: bytes) -> bool:
     """Check s*P - e*pk = R in one multi-scalar multiplication.
 
-    Hostile-input safe; two logical scalar muls.
+    Hostile-input safe; two logical scalar muls.  ``pk`` may come from
+    ``group.prepare``, which halves the doublings of the check.
     """
     ebl = group.element_byte_len
     if len(signature) != signature_byte_len(group):

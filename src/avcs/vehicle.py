@@ -111,8 +111,9 @@ def _reject(reason: str) -> ReceiveResult:
 class _BufferedCert:
     frame: bytes
     t_enc: bytes
-    pk: object
+    pk: object  # prepared for multi_mul at the second message that verifies
     expiration: int
+    carried_message: bool = False
 
 
 class VehicleState:
@@ -236,10 +237,12 @@ class VehicleState:
         if now < parsed.issue - CLOCK_SKEW:
             return _reject("expired")
 
-        J = content_tag(group, cert.C)
-        for f in sorted(self.rogue_list):
-            if group.scalar_mul(f, J) == cert.R:
-                return _reject("revoked")
+        if self.rogue_list:
+            # leaked f values are public: every entry shares one prepared J
+            J = group.prepare(content_tag(group, cert.C))
+            for f in sorted(self.rogue_list):
+                if group.multi_mul([(f, J)]) == cert.R:
+                    return _reject("revoked")
 
         if not ring_verify(signed_message(group, cert.C, cert.R, cert.T), cert.S, self.hsm.registry):
             return _reject("bad-signature")
@@ -262,8 +265,12 @@ class VehicleState:
         entry = self.pseudonym_buf.get(fingerprint)
         if entry is None:
             return _reject("no-cert")
-        if not transient.verify(group, entry.pk, M, N):
+        # a certificate that has carried one valid message likely carries
+        # more: from the second on, its key is checked on a prepared base
+        pk = group.prepare(entry.pk) if entry.carried_message else entry.pk
+        if not transient.verify(group, pk, M, N):
             return _reject("bad-signature")
+        entry.pk, entry.carried_message = pk, True
         return ReceiveResult("accept", payload=M)
 
     # -- supervision ------------------------------------------------------

@@ -239,6 +239,7 @@ def test_op_counter_scoping():
 
 
 MSM_GROUPS = (P192, P256, TOY, BIG_TOY)
+CURVES = (P192, P256)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
@@ -306,10 +307,96 @@ def test_multi_mul_edge_cases(group):
     assert ops.scalar_muls == 3
 
 
+# --- prepared bases: the split path of multi_mul against the plain one
+
+
+def slice_bits(group):
+    return -(-group.q.bit_length() // 4)
+
+
+@st.composite
+def prepared_cases(draw):
+    """(group, pairs with some bases prepared, the same pairs unprepared):
+    scalars include slice boundaries, where a slice's NAF carries into
+    digit L; a base can appear both prepared and plain."""
+    group = draw(st.sampled_from(MSM_GROUPS))
+    q, L = group.q, slice_bits(group)
+    multiples = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    bases = [group.generator, group.identity] + [
+        group.scalar_mul(k, group.generator) for k in multiples
+    ]
+    boundaries = [2**L - 1, 2**L, 2 ** (2 * L) - 1, 2 ** (3 * L) - 1, 2 ** (3 * L) + 2**L - 1]
+    scalars = st.one_of(
+        st.sampled_from([0, 1, -1, q - 1, q, 2 * q + 3] + boundaries + [-b for b in boundaries]),
+        st.integers(-2 * q, 2 * q),
+    )
+    plain = draw(st.lists(st.tuples(scalars, st.sampled_from(bases)), max_size=6))
+    flags = draw(st.lists(st.booleans(), min_size=len(plain), max_size=len(plain)))
+    pairs = [(k, group.prepare(pt) if flag else pt) for (k, pt), flag in zip(plain, flags)]
+    return group, pairs, plain
+
+
+@PROPERTY
+@given(prepared_cases())
+def test_multi_mul_over_prepared_bases_matches_plain_and_fold(case):
+    group, pairs, plain = case
+    expected = fold_mul(group, plain)
+    assert group.multi_mul(plain) == expected
+    with count_group_ops() as ops:
+        assert group.multi_mul(pairs) == expected
+    assert ops.scalar_muls == len(pairs)
+
+
+@PROPERTY
+@given(prepared_cases())
+def test_multi_mul_over_prepared_bases_cancels_to_identity(case):
+    group, pairs, _ = case
+    cancelled = pairs + [(-k, pt) for k, pt in reversed(pairs)]
+    assert group.is_identity(group.multi_mul(cancelled))
+
+
+@pytest.mark.parametrize("group", MSM_GROUPS, ids=str)
+def test_prepare_counts_nothing_and_keeps_the_point(group):
+    pt = group.scalar_mul(0xBEEF, group.generator)
+    with count_group_ops() as ops:
+        prepared = group.prepare(pt)
+        assert group.prepare(prepared) is prepared
+        assert group.prepare(group.identity) == group.identity
+    assert ops.scalar_muls == 0
+    assert prepared == pt
+    assert group.encode_element(prepared) == group.encode_element(pt)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_generator_rows_line_up_with_the_slices(group):
+    L = group._slice_bits
+    assert L == slice_bits(group) and L % group._GEN_WIDTH == 0
+    for j, row in enumerate(group._generator_rows):
+        assert row == [group.scalar_mul(d * 2 ** (L * j), group.generator) for d in (1, 3, 5, 7)]
+    assert group.prepare(group.generator).rows == group._generator_rows
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_prepared_check_runs_one_short_doubling_chain(group, monkeypatch):
+    rng = random.Random(2014)
+    pk = group.prepare(group.scalar_mul(rng.randrange(1, group.q), group.generator))
+    group.scalar_mul(1, group.generator)  # build the table outside the count
+    doublings = 0
+    method = group._jac_double
+
+    def counted(pt):
+        nonlocal doublings
+        doublings += 1
+        return method(pt)
+
+    monkeypatch.setitem(vars(group), "_jac_double", counted)
+    for _ in range(10):
+        doublings = 0
+        group.multi_mul([(rng.randrange(group.q), group.generator), (rng.randrange(group.q), pk)])
+        assert doublings == group._slice_bits + 1
+
+
 # --- multiples of the generator: the precomputed table against double-and-add
-
-
-CURVES = (P192, P256)
 
 
 def double_and_add(group, k, pt):

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from avcs.errors import ProvisioningError
-from avcs.hardware import leak_master_secret
+from avcs.groups import P192, _PreparedPoint, count_group_ops
+from avcs.hardware import ManualClock, join, leak_master_secret
+from avcs.ringsig import ManufactoryRegistry, setup
 from avcs.vehicle import (
     FRAME_CERT,
     FRAME_MSG,
@@ -316,6 +318,107 @@ def test_message_after_cert_expiry_is_no_cert():
     assert v1.receive(msg_frame, 1002.0).accepted
     late = v0.send_next(b"too late")[-1]
     assert v1.receive(late, 1100.0).reason == "no-cert"
+
+
+# ---------------------------------------------------------------------------
+# prepared certificate keys (on P-192, where a prepared key is its own type)
+# ---------------------------------------------------------------------------
+
+
+def p192_pair(seed=60):
+    rng = random.Random(seed)
+    mk = setup(P192, rng=rng, manufactory_id="c")
+    registry = ManufactoryRegistry(P192)
+    registry.register_master(mk)
+    clock = ManualClock(1000.0)
+    sender, receiver = (
+        VehicleState(join(mk, f"c:plate-{i}", registry, rng, clock=clock)) for i in range(2)
+    )
+    return sender, receiver, clock
+
+
+def prepared_entries(v):
+    return [fp for fp, entry in v.pseudonym_buf.items() if isinstance(entry.pk, _PreparedPoint)]
+
+
+def corrupted(frame):
+    bad = bytearray(frame)
+    bad[-1] ^= 0x01
+    return bytes(bad)
+
+
+def test_second_accepted_message_prepares_the_key():
+    sender, receiver, clock = p192_pair()
+    sender.make_pseudonym(600, random.Random(61))
+    cert_frame, first = sender.send_next(b"m0")
+    fp = cert_fingerprint(cert_frame)
+    assert receiver.receive(cert_frame, clock.now()).accepted
+    entry = receiver.pseudonym_buf[fp]
+    plain = entry.pk
+    keys = []
+    for frame in [first] + [sender.send_next(f"m{i}".encode())[-1] for i in (1, 2, 3)]:
+        with count_group_ops() as ops:
+            assert receiver.receive(frame, clock.now()).accepted
+        assert ops.scalar_muls == 2
+        assert entry.pk == plain
+        keys.append(entry.pk)
+    assert not isinstance(keys[0], _PreparedPoint)
+    assert isinstance(keys[1], _PreparedPoint)
+    assert keys[1] is keys[2] is keys[3]  # built once, then reused
+
+
+def test_bad_message_prepares_nothing():
+    sender, receiver, clock = p192_pair()
+    sender.make_pseudonym(600, random.Random(62))
+    cert_frame, first = sender.send_next(b"m0")
+    assert receiver.receive(cert_frame, clock.now()).accepted
+    entry = receiver.pseudonym_buf[cert_fingerprint(cert_frame)]
+    for frame in (corrupted(first), first, corrupted(sender.send_next(b"m1")[-1])):
+        verdict = receiver.receive(frame, clock.now())
+        assert verdict.accepted == (frame is first)
+        assert not isinstance(entry.pk, _PreparedPoint)
+    assert receiver.receive(sender.send_next(b"m2")[-1], clock.now()).accepted
+    assert isinstance(entry.pk, _PreparedPoint)
+
+
+def test_pruned_certificate_drops_its_table():
+    sender, receiver, clock = p192_pair()
+    sender.make_pseudonym(10, random.Random(63))  # expires at 1010
+    frames = sender.send_next(b"m0") + sender.send_next(b"m1")
+    assert all(receiver.receive(f, 1001.0).accepted for f in frames)
+    assert prepared_entries(receiver) == [cert_fingerprint(frames[0])]
+    clock.advance(60.0)  # next window, so not a sybil
+    sender.make_pseudonym(600, random.Random(64))
+    assert receiver.receive(sender.certificate_frame, clock.now()).accepted
+    assert len(receiver.pseudonym_buf) == 1
+    assert prepared_entries(receiver) == []
+
+
+def test_replaced_certificate_drops_its_table(monkeypatch):
+    monkeypatch.setattr("avcs.vehicle.cert_fingerprint", lambda frame: b"\x00" * 8)
+    sender, receiver, clock = p192_pair()
+    sender.make_pseudonym(600, random.Random(65))
+    frames = sender.send_next(b"m0") + sender.send_next(b"m1")
+    assert all(receiver.receive(f, clock.now()).accepted for f in frames)
+    assert prepared_entries(receiver) == [b"\x00" * 8]
+    clock.advance(60.0)
+    sender.make_pseudonym(600, random.Random(66))
+    assert receiver.receive(sender.certificate_frame, clock.now()).accepted
+    assert prepared_entries(receiver) == []
+
+
+def test_rogue_scan_on_a_prepared_tag():
+    sender, receiver, clock = p192_pair()
+    receiver.revoke(12345)
+    receiver.revoke(67890)
+    sender.make_pseudonym(600, random.Random(67))
+    with count_group_ops() as ops:
+        assert receiver.receive(sender.certificate_frame, clock.now()).accepted
+    assert ops.scalar_muls == 3 * 1 + 2  # r = 1, one per rogue entry
+    receiver.revoke(leak_master_secret(sender.hsm))
+    clock.advance(60.0)
+    sender.make_pseudonym(600, random.Random(68))
+    assert receiver.receive(sender.certificate_frame, clock.now()).reason == "revoked"
 
 
 # ---------------------------------------------------------------------------
