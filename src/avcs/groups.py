@@ -5,12 +5,12 @@ Two interchangeable backends sit behind one small interface:
 * :class:`CurveGroup` -- the NIST curves P-192 and P-256, written in
   Jacobian coordinates.  No dependency-free arithmetic backend is
   packaged for this interpreter, so the point math lives here.
-  Multiples of the generator read a precomputed table and make the
-  same point operations for every nonzero scalar; multiples of any
-  other point (``f * h0(C)``, ``f * h1(window)``) and ``multi_mul``
-  are variable time.  ``multi_mul`` takes only public scalars: the
-  verification equations and the rogue-list scan, whose leaked ``f``
-  values are public.
+  ``scalar_mul`` makes the same point operations for every nonzero
+  scalar, bar two pairs per curve, on the generator and on any other
+  point (``f * h0(C)``, ``f * h1(window)``).  ``multi_mul`` is
+  variable time; its scalars are public (the verification equations,
+  the rogue-list scan's leaked ``f``) but for the secret ``a`` and
+  ``b`` of ``ringsig.forge_tuple``.
 * :class:`ToyGroup` -- the additive group of integers modulo a small
   prime with generator 1.  Scalar multiplication is literal modular
   multiplication, so test oracles can brute-force every claim.
@@ -340,18 +340,18 @@ class CurveGroup(_ScalarCodec):
     """A NIST prime curve with cofactor 1.
 
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
-    ``scalar_mul`` of the generator reads a precomputed table, built
-    once per curve, whose row i holds the odd multiples 1, 3, ..., 15
-    of ``16**i * G``: the scalar is recoded into one odd signed digit
-    per row (Joye-Tunstall), so every nonzero scalar costs the same
-    mixed additions, one per row, no doubling, and one inversion.  The
-    addition formula is incomplete: for one scalar and its negative,
-    the last addition meets its own operand and doubles instead.
-    ``scalar_mul`` of any other point (``f * h0(C)``, ``f * h1(window)``)
-    is variable-time double-and-add over Jacobian coordinates with one
-    field inversion at the end.
-    ``multi_mul`` evaluates a whole public-scalar equation (a signature
-    check, the rogue-list scan) in one interleaved pass (Straus), so n
+    ``scalar_mul`` recodes the odd one of k and q - k into n = bits(q)/4
+    odd signed digits (Joye-Tunstall) and adds one table entry per
+    digit: for the generator, row i of a table built once per curve,
+    the odd multiples 1, 3, ..., 15 of ``16**i * G``, with no doubling;
+    for any other point, a per-call row P, 3P, ..., 15P walked most
+    significant digit first, 4 doublings before each addition.  The
+    addition formula is incomplete: on each curve, for 2 and q - 2
+    (q = 17 mod 32, so q - 2 ends in the digit -1 after a partial sum
+    of -P) and for the generator's ``+-(30 * 16**(n-1) - q)``, the last
+    addition meets its own operand and doubles instead.
+    ``multi_mul`` evaluates a whole equation (a signature check, the
+    rogue-list scan, a forgery) in one interleaved pass (Straus), so n
     terms share a single doubling chain.  A base that lives long, such
     as a certificate's transient key, can be given to ``prepare`` once:
     with L = bits(q) / 4, its table holds the odd multiples 1, 3, 5, 7
@@ -543,36 +543,37 @@ class CurveGroup(_ScalarCodec):
         k %= self.q
         if k == 0 or a is None:
             return None
+        # the recoding needs an odd scalar: k*a = -((q - k)*a)
+        odd = k & 1
+        w = self._GEN_WIDTH
+        n = -(-self.q.bit_length() // w)
+        digits = _regular_digits(k if odd else self.q - k, n, w)
         if a == self.generator:
-            # the recoding needs an odd scalar: k*G = -((q - k)*G)
-            odd = k & 1
-            table = self._generator_table
-            digits = _regular_digits(k if odd else self.q - k, len(table), self._GEN_WIDTH)
-            acc = (1, 1, 0)
-            for row, d in zip(table, digits):
-                x, y = row[abs(d) >> 1]
-                acc = self._jac_add_affine(acc, (x, y) if d > 0 else (x, self._p - y))
-            x, y = self._to_affine(acc)
-            return (x, y) if odd else (x, self._p - y)
+            # row i already holds 16**i * G: least significant digit first
+            rows, doublings = self._generator_table, range(0)
+        else:
+            row = self._batch_to_affine(self._odd_multiples(a, 1, 1 << (w - 1), 0))
+            rows, doublings, digits = [row] * n, range(w), digits[::-1]
         acc = (1, 1, 0)
-        addend = self._to_jacobian(a)
-        while k:
-            if k & 1:
-                acc = self._jac_add(acc, addend)
-            addend = self._jac_double(addend)
-            k >>= 1
-        return self._to_affine(acc)
+        for row, d in zip(rows, digits):
+            for _ in doublings:
+                acc = self._jac_double(acc)
+            x, y = row[abs(d) >> 1]
+            acc = self._jac_add_affine(acc, (x, y) if d > 0 else (x, self._p - y))
+        x, y = self._to_affine(acc)
+        return (x, y) if odd else (x, self._p - y)
 
     def multi_mul(self, pairs):
-        """The sum of ``k * P`` over ``pairs``; variable time, public scalars only.
+        """The sum of ``k * P`` over ``pairs``; variable time.
 
-        Equal points are merged first.  When every base left with a
-        nonzero scalar is prepared or the generator, each scalar is cut
-        into four L-bit slices and slice j is added from the base's row
-        j at the nonzero digits of its width-4 NAF: one chain of L + 1
-        doublings.  Otherwise each base gets its odd multiples P..7P (a
-        prepared base and the generator have them as row 0) and one
-        chain of bits(q) + 1 doublings adds in each whole scalar's NAF.
+        The scalars are public but for ``forge_tuple``'s secret ``a``
+        and ``b``.  Equal points are merged first.  When every base left
+        with a nonzero scalar is prepared or the generator, each scalar
+        is cut into four L-bit slices and slice j is added from the
+        base's row j at the nonzero digits of its width-4 NAF: one chain
+        of L + 1 doublings.  Otherwise each base gets its odd multiples
+        P..7P (a prepared base and the generator have them as row 0) and
+        one chain of bits(q) + 1 doublings adds in each whole scalar's NAF.
         """
         _note_scalar_mul(len(pairs))
         q, p, gen = self.q, self._p, self.generator

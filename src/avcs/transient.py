@@ -46,20 +46,19 @@ def verify(group, pk, msg: bytes, signature: bytes) -> bool:
     """Check s*P - e*pk = R in one multi-scalar multiplication.
 
     Hostile-input safe; two logical scalar muls.  ``pk`` may come from
-    ``group.prepare``, which halves the doublings of the check.
+    ``group.prepare``, which halves the doublings of the check.  R stays
+    bytes: an encoding equals it iff R decodes to that point.
     """
     ebl = group.element_byte_len
     if len(signature) != signature_byte_len(group):
         return False
+    R = signature[:ebl]
     try:
-        R = group.decode_element(signature[:ebl])
         s = group.decode_scalar(signature[ebl:])
     except ParseError:
         return False
-    e = group.hash_to_scalar(
-        "schnorr", group.encode_element(R) + group.encode_element(pk) + msg
-    )
-    return group.multi_mul([(s, group.generator), (-e, pk)]) == R
+    e = group.hash_to_scalar("schnorr", R + group.encode_element(pk) + msg)
+    return group.encode_element(group.multi_mul([(s, group.generator), (-e, pk)])) == R
 
 
 def signature_byte_len(group) -> int:

@@ -396,7 +396,8 @@ def test_prepared_check_runs_one_short_doubling_chain(group, monkeypatch):
         assert doublings == group._slice_bits + 1
 
 
-# --- multiples of the generator: the precomputed table against double-and-add
+# --- scalar_mul's one loop, over the generator's table or a per-call row,
+# --- against double-and-add
 
 
 def double_and_add(group, k, pt):
@@ -418,23 +419,34 @@ def last_row_doubling_scalar(group):
     return 30 * 16 ** (rows - 1) - group.q
 
 
+def other_bases(group):
+    """Two bases that are not the generator: a hashed point and a
+    prepared one, both taking the per-call row of ``scalar_mul``."""
+    return [
+        group.hash_to_group("test-base", b"h0"),
+        group.prepare(group.scalar_mul(0xBEEF, group.generator)),
+    ]
+
+
 @st.composite
 def generator_scalars(draw):
+    """(group, k, base): the base is the generator or another point."""
     group = draw(st.sampled_from(CURVES))
     q = group.q
     special = [0, 1, 2, 3, 15, 16, 17, q - 2, q - 1, q, q + 1, 2 * q, -1, -2,
                last_row_doubling_scalar(group), q - last_row_doubling_scalar(group)]
     k = draw(st.one_of(st.sampled_from(special), st.integers(-2 * q, 2 * q)))
-    return group, k
+    base = draw(st.sampled_from([group.generator] + other_bases(group)))
+    return group, k, base
 
 
 @PROPERTY
 @given(generator_scalars())
 def test_generator_multiples_match_double_and_add(case):
-    group, k = case
-    expected = double_and_add(group, k, group.generator)
-    assert group.scalar_mul(k, group.generator) == expected
-    assert group.multi_mul([(k, group.generator)]) == expected
+    group, k, base = case
+    expected = double_and_add(group, k, base)
+    assert group.scalar_mul(k, base) == expected
+    assert group.multi_mul([(k, base)]) == expected
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -454,10 +466,10 @@ def test_generator_multiples_have_one_operation_pattern(group, monkeypatch):
     for name in calls:  # instance attributes shadow the methods until undone
         monkeypatch.setitem(vars(group), name, counted(name))
 
-    def pattern(k):
+    def pattern(k, base=group.generator):
         for name in calls:
             calls[name] = 0
-        group.scalar_mul(k, group.generator)
+        group.scalar_mul(k, base)
         return tuple(calls.values())
 
     rng = random.Random(2009)
@@ -468,11 +480,21 @@ def test_generator_multiples_have_one_operation_pattern(group, monkeypatch):
     # the incomplete addition formula's one exception on each curve
     for k in (last_row_doubling_scalar(group), q - last_row_doubling_scalar(group)):
         assert pattern(k) == (1, 0, rows)
+    # any other base: its row P..15P costs one doubling and 7 additions,
+    # then 4 doublings before each of the rows mixed additions
+    base = group.hash_to_group("test-base", b"pattern")
+    scalars = [1, q - 1] + [rng.randrange(1, q) for _ in range(50)]
+    assert {pattern(k, base) for k in scalars} == {(4 * rows + 1, 7, rows)}
+    # q = 17 mod 32: q - 2 ends in the digit -1 after a partial sum of -P
+    assert q % 32 == 17
+    for k in (2, q - 2):
+        assert pattern(k, base) == (4 * rows + 2, 7, rows)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_generator_multiple_counts_one_scalar_mul(group):
-    for k in (0, 1, 2, group.q - 1, group.q, 0xC0FFEE, -7):
-        with count_group_ops() as ops:
-            group.scalar_mul(k, group.generator)
-        assert ops.scalar_muls == 1
+    for base in [group.generator] + other_bases(group):
+        for k in (0, 1, 2, group.q - 1, group.q, 0xC0FFEE, -7):
+            with count_group_ops() as ops:
+                group.scalar_mul(k, base)
+            assert ops.scalar_muls == 1

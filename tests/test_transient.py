@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from avcs.errors import ParseError
 from avcs.groups import P192, ToyGroup
 from avcs import transient
 
@@ -51,3 +54,23 @@ def test_garbage_signatures_reject_without_raising():
         bad = bytearray(good)
         bad[i] ^= 0x01
         assert not transient.verify(P192, pk, b"m", bytes(bad))
+    # R fields that decode to no point, next to a valid s
+    off_curve = next(x for x in range(P192._p) if not on_curve_x(P192, x))
+    width = P192.element_byte_len - 1
+    for R in (
+        b"\x04" + good[1 : 1 + width],  # unknown tag
+        b"\x02" + b"\xff" * width,  # x >= p
+        b"\x02" + off_curve.to_bytes(width, "big"),
+        b"\x00" + b"\x00" * (width - 1) + b"\x01",  # identity tag, dented tail
+    ):
+        with pytest.raises(ParseError):
+            P192.decode_element(R)
+        assert not transient.verify(P192, pk, b"m", R + good[1 + width :])
+
+
+def on_curve_x(group, x):
+    try:
+        group.decode_element(b"\x02" + x.to_bytes(group.element_byte_len - 1, "big"))
+    except ParseError:
+        return False
+    return True
