@@ -15,8 +15,6 @@ import statistics
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .groups import count_group_ops, get_group
 from .hardware import ManualClock, join
 from .ringsig import ManufactoryRegistry, keygen, ring_sign, ring_verify, setup
@@ -92,12 +90,11 @@ def linearity_r2(records, op: str, *, r_min: int = 2) -> float:
     )
     if len(pts) < 3:
         raise ValueError(f"need at least 3 ring sizes >= {r_min} for op {op!r}")
-    xs = np.array([p[0] for p in pts], dtype=float)
-    ys = np.array([p[1] for p in pts], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residual = ys - (slope * xs + intercept)
-    ss_res = float(np.sum(residual ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    xs, ys = zip(*pts)
+    slope, intercept = statistics.linear_regression(xs, ys)
+    mean = statistics.fmean(ys)
+    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - mean) ** 2 for y in ys)
     return 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
@@ -136,13 +133,17 @@ def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0) -> dic
 
 def _record(curve: str, r: int, op: str, samples: list[float],
             muls: int, size: int) -> BenchRecord:
+    p95 = samples[0]  # one sample has no quantiles
+    if len(samples) > 1:
+        # linear interpolation between order statistics, as numpy's percentile
+        p95 = statistics.quantiles(samples, n=20, method="inclusive")[-1]
     return BenchRecord(
         curve=curve,
         ring_size=r,
         op=op,
         mean_ms=statistics.fmean(samples),
         median_ms=statistics.median(samples),
-        p95_ms=float(np.percentile(samples, 95)),
+        p95_ms=p95,
         scalar_muls=muls,
         size_bytes=size,
     )

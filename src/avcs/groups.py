@@ -4,10 +4,12 @@ Two interchangeable backends sit behind one small interface:
 
 * :class:`CurveGroup` -- the NIST curves P-192 and P-256, written in
   Jacobian coordinates.  No dependency-free arithmetic backend is
-  packaged for this interpreter, so the point math lives here.
-  ``scalar_mul`` makes the same point operations for every nonzero
-  scalar, bar two pairs per curve, on the generator and on any other
-  point (``f * h0(C)``, ``f * h1(window)``).  ``multi_mul`` is
+  packaged for this interpreter, so the point math lives here: one
+  doubling and one mixed (Jacobian plus affine) addition formula, the
+  latter incomplete.  ``scalar_mul`` makes the same point operations
+  for every nonzero scalar, bar two pairs per curve where the addition
+  meets its own operand, on the generator and on any other point
+  (``f * h0(C)``, ``f * h1(window)``).  ``multi_mul`` is
   variable time; its scalars are public (the verification equations,
   the rogue-list scan's leaked ``f``) but for the secret ``a`` and
   ``b`` of ``ringsig.forge_tuple``.
@@ -345,8 +347,9 @@ class CurveGroup(_ScalarCodec):
     digit: for the generator, row i of a table built once per curve,
     the odd multiples 1, 3, ..., 15 of ``16**i * G``, with no doubling;
     for any other point, a per-call row P, 3P, ..., 15P walked most
-    significant digit first, 4 doublings before each addition.  The
-    addition formula is incomplete: on each curve, for 2 and q - 2
+    significant digit first, 4 doublings before each addition.  Every
+    addition, tables included, is one mixed Jacobian-plus-affine
+    formula, and it is incomplete: on each curve, for 2 and q - 2
     (q = 17 mod 32, so q - 2 ends in the digit -1 after a partial sum
     of -P) and for the generator's ``+-(30 * 16**(n-1) - q)``, the last
     addition meets its own operand and doubles instead.
@@ -408,34 +411,6 @@ class CurveGroup(_ScalarCodec):
         Z3 = 2 * Y * Z % p
         return (X3, Y3, Z3)
 
-    def _jac_add(self, pt1, pt2):
-        p = self._p
-        X1, Y1, Z1 = pt1
-        X2, Y2, Z2 = pt2
-        if not Z1:
-            return pt2
-        if not Z2:
-            return pt1
-        Z1Z1 = Z1 * Z1 % p
-        Z2Z2 = Z2 * Z2 % p
-        U1 = X1 * Z2Z2 % p
-        U2 = X2 * Z1Z1 % p
-        S1 = Y1 * Z2 * Z2Z2 % p
-        S2 = Y2 * Z1 * Z1Z1 % p
-        if U1 == U2:
-            if S1 != S2:
-                return (1, 1, 0)
-            return self._jac_double(pt1)
-        H = (U2 - U1) % p
-        R = (S2 - S1) % p
-        HH = H * H % p
-        HHH = H * HH % p
-        V = U1 * HH % p
-        X3 = (R * R - HHH - 2 * V) % p
-        Y3 = (R * (V - X3) - S1 * HHH) % p
-        Z3 = Z1 * Z2 * H % p
-        return (X3, Y3, Z3)
-
     def _jac_add_affine(self, pt1, pt2):
         # pt1 Jacobian, pt2 a finite affine point: Z2 = 1 saves work
         X1, Y1, Z1 = pt1
@@ -454,19 +429,8 @@ class CurveGroup(_ScalarCodec):
         X3 = (R * R - HHH - 2 * V) % p
         return (X3, (R * (V - X3) - Y1 * HHH) % p, Z1 * H % p)
 
-    def _to_jacobian(self, pt):
-        if pt is None:
-            return (1, 1, 0)
-        return (pt[0], pt[1], 1)
-
     def _to_affine(self, pt):
-        X, Y, Z = pt
-        if not Z:
-            return None
-        p = self._p
-        zinv = pow(Z, -1, p)
-        zinv2 = zinv * zinv % p
-        return (X * zinv2 % p, Y * zinv2 * zinv % p)
+        return self._batch_to_affine([pt])[0] if pt[2] else None
 
     def _batch_to_affine(self, pts):
         # finite Jacobian points to affine with one shared inversion
@@ -488,34 +452,41 @@ class CurveGroup(_ScalarCodec):
     # -- public group API ---------------------------------------------------
 
     def add(self, a, b):
-        return self._to_affine(self._jac_add(self._to_jacobian(a), self._to_jacobian(b)))
+        return self.sum_points((a, b))
 
-    def _odd_multiples(self, a, rows: int, n: int, shift: int):
-        """The odd multiples 1, 3, ..., 2n-1 of ``2**(shift*j) * a`` for
-        j < rows, row after row, in Jacobian form."""
+    def _odd_multiples(self, points, rows: int, n: int, shift: int):
+        """Affine rows: the odd multiples 1, 3, ..., 2n-1 of
+        ``2**(shift*j) * a`` for j < rows, for each finite point a in turn.
+
+        One doubling chain per point gives every row's base and its
+        double; the doubles share one inversion, so each row takes
+        n - 1 mixed additions, and the rows share a second inversion.
+        """
+        bases, twices = [], []
+        for x, y in points:
+            base = (x, y, 1)
+            for j in range(rows):
+                twice = self._jac_double(base)
+                bases.append(base)
+                twices.append(twice)
+                if j + 1 < rows:
+                    for _ in range(shift - 1):
+                        twice = self._jac_double(twice)
+                    base = twice
         jac = []
-        base = self._to_jacobian(a)
-        for j in range(rows):
-            twice = self._jac_double(base)
+        for base, twice in zip(bases, self._batch_to_affine(twices)):
             jac.append(base)
             for _ in range(n - 1):
-                jac.append(self._jac_add(jac[-1], twice))
-            if j + 1 < rows:
-                for _ in range(shift - 1):
-                    twice = self._jac_double(twice)
-                base = twice
-        return jac
+                jac.append(self._jac_add_affine(jac[-1], twice))
+        flat = self._batch_to_affine(jac)
+        return [flat[i : i + n] for i in range(0, len(flat), n)]
 
     @cached_property
     def _generator_table(self):
         """Row i: the odd multiples 1, 3, ..., 2**w - 1 of ``2**(w*i) * G``,
         affine; enough rows to recode any scalar below q."""
         w = self._GEN_WIDTH
-        n = 1 << (w - 1)  # odd multiples per row
-        flat = self._batch_to_affine(
-            self._odd_multiples(self.generator, -(-self.q.bit_length() // w), n, w)
-        )
-        return [flat[i : i + n] for i in range(0, len(flat), n)]
+        return self._odd_multiples([self.generator], -(-self.q.bit_length() // w), 1 << (w - 1), w)
 
     @cached_property
     def _generator_rows(self):
@@ -528,14 +499,13 @@ class CurveGroup(_ScalarCodec):
         """``a`` with its split-scalar table for ``multi_mul``; counts nothing.
 
         Row j holds the odd multiples 1, 3, 5, 7 of ``2**(L*j) * a``: 16
-        affine points from one inversion.  The identity and a prepared
+        affine points from two inversions.  The identity and a prepared
         point come back as they are.
         """
         if a is None or isinstance(a, _PreparedPoint):
             return a
-        flat = self._batch_to_affine(self._odd_multiples(a, self._SLICES, 4, self._slice_bits))
         prepared = _PreparedPoint(a)
-        prepared.rows = [flat[i : i + 4] for i in range(0, len(flat), 4)]
+        prepared.rows = self._odd_multiples([a], self._SLICES, 4, self._slice_bits)
         return prepared
 
     def scalar_mul(self, k: int, a):
@@ -552,7 +522,7 @@ class CurveGroup(_ScalarCodec):
             # row i already holds 16**i * G: least significant digit first
             rows, doublings = self._generator_table, range(0)
         else:
-            row = self._batch_to_affine(self._odd_multiples(a, 1, 1 << (w - 1), 0))
+            (row,) = self._odd_multiples([a], 1, 1 << (w - 1), 0)
             rows, doublings, digits = [row] * n, range(w), digits[::-1]
         acc = (1, 1, 0)
         for row, d in zip(rows, digits):
@@ -589,9 +559,7 @@ class CurveGroup(_ScalarCodec):
             rows[gen] = self._generator_rows
         fresh = [pt for pt in live if pt not in rows]
         if fresh:
-            jac = [m for pt in fresh for m in self._odd_multiples(pt, 1, 4, 0)]
-            flat = self._batch_to_affine(jac)
-            rows.update((pt, [flat[4 * b : 4 * b + 4]]) for b, pt in enumerate(fresh))
+            rows.update((pt, [row]) for pt, row in zip(fresh, self._odd_multiples(fresh, 1, 4, 0)))
             width, slices = q.bit_length(), 1
         else:
             width, slices = self._slice_bits, self._SLICES

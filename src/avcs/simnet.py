@@ -150,14 +150,9 @@ class _SectionReader:
         raw = self.items.pop(key)
         try:
             if conv is bool:
-                lowered = raw.strip().lower()
-                if lowered in ("1", "true", "yes", "on"):
-                    return True
-                if lowered in ("0", "false", "no", "off"):
-                    return False
-                raise ValueError(raw)
+                return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
             return conv(raw)
-        except (TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             raise ScenarioError(
                 f"[{self.section}] {key} = {raw!r} is not a valid {conv.__name__}"
             ) from None

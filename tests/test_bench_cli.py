@@ -122,6 +122,12 @@ def test_linearity_r2_on_synthetic_data():
         for r in range(1, 9)
     ]
     assert linearity_r2(perfect, "ring_sign") == pytest.approx(1.0)
+    # r = 2..5 against 1, 3, 2, 4 ms: Sxy = 4, Sxx = Syy = 5, so R^2 = 16/25
+    noisy = [
+        BenchRecord(TOY, r, "ring_sign", 0.1, ms, 0.1, 0, 1)
+        for r, ms in zip(range(2, 6), (1.0, 3.0, 2.0, 4.0))
+    ]
+    assert linearity_r2(noisy, "ring_sign") == pytest.approx(0.64)
     with pytest.raises(ValueError):
         linearity_r2(perfect[:3], "ring_sign")  # only r=2,3 survive the r_min cut
     with pytest.raises(ValueError):

@@ -88,11 +88,17 @@ kind = forger
     (MINIMAL + "[adversary.x]\nkind = sybil\ncerts = 1\n", "certs"),
     (MINIMAL + "[adversary.x]\nkind = compromised\nvehicle = 7\n", "vehicle index"),
     (MINIMAL.replace("seed = 1", "seed = soon"), "not a valid int"),
+    (MINIMAL + "[protocol]\npreseed_ids = maybe\n", "not a valid bool"),
     (MINIMAL.replace("toy:2147483647", "p512"), "unknown group"),
 ])
 def test_parse_rejects_bad_scenarios(text, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("word, value", [(" On ", True), (" Off ", False), ("no", False), ("1", True)])
+def test_parse_bool_words(word, value):
+    assert parse_scenario(MINIMAL + f"[protocol]\npreseed_ids ={word}\n").preseed_ids is value
 
 
 def test_load_scenario_missing_file(tmp_path):

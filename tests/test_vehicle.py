@@ -4,15 +4,24 @@ import random
 
 import pytest
 
+from avcs import transient
 from avcs.errors import ProvisioningError
 from avcs.groups import P192, _PreparedPoint, count_group_ops
-from avcs.hardware import ManualClock, join, leak_master_secret
-from avcs.ringsig import ManufactoryRegistry, setup
+from avcs.hardware import (
+    ManualClock,
+    PseudonymCertificate,
+    join,
+    leak_master_secret,
+    pack_content,
+    signed_message,
+)
+from avcs.ringsig import ManufactoryRegistry, ring_sign, setup
 from avcs.vehicle import (
     FRAME_CERT,
     FRAME_MSG,
     VehicleState,
     cert_fingerprint,
+    encode_cert_frame,
     encode_message_frame,
 )
 from helpers import toy_world
@@ -175,6 +184,25 @@ def test_revoke_other_f_leaves_honest_alone():
     v1.revoke(leak_master_secret(v2.hsm))
     result, _ = deliver_cert(v0, v1, seed=9)
     assert result.accepted
+
+
+def test_rogue_list_misses_certificates_minted_outside_the_module():
+    # the rogue list matches R = f * h0(C), so it catches what the module
+    # mints; a certificate ring-signed in software with the same module's
+    # leaked identity key d, and with a random R and T, is accepted
+    world = toy_world(2)
+    v0, v1 = world.vehicles
+    v1.revoke(leak_master_secret(v0.hsm))
+    assert deliver_cert(v0, v1, seed=7)[0].reason == "revoked"
+    group, rng = world.group, random.Random(13)
+    d = v0.hsm._HardwareModule__identity_key  # pulled out as leak_master_secret pulls f
+    _, pk = transient.gen_keypair(group, rng)
+    C = pack_content(group, pk, world.clock.now(), 600)
+    R, T = (group.scalar_mul(rng.randrange(1, group.q), group.generator) for _ in range(2))
+    ring = [v0.hsm.identity, v1.hsm.identity]
+    S = ring_sign(signed_message(group, C, R, T), ring, d, 0, world.registry, rng)
+    frame = encode_cert_frame(PseudonymCertificate(C, R, T, S), group)
+    assert v1.receive(frame, world.clock.now()).outcome == "accept"
 
 
 def test_revoke_idempotent():
