@@ -51,6 +51,7 @@ __all__ = [
     "expand_bytes",
     "get_group",
     "note_extraction",
+    "take",
 ]
 
 
@@ -169,6 +170,16 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def take(stream, n: int, what: str) -> bytes:
+    """Exactly the next ``n`` bytes of a binary stream such as
+    ``io.BytesIO``, or :class:`ParseError` ``"<what> truncated"``: the
+    one bounds check under the certificate and signature decoders."""
+    data = stream.read(n)
+    if len(data) != n:
+        raise ParseError(f"{what} truncated")
+    return data
 
 
 class _ScalarCodec:
@@ -520,18 +531,19 @@ class CurveGroup(_ScalarCodec):
         digits = _regular_digits(k if odd else self.q - k, n, w)
         if a == self.generator:
             # row i already holds 16**i * G: least significant digit first
-            rows, doublings = self._generator_table, range(0)
+            rows, doublings = self._generator_table, ()
         else:
             (row,) = self._odd_multiples([a], 1, 1 << (w - 1), 0)
             rows, doublings, digits = [row] * n, range(w), digits[::-1]
+        double, add, p = self._jac_double, self._jac_add_affine, self._p
         acc = (1, 1, 0)
         for row, d in zip(rows, digits):
             for _ in doublings:
-                acc = self._jac_double(acc)
+                acc = double(acc)
             x, y = row[abs(d) >> 1]
-            acc = self._jac_add_affine(acc, (x, y) if d > 0 else (x, self._p - y))
+            acc = add(acc, (x, y) if d > 0 else (x, p - y))
         x, y = self._to_affine(acc)
-        return (x, y) if odd else (x, self._p - y)
+        return (x, y) if odd else (x, p - y)
 
     def multi_mul(self, pairs):
         """The sum of ``k * P`` over ``pairs``; variable time.

@@ -21,6 +21,7 @@ only insists it never runs backwards.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 import time
@@ -33,6 +34,7 @@ from .errors import (
     ProvisioningError,
     SupervisorAuthError,
 )
+from .groups import take
 from .ringsig import ManufactoryRegistry, RingSignature, keygen, ring_sign, split_id
 
 __all__ = [
@@ -125,27 +127,17 @@ class PseudonymCertificate:
         )
 
     @classmethod
-    def read_from(cls, data: bytes, offset: int, group) -> tuple["PseudonymCertificate", int]:
-        try:
-            (c_len,) = struct.unpack_from(">H", data, offset)
-        except struct.error:
-            raise ParseError("certificate header truncated") from None
-        offset += 2
-        ebl = group.element_byte_len
-        if offset + c_len + 2 * ebl > len(data):
-            raise ParseError("certificate body truncated")
-        C = data[offset : offset + c_len]
-        offset += c_len
-        R = group.decode_element(data[offset : offset + ebl])
-        T = group.decode_element(data[offset + ebl : offset + 2 * ebl])
-        offset += 2 * ebl
-        S, offset = RingSignature.read_from(data, offset, group)
-        return cls(C, R, T, S), offset
-
-    @classmethod
     def from_bytes(cls, data: bytes, group) -> "PseudonymCertificate":
-        cert, end = cls.read_from(data, 0, group)
-        if end != len(data):
+        stream = io.BytesIO(data)
+        (c_len,) = struct.unpack(">H", take(stream, 2, "certificate header"))
+        ebl = group.element_byte_len
+        # C, R and T are all there before R and T are decoded
+        C = take(stream, c_len, "certificate body")
+        R = take(stream, ebl, "certificate body")
+        T = take(stream, ebl, "certificate body")
+        R, T = group.decode_element(R), group.decode_element(T)
+        cert = cls(C, R, T, RingSignature.read(stream, group))
+        if stream.read(1):
             raise ParseError("trailing bytes after certificate")
         return cert
 

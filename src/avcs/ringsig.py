@@ -31,13 +31,14 @@ then the published start index ``x``.
 
 from __future__ import annotations
 
+import io
 import struct
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DegenerateKeyError, ParseError, UnknownManufactoryError
-from .groups import digest32, expand_bytes, get_group, note_extraction
+from .groups import digest32, expand_bytes, get_group, note_extraction, take
 
 __all__ = [
     "HashSuite",
@@ -201,9 +202,6 @@ class ManufactoryRegistry:
     def register_master(self, mk: MasterKeyPair) -> None:
         self.register(mk.manufactory_id, mk.Y)
 
-    def manufactories(self) -> tuple[str, ...]:
-        return tuple(sorted(self._vectors))
-
     def knows(self, manufactory_id: str) -> bool:
         return manufactory_id in self._vectors
 
@@ -321,58 +319,47 @@ class RingSignature:
         return bytes(out)
 
     @classmethod
-    def read_from(cls, data: bytes, offset: int, group) -> tuple["RingSignature", int]:
-        """Parse one signature starting at ``offset``; returns (sig, end)."""
+    def read(cls, stream, group) -> "RingSignature":
+        """Read one signature from a binary stream, leaving it at the end.
+
+        Every field comes through :func:`~avcs.groups.take` before it is
+        decoded (a tuple's m, U and v all three), so a short stream
+        raises :class:`ParseError` naming what is truncated; bytes after
+        the signature stay unread.
+        """
         sbl = group.scalar_byte_len
         ebl = group.element_byte_len
-        try:
-            r, x = struct.unpack_from(">HH", data, offset)
-        except struct.error:
-            raise ParseError("signature header truncated") from None
-        offset += 4
+        r, x = struct.unpack(">HH", take(stream, 4, "signature header"))
         if r < 1:
             raise ParseError("empty ring")
         if not 1 <= x <= r:
             raise ParseError("start index out of range")
-        if offset + sbl > len(data):
-            raise ParseError("glue value truncated")
-        w = data[offset : offset + sbl]
-        offset += sbl
+        w = take(stream, sbl, "glue value")
         ids = []
         for _ in range(r):
+            (id_len,) = struct.unpack(">H", take(stream, 2, "identity length"))
+            raw = take(stream, id_len, "identity bytes")
             try:
-                (id_len,) = struct.unpack_from(">H", data, offset)
-            except struct.error:
-                raise ParseError("identity length truncated") from None
-            offset += 2
-            if offset + id_len > len(data):
-                raise ParseError("identity bytes truncated")
-            try:
-                id_str = data[offset : offset + id_len].decode("utf-8")
+                id_str = raw.decode("utf-8")
+                split_id(id_str)
             except UnicodeDecodeError:
                 raise ParseError("identity is not valid UTF-8") from None
-            try:
-                split_id(id_str)
             except ValueError:
                 raise ParseError(f"malformed identity {id_str!r}") from None
             ids.append(id_str)
-            offset += id_len
         tuples = []
-        step = sbl + ebl + sbl
         for _ in range(r):
-            if offset + step > len(data):
-                raise ParseError("tuple bytes truncated")
-            m = data[offset : offset + sbl]
-            U = group.decode_element(data[offset + sbl : offset + sbl + ebl])
-            v = group.decode_scalar(data[offset + sbl + ebl : offset + step])
-            tuples.append((m, U, v))
-            offset += step
-        return cls(x, w, tuple(ids), tuple(tuples)), offset
+            m = take(stream, sbl, "tuple bytes")
+            U = take(stream, ebl, "tuple bytes")
+            v = take(stream, sbl, "tuple bytes")
+            tuples.append((m, group.decode_element(U), group.decode_scalar(v)))
+        return cls(x, w, tuple(ids), tuple(tuples))
 
     @classmethod
     def from_bytes(cls, data: bytes, group) -> "RingSignature":
-        sig, end = cls.read_from(data, 0, group)
-        if end != len(data):
+        stream = io.BytesIO(data)
+        sig = cls.read(stream, group)
+        if stream.read(1):
             raise ParseError("trailing bytes after signature")
         return sig
 

@@ -9,12 +9,17 @@ test passes them in explicitly.
 import random
 from types import SimpleNamespace
 
+from hypothesis import settings
+
 from avcs.groups import ToyGroup
 from avcs.hardware import ManualClock, join
 from avcs.ringsig import ManufactoryRegistry, setup
 from avcs.vehicle import VehicleState
 
 SUPERVISOR_TOKEN = "supervisor-token"
+
+# property tests replay the same examples on every run
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
 def toy_world(n=3, *, q=2147483647, n_bits=256, k=10, ring_size=3, min_span=60.0,
@@ -110,3 +115,9 @@ def random_bits_fn(seed, n_default=4):
                 return bits
 
     return bits_fn
+
+
+def chi_square(counts):
+    """Pearson's statistic of ``counts`` against the uniform expectation."""
+    expected = sum(counts) / len(counts)
+    return sum((c - expected) ** 2 / expected for c in counts)
