@@ -1,7 +1,7 @@
 """Latency, operation-count, and size measurement for the whole stack.
 
 Every record times one operation at one ring size and carries the exact
-scalar-multiplication count for that shape, so the cost model can be
+scalar-multiplication count of the timed calls, so the cost model can be
 checked against the measurements: signing is 2r-1 multiplications,
 verifying 3r, and a pseudonym certificate adds the two tag bindings
 plus one transient keypair on top of the ring signature.
@@ -36,7 +36,7 @@ CSV_HEADER = "curve,ring_size,op,mean_ms,median_ms,p95_ms,scalar_muls,size_bytes
 _BENCH_MFR = "b"
 _PAYLOAD = b"position=47.3769,8.5417 speed=13.4 heading=284"
 # ring rows feed the linearity fit: spanning seconds, they outlast bursts of outside load
-_RING_ROW_SECONDS = 3.0
+_RING_PASS_SECONDS = 6.0
 
 
 @dataclass(frozen=True)
@@ -98,21 +98,21 @@ def linearity_r2(records, op: str, *, r_min: int = 2) -> float:
     return 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
-def _count_muls(fn) -> int:
-    with count_group_ops() as ops:
-        fn()
-    return ops.scalar_muls
-
-
 def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0) -> dict:
-    """Time each fn in round-robin passes: ``trials`` passes, and more
-    until the passes have run for ``min_seconds`` or made ``10 * trials``.
+    """Time and count each fn in round-robin passes: ``trials`` passes,
+    and more until the passes have run for ``min_seconds`` or made
+    ``10 * trials``.
 
     Consecutive trials of a single shape share whatever scheduler noise
     hits that moment; spreading the passes keeps every shape sampling
     the same noise distribution, which the linearity fit depends on.
+    Every call runs in its own ``count_group_ops`` region with the clock
+    read inside it, so the count comes from the timed calls and entering
+    the region is not timed.  Returns ``{key: (samples_ms, scalar_muls)}``
+    and raises ``RuntimeError`` if a key's count differs between trials.
     """
     samples = {key: [] for key in fns}
+    muls = {}
     # collector pauses mid-trial would land on whichever op is unlucky
     was_enabled = gc.isenabled()
     gc.disable()
@@ -122,17 +122,25 @@ def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0) -> dic
         while passes < trials or (passes < 10 * trials and time.perf_counter() < deadline):
             passes += 1
             for key, fn in fns.items():
-                start = time.perf_counter()
-                fn()
-                samples[key].append((time.perf_counter() - start) * 1000.0)
+                with count_group_ops() as ops:
+                    start = time.perf_counter()
+                    fn()
+                    elapsed = time.perf_counter() - start
+                if muls.setdefault(key, ops.scalar_muls) != ops.scalar_muls:
+                    raise RuntimeError(
+                        f"{key!r}: {ops.scalar_muls} scalar multiplications, "
+                        f"{muls[key]} on an earlier trial"
+                    )
+                samples[key].append(elapsed * 1000.0)
     finally:
         if was_enabled:
             gc.enable()
-    return samples
+    return {key: (samples[key], muls[key]) for key in fns}
 
 
-def _record(curve: str, r: int, op: str, samples: list[float],
-            muls: int, size: int) -> BenchRecord:
+def _record(curve: str, r: int, op: str, measured: tuple[list[float], int],
+            size: int) -> BenchRecord:
+    samples, muls = measured
     p95 = samples[0]  # one sample has no quantiles
     if len(samples) > 1:
         # linear interpolation between order statistics, as numpy's percentile
@@ -152,8 +160,12 @@ def _record(curve: str, r: int, op: str, samples: list[float],
 def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchRecord]:
     """Measure every operation at every ring size 1..r_max.
 
-    The pubkey-extraction cache is warmed before any timing, so the
-    scalar-multiplication counts are pure per-call protocol cost.
+    Each row is timed and counted on the same calls, in one of two
+    interleaved passes: the ring rows with a time floor, the stream rows
+    for ``trials`` passes.  Every trial of a row must make the same
+    number of scalar multiplications.  The pubkey-extraction cache is
+    warmed first, so cold extraction stays out of the times; the counts
+    are logical and do not depend on it.
     """
     if not 1 <= r_max <= 32:
         raise ValueError("r_max must lie in 1..32")
@@ -176,67 +188,32 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
     recv_hsm = join(mk, f"{_BENCH_MFR}:recv-0000", registry, rng, clock=clock)
     now = clock.now()
 
-    rings = {r: ids[:r] for r in range(1, r_max + 1)}
-    sigs = {}
-    for r, ring in rings.items():
-        sigs[r] = ring_sign(_PAYLOAD, ring, signer, 0, registry, rng)  # warm-up
-        assert ring_verify(_PAYLOAD, sigs[r], registry)
-    sign_samples = _interleaved_trials(
-        {r: (lambda ring=ring: ring_sign(_PAYLOAD, ring, signer, 0, registry, rng))
-         for r, ring in rings.items()},
-        trials, _RING_ROW_SECONDS,
-    )
-    verify_samples = _interleaved_trials(
-        {r: (lambda sig=sig: ring_verify(_PAYLOAD, sig, registry))
-         for r, sig in sigs.items()},
-        trials, _RING_ROW_SECONDS,
-    )
-
-    records = []
-    for r, ring in rings.items():
-        sig_size = len(sigs[r].to_bytes(group))
-        muls = _count_muls(lambda: ring_sign(_PAYLOAD, ring, signer, 0, registry, rng))
-        records.append(_record(curve, r, "ring_sign", sign_samples[r], muls, sig_size))
-        muls = _count_muls(lambda: ring_verify(_PAYLOAD, sigs[r], registry))
-        records.append(_record(curve, r, "ring_verify", verify_samples[r], muls, sig_size))
-
-    for r, ring in rings.items():
-        sender_hsm.gen_pseudonym(ring, 600.0, rng)  # warm-up
-        samples = _interleaved_trials(
-            {"gen_pseudonym": lambda: sender_hsm.gen_pseudonym(ring, 600.0, rng)}, trials
-        )["gen_pseudonym"]
-        muls = _count_muls(lambda: sender_hsm.gen_pseudonym(ring, 600.0, rng))
-        # mint last so the transient key below matches this certificate
+    # fixtures first, each checked once; every trial below reads them
+    ring_fns, stream_fns, sizes = {}, {}, {}
+    for r in range(1, r_max + 1):
+        ring = ids[:r]
+        sig = ring_sign(_PAYLOAD, ring, signer, 0, registry, rng)
+        assert ring_verify(_PAYLOAD, sig, registry)
         cert = sender_hsm.gen_pseudonym(ring, 600.0, rng)
         cert_frame = encode_cert_frame(cert, group)
-        records.append(_record(curve, r, "gen_pseudonym", samples, muls, len(cert_frame)))
-
-        app = sender_hsm.gen_message(_PAYLOAD)  # warm-up
+        app = sender_hsm.gen_message(_PAYLOAD)
         msg_frame = encode_message_frame(cert_fingerprint(cert_frame), app.M, app.N)
-        samples = _interleaved_trials(
-            {"gen_message": lambda: sender_hsm.gen_message(_PAYLOAD)}, trials
-        )["gen_message"]
-        muls = _count_muls(lambda: sender_hsm.gen_message(_PAYLOAD))
-        records.append(_record(curve, r, "gen_message", samples, muls, len(msg_frame)))
-
         # a receiver's steady state from a certificate's third message on
         pk = group.prepare(cert.parse_c(group).pk)
         assert verify_transient(group, pk, app.M, app.N)
-        samples = _interleaved_trials(
-            {"verify_message": lambda: verify_transient(group, pk, app.M, app.N)}, trials
-        )["verify_message"]
-        muls = _count_muls(lambda: verify_transient(group, pk, app.M, app.N))
-        records.append(_record(curve, r, "verify_message", samples, muls, len(msg_frame)))
+        assert VehicleState(recv_hsm).receive(cert_frame, now).accepted
 
+        ring_fns["ring_sign", r] = lambda ring=ring: ring_sign(_PAYLOAD, ring, signer, 0, registry, rng)
+        ring_fns["ring_verify", r] = lambda sig=sig: ring_verify(_PAYLOAD, sig, registry)
+        stream_fns["gen_pseudonym", r] = lambda ring=ring: sender_hsm.gen_pseudonym(ring, 600.0, rng)
+        stream_fns["gen_message", r] = lambda: sender_hsm.gen_message(_PAYLOAD)
+        stream_fns["verify_message", r] = lambda pk=pk, app=app: verify_transient(group, pk, app.M, app.N)
         # a fresh receiver per trial: the pipeline short-circuits duplicates
-        receivers = [VehicleState(recv_hsm) for _ in range(trials + 1)]
-        probe = receivers.pop()
-        assert probe.receive(cert_frame, now).accepted
-        it = iter(receivers)
-        samples = _interleaved_trials(
-            {"receive_cert": lambda: next(it).receive(cert_frame, now)}, trials
-        )["receive_cert"]
-        muls = _count_muls(lambda: VehicleState(recv_hsm).receive(cert_frame, now))
-        records.append(_record(curve, r, "receive_cert", samples, muls, len(cert_frame)))
+        stream_fns["receive_cert", r] = lambda frame=cert_frame: VehicleState(recv_hsm).receive(frame, now)
+        sizes["ring_sign", r] = sizes["ring_verify", r] = len(sig.to_bytes(group))
+        sizes["gen_pseudonym", r] = sizes["receive_cert", r] = len(cert_frame)
+        sizes["gen_message", r] = sizes["verify_message", r] = len(msg_frame)
 
-    return records
+    rows = _interleaved_trials(ring_fns, trials, _RING_PASS_SECONDS)
+    rows.update(_interleaved_trials(stream_fns, trials))
+    return [_record(curve, r, op, measured, sizes[op, r]) for (op, r), measured in rows.items()]

@@ -125,6 +125,8 @@ class VehicleState:
             raise ValueError("k must be at least 1")
         if ring_size < 1:
             raise ValueError("ring_size must be at least 1")
+        if id_capacity < 0:
+            raise ValueError("id_capacity must be nonnegative")
         self.hsm = hsm
         self.k = k
         self.ring_size = ring_size

@@ -9,12 +9,14 @@ from avcs.bench import (
     CSV_HEADER,
     OPS,
     BenchRecord,
+    _interleaved_trials,
     avg_cost,
     linearity_r2,
     records_to_csv,
     run_benchmarks,
 )
 from avcs.cli import main
+from avcs.groups import get_group
 from avcs.ringsig import ManufactoryRegistry, MasterKeyPair
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -86,6 +88,24 @@ def test_run_benchmarks_counts_and_shape():
         assert rec.mean_ms > 0
         assert rec.size_bytes > 0
         assert rec.p95_ms >= rec.median_ms > 0
+
+
+def test_interleaved_trials_count_every_timed_call():
+    group = get_group(TOY)
+    calls = []
+
+    def steady():
+        group.scalar_mul(3, group.generator)
+
+    def alternating():
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            steady()
+
+    samples, muls = _interleaved_trials({"steady": steady}, 4)["steady"]
+    assert len(samples) == 4 and muls == 1
+    with pytest.raises(RuntimeError, match="alternating"):
+        _interleaved_trials({"alternating": alternating}, 4)
 
 
 def test_signature_grows_linearly_with_ring():

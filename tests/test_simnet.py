@@ -248,7 +248,8 @@ def test_attacks_leave_no_forged_id_in_the_key_cache():
     sim.run_loop()
     cached = list(sim.registry._cache)
     assert cached
-    assert not [id_str for id_str in cached if ":ghost-" in id_str]
+    # insert-after-verify: only rings that verified leave keys, and those name fleet vehicles
+    assert all(id_str.startswith("fleet:veh-") for id_str in cached), cached
 
 
 def test_replay_rejected_as_expired_only():

@@ -537,6 +537,17 @@ def test_id_buffer_eviction_oldest_first():
     assert list(v.id_buf) == ["m:h-2", "m:h-3", "m:h-4"]
 
 
+def test_id_capacity_must_be_nonnegative():
+    world = toy_world(2, preseed=False, id_capacity=0)
+    v0, v1 = world.vehicles
+    with pytest.raises(ValueError):
+        VehicleState(v1.hsm, id_capacity=-1)
+    # zero keeps no ids, and receiving still works
+    v0.make_pseudonym(600, random.Random(41), ring=[v0.hsm.identity])
+    assert v1.receive(v0.certificate_frame, world.clock.now()).accepted
+    assert not v1.id_buf
+
+
 def test_choose_ring_empty_buffer():
     world = toy_world(1, preseed=False)
     v = world.vehicles[0]
