@@ -7,12 +7,12 @@ Two interchangeable backends sit behind one small interface:
   packaged for this interpreter, so the point math lives here: one
   doubling and one mixed (Jacobian plus affine) addition formula, the
   latter incomplete.  ``scalar_mul`` makes the same point operations
-  for every nonzero scalar, bar two pairs per curve where the addition
-  meets its own operand, on the generator and on any other point
-  (``f * h0(C)``, ``f * h1(window)``).  ``multi_mul`` is
-  variable time; its scalars are public (the verification equations,
-  the rogue-list scan's leaked ``f``) but for the secret ``a`` and
-  ``b`` of ``ringsig.forge_tuple``.
+  for every nonzero scalar, bar a pair or two per curve where the
+  addition meets its own operand, on the generator, on a prepared
+  point (the ring keys of ``ringsig.forge_tuple``) and on any other
+  point (``f * h0(C)``, ``f * h1(window)``).  ``multi_mul`` is
+  variable time and takes public scalars only: the verification
+  equations and the rogue-list scan's leaked ``f``.
 * :class:`ToyGroup` -- the additive group of integers modulo a small
   prime with generator 1.  Scalar multiplication is literal modular
   multiplication, so test oracles can brute-force every claim.
@@ -37,6 +37,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .errors import MappingError, ParseError
 
@@ -343,7 +344,8 @@ class _PreparedPoint(tuple):
     """An affine point carrying the split-scalar table of ``prepare``.
 
     It equals, hashes and encodes as the plain ``(x, y)`` point, so it
-    goes wherever a point goes; ``multi_mul`` also reads its ``rows``.
+    goes wherever a point goes; ``scalar_mul`` and ``multi_mul`` also
+    read its ``rows``.
     """
 
     rows: list
@@ -353,31 +355,38 @@ class CurveGroup(_ScalarCodec):
     """A NIST prime curve with cofactor 1.
 
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
-    ``scalar_mul`` recodes the odd one of k and q - k into n = bits(q)/4
-    odd signed digits (Joye-Tunstall) and adds one table entry per
-    digit: for the generator, row i of a table built once per curve,
-    the odd multiples 1, 3, ..., 15 of ``16**i * G``, with no doubling;
-    for any other point, a per-call row P, 3P, ..., 15P walked most
-    significant digit first, 4 doublings before each addition.  Every
-    addition, tables included, is one mixed Jacobian-plus-affine
-    formula, and it is incomplete: on each curve, for 2 and q - 2
+    A base that lives long, such as a certificate's transient key or a
+    ring member's key, can be given to ``prepare`` once: with
+    L = bits(q) / 4, its table holds the odd multiples 1, 3, 5, 7 of
+    ``2**(L*j) * P`` for j = 0..3 (Lim-Lee split rows).
+
+    ``scalar_mul`` recodes the odd one of k and q - k into odd signed
+    digits (Joye-Tunstall) and adds one table entry per digit, so its
+    pattern does not depend on the scalar: for the generator, bits(q)/4
+    digits from row i of a table built once per curve, the odd
+    multiples 1, 3, ..., 15 of ``16**i * G``, with no doubling; for a
+    prepared point, bits(q)/3 width-3 digits from its split rows, one
+    doubling per slice offset (L doublings, 48 on P-192 and 64 on
+    P-256); for any other point, a per-call row P, 3P, ..., 15P walked
+    most significant digit first, 4 doublings before each addition.
+    Every addition, tables included, is one mixed Jacobian-plus-affine
+    formula, and it is incomplete: for 2 and q - 2 on a plain point
     (q = 17 mod 32, so q - 2 ends in the digit -1 after a partial sum
-    of -P) and for the generator's ``+-(30 * 16**(n-1) - q)``, the last
-    addition meets its own operand and doubles instead.
-    ``multi_mul`` evaluates a whole equation (a signature check, the
-    rogue-list scan, a forgery) in one interleaved pass (Straus), so n
-    terms share a single doubling chain.  A base that lives long, such
-    as a certificate's transient key, can be given to ``prepare`` once:
-    with L = bits(q) / 4, its table holds the odd multiples 1, 3, 5, 7
-    of ``2**(L*j) * P`` for j = 0..3, and an equation over prepared
-    bases and the generator needs a chain of only L + 1 doublings
-    (Lim-Lee).
+    of -P), for the generator's ``+-(30 * 16**(n-1) - q)`` and, on
+    P-192 only, for a prepared point's ``+-7 * 2**145``, one addition
+    meets its own operand and doubles instead.
+    ``multi_mul`` evaluates a whole public equation (a signature check,
+    the rogue-list scan) in one interleaved pass (Straus), so n terms
+    share a single doubling chain; over prepared bases and the
+    generator that chain is only L + 1 doublings long.
     """
 
     _GEN_WIDTH = 4  # generator-table digits are odd and below 2**4 in size
     _SLICES = 4     # a prepared base splits each scalar into this many slices
 
     def __init__(self, params: _CurveParams):
+        if params.a != -3:
+            raise ValueError("_jac_double assumes the curve coefficient a = -3")
         self._p = params.p
         self._a = params.a % params.p
         self._b = params.b
@@ -416,7 +425,7 @@ class CurveGroup(_ScalarCodec):
         YY = Y * Y % p
         S = 4 * X * YY % p
         ZZ = Z * Z % p
-        M = (3 * X * X + self._a * ZZ * ZZ) % p
+        M = 3 * (X - ZZ) * (X + ZZ) % p  # 3X^2 + a*Z^4 with a = -3
         X3 = (M * M - 2 * S) % p
         Y3 = (M * (S - X3) - 8 * YY * YY) % p
         Z3 = 2 * Y * Z % p
@@ -506,8 +515,25 @@ class CurveGroup(_ScalarCodec):
         step = self._slice_bits // self._GEN_WIDTH
         return [self._generator_table[step * j][:4] for j in range(self._SLICES)]
 
+    @cached_property
+    def _split_walk(self):
+        """``scalar_mul``'s schedule over a prepared base's rows, as
+        (doublings, slice j, digit i) triples, one per width-3 digit of a
+        scalar below q.  Digit i sits at bit 3i, i.e. at offset 3i mod L
+        of slice 3i // L; the offsets run from L - 1 down to 0 with one
+        doubling each, and the digits that share an offset follow each
+        other with none between them."""
+        L = self._slice_bits
+        walk, top = [], L
+        for i in sorted(range(-(-self.q.bit_length() // 3)), key=lambda i: -(3 * i % L)):
+            offset = 3 * i % L
+            walk.append((range(top - offset), 3 * i // L, i))
+            top = offset
+        return walk
+
     def prepare(self, a):
-        """``a`` with its split-scalar table for ``multi_mul``; counts nothing.
+        """``a`` with its split-scalar table for ``scalar_mul`` and
+        ``multi_mul``; counts nothing.
 
         Row j holds the odd multiples 1, 3, 5, 7 of ``2**(L*j) * a``: 16
         affine points from two inversions.  The identity and a prepared
@@ -526,18 +552,24 @@ class CurveGroup(_ScalarCodec):
             return None
         # the recoding needs an odd scalar: k*a = -((q - k)*a)
         odd = k & 1
+        k = k if odd else self.q - k
         w = self._GEN_WIDTH
         n = -(-self.q.bit_length() // w)
-        digits = _regular_digits(k if odd else self.q - k, n, w)
+        # (doublings before, row, digit) for each addition
         if a == self.generator:
             # row i already holds 16**i * G: least significant digit first
-            rows, doublings = self._generator_table, ()
+            walk = zip(repeat(()), self._generator_table, _regular_digits(k, n, w))
+        elif isinstance(a, _PreparedPoint):
+            # width 3: the prepared rows hold 1, 3, 5 and 7 times their base
+            split = self._split_walk
+            digits = _regular_digits(k, len(split), 3)
+            walk = ((doublings, a.rows[j], digits[i]) for doublings, j, i in split)
         else:
             (row,) = self._odd_multiples([a], 1, 1 << (w - 1), 0)
-            rows, doublings, digits = [row] * n, range(w), digits[::-1]
+            walk = zip(repeat(range(w)), repeat(row), reversed(_regular_digits(k, n, w)))
         double, add, p = self._jac_double, self._jac_add_affine, self._p
         acc = (1, 1, 0)
-        for row, d in zip(rows, digits):
+        for doublings, row, d in walk:
             for _ in doublings:
                 acc = double(acc)
             x, y = row[abs(d) >> 1]
@@ -546,14 +578,14 @@ class CurveGroup(_ScalarCodec):
         return (x, y) if odd else (x, p - y)
 
     def multi_mul(self, pairs):
-        """The sum of ``k * P`` over ``pairs``; variable time.
+        """The sum of ``k * P`` over ``pairs``; variable time, so every
+        scalar must be public.
 
-        The scalars are public but for ``forge_tuple``'s secret ``a``
-        and ``b``.  Equal points are merged first.  When every base left
-        with a nonzero scalar is prepared or the generator, each scalar
-        is cut into four L-bit slices and slice j is added from the
-        base's row j at the nonzero digits of its width-4 NAF: one chain
-        of L + 1 doublings.  Otherwise each base gets its odd multiples
+        Equal points are merged first.  When every base left with a
+        nonzero scalar is prepared or the generator, each scalar is cut
+        into four L-bit slices and slice j is added from the base's row
+        j at the nonzero digits of its width-4 NAF: one chain of L + 1
+        doublings.  Otherwise each base gets its odd multiples
         P..7P (a prepared base and the generator have them as row 0) and
         one chain of bits(q) + 1 doublings adds in each whole scalar's NAF.
         """

@@ -184,7 +184,9 @@ class ManufactoryRegistry:
 
     Extraction results are cached by identity ("can be cached" is part
     of the scheme's cost story); reads are lock-free, inserts take a
-    lock so concurrent verifiers do not race.
+    lock so concurrent verifiers do not race.  A key that ``ring_sign``
+    forges against while it is already cached is replaced in place by
+    its prepared form (``group.prepare``), which equals it.
     """
 
     def __init__(self, group, *, suite: HashSuite = PRODUCTION):
@@ -261,7 +263,12 @@ def forge_tuple(group, E, rng, *, suite: HashSuite = PRODUCTION):
     """Forge one tuple satisfying the verification equation against E.
 
     Draws ``a`` then ``b`` from Z_q*, both redrawn while H1(U) = 0.
-    Costs exactly two scalar multiplications per attempt.
+    Costs exactly two scalar multiplications per attempt.  ``a`` and
+    ``b`` can be recomputed from the published tuple, so a timing trace
+    of their multiplications would tell the forgeries from the signer's
+    own tuple: ``U = a*P + b*E`` takes two fixed-pattern ``scalar_mul``
+    calls, not the variable-time ``multi_mul``.  On a prepared ``E`` the
+    second one walks E's split rows.
     """
     if group.is_identity(E):
         raise DegenerateKeyError("cannot forge against the identity element")
@@ -269,7 +276,7 @@ def forge_tuple(group, E, rng, *, suite: HashSuite = PRODUCTION):
     while True:
         a = rng.randrange(1, q)
         b = rng.randrange(1, q)
-        U = group.multi_mul([(a, group.generator), (b, E)])
+        U = group.add(group.scalar_mul(a, group.generator), group.scalar_mul(b, E))
         e = suite.h1(group, U)
         if e != 0:
             break
@@ -376,7 +383,10 @@ def ring_sign(
 
     ``signer_pos`` is zero-based.  Costs exactly 2(r-1)+1 = 2r-1 scalar
     multiplications (two per forgery, one for the signer's U) plus r
-    public-key extractions, which are additions only.
+    public-key extractions, which are additions only.  Every ring id
+    enters the registry's cache.  A forgery against an id the cache
+    held before the call runs on that key prepared, and the prepared
+    key stays cached; an id seen for the first time gets no table.
     """
     group = registry.group
     suite = registry.suite
@@ -388,7 +398,12 @@ def ring_sign(
     if ring[signer_pos] != signer.id:
         raise ValueError("signer position does not hold the signer's id")
 
+    known = {id_str for id_str in ring if id_str in registry._cache}
     pubkeys = [registry.extract_pubkey(id_str) for id_str in ring]
+    for i, id_str in enumerate(ring):
+        if i != signer_pos and id_str in known:
+            pubkeys[i] = group.prepare(pubkeys[i])
+            registry._remember({id_str: pubkeys[i]})
     q = group.q
     sbl = group.scalar_byte_len
 

@@ -4,6 +4,7 @@ import hashlib
 import random
 import struct
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -13,13 +14,16 @@ from avcs.errors import ParseError
 from avcs.groups import (
     P192,
     P256,
+    CurveGroup,
     ToyGroup,
+    _regular_digits,
     count_group_ops,
     digest32,
     expand_bytes,
     get_group,
     note_extraction,
 )
+from avcs.ringsig import forge_tuple
 from helpers import PROPERTY, chi_square
 
 TOY = ToyGroup(23)
@@ -331,6 +335,37 @@ def test_multi_mul_edge_cases(group):
     assert ops.scalar_muls == 3
 
 
+# --- point operations, counted on the formulas themselves
+
+
+@pytest.fixture
+def point_ops(monkeypatch):
+    """``point_ops(fn)`` runs ``fn()`` and returns the (doublings, mixed
+    additions, inversions) it made on either curve; every conversion to
+    affine coordinates takes one inversion."""
+    calls = dict.fromkeys(("_jac_double", "_jac_add_affine", "_batch_to_affine"), 0)
+
+    def counted(name):
+        method = getattr(CurveGroup, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(CurveGroup, name, counted(name))
+
+    def pattern(fn):
+        for name in calls:
+            calls[name] = 0
+        fn()
+        return tuple(calls.values())
+
+    return pattern
+
+
 # --- prepared bases: the split path of multi_mul against the plain one
 
 
@@ -401,22 +436,13 @@ def test_generator_rows_line_up_with_the_slices(group):
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_prepared_check_runs_one_short_doubling_chain(group, monkeypatch):
+def test_prepared_check_runs_one_short_doubling_chain(group, point_ops):
     rng = random.Random(2014)
     pk = group.prepare(group.scalar_mul(rng.randrange(1, group.q), group.generator))
     group.scalar_mul(1, group.generator)  # build the table outside the count
-    doublings = 0
-    method = group._jac_double
-
-    def counted(pt):
-        nonlocal doublings
-        doublings += 1
-        return method(pt)
-
-    monkeypatch.setitem(vars(group), "_jac_double", counted)
     for _ in range(10):
-        doublings = 0
-        group.multi_mul([(rng.randrange(group.q), group.generator), (rng.randrange(group.q), pk)])
+        pairs = [(rng.randrange(group.q), group.generator), (rng.randrange(group.q), pk)]
+        doublings, _, _ = point_ops(lambda: group.multi_mul(pairs))
         assert doublings == group._slice_bits + 1
 
 
@@ -446,8 +472,9 @@ def last_row_doubling_scalar(group):
 
 
 def other_bases(group):
-    """Two bases that are not the generator: a hashed point and a
-    prepared one, both taking the per-call row of ``scalar_mul``."""
+    """Two bases that are not the generator: a hashed point, which takes
+    the per-call row of ``scalar_mul``, and a prepared one, which takes
+    its split rows."""
     return [
         group.hash_to_group("test-base", b"h0"),
         group.prepare(group.scalar_mul(0xBEEF, group.generator)),
@@ -475,46 +502,109 @@ def test_generator_multiples_match_double_and_add(case):
     assert group.multi_mul([(k, base)]) == expected
 
 
+def prepared_doubling_scalars(group):
+    """Every scalar whose walk over a prepared base meets an addition's
+    own operand (or its negation), found by exhaustive search.
+
+    Before digit i is added, the partial sum is S, the sum of
+    ``d_t * 2**(3t)`` over the digits already walked, all at bits at or
+    above the current offset o; the addition is exceptional iff
+    ``S = +-d_i * 2**(3i) mod q``.  As integers the two differ (the
+    lowest walked bit fixes the 2-adic valuation of S, and bit 3i is not
+    walked yet), so ``S -+ d_i * 2**(3i) = m * q`` with m nonzero, below
+    ``8**n / q`` in size (both sides are digit sums) and a multiple of
+    ``2**o``.  That leaves the few digits walked at the lowest offsets:
+    the search fixes those still to come and solves for the scalar.
+    """
+    q, L = group.q, group._slice_bits
+    n = len(group._split_walk)
+    m_max = 8**n // q
+    tail = [i for _, _, i in group._split_walk if 2 ** (3 * i % L) <= m_max]
+    found = set()
+    for pos, i in enumerate(tail):
+        rest = tail[pos:]
+        ms = [m for m in range(-m_max, m_max + 1) if m and m % 2 ** (3 * i % L) == 0]
+        for ds in product(range(-7, 8, 2), repeat=len(rest)):
+            to_come = sum(d << 3 * t for d, t in zip(ds, rest))
+            for sign, m in product((1, -1), ms):
+                k = m * q + sign * (ds[0] << 3 * i) + to_come
+                if 0 < k < q and k & 1:
+                    digits = _regular_digits(k, n, 3)
+                    if [digits[t] for t in rest] == list(ds):
+                        found |= {k, q - k}
+    return sorted(found)
+
+
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_generator_multiples_have_one_operation_pattern(group, monkeypatch):
+def test_generator_multiples_have_one_operation_pattern(group, point_ops):
     group.scalar_mul(1, group.generator)  # build the table outside the count
-    calls = {"_jac_double": 0, "_jac_add_affine": 0}
-
-    def counted(name):
-        method = getattr(group, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return method(*args)
-
-        return wrapper
-
-    for name in calls:  # instance attributes shadow the methods until undone
-        monkeypatch.setitem(vars(group), name, counted(name))
 
     def pattern(k, base=group.generator):
-        for name in calls:
-            calls[name] = 0
-        group.scalar_mul(k, base)
-        return tuple(calls.values())
+        return point_ops(lambda: group.scalar_mul(k, base))
 
     rng = random.Random(2009)
     q = group.q
     scalars = [1, 2, q - 1, q - 2] + [rng.randrange(1, q) for _ in range(50)]
     rows = -(-q.bit_length() // 4)
-    assert {pattern(k) for k in scalars} == {(0, rows)}
+    assert {pattern(k) for k in scalars} == {(0, rows, 1)}
     # the incomplete addition formula's one exception on each curve
     for k in (last_row_doubling_scalar(group), q - last_row_doubling_scalar(group)):
-        assert pattern(k) == (1, rows)
-    # any other base: its row P..15P costs one doubling and 7 mixed
-    # additions, then 4 doublings before each of the rows additions
+        assert pattern(k) == (1, rows, 1)
+    # any other base: its row P..15P costs one doubling, 7 mixed additions
+    # and two inversions, then 4 doublings before each of the rows additions
     base = group.hash_to_group("test-base", b"pattern")
-    scalars = [1, q - 1] + [rng.randrange(1, q) for _ in range(50)]
-    assert {pattern(k, base) for k in scalars} == {(4 * rows + 1, rows + 7)}
+    assert {pattern(k, base) for k in [1, q - 1] + scalars[4:]} == {(4 * rows + 1, rows + 7, 3)}
     # q = 17 mod 32: q - 2 ends in the digit -1 after a partial sum of -P
     assert q % 32 == 17
     for k in (2, q - 2):
-        assert pattern(k, base) == (4 * rows + 2, rows + 7)
+        assert pattern(k, base) == (4 * rows + 2, rows + 7, 3)
+    # a prepared base: one doubling per offset of a slice, one addition
+    # per width-3 digit from its split rows, and no table to build
+    prepared = group.prepare(base)
+    digits = -(-q.bit_length() // 3)
+    assert {pattern(k, prepared) for k in scalars} == {(group._slice_bits, digits, 1)}
+    exceptions = prepared_doubling_scalars(group)
+    # on P-192 the last digit, -7 at bit 3L, meets a partial sum of q - 7 * 2**(3L)
+    assert exceptions == ([7 << 145, q - (7 << 145)] if group is P192 else [])
+    for k in exceptions:
+        assert pattern(k, prepared) == (group._slice_bits + 1, digits, 1)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_forge_on_a_prepared_key_has_one_operation_pattern(group, point_ops):
+    E = group.prepare(group.scalar_mul(0xF00D, group.generator))
+    group.scalar_mul(1, group.generator)  # build the table outside the count
+    patterns = {point_ops(lambda: forge_tuple(group, E, random.Random(seed))) for seed in range(50)}
+    # a*G, b*E and their sum: one inversion each
+    digits = -(-group.q.bit_length() // 3)
+    assert patterns == {(group._slice_bits, -(-group.q.bit_length() // 4) + digits + 2, 3)}
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_a_minus_3_doubling_matches_the_generic_formula(group):
+    p, a = group._p, group._a
+
+    def generic_double(pt):
+        # the same Jacobian doubling with M = 3X^2 + a*Z^4 for any a
+        X, Y, Z = pt
+        if not Y or not Z:
+            return (1, 1, 0)
+        YY = Y * Y % p
+        S = 4 * X * YY % p
+        ZZ = Z * Z % p
+        M = (3 * X * X + a * ZZ * ZZ) % p
+        X3 = (M * M - 2 * S) % p
+        return (X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p)
+
+    assert a == p - 3
+    rng = random.Random(1998)
+    for _ in range(50):
+        x, y = group.scalar_mul(rng.randrange(1, group.q), group.generator)
+        Z = rng.randrange(2, p)
+        pt = (x * Z * Z % p, y * Z * Z * Z % p, Z)
+        assert group._jac_double(pt) == generic_double(pt)
+    for pt in [(1, 1, 0), (rng.randrange(p), 0, rng.randrange(1, p))]:
+        assert group._jac_double(pt) == generic_double(pt) == (1, 1, 0)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from avcs.errors import DegenerateKeyError, ParseError, UnknownManufactoryError
-from avcs.groups import P192, ToyGroup, count_group_ops
+from avcs.groups import P192, ToyGroup, _PreparedPoint, count_group_ops
 from avcs.ringsig import (
     PRODUCTION,
     HashSuite,
@@ -264,6 +264,34 @@ def test_sign_verify_on_curve():
     signer = keygen(mk, "m:two")
     sig = ring_sign(b"curve msg", ring, signer, 1, registry, random.Random(2))
     assert ring_verify(b"curve msg", sig, registry)
+
+
+def test_ring_sign_prepares_only_keys_the_registry_held():
+    mk = setup(P192, n=16, rng=random.Random(9), manufactory_id="m")
+
+    def registry_knowing(ids):
+        registry = ManufactoryRegistry(P192)
+        registry.register_master(mk)
+        for id_str in ids:
+            registry.extract_pubkey(id_str)
+        return registry
+
+    ring = ["m:warm-1", "m:signer", "m:cold", "m:warm-2"]
+    signer = keygen(mk, "m:signer")
+    registry = registry_knowing(["m:warm-1", "m:signer", "m:warm-2", "m:bystander"])
+    before = set(registry._cache)
+    first = ring_sign(b"prep", ring, signer, 1, registry, random.Random(4))
+    cache = registry._cache
+    assert set(cache) == before | set(ring)
+    prepared = {id_str for id_str, E in cache.items() if isinstance(E, _PreparedPoint)}
+    # the signer's own key is never forged against; the cold id was seen once
+    assert prepared == {"m:warm-1", "m:warm-2"}
+    assert ring_verify(b"prep", first, registry)
+    second = ring_sign(b"prep", ring, signer, 1, registry, random.Random(5))
+    assert second.to_bytes(P192) == ring_sign(
+        b"prep", ring, signer, 1, registry_knowing([]), random.Random(5)
+    ).to_bytes(P192)
+    assert isinstance(cache["m:cold"], _PreparedPoint)
 
 
 def test_hash_suite_travels_with_registry():
