@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands: ``keygen`` (parameter files), ``demo`` (annotated
-end-to-end transcript), ``bench`` (latency/size CSV), ``avgcost``
-(per-message cost of a certificate-every-k stream), and ``sim``
-(scenario runner).  Exit codes: 0 on success, 2 on usage errors,
-3 on runtime failures.
+Subcommands: ``keygen`` (parameter files), ``bench`` (latency/size
+CSV), ``avgcost`` (per-message cost of a certificate-every-k stream),
+and ``sim`` (scenario runner).  The end-to-end walkthrough is
+``demos/02_pseudonym_protocol.py``.  Exit codes: 0 on success, 2 on
+usage errors, 3 on runtime failures.
 """
 
 from __future__ import annotations
@@ -18,19 +18,15 @@ from pathlib import Path
 from .bench import avg_cost, linearity_r2, records_to_csv, run_benchmarks
 from .errors import AvcsError
 from .groups import get_group
-from .hardware import ManualClock, join
-from .ringsig import ManufactoryRegistry, MasterKeyPair, setup
+from .ringsig import ManufactoryRegistry, setup
 from .simnet import counters_csv, load_scenario, render_text
 from .simnet import run as run_scenario
-from .vehicle import VehicleState, reveal_check
-
-_DEMO_NAMES = ("alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avcs",
-        description="anonymous vehicular communication: keys, demo, benchmarks, simulation",
+        description="anonymous vehicular communication: keys, benchmarks, simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -54,10 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="run a scenario file and write its report")
     p.add_argument("--scenario", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="DIR")
-
-    p = sub.add_parser("demo", help="annotated sign/send/receive/reveal walkthrough")
-    p.add_argument("--ring", type=int, default=3, metavar="N")
-    p.add_argument("--curve", default="p192", metavar="ID")
 
     p = sub.add_parser("keygen", help="generate master key and registry files")
     p.add_argument("--curve", default="p256", metavar="ID")
@@ -110,64 +102,6 @@ def cmd_sim(args) -> int:
     return 0
 
 
-def cmd_demo(args) -> int:
-    if args.ring < 1:
-        raise AvcsError("--ring must be at least 1")
-    if args.ring > 64:
-        raise AvcsError("--ring larger than 64 makes for a dull demo")
-    group = get_group(args.curve)
-    rng = random.Random("demo")
-    print(f"group: {group.group_id}, scalars are {group.scalar_byte_len * 8} bits")
-
-    mk = setup(group, rng=rng, manufactory_id="demo")
-    registry = ManufactoryRegistry(group)
-    registry.register_master(mk)
-    print(f"manufactory 'demo': master vector of {mk.n} pairs published")
-
-    names = [_DEMO_NAMES[i] if i < len(_DEMO_NAMES) else f"veh-{i:03d}"
-             for i in range(max(args.ring, 2))]
-    ids = [f"demo:{name}" for name in names]
-    clock = ManualClock(1_700_000_000.0)
-    modules = {
-        id_str: join(mk, id_str, registry, rng, clock=clock, supervisor_token="audit")
-        for id_str in ids
-    }
-    print(f"joined: {', '.join(ids)} (each derives its key from its id alone)")
-
-    sender = VehicleState(modules[ids[0]], k=3, ring_size=args.ring)
-    ring = ids[: args.ring]
-    cert = sender.make_pseudonym(600.0, rng, ring=ring)
-    frame_len = len(sender.certificate_frame)
-    print(f"\n{ids[0]} mints a pseudonym certificate:")
-    print(f"  ring of {args.ring}: {', '.join(ring)}")
-    print("  C committing to a fresh transient key, valid 600 s")
-    print(f"  ring signature glue position x = {cert.S.x}, frame {frame_len} bytes")
-
-    receiver = VehicleState(modules[ids[1]])
-    payloads = [b"road clear ahead", b"braking hard", b"lane change left"]
-    print(f"\n{ids[0]} streams {len(payloads)} messages (certificate first, again every k=3):")
-    now = clock.now()
-    for frame in [f for p in payloads for f in sender.send_next(p)]:
-        kind = "cert" if frame[0] == 1 else "msg "
-        result = receiver.receive(frame, now)
-        body = result.payload.decode() if result.payload else ""
-        note = f" {body!r}" if body else ""
-        print(f"  {kind} {len(frame):4d} B -> {ids[1]}: {result.outcome}{note}")
-    print(f"verifier learned only that one of {args.ring} ring members signed")
-
-    print("\nsupervisor audits the certificate (who minted this?):")
-    verdict = False
-    for id_str in ids[: args.ring][::-1]:  # query the actual issuer last
-        response = modules[id_str].reveal_respond(cert.C, "audit", rng)
-        match = reveal_check(cert, response, group)
-        print(f"  {id_str}: {'match' if match else 'no match'}")
-        verdict = match
-    if not verdict:
-        raise AvcsError("reveal failed to identify the issuer")
-    print("reveal: match")
-    return 0
-
-
 def cmd_keygen(args) -> int:
     group = get_group(args.curve)
     rng = random.SystemRandom()
@@ -189,7 +123,6 @@ _COMMANDS = {
     "bench": cmd_bench,
     "avgcost": cmd_avgcost,
     "sim": cmd_sim,
-    "demo": cmd_demo,
     "keygen": cmd_keygen,
 }
 

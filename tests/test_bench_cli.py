@@ -1,6 +1,8 @@
 """Cost model, benchmark records, and the command-line surface."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -15,11 +17,12 @@ from avcs.bench import (
     records_to_csv,
     run_benchmarks,
 )
-from avcs.cli import main
+from avcs.cli import _COMMANDS, _build_parser, main
 from avcs.groups import get_group
 from avcs.ringsig import ManufactoryRegistry, MasterKeyPair
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO / "scenarios"
 
 TOY = "toy:2147483647"
 
@@ -173,29 +176,27 @@ def test_cli_avgcost_runtime_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_usage_error_exits_2():
+@pytest.mark.parametrize("argv", [
+    ["avgcost", "--n", "10"],  # missing required flags
+    ["bogus"],
+    ["demo"],  # not a subcommand: the walkthrough is demos/02_pseudonym_protocol.py
+], ids=lambda argv: argv[0])
+def test_cli_usage_error_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
-        main(["avgcost", "--n", "10"])  # missing required flags
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus"])
+        main(argv)
     assert exc.value.code == 2
 
 
-def test_cli_demo_transcript(capsys):
-    rc = main(["demo", "--ring", "3", "--curve", TOY])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.rstrip().endswith("reveal: match")
-    assert "no match" in out          # non-issuers are cleared first
-    assert "mints a pseudonym" in out
-    assert "accept" in out
-
-
-def test_cli_demo_singleton_ring(capsys):
-    rc = main(["demo", "--ring", "1", "--curve", TOY])
-    assert rc == 0
-    assert capsys.readouterr().out.rstrip().endswith("reveal: match")
+def test_readme_cli_block_parses():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## CLI\n\n```sh\n(.*?)^```", text, flags=re.M | re.S)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in commands if argv and argv[0] == "avcs"]
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on a subcommand or flag the CLI lacks
+    assert {argv[0] for argv in commands} == set(_COMMANDS)
 
 
 def test_cli_bench_writes_pinned_csv(tmp_path, capsys):

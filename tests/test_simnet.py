@@ -140,6 +140,21 @@ def test_clean_run_all_messages_accepted():
     assert report.throughput * report.duration == 20
 
 
+def test_rings_grow_from_overheard_ids_without_preseeding():
+    # no road-side help: each vehicle's first ring is itself alone, and
+    # later rings fill up from the ids of certificates it has accepted
+    sc = toy_scenario(n_vehicles=4, ring_size=3, cert_validity=10.0,
+                      duration=30.0, preseed_ids=False)
+    report = run(sc)
+    for name in report.vehicles:
+        row = report.counters[name]
+        assert row["accept"] > 0
+        for reason in COUNTER_KEYS:
+            if reason not in ("accept", "duplicate"):
+                assert row[reason] == 0, (name, reason)
+    assert report.cert_size[0] < report.cert_size[2]
+
+
 def test_loss_recovery_trace():
     sc = toy_scenario(seed=3, duration=12.0, loss_rate=0.5)
     report = run(sc)
