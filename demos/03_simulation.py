@@ -13,9 +13,6 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 print("== sybil.ini: one module, five certificates, one time window ==")
 report = run(load_scenario(SCENARIOS / "sybil.ini"))
 print(render_text(report))
-for name, latency in report.sybil_detection_latency.items():
-    print(f"sybil detection for {name}: "
-          f"{'never' if latency is None else f'{latency*1000:.2f} ms after first sighting'}")
 
 print()
 print("== attacks.ini: replay, forgery, masquerade, compromise ==")

@@ -377,8 +377,10 @@ class CurveGroup(_ScalarCodec):
     meets its own operand and doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
-    share a single doubling chain; over prepared bases and the
-    generator that chain is only L + 1 doublings long.
+    share a single doubling chain.  The widest scalar on a base that is
+    neither prepared nor the generator sets its length: L + 1 doublings
+    when those scalars fit L bits (or there is no such base), 2L + 1
+    when they fit 2L bits, and bits(q) + 1 otherwise.
     """
 
     _GEN_WIDTH = 4  # generator-table digits are odd and below 2**4 in size
@@ -581,16 +583,17 @@ class CurveGroup(_ScalarCodec):
         """The sum of ``k * P`` over ``pairs``; variable time, so every
         scalar must be public.
 
-        Equal points are merged first.  When every base left with a
-        nonzero scalar is prepared or the generator, each scalar is cut
-        into four L-bit slices and slice j is added from the base's row
-        j at the nonzero digits of its width-4 NAF: one chain of L + 1
-        doublings.  Otherwise each base gets its odd multiples
-        P..7P (a prepared base and the generator have them as row 0) and
-        one chain of bits(q) + 1 doublings adds in each whole scalar's NAF.
+        Equal points are merged first.  Each base that is neither
+        prepared nor the generator gets its odd multiples P..7P as its
+        row 0, and the widest scalar on such a fresh base picks the slice
+        count: 4 if it fits L bits, 2 if it fits 2L bits, otherwise 1.
+        Each scalar is cut into slices of 4L / slices bits, and slice j
+        is added from the base's row ``j * 4 / slices`` at the nonzero
+        digits of its width-4 NAF, so the chain takes 4L / slices + 1
+        doublings.
         """
         _note_scalar_mul(len(pairs))
-        q, p, gen = self.q, self._p, self.generator
+        q, p, gen, L = self.q, self._p, self.generator, self._slice_bits
         merged: dict = {}
         rows: dict = {}
         for k, pt in pairs:
@@ -604,13 +607,13 @@ class CurveGroup(_ScalarCodec):
         fresh = [pt for pt in live if pt not in rows]
         if fresh:
             rows.update((pt, [row]) for pt, row in zip(fresh, self._odd_multiples(fresh, 1, 4, 0)))
-            width, slices = q.bit_length(), 1
-        else:
-            width, slices = self._slice_bits, self._SLICES
+        widest = max((live[pt].bit_length() for pt in fresh), default=0)
+        slices = 4 if widest <= L else 2 if widest <= 2 * L else 1
+        width, stride = L * self._SLICES // slices, self._SLICES // slices
         mask = (1 << width) - 1
         steps: list[list] = [[] for _ in range(width + 1)]
         for pt, k in live.items():
-            for row in rows[pt][:slices]:
+            for row in rows[pt][::stride]:
                 for i, d in _wnaf(k & mask):
                     if d > 0:
                         steps[i].append(row[d >> 1])

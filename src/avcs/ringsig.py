@@ -184,9 +184,11 @@ class ManufactoryRegistry:
 
     Extraction results are cached by identity ("can be cached" is part
     of the scheme's cost story); reads are lock-free, inserts take a
-    lock so concurrent verifiers do not race.  A key that ``ring_sign``
-    forges against while it is already cached is replaced in place by
-    its prepared form (``group.prepare``), which equals it.
+    lock so concurrent verifiers do not race.  A key is prepared
+    (``group.prepare``, which keeps it equal) at its second use: when
+    ``ring_sign`` forges against it, or ``ring_verify`` accepts a
+    signature over it, while its id is already cached.  An id seen once
+    keeps a plain key, and a rejected signature caches nothing.
     """
 
     def __init__(self, group, *, suite: HashSuite = PRODUCTION):
@@ -219,7 +221,7 @@ class ManufactoryRegistry:
         return E
 
     def _derive(self, id_str: str):
-        # extract_pubkey without caching: ring_verify caches only verified keys
+        # extract_pubkey without caching: ring_sign and ring_verify cache through _keep
         note_extraction()
         cached = self._cache.get(id_str)
         if cached is not None:
@@ -237,6 +239,17 @@ class ManufactoryRegistry:
     def _remember(self, keys: dict) -> None:
         with self._lock:
             self._cache.update(keys)
+
+    def _keep(self, keys: dict, *, plain=()) -> dict:
+        """Cache ``keys`` (id -> key) and return them as cached: the key
+        of an id the cache already held is prepared, unless the id is in
+        ``plain``."""
+        kept = {
+            id_str: E if id_str in plain or id_str not in self._cache else self.group.prepare(E)
+            for id_str, E in keys.items()
+        }
+        self._remember(kept)
+        return kept
 
     def to_dict(self) -> dict:
         return {
@@ -386,7 +399,8 @@ def ring_sign(
     public-key extractions, which are additions only.  Every ring id
     enters the registry's cache.  A forgery against an id the cache
     held before the call runs on that key prepared, and the prepared
-    key stays cached; an id seen for the first time gets no table.
+    key stays cached; an id seen for the first time, and the signer's
+    own id, get no table.
     """
     group = registry.group
     suite = registry.suite
@@ -398,12 +412,9 @@ def ring_sign(
     if ring[signer_pos] != signer.id:
         raise ValueError("signer position does not hold the signer's id")
 
-    known = {id_str for id_str in ring if id_str in registry._cache}
-    pubkeys = [registry.extract_pubkey(id_str) for id_str in ring]
-    for i, id_str in enumerate(ring):
-        if i != signer_pos and id_str in known:
-            pubkeys[i] = group.prepare(pubkeys[i])
-            registry._remember({id_str: pubkeys[i]})
+    kept = registry._keep({id_str: registry._derive(id_str) for id_str in ring},
+                          plain={signer.id})
+    pubkeys = [kept[id_str] for id_str in ring]
     q = group.q
     sbl = group.scalar_byte_len
 
@@ -446,11 +457,18 @@ def ring_verify(
 
     The chain closes first, on hashes alone.  Then one multi-scalar
     multiplication over 3r pairs (2r+1 distinct bases) checks
-    ``sum z_i*(m_i*P - H1(U_i)*E_i - v_i*U_i) = 0`` with randomizers
-    ``z_i`` in ``[1, q-1]`` hashed from the message and the signature
-    (the Bellare-Garay-Rabin small-exponent batch test): one bad tuple
-    is always caught, several pass with probability at most 1/(q-1).
-    The r keys enter the registry's cache only if the signature verifies.
+    ``sum s_i*(m_i*P - H1(U_i)*E_i - v_i*U_i) = 0``, with tuple i scaled
+    by ``s_i = -z_i / v_i`` so that U_i's coefficient is ``z_i`` itself.
+    The randomizers ``z_i`` lie in ``[1, 2**lam - 1]``, lam = bits(q)/2
+    rounded up (96 on P-192, 128 on P-256), and are hashed from the
+    message and the signature (the Bellare-Garay-Rabin small-exponent
+    batch test): one bad tuple is always caught, several pass with
+    probability at most 1/(2**lam - 1).  Every U_i is a fresh point, so
+    its short scalar halves ``multi_mul``'s doubling chain when the
+    keys are prepared.  A tuple with ``v_i = 0`` keeps ``s_i = z_i``,
+    and U_i's coefficient is 0.  The r keys enter the registry's cache
+    only if the signature verifies; the keys of ids cached before the
+    call are then prepared.
 
     Hostile-input safe: unknown manufactories, degenerate ids and shape
     violations all reject rather than raise.  Costs exactly 3r logical
@@ -476,12 +494,15 @@ def ring_verify(
         seed = digest32("batch", struct.pack(">I", len(msg)) + msg + sig.to_bytes(group))
     except (ValueError, UnknownManufactoryError, DegenerateKeyError):
         return False
+    q = group.q
+    short = (1 << -(-q.bit_length() // 2)) - 1
     pairs = []
     for i, ((m, U, v), E) in enumerate(zip(sig.tuples, pubkeys)):
-        z = group.hash_to_scalar("batch", struct.pack(">I", i) + seed) % (group.q - 1) + 1
-        pairs += [(z * int.from_bytes(m, "big"), group.generator),
-                  (-z * suite.h1(group, U), E), (-z * v, U)]
+        z = group.hash_to_scalar("batch", struct.pack(">I", i) + seed) % short + 1
+        s, u = (-z * pow(v, -1, q), z) if v else (z, 0)
+        pairs += [(s * int.from_bytes(m, "big"), group.generator),
+                  (-s * suite.h1(group, U), E), (u, U)]
     if not group.is_identity(group.multi_mul(pairs)):
         return False
-    registry._remember(dict(zip(sig.ids, pubkeys)))
+    registry._keep(dict(zip(sig.ids, pubkeys)))
     return True

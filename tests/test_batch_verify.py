@@ -4,8 +4,9 @@ ring_verify closes the hash chain and then checks all r tuple
 equations as one randomized multi-scalar multiplication.  These tests
 hold it to the unbatched rule of the oracle (the chain closes and every
 tuple verifies on its own), including on bad tuples whose errors cancel
-without the randomizers, and check that a rejected signature leaves
-the registry's key cache as it was.
+without the randomizers and on a tuple with v = 0, and check that a
+rejected signature leaves the registry's key cache as it was, while an
+accepted one prepares only the keys cached before it.
 """
 
 import random
@@ -13,8 +14,9 @@ import random
 import pytest
 
 from avcs.errors import DegenerateKeyError
-from avcs.groups import P192, ToyGroup, count_group_ops
+from avcs.groups import P192, ToyGroup, _PreparedPoint, count_group_ops
 from avcs.ringsig import (
+    PRODUCTION,
     ManufactoryRegistry,
     RingSignature,
     keygen,
@@ -183,15 +185,69 @@ def test_batched_verify_agrees_with_unbatched_rule():
     assert batch_rejects >= 50
 
 
-def test_rejected_signature_leaves_the_cache_unchanged():
-    registry, sig = signed(BIG_TOY, 41, 4)
-    before = dict(registry._cache)
+def cache_state(registry):
+    """The key cache by value and by type: a prepared key equals its plain one."""
+    return {id_str: (E, type(E)) for id_str, E in registry._cache.items()}
+
+
+@pytest.mark.parametrize("group", [P192, BIG_TOY], ids=str)
+def test_rejected_signature_leaves_the_cache_unchanged(group):
+    registry, sig = signed(group, 41, 4)
+    before = cache_state(registry)
     ghosts = RingSignature(sig.x, sig.w, tuple(f"m:ghost-{i}" for i in range(sig.r)), sig.tuples)
     assert chain_closes(b"batch", ghosts, registry)
     with count_group_ops() as ops:
         assert not ring_verify(b"batch", ghosts, registry)
     assert (ops.scalar_muls, ops.extractions) == (3 * sig.r, sig.r)
-    assert registry._cache == before
+    assert cache_state(registry) == before
+    # a bad tuple over cached ids prepares none of them, not even the
+    # signer's own key, which ring_sign left plain
+    assert not ring_verify(b"batch", corrupt(sig, 0, registry), registry)
+    assert cache_state(registry) == before
+
+
+def test_acceptance_prepares_only_keys_cached_before_the_call():
+    signer_registry, sig = signed(P192, 47, 4)
+    registry = ManufactoryRegistry(P192)
+    registry.register("m", signer_registry._vectors["m"])
+    known = set(sig.ids[:2])
+    for id_str in known:
+        registry.extract_pubkey(id_str)
+    assert ring_verify(b"batch", sig, registry)
+    assert set(registry._cache) == set(sig.ids)
+    prepared = {id_str for id_str, E in registry._cache.items() if isinstance(E, _PreparedPoint)}
+    assert prepared == known
+    # seen twice now: the next acceptance prepares the rest
+    assert ring_verify(b"batch", sig, registry)
+    assert all(isinstance(E, _PreparedPoint) for E in registry._cache.values())
+
+
+def test_a_tuple_with_v_zero_is_judged_like_the_unbatched_rule():
+    # v = 0 has no inverse, so that tuple keeps its unscaled pairs and
+    # U's coefficient is 0: m*P = H1(U')*E must still hold on its own
+    group, q = TOY, TOY.q
+    h1 = PRODUCTION.h1
+
+    def roots():
+        # (registry, sig, i, m, target, U') with H1(U') = m_i / E_i
+        for seed in range(50):
+            registry, sig = signed(group, seed, 3)
+            for i, (m, _, _) in enumerate(sig.tuples):
+                E = registry.extract_pubkey(sig.ids[i])
+                target = int.from_bytes(m, "big") * pow(E, -1, q) % q
+                for U in range(q):
+                    if h1(group, U) == target:
+                        yield registry, sig, i, m, target, U
+
+    registry, sig, i, m, target, root = next(roots())
+    zero = with_tuple(sig, i, (m, root, 0))
+    assert ring_verify(b"batch", zero, registry)
+    assert unbatched(b"batch", zero, registry)
+    off = next(U for U in range(q) if h1(group, U) != target)
+    failing = with_tuple(sig, i, (m, off, 0))
+    assert chain_closes(b"batch", failing, registry)
+    assert not ring_verify(b"batch", failing, registry)
+    assert not unbatched(b"batch", failing, registry)
 
 
 def test_accepted_signature_caches_its_keys():

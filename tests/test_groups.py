@@ -16,6 +16,7 @@ from avcs.groups import (
     P256,
     CurveGroup,
     ToyGroup,
+    _PreparedPoint,
     _regular_digits,
     count_group_ops,
     digest32,
@@ -23,7 +24,7 @@ from avcs.groups import (
     get_group,
     note_extraction,
 )
-from avcs.ringsig import forge_tuple
+from avcs.ringsig import ManufactoryRegistry, forge_tuple, keygen, ring_sign, ring_verify, setup
 from helpers import PROPERTY, chi_square
 
 TOY = ToyGroup(23)
@@ -614,3 +615,59 @@ def test_generator_multiple_counts_one_scalar_mul(group):
             with count_group_ops() as ops:
                 group.scalar_mul(k, base)
             assert ops.scalar_muls == 1
+
+
+# --- multi_mul's slice rule: the widest scalar on a fresh base picks
+# --- 4, 2 or 1 slices, and prepared bases and the generator follow
+
+
+@st.composite
+def sliced_cases(draw):
+    """(group, pairs) mixing the generator, prepared and fresh bases;
+    fresh scalars sit around L, 2L and full width, so every slice count
+    is taken and each boundary is crossed from both sides."""
+    group = draw(st.sampled_from(CURVES))
+    q, L = group.q, group._slice_bits
+    G = group.generator
+    fresh = [group.scalar_mul(k, G) for k in (5, 0xF00D)]
+    prepared = [group.prepare(group.scalar_mul(k, G)) for k in (7, 0xBEEF)]
+    bits = st.sampled_from([1, L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1, q.bit_length()])
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(bits)
+        k = draw(st.integers(1 << (n - 1), min((1 << n) - 1, q - 1)))
+        pairs.append((k, draw(st.sampled_from([G] + prepared + fresh))))
+    return group, pairs
+
+
+@PROPERTY
+@given(sliced_cases())
+def test_multi_mul_slice_rule_matches_double_and_add(case):
+    group, pairs = case
+    terms = (double_and_add(group, k, pt) for k, pt in pairs)
+    expected = reduce(lambda a, b: affine_add(group, a, b), terms, group.identity)
+    with count_group_ops() as ops:
+        assert group.multi_mul(pairs) == expected
+    assert ops.scalar_muls == len(pairs)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_ring_verify_over_prepared_keys_runs_a_half_length_chain(group, point_ops):
+    mk = setup(group, n=16, rng=random.Random(12), manufactory_id="m")
+    registry = ManufactoryRegistry(group)
+    registry.register_master(mk)
+    r = 4
+    ring = [f"m:car-{i}" for i in range(r)]
+    for id_str in ring:
+        registry.extract_pubkey(id_str)
+    sig = ring_sign(b"half", ring, keygen(mk, ring[1]), 1, registry, random.Random(3))
+    # the first acceptance prepares the signer's key, which was cached plain
+    assert ring_verify(b"half", sig, registry)
+    assert all(isinstance(registry._cache[id_str], _PreparedPoint) for id_str in ring)
+    group.scalar_mul(1, group.generator)  # build the table outside the count
+    # 96-bit (128-bit) randomizers on the fresh U_i: a chain of 2L + 1
+    # doublings, and one doubling for each U_i's odd multiples
+    chain = {"p192": 97, "p256": 129}[group.group_id]
+    assert chain == 2 * group._slice_bits + 1
+    doublings, _, _ = point_ops(lambda: ring_verify(b"half", sig, registry))
+    assert doublings == chain + r
