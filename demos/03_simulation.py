@@ -18,7 +18,3 @@ print()
 print("== attacks.ini: replay, forgery, masquerade, compromise ==")
 report = run(load_scenario(SCENARIOS / "attacks.ini"))
 print(render_text(report))
-print("frames from each adversary that any honest vehicle accepted:")
-for name, count in sorted(report.adversary_accepted.items()):
-    print(f"  {name}: {count}")
-print(f"revocations pushed during the run: {report.revocations}")

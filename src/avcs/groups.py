@@ -47,6 +47,7 @@ __all__ = [
     "P192",
     "P256",
     "ToyGroup",
+    "batch_inverse",
     "count_group_ops",
     "digest32",
     "expand_bytes",
@@ -171,6 +172,22 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def batch_inverse(values, modulus: int) -> list[int]:
+    """The inverse of each value modulo a prime, or 0 for a value of 0,
+    from one ``pow`` (Montgomery's trick): invert the product of the
+    nonzero values, then peel them off one multiplication at a time."""
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % modulus if v else prefix[-1])
+    inv = pow(prefix[-1], -1, modulus)
+    out = [0] * len(values)
+    for i in reversed(range(len(values))):
+        if values[i]:
+            out[i] = inv * prefix[i] % modulus
+            inv = inv * values[i] % modulus
+    return out
 
 
 def take(stream, n: int, what: str) -> bytes:
@@ -307,20 +324,24 @@ _P256 = _CurveParams(
     gy=0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
 )
 
-def _wnaf(k: int) -> list[tuple[int, int]]:
-    """The nonzero width-4 NAF digits of ``k >= 0`` as (position, digit)
-    pairs, least significant first: each digit is odd and below 8 in
-    size, and at least three zeros separate two of them."""
+def _wnaf(k: int, w: int) -> list[tuple[int, int]]:
+    """The nonzero width-``w`` NAF digits of ``k >= 0`` as (position,
+    digit) pairs, least significant first: each digit is odd and below
+    ``2**(w-1)`` in size, so a row of ``2**(w-2)`` odd multiples holds
+    it, and at least ``w - 1`` zeros separate two of them."""
     terms = []
     i = 0
+    mask, half = (1 << w) - 1, 1 << (w - 1)
     while k:
         zeros = (k & -k).bit_length() - 1
         k >>= zeros
         i += zeros
-        d = (k & 15) - 16 if k & 8 else k & 15
+        d = k & mask
+        if d & half:
+            d -= 1 << w
         terms.append((i, d))
-        k = (k - d) >> 4
-        i += 4
+        k = (k - d) >> w
+        i += w
     return terms
 
 
@@ -357,8 +378,9 @@ class CurveGroup(_ScalarCodec):
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
     A base that lives long, such as a certificate's transient key or a
     ring member's key, can be given to ``prepare`` once: with
-    L = bits(q) / 4, its table holds the odd multiples 1, 3, 5, 7 of
-    ``2**(L*j) * P`` for j = 0..3 (Lim-Lee split rows).
+    L = bits(q) / 8 (24 on P-192, 32 on P-256), its table holds the odd
+    multiples 1, 3, 5, 7 of ``2**(L*j) * P`` for j = 0..7 (Lim-Lee split
+    rows).
 
     ``scalar_mul`` recodes the odd one of k and q - k into odd signed
     digits (Joye-Tunstall) and adds one table entry per digit, so its
@@ -366,25 +388,26 @@ class CurveGroup(_ScalarCodec):
     digits from row i of a table built once per curve, the odd
     multiples 1, 3, ..., 15 of ``16**i * G``, with no doubling; for a
     prepared point, bits(q)/3 width-3 digits from its split rows, one
-    doubling per slice offset (L doublings, 48 on P-192 and 64 on
+    doubling per slice offset (L doublings, 24 on P-192 and 32 on
     P-256); for any other point, a per-call row P, 3P, ..., 15P walked
     most significant digit first, 4 doublings before each addition.
     Every addition, tables included, is one mixed Jacobian-plus-affine
     formula, and it is incomplete: for 2 and q - 2 on a plain point
     (q = 17 mod 32, so q - 2 ends in the digit -1 after a partial sum
     of -P), for the generator's ``+-(30 * 16**(n-1) - q)`` and, on
-    P-192 only, for a prepared point's ``+-7 * 2**145``, one addition
+    P-192 only, for a prepared point's ``+-7 * 2**169``, one addition
     meets its own operand and doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
     share a single doubling chain.  The widest scalar on a base that is
     neither prepared nor the generator sets its length: L + 1 doublings
-    when those scalars fit L bits (or there is no such base), 2L + 1
-    when they fit 2L bits, and bits(q) + 1 otherwise.
+    when those scalars fit L bits (or there is no such base, as in a
+    message check on a prepared key: 25 on P-192, 33 on P-256), 2L + 1
+    or 4L + 1 when they fit 2L or 4L bits, and bits(q) + 1 otherwise.
     """
 
     _GEN_WIDTH = 4  # generator-table digits are odd and below 2**4 in size
-    _SLICES = 4     # a prepared base splits each scalar into this many slices
+    _SLICES = 8     # a prepared base splits each scalar into this many slices
 
     def __init__(self, params: _CurveParams):
         if params.a != -3:
@@ -456,19 +479,11 @@ class CurveGroup(_ScalarCodec):
 
     def _batch_to_affine(self, pts):
         # finite Jacobian points to affine with one shared inversion
-        # (Montgomery's trick): invert the product of every Z, then peel
         p = self._p
-        prefix = [1]
-        for pt in pts:
-            prefix.append(prefix[-1] * pt[2] % p)
-        inv = pow(prefix[-1], -1, p)
-        out = [None] * len(pts)
-        for i in reversed(range(len(pts))):
-            X, Y, Z = pts[i]
-            zinv = inv * prefix[i] % p
-            inv = inv * Z % p
+        out = []
+        for (X, Y, _), zinv in zip(pts, batch_inverse([pt[2] for pt in pts], p)):
             zinv2 = zinv * zinv % p
-            out[i] = (X * zinv2 % p, Y * zinv2 * zinv % p)
+            out.append((X * zinv2 % p, Y * zinv2 * zinv % p))
         return out
 
     # -- public group API ---------------------------------------------------
@@ -512,19 +527,20 @@ class CurveGroup(_ScalarCodec):
 
     @cached_property
     def _generator_rows(self):
-        """The generator's split table: row j is the first four entries of
-        generator-table row ``L*j / w``, i.e. 1, 3, 5, 7 times ``2**(L*j) * G``."""
+        """The generator's split table: row j is generator-table row
+        ``L*j / w`` whole, i.e. 1, 3, ..., 15 times ``2**(L*j) * G``, so
+        ``multi_mul`` reads the generator's slices with width-5 digits."""
         step = self._slice_bits // self._GEN_WIDTH
-        return [self._generator_table[step * j][:4] for j in range(self._SLICES)]
+        return [self._generator_table[step * j] for j in range(self._SLICES)]
 
     @cached_property
     def _split_walk(self):
         """``scalar_mul``'s schedule over a prepared base's rows, as
         (doublings, slice j, digit i) triples, one per width-3 digit of a
         scalar below q.  Digit i sits at bit 3i, i.e. at offset 3i mod L
-        of slice 3i // L; the offsets run from L - 1 down to 0 with one
-        doubling each, and the digits that share an offset follow each
-        other with none between them."""
+        of slice 3i // L (of 8); the offsets run from L - 1 down to 0 with
+        one doubling each, L = 24 on P-192 and 32 on P-256, and the digits
+        that share an offset follow each other with none between them."""
         L = self._slice_bits
         walk, top = [], L
         for i in sorted(range(-(-self.q.bit_length() // 3)), key=lambda i: -(3 * i % L)):
@@ -537,8 +553,9 @@ class CurveGroup(_ScalarCodec):
         """``a`` with its split-scalar table for ``scalar_mul`` and
         ``multi_mul``; counts nothing.
 
-        Row j holds the odd multiples 1, 3, 5, 7 of ``2**(L*j) * a``: 16
-        affine points from two inversions.  The identity and a prepared
+        Row j holds the odd multiples 1, 3, 5, 7 of ``2**(L*j) * a`` for
+        j = 0..7: 32 affine points from two inversions, made with 7L + 8
+        doublings and 24 mixed additions.  The identity and a prepared
         point come back as they are.
         """
         if a is None or isinstance(a, _PreparedPoint):
@@ -586,11 +603,13 @@ class CurveGroup(_ScalarCodec):
         Equal points are merged first.  Each base that is neither
         prepared nor the generator gets its odd multiples P..7P as its
         row 0, and the widest scalar on such a fresh base picks the slice
-        count: 4 if it fits L bits, 2 if it fits 2L bits, otherwise 1.
-        Each scalar is cut into slices of 4L / slices bits, and slice j
-        is added from the base's row ``j * 4 / slices`` at the nonzero
-        digits of its width-4 NAF, so the chain takes 4L / slices + 1
-        doublings.
+        width: L bits, doubled while that scalar is wider, which gives 8,
+        4, 2 or 1 slices for widths up to L, 2L, 4L and beyond.  Each
+        scalar is cut into slices of that width, and slice j is added
+        from the base's row ``j * 8 / slices`` at the nonzero digits of
+        its NAF, width 4 on a 4-entry row and width 5 on the generator's
+        8-entry rows, so the chain takes width + 1 doublings: L + 1 for a
+        message check on a prepared key.
         """
         _note_scalar_mul(len(pairs))
         q, p, gen, L = self.q, self._p, self.generator, self._slice_bits
@@ -608,13 +627,15 @@ class CurveGroup(_ScalarCodec):
         if fresh:
             rows.update((pt, [row]) for pt, row in zip(fresh, self._odd_multiples(fresh, 1, 4, 0)))
         widest = max((live[pt].bit_length() for pt in fresh), default=0)
-        slices = 4 if widest <= L else 2 if widest <= 2 * L else 1
-        width, stride = L * self._SLICES // slices, self._SLICES // slices
+        width = L
+        while width < widest:
+            width *= 2
         mask = (1 << width) - 1
         steps: list[list] = [[] for _ in range(width + 1)]
         for pt, k in live.items():
-            for row in rows[pt][::stride]:
-                for i, d in _wnaf(k & mask):
+            w = len(rows[pt][0]).bit_length() + 1  # 4 entries: width 4; 8: width 5
+            for row in rows[pt][:: width // L]:
+                for i, d in _wnaf(k & mask, w):
                     if d > 0:
                         steps[i].append(row[d >> 1])
                     else:

@@ -38,7 +38,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DegenerateKeyError, ParseError, UnknownManufactoryError
-from .groups import digest32, expand_bytes, get_group, note_extraction, take
+from .groups import batch_inverse, digest32, expand_bytes, get_group, note_extraction, take
 
 __all__ = [
     "HashSuite",
@@ -458,17 +458,17 @@ def ring_verify(
     The chain closes first, on hashes alone.  Then one multi-scalar
     multiplication over 3r pairs (2r+1 distinct bases) checks
     ``sum s_i*(m_i*P - H1(U_i)*E_i - v_i*U_i) = 0``, with tuple i scaled
-    by ``s_i = -z_i / v_i`` so that U_i's coefficient is ``z_i`` itself.
-    The randomizers ``z_i`` lie in ``[1, 2**lam - 1]``, lam = bits(q)/2
-    rounded up (96 on P-192, 128 on P-256), and are hashed from the
-    message and the signature (the Bellare-Garay-Rabin small-exponent
-    batch test): one bad tuple is always caught, several pass with
-    probability at most 1/(2**lam - 1).  Every U_i is a fresh point, so
-    its short scalar halves ``multi_mul``'s doubling chain when the
-    keys are prepared.  A tuple with ``v_i = 0`` keeps ``s_i = z_i``,
-    and U_i's coefficient is 0.  The r keys enter the registry's cache
-    only if the signature verifies; the keys of ids cached before the
-    call are then prepared.
+    by ``s_i = -z_i / v_i`` so that U_i's coefficient is ``z_i`` itself;
+    the nonzero v_i share one batch inversion.  The randomizers ``z_i``
+    lie in ``[1, 2**lam - 1]``, lam = bits(q)/2 rounded up (96 on P-192,
+    128 on P-256), and are hashed from the message and the signature
+    (the Bellare-Garay-Rabin small-exponent batch test): one bad tuple
+    is always caught, several pass with probability at most
+    1/(2**lam - 1).  Every U_i is a fresh point, so its short scalar
+    halves ``multi_mul``'s doubling chain when the keys are prepared.
+    A tuple with ``v_i = 0`` keeps ``s_i = z_i``, and U_i's coefficient
+    is 0.  The r keys enter the registry's cache only if the signature
+    verifies; the keys of ids cached before the call are then prepared.
 
     Hostile-input safe: unknown manufactories, degenerate ids and shape
     violations all reject rather than raise.  Costs exactly 3r logical
@@ -497,9 +497,10 @@ def ring_verify(
     q = group.q
     short = (1 << -(-q.bit_length() // 2)) - 1
     pairs = []
-    for i, ((m, U, v), E) in enumerate(zip(sig.tuples, pubkeys)):
+    inverses = batch_inverse([v for _, _, v in sig.tuples], q)
+    for i, ((m, U, v), E, v_inv) in enumerate(zip(sig.tuples, pubkeys, inverses)):
         z = group.hash_to_scalar("batch", struct.pack(">I", i) + seed) % short + 1
-        s, u = (-z * pow(v, -1, q), z) if v else (z, 0)
+        s, u = (-z * v_inv, z) if v else (z, 0)
         pairs += [(s * int.from_bytes(m, "big"), group.generator),
                   (-s * suite.h1(group, U), E), (u, U)]
     if not group.is_identity(group.multi_mul(pairs)):

@@ -218,6 +218,14 @@ class VehicleState:
 
     def _receive_cert(self, frame: bytes, now: float) -> ReceiveResult:
         group = self.hsm.group
+        fingerprint = cert_fingerprint(frame)
+        entry = self.pseudonym_buf.get(fingerprint)
+        if entry is not None and entry.frame == frame:
+            # a re-send of a buffered frame, which parsed when it was
+            # accepted: a duplicate unless pruning drops it
+            self._prune(now)
+            if fingerprint in self.pseudonym_buf:
+                return ReceiveResult("duplicate", "duplicate")
         try:
             cert = PseudonymCertificate.from_bytes(frame[1:], group)
             parsed = cert.parse_c(group)
@@ -225,11 +233,7 @@ class VehicleState:
             return _reject("malformed")
 
         self._prune(now)
-        fingerprint = cert_fingerprint(frame)
         entry = self.pseudonym_buf.get(fingerprint)
-        if entry is not None and entry.frame == frame:
-            return ReceiveResult("duplicate", "duplicate")
-
         t_enc = group.encode_element(cert.T)
         if t_enc in self._fingerprint_by_t:
             return _reject("sybil")

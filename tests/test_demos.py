@@ -48,7 +48,9 @@ def test_simulation_demo_stops_every_adversary(capsys):
     assert "sybil detection for twin: never" not in lines
     # render_text prints the latency; the script does not repeat it
     assert sum(line.startswith("sybil detection for twin: ") for line in lines) == 1
-    start = lines.index("frames from each adversary that any honest vehicle accepted:") + 1
-    accepted = dict(line.split(": ") for line in lines[start:start + 4])
-    assert accepted == {"echo": "0", "ghost": "0", "impostor": "0", "mole": "0"}
-    assert lines[start + 4] == "revocations pushed during the run: ((10.0, 'veh-000'),)"
+    # render_text reports each adversary's accepted frames, once each
+    attacks = lines[lines.index("== attacks.ini: replay, forgery, masquerade, compromise =="):]
+    accepted = [line for line in attacks if line.startswith("adversary ")]
+    assert accepted == [f"adversary {name}: 0 accepted frames"
+                        for name in ("echo", "ghost", "impostor", "mole")]
+    assert lines.count("revocation of veh-000 distributed at t=10s") == 1

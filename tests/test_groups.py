@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avcs import transient
 from avcs.errors import ParseError
 from avcs.groups import (
     P192,
@@ -18,6 +19,7 @@ from avcs.groups import (
     ToyGroup,
     _PreparedPoint,
     _regular_digits,
+    batch_inverse,
     count_group_ops,
     digest32,
     expand_bytes,
@@ -321,6 +323,14 @@ def test_sum_points_matches_fold(case):
     assert ops.scalar_muls == 0
 
 
+def test_batch_inverse_matches_pow_and_keeps_zeros():
+    rng = random.Random(2015)
+    for modulus in (23, P192.q, P192._p):
+        values = [rng.randrange(modulus) for _ in range(9)] + [0, 1, 0]
+        assert batch_inverse(values, modulus) == [pow(v, -1, modulus) if v else 0 for v in values]
+    assert batch_inverse([], 23) == []
+
+
 @pytest.mark.parametrize("group", MSM_GROUPS, ids=str)
 def test_multi_mul_edge_cases(group):
     G = group.generator
@@ -371,7 +381,7 @@ def point_ops(monkeypatch):
 
 
 def slice_bits(group):
-    return -(-group.q.bit_length() // 4)
+    return -(-group.q.bit_length() // 8)
 
 
 @st.composite
@@ -385,7 +395,8 @@ def prepared_cases(draw):
     bases = [group.generator, group.identity] + [
         group.scalar_mul(k, group.generator) for k in multiples
     ]
-    boundaries = [2**L - 1, 2**L, 2 ** (2 * L) - 1, 2 ** (3 * L) - 1, 2 ** (3 * L) + 2**L - 1]
+    boundaries = [2**L - 1, 2**L, 2 ** (2 * L) - 1, 2 ** (4 * L) - 1, 2 ** (7 * L) - 1,
+                  2 ** (7 * L) + 2**L - 1]
     scalars = st.one_of(
         st.sampled_from([0, 1, -1, q - 1, q, 2 * q + 3] + boundaries + [-b for b in boundaries]),
         st.integers(-2 * q, 2 * q),
@@ -428,23 +439,32 @@ def test_prepare_counts_nothing_and_keeps_the_point(group):
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_generator_rows_line_up_with_the_slices(group):
+def test_generator_rows_line_up_with_the_slices(group, point_ops):
     L = group._slice_bits
     assert L == slice_bits(group) and L % group._GEN_WIDTH == 0
+    assert len(group._generator_rows) == 8
     for j, row in enumerate(group._generator_rows):
-        assert row == [group.scalar_mul(d * 2 ** (L * j), group.generator) for d in (1, 3, 5, 7)]
-    assert group.prepare(group.generator).rows == group._generator_rows
+        assert row == [group.scalar_mul(d * 2 ** (L * j), group.generator) for d in range(1, 16, 2)]
+    assert group.prepare(group.generator).rows == [row[:4] for row in group._generator_rows]
+    # 15 in every slice: one width-5 digit per slice on the generator's
+    # 8-entry rows, and two width-4 digits (16 - 1) on a prepared key's
+    k = sum(15 << L * j for j in range(8))
+    pk = group.prepare(group.scalar_mul(0xBEEF, group.generator))
+    assert point_ops(lambda: group.multi_mul([(k, group.generator)])) == (L + 1, 8, 1)
+    assert point_ops(lambda: group.multi_mul([(k, pk)])) == (L + 1, 16, 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_prepared_check_runs_one_short_doubling_chain(group, point_ops):
-    rng = random.Random(2014)
-    pk = group.prepare(group.scalar_mul(rng.randrange(1, group.q), group.generator))
-    group.scalar_mul(1, group.generator)  # build the table outside the count
-    for _ in range(10):
-        pairs = [(rng.randrange(group.q), group.generator), (rng.randrange(group.q), pk)]
-        doublings, _, _ = point_ops(lambda: group.multi_mul(pairs))
-        assert doublings == group._slice_bits + 1
+    # a message check on a prepared key: eight L-bit slices, one chain
+    sk, pk = transient.gen_keypair(group, random.Random(2014))
+    prepared = group.prepare(pk)
+    for i in range(10):
+        msg = b"beacon %d" % i
+        signature = transient.sign(group, sk, pk, msg)
+        assert transient.verify(group, prepared, msg, signature)
+        doublings, _, _ = point_ops(lambda: transient.verify(group, prepared, msg, signature))
+        assert doublings == {"p192": 25, "p256": 33}[group.group_id] == group._slice_bits + 1
 
 
 # --- scalar_mul's one loop, over the generator's table or a per-call row,
@@ -503,6 +523,31 @@ def test_generator_multiples_match_double_and_add(case):
     assert group.multi_mul([(k, base)]) == expected
 
 
+def walked_digit_sum(S, n, unwalked):
+    """Whether ``S`` is ``sum(d_t * 8**t)`` over t < n with ``d_t = 0`` for
+    t in ``unwalked`` and odd and below 8 in size otherwise.  Such digits
+    are unique: at each walked position, of the two odd candidates
+    ``S mod 8`` and ``S mod 8 - 8`` only one leaves a remainder that
+    suits the next position (odd if it is walked, a multiple of 8 if not).
+    """
+    for t in range(n):
+        if t in unwalked:
+            if S % 8:
+                return False
+            S //= 8
+            continue
+        r = S % 8
+        if not r & 1:
+            return False
+        walked_next = t + 1 < n and t + 1 not in unwalked
+        for d in (r, r - 8):
+            rest = (S - d) // 8
+            if (rest & 1) if walked_next else not rest % 8:
+                break
+        S = rest
+    return S == 0
+
+
 def prepared_doubling_scalars(group):
     """Every scalar whose walk over a prepared base meets an addition's
     own operand (or its negation), found by exhaustive search.
@@ -512,27 +557,31 @@ def prepared_doubling_scalars(group):
     above the current offset o; the addition is exceptional iff
     ``S = +-d_i * 2**(3i) mod q``.  As integers the two differ (the
     lowest walked bit fixes the 2-adic valuation of S, and bit 3i is not
-    walked yet), so ``S -+ d_i * 2**(3i) = m * q`` with m nonzero, below
+    walked yet), so ``S = m * q +- d_i * 2**(3i)`` with m nonzero, below
     ``8**n / q`` in size (both sides are digit sums) and a multiple of
-    ``2**o``.  That leaves the few digits walked at the lowest offsets:
-    the search fixes those still to come and solves for the scalar.
+    ``2**o``.  That leaves the few digits walked at the lowest offsets.
+    For each, the search solves for S, keeps it if it is a digit sum over
+    exactly the walked positions, and adds every choice of the digits
+    still to come that keeps the scalar below q.
     """
     q, L = group.q, group._slice_bits
-    n = len(group._split_walk)
+    walk = [i for _, _, i in group._split_walk]
+    n = len(walk)
     m_max = 8**n // q
-    tail = [i for _, _, i in group._split_walk if 2 ** (3 * i % L) <= m_max]
     found = set()
-    for pos, i in enumerate(tail):
-        rest = tail[pos:]
-        ms = [m for m in range(-m_max, m_max + 1) if m and m % 2 ** (3 * i % L) == 0]
-        for ds in product(range(-7, 8, 2), repeat=len(rest)):
-            to_come = sum(d << 3 * t for d, t in zip(ds, rest))
-            for sign, m in product((1, -1), ms):
-                k = m * q + sign * (ds[0] << 3 * i) + to_come
-                if 0 < k < q and k & 1:
-                    digits = _regular_digits(k, n, 3)
-                    if [digits[t] for t in rest] == list(ds):
-                        found |= {k, q - k}
+    for pos, i in enumerate(walk):
+        step = 2 ** (3 * i % L)
+        to_come = walk[pos:]
+        for m, d, sign in product(range(-m_max, m_max + 1), range(-7, 8, 2), (1, -1)):
+            if not m or m % step:
+                continue
+            S = m * q + sign * (d << 3 * i)
+            if not walked_digit_sum(S, n, set(to_come)):
+                continue
+            for ds in product(range(-7, 8, 2), repeat=len(to_come) - 1):
+                k = S + sum(x << 3 * t for x, t in zip((d, *ds), to_come))
+                if 0 < k < q and _regular_digits(k, n, 3)[i] == d:
+                    found |= {k, q - k}
     return sorted(found)
 
 
@@ -565,8 +614,8 @@ def test_generator_multiples_have_one_operation_pattern(group, point_ops):
     digits = -(-q.bit_length() // 3)
     assert {pattern(k, prepared) for k in scalars} == {(group._slice_bits, digits, 1)}
     exceptions = prepared_doubling_scalars(group)
-    # on P-192 the last digit, -7 at bit 3L, meets a partial sum of q - 7 * 2**(3L)
-    assert exceptions == ([7 << 145, q - (7 << 145)] if group is P192 else [])
+    # on P-192 the last digit, -7 at bit 7L, meets a partial sum of q - 7 * 2**(7L)
+    assert exceptions == ([7 << 169, q - (7 << 169)] if group is P192 else [])
     for k in exceptions:
         assert pattern(k, prepared) == (group._slice_bits + 1, digits, 1)
 
@@ -618,20 +667,21 @@ def test_generator_multiple_counts_one_scalar_mul(group):
 
 
 # --- multi_mul's slice rule: the widest scalar on a fresh base picks
-# --- 4, 2 or 1 slices, and prepared bases and the generator follow
+# --- 8, 4, 2 or 1 slices, and prepared bases and the generator follow
 
 
 @st.composite
 def sliced_cases(draw):
     """(group, pairs) mixing the generator, prepared and fresh bases;
-    fresh scalars sit around L, 2L and full width, so every slice count
-    is taken and each boundary is crossed from both sides."""
+    fresh scalars sit around L, 2L, 4L and full width, so every slice
+    count is taken and each boundary is crossed from both sides."""
     group = draw(st.sampled_from(CURVES))
     q, L = group.q, group._slice_bits
     G = group.generator
     fresh = [group.scalar_mul(k, G) for k in (5, 0xF00D)]
     prepared = [group.prepare(group.scalar_mul(k, G)) for k in (7, 0xBEEF)]
-    bits = st.sampled_from([1, L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1, q.bit_length()])
+    bits = st.sampled_from([1, L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1,
+                            4 * L - 1, 4 * L, 4 * L + 1, q.bit_length()])
     pairs = []
     for _ in range(draw(st.integers(1, 5))):
         n = draw(bits)
@@ -665,9 +715,9 @@ def test_ring_verify_over_prepared_keys_runs_a_half_length_chain(group, point_op
     assert ring_verify(b"half", sig, registry)
     assert all(isinstance(registry._cache[id_str], _PreparedPoint) for id_str in ring)
     group.scalar_mul(1, group.generator)  # build the table outside the count
-    # 96-bit (128-bit) randomizers on the fresh U_i: a chain of 2L + 1
-    # doublings, and one doubling for each U_i's odd multiples
+    # 96-bit (128-bit) randomizers on the fresh U_i: two slices, a chain
+    # of 4L + 1 doublings, and one doubling for each U_i's odd multiples
     chain = {"p192": 97, "p256": 129}[group.group_id]
-    assert chain == 2 * group._slice_bits + 1
+    assert chain == 4 * group._slice_bits + 1
     doublings, _, _ = point_ops(lambda: ring_verify(b"half", sig, registry))
     assert doublings == chain + r

@@ -438,6 +438,23 @@ def test_replaced_certificate_drops_its_table(monkeypatch):
     assert prepared_entries(receiver) == []
 
 
+def test_resent_certificate_is_a_duplicate_without_parsing(monkeypatch):
+    sender, receiver, clock = p192_pair()
+    sender.make_pseudonym(10, random.Random(68))  # expires at 1010
+    frame = sender.certificate_frame
+    assert receiver.receive(frame, clock.now()).accepted
+    decoded = []
+    decode = P192.decode_element
+    monkeypatch.setattr(P192, "decode_element", lambda data: decoded.append(data) or decode(data))
+    for now in (1000.0, 1015.0):  # the second is the last instant within the skew
+        assert receiver.receive(frame, now).outcome == "duplicate"
+    assert decoded == []
+    # once pruning drops the entry, the replay is parsed and judged: expired
+    replay = receiver.receive(frame, 1016.0)
+    assert replay.outcome == "reject" and replay.reason == "expired"
+    assert decoded and not receiver.pseudonym_buf
+
+
 def test_rogue_scan_on_a_prepared_tag():
     sender, receiver, clock = p192_pair()
     receiver.revoke(12345)
