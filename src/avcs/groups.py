@@ -224,6 +224,13 @@ class _ScalarCodec:
         wide = expand_bytes(tag, data, 2 * self.scalar_byte_len)
         return int.from_bytes(wide, "big") % self.q
 
+    def hash_to_short(self, tag: str, data: bytes) -> int:
+        """A hashed scalar in ``[1, 2**lam - 1]``, lam = bits(q)/2 rounded
+        up (96 on P-192, 128 on P-256): the Schnorr challenge and
+        ``ring_verify``'s randomizers, half as wide as a full scalar."""
+        short = (1 << -(-self.q.bit_length() // 2)) - 1
+        return self.hash_to_scalar(tag, data) % short + 1
+
 
 # ---------------------------------------------------------------------------
 # the toy group
@@ -260,7 +267,7 @@ class ToyGroup(_ScalarCodec):
         _note_scalar_mul()
         return (k % self.q) * a % self.q
 
-    def prepare(self, a: int) -> int:
+    def prepare(self, a: int, rows: int = 8) -> int:
         # multiplication is already one step here: nothing to precompute
         return a
 
@@ -380,17 +387,19 @@ class CurveGroup(_ScalarCodec):
     ring member's key, can be given to ``prepare`` once: with
     L = bits(q) / 8 (24 on P-192, 32 on P-256), its table holds the odd
     multiples 1, 3, 5, 7 of ``2**(L*j) * P`` for j = 0..7 (Lim-Lee split
-    rows).
+    rows), or for j = 0..3 only on a transient key, whose half-width
+    Schnorr challenges fill 4 of the 8 slices.
 
     ``scalar_mul`` recodes the odd one of k and q - k into odd signed
     digits (Joye-Tunstall) and adds one table entry per digit, so its
     pattern does not depend on the scalar: for the generator, bits(q)/4
     digits from row i of a table built once per curve, the odd
     multiples 1, 3, ..., 15 of ``16**i * G``, with no doubling; for a
-    prepared point, bits(q)/3 width-3 digits from its split rows, one
-    doubling per slice offset (L doublings, 24 on P-192 and 32 on
-    P-256); for any other point, a per-call row P, 3P, ..., 15P walked
-    most significant digit first, 4 doublings before each addition.
+    point prepared with all 8 rows, bits(q)/3 width-3 digits from its
+    split rows, one doubling per slice offset (L doublings, 24 on P-192
+    and 32 on P-256); for any other point, a 4-row one included, a
+    per-call row P, 3P, ..., 15P walked most significant digit first,
+    4 doublings before each addition.
     Every addition, tables included, is one mixed Jacobian-plus-affine
     formula, and it is incomplete: for 2 and q - 2 on a plain point
     (q = 17 mod 32, so q - 2 ends in the digit -1 after a partial sum
@@ -403,7 +412,10 @@ class CurveGroup(_ScalarCodec):
     neither prepared nor the generator sets its length: L + 1 doublings
     when those scalars fit L bits (or there is no such base, as in a
     message check on a prepared key: 25 on P-192, 33 on P-256), 2L + 1
-    or 4L + 1 when they fit 2L or 4L bits, and bits(q) + 1 otherwise.
+    or 4L + 1 when they fit 2L or 4L bits (4L + 1 for a message check on
+    a plain key, whose challenge is half width: 97 on P-192, 129 on
+    P-256), and bits(q) + 1 otherwise.  A scalar past 4L bits on a 4-row
+    base also takes bits(q) + 1.
     """
 
     _GEN_WIDTH = 4  # generator-table digits are odd and below 2**4 in size
@@ -431,12 +443,6 @@ class CurveGroup(_ScalarCodec):
 
     def is_identity(self, a) -> bool:
         return a is None
-
-    def _on_curve(self, pt) -> bool:
-        if pt is None:
-            return True
-        x, y = pt
-        return (y * y - (x * x * x + self._a * x + self._b)) % self._p == 0
 
     # -- Jacobian core ------------------------------------------------------
     #
@@ -549,19 +555,24 @@ class CurveGroup(_ScalarCodec):
             top = offset
         return walk
 
-    def prepare(self, a):
+    def prepare(self, a, rows: int = _SLICES):
         """``a`` with its split-scalar table for ``scalar_mul`` and
         ``multi_mul``; counts nothing.
 
         Row j holds the odd multiples 1, 3, 5, 7 of ``2**(L*j) * a`` for
-        j = 0..7: 32 affine points from two inversions, made with 7L + 8
-        doublings and 24 mixed additions.  The identity and a prepared
-        point come back as they are.
+        j below ``rows``, from two inversions.  All 8 rows (32 points,
+        7L + 1 doublings and 24 mixed additions) serve any scalar; 4 rows
+        (16 points, 3L + 1 doublings and 12 additions) serve a ``multi_mul``
+        scalar below ``2**(4L)``, such as a half-width Schnorr challenge.
+        The identity, and a prepared point with at least ``rows`` rows,
+        come back as they are.
         """
-        if a is None or isinstance(a, _PreparedPoint):
+        if not 0 < rows <= self._SLICES:
+            raise ValueError(f"a prepared point has 1..{self._SLICES} rows")
+        if a is None or len(getattr(a, "rows", ())) >= rows:
             return a
         prepared = _PreparedPoint(a)
-        prepared.rows = self._odd_multiples([a], self._SLICES, 4, self._slice_bits)
+        prepared.rows = self._odd_multiples([a], rows, 4, self._slice_bits)
         return prepared
 
     def scalar_mul(self, k: int, a):
@@ -578,7 +589,7 @@ class CurveGroup(_ScalarCodec):
         if a == self.generator:
             # row i already holds 16**i * G: least significant digit first
             walk = zip(repeat(()), self._generator_table, _regular_digits(k, n, w))
-        elif isinstance(a, _PreparedPoint):
+        elif isinstance(a, _PreparedPoint) and len(a.rows) == self._SLICES:
             # width 3: the prepared rows hold 1, 3, 5 and 7 times their base
             split = self._split_walk
             digits = _regular_digits(k, len(split), 3)
@@ -602,14 +613,17 @@ class CurveGroup(_ScalarCodec):
 
         Equal points are merged first.  Each base that is neither
         prepared nor the generator gets its odd multiples P..7P as its
-        row 0, and the widest scalar on such a fresh base picks the slice
-        width: L bits, doubled while that scalar is wider, which gives 8,
-        4, 2 or 1 slices for widths up to L, 2L, 4L and beyond.  Each
-        scalar is cut into slices of that width, and slice j is added
-        from the base's row ``j * 8 / slices`` at the nonzero digits of
-        its NAF, width 4 on a 4-entry row and width 5 on the generator's
-        8-entry rows, so the chain takes width + 1 doublings: L + 1 for a
-        message check on a prepared key.
+        row 0.  A base's rows are read at a stride of width / L, and the
+        slice width is L bits, doubled while some scalar reaches past the
+        rows its base has at that width, which gives 8, 4, 2 or 1 slices:
+        a fresh base's scalar picks L, 2L, 4L or 8L by its width, a
+        4-row prepared base's scalar forces 8L only beyond 4L bits, and an
+        8-row base or the generator never moves it.  Each scalar is cut
+        into slices of that width, and slice j is added from the base's
+        row ``j * width / L`` at the nonzero digits of its NAF, width 4 on
+        a 4-entry row and width 5 on the generator's 8-entry rows, so the
+        chain takes width + 1 doublings: L + 1 for a message check on a
+        prepared key.
         """
         _note_scalar_mul(len(pairs))
         q, p, gen, L = self.q, self._p, self.generator, self._slice_bits
@@ -626,9 +640,8 @@ class CurveGroup(_ScalarCodec):
         fresh = [pt for pt in live if pt not in rows]
         if fresh:
             rows.update((pt, [row]) for pt, row in zip(fresh, self._odd_multiples(fresh, 1, 4, 0)))
-        widest = max((live[pt].bit_length() for pt in fresh), default=0)
         width = L
-        while width < widest:
+        while any(k >> (width * len(rows[pt][:: width // L])) for pt, k in live.items()):
             width *= 2
         mask = (1 << width) - 1
         steps: list[list] = [[] for _ in range(width + 1)]

@@ -461,8 +461,9 @@ def ring_verify(
     by ``s_i = -z_i / v_i`` so that U_i's coefficient is ``z_i`` itself;
     the nonzero v_i share one batch inversion.  The randomizers ``z_i``
     lie in ``[1, 2**lam - 1]``, lam = bits(q)/2 rounded up (96 on P-192,
-    128 on P-256), and are hashed from the message and the signature
-    (the Bellare-Garay-Rabin small-exponent batch test): one bad tuple
+    128 on P-256), and are hashed from the message and the signature by
+    ``hash_to_short`` (the Bellare-Garay-Rabin small-exponent batch
+    test, with the Schnorr challenge's width): one bad tuple
     is always caught, several pass with probability at most
     1/(2**lam - 1).  Every U_i is a fresh point, so its short scalar
     halves ``multi_mul``'s doubling chain when the keys are prepared.
@@ -495,11 +496,10 @@ def ring_verify(
     except (ValueError, UnknownManufactoryError, DegenerateKeyError):
         return False
     q = group.q
-    short = (1 << -(-q.bit_length() // 2)) - 1
     pairs = []
     inverses = batch_inverse([v for _, _, v in sig.tuples], q)
     for i, ((m, U, v), E, v_inv) in enumerate(zip(sig.tuples, pubkeys, inverses)):
-        z = group.hash_to_scalar("batch", struct.pack(">I", i) + seed) % short + 1
+        z = group.hash_to_short("batch", struct.pack(">I", i) + seed)
         s, u = (-z * v_inv, z) if v else (z, 0)
         pairs += [(s * int.from_bytes(m, "big"), group.generator),
                   (-s * suite.h1(group, U), E), (u, U)]

@@ -71,6 +71,21 @@ def test_hash_to_scalar_is_wide_reduction():
         assert group.hash_to_scalar("h2", b"xyz") == int.from_bytes(wide, "big") % group.q
 
 
+@pytest.mark.parametrize("group", (TOY, BIG_TOY, P192, P256), ids=str)
+def test_hash_to_short_is_a_reduced_hash_to_scalar(group):
+    lam = -(-group.q.bit_length() // 2)
+    assert lam == {"p192": 96, "p256": 128}.get(group.group_id, lam)
+    seen = set()
+    for i in range(500):
+        data = struct.pack(">I", i)
+        e = group.hash_to_short("schnorr", data)
+        assert 1 <= e <= 2**lam - 1
+        assert e == group.hash_to_scalar("schnorr", data) % (2**lam - 1) + 1
+        seen.add(e)
+    if group is TOY:
+        assert seen == set(range(1, 8))  # lam = 3: every short scalar occurs
+
+
 def test_hash_to_group_toy_frozen_values():
     # digest mod (q-1) + 1, never the identity
     assert TOY.hash_to_group("h0", b"abc") == 21
@@ -167,7 +182,8 @@ def test_hash_to_group_lands_in_subgroup():
     for i in range(100):
         data = f"certificate-{i}".encode()
         pt = P192.hash_to_group("h0", data)
-        assert P192._on_curve(pt)
+        x, y = pt
+        assert (y * y - (x * x * x + P192._a * x + P192._b)) % P192._p == 0
         seen.add(pt)
         assert pt == P192.hash_to_group("h0", data)  # deterministic
     assert len(seen) == 100
@@ -386,24 +402,25 @@ def slice_bits(group):
 
 @st.composite
 def prepared_cases(draw):
-    """(group, pairs with some bases prepared, the same pairs unprepared):
-    scalars include slice boundaries, where a slice's NAF carries into
-    digit L; a base can appear both prepared and plain."""
+    """(group, pairs with some bases prepared, with 4 or 8 rows, the same
+    pairs unprepared): scalars include slice boundaries, where a slice's
+    NAF carries into digit L, and a 4-row base's reach of 4L bits; a base
+    can appear both prepared and plain."""
     group = draw(st.sampled_from(MSM_GROUPS))
     q, L = group.q, slice_bits(group)
     multiples = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
     bases = [group.generator, group.identity] + [
         group.scalar_mul(k, group.generator) for k in multiples
     ]
-    boundaries = [2**L - 1, 2**L, 2 ** (2 * L) - 1, 2 ** (4 * L) - 1, 2 ** (7 * L) - 1,
-                  2 ** (7 * L) + 2**L - 1]
+    boundaries = [2**L - 1, 2**L, 2 ** (2 * L) - 1, 2 ** (4 * L) - 1, 2 ** (4 * L),
+                  2 ** (7 * L) - 1, 2 ** (7 * L) + 2**L - 1]
     scalars = st.one_of(
         st.sampled_from([0, 1, -1, q - 1, q, 2 * q + 3] + boundaries + [-b for b in boundaries]),
         st.integers(-2 * q, 2 * q),
     )
     plain = draw(st.lists(st.tuples(scalars, st.sampled_from(bases)), max_size=6))
-    flags = draw(st.lists(st.booleans(), min_size=len(plain), max_size=len(plain)))
-    pairs = [(k, group.prepare(pt) if flag else pt) for (k, pt), flag in zip(plain, flags)]
+    tables = draw(st.lists(st.sampled_from([0, 4, 8]), min_size=len(plain), max_size=len(plain)))
+    pairs = [(k, group.prepare(pt, rows) if rows else pt) for (k, pt), rows in zip(plain, tables)]
     return group, pairs, plain
 
 
@@ -456,15 +473,63 @@ def test_generator_rows_line_up_with_the_slices(group, point_ops):
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_prepared_check_runs_one_short_doubling_chain(group, point_ops):
-    # a message check on a prepared key: eight L-bit slices, one chain
+    # a message check on a prepared key, with all 8 rows or with the 4
+    # that a half-width challenge fills: L-bit slices, one chain
     sk, pk = transient.gen_keypair(group, random.Random(2014))
-    prepared = group.prepare(pk)
+    for rows in (8, transient.KEY_ROWS):
+        prepared = group.prepare(pk, rows)
+        for i in range(10):
+            msg = b"beacon %d" % i
+            signature = transient.sign(group, sk, pk, msg)
+            assert transient.verify(group, prepared, msg, signature)
+            doublings, _, _ = point_ops(lambda: transient.verify(group, prepared, msg, signature))
+            assert doublings == {"p192": 25, "p256": 33}[group.group_id] == group._slice_bits + 1
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_plain_key_check_runs_a_half_length_chain(group, point_ops):
+    # a half-width challenge on a plain key: one chain of 4L + 1
+    # doublings, and one more for the key's odd multiples
+    sk, pk = transient.gen_keypair(group, random.Random(2015))
     for i in range(10):
-        msg = b"beacon %d" % i
+        msg = b"first %d" % i
         signature = transient.sign(group, sk, pk, msg)
-        assert transient.verify(group, prepared, msg, signature)
-        doublings, _, _ = point_ops(lambda: transient.verify(group, prepared, msg, signature))
-        assert doublings == {"p192": 25, "p256": 33}[group.group_id] == group._slice_bits + 1
+        assert transient.verify(group, pk, msg, signature)
+        doublings, _, _ = point_ops(lambda: transient.verify(group, pk, msg, signature))
+        assert doublings == {"p192": 98, "p256": 130}[group.group_id] == 4 * group._slice_bits + 2
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_four_row_prepare_builds_half_the_table(group, point_ops):
+    L = group._slice_bits
+    pt = group.scalar_mul(0xBEEF, group.generator)
+    four = {"p192": (73, 12, 2), "p256": (97, 12, 2)}[group.group_id]
+    assert point_ops(lambda: group.prepare(pt, 4)) == four == (3 * L + 1, 12, 2)
+    assert point_ops(lambda: group.prepare(pt)) == (7 * L + 1, 24, 2)
+    short, full = group.prepare(pt, 4), group.prepare(pt)
+    assert short == pt and short.rows == full.rows[:4]
+    # enough rows already: the same object; too few: a full table
+    assert group.prepare(full, 4) is full and group.prepare(short, 4) is short
+    assert group.prepare(short).rows == full.rows
+    for rows in (0, 9):
+        with pytest.raises(ValueError):
+            group.prepare(pt, rows)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_four_row_point_stays_exact_past_its_rows(group, point_ops):
+    # multi_mul reads the 4 rows alone up to 4L bits and falls back to one
+    # full-width slice beyond; scalar_mul never reads them at all
+    L, G = group._slice_bits, group.generator
+    pt = group.scalar_mul(0xBEEF, G)
+    short = group.prepare(pt, 4)
+    for k in (2 ** (4 * L) - 1, 2 ** (4 * L), 2 ** (7 * L), group.q - 1):
+        expected = double_and_add(group, k, pt)
+        assert group.multi_mul([(k, short)]) == group.multi_mul([(k, pt)]) == expected
+        doublings, _, _ = point_ops(lambda: group.multi_mul([(k, short), (5, G)]))
+        assert doublings == (L + 1 if k < 2 ** (4 * L) else 8 * L + 1)
+        assert group.scalar_mul(k, short) == expected
+        assert point_ops(lambda: group.scalar_mul(k, short)) == point_ops(lambda: group.scalar_mul(k, pt))
 
 
 # --- scalar_mul's one loop, over the generator's table or a per-call row,

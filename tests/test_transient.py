@@ -5,7 +5,7 @@ import random
 import pytest
 
 from avcs.errors import ParseError
-from avcs.groups import P192, ToyGroup
+from avcs.groups import P192, P256, ToyGroup
 from avcs import transient
 
 BIG_TOY = ToyGroup(2147483647)
@@ -34,6 +34,25 @@ def test_wrong_key_rejects():
     _, pk2 = transient.gen_keypair(BIG_TOY, rng)
     sig = transient.sign(BIG_TOY, sk1, pk1, b"msg")
     assert not transient.verify(BIG_TOY, pk2, b"msg", sig)
+
+
+def test_challenge_is_short_and_enters_with_its_own_sign():
+    # s = k - e*sk with e in [1, 2**lam - 1]: a signature made with +e,
+    # or with a full-width challenge, does not verify
+    for group in (BIG_TOY, P192, P256):
+        sk, pk = transient.gen_keypair(group, random.Random(6))
+        msg = b"lane closed"
+        signature = transient.sign(group, sk, pk, msg)
+        ebl = group.element_byte_len
+        R, s = signature[:ebl], group.decode_scalar(signature[ebl:])
+        hashed = R + group.encode_element(pk) + msg
+        e = group.hash_to_short("schnorr", hashed)
+        assert 1 <= e <= 2 ** -(-group.q.bit_length() // 2) - 1
+        k = (s + e * sk) % group.q
+        assert group.encode_element(group.scalar_mul(k, group.generator)) == R
+        full = group.hash_to_scalar("schnorr", hashed)
+        for forged in (k + e * sk, k - full * sk):
+            assert not transient.verify(group, pk, msg, R + group.encode_scalar(forged))
 
 
 def test_empty_message_is_fine():
