@@ -42,12 +42,10 @@ def sign(group, sk: int, pk, msg: bytes) -> bytes:
     """Deterministic key-prefixed signature: enc(R) || enc(s)."""
     q = group.q
     k = _nonce(group, sk, msg)
-    R = group.scalar_mul(k, group.generator)
-    e = group.hash_to_short(
-        "schnorr", group.encode_element(R) + group.encode_element(pk) + msg
-    )
+    R = group.encode_element(group.scalar_mul(k, group.generator))
+    e = group.hash_to_short("schnorr", R + group.encode_element(pk) + msg)
     s = (k - e * sk) % q
-    return group.encode_element(R) + group.encode_scalar(s)
+    return R + group.encode_scalar(s)
 
 
 def verify(group, pk, msg: bytes, signature: bytes) -> bool:

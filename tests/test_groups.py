@@ -461,14 +461,23 @@ def test_generator_rows_line_up_with_the_slices(group, point_ops):
     assert L == slice_bits(group) and L % group._GEN_WIDTH == 0
     assert len(group._generator_rows) == 8
     for j, row in enumerate(group._generator_rows):
-        assert row == [group.scalar_mul(d * 2 ** (L * j), group.generator) for d in range(1, 16, 2)]
+        # 1, 3, ..., 255 times 2**(L*j) * G, by affine additions of its double
+        base = double_and_add(group, 2 ** (L * j), group.generator)
+        twice, expected = affine_add(group, base, base), [base]
+        while len(expected) < 128:
+            expected.append(affine_add(group, expected[-1], twice))
+        assert row == expected
     assert group.prepare(group.generator).rows == [row[:4] for row in group._generator_rows]
-    # 15 in every slice: one width-5 digit per slice on the generator's
-    # 8-entry rows, and two width-4 digits (16 - 1) on a prepared key's
-    k = sum(15 << L * j for j in range(8))
+    # 255 in every slice: one width-9 digit per slice on the generator's
+    # 128-entry rows, and two width-4 digits (256 - 1) on a prepared key's
+    k = sum(255 << L * j for j in range(8))
     pk = group.prepare(group.scalar_mul(0xBEEF, group.generator))
     assert point_ops(lambda: group.multi_mul([(k, group.generator)])) == (L + 1, 8, 1)
     assert point_ops(lambda: group.multi_mul([(k, pk)])) == (L + 1, 16, 1)
+    # the whole table: 24 rows of 128 points on P-192, 32 on P-256
+    table = group._generator_table
+    assert {len(row) for row in table} == {128}
+    assert sum(map(len, table)) == {"p192": 3072, "p256": 4096}[group.group_id]
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -503,9 +512,11 @@ def test_plain_key_check_runs_a_half_length_chain(group, point_ops):
 def test_four_row_prepare_builds_half_the_table(group, point_ops):
     L = group._slice_bits
     pt = group.scalar_mul(0xBEEF, group.generator)
-    four = {"p192": (73, 12, 2), "p256": (97, 12, 2)}[group.group_id]
-    assert point_ops(lambda: group.prepare(pt, 4)) == four == (3 * L + 1, 12, 2)
-    assert point_ops(lambda: group.prepare(pt)) == (7 * L + 1, 24, 2)
+    # one inversion for the whole table: each row is built where its
+    # base's double is affine
+    four = {"p192": (73, 12, 1), "p256": (97, 12, 1)}[group.group_id]
+    assert point_ops(lambda: group.prepare(pt, 4)) == four == (3 * L + 1, 12, 1)
+    assert point_ops(lambda: group.prepare(pt)) == (7 * L + 1, 24, 1)
     short, full = group.prepare(pt, 4), group.prepare(pt)
     assert short == pt and short.rows == full.rows[:4]
     # enough rows already: the same object; too few: a full table
@@ -547,14 +558,17 @@ def double_and_add(group, k, pt):
 
 
 def last_row_doubling_scalar(group):
-    """The odd scalar whose last table addition meets its own operand.
+    """The odd scalar whose last generator-table addition meets its own
+    operand.
 
-    Its recoding ends in the digit 15 after a partial sum of
-    ``15 * 16**(rows - 1) - q``, so the final mixed addition takes its
-    doubling branch; ``q`` minus it is recoded the same way.
+    With w = 8 and n rows, its recoding ends in the digit 255 = 2**w - 1
+    after a partial sum of ``255 * 256**(n - 1) - q``, so the final mixed
+    addition takes its doubling branch; ``q`` minus it is recoded the
+    same way.
     """
-    rows = -(-group.q.bit_length() // 4)
-    return 30 * 16 ** (rows - 1) - group.q
+    w = 8
+    n = -(-group.q.bit_length() // w)
+    return 2 * (2**w - 1) * 2 ** (w * (n - 1)) - group.q
 
 
 def other_bases(group):
@@ -572,7 +586,7 @@ def generator_scalars(draw):
     """(group, k, base): the base is the generator or another point."""
     group = draw(st.sampled_from(CURVES))
     q = group.q
-    special = [0, 1, 2, 3, 15, 16, 17, q - 2, q - 1, q, q + 1, 2 * q, -1, -2,
+    special = [0, 1, 2, 3, 15, 16, 17, 255, 256, 257, q - 2, q - 1, q, q + 1, 2 * q, -1, -2,
                last_row_doubling_scalar(group), q - last_row_doubling_scalar(group)]
     k = draw(st.one_of(st.sampled_from(special), st.integers(-2 * q, 2 * q)))
     base = draw(st.sampled_from([group.generator] + other_bases(group)))
@@ -660,19 +674,25 @@ def test_generator_multiples_have_one_operation_pattern(group, point_ops):
     rng = random.Random(2009)
     q = group.q
     scalars = [1, 2, q - 1, q - 2] + [rng.randrange(1, q) for _ in range(50)]
-    rows = -(-q.bit_length() // 4)
+    # one addition per width-8 digit, one digit per table row, no doubling
+    rows = {"p192": 24, "p256": 32}[group.group_id]
+    assert rows == -(-q.bit_length() // 8)
     assert {pattern(k) for k in scalars} == {(0, rows, 1)}
+    last = last_row_doubling_scalar(group)
+    assert last & 1 and 0 < last < q and _regular_digits(last, rows, 8)[-1] == 255
     # the incomplete addition formula's one exception on each curve
-    for k in (last_row_doubling_scalar(group), q - last_row_doubling_scalar(group)):
+    for k in (last, q - last):
         assert pattern(k) == (1, rows, 1)
-    # any other base: its row P..15P costs one doubling, 7 mixed additions
-    # and two inversions, then 4 doublings before each of the rows additions
+    # any other base: its per-call row P..15P stays at width 4 whatever the
+    # generator's width (one doubling, 7 mixed additions, one inversion),
+    # then 4 doublings before each of its bits(q)/4 additions
     base = group.hash_to_group("test-base", b"pattern")
-    assert {pattern(k, base) for k in [1, q - 1] + scalars[4:]} == {(4 * rows + 1, rows + 7, 3)}
+    per_call = {"p192": (193, 55, 2), "p256": (257, 71, 2)}[group.group_id]
+    assert {pattern(k, base) for k in [1, q - 1] + scalars[4:]} == {per_call}
     # q = 17 mod 32: q - 2 ends in the digit -1 after a partial sum of -P
     assert q % 32 == 17
     for k in (2, q - 2):
-        assert pattern(k, base) == (4 * rows + 2, rows + 7, 3)
+        assert pattern(k, base) == (per_call[0] + 1, *per_call[1:])
     # a prepared base: one doubling per offset of a slice, one addition
     # per width-3 digit from its split rows, and no table to build
     prepared = group.prepare(base)
@@ -690,9 +710,9 @@ def test_forge_on_a_prepared_key_has_one_operation_pattern(group, point_ops):
     E = group.prepare(group.scalar_mul(0xF00D, group.generator))
     group.scalar_mul(1, group.generator)  # build the table outside the count
     patterns = {point_ops(lambda: forge_tuple(group, E, random.Random(seed))) for seed in range(50)}
-    # a*G, b*E and their sum: one inversion each
-    digits = -(-group.q.bit_length() // 3)
-    assert patterns == {(group._slice_bits, -(-group.q.bit_length() // 4) + digits + 2, 3)}
+    # a*G (one addition per width-8 digit), b*E (L doublings, one addition
+    # per width-3 digit) and their sum: one inversion each
+    assert patterns == {{"p192": (24, 90, 3), "p256": (32, 120, 3)}[group.group_id]}
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
