@@ -1,24 +1,19 @@
 """Command-line entry point.
 
-Subcommands: ``keygen`` (parameter files), ``bench`` (latency/size
-CSV), ``avgcost`` (per-message cost of a certificate-every-k stream),
-and ``sim`` (scenario runner).  The end-to-end walkthrough is
-``demos/02_pseudonym_protocol.py``.  Exit codes: 0 on success, 2 on
-usage errors, 3 on runtime failures.
+Subcommands: ``bench`` (latency/size CSV), ``avgcost`` (per-message
+cost of a certificate-every-k stream), and ``sim`` (scenario runner).
+The end-to-end walkthrough is ``demos/02_pseudonym_protocol.py``.
+Exit codes: 0 on success, 2 on usage errors, 3 on runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from pathlib import Path
 
 from .bench import avg_cost, linearity_r2, records_to_csv, run_benchmarks
 from .errors import AvcsError
-from .groups import get_group
-from .ringsig import ManufactoryRegistry, setup
 from .simnet import counters_csv, load_scenario, render_text
 from .simnet import run as run_scenario
 
@@ -26,7 +21,7 @@ from .simnet import run as run_scenario
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avcs",
-        description="anonymous vehicular communication: keys, benchmarks, simulation",
+        description="anonymous vehicular communication: benchmarks, simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -49,10 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="run a scenario file and write its report")
     p.add_argument("--scenario", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="DIR")
-
-    p = sub.add_parser("keygen", help="generate master key and registry files")
-    p.add_argument("--curve", default="p256", metavar="ID")
     p.add_argument("--out", required=True, metavar="DIR")
 
     return parser
@@ -102,28 +93,10 @@ def cmd_sim(args) -> int:
     return 0
 
 
-def cmd_keygen(args) -> int:
-    group = get_group(args.curve)
-    rng = random.SystemRandom()
-    mk = setup(group, rng=rng, manufactory_id="mfr")
-    registry = ManufactoryRegistry(group)
-    registry.register_master(mk)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    master_path = out / "master.json"
-    registry_path = out / "registry.json"
-    master_path.write_text(json.dumps(mk.to_dict(), indent=1), encoding="utf-8")
-    registry_path.write_text(json.dumps(registry.to_dict(), indent=1), encoding="utf-8")
-    print(f"wrote {master_path} (KEEP SECRET: contains the private vector)")
-    print(f"wrote {registry_path} (public: ship to every vehicle)")
-    return 0
-
-
 _COMMANDS = {
     "bench": cmd_bench,
     "avgcost": cmd_avgcost,
     "sim": cmd_sim,
-    "keygen": cmd_keygen,
 }
 
 

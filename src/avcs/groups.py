@@ -9,10 +9,10 @@ Two interchangeable backends sit behind one small interface:
   latter incomplete.  ``scalar_mul`` makes the same point operations
   for every nonzero scalar, bar a pair or two per curve where the
   addition meets its own operand, on the generator, on a prepared
-  point (the ring keys of ``ringsig.forge_tuple``) and on any other
-  point (``f * h0(C)``, ``f * h1(window)``).  ``multi_mul`` is
-  variable time and takes public scalars only: the verification
-  equations and the rogue-list scan's leaked ``f``.
+  point (the ring keys of ``ringsig.forge_tuple``, the window tag of
+  ``f * h1(window)``) and on any other point (``f * h0(C)``).
+  ``multi_mul`` is variable time and takes public scalars only: the
+  verification equations and the rogue-list scan's leaked ``f``.
 * :class:`ToyGroup` -- the additive group of integers modulo a small
   prime with generator 1.  Scalar multiplication is literal modular
   multiplication, so test oracles can brute-force every claim.
@@ -383,12 +383,12 @@ class CurveGroup(_ScalarCodec):
     """A NIST prime curve with cofactor 1.
 
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
-    A base that lives long, such as a certificate's transient key or a
-    ring member's key, can be given to ``prepare`` once: with
-    L = bits(q) / 8 (24 on P-192, 32 on P-256), its table holds the odd
-    multiples 1, 3, 5, 7 of ``2**(L*j) * P`` for j = 0..7 (Lim-Lee split
-    rows), or for j = 0..3 only on a transient key, whose half-width
-    Schnorr challenges fill 4 of the 8 slices.
+    A base that lives long, such as a certificate's transient key, a
+    ring member's key or a window's h1 tag, can be given to ``prepare``
+    once: with L = bits(q) / 8 (24 on P-192, 32 on P-256), its table
+    holds the odd multiples 1, 3, 5, 7 of ``2**(L*j) * P`` for j = 0..7
+    (Lim-Lee split rows), or for j = 0..3 only on a transient key, whose
+    half-width Schnorr challenges fill 4 of the 8 slices.
 
     ``scalar_mul`` recodes the odd one of k and q - k into odd signed
     digits (Joye-Tunstall) and adds one table entry per digit, so its

@@ -13,6 +13,9 @@ times, ``R = f * h0(C)`` binds the certificate content to ``f``
 ``T = f * h1(window)`` is constant across one ``min_span_time`` window
 (two certificates in one window share T -- the Sybil tell), and ``S``
 ring-signs ``h2(C || R || T)`` under a ring of the module's choosing.
+The tag h1(window) is public, so it is hashed and prepared once per
+window index for every module in the process; T itself is computed at
+every mint, on the tag's split rows.
 
 The clock is injected: tests turn it by hand, the simulator feeds it
 the event-loop time, and the CLI uses the system clock.  The module
@@ -21,6 +24,7 @@ only insists it never runs backwards.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import struct
@@ -52,6 +56,7 @@ __all__ = [
 ]
 
 TRANSIENT_SCHEME_ID = 1
+WINDOW_TAGS = 4  # windows whose prepared tag stays cached, process-wide
 
 
 def pack_content(group, pk, now: float, validity: float) -> bytes:
@@ -69,6 +74,14 @@ def pack_content(group, pk, now: float, validity: float) -> bytes:
 def content_tag(group, C: bytes):
     """h0(C): the group element a certificate's ``R = f * h0(C)`` binds."""
     return group.hash_to_group("h0", C)
+
+
+@functools.lru_cache(maxsize=WINDOW_TAGS)
+def _window_tag(group, window: int):
+    """h1(window), prepared with all 8 split rows, so ``f * h1(window)``
+    walks them; shared by every module, since the tag is public and
+    keyed only by the index the trusted clock picks."""
+    return group.prepare(group.hash_to_group("h1", struct.pack(">Q", window)))
 
 
 def signed_message(group, C: bytes, R, T) -> bytes:
@@ -225,15 +238,11 @@ class HardwareModule:
         if not self.provisioned:
             raise ProvisioningError("module has not joined")
 
-    def _window_tag(self, now: float):
-        window = math.floor(now / self.min_span_time)
-        return self.group.hash_to_group("h1", struct.pack(">Q", window))
-
     def _bind_and_sign(self, C: bytes, ring: list[str], pos: int, now: float, rng):
         """Bind C to f and the window at ``now``, ring-sign it as ring[pos]."""
         group = self.group
         R = group.scalar_mul(self.__f, content_tag(group, C))
-        T = group.scalar_mul(self.__f, self._window_tag(now))
+        T = group.scalar_mul(self.__f, _window_tag(group, math.floor(now / self.min_span_time)))
         message = signed_message(group, C, R, T)
         S = ring_sign(message, ring, self.__identity_key, pos, self.registry, rng)
         return PseudonymCertificate(C, R, T, S)

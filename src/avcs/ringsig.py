@@ -38,7 +38,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DegenerateKeyError, ParseError, UnknownManufactoryError
-from .groups import batch_inverse, digest32, expand_bytes, get_group, note_extraction, take
+from .groups import batch_inverse, digest32, expand_bytes, note_extraction, take
 
 __all__ = [
     "HashSuite",
@@ -118,24 +118,6 @@ class MasterKeyPair:
     n: int
     X: tuple[int, ...]
     Y: tuple[object, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "manufactory": self.manufactory_id,
-            "group": self.group.group_id,
-            "n": self.n,
-            "x": [self.group.encode_scalar(x).hex() for x in self.X],
-            "y": [self.group.encode_element(y).hex() for y in self.Y],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MasterKeyPair":
-        group = get_group(data["group"])
-        X = tuple(group.decode_scalar(bytes.fromhex(h)) for h in data["x"])
-        Y = tuple(group.decode_element(bytes.fromhex(h)) for h in data["y"])
-        if len(X) != data["n"] or len(Y) != data["n"]:
-            raise ParseError("master key vectors disagree with n")
-        return cls(data["manufactory"], group, data["n"], X, Y)
 
 
 @dataclass(frozen=True)
@@ -250,22 +232,6 @@ class ManufactoryRegistry:
         }
         self._remember(kept)
         return kept
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group.group_id,
-            "manufactories": {
-                mfr: [self.group.encode_element(y).hex() for y in Y]
-                for mfr, Y in self._vectors.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ManufactoryRegistry":
-        registry = cls(get_group(data["group"]))
-        for mfr, hexes in data["manufactories"].items():
-            registry.register(mfr, [registry.group.decode_element(bytes.fromhex(h)) for h in hexes])
-        return registry
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from avcs.bench import (
 )
 from avcs.cli import _COMMANDS, _build_parser, main
 from avcs.groups import get_group
-from avcs.ringsig import ManufactoryRegistry, MasterKeyPair
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -209,20 +208,6 @@ def test_cli_bench_writes_pinned_csv(tmp_path, capsys):
     assert len(lines) == 1 + 3 * len(OPS)
     sign_r3 = next(l for l in lines if ",3,ring_sign," in l)
     assert sign_r3.split(",")[6] == "5"  # 2r-1 multiplications at r=3
-
-
-def test_cli_keygen_round_trip(tmp_path, capsys):
-    rc = main(["keygen", "--curve", TOY, "--out", str(tmp_path)])
-    assert rc == 0
-    mk = MasterKeyPair.from_dict(json.loads((tmp_path / "master.json").read_text()))
-    registry = ManufactoryRegistry.from_dict(
-        json.loads((tmp_path / "registry.json").read_text())
-    )
-    assert mk.n == 256
-    assert registry.knows("mfr")
-    # the public file alone supports extraction; both agree on the group
-    E = registry.extract_pubkey("mfr:unit-7")
-    assert not mk.group.is_identity(E)
 
 
 def test_cli_sim_on_bundled_sybil_scenario(tmp_path, capsys):

@@ -15,7 +15,6 @@ from avcs.errors import ParseError
 from avcs.groups import (
     P192,
     P256,
-    CurveGroup,
     ToyGroup,
     _PreparedPoint,
     _regular_digits,
@@ -360,37 +359,6 @@ def test_multi_mul_edge_cases(group):
     with count_group_ops() as ops:
         group.multi_mul([(0, G), (1, group.identity), (2, G)])
     assert ops.scalar_muls == 3
-
-
-# --- point operations, counted on the formulas themselves
-
-
-@pytest.fixture
-def point_ops(monkeypatch):
-    """``point_ops(fn)`` runs ``fn()`` and returns the (doublings, mixed
-    additions, inversions) it made on either curve; every conversion to
-    affine coordinates takes one inversion."""
-    calls = dict.fromkeys(("_jac_double", "_jac_add_affine", "_batch_to_affine"), 0)
-
-    def counted(name):
-        method = getattr(CurveGroup, name)
-
-        def wrapper(self, *args):
-            calls[name] += 1
-            return method(self, *args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(CurveGroup, name, counted(name))
-
-    def pattern(fn):
-        for name in calls:
-            calls[name] = 0
-        fn()
-        return tuple(calls.values())
-
-    return pattern
 
 
 # --- prepared bases: the split path of multi_mul against the plain one

@@ -12,15 +12,17 @@ from avcs.errors import (
     ProvisioningError,
     SupervisorAuthError,
 )
-from avcs.groups import ToyGroup
+from avcs.groups import P192, P256, ToyGroup, _PreparedPoint, count_group_ops
 from avcs.hardware import (
+    WINDOW_TAGS,
     HardwareModule,
     ManualClock,
     PseudonymCertificate,
+    _window_tag,
     join,
     leak_master_secret,
 )
-from avcs.ringsig import ring_verify
+from avcs.ringsig import ManufactoryRegistry, ring_verify, setup
 from avcs.vehicle import reveal_check
 from helpers import SUPERVISOR_TOKEN, toy_world
 
@@ -275,3 +277,85 @@ def test_parse_c_rejects_malformed():
     wrong_scheme = PseudonymCertificate(b"\x02" + cert.C[1:], cert.R, cert.T, cert.S)
     with pytest.raises(ParseError):
         wrong_scheme.parse_c(group)
+
+# --- T = f * h1(window) on the curves: one prepared tag per window, shared
+
+
+CURVES = [P192, P256]
+
+
+def curve_modules(group, min_spans=(60.0, 60.0), start_time=1000.0):
+    """Modules on one curve and one manual clock, one per ``min_span_time``."""
+    rng = random.Random(18)
+    mk = setup(group, n=16, rng=rng, manufactory_id="m")
+    registry = ManufactoryRegistry(group)
+    registry.register_master(mk)
+    clock = ManualClock(start_time)
+    modules = [join(mk, f"m:car-{i}", registry, rng, clock=clock, min_span_time=span)
+               for i, span in enumerate(min_spans)]
+    return clock, modules
+
+
+def plain_t(group, module, window):
+    tag = group.hash_to_group("h1", struct.pack(">Q", window))
+    return group.scalar_mul(leak_master_secret(module), tag)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_t_from_the_cached_tag_matches_the_plain_point(group):
+    clock, modules = curve_modules(group)
+    for window in (16, 17):
+        clock.set(window * 60.0 + 5)
+        for i, module in enumerate(modules):
+            cert = module.gen_pseudonym([module.identity], 600, random.Random(i))
+            assert cert.T == plain_t(group, module, window)
+        tag = _window_tag(group, window)
+        assert isinstance(tag, _PreparedPoint) and len(tag.rows) == 8
+        assert tag == group.hash_to_group("h1", struct.pack(">Q", window))
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_modules_with_other_spans_share_the_tag_of_one_window_index(group):
+    # 1000 s is window 16 for a 60 s span and for a 61 s span alike
+    _, (a, b) = curve_modules(group, min_spans=(60.0, 61.0))
+    _window_tag.cache_clear()
+    ta = a.gen_pseudonym([a.identity], 600, random.Random(1)).T
+    tb = b.gen_pseudonym([b.identity], 600, random.Random(2)).T
+    info = _window_tag.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert ta == plain_t(group, a, 16) and tb == plain_t(group, b, 16)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_window_tag_cache_stays_bounded(group):
+    clock, (module,) = curve_modules(group, min_spans=(60.0,))
+    for _ in range(10):
+        module.gen_pseudonym([module.identity], 600, random.Random(3))
+        assert _window_tag.cache_info().currsize <= WINDOW_TAGS
+        clock.advance(60.0)
+    assert _window_tag.cache_info().maxsize == WINDOW_TAGS
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_t_takes_the_split_walk_for_every_secret(group, point_ops):
+    tag = _window_tag(group, 16)
+    q = group.q
+    rng = random.Random(2014)
+    secrets = [1, 2, q - 1, q - 2] + [rng.randrange(1, q) for _ in range(20)]
+    # P-192's one incomplete-addition pair on a prepared base (pinned in
+    # test_generator_multiples_have_one_operation_pattern) takes L + 1
+    secrets = [f for f in secrets if group is not P192 or f not in (7 << 169, q - (7 << 169))]
+    patterns = {point_ops(lambda: group.scalar_mul(f, tag)) for f in secrets}
+    # L = bits(q) / 8 doublings, one addition per width-3 digit, one inversion
+    assert patterns == {{"p192": (24, 64, 1), "p256": (32, 86, 1)}[group.group_id]}
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_mint_still_counts_2r_plus_2_multiplications(group):
+    clock, (module,) = curve_modules(group, min_spans=(60.0,))
+    ring = [module.identity, "m:ghost-1", "m:ghost-2"]
+    for _ in range(2):  # cold ring keys, then keys prepared at second use
+        with count_group_ops() as ops:
+            module.gen_pseudonym(ring, 600, random.Random(4))
+        assert (ops.scalar_muls, ops.extractions) == (2 * len(ring) + 2, len(ring))
+        clock.advance(60.0)
