@@ -11,8 +11,10 @@ Two interchangeable backends sit behind one small interface:
   addition meets its own operand, on the generator, on a prepared
   point (the ring keys of ``ringsig.forge_tuple``, the window tag of
   ``f * h1(window)``) and on any other point (``f * h0(C)``).
-  ``multi_mul`` is variable time and takes public scalars only: the
-  verification equations and the rogue-list scan's leaked ``f``.
+  ``fixed_multi_mul`` runs the same walks for a sum of multiples, the
+  generator's after the first (a forge's ``b*E + a*G``).  ``multi_mul``
+  is variable time and takes public scalars only: the verification
+  equations and the rogue-list scan's leaked ``f``.
 * :class:`ToyGroup` -- the additive group of integers modulo a small
   prime with generator 1.  Scalar multiplication is literal modular
   multiplication, so test oracles can brute-force every claim.
@@ -25,8 +27,9 @@ only passes them back into the owning group object.
 Scalar multiplications are the unit of cost accounting for the
 signature scheme.  Wrap a region in :func:`count_group_ops` to get an
 exact count; outside such a region nothing is recorded.  ``multi_mul``
-over n pairs counts n, pairs it skips or merges included; ``prepare``,
-``sum_points`` and ``add`` count nothing.
+over n pairs counts n, pairs it skips or merges included, and so does
+``fixed_multi_mul``; ``prepare``, ``sum_points``, ``subset_sums`` and
+``add`` count nothing.
 """
 
 from __future__ import annotations
@@ -275,8 +278,17 @@ class ToyGroup(_ScalarCodec):
         _note_scalar_mul(len(pairs))
         return sum(k * a for k, a in pairs) % self.q
 
+    # literal multiplication has one pattern for every scalar
+    fixed_multi_mul = multi_mul
+
     def sum_points(self, points) -> int:
         return sum(points) % self.q
+
+    def subset_sums(self, points, w: int) -> list[list[int]]:
+        rows = [[0] for _ in range(0, len(points), w)]
+        for i, pt in enumerate(points):
+            rows[i // w] += [(s + pt) % self.q for s in rows[i // w]]
+        return rows
 
     def encode_element(self, a: int) -> bytes:
         return a.to_bytes(self.element_byte_len, "big")
@@ -588,38 +600,48 @@ class CurveGroup(_ScalarCodec):
         prepared.rows = self._odd_multiples([a], rows, 4, self._slice_bits)
         return prepared
 
-    def scalar_mul(self, k: int, a):
-        _note_scalar_mul()
-        k %= self.q
-        if k == 0 or a is None:
-            return None
-        # the recoding needs an odd scalar: k*a = -((q - k)*a)
-        odd = k & 1
-        k = k if odd else self.q - k
+    def _walk(self, k: int, a):
+        """``scalar_mul``'s schedule for ``k * a``, k odd and below q, as
+        (doublings before, row, digit) for each addition."""
         bits = self.q.bit_length()
-        # (doublings before, row, digit) for each addition
         if a == self.generator:
             # row i already holds 256**i * G: least significant digit first
             w = self._GEN_WIDTH
-            walk = zip(repeat(()), self._generator_table, _regular_digits(k, -(-bits // w), w))
-        elif isinstance(a, _PreparedPoint) and len(a.rows) == self._SLICES:
+            return zip(repeat(()), self._generator_table, _regular_digits(k, -(-bits // w), w))
+        if isinstance(a, _PreparedPoint) and len(a.rows) == self._SLICES:
             # width 3: the prepared rows hold 1, 3, 5 and 7 times their base
-            split = self._split_walk
-            digits = _regular_digits(k, len(split), 3)
-            walk = ((doublings, a.rows[j], digits[i]) for doublings, j, i in split)
-        else:
-            w = self._ROW_WIDTH
-            (row,) = self._odd_multiples([a], 1, 1 << (w - 1), 0)
-            walk = zip(repeat(range(w)), repeat(row), reversed(_regular_digits(k, -(-bits // w), w)))
+            digits = _regular_digits(k, len(self._split_walk), 3)
+            return ((doublings, a.rows[j], digits[i]) for doublings, j, i in self._split_walk)
+        w = self._ROW_WIDTH
+        (row,) = self._odd_multiples([a], 1, 1 << (w - 1), 0)
+        return zip(repeat(range(w)), repeat(row), reversed(_regular_digits(k, -(-bits // w), w)))
+
+    def scalar_mul(self, k: int, a):
+        return self.fixed_multi_mul([(k, a)])
+
+    def fixed_multi_mul(self, pairs):
+        """The sum of ``k * P`` over ``pairs`` along ``scalar_mul``'s
+        fixed-pattern walks, in one accumulator with one inversion.  Every
+        base after the first must be the generator, whose digits need no
+        doubling, so they can follow the first walk's last doubling."""
+        _note_scalar_mul(len(pairs))
         double, add, p = self._jac_double, self._jac_add_affine, self._p
         acc = (1, 1, 0)
-        for doublings, row, d in walk:
-            for _ in doublings:
-                acc = double(acc)
-            x, y = row[abs(d) >> 1]
-            acc = add(acc, (x, y) if d > 0 else (x, p - y))
-        x, y = self._to_affine(acc)
-        return (x, y) if odd else (x, p - y)
+        for n, (k, a) in enumerate(pairs):
+            if n and a != self.generator:
+                raise ValueError("a fixed-pattern sum takes the generator after its first base")
+            k %= self.q
+            if k == 0 or a is None:
+                continue
+            # the recoding needs an odd scalar: an even k walks q - k with
+            # every digit's sign flipped, as k*a = -((q - k)*a)
+            sign = 1 if k & 1 else -1
+            for doublings, row, d in self._walk(k if k & 1 else self.q - k, a):
+                for _ in doublings:
+                    acc = double(acc)
+                pt = row[abs(d) >> 1]
+                acc = add(acc, pt if sign * d > 0 else (pt[0], p - pt[1]))
+        return self._to_affine(acc)
 
     def multi_mul(self, pairs):
         """The sum of ``k * P`` over ``pairs``; variable time, so every
@@ -683,6 +705,21 @@ class CurveGroup(_ScalarCodec):
             if pt is not None:
                 acc = self._jac_add_affine(acc, pt)
         return self._to_affine(acc)
+
+    def subset_sums(self, points, w: int):
+        """Row i: the sums of the subsets of ``points[w*i : w*i + w]``,
+        entry s summing the points at the set bits of s (``None`` if
+        that is the identity).  An entry of two or more points is one
+        mixed addition, and all are made affine with one inversion."""
+        add = self._jac_add_affine
+        rows = [[(1, 1, 0)] for _ in range(0, len(points), w)]
+        for i, pt in enumerate(points):
+            row = rows[i // w]
+            row += row if pt is None else [(*pt, 1)] + [add(s, pt) for s in row[1:]]
+        added = [s for row in rows for s in row if s[2] not in (0, 1)]
+        affine = iter(self._batch_to_affine(added))
+        return [[None if not Z else (X, Y) if Z == 1 else next(affine) for X, Y, Z in row]
+                for row in rows]
 
     # -- encodings ------------------------------------------------------
 

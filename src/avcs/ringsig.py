@@ -6,7 +6,8 @@ vector; its private key is the subset sum of ``X`` over the set bits
 and the matching public key ``E_id`` is the same subset sum of ``Y``,
 which anyone can compute from the identity alone.  No certificates are
 exchanged: possession of ``d_id`` with ``E_id = d_id * P`` is the whole
-key relationship.
+key relationship.  A registry adds ``E_id`` up from a table of the
+subset sums of each 4 consecutive points of ``Y``.
 
 A ring signature over ids ``id_1..id_r`` carries one ElGamal-style
 tuple ``(m_i, U_i, v_i)`` per member.  For everyone but the signer the
@@ -60,6 +61,10 @@ __all__ = [
 
 N_BITS = 256
 
+# h0_bits's bytes from and to the digits of a base-2 string
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def split_id(id_str: str) -> tuple[str, str]:
     """Split ``"manufactory:identity"``; both halves must be nonempty."""
@@ -69,10 +74,12 @@ def split_id(id_str: str) -> tuple[str, str]:
     return mfr, rest
 
 
-def h0_bits(id_str: str, n: int = N_BITS) -> tuple[int, ...]:
-    """Hash an identity to its n-bit key-selection vector (MSB first)."""
+def h0_bits(id_str: str, n: int = N_BITS) -> bytes:
+    """Hash an identity to its n-bit key-selection vector (MSB first),
+    one byte 0 or 1 per bit."""
     raw = expand_bytes("H0", id_str.encode("utf-8"), (n + 7) // 8)
-    return tuple((raw[i // 8] >> (7 - i % 8)) & 1 for i in range(n))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")[:n]
+    return bits.encode().translate(_BIT_BYTES)
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -162,7 +169,13 @@ def keygen(mk: MasterKeyPair, id_str: str, *, suite: HashSuite = PRODUCTION) -> 
 
 
 class ManufactoryRegistry:
-    """Public master vectors of every known manufactory, plus a key cache.
+    """Extraction tables of every known manufactory, plus a key cache.
+
+    ``register`` keeps, in place of a public vector Y, the 16 subset
+    sums of each 4 consecutive points (``group.subset_sums``, after
+    Brickell-Gordon-McCurley-Wilson): for n = 256, 960 points from 704
+    mixed additions.  A key adds one entry per nonzero 4-bit chunk of
+    its id's hash, at most 64, instead of one point per set bit.
 
     Extraction results are cached by identity ("can be cached" is part
     of the scheme's cost story); reads are lock-free, inserts take a
@@ -173,23 +186,29 @@ class ManufactoryRegistry:
     keeps a plain key, and a rejected signature caches nothing.
     """
 
+    _CHUNK_BITS = 4  # points of Y per table row
+
     def __init__(self, group, *, suite: HashSuite = PRODUCTION):
         self.group = group
         self.suite = suite
-        self._vectors: dict[str, tuple[object, ...]] = {}
+        self._tables: dict[str, tuple[int, list]] = {}
         self._cache: dict[str, object] = {}
         self._lock = threading.Lock()
 
     def register(self, manufactory_id: str, Y) -> None:
+        """Build the extraction table of ``Y``, replacing any earlier one,
+        and clear the key cache."""
+        Y = tuple(Y)
+        table = (len(Y), self.group.subset_sums(Y, self._CHUNK_BITS))
         with self._lock:
-            self._vectors[manufactory_id] = tuple(Y)
+            self._tables[manufactory_id] = table
             self._cache.clear()
 
     def register_master(self, mk: MasterKeyPair) -> None:
         self.register(mk.manufactory_id, mk.Y)
 
     def knows(self, manufactory_id: str) -> bool:
-        return manufactory_id in self._vectors
+        return manufactory_id in self._tables
 
     def extract_pubkey(self, id_str: str):
         """Combined public key E_id, a subset sum of the public vector.
@@ -209,11 +228,15 @@ class ManufactoryRegistry:
         if cached is not None:
             return cached
         mfr, _ = split_id(id_str)
-        Y = self._vectors.get(mfr)
-        if Y is None:
+        table = self._tables.get(mfr)
+        if table is None:
             raise UnknownManufactoryError(f"no registered manufactory for {id_str!r}")
-        bits = self.suite.bits(id_str, len(Y))
-        E = self.group.sum_points([y for bit, y in zip(bits, Y, strict=True) if bit])
+        n, rows = table
+        # bit t of the index is bit t of the vector
+        index = int(bytes(self.suite.bits(id_str, n))[::-1].translate(_BIT_DIGITS), 2)
+        w = self._CHUNK_BITS
+        mask = (1 << w) - 1
+        E = self.group.sum_points([row[index >> w * i & mask] for i, row in enumerate(rows)])
         if self.group.is_identity(E):
             raise DegenerateKeyError(f"identity {id_str!r} extracts to the identity element")
         return E
@@ -245,9 +268,9 @@ def forge_tuple(group, E, rng, *, suite: HashSuite = PRODUCTION):
     Costs exactly two scalar multiplications per attempt.  ``a`` and
     ``b`` can be recomputed from the published tuple, so a timing trace
     of their multiplications would tell the forgeries from the signer's
-    own tuple: ``U = a*P + b*E`` takes two fixed-pattern ``scalar_mul``
-    calls, not the variable-time ``multi_mul``.  On a prepared ``E`` the
-    second one walks E's split rows.
+    own tuple: ``U = b*E + a*P`` is one ``fixed_multi_mul``, not the
+    variable-time ``multi_mul``: b's walk (E's split rows when E is
+    prepared), then a's generator digits, and one inversion.
     """
     if group.is_identity(E):
         raise DegenerateKeyError("cannot forge against the identity element")
@@ -255,7 +278,7 @@ def forge_tuple(group, E, rng, *, suite: HashSuite = PRODUCTION):
     while True:
         a = rng.randrange(1, q)
         b = rng.randrange(1, q)
-        U = group.add(group.scalar_mul(a, group.generator), group.scalar_mul(b, E))
+        U = group.fixed_multi_mul([(b, E), (a, group.generator)])
         e = suite.h1(group, U)
         if e != 0:
             break

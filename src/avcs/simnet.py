@@ -490,11 +490,9 @@ class _Sim:
         rng = self._adv_rng(spec.name)
         group = self.group
         victim = spec.victim or f"{MANUFACTORY}:special-001"
-        # the adversary's own copy of the public vector: the fleet's key cache stays untouched
-        registry = ManufactoryRegistry(group, suite=self.registry.suite)
-        registry.register(MANUFACTORY, self.mk.Y)
         try:
-            E = registry.extract_pubkey(victim)
+            # uncached: the fleet's key cache stays untouched
+            E = self.registry._derive(victim)
         except AvcsError as exc:
             raise ScenarioError(f"masquerade victim {victim!r}: {exc}") from exc
 

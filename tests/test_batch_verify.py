@@ -207,9 +207,9 @@ def test_rejected_signature_leaves_the_cache_unchanged(group):
 
 
 def test_acceptance_prepares_only_keys_cached_before_the_call():
-    signer_registry, sig = signed(P192, 47, 4)
+    _, sig = signed(P192, 47, 4)
     registry = ManufactoryRegistry(P192)
-    registry.register("m", signer_registry._vectors["m"])
+    registry.register("m", world(P192, 47)[0].Y)
     known = set(sig.ids[:2])
     for id_str in known:
         registry.extract_pubkey(id_str)
@@ -251,9 +251,9 @@ def test_a_tuple_with_v_zero_is_judged_like_the_unbatched_rule():
 
 
 def test_accepted_signature_caches_its_keys():
-    registry, sig = signed(BIG_TOY, 43, 3)
+    _, sig = signed(BIG_TOY, 43, 3)
     fresh = ManufactoryRegistry(BIG_TOY)
-    fresh.register("m", registry._vectors["m"])
+    fresh.register("m", world(BIG_TOY, 43)[0].Y)
     assert ring_verify(b"batch", sig, fresh)
     assert sorted(fresh._cache) == sorted(sig.ids)
 

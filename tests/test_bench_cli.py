@@ -86,6 +86,7 @@ def test_run_benchmarks_counts_and_shape():
         assert by_key[("gen_pseudonym", r)].scalar_muls == 2 * r + 2
         assert by_key[("gen_message", r)].scalar_muls == 1
         assert by_key[("verify_message", r)].scalar_muls == 2
+        assert by_key[("extract_cold", r)].scalar_muls == 0
     for rec in records:
         assert rec.mean_ms > 0
         assert rec.size_bytes > 0
@@ -208,6 +209,8 @@ def test_cli_bench_writes_pinned_csv(tmp_path, capsys):
     assert len(lines) == 1 + 3 * len(OPS)
     sign_r3 = next(l for l in lines if ",3,ring_sign," in l)
     assert sign_r3.split(",")[6] == "5"  # 2r-1 multiplications at r=3
+    extract_r3 = next(l for l in lines if ",3,extract_cold," in l)
+    assert extract_r3.split(",")[6:] == ["0", "25"]  # additions only; a compressed p192 point
 
 
 def test_cli_sim_on_bundled_sybil_scenario(tmp_path, capsys):

@@ -570,6 +570,47 @@ def test_generator_multiples_match_double_and_add(case):
     assert group.multi_mul([(k, base)]) == expected
 
 
+@PROPERTY
+@given(generator_scalars(), st.data())
+def test_fixed_multi_mul_matches_double_and_add(case, data):
+    # a forge's U = a*G + b*E, cancellations included (0xBEEF * G is a base)
+    group, k, base = case
+    q = group.q
+    a = data.draw(st.one_of(st.sampled_from([0, 1, 2, q - 1, -k, -k * 0xBEEF]),
+                            st.integers(-2 * q, 2 * q)))
+    G = group.generator
+    expected = affine_add(group, double_and_add(group, a, G), double_and_add(group, k, base))
+    with count_group_ops() as ops:
+        assert group.fixed_multi_mul([(k, base), (a, G)]) == expected
+    assert ops.scalar_muls == 2
+
+
+def test_fixed_multi_mul_takes_the_generator_after_its_first_base():
+    first, second = other_bases(P192)
+    with pytest.raises(ValueError, match="after its first base"):
+        P192.fixed_multi_mul([(3, first), (5, P192.generator), (7, second)])
+    with pytest.raises(ValueError, match="after its first base"):
+        P192.fixed_multi_mul([(5, P192.generator), (3, first)])
+    assert BIG_TOY.fixed_multi_mul([(3, 5), (7, 11)]) == 92
+
+
+@pytest.mark.parametrize("group", MSM_GROUPS, ids=str)
+def test_subset_sums_hold_every_subset_of_each_chunk(group):
+    rng = random.Random(1992)
+    P = group.scalar_mul(rng.randrange(1, group.q), group.generator)
+    others = [group.scalar_mul(rng.randrange(1, group.q), group.generator) for _ in range(7)]
+    # 9 points: two full rows and a row of 2; P and -P sum to the identity
+    points = [P, group.scalar_mul(-1, P)] + others
+    rows = group.subset_sums(points, 4)
+    assert [len(row) for row in rows] == [16, 16, 2]
+    for i, row in enumerate(rows):
+        chunk = points[4 * i : 4 * i + 4]
+        for s, entry in enumerate(row):
+            subset = [pt for t, pt in enumerate(chunk) if s >> t & 1]
+            assert entry == reduce(reference_add(group), subset, group.identity)
+    assert rows[0][0] == rows[0][0b11] == rows[2][0] == group.identity
+
+
 def walked_digit_sum(S, n, unwalked):
     """Whether ``S`` is ``sum(d_t * 8**t)`` over t < n with ``d_t = 0`` for
     t in ``unwalked`` and odd and below 8 in size otherwise.  Such digits
@@ -678,9 +719,10 @@ def test_forge_on_a_prepared_key_has_one_operation_pattern(group, point_ops):
     E = group.prepare(group.scalar_mul(0xF00D, group.generator))
     group.scalar_mul(1, group.generator)  # build the table outside the count
     patterns = {point_ops(lambda: forge_tuple(group, E, random.Random(seed))) for seed in range(50)}
-    # a*G (one addition per width-8 digit), b*E (L doublings, one addition
-    # per width-3 digit) and their sum: one inversion each
-    assert patterns == {{"p192": (24, 90, 3), "p256": (32, 120, 3)}[group.group_id]}
+    # b*E (L doublings, one addition per width-3 digit), then a*G's
+    # width-8 digits (one addition each) into the same accumulator, and
+    # one inversion for U
+    assert patterns == {{"p192": (24, 88, 1), "p256": (32, 118, 1)}[group.group_id]}
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)

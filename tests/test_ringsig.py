@@ -1,11 +1,12 @@
 """Unit tests for keys, forged tuples, signing, verification, wire format."""
 
+import functools
 import random
 
 import pytest
 
 from avcs.errors import DegenerateKeyError, ParseError, UnknownManufactoryError
-from avcs.groups import P192, ToyGroup, _PreparedPoint, count_group_ops
+from avcs.groups import P192, P256, ToyGroup, _PreparedPoint, count_group_ops, expand_bytes
 from avcs.ringsig import (
     PRODUCTION,
     HashSuite,
@@ -14,6 +15,7 @@ from avcs.ringsig import (
     MasterKeyPair,
     RingSignature,
     forge_tuple,
+    h0_bits,
     keygen,
     ring_sign,
     ring_verify,
@@ -147,6 +149,100 @@ def test_extract_cache_counts_every_call():
     assert first == second
     assert ops.extractions == 2
     assert "m:x" in registry._cache
+
+
+def reference_h0_bits(id_str, n):
+    """H0 read one bit at a time, most significant first."""
+    raw = expand_bytes("H0", id_str.encode("utf-8"), (n + 7) // 8)
+    return tuple((raw[i // 8] >> (7 - i % 8)) & 1 for i in range(n))
+
+
+def test_h0_bits_matches_the_bitwise_definition():
+    for n in [*range(1, 10), 255, 256]:
+        for id_str in ("m:a", "m:vehicle-7", "fleet:ghost-0042", "m:ü"):
+            assert tuple(h0_bits(id_str, n)) == reference_h0_bits(id_str, n)
+
+
+@functools.cache
+def curve_world(group):
+    mk = setup(group, rng=random.Random(f"table/{group.group_id}"), manufactory_id="m")
+    return mk, [f"m:vehicle-{i}" for i in range(50)]
+
+
+@pytest.mark.parametrize("group", [P192, P256], ids=str)
+def test_extraction_table_matches_keygen_on_curves(group):
+    mk, ids = curve_world(group)
+    registry = ManufactoryRegistry(group)
+    registry.register_master(mk)
+    for id_str in ids:
+        assert registry.extract_pubkey(id_str) == group.scalar_mul(keygen(mk, id_str).d, group.generator)
+
+
+@pytest.mark.parametrize("group", [P192, P256], ids=str)
+def test_extraction_table_size_and_operation_counts(group, point_ops):
+    mk, ids = curve_world(group)
+    registry = ManufactoryRegistry(group)
+    # one-point entries are Y's own points: 11 additions for each of 64 rows
+    assert point_ops(lambda: registry.register_master(mk)) == (0, 704, 1)
+    n, rows = registry._tables["m"]
+    assert n == 256 and len(rows) == 64 and {len(row) for row in rows} == {16}
+    assert sum(entry is not None for row in rows for entry in row) == 960
+    assert [row[1 << t] for row in rows for t in range(4)] == list(mk.Y)
+    for id_str in ids[:10]:
+        bits = h0_bits(id_str)
+        chunks = sum(any(bits[i : i + 4]) for i in range(0, 256, 4))
+        assert point_ops(lambda: registry._derive(id_str)) == (0, chunks, 1)
+        assert chunks <= 64
+
+
+def test_extraction_table_on_short_toy_vectors():
+    # n = 1..9: the last row is short unless 4 divides n
+    for n in range(1, 10):
+        mk, registry = big_toy_setup(seed=n, n=n)
+        rows = registry._tables["m"][1]
+        assert [len(row) for row in rows] == [16] * (n // 4) + [2 ** (n % 4)] * (n % 4 > 0)
+        for i in range(20):
+            id_str = f"m:short-{i}"
+            try:
+                d = keygen(mk, id_str).d
+            except DegenerateKeyError:
+                with pytest.raises(DegenerateKeyError):
+                    registry.extract_pubkey(id_str)
+                continue
+            assert registry.extract_pubkey(id_str) == d
+
+
+def test_extraction_table_with_a_point_and_its_negation():
+    x0, x1 = 0xC0FFEE, 0xBEEF
+    X = (x0, P192.q - x0, x1)
+    mk = MasterKeyPair("m", P192, 3, X, tuple(P192.scalar_mul(x, P192.generator) for x in X))
+    registry = ManufactoryRegistry(P192)
+    registry.register_master(mk)
+    assert registry._tables["m"][1][0][0b011] is None
+    seen = set()
+    for i in range(40):
+        id_str = f"m:pair-{i}"
+        bits = tuple(h0_bits(id_str, 3))
+        seen.add(bits)
+        if not sum(x for bit, x in zip(bits, X) if bit) % P192.q:
+            # no bit, or x0 + (q - x0) = 0: both halves of the key pair are degenerate
+            with pytest.raises(DegenerateKeyError):
+                keygen(mk, id_str)
+            with pytest.raises(DegenerateKeyError):
+                registry.extract_pubkey(id_str)
+        else:
+            expected = P192.scalar_mul(keygen(mk, id_str).d, P192.generator)
+            assert registry.extract_pubkey(id_str) == expected
+    assert (1, 1, 0) in seen and (1, 1, 1) in seen
+
+
+def test_register_replaces_the_table_and_clears_the_cache():
+    first, registry = big_toy_setup(seed=31)
+    second, _ = big_toy_setup(seed=32)
+    assert registry.extract_pubkey("m:x") == keygen(first, "m:x").d
+    registry.register_master(second)
+    assert not registry._cache
+    assert registry.extract_pubkey("m:x") == keygen(second, "m:x").d
 
 
 # ---------------------------------------------------------------------------
