@@ -6,7 +6,8 @@ Two interchangeable backends sit behind one small interface:
   Jacobian coordinates.  No dependency-free arithmetic backend is
   packaged for this interpreter, so the point math lives here: one
   doubling and one mixed (Jacobian plus affine) addition formula, the
-  latter incomplete.  ``scalar_mul`` makes the same point operations
+  latter incomplete, and affine lanes of independent additions that
+  share one inversion.  ``scalar_mul`` makes the same point operations
   for every nonzero scalar, bar a pair or two per curve where the
   addition meets its own operand, on the generator, on a prepared
   point (the ring keys of ``ringsig.forge_tuple``, the window tag of
@@ -28,8 +29,11 @@ Scalar multiplications are the unit of cost accounting for the
 signature scheme.  Wrap a region in :func:`count_group_ops` to get an
 exact count; outside such a region nothing is recorded.  ``multi_mul``
 over n pairs counts n, pairs it skips or merges included, and so does
-``fixed_multi_mul``; ``prepare``, ``sum_points``, ``subset_sums`` and
-``add`` count nothing.
+``fixed_multi_mul``; ``generator_muls`` over n scalars counts n, the
+n multiples of the generator a master set-up makes in shared lanes,
+where a lane that meets its own operand takes the exact slow path
+just as ``scalar_mul`` doubles there; ``prepare``, ``sum_points``,
+``subset_sums`` and ``add`` count nothing.
 """
 
 from __future__ import annotations
@@ -270,6 +274,10 @@ class ToyGroup(_ScalarCodec):
         _note_scalar_mul()
         return (k % self.q) * a % self.q
 
+    def generator_muls(self, scalars) -> list[int]:
+        _note_scalar_mul(len(scalars))
+        return [k % self.q for k in scalars]
+
     def prepare(self, a: int, rows: int = 8) -> int:
         # multiplication is already one step here: nothing to precompute
         return a
@@ -415,12 +423,12 @@ class CurveGroup(_ScalarCodec):
     The generator's table holds 3072 affine points on P-192 (4096 on
     P-256), about 0.6 MB (0.9 MB), built on first use in about 55 ms
     (85 ms) on CPython 3.11 on a shared 2-core VM.
-    Every addition, tables included, is one mixed Jacobian-plus-affine
-    formula, and it is incomplete: for 2 and q - 2 on a plain point
-    (q = 17 mod 32, so q - 2 ends in the digit -1 after a partial sum
-    of -P), for the generator's ``+-(510 * 256**(n-1) - q)`` and, on
-    P-192 only, for a prepared point's ``+-7 * 2**169``, one addition
-    meets its own operand and doubles instead.
+    Every addition of a walk or of an odd-multiple table is one mixed
+    Jacobian-plus-affine formula, and it is incomplete: for 2 and q - 2
+    on a plain point (q = 17 mod 32, so q - 2 ends in the digit -1 after
+    a partial sum of -P), for the generator's ``+-(510 * 256**(n-1) - q)``
+    and, on P-192 only, for a prepared point's ``+-7 * 2**169``, one
+    addition meets its own operand and doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
     share a single doubling chain.  The widest scalar on a base that is
@@ -495,6 +503,25 @@ class CurveGroup(_ScalarCodec):
         V = X1 * HH % p
         X3 = (R * R - HHH - 2 * V) % p
         return (X3, (R * (V - X3) - Y1 * HHH) % p, Z1 * H % p)
+
+    def _add_lanes(self, acc, pts):
+        """Add ``pts[i]`` to ``acc[i]`` in place for every lane, in affine
+        coordinates, all lanes sharing one ``batch_inverse`` (Montgomery's
+        simultaneous inversion): about 6 field multiplications per
+        addition.  A lane that holds the identity, or whose points share
+        an x coordinate (P + P, P + (-P)), has a zero denominator, which
+        ``batch_inverse`` passes through as 0, and takes the exact ``add``
+        instead."""
+        p = self._p
+        zinvs = batch_inverse([b[0] - a[0] if a and b else 0 for a, b in zip(acc, pts)], p)
+        for i, (a, b, zinv) in enumerate(zip(acc, pts, zinvs)):
+            if not zinv:
+                acc[i] = self.add(a, b)
+                continue
+            x1, y1 = a
+            slope = (b[1] - y1) * zinv % p
+            x3 = (slope * slope - x1 - b[0]) % p
+            acc[i] = (x3, (slope * (x1 - x3) - y1) % p)
 
     def _to_affine(self, pt):
         return self._batch_to_affine([pt])[0] if pt[2] else None
@@ -619,6 +646,39 @@ class CurveGroup(_ScalarCodec):
     def scalar_mul(self, k: int, a):
         return self.fixed_multi_mul([(k, a)])
 
+    def generator_muls(self, scalars):
+        """``[k * G for k in scalars]``, counted as ``len(scalars)`` scalar
+        multiplications: the generator table's regular digits of every
+        scalar, walked row by row with each row's additions in one
+        ``_add_lanes`` step, so bits(q)/8 - 1 steps (23 on P-192, 31 on
+        P-256) with one inversion each and no doubling.  A zero scalar
+        gives the identity and takes no lane.  The digits, and so the
+        pattern, are ``scalar_mul``'s; where its addition meets its own
+        operand, the lane's shared x coordinate sends it down ``add``'s
+        exact path."""
+        _note_scalar_mul(len(scalars))
+        q, p, w, table = self.q, self._p, self._GEN_WIDTH, self._generator_table
+        mask, half = (2 << w) - 1, 1 << w
+        # as in fixed_multi_mul, an even k walks q - k with its digits' signs flipped
+        ks = [k % q for k in scalars if k % q]
+        signs = [1 if k & 1 else -1 for k in ks]
+        ks = [k if k & 1 else q - k for k in ks]
+        acc = []
+        for i, row in enumerate(table):
+            pts = []
+            for j, k in enumerate(ks):
+                # _regular_digits one row at a time: the last row takes what is left
+                d = k if i + 1 == len(table) else (k & mask) - half
+                ks[j] = (k - d) >> w
+                pt = row[abs(d) >> 1]
+                pts.append(pt if signs[j] * d > 0 else (pt[0], p - pt[1]))
+            if acc:
+                self._add_lanes(acc, pts)
+            else:
+                acc = pts
+        sums = iter(acc)
+        return [next(sums) if k % q else None for k in scalars]
+
     def fixed_multi_mul(self, pairs):
         """The sum of ``k * P`` over ``pairs`` along ``scalar_mul``'s
         fixed-pattern walks, in one accumulator with one inversion.  Every
@@ -709,17 +769,23 @@ class CurveGroup(_ScalarCodec):
     def subset_sums(self, points, w: int):
         """Row i: the sums of the subsets of ``points[w*i : w*i + w]``,
         entry s summing the points at the set bits of s (``None`` if
-        that is the identity).  An entry of two or more points is one
-        mixed addition, and all are made affine with one inversion."""
-        add = self._jac_add_affine
-        rows = [[(1, 1, 0)] for _ in range(0, len(points), w)]
-        for i, pt in enumerate(points):
-            row = rows[i // w]
-            row += row if pt is None else [(*pt, 1)] + [add(s, pt) for s in row[1:]]
-        added = [s for row in rows for s in row if s[2] not in (0, 1)]
-        affine = iter(self._batch_to_affine(added))
-        return [[None if not Z else (X, Y) if Z == 1 else next(affine) for X, Y, Z in row]
-                for row in rows]
+        that is the identity).  Built level by level: level t adds the
+        t-th point of every chunk to each nonempty entry below ``2**t``
+        in one ``_add_lanes`` step, so w - 1 steps with one inversion
+        each; a lane that meets its own operand or the identity takes
+        ``add``'s exact path."""
+        chunks = [points[i : i + w] for i in range(0, len(points), w)]
+        rows = [[None, chunk[0]] for chunk in chunks]
+        for t in range(1, w):
+            live = [(row, chunk[t]) for row, chunk in zip(rows, chunks) if t < len(chunk)]
+            if not live:
+                break
+            acc = [s for row, _ in live for s in row[1:]]
+            self._add_lanes(acc, [pt for row, pt in live for _ in row[1:]])
+            sums = iter(acc)
+            for row, pt in live:
+                row += [pt] + [next(sums) for _ in row[1:]]
+        return rows
 
     # -- encodings ------------------------------------------------------
 
@@ -744,30 +810,32 @@ class CurveGroup(_ScalarCodec):
         if tag not in (2, 3):
             raise ParseError("unknown point compression tag")
         x = int.from_bytes(data[1:], "big")
-        p = self._p
-        if x >= p:
+        if x >= self._p:
             raise ParseError("x coordinate out of range")
-        rhs = (x * x * x + self._a * x + self._b) % p
-        y = pow(rhs, (p + 1) // 4, p)  # p = 3 mod 4 for both curves
-        if y * y % p != rhs:
+        y = self._lift_x(x, tag & 1)
+        if y is None:
             raise ParseError("x coordinate is not on the curve")
-        if (y & 1) != (tag & 1):
-            y = p - y
         return (x, y)
+
+    def _lift_x(self, x: int, parity: int):
+        # the curve's y of that parity at x, or None: p = 3 mod 4 on both curves
+        p = self._p
+        rhs = (x * x * x + self._a * x + self._b) % p
+        y = pow(rhs, (p + 1) // 4, p)
+        if y * y % p == rhs:
+            return y if y & 1 == parity else p - y
+        return None
 
     # -- hashing into the structures -----------------------------------
 
     def hash_to_group(self, tag: str, data: bytes):
         # try-and-increment: about half of all x values lie on the
         # curve, so 256 attempts fail with probability ~2^-256
-        p = self._p
         for attempt in range(256):
-            candidate = digest32(tag, bytes([attempt]) + data)
-            x = int.from_bytes(candidate, "big") % p
-            rhs = (x * x * x + self._a * x + self._b) % p
-            y = pow(rhs, (p + 1) // 4, p)
-            if y * y % p == rhs:
-                return (x, y if y % 2 == 0 else p - y)
+            x = int.from_bytes(digest32(tag, bytes([attempt]) + data), "big") % self._p
+            y = self._lift_x(x, 0)
+            if y is not None:
+                return (x, y)
         raise MappingError(f"no curve point found for tag {tag!r}")
 
 

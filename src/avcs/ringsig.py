@@ -139,14 +139,18 @@ def setup(group, n: int = N_BITS, rng=None, manufactory_id: str = "mfr") -> Mast
     """Draw a fresh master key vector of length ``n``.
 
     Production uses n = 256 (the bit length of the identity hash);
-    tests may shrink it, since H0 is asked for exactly n bits.
+    tests may shrink it, since H0 is asked for exactly n bits.  Y is
+    one ``group.generator_muls`` over X, counted as n scalar
+    multiplications: on a curve, bits(q)/8 - 1 lane steps that share
+    one inversion each (23 on P-192), where a lane that meets its own
+    operand takes the exact slow path, as ``scalar_mul`` doubles there.
     """
     if rng is None:
         raise ValueError("an rng is required")
     if n < 1:
         raise ValueError("n must be positive")
     X = tuple(rng.randrange(1, group.q) for _ in range(n))
-    Y = tuple(group.scalar_mul(x, group.generator) for x in X)
+    Y = tuple(group.generator_muls(X))
     return MasterKeyPair(manufactory_id, group, n, X, Y)
 
 
@@ -174,8 +178,9 @@ class ManufactoryRegistry:
     ``register`` keeps, in place of a public vector Y, the 16 subset
     sums of each 4 consecutive points (``group.subset_sums``, after
     Brickell-Gordon-McCurley-Wilson): for n = 256, 960 points from 704
-    mixed additions.  A key adds one entry per nonzero 4-bit chunk of
-    its id's hash, at most 64, instead of one point per set bit.
+    affine lane additions sharing 3 inversions.  A key adds one entry
+    per nonzero 4-bit chunk of its id's hash, at most 64, instead of one
+    point per set bit.
 
     Extraction results are cached by identity ("can be cached" is part
     of the scheme's cost story); reads are lock-free, inserts take a

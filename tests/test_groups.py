@@ -611,6 +611,67 @@ def test_subset_sums_hold_every_subset_of_each_chunk(group):
     assert rows[0][0] == rows[0][0b11] == rows[2][0] == group.identity
 
 
+# --- affine lanes: many independent additions sharing one inversion
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_add_lanes_matches_reference_add(group):
+    rng = random.Random(1987)
+    P, Q, *ordinary = (group.scalar_mul(rng.randrange(1, group.q), group.generator) for _ in range(10))
+    minus_P = group.scalar_mul(-1, P)
+    # P + P, P + (-P), identity operands on either side and on both
+    lanes = [(P, P), (P, minus_P), (minus_P, P), (None, Q), (Q, None), (None, None)]
+    lanes += list(zip(ordinary[:4], ordinary[4:]))
+    for _ in range(5):
+        rng.shuffle(lanes)
+        acc, pts = (list(side) for side in zip(*lanes))
+        group._add_lanes(acc, pts)
+        assert acc == [affine_add(group, a, b) for a, b in lanes]
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_generator_muls_match_scalar_mul(group):
+    G, q = group.generator, group.q
+    last = last_row_doubling_scalar(group)
+    # edge scalars, the generator table's two exceptional ones among them
+    rng = random.Random(1987)
+    scalars = [0, 1, 2, q - 1, q - 2, last, q - last] + [rng.randrange(q) for _ in range(256)]
+    with count_group_ops() as ops:
+        lanes = group.generator_muls(scalars)
+    assert ops.scalar_muls == len(scalars)
+    assert lanes == [group.scalar_mul(k, G) for k in scalars]
+    assert lanes[:7] == [double_and_add(group, k, G) for k in scalars[:7]]
+    assert group.generator_muls([]) == [] and group.generator_muls([0, group.q]) == [None, None]
+
+
+def test_toy_generator_muls_match_scalar_mul():
+    q = BIG_TOY.q
+    scalars = [0, 1, 2, q - 1, q, q + 5, -3, 2**40]
+    with count_group_ops() as ops:
+        lanes = BIG_TOY.generator_muls(scalars)
+    assert ops.scalar_muls == len(scalars)
+    assert lanes == [BIG_TOY.scalar_mul(k, BIG_TOY.generator) for k in scalars]
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_generator_muls_take_one_lane_step_per_table_row(group, point_ops):
+    group.scalar_mul(1, group.generator)  # build the table outside the count
+    # the first row's digits start every lane; each later row is one step
+    steps = {"p192": 23, "p256": 31}[group.group_id]
+    assert steps == len(group._generator_table) - 1
+    rng = random.Random(2020)
+    for n in (1, 17, 256):
+        X = [rng.randrange(1, group.q) for _ in range(n)]
+        with count_group_ops() as ops:
+            assert point_ops(lambda: group.generator_muls(X)) == (0, 0, steps)
+        assert point_ops.lanes == (steps * n, steps)
+        assert ops.scalar_muls == n
+    # where scalar_mul's last addition doubles, the lane takes the exact add:
+    # a mixed addition from the identity, one that doubles, one conversion
+    for k in (last_row_doubling_scalar(group), group.q - last_row_doubling_scalar(group)):
+        assert point_ops(lambda: group.generator_muls([k])) == (1, 2, steps + 1)
+
+
 def walked_digit_sum(S, n, unwalked):
     """Whether ``S`` is ``sum(d_t * 8**t)`` over t < n with ``d_t = 0`` for
     t in ``unwalked`` and odd and below 8 in size otherwise.  Such digits

@@ -78,6 +78,13 @@ def test_setup_defining_relation():
     mk192 = setup(P192, n=4, rng=random.Random(1), manufactory_id="m")
     for x, y in zip(mk192.X, mk192.Y):
         assert P192.scalar_mul(x, P192.generator) == y
+    # the production length, whose points share generator_muls' lane steps
+    for group in (P192, P256):
+        with count_group_ops() as ops:
+            mk = setup(group, rng=random.Random(2), manufactory_id="m")
+        assert ops.scalar_muls == len(mk.Y) == 256
+        for x, y in zip(mk.X, mk.Y):
+            assert group.scalar_mul(x, group.generator) == y
 
 
 def test_setup_distinct_seeds():
@@ -182,8 +189,10 @@ def test_extraction_table_matches_keygen_on_curves(group):
 def test_extraction_table_size_and_operation_counts(group, point_ops):
     mk, ids = curve_world(group)
     registry = ManufactoryRegistry(group)
-    # one-point entries are Y's own points: 11 additions for each of 64 rows
-    assert point_ops(lambda: registry.register_master(mk)) == (0, 704, 1)
+    # one-point entries are Y's own points: 11 additions for each of 64
+    # rows, made level by level in 3 lane steps of 64, 192 and 448 lanes
+    assert point_ops(lambda: registry.register_master(mk)) == (0, 0, 3)
+    assert point_ops.lanes == (704, 3)
     n, rows = registry._tables["m"]
     assert n == 256 and len(rows) == 64 and {len(row) for row in rows} == {16}
     assert sum(entry is not None for row in rows for entry in row) == 960
