@@ -658,20 +658,16 @@ class CurveGroup(_ScalarCodec):
         exact path."""
         _note_scalar_mul(len(scalars))
         q, p, w, table = self.q, self._p, self._GEN_WIDTH, self._generator_table
-        mask, half = (2 << w) - 1, 1 << w
         # as in fixed_multi_mul, an even k walks q - k with its digits' signs flipped
         ks = [k % q for k in scalars if k % q]
-        signs = [1 if k & 1 else -1 for k in ks]
-        ks = [k if k & 1 else q - k for k in ks]
+        lanes = [(1 if k & 1 else -1, _regular_digits(k if k & 1 else q - k, len(table), w))
+                 for k in ks]
         acc = []
         for i, row in enumerate(table):
             pts = []
-            for j, k in enumerate(ks):
-                # _regular_digits one row at a time: the last row takes what is left
-                d = k if i + 1 == len(table) else (k & mask) - half
-                ks[j] = (k - d) >> w
-                pt = row[abs(d) >> 1]
-                pts.append(pt if signs[j] * d > 0 else (pt[0], p - pt[1]))
+            for sign, digits in lanes:
+                pt = row[abs(digits[i]) >> 1]
+                pts.append(pt if sign * digits[i] > 0 else (pt[0], p - pt[1]))
             if acc:
                 self._add_lanes(acc, pts)
             else:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import io
 import struct
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -183,31 +182,32 @@ class ManufactoryRegistry:
     point per set bit.
 
     Extraction results are cached by identity ("can be cached" is part
-    of the scheme's cost story); reads are lock-free, inserts take a
-    lock so concurrent verifiers do not race.  A key is prepared
+    of the scheme's cost story), at most ``_CACHED_KEYS`` of them, by
+    ``_keep`` alone: an accepted signature, an own ``ring_sign`` or an
+    explicit ``extract_pubkey`` keeps an id, and the id kept least
+    recently goes first.  A key is prepared
     (``group.prepare``, which keeps it equal) at its second use: when
     ``ring_sign`` forges against it, or ``ring_verify`` accepts a
     signature over it, while its id is already cached.  An id seen once
-    keeps a plain key, and a rejected signature caches nothing.
+    keeps a plain key, and a rejected signature keeps nothing.  Nothing
+    here locks: a registry belongs to one thread.
     """
 
     _CHUNK_BITS = 4  # points of Y per table row
+    _CACHED_KEYS = 1024  # ids in the key cache
 
     def __init__(self, group, *, suite: HashSuite = PRODUCTION):
         self.group = group
         self.suite = suite
         self._tables: dict[str, tuple[int, list]] = {}
         self._cache: dict[str, object] = {}
-        self._lock = threading.Lock()
 
     def register(self, manufactory_id: str, Y) -> None:
         """Build the extraction table of ``Y``, replacing any earlier one,
         and clear the key cache."""
         Y = tuple(Y)
-        table = (len(Y), self.group.subset_sums(Y, self._CHUNK_BITS))
-        with self._lock:
-            self._tables[manufactory_id] = table
-            self._cache.clear()
+        self._tables[manufactory_id] = (len(Y), self.group.subset_sums(Y, self._CHUNK_BITS))
+        self._cache.clear()
 
     def register_master(self, mk: MasterKeyPair) -> None:
         self.register(mk.manufactory_id, mk.Y)
@@ -220,11 +220,9 @@ class ManufactoryRegistry:
 
         Pure point additions; every call is tallied as one extraction
         in the surrounding counting region whether or not it hits the
-        cache.  The key is cached.
+        cache.  The key is kept as it is: plain for a new id.
         """
-        E = self._derive(id_str)
-        self._remember({id_str: E})
-        return E
+        return self._keep({id_str: self._derive(id_str)}, plain={id_str})[id_str]
 
     def _derive(self, id_str: str):
         # extract_pubkey without caching: ring_sign and ring_verify cache through _keep
@@ -246,19 +244,19 @@ class ManufactoryRegistry:
             raise DegenerateKeyError(f"identity {id_str!r} extracts to the identity element")
         return E
 
-    def _remember(self, keys: dict) -> None:
-        with self._lock:
-            self._cache.update(keys)
-
     def _keep(self, keys: dict, *, plain=()) -> dict:
-        """Cache ``keys`` (id -> key) and return them as cached: the key
-        of an id the cache already held is prepared, unless the id is in
-        ``plain``."""
-        kept = {
-            id_str: E if id_str in plain or id_str not in self._cache else self.group.prepare(E)
-            for id_str, E in keys.items()
-        }
-        self._remember(kept)
+        """Cache ``keys`` (id -> key) as the ids kept last and return them
+        as cached: the key of an id the cache already held is prepared,
+        unless the id is in ``plain``.  Past ``_CACHED_KEYS`` ids, those
+        kept least recently go (the dict's order is the order of keeping)."""
+        cache = self._cache
+        kept = {}
+        for id_str, E in keys.items():
+            if cache.pop(id_str, None) is not None and id_str not in plain:
+                E = self.group.prepare(E)
+            kept[id_str] = cache[id_str] = E
+        while len(cache) > self._CACHED_KEYS:
+            del cache[next(iter(cache))]
         return kept
 
 

@@ -219,21 +219,17 @@ class VehicleState:
     def _receive_cert(self, frame: bytes, now: float) -> ReceiveResult:
         group = self.hsm.group
         fingerprint = cert_fingerprint(frame)
+        self._prune(now)
         entry = self.pseudonym_buf.get(fingerprint)
         if entry is not None and entry.frame == frame:
-            # a re-send of a buffered frame, which parsed when it was
-            # accepted: a duplicate unless pruning drops it
-            self._prune(now)
-            if fingerprint in self.pseudonym_buf:
-                return ReceiveResult("duplicate", "duplicate")
+            # a re-send of an unexpired buffered frame, which parsed when it was accepted
+            return ReceiveResult("duplicate", "duplicate")
         try:
             cert = PseudonymCertificate.from_bytes(frame[1:], group)
             parsed = cert.parse_c(group)
         except ParseError:
             return _reject("malformed")
 
-        self._prune(now)
-        entry = self.pseudonym_buf.get(fingerprint)
         t_enc = group.encode_element(cert.T)
         if t_enc in self._fingerprint_by_t:
             return _reject("sybil")

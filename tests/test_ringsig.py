@@ -254,6 +254,57 @@ def test_register_replaces_the_table_and_clears_the_cache():
     assert registry.extract_pubkey("m:x") == keygen(second, "m:x").d
 
 
+def test_key_cache_keeps_the_ids_kept_last(monkeypatch):
+    assert ManufactoryRegistry._CACHED_KEYS == 1024  # the README's bound
+    monkeypatch.setattr(ManufactoryRegistry, "_CACHED_KEYS", 8)
+    mk, registry = big_toy_setup(seed=33)
+    signer_side = ManufactoryRegistry(BIG_TOY)
+    signer_side.register_master(mk)
+    # every ring holds one regular and two ids that are never seen again
+    sigs = []
+    for n in range(12):
+        ring = ["m:regular", f"m:once-{n}-a", f"m:once-{n}-b"]
+        sig = ring_sign(b"lru", ring, keygen(mk, ring[1]), 1, signer_side, random.Random(n))
+        assert ring_verify(b"lru", sig, registry)
+        assert len(registry._cache) == min(1 + 2 * (n + 1), 8)
+        sigs.append(sig)
+    # the regular survives the stream; of the one-off ids, the last 7 kept remain
+    assert list(registry._cache) == [
+        "m:once-8-b", "m:once-9-a", "m:once-9-b", "m:once-10-a", "m:once-10-b",
+        "m:regular", "m:once-11-a", "m:once-11-b",
+    ]
+
+    # a rejected signature over cached ids neither adds an id nor moves one
+    before = list(registry._cache.items())
+    old = sigs[-2]
+    (m, U, v), *rest = old.tuples
+    bad_v = RingSignature(old.x, old.w, old.ids, ((m, U, (v + 1) % BIG_TOY.q), *rest))
+    stranger = RingSignature(old.x, old.w, ("m:stranger", *old.ids[1:]), old.tuples)
+    for bad in (bad_v, stranger):
+        assert not ring_verify(b"lru", bad, registry)
+        assert list(registry._cache.items()) == before
+    # accepted again, that signature moves its ids to the back
+    assert ring_verify(b"lru", old, registry)
+    assert list(registry._cache)[-3:] == list(old.ids)
+
+
+def test_extract_pubkey_keeps_a_cached_key_as_it_is():
+    mk = setup(P192, n=16, rng=random.Random(34), manufactory_id="m")
+    registry = ManufactoryRegistry(P192)
+    registry.register_master(mk)
+    ring = ["m:a", "m:b", "m:c"]
+    for id_str in ring:
+        registry.extract_pubkey(id_str)
+    # an explicit extraction never prepares, however often it runs
+    assert not isinstance(registry.extract_pubkey("m:a"), _PreparedPoint)
+    sig = ring_sign(b"kept", ring, keygen(mk, "m:b"), 1, registry, random.Random(3))
+    assert ring_verify(b"kept", sig, registry)
+    assert all(isinstance(registry._cache[id_str], _PreparedPoint) for id_str in ring)
+    E = registry.extract_pubkey("m:a")
+    assert isinstance(E, _PreparedPoint) and registry._cache["m:a"] is E
+    assert list(registry._cache)[-1] == "m:a"
+
+
 # ---------------------------------------------------------------------------
 # forged tuples
 # ---------------------------------------------------------------------------
@@ -573,6 +624,17 @@ def test_wire_round_trip():
         sig = ring_sign(b"wire", ring, signer, pos, registry, random.Random(r))
         blob = sig.to_bytes(BIG_TOY)
         assert RingSignature.from_bytes(blob, BIG_TOY) == sig
+
+
+def test_ring_10_signature_on_p192_is_878_bytes():
+    # the README's figure: 4 + 24 + 10 * (2 + 10) + 10 * (24 + 25 + 24)
+    mk = setup(P192, n=16, rng=random.Random(10), manufactory_id="m")
+    registry = ManufactoryRegistry(P192)
+    registry.register_master(mk)
+    ring = [f"m:car-{i:04d}" for i in range(10)]
+    assert {len(id_str) for id_str in ring} == {10}
+    sig = ring_sign(b"size", ring, keygen(mk, ring[3]), 3, registry, random.Random(10))
+    assert len(sig.to_bytes(P192)) == 4 + 24 + 10 * 12 + 10 * 73 == 878
 
 
 def test_wire_rejects_truncation_everywhere():
