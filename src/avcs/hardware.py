@@ -15,7 +15,8 @@ times, ``R = f * h0(C)`` binds the certificate content to ``f``
 ring-signs ``h2(C || R || T)`` under a ring of the module's choosing.
 The tag h1(window) is public, so it is hashed and prepared once per
 window index for every module in the process; T itself is computed at
-every mint, on the tag's split rows.
+every mint, on the tag's split rows, and receivers test leaked f on it
+at C's issue second (``min_span_time`` is thus a protocol constant).
 
 The clock is injected: tests turn it by hand, the simulator feeds it
 the event-loop time, and the CLI uses the system clock.  The module
@@ -48,7 +49,6 @@ __all__ = [
     "PseudonymCertificate",
     "SystemClock",
     "TRANSIENT_SCHEME_ID",
-    "content_tag",
     "join",
     "leak_master_secret",
     "pack_content",
@@ -71,16 +71,11 @@ def pack_content(group, pk, now: float, validity: float) -> bytes:
     )
 
 
-def content_tag(group, C: bytes):
-    """h0(C): the group element a certificate's ``R = f * h0(C)`` binds."""
-    return group.hash_to_group("h0", C)
-
-
 @functools.lru_cache(maxsize=WINDOW_TAGS)
 def _window_tag(group, window: int):
     """h1(window), prepared with all 8 split rows, so ``f * h1(window)``
-    walks them; shared by every module, since the tag is public and
-    keyed only by the index the trusted clock picks."""
+    walks them; shared by modules and receivers.  An old, unexpired issue
+    time can evict a tag: a miss costs one hash-to-curve and one prepare."""
     return group.prepare(group.hash_to_group("h1", struct.pack(">Q", window)))
 
 
@@ -182,7 +177,7 @@ class HardwareModule:
     (or use the :func:`join` convenience).  ``f`` and the identity
     key's ``d`` live in name-mangled private attributes and no method
     returns them; only ``f * h0(C)`` / ``f * h1(window)`` bindings and
-    ring signatures escape.
+    ring signatures escape, and :meth:`window_tag` serves receivers too.
     """
 
     def __init__(self, registry: ManufactoryRegistry, clock=None, *,
@@ -241,13 +236,17 @@ class HardwareModule:
     def _bind_and_sign(self, C: bytes, ring: list[str], pos: int, now: float, rng):
         """Bind C to f and the window at ``now``, ring-sign it as ring[pos]."""
         group = self.group
-        R = group.scalar_mul(self.__f, content_tag(group, C))
-        T = group.scalar_mul(self.__f, _window_tag(group, math.floor(now / self.min_span_time)))
+        R = group.scalar_mul(self.__f, group.hash_to_group("h0", C))
+        T = group.scalar_mul(self.__f, self.window_tag(now))
         message = signed_message(group, C, R, T)
         S = ring_sign(message, ring, self.__identity_key, pos, self.registry, rng)
         return PseudonymCertificate(C, R, T, S)
 
     # -- protocol operations --------------------------------------------
+
+    def window_tag(self, t: float):
+        """The prepared h1 tag of the window that holds second floor(t)."""
+        return _window_tag(self.group, math.floor(math.floor(t) / self.min_span_time))
 
     def gen_pseudonym(self, ring: list[str], validity: float, rng) -> PseudonymCertificate:
         """Mint a certificate for a fresh transient key, ring-signed.

@@ -433,7 +433,8 @@ def ring_sign(
     m_s = _xor(gamma, w[signer_pos])
     l = rng.randrange(1, q)
     U_s = group.scalar_mul(l, group.generator)
-    v_s = (int.from_bytes(m_s, "big") - signer.d * suite.h1(group, U_s)) * pow(l, -1, q) % q
+    # l gives d away, so it is inverted by Fermat: an exponent fixed by q alone
+    v_s = (int.from_bytes(m_s, "big") - signer.d * suite.h1(group, U_s)) * pow(l, q - 2, q) % q
     m_list[signer_pos], U_list[signer_pos], v_list[signer_pos] = m_s, U_s, v_s
 
     x = rng.randrange(1, r + 1)

@@ -9,8 +9,8 @@ The receive pipeline runs the checks in a fixed order and the first
 failing check names the rejection:
 
     certificate: duplicate -> sybil (equal T in the buffer) ->
-                 expired / not yet valid -> revoked (rogue list) ->
-                 ring signature
+                 expired / not yet valid -> revoked (a rogue f times
+                 the issue window's tag is T) -> ring signature
     message:     certificate lookup (no-cert) -> payload signature
 
 Buffered certificates are pruned lazily by expiration before the
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import transient
 from .errors import ParseError, ProtocolError, ProvisioningError
 from .groups import digest32
-from .hardware import HardwareModule, PseudonymCertificate, content_tag, signed_message
+from .hardware import HardwareModule, PseudonymCertificate, signed_message
 from .ringsig import ring_verify
 
 __all__ = [
@@ -119,18 +119,16 @@ class _BufferedCert:
 class VehicleState:
     """Mutable per-vehicle protocol state around one hardware module."""
 
-    def __init__(self, hsm: HardwareModule, *, k: int = 10, ring_size: int = 4,
-                 id_capacity: int = 64):
+    ID_CAPACITY = 64  # harvested ring ids kept, oldest out first
+
+    def __init__(self, hsm: HardwareModule, *, k: int = 10, ring_size: int = 4):
         if k < 1:
             raise ValueError("k must be at least 1")
         if ring_size < 1:
             raise ValueError("ring_size must be at least 1")
-        if id_capacity < 0:
-            raise ValueError("id_capacity must be nonnegative")
         self.hsm = hsm
         self.k = k
         self.ring_size = ring_size
-        self.id_capacity = id_capacity
         self.pseudonym_buf: OrderedDict[bytes, _BufferedCert] = OrderedDict()
         # kept in step with pseudonym_buf: the fingerprint buffered under
         # each encoded T, and the earliest buffered expiration
@@ -203,7 +201,7 @@ class VehicleState:
             if id_str != own:
                 self.id_buf[id_str] = None
                 self.id_buf.move_to_end(id_str)
-        while len(self.id_buf) > self.id_capacity:
+        while len(self.id_buf) > self.ID_CAPACITY:
             self.id_buf.popitem(last=False)
 
     def receive(self, frame: bytes, now: float) -> ReceiveResult:
@@ -240,10 +238,10 @@ class VehicleState:
             return _reject("expired")
 
         if self.rogue_list:
-            # leaked f values are public: every entry shares one prepared J
-            J = group.prepare(content_tag(group, cert.C))
+            # leaked f values are public; the expiry checks bound the issue second
+            tag = self.hsm.window_tag(parsed.issue)
             for f in sorted(self.rogue_list):
-                if group.multi_mul([(f, J)]) == cert.R:
+                if group.multi_mul([(f, tag)]) == cert.T:
                     return _reject("revoked")
 
         if not ring_verify(signed_message(group, cert.C, cert.R, cert.T), cert.S, self.hsm.registry):

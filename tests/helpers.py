@@ -23,7 +23,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 def toy_world(n=3, *, q=2147483647, n_bits=256, k=10, ring_size=3, min_span=60.0,
-              seed=1, start_time=1000.0, id_capacity=64, preseed=True):
+              seed=1, start_time=1000.0, preseed=True):
     """A ready fleet on a toy group sharing one manual clock."""
     group = ToyGroup(q)
     rng = random.Random(seed)
@@ -37,9 +37,7 @@ def toy_world(n=3, *, q=2147483647, n_bits=256, k=10, ring_size=3, min_span=60.0
             mk, f"m:plate-{i:03d}", registry, rng,
             clock=clock, min_span_time=min_span, supervisor_token=SUPERVISOR_TOKEN,
         )
-        vehicles.append(
-            VehicleState(hsm, k=k, ring_size=ring_size, id_capacity=id_capacity)
-        )
+        vehicles.append(VehicleState(hsm, k=k, ring_size=ring_size))
     if preseed:
         for v in vehicles:
             for other in vehicles:

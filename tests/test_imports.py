@@ -1,6 +1,8 @@
-"""Every name a module under src/avcs imports is used in that module.
+"""Every name a module under src/avcs imports is used in that module, and
+no module imports a sibling's private name.
 
-``__init__.py`` is skipped: its imports are the package's re-exports.
+The first check skips ``__init__.py``: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -27,3 +29,26 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def private_crossings(tree):
+    """Private names a module takes from a sibling: imported by name, or
+    read off a sibling module that is imported whole."""
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("avcs")):
+            for alias in node.names:
+                if node.module in (None, "avcs"):  # from . import transient
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    yield f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            yield f"{node.value.id}.{node.attr}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert list(private_crossings(tree)) == []

@@ -476,6 +476,23 @@ def test_singleton_ring():
     assert ring_verify(b"alone", sig, registry)
 
 
+def test_signer_nonce_is_inverted_with_a_fixed_exponent(monkeypatch):
+    # l gives d away, so its inverse must not come from an l-dependent Euclid
+    calls = []
+
+    def recorded_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr("avcs.ringsig.pow", recorded_pow, raising=False)
+    mk = setup(P192, n=8, rng=random.Random(43), manufactory_id="m")
+    registry = ManufactoryRegistry(P192)
+    registry.register_master(mk)
+    sig = ring_sign(b"nonce", ["m:solo"], keygen(mk, "m:solo"), 0, registry, random.Random(2))
+    assert ring_verify(b"nonce", sig, registry)
+    assert calls and all(args[1] >= 0 for args in calls)
+
+
 def test_sign_argument_validation():
     mk, registry = big_toy_setup(seed=51)
     signer = keygen(mk, "m:a")

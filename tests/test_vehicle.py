@@ -1,6 +1,8 @@
 """Vehicle node: send scheduling, receive pipeline, buffers, revocation."""
 
+import math
 import random
+import struct
 
 import pytest
 from hypothesis import given
@@ -10,8 +12,10 @@ from avcs import transient
 from avcs.errors import ParseError, ProvisioningError
 from avcs.groups import P192, _PreparedPoint, count_group_ops
 from avcs.hardware import (
+    WINDOW_TAGS,
     ManualClock,
     PseudonymCertificate,
+    _window_tag,
     join,
     leak_master_secret,
     pack_content,
@@ -190,9 +194,9 @@ def test_revoke_other_f_leaves_honest_alone():
 
 
 def test_rogue_list_misses_certificates_minted_outside_the_module():
-    # the rogue list matches R = f * h0(C), so it catches what the module
-    # mints; a certificate ring-signed in software with the same module's
-    # leaked identity key d, and with a random R and T, is accepted
+    # the rogue list matches T = f * h1(window), so it catches what the
+    # module mints; a certificate ring-signed in software with the same
+    # module's leaked identity key d, and with a random R and T, is accepted
     world = toy_world(2)
     v0, v1 = world.vehicles
     v1.revoke(leak_master_secret(v0.hsm))
@@ -206,6 +210,34 @@ def test_rogue_list_misses_certificates_minted_outside_the_module():
     S = ring_sign(signed_message(group, C, R, T), ring, d, 0, world.registry, rng)
     frame = encode_cert_frame(PseudonymCertificate(C, R, T, S), group)
     assert v1.receive(frame, world.clock.now()).outcome == "accept"
+
+
+def test_fractional_span_takes_the_window_from_the_issue_second():
+    # 7.6 s lies in window 3 of a 2.5 s span, its issue second 7 in window
+    # 2: the module binds T where the receiver looks
+    world = toy_world(2, min_span=2.5, start_time=7.6)
+    v0, v1 = world.vehicles
+    v1.revoke(leak_master_secret(v0.hsm))
+    assert deliver_cert(v0, v1, seed=7)[0].reason == "revoked"
+    tag = world.group.hash_to_group("h1", struct.pack(">Q", 2))
+    assert v0.current_certificate.T == world.group.scalar_mul(leak_master_secret(v0.hsm), tag)
+
+
+def test_old_unexpired_certificate_keeps_the_tag_cache_bounded():
+    sender, plain, revoking, clock = p192_pair(n=3)
+    plain.revoke(12345)
+    revoking.revoke(leak_master_secret(sender.hsm))
+    sender.make_pseudonym(3600, random.Random(69))
+    old = sender.certificate_frame
+    for _ in range(WINDOW_TAGS):  # later windows push the old one's tag out
+        clock.advance(60.0)
+        revoking.make_pseudonym(600, random.Random(70))
+    assert plain.receive(old, clock.now()).accepted
+    assert revoking.receive(old, clock.now()).reason == "revoked"
+    assert _window_tag.cache_info().currsize <= WINDOW_TAGS
+    cert = sender.make_pseudonym(600, random.Random(71))
+    tag = P192.hash_to_group("h1", struct.pack(">Q", math.floor(clock.now() / 60.0)))
+    assert cert.T == P192.scalar_mul(leak_master_secret(sender.hsm), tag)
 
 
 def test_revoke_idempotent():
@@ -470,6 +502,28 @@ def test_rogue_scan_on_a_prepared_tag():
     assert receiver.receive(sender.certificate_frame, clock.now()).reason == "revoked"
 
 
+def test_rogue_scan_builds_no_table_per_certificate(monkeypatch):
+    sender, receiver, clock = p192_pair()
+    receiver.revoke(12345)
+    receiver.revoke(67890)
+    assert deliver_cert(sender, receiver, seed=72)[0].accepted  # prepares the ring key
+    clock.advance(60.0)
+    sender.make_pseudonym(600, random.Random(73))  # caches this window's tag
+    calls = []
+    prepare, hash_to_group = P192.prepare, P192.hash_to_group
+
+    def counted_prepare(a, *rows):
+        out = prepare(a, *rows)
+        if out is not a:  # a prepared key comes back as it is; anything else built a table
+            calls.append("prepare")
+        return out
+
+    monkeypatch.setattr(P192, "prepare", counted_prepare)
+    monkeypatch.setattr(P192, "hash_to_group", lambda *a: calls.append("hash_to_group") or hash_to_group(*a))
+    assert receiver.receive(sender.certificate_frame, clock.now()).accepted
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # hostile bytes at the trust boundary
 # ---------------------------------------------------------------------------
@@ -547,19 +601,19 @@ def test_id_harvest_excludes_own_id():
     assert set(v1.id_buf) == {v0.hsm.identity, v2.hsm.identity}
 
 
-def test_id_buffer_eviction_oldest_first():
-    world = toy_world(1, preseed=False, id_capacity=3)
+def test_id_buffer_eviction_oldest_first(monkeypatch):
+    monkeypatch.setattr(VehicleState, "ID_CAPACITY", 3)
+    world = toy_world(1, preseed=False)
     v = world.vehicles[0]
     for i in range(5):
         v._harvest_ids([f"m:h-{i}"])
     assert list(v.id_buf) == ["m:h-2", "m:h-3", "m:h-4"]
 
 
-def test_id_capacity_must_be_nonnegative():
-    world = toy_world(2, preseed=False, id_capacity=0)
+def test_id_capacity_zero_keeps_no_ids(monkeypatch):
+    monkeypatch.setattr(VehicleState, "ID_CAPACITY", 0)
+    world = toy_world(2, preseed=False)
     v0, v1 = world.vehicles
-    with pytest.raises(ValueError):
-        VehicleState(v1.hsm, id_capacity=-1)
     # zero keeps no ids, and receiving still works
     v0.make_pseudonym(600, random.Random(41), ring=[v0.hsm.identity])
     assert v1.receive(v0.certificate_frame, world.clock.now()).accepted
