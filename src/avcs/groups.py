@@ -23,7 +23,9 @@ Two interchangeable backends sit behind one small interface:
 Group elements are plain values: an affine ``(x, y)`` tuple or ``None``
 (the point at infinity) for curves, an ``int`` in ``[0, q)`` for the
 toy group.  Code above this layer never looks inside an element; it
-only passes them back into the owning group object.
+only passes them back into the owning group object.  A field read off
+the wire can stay the bytes ``check_encoding`` passed until arithmetic
+needs its point: ``encode_element`` returns such bytes unchanged.
 
 Scalar multiplications are the unit of cost accounting for the
 signature scheme.  Wrap a region in :func:`count_group_ops` to get an
@@ -298,16 +300,20 @@ class ToyGroup(_ScalarCodec):
             rows[i // w] += [(s + pt) % self.q for s in rows[i // w]]
         return rows
 
-    def encode_element(self, a: int) -> bytes:
+    def encode_element(self, a) -> bytes:
+        if isinstance(a, bytes):
+            return a
         return a.to_bytes(self.element_byte_len, "big")
 
-    def decode_element(self, data: bytes) -> int:
+    def check_encoding(self, data: bytes) -> bytes:
         if len(data) != self.element_byte_len:
             raise ParseError("toy element has wrong length")
-        value = int.from_bytes(data, "big")
-        if value >= self.q:
+        if int.from_bytes(data, "big") >= self.q:
             raise ParseError("toy element out of range")
-        return value
+        return data
+
+    def decode_element(self, data: bytes) -> int:
+        return int.from_bytes(self.check_encoding(data), "big")
 
     def hash_to_group(self, tag: str, data: bytes) -> int:
         # never returns the identity: honest protocol elements derived
@@ -789,26 +795,35 @@ class CurveGroup(_ScalarCodec):
         # compressed form: parity tag then the x coordinate; the
         # identity is the all-zero string, which no finite point can
         # produce because its tag byte would be 2 or 3
+        if isinstance(a, bytes):
+            return a
         if a is None:
             return b"\x00" * self.element_byte_len
         x, y = a
         tag = 3 if y & 1 else 2
         return bytes([tag]) + x.to_bytes(self._field_byte_len, "big")
 
-    def decode_element(self, data: bytes):
+    def check_encoding(self, data: bytes) -> bytes:
+        """``data`` if its length, tag (0, 2 or 3), all-zero identity and
+        x < p are canonical, else ParseError.  No square root: an x on no
+        curve point passes here and fails only ``decode_element``."""
         if len(data) != self.element_byte_len:
             raise ParseError("element has wrong length")
         tag = data[0]
         if tag == 0:
             if any(data[1:]):
                 raise ParseError("malformed identity encoding")
-            return None
-        if tag not in (2, 3):
+        elif tag not in (2, 3):
             raise ParseError("unknown point compression tag")
-        x = int.from_bytes(data[1:], "big")
-        if x >= self._p:
+        elif int.from_bytes(data[1:], "big") >= self._p:
             raise ParseError("x coordinate out of range")
-        y = self._lift_x(x, tag & 1)
+        return data
+
+    def decode_element(self, data: bytes):
+        if self.check_encoding(data)[0] == 0:
+            return None
+        x = int.from_bytes(data[1:], "big")
+        y = self._lift_x(x, data[0] & 1)
         if y is None:
             raise ParseError("x coordinate is not on the curve")
         return (x, y)

@@ -116,7 +116,9 @@ class ParsedC:
 
 @dataclass(frozen=True)
 class PseudonymCertificate:
-    """sigma = (C, R, T, S); see the module docstring for the roles."""
+    """sigma = (C, R, T, S); see the module docstring for the roles.
+    R and T are points when minted and checked encodings when parsed:
+    no receiver check reads their points."""
 
     C: bytes
     R: object
@@ -139,11 +141,11 @@ class PseudonymCertificate:
         stream = io.BytesIO(data)
         (c_len,) = struct.unpack(">H", take(stream, 2, "certificate header"))
         ebl = group.element_byte_len
-        # C, R and T are all there before R and T are decoded
+        # C, R and T are all there before R and T are checked
         C = take(stream, c_len, "certificate body")
         R = take(stream, ebl, "certificate body")
         T = take(stream, ebl, "certificate body")
-        R, T = group.decode_element(R), group.decode_element(T)
+        R, T = group.check_encoding(R), group.check_encoding(T)
         cert = cls(C, R, T, RingSignature.read(stream, group))
         if stream.read(1):
             raise ParseError("trailing bytes after certificate")

@@ -335,9 +335,11 @@ class RingSignature:
         """Read one signature from a binary stream, leaving it at the end.
 
         Every field comes through :func:`~avcs.groups.take` before it is
-        decoded (a tuple's m, U and v all three), so a short stream
+        checked (a tuple's m, U and v all three), so a short stream
         raises :class:`ParseError` naming what is truncated; bytes after
-        the signature stay unread.
+        the signature stay unread.  Each U_i stays the bytes that
+        ``group.check_encoding`` passed: :func:`ring_verify` decodes it
+        only once the chain closes.
         """
         sbl = group.scalar_byte_len
         ebl = group.element_byte_len
@@ -364,7 +366,7 @@ class RingSignature:
             m = take(stream, sbl, "tuple bytes")
             U = take(stream, ebl, "tuple bytes")
             v = take(stream, sbl, "tuple bytes")
-            tuples.append((m, group.decode_element(U), group.decode_scalar(v)))
+            tuples.append((m, group.check_encoding(U), group.decode_scalar(v)))
         return cls(x, w, tuple(ids), tuple(tuples))
 
     @classmethod
@@ -464,9 +466,11 @@ def ring_verify(
     is 0.  The r keys enter the registry's cache only if the signature
     verifies; the keys of ids cached before the call are then prepared.
 
-    Hostile-input safe: unknown manufactories, degenerate ids and shape
-    violations all reject rather than raise.  Costs exactly 3r logical
-    scalar multiplications and r extractions once the chain closes.
+    Hostile-input safe: unknown manufactories, degenerate ids, shape
+    violations and U_i bytes that decode to no point all reject rather
+    than raise.  U_i bytes are decoded only once the chain closes and
+    the keys extract.  Costs exactly 3r logical scalar multiplications
+    and r extractions once the chain closes.
     """
     group = registry.group
     suite = registry.suite
@@ -485,17 +489,18 @@ def ring_verify(
         return False
     try:
         pubkeys = [registry._derive(id_str) for id_str in sig.ids]
+        points = [group.decode_element(U) if isinstance(U, bytes) else U for _, U, _ in sig.tuples]
         seed = digest32("batch", struct.pack(">I", len(msg)) + msg + sig.to_bytes(group))
-    except (ValueError, UnknownManufactoryError, DegenerateKeyError):
+    except (ValueError, ParseError, UnknownManufactoryError, DegenerateKeyError):
         return False
     q = group.q
     pairs = []
     inverses = batch_inverse([v for _, _, v in sig.tuples], q)
-    for i, ((m, U, v), E, v_inv) in enumerate(zip(sig.tuples, pubkeys, inverses)):
+    for i, ((m, U, v), point, E, v_inv) in enumerate(zip(sig.tuples, points, pubkeys, inverses)):
         z = group.hash_to_short("batch", struct.pack(">I", i) + seed)
         s, u = (-z * v_inv, z) if v else (z, 0)
         pairs += [(s * int.from_bytes(m, "big"), group.generator),
-                  (-s * suite.h1(group, U), E), (u, U)]
+                  (-s * suite.h1(group, U), E), (u, point)]
     if not group.is_identity(group.multi_mul(pairs)):
         return False
     registry._keep(dict(zip(sig.ids, pubkeys)))

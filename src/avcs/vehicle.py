@@ -228,8 +228,8 @@ class VehicleState:
         except ParseError:
             return _reject("malformed")
 
-        t_enc = group.encode_element(cert.T)
-        if t_enc in self._fingerprint_by_t:
+        # R and T stay the bytes that parsed: no equation reads their points
+        if cert.T in self._fingerprint_by_t:
             return _reject("sybil")
 
         if now > parsed.expiration + CLOCK_SKEW:
@@ -241,7 +241,7 @@ class VehicleState:
             # leaked f values are public; the expiry checks bound the issue second
             tag = self.hsm.window_tag(parsed.issue)
             for f in sorted(self.rogue_list):
-                if group.multi_mul([(f, tag)]) == cert.T:
+                if group.encode_element(group.multi_mul([(f, tag)])) == cert.T:
                     return _reject("revoked")
 
         if not ring_verify(signed_message(group, cert.C, cert.R, cert.T), cert.S, self.hsm.registry):
@@ -249,8 +249,8 @@ class VehicleState:
 
         if entry is not None:  # another frame with this fingerprint: replace it
             del self._fingerprint_by_t[entry.t_enc]
-        self.pseudonym_buf[fingerprint] = _BufferedCert(frame, t_enc, parsed.pk, parsed.expiration)
-        self._fingerprint_by_t[t_enc] = fingerprint
+        self.pseudonym_buf[fingerprint] = _BufferedCert(frame, cert.T, parsed.pk, parsed.expiration)
+        self._fingerprint_by_t[cert.T] = fingerprint
         self._earliest_expiration = min(self._earliest_expiration, parsed.expiration)
         self._harvest_ids(cert.S.ids)
         return ReceiveResult("accept")
@@ -284,8 +284,9 @@ def reveal_check(sigma: PseudonymCertificate, sigma_prime: PseudonymCertificate,
                  group) -> bool:
     """Supervisor-side audit decision: True iff R matches.
 
-    ``sigma_prime`` must be a reveal response for the same questioned
-    C; anything else is a protocol error, not a no-match.
+    R is compared by its encoding, so either certificate may be minted
+    or parsed.  ``sigma_prime`` must be a reveal response for the same
+    questioned C; anything else is a protocol error, not a no-match.
     """
     if sigma_prime.C != sigma.C:
         raise ProtocolError("reveal response answers a different C")

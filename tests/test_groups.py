@@ -230,6 +230,38 @@ def test_decode_rejects_garbage():
     assert rejected
 
 
+def test_check_encoding_is_decoding_without_the_square_root(monkeypatch):
+    rng = random.Random(98)
+    for group in (TOY, BIG_TOY, P192, P256):
+        for a in (group.identity, group.generator, group.hash_to_group("h0", b"c")):
+            blob = group.encode_element(a)
+            assert group.check_encoding(blob) is blob
+            assert group.encode_element(blob) is blob  # an encoding passes unchanged
+    for blob in (b"\x17", b"\x01\x02"):
+        with pytest.raises(ParseError):
+            TOY.check_encoding(blob)
+    for group in (P192, P256):
+        n = group.element_byte_len - 1
+        for blob in (b"\x05" + bytes(n), b"\x00" + b"\x01" * n, b"\x02" + b"\xff" * n,
+                     b"\x03" + group._p.to_bytes(n, "big"), b"\x02" + bytes(n - 1)):
+            with pytest.raises(ParseError):
+                group.check_encoding(blob)
+            with pytest.raises(ParseError):
+                group.decode_element(blob)
+        # canonical x with and without a curve point: no square root either way
+        monkeypatch.setattr(group, "_lift_x", lambda *a: pytest.fail("square root taken"))
+        xs = [0, group._p - 1] + [rng.randrange(group._p) for _ in range(20)]
+        for x in xs:
+            blob = bytes([2 + x % 2]) + x.to_bytes(n, "big")
+            assert group.check_encoding(blob) is blob
+        monkeypatch.undo()
+        off_curve = [x for x in xs if group._lift_x(x, 0) is None]
+        assert off_curve
+        for x in off_curve:
+            with pytest.raises(ParseError):
+                group.decode_element(b"\x02" + x.to_bytes(n, "big"))
+
+
 def test_get_group():
     assert get_group("p192") is P192
     assert get_group("P256") is P256

@@ -22,7 +22,7 @@ from avcs.hardware import (
     join,
     leak_master_secret,
 )
-from avcs.ringsig import ManufactoryRegistry, ring_verify, setup
+from avcs.ringsig import ManufactoryRegistry, RingSignature, ring_verify, setup
 from avcs.vehicle import reveal_check
 from helpers import SUPERVISOR_TOKEN, toy_world
 
@@ -257,8 +257,15 @@ def test_certificate_wire_round_trip():
     v = world.vehicles[0]
     ring = v.choose_ring(random.Random(1))
     cert = v.hsm.gen_pseudonym(ring, 60, random.Random(2))
-    blob = cert.to_bytes(world.group)
-    assert PseudonymCertificate.from_bytes(blob, world.group) == cert
+    group = world.group
+    blob = cert.to_bytes(group)
+    # parsing keeps R, T and every U_i as their checked encodings
+    S = cert.S
+    encoded = PseudonymCertificate(
+        cert.C, group.encode_element(cert.R), group.encode_element(cert.T),
+        RingSignature(S.x, S.w, S.ids, tuple((m, group.encode_element(U), v) for m, U, v in S.tuples)),
+    )
+    assert PseudonymCertificate.from_bytes(blob, group) == encoded
     for cut in (0, 1, 5, len(blob) // 2, len(blob) - 1):
         with pytest.raises(ParseError):
             PseudonymCertificate.from_bytes(blob[:cut], world.group)

@@ -640,7 +640,9 @@ def test_wire_round_trip():
         ring, signer, pos = make_big_toy_ring(registry, mk, r, seed=r + 20)
         sig = ring_sign(b"wire", ring, signer, pos, registry, random.Random(r))
         blob = sig.to_bytes(BIG_TOY)
-        assert RingSignature.from_bytes(blob, BIG_TOY) == sig
+        # each U_i is read as its checked encoding, decoded only by ring_verify
+        tuples = tuple((m, BIG_TOY.encode_element(U), v) for m, U, v in sig.tuples)
+        assert RingSignature.from_bytes(blob, BIG_TOY) == RingSignature(sig.x, sig.w, sig.ids, tuples)
 
 
 def test_ring_10_signature_on_p192_is_878_bytes():

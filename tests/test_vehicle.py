@@ -21,7 +21,7 @@ from avcs.hardware import (
     pack_content,
     signed_message,
 )
-from avcs.ringsig import ManufactoryRegistry, ring_sign, setup
+from avcs.ringsig import ManufactoryRegistry, RingSignature, ring_sign, setup
 from avcs.vehicle import (
     FRAME_CERT,
     FRAME_MSG,
@@ -471,14 +471,20 @@ def test_replaced_certificate_drops_its_table(monkeypatch):
     assert prepared_entries(receiver) == []
 
 
+def logged_decodes(monkeypatch):
+    """Every encoding P192.decode_element is asked to decompress."""
+    decoded = []
+    decode = P192.decode_element
+    monkeypatch.setattr(P192, "decode_element", lambda data: decoded.append(data) or decode(data))
+    return decoded
+
+
 def test_resent_certificate_is_a_duplicate_without_parsing(monkeypatch):
     sender, receiver, clock = p192_pair()
     sender.make_pseudonym(10, random.Random(68))  # expires at 1010
     frame = sender.certificate_frame
     assert receiver.receive(frame, clock.now()).accepted
-    decoded = []
-    decode = P192.decode_element
-    monkeypatch.setattr(P192, "decode_element", lambda data: decoded.append(data) or decode(data))
+    decoded = logged_decodes(monkeypatch)
     for now in (1000.0, 1015.0):  # the second is the last instant within the skew
         assert receiver.receive(frame, now).outcome == "duplicate"
     assert decoded == []
@@ -486,6 +492,77 @@ def test_resent_certificate_is_a_duplicate_without_parsing(monkeypatch):
     replay = receiver.receive(frame, 1016.0)
     assert replay.outcome == "reject" and replay.reason == "expired"
     assert decoded and not receiver.pseudonym_buf
+
+
+def pk_bytes(cert):
+    return cert.C[1 : 1 + P192.element_byte_len]
+
+
+def splice(frame, field, replacement):
+    at = frame.index(field)
+    return frame[:at] + replacement + frame[at + len(field):]
+
+
+def test_accepted_certificate_decodes_its_key_and_each_u_only(monkeypatch):
+    *vehicles, clock = p192_pair(seed=74, n=4)
+    sender, receiver = vehicles[:2]
+    cert = sender.make_pseudonym(600, random.Random(75), ring=[v.hsm.identity for v in vehicles])
+    decoded = logged_decodes(monkeypatch)
+    assert receiver.receive(sender.certificate_frame, clock.now()).accepted
+    us = [P192.encode_element(U) for _, U, _ in cert.S.tuples]
+    assert decoded == [pk_bytes(cert)] + us  # 1 + r square roots, none for R or T
+
+
+def test_open_chain_ghost_ring_decodes_only_its_key(monkeypatch):
+    _, receiver, clock = p192_pair(seed=80)
+    rng = random.Random(81)
+
+    def point():
+        return P192.hash_to_group("ghost", rng.randbytes(16))
+
+    sbl = P192.scalar_byte_len
+    C = pack_content(P192, point(), clock.now(), 30.0)
+    tuples = tuple((rng.randbytes(sbl), point(), rng.randrange(1, P192.q)) for _ in range(8))
+    S = RingSignature(1, rng.randbytes(sbl), tuple(f"c:ghost-{i}" for i in range(8)), tuples)
+    frame = encode_cert_frame(PseudonymCertificate(C, point(), point(), S), P192)
+    decoded = logged_decodes(monkeypatch)
+    with count_group_ops() as ops:
+        result = receiver.receive(frame, clock.now())
+    assert result.outcome == "reject" and result.reason == "bad-signature"
+    assert decoded == [C[1 : 1 + P192.element_byte_len]]
+    assert (ops.scalar_muls, ops.extractions) == (0, 0)
+
+
+def test_off_curve_u_closes_the_chain_and_is_a_bad_signature(monkeypatch):
+    sender, receiver, clock = p192_pair(seed=82)
+    ring = [sender.hsm.identity, receiver.hsm.identity]
+    cert = sender.make_pseudonym(600, random.Random(83), ring=ring)
+    x = next(x for x in range(1, 100) if P192._lift_x(x, 0) is None)
+    off_curve = b"\x02" + x.to_bytes(P192.element_byte_len - 1, "big")
+    u0, u1 = (P192.encode_element(U) for _, U, _ in cert.S.tuples)
+    frame = splice(sender.certificate_frame, u1, off_curve)
+    decoded = logged_decodes(monkeypatch)
+    with count_group_ops() as ops:
+        result = receiver.receive(frame, clock.now())
+    assert result.outcome == "reject" and result.reason == "bad-signature"
+    # the chain covers w and the m_i only: it closed, both keys extracted,
+    # and the bad U_1 was the first thing that failed to decode
+    assert decoded == [pk_bytes(cert), u0, off_curve]
+    assert (ops.scalar_muls, ops.extractions) == (0, 2)
+    assert not receiver.pseudonym_buf
+
+
+def test_non_canonical_r_t_or_u_is_malformed():
+    sender, receiver, clock = p192_pair(seed=84)
+    cert = sender.make_pseudonym(600, random.Random(85))
+    frame = sender.certificate_frame
+    tail = P192.element_byte_len - 1
+    for point in (cert.R, cert.T, cert.S.tuples[0][1]):
+        field = P192.encode_element(point)
+        for junk in (b"\x05" + field[1:], b"\x02" + b"\xff" * tail, b"\x00" + field[1:]):
+            result = receiver.receive(splice(frame, field, junk), clock.now())
+            assert result.outcome == "reject" and result.reason == "malformed"
+    assert receiver.receive(frame, clock.now()).accepted
 
 
 def test_rogue_scan_on_a_prepared_tag():
