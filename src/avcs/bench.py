@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .groups import count_group_ops, get_group
 from .hardware import ManualClock, join
 from .ringsig import ManufactoryRegistry, keygen, ring_sign, ring_verify, setup
-from .transient import KEY_ROWS
+from .transient import KEY_SPACING
 from .transient import verify as verify_transient
 from .vehicle import VehicleState, cert_fingerprint, encode_cert_frame, encode_message_frame
 
@@ -204,7 +204,7 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
         app = sender_hsm.gen_message(_PAYLOAD)
         msg_frame = encode_message_frame(cert_fingerprint(cert_frame), app.M, app.N)
         # a receiver's steady state from a certificate's third message on
-        pk = group.prepare(cert.parse_c(group).pk, KEY_ROWS)
+        pk = group.prepare(cert.parse_c(group).pk, KEY_SPACING)
         assert verify_transient(group, pk, app.M, app.N)
         assert VehicleState(recv_hsm).receive(cert_frame, now).accepted
 

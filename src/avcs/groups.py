@@ -47,6 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from math import lcm
 
 from .errors import MappingError, ParseError
 
@@ -280,7 +281,7 @@ class ToyGroup(_ScalarCodec):
         _note_scalar_mul(len(scalars))
         return [k % self.q for k in scalars]
 
-    def prepare(self, a: int, rows: int = 8) -> int:
+    def prepare(self, a: int, spacing: int | None = None) -> int:
         # multiplication is already one step here: nothing to precompute
         return a
 
@@ -358,12 +359,11 @@ _P256 = _CurveParams(
 )
 
 def _wnaf(k: int, w: int) -> list[tuple[int, int]]:
-    """The nonzero width-``w`` NAF digits of ``k >= 0`` as (position,
+    """The nonzero width-``w`` NAF digits of ``k >= 1`` as (position,
     digit) pairs, least significant first: each digit is odd and below
     ``2**(w-1)`` in size, so a row of ``2**(w-2)`` odd multiples holds
-    it, and at least ``w - 1`` zeros separate two of them."""
-    terms = []
-    i = 0
+    it, and none lies above k's top bit."""
+    terms, i, top = [], 0, k.bit_length()
     mask, half = (1 << w) - 1, 1 << (w - 1)
     while k:
         zeros = (k & -k).bit_length() - 1
@@ -375,6 +375,17 @@ def _wnaf(k: int, w: int) -> list[tuple[int, int]]:
         terms.append((i, d))
         k = (k - d) >> w
         i += w
+    if terms[-1][0] == top:
+        # the last negative d, at bit j, carried through a run of ones to bit
+        # top: 2**(top-j) + d takes positive digits of w - 1 bits, which never carry
+        del terms[-1]
+        j, d = terms.pop()
+        v = (1 << top - j) + d
+        while v:
+            zeros = (v & -v).bit_length() - 1
+            terms.append((j + zeros, (v >> zeros) & (half - 1)))
+            v >>= zeros + w - 1
+            j += zeros + w - 1
     return terms
 
 
@@ -395,14 +406,15 @@ def _regular_digits(k: int, n: int, w: int) -> list[int]:
 
 
 class _PreparedPoint(tuple):
-    """An affine point carrying the split-scalar table of ``prepare``.
+    """An affine point carrying the table of ``prepare``.
 
     It equals, hashes and encodes as the plain ``(x, y)`` point, so it
     goes wherever a point goes; ``scalar_mul`` and ``multi_mul`` also
-    read its ``rows``.
+    read its ``rows``, ``spacing`` bits apart.
     """
 
     rows: list
+    spacing: int
 
 
 class CurveGroup(_ScalarCodec):
@@ -411,20 +423,20 @@ class CurveGroup(_ScalarCodec):
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
     A base that lives long, such as a certificate's transient key, a
     ring member's key or a window's h1 tag, can be given to ``prepare``
-    once: with L = bits(q) / 8 (24 on P-192, 32 on P-256), its table
-    holds the odd multiples 1, 3, 5, 7 of ``2**(L*j) * P`` for j = 0..7
-    (Lim-Lee split rows), or for j = 0..3 only on a transient key, whose
-    half-width Schnorr challenges fill 4 of the 8 slices.
+    once: its table holds 1, 3, 5, 7 times ``2**(s*j) * P`` in rows
+    j = 0, 1, ... (Lim-Lee): 8 split rows s = L = bits(q) / 8 apart (24
+    on P-192, 32 on P-256) for a ring key or a tag, and for a transient
+    key as many rows s = 16 apart as its half-width challenges fill.
 
     ``scalar_mul`` recodes the odd one of k and q - k into odd signed
     digits (Joye-Tunstall) and adds one table entry per digit, so its
     pattern does not depend on the scalar: for the generator, bits(q)/8
     digits (24 on P-192, 32 on P-256) from row i of a table built once
     per curve, the odd multiples 1, 3, ..., 255 of ``256**i * G``, with
-    no doubling; for a point prepared with all 8 rows, bits(q)/3
-    width-3 digits from its split rows, one doubling per slice offset
+    no doubling; for a point with the 8 split rows, bits(q)/3
+    width-3 digits from them, one doubling per slice offset
     (L doublings, 24 on P-192 and 32 on P-256); for any other point, a
-    4-row one included, a per-call row P, 3P, ..., 15P walked most
+    transient key included, a per-call row P, 3P, ..., 15P walked most
     significant digit first, 4 doublings before each addition.
     The generator's table holds 3072 affine points on P-192 (4096 on
     P-256), about 0.6 MB (0.9 MB), built on first use in about 55 ms
@@ -437,19 +449,15 @@ class CurveGroup(_ScalarCodec):
     addition meets its own operand and doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
-    share a single doubling chain.  The widest scalar on a base that is
-    neither prepared nor the generator sets its length: L + 1 doublings
-    when those scalars fit L bits (or there is no such base, as in a
-    message check on a prepared key: 25 on P-192, 33 on P-256), 2L + 1
-    or 4L + 1 when they fit 2L or 4L bits (4L + 1 for a message check on
-    a plain key, whose challenge is half width: 97 on P-192, 129 on
-    P-256), and bits(q) + 1 otherwise.  A scalar past 4L bits on a 4-row
-    base also takes bits(q) + 1.
+    share one doubling chain: 16 steps for a message check on a prepared
+    key, L for the rogue scan on a tag, and for a check on a plain key
+    (``ring_verify``) the first multiple of 8 (of lcm(8, L)) above its
+    half-width scalars' top bit, 96 on P-192 and 128 on P-256 for most.
     """
 
     _GEN_WIDTH = 8  # generator-table digits are odd and below 2**8 in size
     _ROW_WIDTH = 4  # per-call row digits are odd and below 2**4 in size
-    _SLICES = 8     # a prepared base splits each scalar into this many slices
+    _SLICES = 8     # split rows: scalar_mul cuts a scalar into this many slices
 
     def __init__(self, params: _CurveParams):
         if params.a != -3:
@@ -590,14 +598,6 @@ class CurveGroup(_ScalarCodec):
         return self._odd_multiples([self.generator], -(-self.q.bit_length() // w), 1 << (w - 1), w)
 
     @cached_property
-    def _generator_rows(self):
-        """The generator's split table: row j is generator-table row
-        ``L*j / w`` whole, i.e. 1, 3, ..., 255 times ``2**(L*j) * G``, so
-        ``multi_mul`` reads the generator's slices with width-9 digits."""
-        step = self._slice_bits // self._GEN_WIDTH
-        return [self._generator_table[step * j] for j in range(self._SLICES)]
-
-    @cached_property
     def _split_walk(self):
         """``scalar_mul``'s schedule over a prepared base's rows, as
         (doublings, slice j, digit i) triples, one per width-3 digit of a
@@ -613,24 +613,24 @@ class CurveGroup(_ScalarCodec):
             top = offset
         return walk
 
-    def prepare(self, a, rows: int = _SLICES):
-        """``a`` with its split-scalar table for ``scalar_mul`` and
-        ``multi_mul``; counts nothing.
-
-        Row j holds the odd multiples 1, 3, 5, 7 of ``2**(L*j) * a`` for
-        j below ``rows``, from one inversion.  All 8 rows (32 points,
-        7L + 1 doublings and 24 mixed additions) serve any scalar; 4 rows
-        (16 points, 3L + 1 doublings and 12 additions) serve a ``multi_mul``
-        scalar below ``2**(4L)``, such as a half-width Schnorr challenge.
-        The identity, and a prepared point with at least ``rows`` rows,
-        come back as they are.
+    def prepare(self, a, spacing: int | None = None):
+        """``a`` with a table for ``scalar_mul`` and ``multi_mul``; counts
+        nothing.  Row j holds 1, 3, 5, 7 times ``2**(s*j) * a``, all rows
+        from one inversion.  By default s = L, with the 8 split rows that
+        ``scalar_mul`` walks (7L + 1 doublings, 24 mixed additions).  A
+        ``spacing`` s gives ceil(lam / s) rows, lam = bits(q)/2 rounded up,
+        for ``hash_to_short``'s scalars: 6 rows on P-192 at s = 16 (81
+        doublings, 18 additions).  The identity, and a point prepared at
+        that spacing with at least that many rows, come back as they are.
         """
-        if not 0 < rows <= self._SLICES:
-            raise ValueError(f"a prepared point has 1..{self._SLICES} rows")
-        if a is None or len(getattr(a, "rows", ())) >= rows:
+        lam = -(-self.q.bit_length() // 2)
+        if spacing is not None and not 0 < spacing <= lam:
+            raise ValueError(f"a prepared point's rows lie 1..{lam} bits apart")
+        spacing, rows = (spacing, -(-lam // spacing)) if spacing else (self._slice_bits, self._SLICES)
+        if a is None or (getattr(a, "spacing", 0) == spacing and len(a.rows) >= rows):
             return a
         prepared = _PreparedPoint(a)
-        prepared.rows = self._odd_multiples([a], rows, 4, self._slice_bits)
+        prepared.rows, prepared.spacing = self._odd_multiples([a], rows, 4, spacing), spacing
         return prepared
 
     def _walk(self, k: int, a):
@@ -641,8 +641,8 @@ class CurveGroup(_ScalarCodec):
             # row i already holds 256**i * G: least significant digit first
             w = self._GEN_WIDTH
             return zip(repeat(()), self._generator_table, _regular_digits(k, -(-bits // w), w))
-        if isinstance(a, _PreparedPoint) and len(a.rows) == self._SLICES:
-            # width 3: the prepared rows hold 1, 3, 5 and 7 times their base
+        if getattr(a, "spacing", 0) == self._slice_bits and len(a.rows) == self._SLICES:
+            # width 3: the split rows hold 1, 3, 5 and 7 times their base
             digits = _regular_digits(k, len(self._split_walk), 3)
             return ((doublings, a.rows[j], digits[i]) for doublings, j, i in self._split_walk)
         w = self._ROW_WIDTH
@@ -709,50 +709,50 @@ class CurveGroup(_ScalarCodec):
         """The sum of ``k * P`` over ``pairs``; variable time, so every
         scalar must be public.
 
-        Equal points are merged first.  Each base that is neither
-        prepared nor the generator gets its odd multiples P..7P as its
-        row 0.  A base's rows are read at a stride of width / L, and the
-        slice width is L bits, doubled while some scalar reaches past the
-        rows its base has at that width, which gives 8, 4, 2 or 1 slices:
-        a fresh base's scalar picks L, 2L, 4L or 8L by its width, a
-        4-row prepared base's scalar forces 8L only beyond 4L bits, and an
-        8-row base or the generator never moves it.  Each scalar is cut
-        into slices of that width, and slice j is added from the base's
-        row ``j * width / L`` at the nonzero digits of its NAF, width 4 on
-        a 4-entry row and width 9 on the generator's 128-entry rows, so the
-        chain takes width + 1 doublings: L + 1 for a message check on a
-        prepared key.
+        Equal points are merged first.  The generator's rows lie 8 bits
+        apart, a prepared base's at its ``prepare`` spacing, and any other
+        base gets its odd multiples P..7P as one row.  Each scalar is
+        recoded once, into a NAF of width 4 on 4-entry rows and 9 on the
+        generator's 128-entry rows, none of whose digits lies above its
+        top bit.  The chain is C steps: the least common multiple of the
+        spacings of the bases whose rows cover their scalars, raised to
+        its first multiple above the top bit of every other scalar.  Digit
+        (i, d) is added at step i mod C from row ``(i // C) * (C / spacing)``,
+        so a base whose rows fall short reads its row 0 alone.
         """
         _note_scalar_mul(len(pairs))
-        q, p, gen, L = self.q, self._p, self.generator, self._slice_bits
-        merged: dict = {}
-        rows: dict = {}
+        q, p, gen = self.q, self._p, self.generator
+        merged, tables = {}, {}
         for k, pt in pairs:
             if pt is not None:
                 merged[pt] = (merged.get(pt, 0) + k) % q
                 if isinstance(pt, _PreparedPoint):
-                    rows[pt] = pt.rows
+                    tables[pt] = pt.rows, pt.spacing
         live = {pt: k for pt, k in merged.items() if k}
         if gen in live:
-            rows[gen] = self._generator_rows
-        fresh = [pt for pt in live if pt not in rows]
-        if fresh:
-            rows.update((pt, [row]) for pt, row in zip(fresh, self._odd_multiples(fresh, 1, 4, 0)))
-        width = L
-        while any(k >> (width * len(rows[pt][:: width // L])) for pt, k in live.items()):
-            width *= 2
-        mask = (1 << width) - 1
-        steps: list[list] = [[] for _ in range(width + 1)]
-        for pt, k in live.items():
-            w = len(rows[pt][0]).bit_length() + 1  # 4 entries: width 4; 128: width 9
-            for row in rows[pt][:: width // L]:
-                for i, d in _wnaf(k & mask, w):
-                    if d > 0:
-                        steps[i].append(row[d >> 1])
-                    else:
-                        x, y = row[-d >> 1]
-                        steps[i].append((x, p - y))
-                k >>= width
+            tables[gen] = self._generator_table, self._GEN_WIDTH
+        fresh = [pt for pt in live if pt not in tables]
+        if fresh:  # one row, which covers bit 0 alone
+            tables.update((pt, ([row], 1)) for pt, row in zip(fresh, self._odd_multiples(fresh, 1, 4, 0)))
+        terms = [(k, *tables[pt]) for pt, k in live.items()]
+        spacing, top = 1, 0
+        for k, rows, s in terms:
+            if k >> len(rows) * s:
+                top = max(top, k.bit_length() - 1)
+            else:
+                spacing = lcm(spacing, s)
+        C = (top // spacing + 1) * spacing
+        steps: list[list] = [[] for _ in range(C)]
+        for k, rows, s in terms:
+            rows = rows[:: C // s]  # row j: digits at bits jC..jC + C - 1
+            w = len(rows[0]).bit_length() + 1  # 4 entries: width 4; 128: width 9
+            for i, d in _wnaf(k, w):
+                j, i = divmod(i, C)
+                if d > 0:
+                    steps[i].append(rows[j][d >> 1])
+                else:
+                    x, y = rows[j][-d >> 1]
+                    steps[i].append((x, p - y))
         acc = (1, 1, 0)
         for adds in reversed(steps):
             acc = self._jac_double(acc)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from .errors import ParseError
 
-__all__ = ["KEY_ROWS", "gen_keypair", "sign", "signature_byte_len", "verify"]
+__all__ = ["KEY_SPACING", "gen_keypair", "sign", "signature_byte_len", "verify"]
 
-# a half-width challenge fills 4 of a prepared key's 8 split rows
-KEY_ROWS = 4
+# a prepared key's rows lie 16 bits apart: a check on it runs a 16-step chain
+KEY_SPACING = 16
 
 
 def gen_keypair(group, rng):
@@ -52,10 +52,10 @@ def verify(group, pk, msg: bytes, signature: bytes) -> bool:
     """Check s*P + e*pk = R in one multi-scalar multiplication.
 
     Hostile-input safe; two logical scalar muls.  The challenge e is
-    half width (``hash_to_short``) and enters with its own sign, so its
-    doubling chain is bits(q)/2 + 1 long (97 on P-192) on a plain key.
-    ``pk`` may come from ``group.prepare(pk, KEY_ROWS)``, whose 4 rows
-    hold e's 4 slices: the chain is then bits(q)/8 + 1 (25 on P-192).
+    half width (``hash_to_short``) and enters with its own sign, so on a
+    plain key the doubling chain is the first multiple of 8 above e's top
+    bit (96 on P-192 for most e).  On ``group.prepare(pk, KEY_SPACING)``,
+    whose rows lie 16 bits apart and cover e, it is 16 steps.
     R stays bytes: an encoding equals it iff R decodes to that point.
     """
     ebl = group.element_byte_len

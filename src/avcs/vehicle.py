@@ -111,7 +111,7 @@ def _reject(reason: str) -> ReceiveResult:
 class _BufferedCert:
     frame: bytes
     t_enc: bytes
-    pk: object  # prepared with KEY_ROWS rows at the second message that verifies
+    pk: object  # prepared at KEY_SPACING at the second message that verifies
     expiration: int
     carried_message: bool = False
 
@@ -267,7 +267,7 @@ class VehicleState:
             return _reject("no-cert")
         # a certificate that has carried one valid message likely carries
         # more: from the second on, its key is checked on a prepared base
-        pk = group.prepare(entry.pk, transient.KEY_ROWS) if entry.carried_message else entry.pk
+        pk = group.prepare(entry.pk, transient.KEY_SPACING) if entry.carried_message else entry.pk
         if not transient.verify(group, pk, M, N):
             return _reject("bad-signature")
         entry.pk, entry.carried_message = pk, True

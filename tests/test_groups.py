@@ -18,6 +18,7 @@ from avcs.groups import (
     ToyGroup,
     _PreparedPoint,
     _regular_digits,
+    _wnaf,
     batch_inverse,
     count_group_ops,
     digest32,
@@ -393,34 +394,85 @@ def test_multi_mul_edge_cases(group):
     assert ops.scalar_muls == 3
 
 
-# --- prepared bases: the split path of multi_mul against the plain one
+# --- the bounded NAF that multi_mul recodes each scalar into
+
+
+@st.composite
+def naf_cases(draw):
+    """(k, w), k >= 1, for the widths multi_mul uses (4 and 9) and one
+    between: runs of ones, such a run less a small odd value, q - 1,
+    q - 2 and 2**lam - 1, where a plain NAF's last carry would land
+    above the top bit, and any scalar below q."""
+    w = draw(st.sampled_from([4, 5, 9]))
+    group = draw(st.sampled_from(CURVES))
+    q = group.q
+    n = draw(st.integers(1, q.bit_length()))
+    odd = 2 * draw(st.integers(0, 2 ** (w - 2) - 1)) + 1  # below 2**(w-1)
+    runs = [2**n - 1] + ([2**n - 1 - odd] if 2**n - 1 > odd else [])
+    special = runs + [q - 1, q - 2, 2 ** short_bits(group) - 1]
+    return draw(st.one_of(st.sampled_from(special), st.integers(1, q - 1))), w
+
+
+def check_naf(k, w):
+    terms = _wnaf(k, w)
+    assert sum(d << i for i, d in terms) == k
+    assert all(d & 1 and abs(d) < 2 ** (w - 1) for _, d in terms)
+    positions = [i for i, _ in terms]
+    assert positions == sorted(set(positions))
+    assert positions[-1] < k.bit_length()
+
+
+@PROPERTY
+@given(naf_cases())
+def test_naf_sums_to_k_with_odd_digits_none_above_its_top_bit(case):
+    check_naf(*case)
+
+
+def test_naf_of_every_small_scalar():
+    for w in (4, 5, 9):
+        for k in range(1, 2**12):
+            check_naf(k, w)
+    # a plain width-4 NAF writes a run of ones as 2**8 - 1, a digit above
+    # the top bit; the bounded one uses positive digits below it
+    assert _wnaf(2**8 - 1, 4) == [(0, 7), (3, 7), (6, 3)]
+
+
+# --- prepared bases: multi_mul over their rows against the plain bases
 
 
 def slice_bits(group):
     return -(-group.q.bit_length() // 8)
 
 
+def short_bits(group):
+    """lam: the width of a half-width scalar from ``hash_to_short``."""
+    return -(-group.q.bit_length() // 2)
+
+
 @st.composite
 def prepared_cases(draw):
-    """(group, pairs with some bases prepared, with 4 or 8 rows, the same
-    pairs unprepared): scalars include slice boundaries, where a slice's
-    NAF carries into digit L, and a 4-row base's reach of 4L bits; a base
-    can appear both prepared and plain."""
+    """(group, pairs with some bases prepared, the same pairs unprepared):
+    each prepared base has the 8 split rows L bits apart, a transient
+    key's rows 16 bits apart, or 4 rows L bits apart.  Scalars include
+    the bounds of a row and of each layout's reach (L, 16 and lam bits,
+    4L and 7L); a base can appear both prepared and plain."""
     group = draw(st.sampled_from(MSM_GROUPS))
-    q, L = group.q, slice_bits(group)
+    q, L, lam = group.q, slice_bits(group), short_bits(group)
     multiples = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
     bases = [group.generator, group.identity] + [
         group.scalar_mul(k, group.generator) for k in multiples
     ]
-    boundaries = [2**L - 1, 2**L, 2 ** (2 * L) - 1, 2 ** (4 * L) - 1, 2 ** (4 * L),
-                  2 ** (7 * L) - 1, 2 ** (7 * L) + 2**L - 1]
+    boundaries = [2**L - 1, 2**L, 2**16 - 1, 2**16, 2**lam - 1, 2**lam, 2 ** (4 * L) - 1,
+                  2 ** (4 * L), 2 ** (7 * L) - 1, 2 ** (7 * L) + 2**L - 1]
     scalars = st.one_of(
         st.sampled_from([0, 1, -1, q - 1, q, 2 * q + 3] + boundaries + [-b for b in boundaries]),
         st.integers(-2 * q, 2 * q),
     )
     plain = draw(st.lists(st.tuples(scalars, st.sampled_from(bases)), max_size=6))
-    tables = draw(st.lists(st.sampled_from([0, 4, 8]), min_size=len(plain), max_size=len(plain)))
-    pairs = [(k, group.prepare(pt, rows) if rows else pt) for (k, pt), rows in zip(plain, tables)]
+    layouts = st.sampled_from(["plain", None, transient.KEY_SPACING, L])
+    chosen = draw(st.lists(layouts, min_size=len(plain), max_size=len(plain)))
+    pairs = [(k, pt if layout == "plain" else group.prepare(pt, layout))
+             for (k, pt), layout in zip(plain, chosen)]
     return group, pairs, plain
 
 
@@ -456,89 +508,128 @@ def test_prepare_counts_nothing_and_keeps_the_point(group):
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_generator_rows_line_up_with_the_slices(group, point_ops):
-    L = group._slice_bits
-    assert L == slice_bits(group) and L % group._GEN_WIDTH == 0
-    assert len(group._generator_rows) == 8
-    for j, row in enumerate(group._generator_rows):
-        # 1, 3, ..., 255 times 2**(L*j) * G, by affine additions of its double
-        base = double_and_add(group, 2 ** (L * j), group.generator)
-        twice, expected = affine_add(group, base, base), [base]
-        while len(expected) < 128:
-            expected.append(affine_add(group, expected[-1], twice))
-        assert row == expected
-    assert group.prepare(group.generator).rows == [row[:4] for row in group._generator_rows]
-    # 255 in every slice: one width-9 digit per slice on the generator's
-    # 128-entry rows, and two width-4 digits (256 - 1) on a prepared key's
-    k = sum(255 << L * j for j in range(8))
-    pk = group.prepare(group.scalar_mul(0xBEEF, group.generator))
-    assert point_ops(lambda: group.multi_mul([(k, group.generator)])) == (L + 1, 8, 1)
-    assert point_ops(lambda: group.multi_mul([(k, pk)])) == (L + 1, 16, 1)
-    # the whole table: 24 rows of 128 points on P-192, 32 on P-256
+def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypatch):
+    G, L, lam = group.generator, slice_bits(group), short_bits(group)
     table = group._generator_table
+    # the comb: row i holds 1, 3, ..., 255 times 2**(8i) * G; 24 rows of
+    # 128 points on P-192, 32 on P-256
     assert {len(row) for row in table} == {128}
     assert sum(map(len, table)) == {"p192": 3072, "p256": 4096}[group.group_id]
+    for i in (1, 12, len(table) - 1):
+        assert [table[i][m >> 1] for m in (1, 3, 255)] == [
+            double_and_add(group, m * 2 ** (8 * i), G) for m in (1, 3, 255)
+        ]
+    read = []
+
+    class Row(list):
+        def __getitem__(self, m):
+            read.append(self.i)
+            return list.__getitem__(self, m)
+
+    comb = [Row(row) for row in table]
+    for i, row in enumerate(comb):
+        row.i = i
+    monkeypatch.setattr(group, "_generator_table", comb)
+    key = group.scalar_mul(0xBEEF, G)
+    # the chain is C = 16 beside a transient key, L beside a ring key, and
+    # lam beside a fresh base whose scalar's top bit is lam - 1
+    for other, k, C in ((group.prepare(key, transient.KEY_SPACING), 1, 16),
+                        (group.prepare(key), 1, L),
+                        (key, 2 ** (lam - 1) + 1, lam)):
+        # 255 at the foot of each C-bit chunk j: one width-9 digit, added
+        # from comb row j * C / 8
+        chunks = range(group.q.bit_length() // C)
+        s = sum(255 << C * j for j in chunks)
+        read.clear()
+        ops = point_ops(lambda: group.multi_mul([(s, G), (k, other)]))
+        assert set(read) == {j * C // 8 for j in chunks}
+        if other is key:  # one doubling and 3 additions for its odd multiples
+            assert ops == (C + 1, len(chunks) + 2 + 3, 2)
+        else:
+            assert ops == (C, len(chunks) + 1, 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_prepared_check_runs_one_short_doubling_chain(group, point_ops):
-    # a message check on a prepared key, with all 8 rows or with the 4
-    # that a half-width challenge fills: L-bit slices, one chain
+    # a message check on a key prepared at transient.KEY_SPACING: comb
+    # rows 8 bits apart and key rows 16 apart make one chain of 16 steps
+    # on either curve, the first of them a doubling of the identity
     sk, pk = transient.gen_keypair(group, random.Random(2014))
-    for rows in (8, transient.KEY_ROWS):
-        prepared = group.prepare(pk, rows)
-        for i in range(10):
-            msg = b"beacon %d" % i
-            signature = transient.sign(group, sk, pk, msg)
-            assert transient.verify(group, prepared, msg, signature)
-            doublings, _, _ = point_ops(lambda: transient.verify(group, prepared, msg, signature))
-            assert doublings == {"p192": 25, "p256": 33}[group.group_id] == group._slice_bits + 1
+    prepared = group.prepare(pk, transient.KEY_SPACING)
+    group.scalar_mul(1, group.generator)  # build the table outside the count
+    additions = []
+    for i in range(50):
+        msg = b"beacon %d" % i
+        signature = transient.sign(group, sk, pk, msg)
+        assert transient.verify(group, prepared, msg, signature)
+        doublings, adds, inversions = point_ops(lambda: transient.verify(group, prepared, msg, signature))
+        assert (doublings, inversions) == (16, 1)
+        additions.append(adds)
+    # one addition per NAF digit: width 9 on the full-width s, width 4 on
+    # the half-width e
+    assert sum(additions) / len(additions) <= {"p192": 40, "p256": 53}[group.group_id]
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_plain_key_check_runs_a_half_length_chain(group, point_ops):
-    # a half-width challenge on a plain key: one chain of 4L + 1
-    # doublings, and one more for the key's odd multiples
+    # a half-width challenge on a plain key: one chain to the first
+    # multiple of 8 above its top bit (lam for each of these ten), and
+    # one more doubling for the key's odd multiples
     sk, pk = transient.gen_keypair(group, random.Random(2015))
+    group.scalar_mul(1, group.generator)  # build the table outside the count
+    additions = 0
     for i in range(10):
         msg = b"first %d" % i
         signature = transient.sign(group, sk, pk, msg)
         assert transient.verify(group, pk, msg, signature)
-        doublings, _, _ = point_ops(lambda: transient.verify(group, pk, msg, signature))
-        assert doublings == {"p192": 98, "p256": 130}[group.group_id] == 4 * group._slice_bits + 2
+        doublings, adds, _ = point_ops(lambda: transient.verify(group, pk, msg, signature))
+        assert doublings == {"p192": 97, "p256": 129}[group.group_id] == short_bits(group) + 1
+        additions += adds
+    assert additions == {"p192": 430, "p256": 547}[group.group_id]
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_four_row_prepare_builds_half_the_table(group, point_ops):
-    L = group._slice_bits
+def test_transient_prepare_builds_rows_16_bits_apart(group, point_ops):
+    L, lam = slice_bits(group), short_bits(group)
     pt = group.scalar_mul(0xBEEF, group.generator)
-    # one inversion for the whole table: each row is built where its
+    # ceil(lam / 16) rows from one inversion: each row is built where its
     # base's double is affine
-    four = {"p192": (73, 12, 1), "p256": (97, 12, 1)}[group.group_id]
-    assert point_ops(lambda: group.prepare(pt, 4)) == four == (3 * L + 1, 12, 1)
+    rows = {"p192": 6, "p256": 8}[group.group_id]
+    assert rows == -(-lam // transient.KEY_SPACING)
+    cost = {"p192": (81, 18, 1), "p256": (113, 24, 1)}[group.group_id]
+    assert point_ops(lambda: group.prepare(pt, transient.KEY_SPACING)) == cost
+    assert cost == (rows + 15 * (rows - 1), 3 * rows, 1)
     assert point_ops(lambda: group.prepare(pt)) == (7 * L + 1, 24, 1)
-    short, full = group.prepare(pt, 4), group.prepare(pt)
-    assert short == pt and short.rows == full.rows[:4]
-    # enough rows already: the same object; too few: a full table
-    assert group.prepare(full, 4) is full and group.prepare(short, 4) is short
+    short, full = group.prepare(pt, transient.KEY_SPACING), group.prepare(pt)
+    assert short == pt and (short.spacing, full.spacing) == (16, L)
+    assert len(short.rows) == rows and short.rows[0] == full.rows[0]
+    for j in (1, rows - 1):
+        assert short.rows[j] == [double_and_add(group, m << 16 * j, pt) for m in (1, 3, 5, 7)]
+    # the same spacing with enough rows: the same object; another spacing:
+    # a table of its own
+    assert group.prepare(short, transient.KEY_SPACING) is short and group.prepare(full) is full
+    assert group.prepare(full, L) is full  # spacing L asks for 4 of its 8 rows
+    assert group.prepare(pt, L).rows == full.rows[:4]
+    assert group.prepare(full, transient.KEY_SPACING).rows == short.rows
     assert group.prepare(short).rows == full.rows
-    for rows in (0, 9):
+    for spacing in (0, lam + 1):
         with pytest.raises(ValueError):
-            group.prepare(pt, rows)
+            group.prepare(pt, spacing)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_four_row_point_stays_exact_past_its_rows(group, point_ops):
-    # multi_mul reads the 4 rows alone up to 4L bits and falls back to one
-    # full-width slice beyond; scalar_mul never reads them at all
-    L, G = group._slice_bits, group.generator
+def test_transient_key_stays_exact_past_its_rows(group, point_ops):
+    # multi_mul reads a transient key's rows up to lam bits, and beyond
+    # them its row 0 alone, on a chain to the first multiple of 8 above
+    # the scalar's top bit; scalar_mul never reads them at all
+    lam, G = short_bits(group), group.generator
     pt = group.scalar_mul(0xBEEF, G)
-    short = group.prepare(pt, 4)
-    for k in (2 ** (4 * L) - 1, 2 ** (4 * L), 2 ** (7 * L), group.q - 1):
+    short = group.prepare(pt, transient.KEY_SPACING)
+    for k in (2**lam - 1, 2**lam, 2 ** (lam + 40), group.q - 1):
         expected = double_and_add(group, k, pt)
         assert group.multi_mul([(k, short)]) == group.multi_mul([(k, pt)]) == expected
         doublings, _, _ = point_ops(lambda: group.multi_mul([(k, short), (5, G)]))
-        assert doublings == (L + 1 if k < 2 ** (4 * L) else 8 * L + 1)
+        assert doublings == (16 if k < 2**lam else (k.bit_length() + 7) // 8 * 8)
         assert group.scalar_mul(k, short) == expected
         assert point_ops(lambda: group.scalar_mul(k, short)) == point_ops(lambda: group.scalar_mul(k, pt))
 
@@ -854,36 +945,47 @@ def test_generator_multiple_counts_one_scalar_mul(group):
             assert ops.scalar_muls == 1
 
 
-# --- multi_mul's slice rule: the widest scalar on a fresh base picks
-# --- 8, 4, 2 or 1 slices, and prepared bases and the generator follow
+# --- multi_mul across layouts: the comb, split rows, transient rows and
+# --- fresh bases in one call, against double-and-add
+
+
+def reference_mul(group, k, pt):
+    if isinstance(group, ToyGroup):
+        return k * pt % group.q
+    return double_and_add(group, k, pt)
 
 
 @st.composite
-def sliced_cases(draw):
-    """(group, pairs) mixing the generator, prepared and fresh bases;
-    fresh scalars sit around L, 2L, 4L and full width, so every slice
-    count is taken and each boundary is crossed from both sides."""
-    group = draw(st.sampled_from(CURVES))
-    q, L = group.q, group._slice_bits
+def layout_cases(draw):
+    """(group, pairs) mixing the generator, a ring key's 8 rows L bits
+    apart, a transient key's rows 16 bits apart and fresh points.  A
+    point can repeat, in one layout or in two (the transient key and its
+    plain point), and scalars are 0 or sit around the comb's and the
+    rows' spacings, lam and full width: past a transient key's rows
+    included."""
+    group = draw(st.sampled_from(MSM_GROUPS))
+    q, L, lam = group.q, slice_bits(group), short_bits(group)
     G = group.generator
-    fresh = [group.scalar_mul(k, G) for k in (5, 0xF00D)]
-    prepared = [group.prepare(group.scalar_mul(k, G)) for k in (7, 0xBEEF)]
-    bits = st.sampled_from([1, L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1,
-                            4 * L - 1, 4 * L, 4 * L + 1, q.bit_length()])
+    key = group.scalar_mul(0xBEEF, G)
+    ring_key = group.prepare(group.scalar_mul(7, G))
+    bases = [G, key, group.prepare(key, transient.KEY_SPACING), ring_key]
+    bases += [group.scalar_mul(k, G) for k in (5, 0xF00D)]
+    widths = [1, 8, 15, 16, 17, L, L + 1, lam - 1, lam, lam + 1, q.bit_length()]
+    bits = st.sampled_from([n for n in widths if 0 < n <= q.bit_length()])
     pairs = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(1, 6))):
         n = draw(bits)
-        k = draw(st.integers(1 << (n - 1), min((1 << n) - 1, q - 1)))
-        pairs.append((k, draw(st.sampled_from([G] + prepared + fresh))))
+        k = draw(st.one_of(st.just(0), st.integers(1 << (n - 1), min((1 << n) - 1, q - 1))))
+        pairs.append((k, draw(st.sampled_from(bases))))
     return group, pairs
 
 
 @PROPERTY
-@given(sliced_cases())
-def test_multi_mul_slice_rule_matches_double_and_add(case):
+@given(layout_cases())
+def test_multi_mul_across_layouts_matches_double_and_add(case):
     group, pairs = case
-    terms = (double_and_add(group, k, pt) for k, pt in pairs)
-    expected = reduce(lambda a, b: affine_add(group, a, b), terms, group.identity)
+    terms = (reference_mul(group, k, pt) for k, pt in pairs)
+    expected = reduce(reference_add(group), terms, group.identity)
     with count_group_ops() as ops:
         assert group.multi_mul(pairs) == expected
     assert ops.scalar_muls == len(pairs)
@@ -903,9 +1005,11 @@ def test_ring_verify_over_prepared_keys_runs_a_half_length_chain(group, point_op
     assert ring_verify(b"half", sig, registry)
     assert all(isinstance(registry._cache[id_str], _PreparedPoint) for id_str in ring)
     group.scalar_mul(1, group.generator)  # build the table outside the count
-    # 96-bit (128-bit) randomizers on the fresh U_i: two slices, a chain
-    # of 4L + 1 doublings, and one doubling for each U_i's odd multiples
-    chain = {"p192": 97, "p256": 129}[group.group_id]
-    assert chain == 4 * group._slice_bits + 1
-    doublings, _, _ = point_ops(lambda: ring_verify(b"half", sig, registry))
+    # 96-bit (128-bit) randomizers on the fresh U_i: a chain to the first
+    # multiple of lcm(8, L) above their top bit, lam here, and one
+    # doubling for each U_i's odd multiples
+    chain = {"p192": 96, "p256": 128}[group.group_id]
+    assert chain == short_bits(group)
+    doublings, additions, _ = point_ops(lambda: ring_verify(b"half", sig, registry))
     assert doublings == chain + r
+    assert additions == {"p192": 273, "p256": 353}[group.group_id]

@@ -427,7 +427,7 @@ def test_second_accepted_message_prepares_the_key():
         keys.append(entry.pk)
     assert not isinstance(keys[0], _PreparedPoint)
     assert isinstance(keys[1], _PreparedPoint)
-    assert len(keys[1].rows) == transient.KEY_ROWS  # the slices a challenge fills
+    assert keys[1].spacing == transient.KEY_SPACING  # the layout a challenge fills
     assert keys[1] is keys[2] is keys[3]  # built once, then reused
 
 
