@@ -10,8 +10,9 @@ Two interchangeable backends sit behind one small interface:
   share one inversion.  ``scalar_mul`` makes the same point operations
   for every nonzero scalar, bar a pair or two per curve where the
   addition meets its own operand, on the generator, on a prepared
-  point (the ring keys of ``ringsig.forge_tuple``, the window tag of
-  ``f * h1(window)``) and on any other point (``f * h0(C)``).
+  point's signed comb (the ring keys of ``ringsig.forge_tuple``, the
+  window tag of ``f * h1(window)``) and on any other point
+  (``f * h0(C)``).
   ``fixed_multi_mul`` runs the same walks for a sum of multiples, the
   generator's after the first (a forge's ``b*E + a*G``).  ``multi_mul``
   is variable time and takes public scalars only: the verification
@@ -46,7 +47,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 
 from .errors import MappingError, ParseError
@@ -410,11 +411,12 @@ class _PreparedPoint(tuple):
 
     It equals, hashes and encodes as the plain ``(x, y)`` point, so it
     goes wherever a point goes; ``scalar_mul`` and ``multi_mul`` also
-    read its ``rows``, ``spacing`` bits apart.
+    read its ``rows``, ``spacing`` bits apart, or with ``spacing`` None
+    the one row of its signed comb.
     """
 
     rows: list
-    spacing: int
+    spacing: int | None
 
 
 class CurveGroup(_ScalarCodec):
@@ -423,19 +425,21 @@ class CurveGroup(_ScalarCodec):
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
     A base that lives long, such as a certificate's transient key, a
     ring member's key or a window's h1 tag, can be given to ``prepare``
-    once: its table holds 1, 3, 5, 7 times ``2**(s*j) * P`` in rows
-    j = 0, 1, ... (Lim-Lee): 8 split rows s = L = bits(q) / 8 apart (24
-    on P-192, 32 on P-256) for a ring key or a tag, and for a transient
-    key as many rows s = 16 apart as its half-width challenges fill.
+    once.  A ring key or a tag gets a signed comb (Lim-Lee, in the
+    regular form of Hedabou, Pinel and Beneteau): teeth = bits(q) / 32
+    bases ``B_j = 2**(32j) * P`` (6 on P-192, 8 on P-256) and the
+    ``2**(teeth-1)`` sums ``B_0 +- B_1 +- ... +- B_(teeth-1)``, 32 points
+    on P-192.  A transient key gets rows of 1, 3, 5, 7 times
+    ``2**(16j) * P``, as many as its half-width challenges fill.
 
-    ``scalar_mul`` recodes the odd one of k and q - k into odd signed
-    digits (Joye-Tunstall) and adds one table entry per digit, so its
-    pattern does not depend on the scalar: for the generator, bits(q)/8
-    digits (24 on P-192, 32 on P-256) from row i of a table built once
-    per curve, the odd multiples 1, 3, ..., 255 of ``256**i * G``, with
-    no doubling; for a point with the 8 split rows, bits(q)/3
-    width-3 digits from them, one doubling per slice offset
-    (L doublings, 24 on P-192 and 32 on P-256); for any other point, a
+    ``scalar_mul`` recodes the odd one of k and q - k into nonzero signed
+    digits and adds one table entry per digit, so its pattern does not
+    depend on the scalar: for the generator, bits(q)/8 odd digits
+    (Joye-Tunstall; 24 on P-192, 32 on P-256) from row i of a table built
+    once per curve, the odd multiples 1, 3, ..., 255 of ``256**i * G``,
+    with no doubling; for a point with a comb, its 32 columns of signed
+    bits, each +- one entry, most significant first with a doubling
+    between (31 doublings, 32 additions); for any other point, a
     transient key included, a per-call row P, 3P, ..., 15P walked most
     significant digit first, 4 doublings before each addition.
     The generator's table holds 3072 affine points on P-192 (4096 on
@@ -445,19 +449,20 @@ class CurveGroup(_ScalarCodec):
     Jacobian-plus-affine formula, and it is incomplete: for 2 and q - 2
     on a plain point (q = 17 mod 32, so q - 2 ends in the digit -1 after
     a partial sum of -P), for the generator's ``+-(510 * 256**(n-1) - q)``
-    and, on P-192 only, for a prepared point's ``+-7 * 2**169``, one
-    addition meets its own operand and doubles instead.
+    and for a comb's k = 2 * c_0 + q (column 0's value c_0 < 0) and q - k,
+    one addition meets its own operand and doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
     share one doubling chain: 16 steps for a message check on a prepared
-    key, L for the rogue scan on a tag, and for a check on a plain key
-    (``ring_verify``) the first multiple of 8 (of lcm(8, L)) above its
-    half-width scalars' top bit, 96 on P-192 and 128 on P-256 for most.
+    key, 32 for the rogue scan on a tag, and for a check on a plain key
+    (``ring_verify``) the first multiple of 8 (of 32 beside a comb) above
+    its half-width scalars' top bit, 96 on P-192 and 128 on P-256 for most.
     """
 
     _GEN_WIDTH = 8  # generator-table digits are odd and below 2**8 in size
     _ROW_WIDTH = 4  # per-call row digits are odd and below 2**4 in size
-    _SLICES = 8     # split rows: scalar_mul cuts a scalar into this many slices
+    _COMB_SPACING = 32  # a comb's teeth lie this many bits apart: its columns
+    _BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary string's digits as bytes 0, 1
 
     def __init__(self, params: _CurveParams):
         if params.a != -3:
@@ -472,7 +477,7 @@ class CurveGroup(_ScalarCodec):
         self.element_byte_len = 1 + self._field_byte_len
         self.generator = (params.gx, params.gy)
         self.identity = None
-        self._slice_bits = -(-params.q.bit_length() // self._SLICES)
+        self._teeth = -(-params.q.bit_length() // self._COMB_SPACING)
 
     def __repr__(self) -> str:
         return f"CurveGroup({self.group_id})"
@@ -597,41 +602,61 @@ class CurveGroup(_ScalarCodec):
         w = self._GEN_WIDTH
         return self._odd_multiples([self.generator], -(-self.q.bit_length() // w), 1 << (w - 1), w)
 
-    @cached_property
-    def _split_walk(self):
-        """``scalar_mul``'s schedule over a prepared base's rows, as
-        (doublings, slice j, digit i) triples, one per width-3 digit of a
-        scalar below q.  Digit i sits at bit 3i, i.e. at offset 3i mod L
-        of slice 3i // L (of 8); the offsets run from L - 1 down to 0 with
-        one doubling each, L = 24 on P-192 and 32 on P-256, and the digits
-        that share an offset follow each other with none between them."""
-        L = self._slice_bits
-        walk, top = [], L
-        for i in sorted(range(-(-self.q.bit_length() // 3)), key=lambda i: -(3 * i % L)):
-            offset = 3 * i % L
-            walk.append((range(top - offset), 3 * i // L, i))
-            top = offset
-        return walk
-
     def prepare(self, a, spacing: int | None = None):
         """``a`` with a table for ``scalar_mul`` and ``multi_mul``; counts
-        nothing.  Row j holds 1, 3, 5, 7 times ``2**(s*j) * a``, all rows
-        from one inversion.  By default s = L, with the 8 split rows that
-        ``scalar_mul`` walks (7L + 1 doublings, 24 mixed additions).  A
-        ``spacing`` s gives ceil(lam / s) rows, lam = bits(q)/2 rounded up,
-        for ``hash_to_short``'s scalars: 6 rows on P-192 at s = 16 (81
-        doublings, 18 additions).  The identity, and a point prepared at
-        that spacing with at least that many rows, come back as they are.
+        nothing.  By default the signed comb: 32 points from 160 doublings,
+        62 mixed additions and 2 inversions on P-192 (128 from (224, 254, 2)
+        on P-256).  A ``spacing`` s gives rows of 1, 3, 5, 7 times
+        ``2**(s*j) * a``, j < ceil(lam / s), lam = bits(q)/2 rounded up, for
+        ``hash_to_short``'s scalars: 6 rows on P-192 at s = 16 (81
+        doublings, 18 additions, 1 inversion).  The identity, and a point
+        prepared the same way, come back as they are.
         """
         lam = -(-self.q.bit_length() // 2)
         if spacing is not None and not 0 < spacing <= lam:
             raise ValueError(f"a prepared point's rows lie 1..{lam} bits apart")
-        spacing, rows = (spacing, -(-lam // spacing)) if spacing else (self._slice_bits, self._SLICES)
-        if a is None or (getattr(a, "spacing", 0) == spacing and len(a.rows) >= rows):
+        if a is None or getattr(a, "spacing", 0) == spacing:
             return a
         prepared = _PreparedPoint(a)
-        prepared.rows, prepared.spacing = self._odd_multiples([a], rows, 4, spacing), spacing
+        prepared.spacing = spacing
+        prepared.rows = self._odd_multiples([a], -(-lam // spacing), 4, spacing) if spacing else [self._comb(a)]
         return prepared
+
+    def _comb(self, a):
+        """The comb's entries: entry e is ``B_0 + sum(+-B_j)``, taking
+        +B_j where bit j - 1 of e is set, all affine from one inversion
+        after the teeth's own.  No addition here meets its own operand:
+        it would need ``sum(+-2**(32j))`` over j <= teeth - 1, a nonzero
+        integer below q in size, to be a multiple of q."""
+        double, add, p = self._jac_double, self._jac_add_affine, self._p
+        bases, pt = [], (*a, 1)
+        for _ in range(self._teeth - 1):
+            for _ in range(self._COMB_SPACING):
+                pt = double(pt)
+            bases.append(pt)
+        sums = [(*a, 1)]
+        for x, y in self._batch_to_affine(bases):
+            sums = [add(s, (x, p - y)) for s in sums] + [add(s, (x, y)) for s in sums]
+        return self._batch_to_affine(sums)
+
+    def _comb_digits(self, k: int) -> list[int]:
+        """The comb's columns of ``0 < k < q``, least significant first.
+
+        An odd k is ``sum(s_i * 2**i)`` over i < n = 32 * teeth with every
+        s_i = +-1, s_i = +1 where bit i of ``(k + 2**n - 1) / 2`` is set.
+        Column t is ``sum(s_(t+32j) * 2**(32j))`` over the teeth j, so
+        ``k = sum(column_t * 2**t)``.  Its digit is ``+-(2e + 1)``: entry
+        e of the comb, negated if the digit is, as s_t gives B_0's sign.
+        An even k takes q - k's digits with their signs flipped.
+        """
+        if not k & 1:
+            return [-d for d in self._comb_digits(self.q - k)]
+        teeth, s = self._teeth, self._COMB_SPACING
+        n = s * teeth
+        bits = format((k + (1 << n) - 1) >> 1, f"0{n}b").encode().translate(self._BITS)
+        # byte t of v holds bit t of every tooth, tooth j at bit j (teeth <= 8)
+        v = sum(int.from_bytes(bits[n - s * j - s : n - s * j], "big") << j for j in range(teeth))
+        return [c if c & 1 else c + 1 - (1 << teeth) for c in v.to_bytes(s, "little")]
 
     def _walk(self, k: int, a):
         """``scalar_mul``'s schedule for ``k * a``, k odd and below q, as
@@ -641,10 +666,9 @@ class CurveGroup(_ScalarCodec):
             # row i already holds 256**i * G: least significant digit first
             w = self._GEN_WIDTH
             return zip(repeat(()), self._generator_table, _regular_digits(k, -(-bits // w), w))
-        if getattr(a, "spacing", 0) == self._slice_bits and len(a.rows) == self._SLICES:
-            # width 3: the split rows hold 1, 3, 5 and 7 times their base
-            digits = _regular_digits(k, len(self._split_walk), 3)
-            return ((doublings, a.rows[j], digits[i]) for doublings, j, i in self._split_walk)
+        if getattr(a, "spacing", 0) is None:
+            # the comb's 32 columns, most significant first, a doubling between
+            return zip(chain([()], repeat(range(1))), repeat(a.rows[0]), reversed(self._comb_digits(k)))
         w = self._ROW_WIDTH
         (row,) = self._odd_multiples([a], 1, 1 << (w - 1), 0)
         return zip(repeat(range(w)), repeat(row), reversed(_regular_digits(k, -(-bits // w), w)))
@@ -714,11 +738,13 @@ class CurveGroup(_ScalarCodec):
         base gets its odd multiples P..7P as one row.  Each scalar is
         recoded once, into a NAF of width 4 on 4-entry rows and 9 on the
         generator's 128-entry rows, none of whose digits lies above its
-        top bit.  The chain is C steps: the least common multiple of the
-        spacings of the bases whose rows cover their scalars, raised to
-        its first multiple above the top bit of every other scalar.  Digit
-        (i, d) is added at step i mod C from row ``(i // C) * (C / spacing)``,
-        so a base whose rows fall short reads its row 0 alone.
+        top bit, or on a comb into its 32 columns, which count as rows
+        32 bits apart that cover every scalar.  The chain is C steps: the
+        least common multiple of the spacings of the bases whose rows
+        cover their scalars, raised to its first multiple above the top
+        bit of every other scalar.  Digit (i, d) is added at step i mod C
+        from row ``(i // C) * (C / spacing)``, so a base whose rows fall
+        short reads its row 0 alone, and comb column t is added at step t.
         """
         _note_scalar_mul(len(pairs))
         q, p, gen = self.q, self._p, self.generator
@@ -737,16 +763,19 @@ class CurveGroup(_ScalarCodec):
         terms = [(k, *tables[pt]) for pt, k in live.items()]
         spacing, top = 1, 0
         for k, rows, s in terms:
-            if k >> len(rows) * s:
+            if s and k >> len(rows) * s:
                 top = max(top, k.bit_length() - 1)
-            else:
-                spacing = lcm(spacing, s)
+            else:  # a comb (s None) covers every scalar in its 32 columns
+                spacing = lcm(spacing, s or self._COMB_SPACING)
         C = (top // spacing + 1) * spacing
         steps: list[list] = [[] for _ in range(C)]
         for k, rows, s in terms:
-            rows = rows[:: C // s]  # row j: digits at bits jC..jC + C - 1
-            w = len(rows[0]).bit_length() + 1  # 4 entries: width 4; 128: width 9
-            for i, d in _wnaf(k, w):
+            if s is None:  # column t at step t, from the comb's one row
+                digits = enumerate(self._comb_digits(k))
+            else:
+                rows = rows[:: C // s]  # row j: digits at bits jC..jC + C - 1
+                digits = _wnaf(k, len(rows[0]).bit_length() + 1)  # 4 entries: width 4; 128: width 9
+            for i, d in digits:
                 j, i = divmod(i, C)
                 if d > 0:
                     steps[i].append(rows[j][d >> 1])

@@ -15,7 +15,7 @@ times, ``R = f * h0(C)`` binds the certificate content to ``f``
 ring-signs ``h2(C || R || T)`` under a ring of the module's choosing.
 The tag h1(window) is public, so it is hashed and prepared once per
 window index for every module in the process; T itself is computed at
-every mint, on the tag's split rows, and receivers test leaked f on it
+every mint, on the tag's signed comb, and receivers test leaked f on it
 at C's issue second (``min_span_time`` is thus a protocol constant).
 
 The clock is injected: tests turn it by hand, the simulator feeds it
@@ -73,8 +73,8 @@ def pack_content(group, pk, now: float, validity: float) -> bytes:
 
 @functools.lru_cache(maxsize=WINDOW_TAGS)
 def _window_tag(group, window: int):
-    """h1(window), prepared with all 8 split rows, so ``f * h1(window)``
-    walks them; shared by modules and receivers.  An old, unexpired issue
+    """h1(window), prepared as a signed comb, so ``f * h1(window)`` walks
+    its 32 columns; shared by modules and receivers.  An old, unexpired issue
     time can evict a tag: a miss costs one hash-to-curve and one prepare."""
     return group.prepare(group.hash_to_group("h1", struct.pack(">Q", window)))
 

@@ -272,7 +272,7 @@ def forge_tuple(group, E, rng, *, suite: HashSuite = PRODUCTION):
     ``b`` can be recomputed from the published tuple, so a timing trace
     of their multiplications would tell the forgeries from the signer's
     own tuple: ``U = b*E + a*P`` is one ``fixed_multi_mul``, not the
-    variable-time ``multi_mul``: b's walk (E's split rows when E is
+    variable-time ``multi_mul``: b's walk (E's signed comb when E is
     prepared), then a's generator digits, and one inversion.
     """
     if group.is_identity(E):

@@ -452,10 +452,10 @@ def short_bits(group):
 @st.composite
 def prepared_cases(draw):
     """(group, pairs with some bases prepared, the same pairs unprepared):
-    each prepared base has the 8 split rows L bits apart, a transient
-    key's rows 16 bits apart, or 4 rows L bits apart.  Scalars include
-    the bounds of a row and of each layout's reach (L, 16 and lam bits,
-    4L and 7L); a base can appear both prepared and plain."""
+    each prepared base has the signed comb, a transient key's rows 16
+    bits apart, or 4 rows L = bits(q)/8 bits apart.  Scalars include the
+    bounds of a row and of each layout's reach (L, 16 and lam bits, 4L
+    and 7L); a base can appear both prepared and plain."""
     group = draw(st.sampled_from(MSM_GROUPS))
     q, L, lam = group.q, slice_bits(group), short_bits(group)
     multiples = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
@@ -509,7 +509,7 @@ def test_prepare_counts_nothing_and_keeps_the_point(group):
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypatch):
-    G, L, lam = group.generator, slice_bits(group), short_bits(group)
+    G, lam = group.generator, short_bits(group)
     table = group._generator_table
     # the comb: row i holds 1, 3, ..., 255 times 2**(8i) * G; 24 rows of
     # 128 points on P-192, 32 on P-256
@@ -531,10 +531,11 @@ def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypa
         row.i = i
     monkeypatch.setattr(group, "_generator_table", comb)
     key = group.scalar_mul(0xBEEF, G)
-    # the chain is C = 16 beside a transient key, L beside a ring key, and
-    # lam beside a fresh base whose scalar's top bit is lam - 1
+    # the chain is C = 16 beside a transient key, 32 beside a ring key's
+    # signed comb, and lam beside a fresh base whose scalar's top bit is
+    # lam - 1; the signed comb adds one column per step, whatever its scalar
     for other, k, C in ((group.prepare(key, transient.KEY_SPACING), 1, 16),
-                        (group.prepare(key), 1, L),
+                        (group.prepare(key), 1, 32),
                         (key, 2 ** (lam - 1) + 1, lam)):
         # 255 at the foot of each C-bit chunk j: one width-9 digit, added
         # from comb row j * C / 8
@@ -546,7 +547,7 @@ def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypa
         if other is key:  # one doubling and 3 additions for its odd multiples
             assert ops == (C + 1, len(chunks) + 2 + 3, 2)
         else:
-            assert ops == (C, len(chunks) + 1, 1)
+            assert ops == (C, len(chunks) + (32 if other.spacing is None else 1), 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -590,7 +591,7 @@ def test_plain_key_check_runs_a_half_length_chain(group, point_ops):
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_transient_prepare_builds_rows_16_bits_apart(group, point_ops):
-    L, lam = slice_bits(group), short_bits(group)
+    lam = short_bits(group)
     pt = group.scalar_mul(0xBEEF, group.generator)
     # ceil(lam / 16) rows from one inversion: each row is built where its
     # base's double is affine
@@ -599,22 +600,47 @@ def test_transient_prepare_builds_rows_16_bits_apart(group, point_ops):
     cost = {"p192": (81, 18, 1), "p256": (113, 24, 1)}[group.group_id]
     assert point_ops(lambda: group.prepare(pt, transient.KEY_SPACING)) == cost
     assert cost == (rows + 15 * (rows - 1), 3 * rows, 1)
-    assert point_ops(lambda: group.prepare(pt)) == (7 * L + 1, 24, 1)
     short, full = group.prepare(pt, transient.KEY_SPACING), group.prepare(pt)
-    assert short == pt and (short.spacing, full.spacing) == (16, L)
-    assert len(short.rows) == rows and short.rows[0] == full.rows[0]
-    for j in (1, rows - 1):
+    assert short == pt and (short.spacing, full.spacing) == (16, None)
+    assert len(short.rows) == rows
+    for j in (0, 1, rows - 1):
         assert short.rows[j] == [double_and_add(group, m << 16 * j, pt) for m in (1, 3, 5, 7)]
-    # the same spacing with enough rows: the same object; another spacing:
-    # a table of its own
+    # the same layout: the same object; another layout: a table of its own,
+    # rows 32 bits apart included, though the comb's teeth lie 32 apart
     assert group.prepare(short, transient.KEY_SPACING) is short and group.prepare(full) is full
-    assert group.prepare(full, L) is full  # spacing L asks for 4 of its 8 rows
-    assert group.prepare(pt, L).rows == full.rows[:4]
     assert group.prepare(full, transient.KEY_SPACING).rows == short.rows
     assert group.prepare(short).rows == full.rows
+    wide = group.prepare(full, 32)
+    assert wide.spacing == 32 and len(wide.rows) == -(-lam // 32)
+    assert wide.rows[1] == [double_and_add(group, m << 32, pt) for m in (1, 3, 5, 7)]
     for spacing in (0, lam + 1):
         with pytest.raises(ValueError):
             group.prepare(pt, spacing)
+
+
+def comb_entry(group, e):
+    """The multiple of the base that the comb's entry e holds:
+    ``1 + sum(+-2**(32j))`` over teeth j >= 1, + where bit j - 1 of e is set."""
+    return 1 + sum((1 if e >> (j - 1) & 1 else -1) << 32 * j for j in range(1, group._teeth))
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_ring_key_prepare_builds_a_signed_comb(group, point_ops):
+    pt = group.scalar_mul(0xBEEF, group.generator)
+    # teeth = bits(q) / 32 bases 2**(32j) * pt, 32 doublings apart, then
+    # every sum B_0 +- B_1 +- ... in 2 + 4 + ... + 2**(teeth-1) additions,
+    # each level from the last: one inversion for the teeth, one for the sums
+    teeth = {"p192": 6, "p256": 8}[group.group_id]
+    assert teeth == group._teeth == -(-group.q.bit_length() // 32)
+    cost = {"p192": (160, 62, 2), "p256": (224, 254, 2)}[group.group_id]
+    assert point_ops(lambda: group.prepare(pt)) == cost == (32 * (teeth - 1), 2**teeth - 2, 2)
+    comb = group.prepare(pt)
+    # 32 points per ring key or window tag on P-192, as the 8 rows of 4
+    # it replaces; 128 on P-256
+    assert comb.spacing is None and [len(row) for row in comb.rows] == [2 ** (teeth - 1)]
+    assert sum(map(len, comb.rows)) == {"p192": 32, "p256": 128}[group.group_id]
+    for e in (0, 1, 2 ** (teeth - 2), 2 ** (teeth - 1) - 1):
+        assert comb.rows[0][e] == double_and_add(group, comb_entry(group, e), pt)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -665,7 +691,7 @@ def last_row_doubling_scalar(group):
 def other_bases(group):
     """Two bases that are not the generator: a hashed point, which takes
     the per-call row of ``scalar_mul``, and a prepared one, which takes
-    its split rows."""
+    its signed comb."""
     return [
         group.hash_to_group("test-base", b"h0"),
         group.prepare(group.scalar_mul(0xBEEF, group.generator)),
@@ -795,65 +821,38 @@ def test_generator_muls_take_one_lane_step_per_table_row(group, point_ops):
         assert point_ops(lambda: group.generator_muls([k])) == (1, 2, steps + 1)
 
 
-def walked_digit_sum(S, n, unwalked):
-    """Whether ``S`` is ``sum(d_t * 8**t)`` over t < n with ``d_t = 0`` for
-    t in ``unwalked`` and odd and below 8 in size otherwise.  Such digits
-    are unique: at each walked position, of the two odd candidates
-    ``S mod 8`` and ``S mod 8 - 8`` only one leaves a remainder that
-    suits the next position (odd if it is walked, a multiple of 8 if not).
+def comb_columns(group, k):
+    """The column values of ``k``'s comb walk, least significant first:
+    each digit's entry as a multiple of the base, with its sign."""
+    return [(1 if d > 0 else -1) * comb_entry(group, abs(d) >> 1) for d in group._comb_digits(k)]
+
+
+def comb_doubling_scalars(group):
+    """Every scalar whose comb walk meets an addition's own operand,
+    found by exhaustive search.
+
+    Before column t < 31 is added, the partial sum is
+    ``A = sum(c_u * 2**(u - t))`` over the columns u > t, even, while
+    c_t is odd: the addition doubles iff ``A = c_t + m * q`` with m
+    nonzero.  With c the largest column, ``|A| <= c * (2**(32 - t) - 2)``,
+    which leaves such an m only at the last column t = 0 on either
+    curve, so k = A + c_0 = 2 * c_0 + m * q for one of the 2**teeth
+    column values c_0.  A candidate is kept if its own columns make the
+    walk's partial sum meet c_0, and so is q minus it.
     """
-    for t in range(n):
-        if t in unwalked:
-            if S % 8:
-                return False
-            S //= 8
-            continue
-        r = S % 8
-        if not r & 1:
-            return False
-        walked_next = t + 1 < n and t + 1 not in unwalked
-        for d in (r, r - 8):
-            rest = (S - d) // 8
-            if (rest & 1) if walked_next else not rest % 8:
-                break
-        S = rest
-    return S == 0
-
-
-def prepared_doubling_scalars(group):
-    """Every scalar whose walk over a prepared base meets an addition's
-    own operand (or its negation), found by exhaustive search.
-
-    Before digit i is added, the partial sum is S, the sum of
-    ``d_t * 2**(3t)`` over the digits already walked, all at bits at or
-    above the current offset o; the addition is exceptional iff
-    ``S = +-d_i * 2**(3i) mod q``.  As integers the two differ (the
-    lowest walked bit fixes the 2-adic valuation of S, and bit 3i is not
-    walked yet), so ``S = m * q +- d_i * 2**(3i)`` with m nonzero, below
-    ``8**n / q`` in size (both sides are digit sums) and a multiple of
-    ``2**o``.  That leaves the few digits walked at the lowest offsets.
-    For each, the search solves for S, keeps it if it is a digit sum over
-    exactly the walked positions, and adds every choice of the digits
-    still to come that keeps the scalar below q.
-    """
-    q, L = group.q, group._slice_bits
-    walk = [i for _, _, i in group._split_walk]
-    n = len(walk)
-    m_max = 8**n // q
+    q, teeth = group.q, group._teeth
+    largest = comb_entry(group, 2 ** (teeth - 1) - 1)
+    assert [t for t in range(31) if largest * (2 ** (32 - t) - 1) >= q] == [0]
     found = set()
-    for pos, i in enumerate(walk):
-        step = 2 ** (3 * i % L)
-        to_come = walk[pos:]
-        for m, d, sign in product(range(-m_max, m_max + 1), range(-7, 8, 2), (1, -1)):
-            if not m or m % step:
-                continue
-            S = m * q + sign * (d << 3 * i)
-            if not walked_digit_sum(S, n, set(to_come)):
-                continue
-            for ds in product(range(-7, 8, 2), repeat=len(to_come) - 1):
-                k = S + sum(x << 3 * t for x, t in zip((d, *ds), to_come))
-                if 0 < k < q and _regular_digits(k, n, 3)[i] == d:
-                    found |= {k, q - k}
+    # |m| * q <= |A| + |c_0| <= largest * (2**32 - 1) = 2**(32 * teeth) - 1 < 2q
+    for c0, m in product((s * comb_entry(group, e) for e in range(2 ** (teeth - 1)) for s in (1, -1)),
+                         (-1, 1)):
+        k = 2 * c0 + m * q
+        if 0 < k < q:
+            columns = comb_columns(group, k)
+            assert sum(c << t for t, c in enumerate(columns)) % q == k
+            if (k - columns[0] - columns[0]) % q == 0:
+                found |= {k, q - k}
     return sorted(found)
 
 
@@ -886,16 +885,20 @@ def test_generator_multiples_have_one_operation_pattern(group, point_ops):
     assert q % 32 == 17
     for k in (2, q - 2):
         assert pattern(k, base) == (per_call[0] + 1, *per_call[1:])
-    # a prepared base: one doubling per offset of a slice, one addition
-    # per width-3 digit from its split rows, and no table to build
+    # a prepared base: its signed comb's 32 columns, most significant
+    # first, one addition each and a doubling between, and no table to build
     prepared = group.prepare(base)
-    digits = -(-q.bit_length() // 3)
-    assert {pattern(k, prepared) for k in scalars} == {(group._slice_bits, digits, 1)}
-    exceptions = prepared_doubling_scalars(group)
-    # on P-192 the last digit, -7 at bit 7L, meets a partial sum of q - 7 * 2**(7L)
-    assert exceptions == ([7 << 169, q - (7 << 169)] if group is P192 else [])
+    assert {pattern(k, prepared) for k in scalars} == {(31, 32, 1)}
+    # the one pair on each curve whose last addition, column 0's c_0, meets
+    # a partial sum of k - c_0 = c_0 mod q: k = 2 * c_0 + q and q - k
+    exceptions = comb_doubling_scalars(group)
+    assert len(exceptions) == 2 and sum(exceptions) == q
+    k = max(exceptions, key=lambda k: k & 1)
+    assert k == 2 * comb_columns(group, k)[0] + q
+    if group is P192:
+        assert k == 0xFFFFFFFDFFFFFFFDFFFFFFFD99DEF834146BC9B3B4D22833
     for k in exceptions:
-        assert pattern(k, prepared) == (group._slice_bits + 1, digits, 1)
+        assert pattern(k, prepared) == (32, 32, 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -903,10 +906,60 @@ def test_forge_on_a_prepared_key_has_one_operation_pattern(group, point_ops):
     E = group.prepare(group.scalar_mul(0xF00D, group.generator))
     group.scalar_mul(1, group.generator)  # build the table outside the count
     patterns = {point_ops(lambda: forge_tuple(group, E, random.Random(seed))) for seed in range(50)}
-    # b*E (L doublings, one addition per width-3 digit), then a*G's
+    # b*E (31 doublings, one addition per comb column), then a*G's
     # width-8 digits (one addition each) into the same accumulator, and
     # one inversion for U
-    assert patterns == {{"p192": (24, 88, 1), "p256": (32, 118, 1)}[group.group_id]}
+    assert patterns == {{"p192": (31, 56, 1), "p256": (31, 64, 1)}[group.group_id]}
+
+
+@st.composite
+def comb_cases(draw):
+    """(group, k, plain base, its comb): k is 1, 2, q - 1, q - 2, the pair
+    whose last addition doubles, a scalar whose 32 columns all take +
+    entries or all take - ones (and q minus it), or any scalar, negatives
+    and multiples of q included."""
+    group = draw(st.sampled_from(CURVES))
+    q, n = group.q, 32 * group._teeth
+    # bits 0..31 of (k + 2**n - 1) / 2 give the columns' signs
+    high = draw(st.integers(0, 2 ** (n - 32) - 1))
+    uniform = [2 * (high << 32 | low) - (2**n - 1) for low in (0, 2**32 - 1)]
+    special = [1, 2, q - 1, q - 2] + comb_doubling_scalars(group)
+    special += [m for k in uniform if 0 < k < q for m in (k, q - k)]
+    k = draw(st.one_of(st.sampled_from(special), st.integers(-2 * q, 2 * q)))
+    base = group.scalar_mul(draw(st.integers(1, q - 1)), group.generator)
+    return group, k, base, group.prepare(base)
+
+
+@PROPERTY
+@given(comb_cases(), st.data())
+def test_comb_walks_match_double_and_add(case, data):
+    group, k, base, comb = case
+    q, G = group.q, group.generator
+    expected = double_and_add(group, k, base)
+    assert group.scalar_mul(k, comb) == expected
+    assert group.multi_mul([(k, comb)]) == expected
+    # a forge's U = b*E + a*G, cancellations included
+    a = data.draw(st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(-2 * q, 2 * q)))
+    assert group.fixed_multi_mul([(k, comb), (a, G)]) == affine_add(group, expected, double_and_add(group, a, G))
+
+
+@PROPERTY
+@given(comb_cases(), st.data())
+def test_multi_mul_with_a_comb_matches_double_and_add(case, data):
+    # the comb beside the generator, fresh points, a transient key's rows
+    # and its own plain point, which merges into it; maybe to a sum of 0
+    group, k, base, comb = case
+    q, lam, G = group.q, short_bits(group), group.generator
+    key = group.hash_to_group("test-base", b"comb")
+    bases = [G, key, group.prepare(key, transient.KEY_SPACING), comb, base]
+    scalars = st.one_of(st.just(k), st.integers(1, 2**lam - 1), st.integers(-2 * q, 2 * q))
+    pairs = [(k, comb)] + data.draw(st.lists(st.tuples(scalars, st.sampled_from(bases)), max_size=5))
+    if data.draw(st.booleans()):
+        pairs.append((-sum(m for m, pt in pairs if pt == base), base))
+    terms = (double_and_add(group, m, pt) for m, pt in pairs)
+    with count_group_ops() as ops:
+        assert group.multi_mul(pairs) == reduce(reference_add(group), terms, group.identity)
+    assert ops.scalar_muls == len(pairs)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -945,8 +998,8 @@ def test_generator_multiple_counts_one_scalar_mul(group):
             assert ops.scalar_muls == 1
 
 
-# --- multi_mul across layouts: the comb, split rows, transient rows and
-# --- fresh bases in one call, against double-and-add
+# --- multi_mul across layouts: the generator's rows, a signed comb,
+# --- transient rows and fresh bases in one call, against double-and-add
 
 
 def reference_mul(group, k, pt):
@@ -957,11 +1010,11 @@ def reference_mul(group, k, pt):
 
 @st.composite
 def layout_cases(draw):
-    """(group, pairs) mixing the generator, a ring key's 8 rows L bits
-    apart, a transient key's rows 16 bits apart and fresh points.  A
-    point can repeat, in one layout or in two (the transient key and its
-    plain point), and scalars are 0 or sit around the comb's and the
-    rows' spacings, lam and full width: past a transient key's rows
+    """(group, pairs) mixing the generator, a ring key's signed comb, a
+    transient key's rows 16 bits apart and fresh points.  A point can
+    repeat, in one layout or in two (the transient key and its plain
+    point), and scalars are 0 or sit around the generator rows' and the
+    key rows' spacings, lam and full width: past a transient key's rows
     included."""
     group = draw(st.sampled_from(MSM_GROUPS))
     q, L, lam = group.q, slice_bits(group), short_bits(group)
@@ -1006,10 +1059,30 @@ def test_ring_verify_over_prepared_keys_runs_a_half_length_chain(group, point_op
     assert all(isinstance(registry._cache[id_str], _PreparedPoint) for id_str in ring)
     group.scalar_mul(1, group.generator)  # build the table outside the count
     # 96-bit (128-bit) randomizers on the fresh U_i: a chain to the first
-    # multiple of lcm(8, L) above their top bit, lam here, and one
-    # doubling for each U_i's odd multiples
+    # multiple of lcm(8, 32) above their top bit, lam here, and one
+    # doubling for each U_i's odd multiples; each key adds its comb's 32
+    # columns at steps 0..31
     chain = {"p192": 96, "p256": 128}[group.group_id]
     assert chain == short_bits(group)
     doublings, additions, _ = point_ops(lambda: ring_verify(b"half", sig, registry))
     assert doublings == chain + r
-    assert additions == {"p192": 273, "p256": 353}[group.group_id]
+    assert additions == {"p192": 240, "p256": 270}[group.group_id]
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_warm_ring_sign_walks_each_key_comb_once(group, point_ops):
+    mk = setup(group, n=16, rng=random.Random(13), manufactory_id="m")
+    registry = ManufactoryRegistry(group)
+    registry.register_master(mk)
+    r = 4
+    ring = [f"m:car-{i}" for i in range(r)]
+    sk = keygen(mk, ring[2])
+    for _ in range(2):  # the second use prepares every key forged against
+        ring_sign(b"warm", ring, sk, 2, registry, random.Random(1))
+    assert [isinstance(registry._cache[id_str], _PreparedPoint) for id_str in ring] == [True, True, False, True]
+    group.scalar_mul(1, group.generator)  # build the table outside the count
+    patterns = {point_ops(lambda: ring_sign(b"warm", ring, sk, 2, registry, random.Random(seed)))
+                for seed in range(10)}
+    # r - 1 forges at (31, 32 + bits(q)/8, 1) and the signer's l*G at
+    # (0, bits(q)/8, 1): 93 doublings on either curve
+    assert patterns == {{"p192": (93, 192, 4), "p256": (93, 224, 4)}[group.group_id]}

@@ -317,7 +317,9 @@ def test_t_from_the_cached_tag_matches_the_plain_point(group):
             cert = module.gen_pseudonym([module.identity], 600, random.Random(i))
             assert cert.T == plain_t(group, module, window)
         tag = _window_tag(group, window)
-        assert isinstance(tag, _PreparedPoint) and len(tag.rows) == 8
+        # the signed comb: 32 points on P-192, 128 on P-256
+        assert isinstance(tag, _PreparedPoint) and tag.spacing is None
+        assert sum(map(len, tag.rows)) == {"p192": 32, "p256": 128}[group.group_id]
         assert tag == group.hash_to_group("h1", struct.pack(">Q", window))
 
 
@@ -344,17 +346,17 @@ def test_window_tag_cache_stays_bounded(group):
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_t_takes_the_split_walk_for_every_secret(group, point_ops):
+def test_t_takes_the_comb_walk_for_every_secret(group, point_ops):
     tag = _window_tag(group, 16)
     q = group.q
     rng = random.Random(2014)
     secrets = [1, 2, q - 1, q - 2] + [rng.randrange(1, q) for _ in range(20)]
-    # P-192's one incomplete-addition pair on a prepared base (pinned in
-    # test_generator_multiples_have_one_operation_pattern) takes L + 1
-    secrets = [f for f in secrets if group is not P192 or f not in (7 << 169, q - (7 << 169))]
+    # each curve's one incomplete-addition pair on a comb (pinned in
+    # test_generator_multiples_have_one_operation_pattern) takes 32 doublings;
+    # a random secret hits it with probability 2/q
     patterns = {point_ops(lambda: group.scalar_mul(f, tag)) for f in secrets}
-    # L = bits(q) / 8 doublings, one addition per width-3 digit, one inversion
-    assert patterns == {{"p192": (24, 64, 1), "p256": (32, 86, 1)}[group.group_id]}
+    # the comb's 32 columns: one addition each, a doubling between, one inversion
+    assert patterns == {(31, 32, 1)}
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
