@@ -9,10 +9,10 @@ Two interchangeable backends sit behind one small interface:
   latter incomplete, and affine lanes of independent additions that
   share one inversion.  ``scalar_mul`` makes the same point operations
   for every nonzero scalar, bar a pair or two per curve where the
-  addition meets its own operand, on the generator, on a prepared
-  point's signed comb (the ring keys of ``ringsig.forge_tuple``, the
-  window tag of ``f * h1(window)``) and on any other point
-  (``f * h0(C)``).
+  addition meets its own operand, on the generator and a point prepared
+  in its table's shape (the window tag of ``f * h1(window)``), on a
+  prepared point's signed comb (the ring keys of ``ringsig.forge_tuple``)
+  and on any other point (``f * h0(C)``).
   ``fixed_multi_mul`` runs the same walks for a sum of multiples, the
   generator's after the first (a forge's ``b*E + a*G``).  ``multi_mul``
   is variable time and takes public scalars only: the verification
@@ -411,8 +411,9 @@ class _PreparedPoint(tuple):
 
     It equals, hashes and encodes as the plain ``(x, y)`` point, so it
     goes wherever a point goes; ``scalar_mul`` and ``multi_mul`` also
-    read its ``rows``, ``spacing`` bits apart, or with ``spacing`` None
-    the one row of its signed comb.
+    read its ``rows``, ``spacing`` bits apart (up to 8 bits apart, rows
+    of ``2**(spacing-1)`` odd multiples that cover every scalar), or
+    with ``spacing`` None the one row of its signed comb.
     """
 
     rows: list
@@ -425,11 +426,13 @@ class CurveGroup(_ScalarCodec):
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
     A base that lives long, such as a certificate's transient key, a
     ring member's key or a window's h1 tag, can be given to ``prepare``
-    once.  A ring key or a tag gets a signed comb (Lim-Lee, in the
-    regular form of Hedabou, Pinel and Beneteau): teeth = bits(q) / 32
-    bases ``B_j = 2**(32j) * P`` (6 on P-192, 8 on P-256) and the
+    once.  A ring key gets a signed comb (Lim-Lee, in the regular form
+    of Hedabou, Pinel and Beneteau): teeth = bits(q) / 32 bases
+    ``B_j = 2**(32j) * P`` (6 on P-192, 8 on P-256) and the
     ``2**(teeth-1)`` sums ``B_0 +- B_1 +- ... +- B_(teeth-1)``, 32 points
-    on P-192.  A transient key gets rows of 1, 3, 5, 7 times
+    on P-192.  A tag gets the generator table's shape at width 6: row
+    i holds 1, 3, ..., 63 times ``2**(6i) * P``, 32 rows on P-192 (43
+    on P-256).  A transient key gets rows of 1, 3, 5, 7 times
     ``2**(16j) * P``, as many as its half-width challenges fill.
 
     ``scalar_mul`` recodes the odd one of k and q - k into nonzero signed
@@ -437,24 +440,27 @@ class CurveGroup(_ScalarCodec):
     depend on the scalar: for the generator, bits(q)/8 odd digits
     (Joye-Tunstall; 24 on P-192, 32 on P-256) from row i of a table built
     once per curve, the odd multiples 1, 3, ..., 255 of ``256**i * G``,
-    with no doubling; for a point with a comb, its 32 columns of signed
-    bits, each +- one entry, most significant first with a doubling
-    between (31 doublings, 32 additions); for any other point, a
-    transient key included, a per-call row P, 3P, ..., 15P walked most
-    significant digit first, 4 doublings before each addition.
+    with no doubling, and likewise one width-w digit per row of a point
+    prepared in that shape (a tag: 32 additions on P-192); for a point
+    with a comb, its 32 columns of signed bits, each +- one entry, most
+    significant first with a doubling between (31 doublings, 32
+    additions); for any other point, a transient key included, a
+    per-call row P, 3P, ..., 15P walked most significant digit first, 4
+    doublings before each addition.
     The generator's table holds 3072 affine points on P-192 (4096 on
     P-256), about 0.6 MB (0.9 MB), built on first use in about 55 ms
     (85 ms) on CPython 3.11 on a shared 2-core VM.
     Every addition of a walk or of an odd-multiple table is one mixed
     Jacobian-plus-affine formula, and it is incomplete: for 2 and q - 2
     on a plain point (q = 17 mod 32, so q - 2 ends in the digit -1 after
-    a partial sum of -P), for the generator's ``+-(510 * 256**(n-1) - q)``
-    and for a comb's k = 2 * c_0 + q (column 0's value c_0 < 0) and q - k,
-    one addition meets its own operand and doubles instead.
+    a partial sum of -P), for the generator's ``+-(510 * 256**(n-1) - q)``,
+    for a tag's ``+-(126 * 2**186 - q)`` on P-192 (``+-(30 * 2**252 - q)``
+    on P-256) and for a comb's k = 2 * c_0 + q (column 0's value c_0 < 0)
+    and q - k, one addition meets its own operand and doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
     share one doubling chain: 16 steps for a message check on a prepared
-    key, 32 for the rogue scan on a tag, and for a check on a plain key
+    key, 6 for a rogue entry on a tag, and for a check on a plain key
     (``ring_verify``) the first multiple of 8 (of 32 beside a comb) above
     its half-width scalars' top bit, 96 on P-192 and 128 on P-256 for most.
     """
@@ -599,27 +605,37 @@ class CurveGroup(_ScalarCodec):
         affine; enough rows to recode any scalar below q.  With w = 8
         that is 24 rows of 128 points on P-192 (32 on P-256), built
         once per process from one inversion."""
-        w = self._GEN_WIDTH
-        return self._odd_multiples([self.generator], -(-self.q.bit_length() // w), 1 << (w - 1), w)
+        return self.prepare(self.generator, self._GEN_WIDTH).rows
 
     def prepare(self, a, spacing: int | None = None):
         """``a`` with a table for ``scalar_mul`` and ``multi_mul``; counts
         nothing.  By default the signed comb: 32 points from 160 doublings,
         62 mixed additions and 2 inversions on P-192 (128 from (224, 254, 2)
-        on P-256).  A ``spacing`` s gives rows of 1, 3, 5, 7 times
-        ``2**(s*j) * a``, j < ceil(lam / s), lam = bits(q)/2 rounded up, for
-        ``hash_to_short``'s scalars: 6 rows on P-192 at s = 16 (81
-        doublings, 18 additions, 1 inversion).  The identity, and a point
-        prepared the same way, come back as they are.
+        on P-256).  A ``spacing`` s up to 8 gives the generator table's
+        shape: rows of 1, 3, ..., 2**s - 1 times ``2**(s*j) * a``, j <
+        ceil(bits(q) / s), which ``scalar_mul`` walks with no doubling; at
+        s = 6, a window tag's, 32 rows of 32 points on P-192 from (187, 992,
+        1), 43 rows and 1376 points on P-256 from (253, 1333, 1).  A larger
+        s gives rows of 1, 3, 5, 7 times ``2**(s*j) * a``, j < ceil(lam /
+        s), lam = bits(q)/2 rounded up, for ``hash_to_short``'s scalars: 6
+        rows on P-192 at s = 16 (81 doublings, 18 additions, 1 inversion).
+        The identity, and a point prepared at the same spacing, come back
+        as they are.
         """
-        lam = -(-self.q.bit_length() // 2)
+        bits = self.q.bit_length()
+        lam = -(-bits // 2)
         if spacing is not None and not 0 < spacing <= lam:
             raise ValueError(f"a prepared point's rows lie 1..{lam} bits apart")
         if a is None or getattr(a, "spacing", 0) == spacing:
             return a
         prepared = _PreparedPoint(a)
         prepared.spacing = spacing
-        prepared.rows = self._odd_multiples([a], -(-lam // spacing), 4, spacing) if spacing else [self._comb(a)]
+        if spacing is None:
+            prepared.rows = [self._comb(a)]
+        elif spacing <= self._GEN_WIDTH:
+            prepared.rows = self._odd_multiples([a], -(-bits // spacing), 1 << (spacing - 1), spacing)
+        else:
+            prepared.rows = self._odd_multiples([a], -(-lam // spacing), 4, spacing)
         return prepared
 
     def _comb(self, a):
@@ -662,10 +678,11 @@ class CurveGroup(_ScalarCodec):
         """``scalar_mul``'s schedule for ``k * a``, k odd and below q, as
         (doublings before, row, digit) for each addition."""
         bits = self.q.bit_length()
-        if a == self.generator:
-            # row i already holds 256**i * G: least significant digit first
-            w = self._GEN_WIDTH
-            return zip(repeat(()), self._generator_table, _regular_digits(k, -(-bits // w), w))
+        if a == self.generator or 0 < (getattr(a, "spacing", 0) or 0) <= self._GEN_WIDTH:
+            # row i already holds the odd multiples of 2**(w*i) * a: one
+            # w-bit digit per row, least significant first, no doubling
+            rows, w = (self._generator_table, self._GEN_WIDTH) if a == self.generator else (a.rows, a.spacing)
+            return zip(repeat(()), rows, _regular_digits(k, len(rows), w))
         if getattr(a, "spacing", 0) is None:
             # the comb's 32 columns, most significant first, a doubling between
             return zip(chain([()], repeat(range(1))), repeat(a.rows[0]), reversed(self._comb_digits(k)))
@@ -736,8 +753,8 @@ class CurveGroup(_ScalarCodec):
         Equal points are merged first.  The generator's rows lie 8 bits
         apart, a prepared base's at its ``prepare`` spacing, and any other
         base gets its odd multiples P..7P as one row.  Each scalar is
-        recoded once, into a NAF of width 4 on 4-entry rows and 9 on the
-        generator's 128-entry rows, none of whose digits lies above its
+        recoded once, into a NAF of width 4 on 4-entry rows, 7 on a tag's 32
+        and 9 on the generator's 128, none of whose digits lies above its
         top bit, or on a comb into its 32 columns, which count as rows
         32 bits apart that cover every scalar.  The chain is C steps: the
         least common multiple of the spacings of the bases whose rows

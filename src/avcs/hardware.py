@@ -15,8 +15,10 @@ times, ``R = f * h0(C)`` binds the certificate content to ``f``
 ring-signs ``h2(C || R || T)`` under a ring of the module's choosing.
 The tag h1(window) is public, so it is hashed and prepared once per
 window index for every module in the process; T itself is computed at
-every mint, on the tag's signed comb, and receivers test leaked f on it
-at C's issue second (``min_span_time`` is thus a protocol constant).
+every mint, on the tag's rows, and receivers test leaked f on it at C's
+issue second (``min_span_time`` is thus a protocol constant), on a comb
+built for that certificate alone if the window is not the receiver's
+current one and no tag of it is cached.
 
 The clock is injected: tests turn it by hand, the simulator feeds it
 the event-loop time, and the CLI uses the system clock.  The module
@@ -25,7 +27,6 @@ only insists it never runs backwards.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 import struct
@@ -57,6 +58,7 @@ __all__ = [
 
 TRANSIENT_SCHEME_ID = 1
 WINDOW_TAGS = 4  # windows whose prepared tag stays cached, process-wide
+TAG_SPACING = 6  # a window tag's rows lie 6 bits apart: 32 rows of 32 points on P-192
 
 
 def pack_content(group, pk, now: float, validity: float) -> bytes:
@@ -71,12 +73,28 @@ def pack_content(group, pk, now: float, validity: float) -> bytes:
     )
 
 
-@functools.lru_cache(maxsize=WINDOW_TAGS)
-def _window_tag(group, window: int):
-    """h1(window), prepared as a signed comb, so ``f * h1(window)`` walks
-    its 32 columns; shared by modules and receivers.  An old, unexpired issue
-    time can evict a tag: a miss costs one hash-to-curve and one prepare."""
-    return group.prepare(group.hash_to_group("h1", struct.pack(">Q", window)))
+_tags: dict = {}  # (group, window) -> prepared tag, least recently used first
+
+
+def _window_tag(group, window: int, build: bool = True):
+    """h1(window) in the generator table's shape at width 6, so ``f *
+    h1(window)`` takes no doubling and a rogue entry's ``multi_mul`` a
+    6-step chain; shared by modules and receivers, and the WINDOW_TAGS
+    most recently used stay cached.  A miss costs one hash-to-curve and
+    one prepare, (187, 992, 1) on P-192.  With ``build`` False a miss
+    leaves the cache as it is and returns h1(window) on a signed comb
+    instead, (160, 62, 2): a rogue entry then walks its 32 columns."""
+    key = (group, window)
+    tag = _tags.pop(key, None)
+    if tag is None:
+        tag = group.hash_to_group("h1", struct.pack(">Q", window))
+        if not build:
+            return group.prepare(tag)
+        tag = group.prepare(tag, TAG_SPACING)
+        if len(_tags) == WINDOW_TAGS:
+            del _tags[next(iter(_tags))]
+    _tags[key] = tag
+    return tag
 
 
 def signed_message(group, C: bytes, R, T) -> bytes:
@@ -239,16 +257,23 @@ class HardwareModule:
         """Bind C to f and the window at ``now``, ring-sign it as ring[pos]."""
         group = self.group
         R = group.scalar_mul(self.__f, group.hash_to_group("h0", C))
-        T = group.scalar_mul(self.__f, self.window_tag(now))
+        T = group.scalar_mul(self.__f, self.window_tag(now, now))
         message = signed_message(group, C, R, T)
         S = ring_sign(message, ring, self.__identity_key, pos, self.registry, rng)
         return PseudonymCertificate(C, R, T, S)
 
     # -- protocol operations --------------------------------------------
 
-    def window_tag(self, t: float):
-        """The prepared h1 tag of the window that holds second floor(t)."""
-        return _window_tag(self.group, math.floor(math.floor(t) / self.min_span_time))
+    def window_tag(self, t: float, now: float):
+        """The prepared h1 tag of the window that holds second floor(t),
+        looked up at time ``now``.  A window other than now's whose tag is
+        not cached gets a signed comb that is used once, so an issue time
+        that a received frame picks neither builds rows nor evicts a tag."""
+        window = self._window(t)
+        return _window_tag(self.group, window, window == self._window(now))
+
+    def _window(self, t: float) -> int:
+        return math.floor(math.floor(t) / self.min_span_time)
 
     def gen_pseudonym(self, ring: list[str], validity: float, rng) -> PseudonymCertificate:
         """Mint a certificate for a fresh transient key, ring-signed.

@@ -239,7 +239,7 @@ class VehicleState:
 
         if self.rogue_list:
             # leaked f values are public; the expiry checks bound the issue second
-            tag = self.hsm.window_tag(parsed.issue)
+            tag = self.hsm.window_tag(parsed.issue, now)
             for f in sorted(self.rogue_list):
                 if group.encode_element(group.multi_mul([(f, tag)])) == cert.T:
                     return _reject("revoked")

@@ -26,8 +26,9 @@ from avcs.groups import (
     get_group,
     note_extraction,
 )
+from avcs.hardware import TAG_SPACING, _window_tag
 from avcs.ringsig import ManufactoryRegistry, forge_tuple, keygen, ring_sign, ring_verify, setup
-from helpers import PROPERTY, chi_square
+from helpers import PROPERTY, chi_square, last_row_doubling_scalar
 
 TOY = ToyGroup(23)
 BIG_TOY = ToyGroup(2147483647)
@@ -644,6 +645,31 @@ def test_ring_key_prepare_builds_a_signed_comb(group, point_ops):
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
+def test_tag_prepare_builds_the_generator_table_shape(group, point_ops):
+    pt = group.hash_to_group("h1", struct.pack(">Q", 16))
+    # a window tag's rows: ceil(bits(q) / 6) rows of the odd multiples 1,
+    # 3, ..., 63 of 2**(6j) * pt, one doubling per row and 5 between rows,
+    # 31 additions per row, one inversion for all
+    rows = {"p192": 32, "p256": 43}[group.group_id]
+    assert rows == -(-group.q.bit_length() // TAG_SPACING)
+    cost = {"p192": (187, 992, 1), "p256": (253, 1333, 1)}[group.group_id]
+    assert point_ops(lambda: group.prepare(pt, TAG_SPACING)) == cost
+    assert cost == (rows + 5 * (rows - 1), 31 * rows, 1)
+    tag = group.prepare(pt, TAG_SPACING)
+    assert tag == pt and tag.spacing == TAG_SPACING
+    assert [len(row) for row in tag.rows] == [32] * rows
+    assert sum(map(len, tag.rows)) == {"p192": 1024, "p256": 1376}[group.group_id]
+    for j in (0, 1, rows - 1):
+        assert [tag.rows[j][m >> 1] for m in (1, 3, 63)] == [double_and_add(group, m << 6 * j, pt) for m in (1, 3, 63)]
+    # the same spacing comes back as it is; the comb is another layout
+    assert group.prepare(tag, TAG_SPACING) is tag and group.prepare(tag).spacing is None
+    # the generator's table is the same shape at width 8; at 9 the rows
+    # turn to 4 entries over lam bits
+    assert group.prepare(group.generator, 8).rows == group._generator_table
+    assert [len(row) for row in group.prepare(pt, 9).rows] == [4] * -(-short_bits(group) // 9)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
 def test_transient_key_stays_exact_past_its_rows(group, point_ops):
     # multi_mul reads a transient key's rows up to lam bits, and beyond
     # them its row 0 alone, on a chain to the first multiple of 8 above
@@ -672,20 +698,6 @@ def double_and_add(group, k, pt):
         if bit == "1":
             acc = affine_add(group, acc, pt)
     return acc
-
-
-def last_row_doubling_scalar(group):
-    """The odd scalar whose last generator-table addition meets its own
-    operand.
-
-    With w = 8 and n rows, its recoding ends in the digit 255 = 2**w - 1
-    after a partial sum of ``255 * 256**(n - 1) - q``, so the final mixed
-    addition takes its doubling branch; ``q`` minus it is recoded the
-    same way.
-    """
-    w = 8
-    n = -(-group.q.bit_length() // w)
-    return 2 * (2**w - 1) * 2 ** (w * (n - 1)) - group.q
 
 
 def other_bases(group):
@@ -941,6 +953,29 @@ def test_comb_walks_match_double_and_add(case, data):
     # a forge's U = b*E + a*G, cancellations included
     a = data.draw(st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(-2 * q, 2 * q)))
     assert group.fixed_multi_mul([(k, comb), (a, G)]) == affine_add(group, expected, double_and_add(group, a, G))
+
+
+@st.composite
+def tag_cases(draw):
+    """(group, k, tag): a window tag's rows and k among 1, 2, q - 1,
+    q - 2, the pair whose last addition doubles, or any scalar, negatives
+    and multiples of q included."""
+    group = draw(st.sampled_from(CURVES))
+    q, last = group.q, last_row_doubling_scalar(group, TAG_SPACING)
+    k = draw(st.one_of(st.sampled_from([1, 2, q - 1, q - 2, last, q - last]), st.integers(-2 * q, 2 * q)))
+    return group, k, _window_tag(group, draw(st.integers(0, 1)))
+
+
+@PROPERTY
+@given(tag_cases(), st.data())
+def test_tag_rows_match_double_and_add(case, data):
+    group, k, tag = case
+    q, G = group.q, group.generator
+    expected = double_and_add(group, k, tag)
+    assert group.scalar_mul(k, tag) == group.multi_mul([(k, tag)]) == expected
+    # T, and the generator's digits after it in one accumulator
+    a = data.draw(st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(-2 * q, 2 * q)))
+    assert group.fixed_multi_mul([(k, tag), (a, G)]) == affine_add(group, expected, double_and_add(group, a, G))
 
 
 @PROPERTY

@@ -12,19 +12,21 @@ from avcs.errors import (
     ProvisioningError,
     SupervisorAuthError,
 )
-from avcs.groups import P192, P256, ToyGroup, _PreparedPoint, count_group_ops
+from avcs.groups import P192, P256, ToyGroup, _PreparedPoint, _regular_digits, count_group_ops
 from avcs.hardware import (
+    TAG_SPACING,
     WINDOW_TAGS,
     HardwareModule,
     ManualClock,
     PseudonymCertificate,
+    _tags,
     _window_tag,
     join,
     leak_master_secret,
 )
 from avcs.ringsig import ManufactoryRegistry, RingSignature, ring_verify, setup
 from avcs.vehicle import reveal_check
-from helpers import SUPERVISOR_TOKEN, toy_world
+from helpers import SUPERVISOR_TOKEN, last_row_doubling_scalar, toy_world
 
 BIG_TOY = ToyGroup(2147483647)
 
@@ -317,9 +319,11 @@ def test_t_from_the_cached_tag_matches_the_plain_point(group):
             cert = module.gen_pseudonym([module.identity], 600, random.Random(i))
             assert cert.T == plain_t(group, module, window)
         tag = _window_tag(group, window)
-        # the signed comb: 32 points on P-192, 128 on P-256
-        assert isinstance(tag, _PreparedPoint) and tag.spacing is None
-        assert sum(map(len, tag.rows)) == {"p192": 32, "p256": 128}[group.group_id]
+        # rows 6 bits apart, 32 odd multiples each: 32 rows and 1024
+        # points on P-192, 43 rows and 1376 points on P-256
+        assert isinstance(tag, _PreparedPoint) and tag.spacing == TAG_SPACING == 6
+        assert {len(row) for row in tag.rows} == {32}
+        assert sum(map(len, tag.rows)) == {"p192": 1024, "p256": 1376}[group.group_id]
         assert tag == group.hash_to_group("h1", struct.pack(">Q", window))
 
 
@@ -327,11 +331,11 @@ def test_t_from_the_cached_tag_matches_the_plain_point(group):
 def test_modules_with_other_spans_share_the_tag_of_one_window_index(group):
     # 1000 s is window 16 for a 60 s span and for a 61 s span alike
     _, (a, b) = curve_modules(group, min_spans=(60.0, 61.0))
-    _window_tag.cache_clear()
+    _tags.clear()
     ta = a.gen_pseudonym([a.identity], 600, random.Random(1)).T
+    tag = _tags[(group, 16)]
     tb = b.gen_pseudonym([b.identity], 600, random.Random(2)).T
-    info = _window_tag.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert list(_tags) == [(group, 16)] and _tags[(group, 16)] is tag
     assert ta == plain_t(group, a, 16) and tb == plain_t(group, b, 16)
 
 
@@ -340,23 +344,58 @@ def test_window_tag_cache_stays_bounded(group):
     clock, (module,) = curve_modules(group, min_spans=(60.0,))
     for _ in range(10):
         module.gen_pseudonym([module.identity], 600, random.Random(3))
-        assert _window_tag.cache_info().currsize <= WINDOW_TAGS
+        assert len(_tags) <= WINDOW_TAGS
         clock.advance(60.0)
-    assert _window_tag.cache_info().maxsize == WINDOW_TAGS
+    assert len(_tags) == WINDOW_TAGS
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_t_takes_the_comb_walk_for_every_secret(group, point_ops):
+def test_receiver_builds_rows_only_for_its_current_window(group):
+    clock, (module,) = curve_modules(group, min_spans=(60.0,))
+    _tags.clear()
+    now = clock.now()  # window 16
+    # an earlier or a later window, not cached: a comb, used once
+    for t in (now - 600, now + 60):
+        comb = module.window_tag(t, now)
+        assert comb.spacing is None and comb == _window_tag(group, module._window(t), build=False)
+        assert not _tags
+    # the receiver's current window: rows, cached, and then found by any issue second in it
+    tag = module.window_tag(now, now)
+    assert tag.spacing == TAG_SPACING and list(_tags) == [(group, 16)]
+    assert module.window_tag(now, now + 600) is tag
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_t_takes_the_row_walk_for_every_secret(group, point_ops):
     tag = _window_tag(group, 16)
     q = group.q
     rng = random.Random(2014)
     secrets = [1, 2, q - 1, q - 2] + [rng.randrange(1, q) for _ in range(20)]
-    # each curve's one incomplete-addition pair on a comb (pinned in
-    # test_generator_multiples_have_one_operation_pattern) takes 32 doublings;
-    # a random secret hits it with probability 2/q
-    patterns = {point_ops(lambda: group.scalar_mul(f, tag)) for f in secrets}
-    # the comb's 32 columns: one addition each, a doubling between, one inversion
-    assert patterns == {(31, 32, 1)}
+    # one width-6 digit per row, one addition each, no doubling, one
+    # inversion; a random secret meets the pair below with probability 2/q
+    rows = {"p192": 32, "p256": 43}[group.group_id]
+    assert {point_ops(lambda: group.scalar_mul(f, tag)) for f in secrets} == {(0, rows, 1)}
+    # each curve's one incomplete-addition pair on these rows: the last
+    # addition, of digit 63 on P-192 and 15 on P-256, meets its own operand
+    last = last_row_doubling_scalar(group, TAG_SPACING)
+    assert last == {"p192": 126 * 2**186 - q, "p256": 30 * 2**252 - q}[group.group_id]
+    assert _regular_digits(last, rows, TAG_SPACING)[-1] == {"p192": 63, "p256": 15}[group.group_id]
+    if group is P192:
+        assert last == 0xF80000000000000000000000662107C9EB94364E4B2DD7CF
+    for f in (last, q - last):
+        assert point_ops(lambda: group.scalar_mul(f, tag)) == (1, rows, 1)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_rogue_entry_runs_a_six_step_chain(group, point_ops):
+    # multi_mul reads the tag's rows 6 bits apart as its chain: width-7 NAF
+    # digits from 32-entry rows, 6 doublings (the identity's first) and one
+    # inversion per leaked f, whatever f is
+    tag = _window_tag(group, 16)
+    rng = random.Random(2015)
+    for f in [1, 2, group.q - 1] + [rng.randrange(1, group.q) for _ in range(20)]:
+        doublings, _, inversions = point_ops(lambda: group.multi_mul([(f, tag)]))
+        assert (doublings, inversions) == (6, 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)

@@ -12,10 +12,11 @@ from avcs import transient
 from avcs.errors import ParseError, ProvisioningError
 from avcs.groups import P192, _PreparedPoint, count_group_ops
 from avcs.hardware import (
+    TAG_SPACING,
     WINDOW_TAGS,
     ManualClock,
     PseudonymCertificate,
-    _window_tag,
+    _tags,
     join,
     leak_master_secret,
     pack_content,
@@ -223,21 +224,62 @@ def test_fractional_span_takes_the_window_from_the_issue_second():
     assert v0.current_certificate.T == world.group.scalar_mul(leak_master_secret(v0.hsm), tag)
 
 
-def test_old_unexpired_certificate_keeps_the_tag_cache_bounded():
+def counted_tag_prepares(monkeypatch, window):
+    """The spacing of each table ``P192.prepare`` builds from here on for
+    h1(window), or for any point at a tag's spacing."""
+    spacings, prepare = [], P192.prepare
+    tag = P192.hash_to_group("h1", struct.pack(">Q", window))
+
+    def counted_prepare(a, *args):
+        out = prepare(a, *args)
+        if out is not a and (out == tag or out.spacing == TAG_SPACING):
+            spacings.append(out.spacing)
+        return out
+
+    monkeypatch.setattr(P192, "prepare", counted_prepare)
+    return spacings
+
+
+def test_old_unexpired_certificate_keeps_the_tag_cache_bounded(monkeypatch):
     sender, plain, revoking, clock = p192_pair(n=3)
     plain.revoke(12345)
     revoking.revoke(leak_master_secret(sender.hsm))
     sender.make_pseudonym(3600, random.Random(69))
-    old = sender.certificate_frame
+    old, old_window = sender.certificate_frame, math.floor(clock.now() / 60.0)
     for _ in range(WINDOW_TAGS):  # later windows push the old one's tag out
         clock.advance(60.0)
         revoking.make_pseudonym(600, random.Random(70))
+    cached = list(_tags.items())
+    spacings = counted_tag_prepares(monkeypatch, old_window)
     assert plain.receive(old, clock.now()).accepted
     assert revoking.receive(old, clock.now()).reason == "revoked"
-    assert _window_tag.cache_info().currsize <= WINDOW_TAGS
+    # each scan of the old window runs on a comb of its own: no rows are
+    # built, and the cached tags stay as they were
+    assert spacings == [None, None]
+    assert list(_tags.items()) == cached
     cert = sender.make_pseudonym(600, random.Random(71))
     tag = P192.hash_to_group("h1", struct.pack(">Q", math.floor(clock.now() / 60.0)))
     assert cert.T == P192.scalar_mul(leak_master_secret(sender.hsm), tag)
+
+
+def test_forged_old_window_frame_builds_no_tag_rows(monkeypatch):
+    sender, receiver, clock = p192_pair()
+    receiver.revoke(12345)
+    sender.make_pseudonym(600, random.Random(74))  # caches this window's tag
+    rng = random.Random(75)
+    _, pk = transient.gen_keypair(P192, rng)
+    R, T = (P192.scalar_mul(rng.randrange(1, P192.q), P192.generator) for _ in range(2))
+    S = sender.current_certificate.S
+    cached = list(_tags.items())
+    spacings = counted_tag_prepares(monkeypatch, math.floor(clock.now() / 60.0) - 10)
+    # issued 10 windows back, expiring in an hour: both expiry checks pass
+    C = pack_content(P192, pk, clock.now() - 600, 4200)
+    frame = encode_cert_frame(PseudonymCertificate(C, R, T, S), P192)
+    for _ in range(2):
+        assert receiver.receive(frame, clock.now()).reason == "bad-signature"
+    # a comb per scan, never kept: the frame cannot push a tag out
+    assert spacings == [None, None]
+    assert list(_tags.items()) == cached
 
 
 def test_revoke_idempotent():
@@ -589,8 +631,8 @@ def test_rogue_scan_builds_no_table_per_certificate(monkeypatch):
     calls = []
     prepare, hash_to_group = P192.prepare, P192.hash_to_group
 
-    def counted_prepare(a, *rows):
-        out = prepare(a, *rows)
+    def counted_prepare(a, *args, **kwargs):
+        out = prepare(a, *args, **kwargs)
         if out is not a:  # a prepared key comes back as it is; anything else built a table
             calls.append("prepare")
         return out
