@@ -13,10 +13,10 @@ Two interchangeable backends sit behind one small interface:
   in its table's shape (the window tag of ``f * h1(window)``), on a
   prepared point's signed comb (the ring keys of ``ringsig.forge_tuple``)
   and on any other point (``f * h0(C)``).
-  ``fixed_multi_mul`` runs the same walks for a sum of multiples, the
-  generator's after the first (a forge's ``b*E + a*G``).  ``multi_mul``
-  is variable time and takes public scalars only: the verification
-  equations and the rogue-list scan's leaked ``f``.
+  ``fixed_multi_mul`` does the same for a sum over any mix of bases (a
+  forge's ``b*E + a*G``).  ``multi_mul`` is variable time and takes
+  public scalars only: the verification equations and the rogue-list
+  scan's leaked ``f``.
 * :class:`ToyGroup` -- the additive group of integers modulo a small
   prime with generator 1.  Scalar multiplication is literal modular
   multiplication, so test oracles can brute-force every claim.
@@ -47,7 +47,6 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
 from math import lcm
 
 from .errors import MappingError, ParseError
@@ -390,19 +389,19 @@ def _wnaf(k: int, w: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _regular_digits(k: int, n: int, w: int) -> list[int]:
+def _regular_digits(k: int, n: int, w: int) -> list[tuple[int, int]]:
     """Joye-Tunstall regular recoding of an odd ``0 < k < 2**(w*n)``.
 
-    Exactly ``n`` digits, least significant first, with
+    Exactly ``n`` (position, digit) pairs, digit i at bit ``w*i``, with
     ``k = sum(d_i * 2**(w*i))``: every digit is odd and below ``2**w``
     in size, the last one positive, so none is ever zero.
     """
-    digits = []
-    for _ in range(n - 1):
-        d = (k & ((2 << w) - 1)) - (1 << w)
-        digits.append(d)
+    digits, mask, half = [], (2 << w) - 1, 1 << w
+    for i in range(0, w * (n - 1), w):
+        d = (k & mask) - half
+        digits.append((i, d))
         k = (k - d) >> w
-    digits.append(k)
+    digits.append((w * (n - 1), k))
     return digits
 
 
@@ -435,18 +434,15 @@ class CurveGroup(_ScalarCodec):
     on P-256).  A transient key gets rows of 1, 3, 5, 7 times
     ``2**(16j) * P``, as many as its half-width challenges fill.
 
-    ``scalar_mul`` recodes the odd one of k and q - k into nonzero signed
-    digits and adds one table entry per digit, so its pattern does not
-    depend on the scalar: for the generator, bits(q)/8 odd digits
-    (Joye-Tunstall; 24 on P-192, 32 on P-256) from row i of a table built
-    once per curve, the odd multiples 1, 3, ..., 255 of ``256**i * G``,
-    with no doubling, and likewise one width-w digit per row of a point
-    prepared in that shape (a tag: 32 additions on P-192); for a point
-    with a comb, its 32 columns of signed bits, each +- one entry, most
-    significant first with a doubling between (31 doublings, 32
-    additions); for any other point, a transient key included, a
-    per-call row P, 3P, ..., 15P walked most significant digit first, 4
-    doublings before each addition.
+    Every multiplication places its digits by bit position on one
+    doubling chain (``_chain``).  ``scalar_mul`` recodes the odd one of k
+    and q - k into nonzero digits, so its pattern does not depend on the
+    scalar: on the generator, bits(q)/8 odd digits (Joye-Tunstall; 24 on
+    P-192, 32 on P-256), one per row of a table built once per curve, the
+    odd multiples 1, 3, ..., 255 of ``256**i * G``, with no doubling, and
+    likewise on a point prepared in that shape (a tag: 32 additions on
+    P-192); on a comb, its 32 columns (31 doublings, 32 additions); on
+    any other point, width-4 digits on a per-call row P, 3P, ..., 15P.
     The generator's table holds 3072 affine points on P-192 (4096 on
     P-256), about 0.6 MB (0.9 MB), built on first use in about 55 ms
     (85 ms) on CPython 3.11 on a shared 2-core VM.
@@ -459,10 +455,10 @@ class CurveGroup(_ScalarCodec):
     and q - k, one addition meets its own operand and doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
-    share one doubling chain: 16 steps for a message check on a prepared
-    key, 6 for a rogue entry on a tag, and for a check on a plain key
+    share one chain: 16 steps for a message check on a prepared key, 6
+    for a rogue entry on a tag, and for a check on a plain key
     (``ring_verify``) the first multiple of 8 (of 32 beside a comb) above
-    its half-width scalars' top bit, 96 on P-192 and 128 on P-256 for most.
+    its half-width scalars' top digit, 96 on P-192 and 128 on P-256.
     """
 
     _GEN_WIDTH = 8  # generator-table digits are odd and below 2**8 in size
@@ -655,8 +651,9 @@ class CurveGroup(_ScalarCodec):
             sums = [add(s, (x, p - y)) for s in sums] + [add(s, (x, y)) for s in sums]
         return self._batch_to_affine(sums)
 
-    def _comb_digits(self, k: int) -> list[int]:
-        """The comb's columns of ``0 < k < q``, least significant first.
+    def _comb_digits(self, k: int) -> list[tuple[int, int]]:
+        """The comb's columns of ``0 < k < q`` as (position, digit) pairs,
+        column t at bit t.
 
         An odd k is ``sum(s_i * 2**i)`` over i < n = 32 * teeth with every
         s_i = +-1, s_i = +1 where bit i of ``(k + 2**n - 1) / 2`` is set.
@@ -666,55 +663,96 @@ class CurveGroup(_ScalarCodec):
         An even k takes q - k's digits with their signs flipped.
         """
         if not k & 1:
-            return [-d for d in self._comb_digits(self.q - k)]
+            return [(t, -d) for t, d in self._comb_digits(self.q - k)]
         teeth, s = self._teeth, self._COMB_SPACING
         n = s * teeth
         bits = format((k + (1 << n) - 1) >> 1, f"0{n}b").encode().translate(self._BITS)
         # byte t of v holds bit t of every tooth, tooth j at bit j (teeth <= 8)
         v = sum(int.from_bytes(bits[n - s * j - s : n - s * j], "big") << j for j in range(teeth))
-        return [c if c & 1 else c + 1 - (1 << teeth) for c in v.to_bytes(s, "little")]
+        return [(t, c if c & 1 else c + 1 - (1 << teeth)) for t, c in enumerate(v.to_bytes(s, "little"))]
 
-    def _walk(self, k: int, a):
-        """``scalar_mul``'s schedule for ``k * a``, k odd and below q, as
-        (doublings before, row, digit) for each addition."""
-        bits = self.q.bit_length()
-        if a == self.generator or 0 < (getattr(a, "spacing", 0) or 0) <= self._GEN_WIDTH:
-            # row i already holds the odd multiples of 2**(w*i) * a: one
-            # w-bit digit per row, least significant first, no doubling
-            rows, w = (self._generator_table, self._GEN_WIDTH) if a == self.generator else (a.rows, a.spacing)
-            return zip(repeat(()), rows, _regular_digits(k, len(rows), w))
-        if getattr(a, "spacing", 0) is None:
-            # the comb's 32 columns, most significant first, a doubling between
-            return zip(chain([()], repeat(range(1))), repeat(a.rows[0]), reversed(self._comb_digits(k)))
-        w = self._ROW_WIDTH
-        (row,) = self._odd_multiples([a], 1, 1 << (w - 1), 0)
-        return zip(repeat(range(w)), repeat(row), reversed(_regular_digits(k, -(-bits // w), w)))
+    def _fixed_term(self, k: int, a):
+        """``k * a``, ``0 < k < q``, as a ``_chain`` term whose digits are
+        all nonzero: a comb's 32 columns, or regular width-w digits, one
+        per row of the generator's table (w = 8) or of a point prepared
+        in its shape (w its spacing), and for any other point width-4
+        ones on a per-call row P, 3P, ..., 15P.  An even k takes q - k's
+        digits with their signs flipped."""
+        spacing = getattr(a, "spacing", 0)
+        if spacing is None:
+            return a.rows, self._COMB_SPACING, self._comb_digits(k)
+        if 0 < spacing <= self._GEN_WIDTH:
+            rows, w = a.rows, spacing
+        elif a == self.generator:
+            rows, w = self._generator_table, self._GEN_WIDTH
+        else:
+            w = self._ROW_WIDTH
+            rows = self._odd_multiples([a], 1, 1 << (w - 1), 0)
+        n = -(-self.q.bit_length() // w)
+        if k & 1:
+            return rows, w, _regular_digits(k, n, w)
+        return rows, w, [(i, -d) for i, d in _regular_digits(self.q - k, n, w)]
+
+    def _chain(self, terms):
+        """The sum of ``d * 2**i`` times each term's base over its digits
+        (i, d), lowest first, for terms (rows, spacing, digits) whose row j
+        holds the odd multiples 1, 3, ... of ``2**(spacing*j)`` times it.
+
+        The chain is C steps: the least common multiple of the spacings
+        of the terms whose rows reach past their top digit, raised to its
+        first multiple above the top digit of every other term.  Digit
+        (i, d) is added at step i mod C from row ``(i // C) * (C /
+        spacing)``, so rows that fall short are read at row 0 alone.
+        Doublings wait for the first addition; one inversion ends it.
+        """
+        spacing, top = 1, 0
+        for rows, s, digits in terms:
+            if digits[-1][0] < len(rows) * s:
+                spacing = lcm(spacing, s)
+            else:
+                top = max(top, digits[-1][0])
+        C = (top // spacing + 1) * spacing
+        steps: list[list] = [[] for _ in range(C)]
+        p = self._p
+        for rows, s, digits in terms:
+            rows = rows[:: C // s]
+            for i, d in digits:
+                j, i = divmod(i, C)
+                if d > 0:
+                    steps[i].append(rows[j][d >> 1])
+                else:
+                    x, y = rows[j][-d >> 1]
+                    steps[i].append((x, p - y))
+        double, add = self._jac_double, self._jac_add_affine
+        acc = (1, 1, 0)
+        for adds in reversed(steps):
+            if acc[2]:
+                acc = double(acc)
+            for pt in adds:
+                acc = add(acc, pt)
+        return self._to_affine(acc)
 
     def scalar_mul(self, k: int, a):
         return self.fixed_multi_mul([(k, a)])
 
     def generator_muls(self, scalars):
         """``[k * G for k in scalars]``, counted as ``len(scalars)`` scalar
-        multiplications: the generator table's regular digits of every
-        scalar, walked row by row with each row's additions in one
-        ``_add_lanes`` step, so bits(q)/8 - 1 steps (23 on P-192, 31 on
-        P-256) with one inversion each and no doubling.  A zero scalar
-        gives the identity and takes no lane.  The digits, and so the
-        pattern, are ``scalar_mul``'s; where its addition meets its own
-        operand, the lane's shared x coordinate sends it down ``add``'s
-        exact path."""
+        multiplications: ``scalar_mul``'s digits of every scalar, walked
+        row by row with each row's additions in one ``_add_lanes`` step,
+        so bits(q)/8 - 1 steps (23 on P-192, 31 on P-256) with one
+        inversion each and no doubling.  A zero scalar takes no lane.
+        Where ``scalar_mul``'s addition meets its own operand, the lane's
+        shared x coordinate sends it down ``add``'s exact path."""
         _note_scalar_mul(len(scalars))
-        q, p, w, table = self.q, self._p, self._GEN_WIDTH, self._generator_table
-        # as in fixed_multi_mul, an even k walks q - k with its digits' signs flipped
-        ks = [k % q for k in scalars if k % q]
-        lanes = [(1 if k & 1 else -1, _regular_digits(k if k & 1 else q - k, len(table), w))
-                 for k in ks]
+        q, p, table = self.q, self._p, self._generator_table
+        lanes = [self._fixed_term(k % q, self.generator)[2] for k in scalars if k % q]
         acc = []
         for i, row in enumerate(table):
             pts = []
-            for sign, digits in lanes:
-                pt = row[abs(digits[i]) >> 1]
-                pts.append(pt if sign * digits[i] > 0 else (pt[0], p - pt[1]))
+            for digits in lanes:
+                d = digits[i][1]
+                pt = row[abs(d) >> 1]
+                pts.append(pt if d > 0 else (pt[0], p - pt[1]))
             if acc:
                 self._add_lanes(acc, pts)
             else:
@@ -723,28 +761,11 @@ class CurveGroup(_ScalarCodec):
         return [next(sums) if k % q else None for k in scalars]
 
     def fixed_multi_mul(self, pairs):
-        """The sum of ``k * P`` over ``pairs`` along ``scalar_mul``'s
-        fixed-pattern walks, in one accumulator with one inversion.  Every
-        base after the first must be the generator, whose digits need no
-        doubling, so they can follow the first walk's last doubling."""
+        """The sum of ``k * P`` over ``pairs``, any mix of bases, in an
+        operation pattern that the bases alone set."""
         _note_scalar_mul(len(pairs))
-        double, add, p = self._jac_double, self._jac_add_affine, self._p
-        acc = (1, 1, 0)
-        for n, (k, a) in enumerate(pairs):
-            if n and a != self.generator:
-                raise ValueError("a fixed-pattern sum takes the generator after its first base")
-            k %= self.q
-            if k == 0 or a is None:
-                continue
-            # the recoding needs an odd scalar: an even k walks q - k with
-            # every digit's sign flipped, as k*a = -((q - k)*a)
-            sign = 1 if k & 1 else -1
-            for doublings, row, d in self._walk(k if k & 1 else self.q - k, a):
-                for _ in doublings:
-                    acc = double(acc)
-                pt = row[abs(d) >> 1]
-                acc = add(acc, pt if sign * d > 0 else (pt[0], p - pt[1]))
-        return self._to_affine(acc)
+        q = self.q
+        return self._chain([self._fixed_term(k % q, a) for k, a in pairs if k % q and a is not None])
 
     def multi_mul(self, pairs):
         """The sum of ``k * P`` over ``pairs``; variable time, so every
@@ -753,18 +774,12 @@ class CurveGroup(_ScalarCodec):
         Equal points are merged first.  The generator's rows lie 8 bits
         apart, a prepared base's at its ``prepare`` spacing, and any other
         base gets its odd multiples P..7P as one row.  Each scalar is
-        recoded once, into a NAF of width 4 on 4-entry rows, 7 on a tag's 32
-        and 9 on the generator's 128, none of whose digits lies above its
-        top bit, or on a comb into its 32 columns, which count as rows
-        32 bits apart that cover every scalar.  The chain is C steps: the
-        least common multiple of the spacings of the bases whose rows
-        cover their scalars, raised to its first multiple above the top
-        bit of every other scalar.  Digit (i, d) is added at step i mod C
-        from row ``(i // C) * (C / spacing)``, so a base whose rows fall
-        short reads its row 0 alone, and comb column t is added at step t.
+        recoded once, on ``_chain``: into a NAF of width 4 on 4-entry
+        rows, 7 on a tag's 32 and 9 on the generator's 128, none of whose
+        digits lies above its top bit, or on a comb into its 32 columns.
         """
         _note_scalar_mul(len(pairs))
-        q, p, gen = self.q, self._p, self.generator
+        q, gen = self.q, self.generator
         merged, tables = {}, {}
         for k, pt in pairs:
             if pt is not None:
@@ -777,42 +792,19 @@ class CurveGroup(_ScalarCodec):
         fresh = [pt for pt in live if pt not in tables]
         if fresh:  # one row, which covers bit 0 alone
             tables.update((pt, ([row], 1)) for pt, row in zip(fresh, self._odd_multiples(fresh, 1, 4, 0)))
-        terms = [(k, *tables[pt]) for pt, k in live.items()]
-        spacing, top = 1, 0
-        for k, rows, s in terms:
-            if s and k >> len(rows) * s:
-                top = max(top, k.bit_length() - 1)
-            else:  # a comb (s None) covers every scalar in its 32 columns
-                spacing = lcm(spacing, s or self._COMB_SPACING)
-        C = (top // spacing + 1) * spacing
-        steps: list[list] = [[] for _ in range(C)]
-        for k, rows, s in terms:
-            if s is None:  # column t at step t, from the comb's one row
-                digits = enumerate(self._comb_digits(k))
-            else:
-                rows = rows[:: C // s]  # row j: digits at bits jC..jC + C - 1
-                digits = _wnaf(k, len(rows[0]).bit_length() + 1)  # 4 entries: width 4; 128: width 9
-            for i, d in digits:
-                j, i = divmod(i, C)
-                if d > 0:
-                    steps[i].append(rows[j][d >> 1])
-                else:
-                    x, y = rows[j][-d >> 1]
-                    steps[i].append((x, p - y))
-        acc = (1, 1, 0)
-        for adds in reversed(steps):
-            acc = self._jac_double(acc)
-            for pt in adds:
-                acc = self._jac_add_affine(acc, pt)
-        return self._to_affine(acc)
+        terms = []
+        for pt, k in live.items():
+            rows, s = tables[pt]
+            # a NAF as wide as the rows hold (4 entries: width 4; 128: width 9)
+            digits = self._comb_digits(k) if s is None else _wnaf(k, len(rows[0]).bit_length() + 1)
+            terms.append((rows, s or self._COMB_SPACING, digits))
+        return self._chain(terms)
 
     def sum_points(self, points):
-        """The sum of ``points``: mixed additions, one inversion at the end."""
-        acc = (1, 1, 0)
-        for pt in points:
-            if pt is not None:
-                acc = self._jac_add_affine(acc, pt)
-        return self._to_affine(acc)
+        """The sum of ``points``, the chain's one-step case: one row of
+        them, entry e added once (digit 2e + 1 at bit 0)."""
+        row = [pt for pt in points if pt is not None]
+        return self._chain([([row], 1, [(0, 2 * e + 1) for e in range(len(row))])] if row else [])
 
     def subset_sums(self, points, w: int):
         """Row i: the sums of the subsets of ``points[w*i : w*i + w]``,

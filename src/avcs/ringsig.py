@@ -43,6 +43,7 @@ from .groups import batch_inverse, digest32, expand_bytes, note_extraction, take
 __all__ = [
     "HashSuite",
     "IdentityKey",
+    "MAX_RING",
     "ManufactoryRegistry",
     "MasterKeyPair",
     "N_BITS",
@@ -59,6 +60,8 @@ __all__ = [
 ]
 
 N_BITS = 256
+
+MAX_RING = 64  # members: anyone can close a ring's chain, at about 0.75 ms a member to check
 
 # h0_bits's bytes from and to the digits of a base-2 string
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -272,8 +275,8 @@ def forge_tuple(group, E, rng, *, suite: HashSuite = PRODUCTION):
     ``b`` can be recomputed from the published tuple, so a timing trace
     of their multiplications would tell the forgeries from the signer's
     own tuple: ``U = b*E + a*P`` is one ``fixed_multi_mul``, not the
-    variable-time ``multi_mul``: b's walk (E's signed comb when E is
-    prepared), then a's generator digits, and one inversion.
+    variable-time ``multi_mul``: b's digits (on E's comb when E is
+    prepared) and a's on one doubling chain, and one inversion.
     """
     if group.is_identity(E):
         raise DegenerateKeyError("cannot forge against the identity element")
@@ -337,15 +340,16 @@ class RingSignature:
         Every field comes through :func:`~avcs.groups.take` before it is
         checked (a tuple's m, U and v all three), so a short stream
         raises :class:`ParseError` naming what is truncated; bytes after
-        the signature stay unread.  Each U_i stays the bytes that
+        the signature stay unread.  A ring above ``MAX_RING`` members
+        fails before any id is read.  Each U_i stays the bytes that
         ``group.check_encoding`` passed: :func:`ring_verify` decodes it
         only once the chain closes.
         """
         sbl = group.scalar_byte_len
         ebl = group.element_byte_len
         r, x = struct.unpack(">HH", take(stream, 4, "signature header"))
-        if r < 1:
-            raise ParseError("empty ring")
+        if not 1 <= r <= MAX_RING:
+            raise ParseError(f"ring of {r} members, not 1..{MAX_RING}")
         if not 1 <= x <= r:
             raise ParseError("start index out of range")
         w = take(stream, sbl, "glue value")
@@ -399,8 +403,8 @@ def ring_sign(
     group = registry.group
     suite = registry.suite
     r = len(ring)
-    if r < 1:
-        raise ValueError("ring must not be empty")
+    if not 1 <= r <= MAX_RING:
+        raise ValueError(f"a ring holds 1..{MAX_RING} members")
     if not 0 <= signer_pos < r:
         raise ValueError("signer position outside the ring")
     if ring[signer_pos] != signer.id:

@@ -28,7 +28,7 @@ from . import transient
 from .errors import AvcsError, ScenarioError
 from .groups import get_group
 from .hardware import ManualClock, PseudonymCertificate, join, leak_master_secret, pack_content
-from .ringsig import ManufactoryRegistry, RingSignature, forge_tuple, setup
+from .ringsig import MAX_RING, ManufactoryRegistry, RingSignature, forge_tuple, setup
 from .vehicle import CLOCK_SKEW, FRAME_CERT, FRAME_MSG, REJECTION_REASONS, VehicleState, cert_fingerprint, encode_cert_frame, encode_message_frame
 
 ADVERSARY_KINDS = ("sybil", "replay", "forger", "masquerade", "compromised")
@@ -80,8 +80,8 @@ class Scenario:
             raise ScenarioError("n_vehicles must be at least 1")
         if self.duration <= 0:
             raise ScenarioError("duration must be positive")
-        if self.k < 1 or self.ring_size < 1:
-            raise ScenarioError("k and ring_size must be at least 1")
+        if self.k < 1 or not 1 <= self.ring_size <= MAX_RING:
+            raise ScenarioError(f"k must be at least 1 and ring_size lie in 1..{MAX_RING}")
         if self.min_span_time <= 0:
             raise ScenarioError("min_span_time must be positive")
         if self.cert_validity < self.min_span_time:
@@ -109,8 +109,8 @@ class Scenario:
                 raise ScenarioError(f"adversary {adv.name!r}: repeats must be >= 1")
             if adv.kind in ("forger", "masquerade") and adv.period <= 0:
                 raise ScenarioError(f"adversary {adv.name!r}: period must be positive")
-            if adv.kind == "forger" and adv.ring < 1:
-                raise ScenarioError(f"adversary {adv.name!r}: ring must be >= 1")
+            if adv.kind == "forger" and not 1 <= adv.ring <= MAX_RING:
+                raise ScenarioError(f"adversary {adv.name!r}: ring must lie in 1..{MAX_RING}")
             if adv.kind == "compromised" and not 0 <= adv.vehicle < self.n_vehicles:
                 raise ScenarioError(f"adversary {adv.name!r}: vehicle index out of range")
 

@@ -53,8 +53,8 @@ def verify(group, pk, msg: bytes, signature: bytes) -> bool:
 
     Hostile-input safe; two logical scalar muls.  The challenge e is
     half width (``hash_to_short``) and enters with its own sign, so on a
-    plain key the doubling chain is the first multiple of 8 above e's top
-    bit (96 on P-192 for most e).  On ``group.prepare(pk, KEY_SPACING)``,
+    plain key the doubling chain is the first multiple of 8 above the top
+    digit of e's NAF (96 on P-192 for most e).  On ``group.prepare(pk, KEY_SPACING)``,
     whose rows lie 16 bits apart and cover e, it is 16 steps.
     R stays bytes: an encoding equals it iff R decodes to that point.
     """

@@ -29,7 +29,7 @@ from . import transient
 from .errors import ParseError, ProtocolError, ProvisioningError
 from .groups import digest32
 from .hardware import HardwareModule, PseudonymCertificate, signed_message
-from .ringsig import ring_verify
+from .ringsig import MAX_RING, ring_verify
 
 __all__ = [
     "CLOCK_SKEW",
@@ -124,8 +124,8 @@ class VehicleState:
     def __init__(self, hsm: HardwareModule, *, k: int = 10, ring_size: int = 4):
         if k < 1:
             raise ValueError("k must be at least 1")
-        if ring_size < 1:
-            raise ValueError("ring_size must be at least 1")
+        if not 1 <= ring_size <= MAX_RING:
+            raise ValueError(f"ring_size must lie in 1..{MAX_RING}")
         self.hsm = hsm
         self.k = k
         self.ring_size = ring_size

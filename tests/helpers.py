@@ -68,7 +68,7 @@ def last_row_doubling_scalar(group, w=8):
     q = group.q
     n = -(-q.bit_length() // w)
     found = [k for d in range(1, 2**w, 2)
-             if 0 < (k := 2 * d * 2 ** (w * (n - 1)) - q) < q and _regular_digits(k, n, w)[-1] == d]
+             if 0 < (k := 2 * d * 2 ** (w * (n - 1)) - q) < q and _regular_digits(k, n, w)[-1][1] == d]
     assert len(found) == 1
     return found[0]
 

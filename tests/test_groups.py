@@ -3,11 +3,11 @@
 import hashlib
 import random
 import struct
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from avcs import transient
@@ -450,6 +450,20 @@ def short_bits(group):
     return -(-group.q.bit_length() // 2)
 
 
+def top_step(C, *recodings):
+    """The doublings of a C-step chain: digit (i, d) lands at step i mod C,
+    and the chain doubles from the top step that holds a digit."""
+    return max(i % C for digits in recodings for i, _ in digits)
+
+
+def check_scalars(group, pk, msg, signature):
+    """(s, e) of a message check ``s*G + e*pk``, read as ``transient.verify``
+    reads them."""
+    R = signature[: group.element_byte_len]
+    e = group.hash_to_short("schnorr", R + group.encode_element(pk) + msg)
+    return group.decode_scalar(signature[group.element_byte_len :]), e
+
+
 @st.composite
 def prepared_cases(draw):
     """(group, pairs with some bases prepared, the same pairs unprepared):
@@ -534,10 +548,13 @@ def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypa
     key = group.scalar_mul(0xBEEF, G)
     # the chain is C = 16 beside a transient key, 32 beside a ring key's
     # signed comb, and lam beside a fresh base whose scalar's top bit is
-    # lam - 1; the signed comb adds one column per step, whatever its scalar
-    for other, k, C in ((group.prepare(key, transient.KEY_SPACING), 1, 16),
-                        (group.prepare(key), 1, 32),
-                        (key, 2 ** (lam - 1) + 1, lam)):
+    # lam - 1; the signed comb adds one column per step, whatever its
+    # scalar.  Doublings wait for the first addition, at the top step that
+    # holds a digit: step 0 beside the key's one digit, the comb's column
+    # 31, and the fresh base's top bit
+    for other, k, C, top in ((group.prepare(key, transient.KEY_SPACING), 1, 16, 0),
+                             (group.prepare(key), 1, 32, 31),
+                             (key, 2 ** (lam - 1) + 1, lam, lam - 1)):
         # 255 at the foot of each C-bit chunk j: one width-9 digit, added
         # from comb row j * C / 8
         chunks = range(group.q.bit_length() // C)
@@ -546,27 +563,31 @@ def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypa
         ops = point_ops(lambda: group.multi_mul([(s, G), (k, other)]))
         assert set(read) == {j * C // 8 for j in chunks}
         if other is key:  # one doubling and 3 additions for its odd multiples
-            assert ops == (C + 1, len(chunks) + 2 + 3, 2)
+            assert ops == (top + 1, len(chunks) + 2 + 3, 2)
         else:
-            assert ops == (C, len(chunks) + (32 if other.spacing is None else 1), 1)
+            assert ops == (top, len(chunks) + (32 if other.spacing is None else 1), 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_prepared_check_runs_one_short_doubling_chain(group, point_ops):
     # a message check on a key prepared at transient.KEY_SPACING: comb
     # rows 8 bits apart and key rows 16 apart make one chain of 16 steps
-    # on either curve, the first of them a doubling of the identity
+    # on either curve, which doubles from its top step that holds a
+    # digit: step 15 for most checks
     sk, pk = transient.gen_keypair(group, random.Random(2014))
     prepared = group.prepare(pk, transient.KEY_SPACING)
     group.scalar_mul(1, group.generator)  # build the table outside the count
-    additions = []
+    additions, chains = [], []
     for i in range(50):
         msg = b"beacon %d" % i
         signature = transient.sign(group, sk, pk, msg)
         assert transient.verify(group, prepared, msg, signature)
         doublings, adds, inversions = point_ops(lambda: transient.verify(group, prepared, msg, signature))
-        assert (doublings, inversions) == (16, 1)
+        s, e = check_scalars(group, pk, msg, signature)
+        assert (doublings, inversions) == (top_step(16, _wnaf(s, 9), _wnaf(e, 4)), 1)
         additions.append(adds)
+        chains.append(doublings)
+    assert max(chains) == 15 and chains.count(15) >= 40
     # one addition per NAF digit: width 9 on the full-width s, width 4 on
     # the half-width e
     assert sum(additions) / len(additions) <= {"p192": 40, "p256": 53}[group.group_id]
@@ -575,18 +596,25 @@ def test_prepared_check_runs_one_short_doubling_chain(group, point_ops):
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_plain_key_check_runs_a_half_length_chain(group, point_ops):
     # a half-width challenge on a plain key: one chain to the first
-    # multiple of 8 above its top bit (lam for each of these ten), and
-    # one more doubling for the key's odd multiples
+    # multiple of 8 above its top digit (lam for each of these ten), which
+    # doubles from its top step that holds a digit, and one more doubling
+    # for the key's odd multiples
     sk, pk = transient.gen_keypair(group, random.Random(2015))
     group.scalar_mul(1, group.generator)  # build the table outside the count
-    additions = 0
+    additions, chains = 0, []
+    lam = short_bits(group)
     for i in range(10):
         msg = b"first %d" % i
         signature = transient.sign(group, sk, pk, msg)
         assert transient.verify(group, pk, msg, signature)
         doublings, adds, _ = point_ops(lambda: transient.verify(group, pk, msg, signature))
-        assert doublings == {"p192": 97, "p256": 129}[group.group_id] == short_bits(group) + 1
+        s, e = check_scalars(group, pk, msg, signature)
+        assert (_wnaf(e, 4)[-1][0] // 8 + 1) * 8 == lam
+        assert doublings == top_step(lam, _wnaf(s, 9), _wnaf(e, 4)) + 1 <= lam
         additions += adds
+        chains.append(doublings)
+    assert chains == {"p192": [96, 95, 94, 96, 95, 96, 95, 95, 95, 96],
+                      "p256": [125, 127, 127, 127, 128, 128, 128, 128, 126, 127]}[group.group_id]
     assert additions == {"p192": 430, "p256": 547}[group.group_id]
 
 
@@ -671,9 +699,10 @@ def test_tag_prepare_builds_the_generator_table_shape(group, point_ops):
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_transient_key_stays_exact_past_its_rows(group, point_ops):
-    # multi_mul reads a transient key's rows up to lam bits, and beyond
-    # them its row 0 alone, on a chain to the first multiple of 8 above
-    # the scalar's top bit; scalar_mul never reads them at all
+    # multi_mul reads a transient key's rows up to lam bits, on a chain
+    # of 16 steps, and beyond them its row 0 alone, on a chain to the
+    # first multiple of 8 above the scalar's top digit, which doubles from
+    # that digit's step; scalar_mul never reads them at all
     lam, G = short_bits(group), group.generator
     pt = group.scalar_mul(0xBEEF, G)
     short = group.prepare(pt, transient.KEY_SPACING)
@@ -681,7 +710,8 @@ def test_transient_key_stays_exact_past_its_rows(group, point_ops):
         expected = double_and_add(group, k, pt)
         assert group.multi_mul([(k, short)]) == group.multi_mul([(k, pt)]) == expected
         doublings, _, _ = point_ops(lambda: group.multi_mul([(k, short), (5, G)]))
-        assert doublings == (16 if k < 2**lam else (k.bit_length() + 7) // 8 * 8)
+        digits = _wnaf(k, 4)
+        assert doublings == (top_step(16, digits) if k < 2**lam else digits[-1][0])
         assert group.scalar_mul(k, short) == expected
         assert point_ops(lambda: group.scalar_mul(k, short)) == point_ops(lambda: group.scalar_mul(k, pt))
 
@@ -746,13 +776,63 @@ def test_fixed_multi_mul_matches_double_and_add(case, data):
     assert ops.scalar_muls == 2
 
 
-def test_fixed_multi_mul_takes_the_generator_after_its_first_base():
-    first, second = other_bases(P192)
-    with pytest.raises(ValueError, match="after its first base"):
-        P192.fixed_multi_mul([(3, first), (5, P192.generator), (7, second)])
-    with pytest.raises(ValueError, match="after its first base"):
-        P192.fixed_multi_mul([(5, P192.generator), (3, first)])
-    assert BIG_TOY.fixed_multi_mul([(3, 5), (7, 11)]) == 92
+@cache
+def fixed_bases(group):
+    """One base of each layout a fixed-pattern sum walks, with its
+    documented incomplete-addition pair: the generator's rows, a window
+    tag's rows, a ring key's signed comb, and a transient key and a plain
+    point, both on the per-call row.  Hashed points, so that no base is a
+    known multiple of another."""
+    q = group.q
+    point = {name: group.hash_to_group("test-base", name.encode()) for name in ("tag", "comb", "key", "plain")}
+    gen, tag = last_row_doubling_scalar(group), last_row_doubling_scalar(group, TAG_SPACING)
+    return [
+        (group.generator, (gen, q - gen)),
+        (group.prepare(point["tag"], TAG_SPACING), (tag, q - tag)),
+        (group.prepare(point["comb"]), tuple(comb_doubling_scalars(group))),
+        (group.prepare(point["key"], transient.KEY_SPACING), (2, q - 2)),
+        (point["plain"], (2, q - 2)),
+    ]
+
+
+@st.composite
+def fixed_mix_cases(draw):
+    """(group, pairs, bases): distinct bases drawn from ``fixed_bases``,
+    each with a scalar among 0, 1, 2, q - 1, q - 2, its base's pair, or
+    any scalar."""
+    group = draw(st.sampled_from(CURVES))
+    q = group.q
+    bases = draw(st.lists(st.sampled_from(fixed_bases(group)), min_size=1, max_size=5,
+                          unique_by=lambda base: id(base[0])))
+    pairs = [(draw(st.one_of(st.sampled_from([0, 1, 2, q - 1, q - 2, *special]), st.integers(1, q - 1))), pt)
+             for pt, special in bases]
+    return group, pairs, bases
+
+
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=fixed_mix_cases())
+def test_fixed_sums_over_any_mix_of_bases(case, point_ops):
+    group, pairs, bases = case
+    q = group.q
+    terms = (double_and_add(group, k, pt) for k, pt in pairs)
+    expected = reduce(reference_add(group), terms, group.identity)
+    with count_group_ops() as ops:
+        assert group.fixed_multi_mul(pairs) == expected
+    assert ops.scalar_muls == len(pairs)
+    assert group.multi_mul(pairs) == expected
+    # the pattern depends on the bases of the nonzero scalars alone: the
+    # same as for arbitrary scalars on them, bar the pair of a lone base
+    group.scalar_mul(1, group.generator)  # build the table outside the count
+    live = [(k, pt) for k, pt in pairs if k % q]
+    ordinary = [(0xC0FFEE * (i + 1), pt) for i, (_, pt) in enumerate(live)]
+    pattern = point_ops(lambda: group.fixed_multi_mul(live))
+    reference = point_ops(lambda: group.fixed_multi_mul(ordinary))
+    documented = {id(pt): special for pt, special in bases}
+    if len(live) == 1 and live[0][0] in documented[id(live[0][1])]:
+        # the last addition meets its own operand and doubles
+        assert pattern == (reference[0] + 1, *reference[1:])
+    else:
+        assert pattern == reference
 
 
 @pytest.mark.parametrize("group", MSM_GROUPS, ids=str)
@@ -836,7 +916,7 @@ def test_generator_muls_take_one_lane_step_per_table_row(group, point_ops):
 def comb_columns(group, k):
     """The column values of ``k``'s comb walk, least significant first:
     each digit's entry as a multiple of the base, with its sign."""
-    return [(1 if d > 0 else -1) * comb_entry(group, abs(d) >> 1) for d in group._comb_digits(k)]
+    return [(1 if d > 0 else -1) * comb_entry(group, abs(d) >> 1) for _, d in group._comb_digits(k)]
 
 
 def comb_doubling_scalars(group):
@@ -883,15 +963,17 @@ def test_generator_multiples_have_one_operation_pattern(group, point_ops):
     assert rows == -(-q.bit_length() // 8)
     assert {pattern(k) for k in scalars} == {(0, rows, 1)}
     last = last_row_doubling_scalar(group)
-    assert last & 1 and 0 < last < q and _regular_digits(last, rows, 8)[-1] == 255
+    assert last & 1 and 0 < last < q and _regular_digits(last, rows, 8)[-1] == (8 * (rows - 1), 255)
     # the incomplete addition formula's one exception on each curve
     for k in (last, q - last):
         assert pattern(k) == (1, rows, 1)
     # any other base: its per-call row P..15P stays at width 4 whatever the
     # generator's width (one doubling, 7 mixed additions, one inversion),
-    # then 4 doublings before each of its bits(q)/4 additions
+    # then its bits(q)/4 digits, one at each of bits 0, 4, 8, ..., on a
+    # chain that starts at the top digit: 4 doublings between additions
     base = group.hash_to_group("test-base", b"pattern")
-    per_call = {"p192": (193, 55, 2), "p256": (257, 71, 2)}[group.group_id]
+    per_call = {"p192": (189, 55, 2), "p256": (253, 71, 2)}[group.group_id]
+    assert per_call[:2] == (1 + 4 * (q.bit_length() // 4 - 1), 7 + q.bit_length() // 4)
     assert {pattern(k, base) for k in [1, q - 1] + scalars[4:]} == {per_call}
     # q = 17 mod 32: q - 2 ends in the digit -1 after a partial sum of -P
     assert q % 32 == 17
@@ -918,10 +1000,19 @@ def test_forge_on_a_prepared_key_has_one_operation_pattern(group, point_ops):
     E = group.prepare(group.scalar_mul(0xF00D, group.generator))
     group.scalar_mul(1, group.generator)  # build the table outside the count
     patterns = {point_ops(lambda: forge_tuple(group, E, random.Random(seed))) for seed in range(50)}
-    # b*E (31 doublings, one addition per comb column), then a*G's
-    # width-8 digits (one addition each) into the same accumulator, and
-    # one inversion for U
-    assert patterns == {{"p192": (31, 56, 1), "p256": (31, 64, 1)}[group.group_id]}
+    # one chain: b*E's comb columns at steps 31..0 (31 doublings, one
+    # addition each) and a*G's width-8 digits at steps 0, 8, 16 and 24
+    # (one addition each, from rows 0, 4, 8, ...), and one inversion for U
+    pattern = {"p192": (31, 56, 1), "p256": (31, 64, 1)}[group.group_id]
+    assert patterns == {pattern}
+    # column 0 comes first at step 0, after a's digits at steps 8, 16 and
+    # 24, whose sum is even, nonzero and below 2q in size, so no multiple
+    # of q: the comb's own pair, whose walk meets c_0 there, never doubles
+    # in a forge
+    rng = random.Random(2005)
+    for b in comb_doubling_scalars(group):
+        for a in [1, group.q - 1] + [rng.randrange(1, group.q) for _ in range(5)]:
+            assert point_ops(lambda: group.fixed_multi_mul([(b, E), (a, group.generator)])) == pattern
 
 
 @st.composite
@@ -1094,11 +1185,12 @@ def test_ring_verify_over_prepared_keys_runs_a_half_length_chain(group, point_op
     assert all(isinstance(registry._cache[id_str], _PreparedPoint) for id_str in ring)
     group.scalar_mul(1, group.generator)  # build the table outside the count
     # 96-bit (128-bit) randomizers on the fresh U_i: a chain to the first
-    # multiple of lcm(8, 32) above their top bit, lam here, and one
-    # doubling for each U_i's odd multiples; each key adds its comb's 32
-    # columns at steps 0..31
-    chain = {"p192": 96, "p256": 128}[group.group_id]
-    assert chain == short_bits(group)
+    # multiple of lcm(8, 32) above their top digit, lam here, doubling from
+    # the top step that holds a digit, lam - 1 here, and one doubling for
+    # each U_i's odd multiples; each key adds its comb's 32 columns at
+    # steps 0..31
+    chain = {"p192": 95, "p256": 127}[group.group_id]
+    assert chain == short_bits(group) - 1
     doublings, additions, _ = point_ops(lambda: ring_verify(b"half", sig, registry))
     assert doublings == chain + r
     assert additions == {"p192": 240, "p256": 270}[group.group_id]

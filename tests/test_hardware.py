@@ -12,7 +12,7 @@ from avcs.errors import (
     ProvisioningError,
     SupervisorAuthError,
 )
-from avcs.groups import P192, P256, ToyGroup, _PreparedPoint, _regular_digits, count_group_ops
+from avcs.groups import P192, P256, ToyGroup, _PreparedPoint, _regular_digits, _wnaf, count_group_ops
 from avcs.hardware import (
     TAG_SPACING,
     WINDOW_TAGS,
@@ -379,7 +379,7 @@ def test_t_takes_the_row_walk_for_every_secret(group, point_ops):
     # addition, of digit 63 on P-192 and 15 on P-256, meets its own operand
     last = last_row_doubling_scalar(group, TAG_SPACING)
     assert last == {"p192": 126 * 2**186 - q, "p256": 30 * 2**252 - q}[group.group_id]
-    assert _regular_digits(last, rows, TAG_SPACING)[-1] == {"p192": 63, "p256": 15}[group.group_id]
+    assert _regular_digits(last, rows, TAG_SPACING)[-1][1] == {"p192": 63, "p256": 15}[group.group_id]
     if group is P192:
         assert last == 0xF80000000000000000000000662107C9EB94364E4B2DD7CF
     for f in (last, q - last):
@@ -389,13 +389,16 @@ def test_t_takes_the_row_walk_for_every_secret(group, point_ops):
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_rogue_entry_runs_a_six_step_chain(group, point_ops):
     # multi_mul reads the tag's rows 6 bits apart as its chain: width-7 NAF
-    # digits from 32-entry rows, 6 doublings (the identity's first) and one
-    # inversion per leaked f, whatever f is
+    # digits from 32-entry rows and one inversion per leaked f, doubling
+    # from the top step that holds a digit: 5 but for the smallest f
     tag = _window_tag(group, 16)
     rng = random.Random(2015)
+    chains = []
     for f in [1, 2, group.q - 1] + [rng.randrange(1, group.q) for _ in range(20)]:
         doublings, _, inversions = point_ops(lambda: group.multi_mul([(f, tag)]))
-        assert (doublings, inversions) == (6, 1)
+        assert (doublings, inversions) == (max(i % 6 for i, _ in _wnaf(f, 7)), 1)
+        chains.append(doublings)
+    assert chains == [0, 1] + [5] * 21
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)

@@ -2,12 +2,14 @@
 
 import functools
 import random
+import struct
 
 import pytest
 
 from avcs.errors import DegenerateKeyError, ParseError, UnknownManufactoryError
 from avcs.groups import P192, P256, ToyGroup, _PreparedPoint, count_group_ops, expand_bytes
 from avcs.ringsig import (
+    MAX_RING,
     PRODUCTION,
     HashSuite,
     IdentityKey,
@@ -504,6 +506,8 @@ def test_sign_argument_validation():
         ring_sign(b"x", ["m:b", "m:a"], signer, 0, registry, random.Random(1))
     with pytest.raises(UnknownManufactoryError):
         ring_sign(b"x", ["m:a", "ghost:b"], signer, 0, registry, random.Random(1))
+    with pytest.raises(ValueError, match="1..64 members"):
+        ring_sign(b"x", ["m:a"] + [f"m:{i}" for i in range(MAX_RING)], signer, 0, registry, random.Random(1))
 
 
 def test_scalar_mul_counts_exact():
@@ -682,6 +686,11 @@ def test_wire_rejects_semantic_garbage():
     big_x[2:4] = (3).to_bytes(2, "big")
     with pytest.raises(ParseError):
         RingSignature.from_bytes(bytes(big_x), BIG_TOY)
+
+    # a ring above MAX_RING members fails at the header, before any id
+    for r in (MAX_RING + 1, 0xFFFF):
+        with pytest.raises(ParseError, match="not 1..64"):
+            RingSignature.from_bytes(struct.pack(">HH", r, 1), BIG_TOY)
 
     # v >= q in the first tuple
     sbl = BIG_TOY.scalar_byte_len

@@ -87,6 +87,8 @@ kind = forger
     (MINIMAL + "[protocol]\nmsg_rate = 0\n", "msg_rate"),
     (MINIMAL + "[adversary.x]\nkind = sybil\ncerts = 1\n", "certs"),
     (MINIMAL + "[adversary.x]\nkind = compromised\nvehicle = 7\n", "vehicle index"),
+    (MINIMAL + "[protocol]\nring_size = 65\n", "ring_size lie in 1..64"),
+    (MINIMAL + "[adversary.x]\nkind = forger\nring = 65\n", "ring must lie in 1..64"),
     (MINIMAL.replace("seed = 1", "seed = soon"), "not a valid int"),
     (MINIMAL + "[protocol]\npreseed_ids = maybe\n", "not a valid bool"),
     (MINIMAL.replace("toy:2147483647", "p512"), "unknown group"),

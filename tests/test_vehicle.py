@@ -22,7 +22,7 @@ from avcs.hardware import (
     pack_content,
     signed_message,
 )
-from avcs.ringsig import ManufactoryRegistry, RingSignature, ring_sign, setup
+from avcs.ringsig import MAX_RING, PRODUCTION, ManufactoryRegistry, RingSignature, ring_sign, setup
 from avcs.vehicle import (
     FRAME_CERT,
     FRAME_MSG,
@@ -573,6 +573,46 @@ def test_open_chain_ghost_ring_decodes_only_its_key(monkeypatch):
     assert result.outcome == "reject" and result.reason == "bad-signature"
     assert decoded == [C[1 : 1 + P192.element_byte_len]]
     assert (ops.scalar_muls, ops.extractions) == (0, 0)
+
+
+def ghost_ring_frame(clock, r, rng):
+    """A certificate frame whose ring of r fresh ids closes its chain, as
+    anyone can close one: the glue of ``ring_sign`` with every tuple's U
+    and v random, so it must end ``bad-signature``."""
+    sbl = P192.scalar_byte_len
+
+    def point():
+        return P192.hash_to_group("ghost", rng.randbytes(16))
+
+    C, R, T = pack_content(P192, point(), clock.now(), 30.0), point(), point()
+    msg = signed_message(P192, C, R, T)
+    gamma = rng.randbytes(sbl)
+    w = [PRODUCTION.chain(P192, msg, gamma)]
+    ms = [rng.randbytes(sbl) for _ in range(r - 1)]
+    for m in ms:
+        w.append(PRODUCTION.chain(P192, msg, bytes(a ^ b for a, b in zip(w[-1], m))))
+    ms.append(bytes(a ^ b for a, b in zip(gamma, w[-1])))
+    tuples = tuple((m, point(), rng.randrange(1, P192.q)) for m in ms)
+    S = RingSignature(1, w[0], tuple(f"c:ghost-{i}" for i in range(r)), tuples)
+    return encode_cert_frame(PseudonymCertificate(C, R, T, S), P192)
+
+
+def test_ring_above_the_cap_is_malformed_before_any_multiplication():
+    _, receiver, clock = p192_pair(seed=86)
+    rng = random.Random(87)
+    # MAX_RING members: the chain closes, so all 3r multiplications and r
+    # extractions run before the tuples fail
+    with count_group_ops() as ops:
+        result = receiver.receive(ghost_ring_frame(clock, MAX_RING, rng), clock.now())
+    assert (result.outcome, result.reason) == ("reject", "bad-signature")
+    assert (ops.scalar_muls, ops.extractions) == (3 * MAX_RING, MAX_RING)
+    # one more member: the parser stops at the header
+    with count_group_ops() as ops:
+        result = receiver.receive(ghost_ring_frame(clock, MAX_RING + 1, rng), clock.now())
+    assert (result.outcome, result.reason) == ("reject", "malformed")
+    assert (ops.scalar_muls, ops.extractions) == (0, 0)
+    with pytest.raises(ValueError, match="ring_size"):
+        VehicleState(receiver.hsm, ring_size=MAX_RING + 1)
 
 
 def test_off_curve_u_closes_the_chain_and_is_a_bad_signature(monkeypatch):
