@@ -4,7 +4,10 @@ Every record times one operation at one ring size and carries the exact
 scalar-multiplication count of the timed calls, so the cost model can be
 checked against the measurements: signing is 2r-1 multiplications,
 verifying 3r, and a pseudonym certificate adds the two tag bindings
-plus one transient keypair on top of the ring signature.
+plus one transient keypair on top of the ring signature.  Beside it, the
+doublings, mixed additions and inversions that ``count_group_ops``
+tallied, per call and averaged over the trials, say where the physical
+work went.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ OPS = (
     "extract_cold",
 )
 
-CSV_HEADER = "curve,ring_size,op,mean_ms,median_ms,p95_ms,scalar_muls,size_bytes"
+CSV_HEADER = "curve,ring_size,op,mean_ms,median_ms,p95_ms,scalar_muls,size_bytes,doublings,additions,inversions"
 
 # 10-char identities: one-letter manufactory, zero-padded unit number
 _BENCH_MFR = "b"
@@ -52,6 +55,9 @@ class BenchRecord:
     p95_ms: float
     scalar_muls: int
     size_bytes: int
+    doublings: float = 0.0  # per call, mean over the trials
+    additions: float = 0.0
+    inversions: float = 0.0
 
 
 def records_to_csv(records) -> str:
@@ -59,7 +65,8 @@ def records_to_csv(records) -> str:
     for rec in records:
         lines.append(
             f"{rec.curve},{rec.ring_size},{rec.op},{rec.mean_ms:.6f},"
-            f"{rec.median_ms:.6f},{rec.p95_ms:.6f},{rec.scalar_muls},{rec.size_bytes}"
+            f"{rec.median_ms:.6f},{rec.p95_ms:.6f},{rec.scalar_muls},{rec.size_bytes},"
+            f"{rec.doublings:.6g},{rec.additions:.6g},{rec.inversions:.6g}"
         )
     return "\n".join(lines) + "\n"
 
@@ -101,7 +108,7 @@ def linearity_r2(records, op: str, *, r_min: int = 2) -> float:
     return 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
-def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0) -> dict:
+def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0, points=None) -> dict:
     """Time and count each fn in round-robin passes: ``trials`` passes,
     and more until the passes have run for ``min_seconds`` or made
     ``10 * trials``.
@@ -113,8 +120,11 @@ def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0) -> dic
     read inside it, so the count comes from the timed calls and entering
     the region is not timed.  Returns ``{key: (samples_ms, scalar_muls)}``
     and raises ``RuntimeError`` if a key's count differs between trials.
+    A dict given as ``points`` gets ``{key: (doublings, additions,
+    inversions)}``, each per call and averaged over the trials.
     """
     samples = {key: [] for key in fns}
+    totals = {key: [0, 0, 0] for key in fns}
     muls = {}
     # collector pauses mid-trial would land on whichever op is unlucky
     was_enabled = gc.isenabled()
@@ -135,14 +145,18 @@ def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0) -> dic
                         f"{muls[key]} on an earlier trial"
                     )
                 samples[key].append(elapsed * 1000.0)
+                for i, n in enumerate((ops.doublings, ops.additions, ops.inversions)):
+                    totals[key][i] += n
     finally:
         if was_enabled:
             gc.enable()
+    if points is not None:
+        points.update((key, tuple(n / len(samples[key]) for n in totals[key])) for key in fns)
     return {key: (samples[key], muls[key]) for key in fns}
 
 
 def _record(curve: str, r: int, op: str, measured: tuple[list[float], int],
-            size: int) -> BenchRecord:
+            size: int, points: tuple[float, float, float]) -> BenchRecord:
     samples, muls = measured
     p95 = samples[0]  # one sample has no quantiles
     if len(samples) > 1:
@@ -157,19 +171,23 @@ def _record(curve: str, r: int, op: str, measured: tuple[list[float], int],
         p95_ms=p95,
         scalar_muls=muls,
         size_bytes=size,
+        doublings=points[0],
+        additions=points[1],
+        inversions=points[2],
     )
 
 
 def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchRecord]:
     """Measure every operation at every ring size 1..r_max.
 
-    Each row is timed and counted on the same calls, in one of two
-    interleaved passes: the ring rows with a time floor, the stream rows
-    for ``trials`` passes.  Every trial of a row must make the same
-    number of scalar multiplications.  The pubkey-extraction cache is
-    warmed first, so cold extraction stays out of the other rows' times
-    (the counts are logical and do not depend on it); ``extract_cold``
-    times it alone, one uncached extraction of a fresh id per trial.
+    Each row is timed and counted on the same calls, logical and
+    physical operations both, in one of two interleaved passes: the ring
+    rows with a time floor, the stream rows for ``trials`` passes.  Every
+    trial of a row must make the same number of scalar multiplications.
+    The pubkey-extraction cache is warmed first, so cold extraction stays
+    out of the other rows' times and point counts (the logical counts do
+    not depend on it); ``extract_cold`` times it alone, one uncached
+    extraction of a fresh id per trial.
     """
     if not 1 <= r_max <= 32:
         raise ValueError("r_max must lie in 1..32")
@@ -221,6 +239,8 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
         sizes["gen_message", r] = sizes["verify_message", r] = len(msg_frame)
         sizes["extract_cold", r] = group.element_byte_len
 
-    rows = _interleaved_trials(ring_fns, trials, _RING_PASS_SECONDS)
-    rows.update(_interleaved_trials(stream_fns, trials))
-    return [_record(curve, r, op, measured, sizes[op, r]) for (op, r), measured in rows.items()]
+    points = {}
+    rows = _interleaved_trials(ring_fns, trials, _RING_PASS_SECONDS, points)
+    rows.update(_interleaved_trials(stream_fns, trials, points=points))
+    return [_record(curve, r, op, measured, sizes[op, r], points[op, r])
+            for (op, r), measured in rows.items()]

@@ -16,7 +16,9 @@ Two interchangeable backends sit behind one small interface:
   ``fixed_multi_mul`` does the same for a sum over any mix of bases (a
   forge's ``b*E + a*G``).  ``multi_mul`` is variable time and takes
   public scalars only: the verification equations and the rogue-list
-  scan's leaked ``f``.
+  scan's leaked ``f``.  ``fixed_multi_muls`` and ``multi_muls`` make
+  several such sums and convert them to affine points with one shared
+  inversion (a mint's R and T, a ring's forgeries, a rogue scan).
 * :class:`ToyGroup` -- the additive group of integers modulo a small
   prime with generator 1.  Scalar multiplication is literal modular
   multiplication, so test oracles can brute-force every claim.
@@ -32,11 +34,15 @@ Scalar multiplications are the unit of cost accounting for the
 signature scheme.  Wrap a region in :func:`count_group_ops` to get an
 exact count; outside such a region nothing is recorded.  ``multi_mul``
 over n pairs counts n, pairs it skips or merges included, and so does
-``fixed_multi_mul``; ``generator_muls`` over n scalars counts n, the
-n multiples of the generator a master set-up makes in shared lanes,
-where a lane that meets its own operand takes the exact slow path
-just as ``scalar_mul`` doubles there; ``prepare``, ``sum_points``,
-``subset_sums`` and ``add`` count nothing.
+``fixed_multi_mul``; their list forms count the pairs of every sum;
+``generator_muls`` over n scalars counts n, the n multiples of the
+generator a master set-up makes in shared lanes, where a lane that meets
+its own operand takes the exact slow path just as ``scalar_mul`` doubles
+there; ``prepare``, ``sum_points``, ``subset_sums`` and ``add`` count no
+scalar multiplication.  The same region also counts the point operations
+(doublings, mixed additions, inversions, lane additions and lane steps)
+that every call made, each taken from the schedule of the code that runs
+it (:class:`OpCounter`).
 """
 
 from __future__ import annotations
@@ -109,16 +115,26 @@ def expand_bytes(tag: str, data: bytes, n: int) -> bytes:
 # ---------------------------------------------------------------------------
 
 class OpCounter:
-    """Mutable tally of group operations inside one counting region."""
+    """Mutable tally of group operations inside one counting region.
 
-    __slots__ = ("scalar_muls", "extractions")
+    Beside the logical counts (scalar multiplications, key extractions)
+    it holds the physical point operations on a curve, counted from the
+    schedule of the code that runs them: Jacobian doublings, mixed
+    additions (an addition onto the identity included), field inversions
+    (one per conversion to affine coordinates and one per lane step),
+    and the affine lane additions and lane steps of ``generator_muls``
+    and ``subset_sums``.
+    """
+
+    __slots__ = ("scalar_muls", "extractions", "doublings", "additions", "inversions",
+                 "lane_additions", "lane_steps")
 
     def __init__(self) -> None:
-        self.scalar_muls = 0
-        self.extractions = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OpCounter(scalar_muls={self.scalar_muls}, extractions={self.extractions})"
+        return "OpCounter(" + ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__) + ")"
 
 
 _counters: contextvars.ContextVar[tuple[OpCounter, ...]] = contextvars.ContextVar(
@@ -128,7 +144,7 @@ _counters: contextvars.ContextVar[tuple[OpCounter, ...]] = contextvars.ContextVa
 
 @contextmanager
 def count_group_ops():
-    """Count scalar multiplications and key extractions in a region.
+    """Count group operations, logical and physical, in a region.
 
     Regions nest; an inner region's operations are also credited to
     every enclosing one.  The context variable keeps concurrent
@@ -145,6 +161,13 @@ def count_group_ops():
 def _note_scalar_mul(n: int = 1) -> None:
     for counter in _counters.get():
         counter.scalar_muls += n
+
+
+def _note_points(doublings: int, additions: int, inversions: int = 0) -> None:
+    for counter in _counters.get():
+        counter.doublings += doublings
+        counter.additions += additions
+        counter.inversions += inversions
 
 
 def note_extraction() -> None:
@@ -289,8 +312,12 @@ class ToyGroup(_ScalarCodec):
         _note_scalar_mul(len(pairs))
         return sum(k * a for k, a in pairs) % self.q
 
+    def multi_muls(self, sums) -> list[int]:
+        return [self.multi_mul(pairs) for pairs in sums]
+
     # literal multiplication has one pattern for every scalar
     fixed_multi_mul = multi_mul
+    fixed_multi_muls = multi_muls
 
     def sum_points(self, points) -> int:
         return sum(points) % self.q
@@ -435,7 +462,9 @@ class CurveGroup(_ScalarCodec):
     ``2**(16j) * P``, as many as its half-width challenges fill.
 
     Every multiplication places its digits by bit position on one
-    doubling chain (``_chain``).  ``scalar_mul`` recodes the odd one of k
+    doubling chain (``_chain``), whose formulas run inline in ``_sum`` and
+    whose sum stays Jacobian until the call makes all of its sums affine
+    with one inversion.  ``scalar_mul`` recodes the odd one of k
     and q - k into nonzero digits, so its pattern does not depend on the
     scalar: on the generator, bits(q)/8 odd digits (Joye-Tunstall; 24 on
     P-192, 32 on P-256), one per row of a table built once per curve, the
@@ -534,6 +563,10 @@ class CurveGroup(_ScalarCodec):
         ``batch_inverse`` passes through as 0, and takes the exact ``add``
         instead."""
         p = self._p
+        for counter in _counters.get():
+            counter.lane_additions += len(pts)
+            counter.lane_steps += 1
+            counter.inversions += 1
         zinvs = batch_inverse([b[0] - a[0] if a and b else 0 for a, b in zip(acc, pts)], p)
         for i, (a, b, zinv) in enumerate(zip(acc, pts, zinvs)):
             if not zinv:
@@ -544,16 +577,16 @@ class CurveGroup(_ScalarCodec):
             x3 = (slope * slope - x1 - b[0]) % p
             acc[i] = (x3, (slope * (x1 - x3) - y1) % p)
 
-    def _to_affine(self, pt):
-        return self._batch_to_affine([pt])[0] if pt[2] else None
-
     def _batch_to_affine(self, pts):
-        # finite Jacobian points to affine with one shared inversion
+        # Jacobian points to affine ones, Z = 0 to None, with one inversion if any is finite
         p = self._p
+        zinvs = batch_inverse([pt[2] for pt in pts], p)
+        if any(zinvs):
+            _note_points(0, 0, 1)
         out = []
-        for (X, Y, _), zinv in zip(pts, batch_inverse([pt[2] for pt in pts], p)):
+        for (X, Y, _), zinv in zip(pts, zinvs):
             zinv2 = zinv * zinv % p
-            out.append((X * zinv2 % p, Y * zinv2 * zinv % p))
+            out.append((X * zinv2 % p, Y * zinv2 * zinv % p) if zinv else None)
         return out
 
     # -- public group API ---------------------------------------------------
@@ -592,6 +625,7 @@ class CurveGroup(_ScalarCodec):
                     for _ in range(shift - 1):
                         twice = double(twice)
                     base = twice
+        _note_points(len(points) * (rows + (rows - 1) * (shift - 1)), len(jac) - len(points) * rows)
         flat = self._batch_to_affine(jac)
         return [flat[i : i + n] for i in range(0, len(flat), n)]
 
@@ -649,6 +683,7 @@ class CurveGroup(_ScalarCodec):
         sums = [(*a, 1)]
         for x, y in self._batch_to_affine(bases):
             sums = [add(s, (x, p - y)) for s in sums] + [add(s, (x, y)) for s in sums]
+        _note_points(self._COMB_SPACING * len(bases), 2 * len(sums) - 2)
         return self._batch_to_affine(sums)
 
     def _comb_digits(self, k: int) -> list[tuple[int, int]]:
@@ -673,14 +708,14 @@ class CurveGroup(_ScalarCodec):
 
     def _fixed_term(self, k: int, a):
         """``k * a``, ``0 < k < q``, as a ``_chain`` term whose digits are
-        all nonzero: a comb's 32 columns, or regular width-w digits, one
-        per row of the generator's table (w = 8) or of a point prepared
-        in its shape (w its spacing), and for any other point width-4
-        ones on a per-call row P, 3P, ..., 15P.  An even k takes q - k's
-        digits with their signs flipped."""
+        all nonzero: a comb's 32 columns, one bit apart, or regular width-w
+        digits, w bits apart, one per row of the generator's table (w = 8)
+        or of a point prepared in its shape (w its spacing), and for any
+        other point width-4 ones on a per-call row P, 3P, ..., 15P.  An
+        even k takes q - k's digits with their signs flipped."""
         spacing = getattr(a, "spacing", 0)
         if spacing is None:
-            return a.rows, self._COMB_SPACING, self._comb_digits(k)
+            return a.rows, self._COMB_SPACING, self._comb_digits(k), 1
         if 0 < spacing <= self._GEN_WIDTH:
             rows, w = a.rows, spacing
         elif a == self.generator:
@@ -690,50 +725,112 @@ class CurveGroup(_ScalarCodec):
             rows = self._odd_multiples([a], 1, 1 << (w - 1), 0)
         n = -(-self.q.bit_length() // w)
         if k & 1:
-            return rows, w, _regular_digits(k, n, w)
-        return rows, w, [(i, -d) for i, d in _regular_digits(self.q - k, n, w)]
+            return rows, w, _regular_digits(k, n, w), w
+        return rows, w, [(i, -d) for i, d in _regular_digits(self.q - k, n, w)], w
 
     def _chain(self, terms):
-        """The sum of ``d * 2**i`` times each term's base over its digits
-        (i, d), lowest first, for terms (rows, spacing, digits) whose row j
-        holds the odd multiples 1, 3, ... of ``2**(spacing*j)`` times it.
+        """The Jacobian sum of ``d * 2**i`` times each term's base over its
+        digits (i, d), lowest first, for terms (rows, spacing, digits,
+        stride) whose row j holds the odd multiples 1, 3, ... of
+        ``2**(spacing*j)`` times it; stride is the distance of a term's
+        digits when they lie at 0, stride, 2*stride, ..., else None.
 
         The chain is C steps: the least common multiple of the spacings
         of the terms whose rows reach past their top digit, raised to its
         first multiple above the top digit of every other term.  Digit
         (i, d) is added at step i mod C from row ``(i // C) * (C /
-        spacing)``, so rows that fall short are read at row 0 alone.
-        Doublings wait for the first addition; one inversion ends it.
+        spacing)``, so rows that fall short are read at row 0 alone.  A
+        term whose digits all lie below C is placed at step i, and one
+        with evenly spaced digits by slices, the t-th of every m = C /
+        stride at step t * stride: only NAF digits past C take a division
+        each.  If every digit lands at step 0 (multiples of the generator
+        or of a tag), the chain is that one step.
         """
         spacing, top = 1, 0
-        for rows, s, digits in terms:
+        for rows, s, digits, _ in terms:
             if digits[-1][0] < len(rows) * s:
                 spacing = lcm(spacing, s)
             else:
                 top = max(top, digits[-1][0])
         C = (top // spacing + 1) * spacing
+        if all(stride == C for *_, stride in terms):
+            return self._sum([[(row, d) for rows, _, digits, _ in terms
+                               for row, (_, d) in zip(rows, digits)]])
         steps: list[list] = [[] for _ in range(C)]
-        p = self._p
-        for rows, s, digits in terms:
+        for rows, s, digits, stride in terms:
+            if digits[-1][0] < C:
+                row = rows[0]
+                for i, d in digits:
+                    steps[i].append((row, d))
+                continue
             rows = rows[:: C // s]
-            for i, d in digits:
-                j, i = divmod(i, C)
-                if d > 0:
-                    steps[i].append(rows[j][d >> 1])
-                else:
-                    x, y = rows[j][-d >> 1]
-                    steps[i].append((x, p - y))
-        double, add = self._jac_double, self._jac_add_affine
-        acc = (1, 1, 0)
+            if stride:  # m digits per row read, the t-th of each at step t * stride
+                m = C // stride
+                for t in range(m):
+                    steps[t * stride] += zip(rows, [d for _, d in digits[t::m]])
+            else:
+                for i, d in digits:
+                    steps[i % C].append((rows[i // C], d))
+        while not steps[-1]:
+            steps.pop()
+        return self._sum(steps)
+
+    def _sum(self, steps):
+        """The Jacobian point at the end of a doubling chain: from the top
+        of ``steps``, lists of (row, d) lowest first, double the sum and
+        then add ``d`` times each row's base, ``row[d >> 1]`` for d > 0
+        and its negation ``row[-d >> 1]`` for d < 0.
+
+        The formulas run inline.  Doublings wait for the first addition
+        and for any sum that reaches the identity; an addition that meets
+        its own operand doubles instead.  The counts come from the
+        schedule: every digit is one addition, every step below the first
+        addition one doubling, corrected where those two cases ran.
+        """
+        p = self._p
+        doublings = len(steps)
+        X = Y = Z = 0
         for adds in reversed(steps):
-            if acc[2]:
-                acc = double(acc)
-            for pt in adds:
-                acc = add(acc, pt)
-        return self._to_affine(acc)
+            if Z:  # 2(X, Y, Z) with a = -3
+                YY = Y * Y % p
+                S = 4 * X * YY % p
+                ZZ = Z * Z % p
+                M = 3 * (X - ZZ) * (X + ZZ) % p
+                Z = 2 * Y * Z % p
+                X = (M * M - 2 * S) % p
+                Y = (M * (S - X) - 8 * YY * YY) % p
+            else:
+                doublings -= 1
+            for row, d in adds:
+                if d > 0:
+                    x, y = row[d >> 1]
+                else:
+                    x, y = row[-d >> 1]
+                    y = p - y
+                if not Z:
+                    X, Y, Z = x, y, 1
+                    continue
+                ZZ = Z * Z % p  # (X, Y, Z) + (x, y, 1)
+                H = (x * ZZ - X) % p
+                R = (y * Z * ZZ - Y) % p
+                if not H:
+                    if R:
+                        Z = 0
+                    else:
+                        X, Y, Z = self._jac_double((X, Y, Z))
+                        doublings += 1
+                    continue
+                HH = H * H % p
+                HHH = H * HH % p
+                V = X * HH % p
+                X = (R * R - HHH - 2 * V) % p
+                Y = (R * (V - X) - Y * HHH) % p
+                Z = Z * H % p
+        _note_points(doublings, sum(map(len, steps)))
+        return X, Y, Z
 
     def scalar_mul(self, k: int, a):
-        return self.fixed_multi_mul([(k, a)])
+        return self.fixed_multi_muls([[(k, a)]])[0]
 
     def generator_muls(self, scalars):
         """``[k * G for k in scalars]``, counted as ``len(scalars)`` scalar
@@ -763,9 +860,15 @@ class CurveGroup(_ScalarCodec):
     def fixed_multi_mul(self, pairs):
         """The sum of ``k * P`` over ``pairs``, any mix of bases, in an
         operation pattern that the bases alone set."""
-        _note_scalar_mul(len(pairs))
+        return self.fixed_multi_muls([pairs])[0]
+
+    def fixed_multi_muls(self, sums):
+        """``[fixed_multi_mul(pairs) for pairs in sums]``, one chain each,
+        made affine together with one inversion."""
+        _note_scalar_mul(sum(map(len, sums)))
         q = self.q
-        return self._chain([self._fixed_term(k % q, a) for k, a in pairs if k % q and a is not None])
+        return self._batch_to_affine([self._chain([self._fixed_term(k % q, a) for k, a in pairs
+                                                   if k % q and a is not None]) for pairs in sums])
 
     def multi_mul(self, pairs):
         """The sum of ``k * P`` over ``pairs``; variable time, so every
@@ -778,7 +881,15 @@ class CurveGroup(_ScalarCodec):
         rows, 7 on a tag's 32 and 9 on the generator's 128, none of whose
         digits lies above its top bit, or on a comb into its 32 columns.
         """
-        _note_scalar_mul(len(pairs))
+        return self.multi_muls([pairs])[0]
+
+    def multi_muls(self, sums):
+        """``[multi_mul(pairs) for pairs in sums]``, one chain each, made
+        affine together with one inversion."""
+        _note_scalar_mul(sum(map(len, sums)))
+        return self._batch_to_affine([self._chain(self._multi_terms(pairs)) for pairs in sums])
+
+    def _multi_terms(self, pairs):
         q, gen = self.q, self.generator
         merged, tables = {}, {}
         for k, pt in pairs:
@@ -795,16 +906,17 @@ class CurveGroup(_ScalarCodec):
         terms = []
         for pt, k in live.items():
             rows, s = tables[pt]
-            # a NAF as wide as the rows hold (4 entries: width 4; 128: width 9)
-            digits = self._comb_digits(k) if s is None else _wnaf(k, len(rows[0]).bit_length() + 1)
-            terms.append((rows, s or self._COMB_SPACING, digits))
-        return self._chain(terms)
+            if s is None:
+                terms.append((rows, self._COMB_SPACING, self._comb_digits(k), 1))
+            else:  # a NAF as wide as the rows hold (4 entries: width 4; 128: width 9)
+                terms.append((rows, s, _wnaf(k, len(rows[0]).bit_length() + 1), None))
+        return terms
 
     def sum_points(self, points):
         """The sum of ``points``, the chain's one-step case: one row of
         them, entry e added once (digit 2e + 1 at bit 0)."""
         row = [pt for pt in points if pt is not None]
-        return self._chain([([row], 1, [(0, 2 * e + 1) for e in range(len(row))])] if row else [])
+        return self._batch_to_affine([self._sum([[(row, 2 * e + 1) for e in range(len(row))]])])[0]
 
     def subset_sums(self, points, w: int):
         """Row i: the sums of the subsets of ``points[w*i : w*i + w]``,

@@ -46,6 +46,7 @@ from .ringsig import ManufactoryRegistry, RingSignature, keygen, ring_sign, spli
 __all__ = [
     "ApplicationMessage",
     "HardwareModule",
+    "MAX_VALIDITY",
     "ManualClock",
     "PseudonymCertificate",
     "SystemClock",
@@ -59,6 +60,10 @@ __all__ = [
 TRANSIENT_SCHEME_ID = 1
 WINDOW_TAGS = 4  # windows whose prepared tag stays cached, process-wide
 TAG_SPACING = 6  # a window tag's rows lie 6 bits apart: 32 rows of 32 points on P-192
+# seconds from a certificate's issue to its expiration, at most: twice
+# the longest validity in use (an hour), so a module can mint up to one
+# second less, the second that rounding C's times down and up can add
+MAX_VALIDITY = 7200
 
 
 def pack_content(group, pk, now: float, validity: float) -> bytes:
@@ -254,10 +259,13 @@ class HardwareModule:
             raise ProvisioningError("module has not joined")
 
     def _bind_and_sign(self, C: bytes, ring: list[str], pos: int, now: float, rng):
-        """Bind C to f and the window at ``now``, ring-sign it as ring[pos]."""
+        """Bind C to f and the window at ``now``, ring-sign it as ring[pos].
+
+        R = f * h0(C) and T = f * tag are one ``fixed_multi_muls`` call,
+        two scalar multiplications made affine by one shared inversion."""
         group = self.group
-        R = group.scalar_mul(self.__f, group.hash_to_group("h0", C))
-        T = group.scalar_mul(self.__f, self.window_tag(now, now))
+        R, T = group.fixed_multi_muls([[(self.__f, group.hash_to_group("h0", C))],
+                                       [(self.__f, self.window_tag(now, now))]])
         message = signed_message(group, C, R, T)
         S = ring_sign(message, ring, self.__identity_key, pos, self.registry, rng)
         return PseudonymCertificate(C, R, T, S)
@@ -279,11 +287,12 @@ class HardwareModule:
         """Mint a certificate for a fresh transient key, ring-signed.
 
         ``ring`` must contain this module's id exactly once and no
-        id twice; ``validity`` is in seconds.
+        id twice; ``validity`` is in seconds, above 0 and at most
+        ``MAX_VALIDITY - 1``, so that C spans at most ``MAX_VALIDITY``.
         """
         self._require_key()
-        if validity <= 0:
-            raise ValueError("validity must be positive")
+        if not 0 < validity <= MAX_VALIDITY - 1:
+            raise ValueError(f"validity must lie in (0, {MAX_VALIDITY - 1}] seconds")
         own = self.identity
         if ring.count(own) != 1:
             raise ValueError("ring must contain this module's id exactly once")

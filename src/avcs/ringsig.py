@@ -26,8 +26,9 @@ solve their tuple equation, via ``v_s = (m_s - d * H1(U_s)) / l``.
 Randomness draw order inside :func:`ring_sign` is part of the tested
 interface (transcript tests replay it): per-forgery ``a`` then ``b`` in
 ascending ring order skipping the signer, redrawing both while
-``H1(U) = 0``; then the glue ``gamma``; then the signer nonce ``l``;
-then the published start index ``x``.
+``H1(U) = 0`` (``forge_tuples`` draws every pair first and keeps that
+order); then the glue ``gamma``; then the signer nonce ``l``; then the
+published start index ``x``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "PRODUCTION",
     "RingSignature",
     "forge_tuple",
+    "forge_tuples",
     "h0_bits",
     "keygen",
     "ring_sign",
@@ -268,29 +270,49 @@ class ManufactoryRegistry:
 # ---------------------------------------------------------------------------
 
 def forge_tuple(group, E, rng, *, suite: HashSuite = PRODUCTION):
-    """Forge one tuple satisfying the verification equation against E.
+    """Forge one tuple satisfying the verification equation against E:
+    :func:`forge_tuples` with one key."""
+    return forge_tuples(group, [E], rng, suite=suite)[0]
 
-    Draws ``a`` then ``b`` from Z_q*, both redrawn while H1(U) = 0.
-    Costs exactly two scalar multiplications per attempt.  ``a`` and
-    ``b`` can be recomputed from the published tuple, so a timing trace
-    of their multiplications would tell the forgeries from the signer's
-    own tuple: ``U = b*E + a*P`` is one ``fixed_multi_mul``, not the
-    variable-time ``multi_mul``: b's digits (on E's comb when E is
-    prepared) and a's on one doubling chain, and one inversion.
+
+def forge_tuples(group, keys, rng, *, suite: HashSuite = PRODUCTION):
+    """Forge one tuple against each key of ``keys``, in order.
+
+    Draws are those of forging each key in turn: a pair ``a`` then ``b``
+    from Z_q* per key, both redrawn while H1(U) = 0.  All pending keys
+    get their pairs at once, and their ``U = b*E + a*P`` are one
+    ``fixed_multi_muls``, two scalar multiplications each, made affine by
+    one inversion.  If a U hashes to 0, its pair is spent and its key
+    takes the next pair: the U of the later pairs are computed again for
+    their new keys, and one more pair is drawn.  ``a`` and ``b`` can be
+    recomputed from the published tuple, so a timing trace of their
+    multiplications would tell the forgeries from the signer's own
+    tuple: U is a fixed-pattern sum, not the variable-time
+    ``multi_mul``, b's digits (on E's comb when E is prepared) and a's
+    on one doubling chain.  The b of all tuples share one
+    ``batch_inverse``.
     """
-    if group.is_identity(E):
+    if any(group.is_identity(E) for E in keys):
         raise DegenerateKeyError("cannot forge against the identity element")
-    q = group.q
-    while True:
-        a = rng.randrange(1, q)
-        b = rng.randrange(1, q)
-        U = group.fixed_multi_mul([(b, E), (a, group.generator)])
-        e = suite.h1(group, U)
-        if e != 0:
-            break
-    v = -e * pow(b, -1, q) % q
-    m = a * v % q
-    return m.to_bytes(group.scalar_byte_len, "big"), U, v
+    q, G = group.q, group.generator
+    pairs, done = [], []
+    while len(done) < len(keys):
+        pending = keys[len(done):]
+        pairs += [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(len(pending) - len(pairs))]
+        Us = group.fixed_multi_muls([[(b, E), (a, G)] for (a, b), E in zip(pairs, pending)])
+        spent = 0
+        for (a, b), U in zip(pairs, Us):
+            spent += 1
+            e = suite.h1(group, U)
+            if not e:
+                break
+            done.append((a, b, U, e))
+        pairs = pairs[spent:]
+    tuples = []
+    for (a, b, U, e), b_inv in zip(done, batch_inverse([b for _, b, _, _ in done], q)):
+        v = -e * b_inv % q
+        tuples.append(((a * v % q).to_bytes(group.scalar_byte_len, "big"), U, v))
+    return tuples
 
 
 def verify_tuple(group, m: bytes, U, v: int, E, *, suite: HashSuite = PRODUCTION) -> bool:
@@ -394,7 +416,10 @@ def ring_sign(
 
     ``signer_pos`` is zero-based.  Costs exactly 2(r-1)+1 = 2r-1 scalar
     multiplications (two per forgery, one for the signer's U) plus r
-    public-key extractions, which are additions only.  Every ring id
+    public-key extractions, which are additions only.  The r - 1
+    forgeries are one :func:`forge_tuples`, so their U share one
+    inversion and their b one ``batch_inverse``; the signer's U, made
+    after the glue is drawn, takes one more.  Every ring id
     enters the registry's cache.  A forgery against an id the cache
     held before the call runs on that key prepared, and the prepared
     key stays cached; an id seen for the first time, and the signer's
@@ -416,13 +441,8 @@ def ring_sign(
     q = group.q
     sbl = group.scalar_byte_len
 
-    m_list: list[bytes] = [b""] * r
-    U_list: list[object] = [None] * r
-    v_list: list[int] = [0] * r
-    for i in range(r):
-        if i == signer_pos:
-            continue
-        m_list[i], U_list[i], v_list[i] = forge_tuple(group, pubkeys[i], rng, suite=suite)
+    tuples = forge_tuples(group, pubkeys[:signer_pos] + pubkeys[signer_pos + 1:], rng, suite=suite)
+    tuples.insert(signer_pos, None)  # the signer's, made last
 
     gamma = rng.randrange(1, 256 ** sbl).to_bytes(sbl, "big")
 
@@ -431,7 +451,7 @@ def ring_sign(
     w[j] = suite.chain(group, msg, gamma)
     for _ in range(r - 1):
         nxt = (j + 1) % r
-        w[nxt] = suite.chain(group, msg, _xor(w[j], m_list[j]))
+        w[nxt] = suite.chain(group, msg, _xor(w[j], tuples[j][0]))
         j = nxt
 
     # glue: with m_s = gamma xor w_s the next link recomputes to
@@ -441,10 +461,10 @@ def ring_sign(
     U_s = group.scalar_mul(l, group.generator)
     # l gives d away, so it is inverted by Fermat: an exponent fixed by q alone
     v_s = (int.from_bytes(m_s, "big") - signer.d * suite.h1(group, U_s)) * pow(l, q - 2, q) % q
-    m_list[signer_pos], U_list[signer_pos], v_list[signer_pos] = m_s, U_s, v_s
+    tuples[signer_pos] = m_s, U_s, v_s
 
     x = rng.randrange(1, r + 1)
-    return RingSignature(x, w[x - 1], tuple(ring), tuple(zip(m_list, U_list, v_list)))
+    return RingSignature(x, w[x - 1], tuple(ring), tuple(tuples))
 
 
 def ring_verify(

@@ -27,7 +27,7 @@ from dataclasses import MISSING, dataclass, fields
 from . import transient
 from .errors import AvcsError, ScenarioError
 from .groups import get_group
-from .hardware import ManualClock, PseudonymCertificate, join, leak_master_secret, pack_content
+from .hardware import MAX_VALIDITY, ManualClock, PseudonymCertificate, join, leak_master_secret, pack_content
 from .ringsig import MAX_RING, ManufactoryRegistry, RingSignature, forge_tuple, setup
 from .vehicle import CLOCK_SKEW, FRAME_CERT, FRAME_MSG, REJECTION_REASONS, VehicleState, cert_fingerprint, encode_cert_frame, encode_message_frame
 
@@ -88,6 +88,8 @@ class Scenario:
             # an honest vehicle renews at expiry; the new certificate must
             # land in a fresh window or its own T would look like a Sybil
             raise ScenarioError("cert_validity must be >= min_span_time")
+        if self.cert_validity > MAX_VALIDITY - 1:
+            raise ScenarioError(f"cert_validity must be at most {MAX_VALIDITY - 1} s")
         if self.msg_rate <= 0:
             raise ScenarioError("msg_rate must be positive")
         if not 0.0 <= self.loss_rate <= 1.0:

@@ -9,8 +9,9 @@ The receive pipeline runs the checks in a fixed order and the first
 failing check names the rejection:
 
     certificate: duplicate -> sybil (equal T in the buffer) ->
-                 expired / not yet valid -> revoked (a rogue f times
-                 the issue window's tag is T) -> ring signature
+                 expired / not yet valid / valid for longer than
+                 MAX_VALIDITY -> revoked (a rogue f times the issue
+                 window's tag is T) -> ring signature
     message:     certificate lookup (no-cert) -> payload signature
 
 Buffered certificates are pruned lazily by expiration before the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from . import transient
 from .errors import ParseError, ProtocolError, ProvisioningError
 from .groups import digest32
-from .hardware import HardwareModule, PseudonymCertificate, signed_message
+from .hardware import MAX_VALIDITY, HardwareModule, PseudonymCertificate, signed_message
 from .ringsig import MAX_RING, ring_verify
 
 __all__ = [
@@ -232,17 +233,19 @@ class VehicleState:
         if cert.T in self._fingerprint_by_t:
             return _reject("sybil")
 
-        if now > parsed.expiration + CLOCK_SKEW:
-            return _reject("expired")
-        if now < parsed.issue - CLOCK_SKEW:
+        # a validity above the cap is no time at which the certificate holds,
+        # so it is expired too, before any multiplication
+        if (not parsed.issue - CLOCK_SKEW <= now <= parsed.expiration + CLOCK_SKEW
+                or parsed.expiration - parsed.issue > MAX_VALIDITY):
             return _reject("expired")
 
         if self.rogue_list:
-            # leaked f values are public; the expiry checks bound the issue second
+            # leaked f values are public; the expiry checks bound the issue second.
+            # One multi_muls makes every entry's f * tag affine with one inversion
             tag = self.hsm.window_tag(parsed.issue, now)
-            for f in sorted(self.rogue_list):
-                if group.encode_element(group.multi_mul([(f, tag)])) == cert.T:
-                    return _reject("revoked")
+            rogue_ts = group.multi_muls([[(f, tag)] for f in sorted(self.rogue_list)])
+            if cert.T in map(group.encode_element, rogue_ts):
+                return _reject("revoked")
 
         if not ring_verify(signed_message(group, cert.C, cert.R, cert.T), cert.S, self.hsm.registry):
             return _reject("bad-signature")

@@ -128,7 +128,8 @@ def test_run_benchmarks_validates_bounds():
 
 
 def test_csv_header_golden():
-    assert CSV_HEADER == "curve,ring_size,op,mean_ms,median_ms,p95_ms,scalar_muls,size_bytes"
+    assert CSV_HEADER == ("curve,ring_size,op,mean_ms,median_ms,p95_ms,scalar_muls,size_bytes,"
+                          "doublings,additions,inversions")
     records = run_benchmarks(TOY, r_max=2, trials=2)
     csv = records_to_csv(records)
     lines = csv.strip().split("\n")
@@ -210,7 +211,9 @@ def test_cli_bench_writes_pinned_csv(tmp_path, capsys):
     sign_r3 = next(l for l in lines if ",3,ring_sign," in l)
     assert sign_r3.split(",")[6] == "5"  # 2r-1 multiplications at r=3
     extract_r3 = next(l for l in lines if ",3,extract_cold," in l)
-    assert extract_r3.split(",")[6:] == ["0", "25"]  # additions only; a compressed p192 point
+    assert extract_r3.split(",")[6:8] == ["0", "25"]  # additions only; a compressed p192 point
+    # its physical counts: no doubling, and one inversion for the extracted key
+    assert extract_r3.split(",")[8] == "0" and extract_r3.split(",")[10] == "1"
 
 
 def test_cli_sim_on_bundled_sybil_scenario(tmp_path, capsys):

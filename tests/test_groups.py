@@ -1210,6 +1210,7 @@ def test_warm_ring_sign_walks_each_key_comb_once(group, point_ops):
     group.scalar_mul(1, group.generator)  # build the table outside the count
     patterns = {point_ops(lambda: ring_sign(b"warm", ring, sk, 2, registry, random.Random(seed)))
                 for seed in range(10)}
-    # r - 1 forges at (31, 32 + bits(q)/8, 1) and the signer's l*G at
-    # (0, bits(q)/8, 1): 93 doublings on either curve
-    assert patterns == {{"p192": (93, 192, 4), "p256": (93, 224, 4)}[group.group_id]}
+    # r - 1 forges at (31, 32 + bits(q)/8) made affine together by one
+    # inversion, and the signer's l*G at (0, bits(q)/8, 1): 93 doublings on
+    # either curve
+    assert patterns == {{"p192": (93, 192, 2), "p256": (93, 224, 2)}[group.group_id]}

@@ -402,6 +402,33 @@ def test_rogue_entry_runs_a_six_step_chain(group, point_ops):
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
+def test_rogue_scan_makes_its_entries_affine_with_one_inversion(group, point_ops):
+    # the receiver's scan is one multi_muls over its entries: each entry's
+    # chain as alone, and one inversion for all of them
+    tag = _window_tag(group, 16)
+    rng = random.Random(2016)
+    secrets = [rng.randrange(1, group.q) for _ in range(4)]
+    alone = [point_ops(lambda: group.multi_mul([(f, tag)])) for f in secrets]
+    scan = []
+    assert point_ops(lambda: scan.extend(group.multi_muls([[(f, tag)] for f in secrets]))) == (
+        sum(ops[0] for ops in alone), sum(ops[1] for ops in alone), 1)
+    assert scan == [group.scalar_mul(f, tag) for f in secrets]
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_warm_mint_shares_its_inversions(group, point_ops):
+    clock, (module,) = curve_modules(group, min_spans=(60.0,))
+    ring = [module.identity, "m:ghost-1", "m:ghost-2", "m:ghost-3"]
+    for seed in range(2):  # cold ring keys, then keys prepared at second use
+        module.gen_pseudonym(ring, 600, random.Random(seed))
+    # sk*G (0, bits(q)/8, 1); R on a per-call row and T on the tag's rows,
+    # (189, 55, 1) and (0, 32) on P-192, made affine by one more inversion;
+    # three forges at (31, 56) and one inversion; the signer's l*G (0, 24, 1)
+    patterns = {point_ops(lambda: module.gen_pseudonym(ring, 600, random.Random(seed))) for seed in range(2, 6)}
+    assert patterns == {{"p192": (282, 303, 5), "p256": (346, 370, 5)}[group.group_id]}
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
 def test_mint_still_counts_2r_plus_2_multiplications(group):
     clock, (module,) = curve_modules(group, min_spans=(60.0,))
     ring = [module.identity, "m:ghost-1", "m:ghost-2"]

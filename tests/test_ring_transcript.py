@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from avcs.groups import ToyGroup, count_group_ops
+from avcs.groups import P192, ToyGroup, count_group_ops
 from avcs.ringsig import (
+    PRODUCTION,
     HashSuite,
     ManufactoryRegistry,
     MasterKeyPair,
@@ -170,6 +171,54 @@ def test_transcripts_match_oracle_with_production_hashes():
             BIG_TOY, msg, ox, ow, oids, otuples, pubkeys, oracle_h1, oracle_chain
         )
         assert ring_verify(msg, sig, registry)
+
+
+def recorded(seed):
+    """A seeded rng and the list of its ``randrange`` calls and values."""
+    rng, draws = random.Random(seed), []
+    randrange = rng.randrange
+
+    def record(*args):
+        draws.append((args, randrange(*args)))
+        return draws[-1][1]
+
+    rng.randrange = record
+    return rng, draws
+
+
+def test_mid_ring_redraw_matches_oracle_on_p192():
+    # h1 sends the second forgery's first U to 0: the batched forgeries must
+    # spend that pair, hand its key the next one, recompute the last key's U
+    # with a pair of its own and still draw as the oracle, one key at a time
+    mk = setup(P192, n=16, rng=random.Random(31), manufactory_id="m")
+    ring, pos, seed = [f"m:car-{i}" for i in range(4)], 1, 7
+    keys = ManufactoryRegistry(P192)
+    keys.register_master(mk)
+    pubkeys = [keys.extract_pubkey(id_str) for id_str in ring]
+    q, replay = P192.q, random.Random(seed)
+    _, _, a, b = (replay.randrange(1, q) for _ in range(4))  # the second pair
+    spent = P192.encode_element(P192.add(P192.scalar_mul(b, pubkeys[2]), P192.scalar_mul(a, P192.generator)))
+    hashed = []
+
+    def h1(group, U):
+        hashed.append(group.encode_element(U))
+        return 0 if hashed[-1] == spent else PRODUCTION.h1(group, U)
+
+    suite = HashSuite(h1=h1)
+    registry = ManufactoryRegistry(P192, suite=suite)
+    registry.register_master(mk)
+    rng, draws = recorded(seed)
+    sig = ring_sign(b"redraw", ring, keygen(mk, ring[pos], suite=suite), pos, registry, rng)
+    assert hashed.count(spent) == 1
+    oracle_rng, oracle_draws = recorded(seed)
+    ox, ow, oids, otuples = oracle_ring_sign(
+        P192, b"redraw", ring, keygen(mk, ring[pos]).d, pos, pubkeys, oracle_rng, h1, suite.chain,
+    )
+    assert (sig.x, sig.w, sig.ids, sig.tuples) == (ox, ow, oids, tuple(otuples))
+    # three forgeries and one redraw: four pairs, then gamma, l and x
+    assert draws == oracle_draws and len(draws) == 2 * 4 + 3
+    assert spent not in {P192.encode_element(U) for _, U, _ in sig.tuples}
+    assert ring_verify(b"redraw", sig, registry)
 
 
 def test_oracle_rejects_what_verifier_rejects():

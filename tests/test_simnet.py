@@ -84,6 +84,7 @@ kind = forger
     (MINIMAL + "[medium]\nloss_rate = 1.5\n", "loss_rate"),
     (MINIMAL + "[medium]\nlatency_min_ms = 9\nlatency_max_ms = 2\n", "latency"),
     (MINIMAL + "[protocol]\ncert_validity = 1\nmin_span_time = 5\n", "cert_validity"),
+    (MINIMAL + "[protocol]\ncert_validity = 7199.5\n", "cert_validity must be at most 7199 s"),
     (MINIMAL + "[protocol]\nmsg_rate = 0\n", "msg_rate"),
     (MINIMAL + "[adversary.x]\nkind = sybil\ncerts = 1\n", "certs"),
     (MINIMAL + "[adversary.x]\nkind = compromised\nvehicle = 7\n", "vehicle index"),

@@ -12,6 +12,7 @@ from avcs import transient
 from avcs.errors import ParseError, ProvisioningError
 from avcs.groups import P192, _PreparedPoint, count_group_ops
 from avcs.hardware import (
+    MAX_VALIDITY,
     TAG_SPACING,
     WINDOW_TAGS,
     ManualClock,
@@ -344,6 +345,28 @@ def test_expired_beats_revoked():
     v0.make_pseudonym(10, random.Random(23))
     verdict = v1.receive(v0.certificate_frame, 1020.0)
     assert verdict.reason == "expired"
+
+
+def test_validity_above_the_cap_is_expired_before_any_multiplication():
+    world = toy_world(2, start_time=1000.0)
+    v0, v1 = world.vehicles
+    group, now = world.group, world.clock.now()
+    v1.revoke(leak_master_secret(v0.hsm))  # a rogue scan would multiply
+    with pytest.raises(ValueError, match="validity"):
+        v0.make_pseudonym(MAX_VALIDITY - 0.5, random.Random(25))
+    pk = group.scalar_mul(7, group.generator)
+    # genuine module signatures over C that span, at an integer now, one
+    # second above the cap and then exactly the cap; the same window's T
+    # would make the second a sybil had the first been buffered
+    for validity, verdict in ((MAX_VALIDITY + 1, "expired"), (MAX_VALIDITY, "revoked")):
+        cert = v0.hsm._bind_and_sign(pack_content(group, pk, now, validity), [v0.hsm.identity], 0,
+                                     now, random.Random(26))
+        with count_group_ops() as ops:
+            assert v1.receive(encode_cert_frame(cert, group), now).reason == verdict
+        assert ops.scalar_muls == (0 if verdict == "expired" else 1)
+    v0.make_pseudonym(MAX_VALIDITY - 1, random.Random(27))  # the longest a module mints
+    parsed = v0.current_certificate.parse_c(group)
+    assert parsed.expiration - parsed.issue == MAX_VALIDITY - 1
 
 
 def test_revoked_beats_bad_signature():
