@@ -108,7 +108,7 @@ def linearity_r2(records, op: str, *, r_min: int = 2) -> float:
     return 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
-def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0, points=None) -> dict:
+def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0) -> dict:
     """Time and count each fn in round-robin passes: ``trials`` passes,
     and more until the passes have run for ``min_seconds`` or made
     ``10 * trials``.
@@ -118,10 +118,10 @@ def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0, points
     the same noise distribution, which the linearity fit depends on.
     Every call runs in its own ``count_group_ops`` region with the clock
     read inside it, so the count comes from the timed calls and entering
-    the region is not timed.  Returns ``{key: (samples_ms, scalar_muls)}``
-    and raises ``RuntimeError`` if a key's count differs between trials.
-    A dict given as ``points`` gets ``{key: (doublings, additions,
-    inversions)}``, each per call and averaged over the trials.
+    the region is not timed.  Returns ``{key: (samples_ms, scalar_muls,
+    (doublings, additions, inversions))}``, the point operations per call
+    and averaged over the trials, and raises ``RuntimeError`` if a key's
+    count differs between trials.
     """
     samples = {key: [] for key in fns}
     totals = {key: [0, 0, 0] for key in fns}
@@ -150,14 +150,13 @@ def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0, points
     finally:
         if was_enabled:
             gc.enable()
-    if points is not None:
-        points.update((key, tuple(n / len(samples[key]) for n in totals[key])) for key in fns)
-    return {key: (samples[key], muls[key]) for key in fns}
+    return {key: (samples[key], muls[key], tuple(n / len(samples[key]) for n in totals[key]))
+            for key in fns}
 
 
-def _record(curve: str, r: int, op: str, measured: tuple[list[float], int],
-            size: int, points: tuple[float, float, float]) -> BenchRecord:
-    samples, muls = measured
+def _record(curve: str, r: int, op: str,
+            measured: tuple[list[float], int, tuple[float, float, float]], size: int) -> BenchRecord:
+    samples, muls, points = measured
     p95 = samples[0]  # one sample has no quantiles
     if len(samples) > 1:
         # linear interpolation between order statistics, as numpy's percentile
@@ -239,8 +238,6 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
         sizes["gen_message", r] = sizes["verify_message", r] = len(msg_frame)
         sizes["extract_cold", r] = group.element_byte_len
 
-    points = {}
-    rows = _interleaved_trials(ring_fns, trials, _RING_PASS_SECONDS, points)
-    rows.update(_interleaved_trials(stream_fns, trials, points=points))
-    return [_record(curve, r, op, measured, sizes[op, r], points[op, r])
-            for (op, r), measured in rows.items()]
+    rows = _interleaved_trials(ring_fns, trials, _RING_PASS_SECONDS)
+    rows.update(_interleaved_trials(stream_fns, trials))
+    return [_record(curve, r, op, measured, sizes[op, r]) for (op, r), measured in rows.items()]

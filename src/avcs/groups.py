@@ -9,10 +9,11 @@ Two interchangeable backends sit behind one small interface:
   latter incomplete, and affine lanes of independent additions that
   share one inversion.  ``scalar_mul`` makes the same point operations
   for every nonzero scalar, bar a pair or two per curve where the
-  addition meets its own operand, on the generator and a point prepared
-  in its table's shape (the window tag of ``f * h1(window)``), on a
-  prepared point's signed comb (the ring keys of ``ringsig.forge_tuple``)
-  and on any other point (``f * h0(C)``).
+  addition meets its own operand, on a point prepared in rows of odd
+  multiples (the generator, which the group holds prepared, and the
+  window tag of ``f * h1(window)``), on a prepared point's signed comb
+  (the ring keys of ``ringsig.forge_tuple``) and on any other point
+  (``f * h0(C)``).
   ``fixed_multi_mul`` does the same for a sum over any mix of bases (a
   forge's ``b*E + a*G``).  ``multi_mul`` is variable time and takes
   public scalars only: the verification equations and the rogue-list
@@ -456,9 +457,10 @@ class CurveGroup(_ScalarCodec):
     of Hedabou, Pinel and Beneteau): teeth = bits(q) / 32 bases
     ``B_j = 2**(32j) * P`` (6 on P-192, 8 on P-256) and the
     ``2**(teeth-1)`` sums ``B_0 +- B_1 +- ... +- B_(teeth-1)``, 32 points
-    on P-192.  A tag gets the generator table's shape at width 6: row
-    i holds 1, 3, ..., 63 times ``2**(6i) * P``, 32 rows on P-192 (43
-    on P-256).  A transient key gets rows of 1, 3, 5, 7 times
+    on P-192.  The generator is held prepared at spacing 8: row i holds
+    1, 3, ..., 255 times ``2**(8i) * G``.  A tag gets the same shape at
+    width 6: row i holds 1, 3, ..., 63 times ``2**(6i) * P``, 32 rows on
+    P-192 (43 on P-256).  A transient key gets rows of 1, 3, 5, 7 times
     ``2**(16j) * P``, as many as its half-width challenges fill.
 
     Every multiplication places its digits by bit position on one
@@ -466,15 +468,14 @@ class CurveGroup(_ScalarCodec):
     whose sum stays Jacobian until the call makes all of its sums affine
     with one inversion.  ``scalar_mul`` recodes the odd one of k
     and q - k into nonzero digits, so its pattern does not depend on the
-    scalar: on the generator, bits(q)/8 odd digits (Joye-Tunstall; 24 on
-    P-192, 32 on P-256), one per row of a table built once per curve, the
-    odd multiples 1, 3, ..., 255 of ``256**i * G``, with no doubling, and
-    likewise on a point prepared in that shape (a tag: 32 additions on
-    P-192); on a comb, its 32 columns (31 doublings, 32 additions); on
-    any other point, width-4 digits on a per-call row P, 3P, ..., 15P.
-    The generator's table holds 3072 affine points on P-192 (4096 on
-    P-256), about 0.6 MB (0.9 MB), built on first use in about 55 ms
-    (85 ms) on CPython 3.11 on a shared 2-core VM.
+    scalar: on rows s bits apart, bits(q)/s odd digits (Joye-Tunstall),
+    one per row, with no doubling (the generator: 24 additions on P-192,
+    32 on P-256; a tag: 32 on P-192); on a comb, its 32 columns (31
+    doublings, 32 additions); on any other point, a plain point equal to
+    G included, width-4 digits on a per-call row P, 3P, ..., 15P.  The
+    generator's rows hold 3072 affine points on P-192 (4096 on P-256),
+    about 0.6 MB (0.9 MB), built on first use in about 55 ms (85 ms) on
+    CPython 3.11 on a shared 2-core VM.
     Every addition of a walk or of an odd-multiple table is one mixed
     Jacobian-plus-affine formula, and it is incomplete: for 2 and q - 2
     on a plain point (q = 17 mod 32, so q - 2 ends in the digit -1 after
@@ -506,7 +507,7 @@ class CurveGroup(_ScalarCodec):
         self._field_byte_len = (params.p.bit_length() + 7) // 8
         self.scalar_byte_len = (params.q.bit_length() + 7) // 8
         self.element_byte_len = 1 + self._field_byte_len
-        self.generator = (params.gx, params.gy)
+        self._g = (params.gx, params.gy)
         self.identity = None
         self._teeth = -(-params.q.bit_length() // self._COMB_SPACING)
 
@@ -630,12 +631,11 @@ class CurveGroup(_ScalarCodec):
         return [flat[i : i + n] for i in range(0, len(flat), n)]
 
     @cached_property
-    def _generator_table(self):
-        """Row i: the odd multiples 1, 3, ..., 2**w - 1 of ``2**(w*i) * G``,
-        affine; enough rows to recode any scalar below q.  With w = 8
-        that is 24 rows of 128 points on P-192 (32 on P-256), built
-        once per process from one inversion."""
-        return self.prepare(self.generator, self._GEN_WIDTH).rows
+    def generator(self):
+        """G, prepared at spacing 8: row i holds the odd multiples 1, 3,
+        ..., 255 of ``2**(8i) * G``, 24 rows of 128 points on P-192 (32
+        on P-256), built on first use from one inversion."""
+        return self.prepare(self._g, self._GEN_WIDTH)
 
     def prepare(self, a, spacing: int | None = None):
         """``a`` with a table for ``scalar_mul`` and ``multi_mul``; counts
@@ -709,69 +709,51 @@ class CurveGroup(_ScalarCodec):
     def _fixed_term(self, k: int, a):
         """``k * a``, ``0 < k < q``, as a ``_chain`` term whose digits are
         all nonzero: a comb's 32 columns, one bit apart, or regular width-w
-        digits, w bits apart, one per row of the generator's table (w = 8)
-        or of a point prepared in its shape (w its spacing), and for any
-        other point width-4 ones on a per-call row P, 3P, ..., 15P.  An
-        even k takes q - k's digits with their signs flipped."""
+        digits, w bits apart, one per row of a point prepared in the
+        generator's shape (the generator itself at w = 8, a tag at its
+        spacing), and for any other point width-4 ones on a per-call row
+        P, 3P, ..., 15P.  An even k takes q - k's digits with their signs
+        flipped."""
         spacing = getattr(a, "spacing", 0)
         if spacing is None:
-            return a.rows, self._COMB_SPACING, self._comb_digits(k), 1
+            return a.rows, self._COMB_SPACING, self._comb_digits(k)
         if 0 < spacing <= self._GEN_WIDTH:
             rows, w = a.rows, spacing
-        elif a == self.generator:
-            rows, w = self._generator_table, self._GEN_WIDTH
         else:
             w = self._ROW_WIDTH
             rows = self._odd_multiples([a], 1, 1 << (w - 1), 0)
         n = -(-self.q.bit_length() // w)
         if k & 1:
-            return rows, w, _regular_digits(k, n, w), w
-        return rows, w, [(i, -d) for i, d in _regular_digits(self.q - k, n, w)], w
+            return rows, w, _regular_digits(k, n, w)
+        return rows, w, [(i, -d) for i, d in _regular_digits(self.q - k, n, w)]
 
     def _chain(self, terms):
         """The Jacobian sum of ``d * 2**i`` times each term's base over its
-        digits (i, d), lowest first, for terms (rows, spacing, digits,
-        stride) whose row j holds the odd multiples 1, 3, ... of
-        ``2**(spacing*j)`` times it; stride is the distance of a term's
-        digits when they lie at 0, stride, 2*stride, ..., else None.
+        digits (i, d), lowest first, for terms (rows, spacing, digits)
+        whose row j holds the odd multiples 1, 3, ... of
+        ``2**(spacing*j)`` times it.
 
         The chain is C steps: the least common multiple of the spacings
         of the terms whose rows reach past their top digit, raised to its
         first multiple above the top digit of every other term.  Digit
         (i, d) is added at step i mod C from row ``(i // C) * (C /
-        spacing)``, so rows that fall short are read at row 0 alone.  A
-        term whose digits all lie below C is placed at step i, and one
-        with evenly spaced digits by slices, the t-th of every m = C /
-        stride at step t * stride: only NAF digits past C take a division
-        each.  If every digit lands at step 0 (multiples of the generator
-        or of a tag), the chain is that one step.
+        spacing)``, so rows that fall short are read at row 0 alone, and
+        steps above the top digit are dropped: multiples of the generator
+        or of a tag take one step, a sum with no digit none.
         """
         spacing, top = 1, 0
-        for rows, s, digits, _ in terms:
+        for rows, s, digits in terms:
             if digits[-1][0] < len(rows) * s:
                 spacing = lcm(spacing, s)
             else:
                 top = max(top, digits[-1][0])
         C = (top // spacing + 1) * spacing
-        if all(stride == C for *_, stride in terms):
-            return self._sum([[(row, d) for rows, _, digits, _ in terms
-                               for row, (_, d) in zip(rows, digits)]])
         steps: list[list] = [[] for _ in range(C)]
-        for rows, s, digits, stride in terms:
-            if digits[-1][0] < C:
-                row = rows[0]
-                for i, d in digits:
-                    steps[i].append((row, d))
-                continue
+        for rows, s, digits in terms:
             rows = rows[:: C // s]
-            if stride:  # m digits per row read, the t-th of each at step t * stride
-                m = C // stride
-                for t in range(m):
-                    steps[t * stride] += zip(rows, [d for _, d in digits[t::m]])
-            else:
-                for i, d in digits:
-                    steps[i % C].append((rows[i // C], d))
-        while not steps[-1]:
+            for i, d in digits:
+                steps[i % C].append((rows[i // C], d))
+        while steps and not steps[-1]:
             steps.pop()
         return self._sum(steps)
 
@@ -841,10 +823,10 @@ class CurveGroup(_ScalarCodec):
         Where ``scalar_mul``'s addition meets its own operand, the lane's
         shared x coordinate sends it down ``add``'s exact path."""
         _note_scalar_mul(len(scalars))
-        q, p, table = self.q, self._p, self._generator_table
-        lanes = [self._fixed_term(k % q, self.generator)[2] for k in scalars if k % q]
+        q, p, G = self.q, self._p, self.generator
+        lanes = [self._fixed_term(k % q, G)[2] for k in scalars if k % q]
         acc = []
-        for i, row in enumerate(table):
+        for i, row in enumerate(G.rows):
             pts = []
             for digits in lanes:
                 d = digits[i][1]
@@ -874,8 +856,8 @@ class CurveGroup(_ScalarCodec):
         """The sum of ``k * P`` over ``pairs``; variable time, so every
         scalar must be public.
 
-        Equal points are merged first.  The generator's rows lie 8 bits
-        apart, a prepared base's at its ``prepare`` spacing, and any other
+        Equal points are merged first.  A prepared base's rows lie its
+        ``prepare`` spacing apart (8 bits for the generator), and any other
         base gets its odd multiples P..7P as one row.  Each scalar is
         recoded once, on ``_chain``: into a NAF of width 4 on 4-entry
         rows, 7 on a tag's 32 and 9 on the generator's 128, none of whose
@@ -890,7 +872,7 @@ class CurveGroup(_ScalarCodec):
         return self._batch_to_affine([self._chain(self._multi_terms(pairs)) for pairs in sums])
 
     def _multi_terms(self, pairs):
-        q, gen = self.q, self.generator
+        q = self.q
         merged, tables = {}, {}
         for k, pt in pairs:
             if pt is not None:
@@ -898,8 +880,6 @@ class CurveGroup(_ScalarCodec):
                 if isinstance(pt, _PreparedPoint):
                     tables[pt] = pt.rows, pt.spacing
         live = {pt: k for pt, k in merged.items() if k}
-        if gen in live:
-            tables[gen] = self._generator_table, self._GEN_WIDTH
         fresh = [pt for pt in live if pt not in tables]
         if fresh:  # one row, which covers bit 0 alone
             tables.update((pt, ([row], 1)) for pt, row in zip(fresh, self._odd_multiples(fresh, 1, 4, 0)))
@@ -907,9 +887,9 @@ class CurveGroup(_ScalarCodec):
         for pt, k in live.items():
             rows, s = tables[pt]
             if s is None:
-                terms.append((rows, self._COMB_SPACING, self._comb_digits(k), 1))
+                terms.append((rows, self._COMB_SPACING, self._comb_digits(k)))
             else:  # a NAF as wide as the rows hold (4 entries: width 4; 128: width 9)
-                terms.append((rows, s, _wnaf(k, len(rows[0]).bit_length() + 1), None))
+                terms.append((rows, s, _wnaf(k, len(rows[0]).bit_length() + 1)))
         return terms
 
     def sum_points(self, points):

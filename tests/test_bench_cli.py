@@ -105,8 +105,9 @@ def test_interleaved_trials_count_every_timed_call():
         if len(calls) % 2 == 0:
             steady()
 
-    samples, muls = _interleaved_trials({"steady": steady}, 4)["steady"]
+    samples, muls, points = _interleaved_trials({"steady": steady}, 4)["steady"]
     assert len(samples) == 4 and muls == 1
+    assert points == (0, 0, 0)  # the toy group makes no point operations
     with pytest.raises(RuntimeError, match="alternating"):
         _interleaved_trials({"alternating": alternating}, 4)
 

@@ -525,7 +525,7 @@ def test_prepare_counts_nothing_and_keeps_the_point(group):
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypatch):
     G, lam = group.generator, short_bits(group)
-    table = group._generator_table
+    table = group.generator.rows
     # the comb: row i holds 1, 3, ..., 255 times 2**(8i) * G; 24 rows of
     # 128 points on P-192, 32 on P-256
     assert {len(row) for row in table} == {128}
@@ -544,7 +544,7 @@ def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypa
     comb = [Row(row) for row in table]
     for i, row in enumerate(comb):
         row.i = i
-    monkeypatch.setattr(group, "_generator_table", comb)
+    monkeypatch.setattr(group.generator, "rows", comb)
     key = group.scalar_mul(0xBEEF, G)
     # the chain is C = 16 beside a transient key, 32 beside a ring key's
     # signed comb, and lam beside a fresh base whose scalar's top bit is
@@ -691,9 +691,10 @@ def test_tag_prepare_builds_the_generator_table_shape(group, point_ops):
         assert [tag.rows[j][m >> 1] for m in (1, 3, 63)] == [double_and_add(group, m << 6 * j, pt) for m in (1, 3, 63)]
     # the same spacing comes back as it is; the comb is another layout
     assert group.prepare(tag, TAG_SPACING) is tag and group.prepare(tag).spacing is None
-    # the generator's table is the same shape at width 8; at 9 the rows
+    # the generator's rows are the same shape at width 8; at 9 the rows
     # turn to 4 entries over lam bits
-    assert group.prepare(group.generator, 8).rows == group._generator_table
+    G = group.generator
+    assert group.prepare((G[0], G[1]), 8).rows == G.rows
     assert [len(row) for row in group.prepare(pt, 9).rows] == [4] * -(-short_bits(group) // 9)
 
 
@@ -836,6 +837,36 @@ def test_fixed_sums_over_any_mix_of_bases(case, point_ops):
 
 
 @pytest.mark.parametrize("group", MSM_GROUPS, ids=str)
+def test_list_forms_match_the_one_sum_forms_with_one_inversion(group, point_ops):
+    # a batch as a mint, a ring's forgeries or a rogue scan makes one: an
+    # empty sum, scalars all 0 mod q, a sum that cancels to the identity
+    # and finite sums, over bases whose rows both forms read (the
+    # generator's, a ring key's comb and a tag's), so no per-call row is
+    # built and the batch's shared conversion is its one inversion
+    q, G = group.q, group.generator
+    rng = random.Random(2031)
+    comb = group.prepare(group.scalar_mul(0xBEEF, G))
+    tag = group.prepare(group.scalar_mul(0xF00D, G), TAG_SPACING)
+    k, a = rng.randrange(1, q), rng.randrange(1, q)
+    sums = [
+        [],
+        [(0, G), (q, comb), (-2 * q, tag)],
+        [(k, comb), (a, G), (-k, comb), (q - a, G)],
+        [(k, G), (a, comb)],
+        [(rng.randrange(q), tag), (5, G), (q - 1, comb)],
+    ]
+    expected = [fold_mul(group, pairs) for pairs in sums]
+    assert expected[:3] == [group.identity] * 3
+    inversions = 0 if isinstance(group, ToyGroup) else 1
+    for batch, single in ((group.fixed_multi_muls, group.fixed_multi_mul), (group.multi_muls, group.multi_mul)):
+        assert [single(pairs) for pairs in sums] == expected
+        with count_group_ops() as ops:
+            assert batch(sums) == expected
+        assert ops.scalar_muls == sum(map(len, sums))
+        assert point_ops(lambda: batch(sums))[2] == inversions
+
+
+@pytest.mark.parametrize("group", MSM_GROUPS, ids=str)
 def test_subset_sums_hold_every_subset_of_each_chunk(group):
     rng = random.Random(1992)
     P = group.scalar_mul(rng.randrange(1, group.q), group.generator)
@@ -899,7 +930,7 @@ def test_generator_muls_take_one_lane_step_per_table_row(group, point_ops):
     group.scalar_mul(1, group.generator)  # build the table outside the count
     # the first row's digits start every lane; each later row is one step
     steps = {"p192": 23, "p256": 31}[group.group_id]
-    assert steps == len(group._generator_table) - 1
+    assert steps == len(group.generator.rows) - 1
     rng = random.Random(2020)
     for n in (1, 17, 256):
         X = [rng.randrange(1, group.q) for _ in range(n)]
@@ -993,6 +1024,29 @@ def test_generator_multiples_have_one_operation_pattern(group, point_ops):
         assert k == 0xFFFFFFFDFFFFFFFDFFFFFFFD99DEF834146BC9B3B4D22833
     for k in exceptions:
         assert pattern(k, prepared) == (32, 32, 1)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_a_plain_point_equal_to_the_generator_takes_the_per_call_row(group, point_ops):
+    # the base object sets the pattern, not its value: G read back off the
+    # wire carries no rows, so it multiplies as any plain point does, to
+    # the same values as the group's prepared G
+    q, G = group.q, group.generator
+    plain = group.decode_element(group.encode_element(G))
+    assert plain == G and not hasattr(plain, "rows")
+    E = group.prepare(group.scalar_mul(0xF00D, G))
+    rng = random.Random(2032)
+    for k in (0, 1, 2, q - 1, q - 2, rng.randrange(1, q)):
+        a = rng.randrange(q)
+        assert group.scalar_mul(k, plain) == group.scalar_mul(k, G)
+        assert group.fixed_multi_mul([(k, plain), (a, E)]) == group.fixed_multi_mul([(k, G), (a, E)])
+        assert group.multi_mul([(k, plain), (a, E)]) == group.multi_mul([(k, G), (a, E)])
+        # beside G itself it merges into one term
+        assert group.multi_mul([(k, plain), (a, G)]) == group.scalar_mul(k + a, G)
+    k = rng.randrange(3, q - 2)
+    per_call = {"p192": (189, 55, 2), "p256": (253, 71, 2)}[group.group_id]
+    assert point_ops(lambda: group.scalar_mul(k, plain)) == per_call
+    assert point_ops(lambda: group.scalar_mul(k, G)) == (0, -(-q.bit_length() // 8), 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)

@@ -1,14 +1,18 @@
-"""Every name a module under src/avcs imports is used in that module, and
-no module imports a sibling's private name.
+"""Every name a module under src/avcs imports is used in that module, no
+module imports a sibling's private name, and the two group backends
+expose the same multiplication API.
 
 The first check skips ``__init__.py``: its imports are the package's
 re-exports.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from avcs.groups import CurveGroup, ToyGroup
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "avcs"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -52,3 +56,16 @@ def private_crossings(tree):
 def test_no_private_name_crosses_modules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert list(private_crossings(tree)) == []
+
+
+MULTIPLICATION_API = ("scalar_mul", "generator_muls", "prepare", "multi_mul", "multi_muls",
+                      "fixed_multi_mul", "fixed_multi_muls", "sum_points", "subset_sums", "add")
+
+
+@pytest.mark.parametrize("name", MULTIPLICATION_API)
+def test_toy_group_mirrors_the_curve_multiplication_api(name):
+    # the toy group is the tests' oracle for the curves: a method one of
+    # them lacks, or takes under other parameters, would split the two
+    toy, curve = ([(p.name, p.default) for p in inspect.signature(getattr(cls, name)).parameters.values()]
+                  for cls in (ToyGroup, CurveGroup))
+    assert toy == curve
