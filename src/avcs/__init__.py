@@ -14,11 +14,12 @@ The layers, bottom up:
   and same-window checks, expiry, revocation, signature verification.
 - :mod:`avcs.simnet` -- deterministic multi-vehicle simulation with
   scripted adversaries.
-- :mod:`avcs.bench` -- latency/size/operation-count measurement and the
-  amortized cost model.
+- :mod:`avcs.bench` -- latency/size/operation-count measurement, the
+  operation table behind the README's cost model, and the amortized
+  cost model.
 """
 
-from .bench import BenchRecord, avg_cost, linearity_r2, run_benchmarks
+from .bench import BenchRecord, avg_cost, linearity_r2, operation_table, run_benchmarks
 from .errors import (
     AvcsError,
     ClockError,
@@ -113,6 +114,7 @@ __all__ = [
     "keygen",
     "linearity_r2",
     "load_scenario",
+    "operation_table",
     "parse_scenario",
     "reveal_check",
     "ring_sign",

@@ -18,10 +18,11 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .groups import count_group_ops, get_group
-from .hardware import ManualClock, join
-from .ringsig import ManufactoryRegistry, keygen, ring_sign, ring_verify, setup
+from .groups import OpCounter, count_group_ops, get_group
+from .hardware import TAG_SPACING, ManualClock, join
+from .ringsig import ManufactoryRegistry, forge_tuple, keygen, ring_sign, ring_verify, setup
 from .transient import KEY_SPACING
 from .transient import verify as verify_transient
 from .vehicle import VehicleState, cert_fingerprint, encode_cert_frame, encode_message_frame
@@ -176,29 +177,27 @@ def _record(curve: str, r: int, op: str,
     )
 
 
-def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchRecord]:
-    """Measure every operation at every ring size 1..r_max.
+def _fixtures(curve: str, ring_sizes):
+    """The benchmark's fixtures on ``curve``, each checked once, and the
+    operations that read them: ``(world, ring_fns, stream_fns, sizes)``,
+    the functions and encoded sizes keyed by (op, r) for each r in
+    ``ring_sizes``.
 
-    Each row is timed and counted on the same calls, logical and
-    physical operations both, in one of two interleaved passes: the ring
-    rows with a time floor, the stream rows for ``trials`` passes.  Every
-    trial of a row must make the same number of scalar multiplications.
-    The pubkey-extraction cache is warmed first, so cold extraction stays
-    out of the other rows' times and point counts (the logical counts do
-    not depend on it); ``extract_cold`` times it alone, one uncached
-    extraction of a fresh id per trial.
+    Every draw comes from one rng seeded by the curve's name, so every
+    process builds the same fixtures.  The pubkey-extraction cache is
+    warmed first, so cold extraction stays out of the other operations'
+    point counts (the logical counts do not depend on it); ``extract_cold``
+    makes one uncached extraction of a fresh id per call.  ``world``
+    holds the group, the rng, the master key, the shared registry, the
+    sender's module and its last certificate and message.
     """
-    if not 1 <= r_max <= 32:
-        raise ValueError("r_max must lie in 1..32")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     group = get_group(curve)
     rng = random.Random(f"bench/{curve}/2024")
     mk = setup(group, rng=rng, manufactory_id=_BENCH_MFR)
     registry = ManufactoryRegistry(group)
     registry.register_master(mk)
 
-    ids = [f"{_BENCH_MFR}:veh-{i:04d}" for i in range(r_max)]
+    ids = [f"{_BENCH_MFR}:veh-{i:04d}" for i in range(max(ring_sizes))]
     for id_str in ids:
         registry.extract_pubkey(id_str)
     registry.extract_pubkey(f"{_BENCH_MFR}:recv-0000")
@@ -210,9 +209,8 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
     now = clock.now()
     cold_ids = (f"{_BENCH_MFR}:cold-{i:06d}" for i in itertools.count())
 
-    # fixtures first, each checked once; every trial below reads them
     ring_fns, stream_fns, sizes = {}, {}, {}
-    for r in range(1, r_max + 1):
+    for r in ring_sizes:
         ring = ids[:r]
         sig = ring_sign(_PAYLOAD, ring, signer, 0, registry, rng)
         assert ring_verify(_PAYLOAD, sig, registry)
@@ -230,7 +228,7 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
         stream_fns["gen_pseudonym", r] = lambda ring=ring: sender_hsm.gen_pseudonym(ring, 600.0, rng)
         stream_fns["gen_message", r] = lambda: sender_hsm.gen_message(_PAYLOAD)
         stream_fns["verify_message", r] = lambda pk=pk, app=app: verify_transient(group, pk, app.M, app.N)
-        # a fresh receiver per trial: the pipeline short-circuits duplicates
+        # a fresh receiver per call: the pipeline short-circuits duplicates
         stream_fns["receive_cert", r] = lambda frame=cert_frame: VehicleState(recv_hsm).receive(frame, now)
         stream_fns["extract_cold", r] = lambda: registry._derive(next(cold_ids))
         sizes["ring_sign", r] = sizes["ring_verify", r] = len(sig.to_bytes(group))
@@ -238,6 +236,71 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
         sizes["gen_message", r] = sizes["verify_message", r] = len(msg_frame)
         sizes["extract_cold", r] = group.element_byte_len
 
+    world = SimpleNamespace(group=group, rng=rng, mk=mk, registry=registry, sender=sender_hsm,
+                            now=now, cert=cert, app=app)
+    return world, ring_fns, stream_fns, sizes
+
+
+def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchRecord]:
+    """Measure every operation at every ring size 1..r_max.
+
+    Each row is timed and counted on the same calls, logical and
+    physical operations both, in one of two interleaved passes over
+    ``_fixtures``' operations: the ring rows with a time floor, the
+    stream rows for ``trials`` passes.  Every trial of a row must make
+    the same number of scalar multiplications.
+    """
+    if not 1 <= r_max <= 32:
+        raise ValueError("r_max must lie in 1..32")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    _, ring_fns, stream_fns, sizes = _fixtures(curve, range(1, r_max + 1))
     rows = _interleaved_trials(ring_fns, trials, _RING_PASS_SECONDS)
     rows.update(_interleaved_trials(stream_fns, trials))
     return [_record(curve, r, op, measured, sizes[op, r]) for (op, r), measured in rows.items()]
+
+
+def operation_table(curve: str) -> dict[str, OpCounter]:
+    """Each named operation run once on the benchmark's fixtures, as
+    ``count_group_ops`` tallies it: ``{name: counter}`` in table order.
+
+    The rows: every ``OPS`` entry at r = 1 and r = 4, warm as
+    ``run_benchmarks`` times them; ``prepare`` for each table shape (a
+    ring key's comb, a window tag's rows, a transient key's rows, the
+    generator's rows); ``scalar_mul`` on G, on a tag, on a comb and on a
+    plain point; a message check on a plain key; a forgery on a key met
+    for the first time; a 4-entry rogue scan; ``register_master``; and
+    ``setup``'s ``generator_muls``.  Scalars come from the fixtures'
+    seeded rng, so every count, those of the variable-time sums
+    included, is the same in every process.  The README's cost model
+    carries this table for each curve.
+    """
+    world, ring_fns, stream_fns, _ = _fixtures(curve, (1, 4))
+    group, rng, q = world.group, world.rng, world.group.q
+    fns = {**ring_fns, **stream_fns}
+    pk = world.cert.parse_c(group).pk
+    tag = world.sender.window_tag(world.now, world.now)
+    ks = [rng.randrange(1, q) for _ in range(4)]
+    comb = group.prepare(pk)
+    cold = world.registry.extract_pubkey(f"{_BENCH_MFR}:forge-0000")
+    named = {f"{op} r={r}": fns[op, r] for op in OPS for r in (1, 4)}
+    named.update({
+        "prepare comb": lambda: group.prepare(pk),
+        "prepare tag rows": lambda: group.prepare(tuple(tag), TAG_SPACING),
+        "prepare transient key": lambda: group.prepare(pk, KEY_SPACING),
+        "prepare generator": lambda: group.prepare(tuple(group.generator), 8),
+        "scalar_mul G": lambda: group.scalar_mul(ks[0], group.generator),
+        "scalar_mul tag": lambda: group.scalar_mul(ks[0], tag),
+        "scalar_mul comb": lambda: group.scalar_mul(ks[0], comb),
+        "scalar_mul plain": lambda: group.scalar_mul(ks[0], pk),
+        "verify_message plain key": lambda: verify_transient(group, pk, world.app.M, world.app.N),
+        "forge cold key": lambda: forge_tuple(group, cold, rng),
+        "rogue scan 4 entries": lambda: group.multi_muls([[(f, tag)] for f in ks]),
+        "register_master": lambda: ManufactoryRegistry(group).register_master(world.mk),
+        "setup generator_muls": lambda: group.generator_muls(world.mk.X),
+    })
+    table = {}
+    for name, fn in named.items():
+        with count_group_ops() as table[name]:
+            fn()
+    return table

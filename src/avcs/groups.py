@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
+import secrets
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -211,11 +212,19 @@ def _is_prime(n: int) -> bool:
 def batch_inverse(values, modulus: int) -> list[int]:
     """The inverse of each value modulo a prime, or 0 for a value of 0,
     from one ``pow`` (Montgomery's trick): invert the product of the
-    nonzero values, then peel them off one multiplication at a time."""
+    nonzero values, then peel them off one multiplication at a time.
+
+    The product is blinded first: times a fresh nonzero factor from
+    ``secrets``, inverted, and times the factor again, so the steps of
+    the one extended Euclid do not depend on the values, which may be
+    Jacobian Z coordinates of secret multiples or a secret nonce.  The
+    factor never comes from a caller's rng, whose draws stay as they
+    are."""
     prefix = [1]
     for v in values:
         prefix.append(prefix[-1] * v % modulus if v else prefix[-1])
-    inv = pow(prefix[-1], -1, modulus)
+    blind = secrets.randbelow(modulus - 1) + 1
+    inv = pow(prefix[-1] * blind % modulus, -1, modulus) * blind % modulus
     out = [0] * len(values)
     for i in reversed(range(len(values))):
         if values[i]:
@@ -455,13 +464,12 @@ class CurveGroup(_ScalarCodec):
     ring member's key or a window's h1 tag, can be given to ``prepare``
     once.  A ring key gets a signed comb (Lim-Lee, in the regular form
     of Hedabou, Pinel and Beneteau): teeth = bits(q) / 32 bases
-    ``B_j = 2**(32j) * P`` (6 on P-192, 8 on P-256) and the
-    ``2**(teeth-1)`` sums ``B_0 +- B_1 +- ... +- B_(teeth-1)``, 32 points
-    on P-192.  The generator is held prepared at spacing 8: row i holds
-    1, 3, ..., 255 times ``2**(8i) * G``.  A tag gets the same shape at
-    width 6: row i holds 1, 3, ..., 63 times ``2**(6i) * P``, 32 rows on
-    P-192 (43 on P-256).  A transient key gets rows of 1, 3, 5, 7 times
-    ``2**(16j) * P``, as many as its half-width challenges fill.
+    ``B_j = 2**(32j) * P`` and the ``2**(teeth-1)`` sums ``B_0 +- B_1
+    +- ... +- B_(teeth-1)``.  The generator is held prepared at spacing
+    8: row i holds 1, 3, ..., 255 times ``2**(8i) * G``.  A tag gets the
+    same shape at width 6: row i holds 1, 3, ..., 63 times ``2**(6i) *
+    P``.  A transient key gets rows of 1, 3, 5, 7 times ``2**(16j) * P``,
+    as many as its half-width challenges fill.
 
     Every multiplication places its digits by bit position on one
     doubling chain (``_chain``), whose formulas run inline in ``_sum`` and
@@ -469,13 +477,13 @@ class CurveGroup(_ScalarCodec):
     with one inversion.  ``scalar_mul`` recodes the odd one of k
     and q - k into nonzero digits, so its pattern does not depend on the
     scalar: on rows s bits apart, bits(q)/s odd digits (Joye-Tunstall),
-    one per row, with no doubling (the generator: 24 additions on P-192,
-    32 on P-256; a tag: 32 on P-192); on a comb, its 32 columns (31
-    doublings, 32 additions); on any other point, a plain point equal to
-    G included, width-4 digits on a per-call row P, 3P, ..., 15P.  The
-    generator's rows hold 3072 affine points on P-192 (4096 on P-256),
-    about 0.6 MB (0.9 MB), built on first use in about 55 ms (85 ms) on
-    CPython 3.11 on a shared 2-core VM.
+    one per row, with no doubling; on a comb, its 32 columns with a
+    doubling between; on any other point, a plain point equal to G
+    included, width-4 digits on a per-call row P, 3P, ..., 15P.  What
+    each table and each walk costs, per curve, is a row of the README's
+    operation table (``avcs.bench.operation_table``): ``prepare
+    generator``, ``prepare comb``, ``scalar_mul G``, ``scalar_mul
+    plain`` and so on.
     Every addition of a walk or of an odd-multiple table is one mixed
     Jacobian-plus-affine formula, and it is incomplete: for 2 and q - 2
     on a plain point (q = 17 mod 32, so q - 2 ends in the digit -1 after
@@ -485,10 +493,10 @@ class CurveGroup(_ScalarCodec):
     and q - k, one addition meets its own operand and doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
-    share one chain: 16 steps for a message check on a prepared key, 6
-    for a rogue entry on a tag, and for a check on a plain key
-    (``ring_verify``) the first multiple of 8 (of 32 beside a comb) above
-    its half-width scalars' top digit, 96 on P-192 and 128 on P-256.
+    share one chain: as many steps as a prepared key's rows lie apart
+    (16 for a transient key, 6 for a tag), and on plain keys the first
+    multiple of 8 (of 32 beside a comb) above the half-width scalars'
+    top digit.
     """
 
     _GEN_WIDTH = 8  # generator-table digits are odd and below 2**8 in size
@@ -633,24 +641,23 @@ class CurveGroup(_ScalarCodec):
     @cached_property
     def generator(self):
         """G, prepared at spacing 8: row i holds the odd multiples 1, 3,
-        ..., 255 of ``2**(8i) * G``, 24 rows of 128 points on P-192 (32
-        on P-256), built on first use from one inversion."""
+        ..., 255 of ``2**(8i) * G``, built on first use (the operation
+        table's ``prepare generator`` row)."""
         return self.prepare(self._g, self._GEN_WIDTH)
 
     def prepare(self, a, spacing: int | None = None):
         """``a`` with a table for ``scalar_mul`` and ``multi_mul``; counts
-        nothing.  By default the signed comb: 32 points from 160 doublings,
-        62 mixed additions and 2 inversions on P-192 (128 from (224, 254, 2)
-        on P-256).  A ``spacing`` s up to 8 gives the generator table's
-        shape: rows of 1, 3, ..., 2**s - 1 times ``2**(s*j) * a``, j <
-        ceil(bits(q) / s), which ``scalar_mul`` walks with no doubling; at
-        s = 6, a window tag's, 32 rows of 32 points on P-192 from (187, 992,
-        1), 43 rows and 1376 points on P-256 from (253, 1333, 1).  A larger
-        s gives rows of 1, 3, 5, 7 times ``2**(s*j) * a``, j < ceil(lam /
-        s), lam = bits(q)/2 rounded up, for ``hash_to_short``'s scalars: 6
-        rows on P-192 at s = 16 (81 doublings, 18 additions, 1 inversion).
-        The identity, and a point prepared at the same spacing, come back
-        as they are.
+        no scalar multiplication.  By default the signed comb of
+        2**(teeth-1) points.  A ``spacing`` s up to 8 gives the generator
+        table's shape: rows of 1, 3, ..., 2**s - 1 times ``2**(s*j) * a``,
+        j < ceil(bits(q) / s), which ``scalar_mul`` walks with no doubling
+        (s = 6 for a window tag).  A larger s gives rows of 1, 3, 5, 7
+        times ``2**(s*j) * a``, j < ceil(lam / s), lam = bits(q)/2 rounded
+        up, for ``hash_to_short``'s scalars (s = 16 for a transient key).
+        The point operations of each shape are the operation table's
+        ``prepare comb``, ``prepare tag rows``, ``prepare transient key``
+        and ``prepare generator`` rows.  The identity, and a point prepared
+        at the same spacing, come back as they are.
         """
         bits = self.q.bit_length()
         lam = -(-bits // 2)
@@ -818,8 +825,9 @@ class CurveGroup(_ScalarCodec):
         """``[k * G for k in scalars]``, counted as ``len(scalars)`` scalar
         multiplications: ``scalar_mul``'s digits of every scalar, walked
         row by row with each row's additions in one ``_add_lanes`` step,
-        so bits(q)/8 - 1 steps (23 on P-192, 31 on P-256) with one
-        inversion each and no doubling.  A zero scalar takes no lane.
+        one step with one inversion per row after the first and no
+        doubling (the operation table's ``setup generator_muls`` row).
+        A zero scalar takes no lane.
         Where ``scalar_mul``'s addition meets its own operand, the lane's
         shared x coordinate sends it down ``add``'s exact path."""
         _note_scalar_mul(len(scalars))

@@ -86,9 +86,10 @@ def _window_tag(group, window: int, build: bool = True):
     h1(window)`` takes no doubling and a rogue entry's ``multi_mul`` a
     6-step chain; shared by modules and receivers, and the WINDOW_TAGS
     most recently used stay cached.  A miss costs one hash-to-curve and
-    one prepare, (187, 992, 1) on P-192.  With ``build`` False a miss
-    leaves the cache as it is and returns h1(window) on a signed comb
-    instead, (160, 62, 2): a rogue entry then walks its 32 columns."""
+    the operation table's ``prepare tag rows``.  With ``build`` False a
+    miss leaves the cache as it is and returns h1(window) on a signed
+    comb instead, ``prepare comb``: a rogue entry then walks its 32
+    columns."""
     key = (group, window)
     tag = _tags.pop(key, None)
     if tag is None:

@@ -63,7 +63,7 @@ __all__ = [
 
 N_BITS = 256
 
-MAX_RING = 64  # members: anyone can close a ring's chain, at about 0.75 ms a member to check
+MAX_RING = 64  # members: anyone can close a ring's chain, and a check's work is linear in its members
 
 # h0_bits's bytes from and to the digits of a base-2 string
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -145,9 +145,10 @@ def setup(group, n: int = N_BITS, rng=None, manufactory_id: str = "mfr") -> Mast
     Production uses n = 256 (the bit length of the identity hash);
     tests may shrink it, since H0 is asked for exactly n bits.  Y is
     one ``group.generator_muls`` over X, counted as n scalar
-    multiplications: on a curve, bits(q)/8 - 1 lane steps that share
-    one inversion each (23 on P-192), where a lane that meets its own
-    operand takes the exact slow path, as ``scalar_mul`` doubles there.
+    multiplications: on a curve, one lane step per generator table row,
+    each sharing one inversion (the operation table's ``setup
+    generator_muls`` row), where a lane that meets its own operand takes
+    the exact slow path, as ``scalar_mul`` doubles there.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -181,10 +182,10 @@ class ManufactoryRegistry:
 
     ``register`` keeps, in place of a public vector Y, the 16 subset
     sums of each 4 consecutive points (``group.subset_sums``, after
-    Brickell-Gordon-McCurley-Wilson): for n = 256, 960 points from 704
-    affine lane additions sharing 3 inversions.  A key adds one entry
-    per nonzero 4-bit chunk of its id's hash, at most 64, instead of one
-    point per set bit.
+    Brickell-Gordon-McCurley-Wilson), built in affine lanes: the
+    operation table's ``register_master`` row.  A key adds one entry per
+    nonzero 4-bit chunk of its id's hash instead of one point per set
+    bit (the ``extract_cold`` rows).
 
     Extraction results are cached by identity ("can be cached" is part
     of the scheme's cost story), at most ``_CACHED_KEYS`` of them, by
@@ -290,7 +291,9 @@ def forge_tuples(group, keys, rng, *, suite: HashSuite = PRODUCTION):
     tuple: U is a fixed-pattern sum, not the variable-time
     ``multi_mul``, b's digits (on E's comb when E is prepared) and a's
     on one doubling chain.  The b of all tuples share one
-    ``batch_inverse``.
+    ``batch_inverse``.  The operation table's ``forge cold key`` row is
+    one forgery on a plain key, and its ``ring_sign`` rows forge on
+    prepared ones.
     """
     if any(group.is_identity(E) for E in keys):
         raise DegenerateKeyError("cannot forge against the identity element")
@@ -459,8 +462,8 @@ def ring_sign(
     m_s = _xor(gamma, w[signer_pos])
     l = rng.randrange(1, q)
     U_s = group.scalar_mul(l, group.generator)
-    # l gives d away, so it is inverted by Fermat: an exponent fixed by q alone
-    v_s = (int.from_bytes(m_s, "big") - signer.d * suite.h1(group, U_s)) * pow(l, q - 2, q) % q
+    # l gives d away: batch_inverse blinds it before its one Euclid
+    v_s = (int.from_bytes(m_s, "big") - signer.d * suite.h1(group, U_s)) * batch_inverse([l], q)[0] % q
     tuples[signer_pos] = m_s, U_s, v_s
 
     x = rng.randrange(1, r + 1)

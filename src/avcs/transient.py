@@ -54,8 +54,10 @@ def verify(group, pk, msg: bytes, signature: bytes) -> bool:
     Hostile-input safe; two logical scalar muls.  The challenge e is
     half width (``hash_to_short``) and enters with its own sign, so on a
     plain key the doubling chain is the first multiple of 8 above the top
-    digit of e's NAF (96 on P-192 for most e).  On ``group.prepare(pk, KEY_SPACING)``,
-    whose rows lie 16 bits apart and cover e, it is 16 steps.
+    digit of e's NAF.  On ``group.prepare(pk, KEY_SPACING)``, whose rows
+    lie 16 bits apart and cover e, it is 16 steps.  The operation
+    table's ``verify_message plain key`` and ``verify_message`` rows
+    count both.
     R stays bytes: an encoding equals it iff R decodes to that point.
     """
     ebl = group.element_byte_len

@@ -14,11 +14,12 @@ from avcs.bench import (
     _interleaved_trials,
     avg_cost,
     linearity_r2,
+    operation_table,
     records_to_csv,
     run_benchmarks,
 )
 from avcs.cli import _COMMANDS, _build_parser, main
-from avcs.groups import get_group
+from avcs.groups import OpCounter, get_group
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -139,6 +140,32 @@ def test_csv_header_golden():
     first = lines[1].split(",")
     assert first[0] == TOY and first[1] == "1" and first[2] == "ring_sign"
     assert len(first) == len(CSV_HEADER.split(","))
+
+
+# ---------------------------------------------------------------------------
+# the README's operation tables
+# ---------------------------------------------------------------------------
+
+
+def operation_table_markdown(curve):
+    """``operation_table(curve)`` as the README carries it, markers included."""
+    columns = OpCounter.__slots__
+    lines = [f"<!-- operation-table {curve} -->",
+             "| operation | " + " | ".join(columns) + " |",
+             "|---|" + "---:|" * len(columns)]
+    for name, ops in operation_table(curve).items():
+        lines.append(f"| `{name}` | " + " | ".join(str(getattr(ops, c)) for c in columns) + " |")
+    return "\n".join(lines + ["<!-- /operation-table -->"])
+
+
+def test_readme_operation_tables_match_operation_table():
+    # the cost model's counts live in these tables alone; when one differs,
+    # the message is the regenerated Markdown to paste over both
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    found = {m[1]: m[0] for m in re.finditer(
+        r"^<!-- operation-table (\w+) -->\n.*?^<!-- /operation-table -->$", text, flags=re.M | re.S)}
+    expected = {curve: operation_table_markdown(curve) for curve in ("p192", "p256")}
+    assert found == expected, "\n\n".join(expected.values())
 
 
 def test_linearity_r2_on_synthetic_data():

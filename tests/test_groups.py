@@ -380,6 +380,31 @@ def test_batch_inverse_matches_pow_and_keeps_zeros():
     assert batch_inverse([], 23) == []
 
 
+def test_batch_inverse_never_inverts_its_unblinded_product(monkeypatch):
+    # the one Euclid runs on the product times a blind from secrets, so
+    # its steps do not depend on the values (Z coordinates, nonces)
+    calls = []
+
+    def recorded_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr("avcs.groups.pow", recorded_pow, raising=False)
+    rng = random.Random(2031)
+    for modulus in (23, P192.q, P192._p, P256.q):
+        for values in ([rng.randrange(1, modulus)], [rng.randrange(modulus) for _ in range(6)] + [0], [0]):
+            calls.clear()
+            assert batch_inverse(values, modulus) == [pow(v, -1, modulus) if v else 0 for v in values]
+            product = reduce(lambda a, b: a * b % modulus, (v for v in values if v), 1)
+            assert len(calls) == 1 and calls[0][1:] == (-1, modulus)
+            if modulus > 23:  # a blind of 1 in q - 1 leaves it as it is
+                assert calls[0][0] != product
+    # two calls on the same values invert two different products
+    calls.clear()
+    batch_inverse([5, 7], P192.q), batch_inverse([5, 7], P192.q)
+    assert calls[0][0] != calls[1][0]
+
+
 @pytest.mark.parametrize("group", MSM_GROUPS, ids=str)
 def test_multi_mul_edge_cases(group):
     G = group.generator

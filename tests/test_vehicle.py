@@ -638,6 +638,28 @@ def test_ring_above_the_cap_is_malformed_before_any_multiplication():
         VehicleState(receiver.hsm, ring_size=MAX_RING + 1)
 
 
+def test_closed_ghost_rings_stay_inside_a_budget_linear_in_r():
+    # the most an attacker-closed ring of r cold ids can cost on P-192,
+    # whatever the tuples: one chain to at most 200 steps (full-width
+    # scalars on plain keys, raised to a multiple of the generator's 8)
+    # plus one doubling for each E_i's and U_i's odd multiples; per
+    # member at most 64 additions for its cold extraction, 3 + 3 for
+    # the odd multiples and width-4 NAF digits of a full-width scalar on
+    # E_i (49) and a 96-bit one on U_i (25), with 150 for the generator's
+    # merged term; one inversion per cold extraction, one for the fresh
+    # bases' rows and one for the sum
+    _, receiver, clock = p192_pair(seed=86)
+    rng = random.Random(87)
+    for r in (1, 8, MAX_RING):
+        frame = ghost_ring_frame(clock, r, rng)
+        with count_group_ops() as ops:
+            result = receiver.receive(frame, clock.now())
+        assert (result.outcome, result.reason) == ("reject", "bad-signature")
+        assert ops.doublings <= 200 + 2 * r, r
+        assert ops.additions <= 150 + 150 * r, r
+        assert ops.inversions <= 2 + r, r
+
+
 def test_off_curve_u_closes_the_chain_and_is_a_bad_signature(monkeypatch):
     sender, receiver, clock = p192_pair(seed=82)
     ring = [sender.hsm.identity, receiver.hsm.identity]
