@@ -181,7 +181,9 @@ def _fixtures(curve: str, ring_sizes):
     """The benchmark's fixtures on ``curve``, each checked once, and the
     operations that read them: ``(world, ring_fns, stream_fns, sizes)``,
     the functions and encoded sizes keyed by (op, r) for each r in
-    ``ring_sizes``.
+    ``ring_sizes``, or by op alone for ``gen_message``,
+    ``verify_message`` and ``extract_cold``, whose work does not depend
+    on r: they sign and check under the last certificate's transient key.
 
     Every draw comes from one rng seeded by the curve's name, so every
     process builds the same fixtures.  The pubkey-extraction cache is
@@ -216,25 +218,26 @@ def _fixtures(curve: str, ring_sizes):
         assert ring_verify(_PAYLOAD, sig, registry)
         cert = sender_hsm.gen_pseudonym(ring, 600.0, rng)
         cert_frame = encode_cert_frame(cert, group)
-        app = sender_hsm.gen_message(_PAYLOAD)
-        msg_frame = encode_message_frame(cert_fingerprint(cert_frame), app.M, app.N)
-        # a receiver's steady state from a certificate's third message on
-        pk = group.prepare(cert.parse_c(group).pk, KEY_SPACING)
-        assert verify_transient(group, pk, app.M, app.N)
         assert VehicleState(recv_hsm).receive(cert_frame, now).accepted
 
         ring_fns["ring_sign", r] = lambda ring=ring: ring_sign(_PAYLOAD, ring, signer, 0, registry, rng)
         ring_fns["ring_verify", r] = lambda sig=sig: ring_verify(_PAYLOAD, sig, registry)
         stream_fns["gen_pseudonym", r] = lambda ring=ring: sender_hsm.gen_pseudonym(ring, 600.0, rng)
-        stream_fns["gen_message", r] = lambda: sender_hsm.gen_message(_PAYLOAD)
-        stream_fns["verify_message", r] = lambda pk=pk, app=app: verify_transient(group, pk, app.M, app.N)
         # a fresh receiver per call: the pipeline short-circuits duplicates
         stream_fns["receive_cert", r] = lambda frame=cert_frame: VehicleState(recv_hsm).receive(frame, now)
-        stream_fns["extract_cold", r] = lambda: registry._derive(next(cold_ids))
         sizes["ring_sign", r] = sizes["ring_verify", r] = len(sig.to_bytes(group))
         sizes["gen_pseudonym", r] = sizes["receive_cert", r] = len(cert_frame)
-        sizes["gen_message", r] = sizes["verify_message", r] = len(msg_frame)
-        sizes["extract_cold", r] = group.element_byte_len
+
+    app = sender_hsm.gen_message(_PAYLOAD)
+    msg_frame = encode_message_frame(cert_fingerprint(cert_frame), app.M, app.N)
+    # a receiver's steady state from a certificate's third message on
+    pk = group.prepare(cert.parse_c(group).pk, KEY_SPACING)
+    assert verify_transient(group, pk, app.M, app.N)
+    stream_fns["gen_message"] = lambda: sender_hsm.gen_message(_PAYLOAD)
+    stream_fns["verify_message"] = lambda: verify_transient(group, pk, app.M, app.N)
+    stream_fns["extract_cold"] = lambda: registry._derive(next(cold_ids))
+    sizes["gen_message"] = sizes["verify_message"] = len(msg_frame)
+    sizes["extract_cold"] = group.element_byte_len
 
     world = SimpleNamespace(group=group, rng=rng, mk=mk, registry=registry, sender=sender_hsm,
                             now=now, cert=cert, app=app)
@@ -247,17 +250,23 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
     Each row is timed and counted on the same calls, logical and
     physical operations both, in one of two interleaved passes over
     ``_fixtures``' operations: the ring rows with a time floor, the
-    stream rows for ``trials`` passes.  Every trial of a row must make
-    the same number of scalar multiplications.
+    stream rows for ``trials`` passes.  ``gen_message``,
+    ``verify_message`` and ``extract_cold`` do the same work at every r,
+    so the stream pass times each of them once and that one measurement
+    is reported at every r: the records still hold one row per (op, r),
+    r by r in ``OPS`` order.  Every trial of a row must make the same
+    number of scalar multiplications.
     """
     if not 1 <= r_max <= 32:
         raise ValueError("r_max must lie in 1..32")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _, ring_fns, stream_fns, sizes = _fixtures(curve, range(1, r_max + 1))
+    ring_sizes = range(1, r_max + 1)
+    _, ring_fns, stream_fns, sizes = _fixtures(curve, ring_sizes)
     rows = _interleaved_trials(ring_fns, trials, _RING_PASS_SECONDS)
     rows.update(_interleaved_trials(stream_fns, trials))
-    return [_record(curve, r, op, measured, sizes[op, r]) for (op, r), measured in rows.items()]
+    return [_record(curve, r, op, rows.get((op, r)) or rows[op], sizes.get((op, r)) or sizes[op])
+            for r in ring_sizes for op in OPS]
 
 
 def operation_table(curve: str) -> dict[str, OpCounter]:
@@ -265,7 +274,8 @@ def operation_table(curve: str) -> dict[str, OpCounter]:
     ``count_group_ops`` tallies it: ``{name: counter}`` in table order.
 
     The rows: every ``OPS`` entry at r = 1 and r = 4, warm as
-    ``run_benchmarks`` times them; ``prepare`` for each table shape (a
+    ``run_benchmarks`` times them, and named without an r where its work
+    does not depend on r; ``prepare`` for each table shape (a
     ring key's comb, a window tag's rows, a transient key's rows, the
     generator's rows); ``scalar_mul`` on G, on a tag, on a comb and on a
     plain point; a message check on a plain key; a forgery on a key met
@@ -283,7 +293,9 @@ def operation_table(curve: str) -> dict[str, OpCounter]:
     ks = [rng.randrange(1, q) for _ in range(4)]
     comb = group.prepare(pk)
     cold = world.registry.extract_pubkey(f"{_BENCH_MFR}:forge-0000")
-    named = {f"{op} r={r}": fns[op, r] for op in OPS for r in (1, 4)}
+    named = {}
+    for op in OPS:
+        named.update({op: fns[op]} if op in fns else {f"{op} r={r}": fns[op, r] for r in (1, 4)})
     named.update({
         "prepare comb": lambda: group.prepare(pk),
         "prepare tag rows": lambda: group.prepare(tuple(tag), TAG_SPACING),

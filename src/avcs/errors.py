@@ -2,8 +2,9 @@
 
 Anything raised on a hostile input path (wire decoding, certificate
 validation) derives from :class:`ParseError` so callers can catch one
-class at the trust boundary.  Errors on honest-caller misuse (joining a
-module twice, signing before provisioning) get their own types.
+class at the trust boundary.  Errors on honest-caller misuse (joining
+under an unregistered manufactory, signing a message before any
+pseudonym) get their own types.
 """
 
 
@@ -28,7 +29,7 @@ class DegenerateKeyError(AvcsError):
 
 
 class ProvisioningError(AvcsError):
-    """A hardware module was used before, or joined after, provisioning."""
+    """A module could not join, or was asked for work it holds no key for."""
 
 
 class SupervisorAuthError(AvcsError):

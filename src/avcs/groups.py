@@ -13,7 +13,9 @@ Two interchangeable backends sit behind one small interface:
   multiples (the generator, which the group holds prepared, and the
   window tag of ``f * h1(window)``), on a prepared point's signed comb
   (the ring keys of ``ringsig.forge_tuple``) and on any other point
-  (``f * h0(C)``).
+  (``f * h0(C)``), and it runs one code path: the fold to the odd one of
+  k and k - q and each digit's table entry and sign are integer
+  arithmetic, never a branch.
   ``fixed_multi_mul`` does the same for a sum over any mix of bases (a
   forge's ``b*E + a*G``).  ``multi_mul`` is variable time and takes
   public scalars only: the verification equations and the rogue-list
@@ -427,11 +429,12 @@ def _wnaf(k: int, w: int) -> list[tuple[int, int]]:
 
 
 def _regular_digits(k: int, n: int, w: int) -> list[tuple[int, int]]:
-    """Joye-Tunstall regular recoding of an odd ``0 < k < 2**(w*n)``.
+    """Joye-Tunstall regular recoding of an odd k, ``|k| < 2**(w*n)``.
 
     Exactly ``n`` (position, digit) pairs, digit i at bit ``w*i``, with
     ``k = sum(d_i * 2**(w*i))``: every digit is odd and below ``2**w``
-    in size, the last one positive, so none is ever zero.
+    in size, the last one of k's sign, so none is ever zero.  The same
+    steps recode -k into the negated digits.
     """
     digits, mask, half = [], (2 << w) - 1, 1 << w
     for i in range(0, w * (n - 1), w):
@@ -475,8 +478,10 @@ class CurveGroup(_ScalarCodec):
     doubling chain (``_chain``), whose formulas run inline in ``_sum`` and
     whose sum stays Jacobian until the call makes all of its sums affine
     with one inversion.  ``scalar_mul`` recodes the odd one of k
-    and q - k into nonzero digits, so its pattern does not depend on the
-    scalar: on rows s bits apart, bits(q)/s odd digits (Joye-Tunstall),
+    and q - k, the latter negated, picked by arithmetic (``_odd_fold``),
+    into nonzero digits, and ``_sum`` takes each digit's entry and sign by
+    arithmetic too, so neither its operations nor its code path depend
+    on the scalar: on rows s bits apart, bits(q)/s odd digits (Joye-Tunstall),
     one per row, with no doubling; on a comb, its 32 columns with a
     doubling between; on any other point, a plain point equal to G
     included, width-4 digits on a per-call row P, 3P, ..., 15P.  What
@@ -693,25 +698,36 @@ class CurveGroup(_ScalarCodec):
         _note_points(self._COMB_SPACING * len(bases), 2 * len(sums) - 2)
         return self._batch_to_affine(sums)
 
+    def _odd_fold(self, k: int) -> int:
+        """The odd one of ``k`` and ``k - q`` (q is odd), a scalar equal to
+        k mod q: k itself, or q - k with its sign flipped.  Integer
+        arithmetic alone, no branch on k's parity; the recoders take a
+        negative value as it is and give it negated digits."""
+        return k - (self.q & ((k & 1) - 1))
+
     def _comb_digits(self, k: int) -> list[tuple[int, int]]:
         """The comb's columns of ``0 < k < q`` as (position, digit) pairs,
         column t at bit t.
 
-        An odd k is ``sum(s_i * 2**i)`` over i < n = 32 * teeth with every
-        s_i = +-1, s_i = +1 where bit i of ``(k + 2**n - 1) / 2`` is set.
+        An odd k, ``|k| < 2**n``, is ``sum(s_i * 2**i)`` over i < n = 32 *
+        teeth with every s_i = +-1, s_i = +1 where bit i of ``(k + 2**n -
+        1) / 2`` is set.
         Column t is ``sum(s_(t+32j) * 2**(32j))`` over the teeth j, so
         ``k = sum(column_t * 2**t)``.  Its digit is ``+-(2e + 1)``: entry
         e of the comb, negated if the digit is, as s_t gives B_0's sign.
-        An even k takes q - k's digits with their signs flipped.
+        The recoding runs on ``_odd_fold(k)``: for a negative one, k - q,
+        every s_i flips, so every digit is q - k's negated.  A column whose
+        s_t is -1 gets its digit by arithmetic too, so nothing branches on k.
         """
-        if not k & 1:
-            return [(t, -d) for t, d in self._comb_digits(self.q - k)]
+        k = self._odd_fold(k)
         teeth, s = self._teeth, self._COMB_SPACING
         n = s * teeth
         bits = format((k + (1 << n) - 1) >> 1, f"0{n}b").encode().translate(self._BITS)
         # byte t of v holds bit t of every tooth, tooth j at bit j (teeth <= 8)
         v = sum(int.from_bytes(bits[n - s * j - s : n - s * j], "big") << j for j in range(teeth))
-        return [(t, c if c & 1 else c + 1 - (1 << teeth)) for t, c in enumerate(v.to_bytes(s, "little"))]
+        # an even column c (s_t = -1) is entry 2**(teeth-1) - 1 - c/2, negated
+        flip = 1 - (1 << teeth)
+        return [(t, c + ((c & 1) - 1 & flip)) for t, c in enumerate(v.to_bytes(s, "little"))]
 
     def _fixed_term(self, k: int, a):
         """``k * a``, ``0 < k < q``, as a ``_chain`` term whose digits are
@@ -719,8 +735,8 @@ class CurveGroup(_ScalarCodec):
         digits, w bits apart, one per row of a point prepared in the
         generator's shape (the generator itself at w = 8, a tag at its
         spacing), and for any other point width-4 ones on a per-call row
-        P, 3P, ..., 15P.  An even k takes q - k's digits with their signs
-        flipped."""
+        P, 3P, ..., 15P.  Every k recodes ``_odd_fold(k)``, k or k - q, on
+        one path for either parity."""
         spacing = getattr(a, "spacing", 0)
         if spacing is None:
             return a.rows, self._COMB_SPACING, self._comb_digits(k)
@@ -729,10 +745,7 @@ class CurveGroup(_ScalarCodec):
         else:
             w = self._ROW_WIDTH
             rows = self._odd_multiples([a], 1, 1 << (w - 1), 0)
-        n = -(-self.q.bit_length() // w)
-        if k & 1:
-            return rows, w, _regular_digits(k, n, w)
-        return rows, w, [(i, -d) for i, d in _regular_digits(self.q - k, n, w)]
+        return rows, w, _regular_digits(self._odd_fold(k), -(-self.q.bit_length() // w), w)
 
     def _chain(self, terms):
         """The Jacobian sum of ``d * 2**i`` times each term's base over its
@@ -767,8 +780,10 @@ class CurveGroup(_ScalarCodec):
     def _sum(self, steps):
         """The Jacobian point at the end of a doubling chain: from the top
         of ``steps``, lists of (row, d) lowest first, double the sum and
-        then add ``d`` times each row's base, ``row[d >> 1]`` for d > 0
-        and its negation ``row[-d >> 1]`` for d < 0.
+        then add ``d`` times each row's base: entry ``|d| >> 1`` with its y
+        times d's sign.  Entry and sign come from d by integer arithmetic,
+        so a digit's sign takes no branch; a y left negative is reduced
+        by the next formula or by the conversion to affine.
 
         The formulas run inline.  Doublings wait for the first addition
         and for any sum that reaches the identity; an addition that meets
@@ -791,11 +806,9 @@ class CurveGroup(_ScalarCodec):
             else:
                 doublings -= 1
             for row, d in adds:
-                if d > 0:
-                    x, y = row[d >> 1]
-                else:
-                    x, y = row[-d >> 1]
-                    y = p - y
+                s = d >> 31  # 0 for d > 0, -1 for d < 0: every |d| < 2**31
+                x, y = row[(d ^ s) >> 1]
+                y *= 1 | s
                 if not Z:
                     X, Y, Z = x, y, 1
                     continue
@@ -827,19 +840,21 @@ class CurveGroup(_ScalarCodec):
         row by row with each row's additions in one ``_add_lanes`` step,
         one step with one inversion per row after the first and no
         doubling (the operation table's ``setup generator_muls`` row).
-        A zero scalar takes no lane.
+        Each digit's entry and sign come from it by integer arithmetic, as
+        in ``_sum``.  A zero scalar takes no lane.
         Where ``scalar_mul``'s addition meets its own operand, the lane's
         shared x coordinate sends it down ``add``'s exact path."""
         _note_scalar_mul(len(scalars))
-        q, p, G = self.q, self._p, self.generator
+        q, G = self.q, self.generator
         lanes = [self._fixed_term(k % q, G)[2] for k in scalars if k % q]
         acc = []
         for i, row in enumerate(G.rows):
             pts = []
             for digits in lanes:
                 d = digits[i][1]
-                pt = row[abs(d) >> 1]
-                pts.append(pt if d > 0 else (pt[0], p - pt[1]))
+                s = d >> 31
+                x, y = row[(d ^ s) >> 1]
+                pts.append((x, y * (1 | s)))
             if acc:
                 self._add_lanes(acc, pts)
             else:

@@ -197,54 +197,38 @@ class ApplicationMessage:
 
 
 class HardwareModule:
-    """One vehicle's secure element.
+    """One vehicle's secure element, provisioned as it is constructed.
 
-    Construct unprovisioned, then call :meth:`provision` exactly once
-    (or use the :func:`join` convenience).  ``f`` and the identity
-    key's ``d`` live in name-mangled private attributes and no method
-    returns them; only ``f * h0(C)`` / ``f * h1(window)`` bindings and
-    ring signatures escape, and :meth:`window_tag` serves receivers too.
+    Construction is Join (:func:`join` is the same call): it derives the
+    identity key's ``d`` for ``id_str`` and draws the master secret ``f``
+    from ``rng``.  Both live in name-mangled private attributes and no
+    method returns them; only ``f * h0(C)`` / ``f * h1(window)`` bindings
+    and ring signatures escape, and :meth:`window_tag` serves receivers too.
     """
 
-    def __init__(self, registry: ManufactoryRegistry, clock=None, *,
+    def __init__(self, mk, id_str: str, registry: ManufactoryRegistry, rng, *, clock=None,
                  min_span_time: float = 60.0, supervisor_token=None):
         if min_span_time <= 0:
             raise ValueError("min_span_time must be positive")
+        mfr, _ = split_id(id_str)
+        if not registry.knows(mfr):
+            raise ProvisioningError(f"manufactory {mfr!r} is not registered")
         self.registry = registry
         self.clock = clock if clock is not None else SystemClock()
         self.min_span_time = float(min_span_time)
         self._supervisor_token = supervisor_token
-        self.__f = None
-        self.__identity_key = None
+        self.__identity_key = keygen(mk, id_str, suite=registry.suite)
+        self.__f = rng.randrange(1, registry.group.q)
         self._transient = None
         self._last_time = None
 
-    # -- provisioning -----------------------------------------------------
-
-    @property
-    def provisioned(self) -> bool:
-        return self.__f is not None
-
     @property
     def identity(self) -> str:
-        if self.__identity_key is None:
-            raise ProvisioningError("module has not joined")
         return self.__identity_key.id
 
     @property
     def group(self):
         return self.registry.group
-
-    def provision(self, mk, id_str: str, rng) -> "HardwareModule":
-        """Join: derive d for ``id_str``, draw the master secret f."""
-        if self.provisioned:
-            raise ProvisioningError("module is already provisioned")
-        mfr, _ = split_id(id_str)
-        if not self.registry.knows(mfr):
-            raise ProvisioningError(f"manufactory {mfr!r} is not registered")
-        self.__identity_key = keygen(mk, id_str, suite=self.registry.suite)
-        self.__f = rng.randrange(1, self.group.q)
-        return self
 
     # -- internals ----------------------------------------------------------
 
@@ -254,10 +238,6 @@ class HardwareModule:
             raise ClockError(f"trusted clock went backwards: {self._last_time} -> {t}")
         self._last_time = t
         return t
-
-    def _require_key(self):
-        if not self.provisioned:
-            raise ProvisioningError("module has not joined")
 
     def _bind_and_sign(self, C: bytes, ring: list[str], pos: int, now: float, rng):
         """Bind C to f and the window at ``now``, ring-sign it as ring[pos].
@@ -291,7 +271,6 @@ class HardwareModule:
         id twice; ``validity`` is in seconds, above 0 and at most
         ``MAX_VALIDITY - 1``, so that C spans at most ``MAX_VALIDITY``.
         """
-        self._require_key()
         if not 0 < validity <= MAX_VALIDITY - 1:
             raise ValueError(f"validity must lie in (0, {MAX_VALIDITY - 1}] seconds")
         own = self.identity
@@ -310,7 +289,6 @@ class HardwareModule:
 
     def gen_message(self, M: bytes) -> ApplicationMessage:
         """Sign a payload under the current transient key."""
-        self._require_key()
         if self._transient is None:
             raise ProvisioningError("no transient key: generate a pseudonym first")
         sk, pk = self._transient
@@ -324,7 +302,6 @@ class HardwareModule:
         attributable by design).  Only R' participates in the match
         decision downstream.
         """
-        self._require_key()
         if self._supervisor_token is None or token != self._supervisor_token:
             raise SupervisorAuthError("reveal requires the supervisor capability")
         now = self._read_clock()
@@ -333,11 +310,10 @@ class HardwareModule:
 
 def join(mk, id_str: str, registry: ManufactoryRegistry, rng, *, clock=None,
          min_span_time: float = 60.0, supervisor_token=None) -> HardwareModule:
-    """Construct and provision a module in one step."""
-    module = HardwareModule(
-        registry, clock, min_span_time=min_span_time, supervisor_token=supervisor_token
-    )
-    return module.provision(mk, id_str, rng)
+    """Join: a module provisioned for ``id_str``, as ``HardwareModule``
+    constructs it."""
+    return HardwareModule(mk, id_str, registry, rng, clock=clock, min_span_time=min_span_time,
+                          supervisor_token=supervisor_token)
 
 
 def leak_master_secret(module: HardwareModule) -> int:

@@ -7,6 +7,7 @@ test passes them in explicitly.
 """
 
 import random
+import sys
 from types import SimpleNamespace
 
 from hypothesis import settings
@@ -71,6 +72,37 @@ def last_row_doubling_scalar(group, w=8):
              if 0 < (k := 2 * d * 2 ** (w * (n - 1)) - q) < q and _regular_digits(k, n, w)[-1][1] == d]
     assert len(found) == 1
     return found[0]
+
+
+def opcode_trace(module, fn):
+    """Run ``fn()`` and return the (function, bytecode offset) of every
+    opcode it ran in frames whose code lives in ``module``'s file.
+
+    Opcodes, not lines: a conditional expression or an ``and`` within one
+    line shows as the offsets it jumps between.  Frames of other files
+    are not traced, so a callee such as ``secrets.randbelow``, whose
+    rejection loop varies from run to run, shows as the one call.
+    """
+    path, trace = module.__file__, []
+
+    def opcodes(frame, event, arg):
+        if event == "opcode":
+            trace.append((frame.f_code.co_name, frame.f_lasti))
+        return opcodes
+
+    def calls(frame, event, arg):
+        if frame.f_code.co_filename != path:
+            return None
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return opcodes
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return trace
 
 
 class ScriptedRng:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from avcs import transient
+from avcs import groups, transient
 from avcs.errors import ParseError
 from avcs.groups import (
     P192,
@@ -28,7 +28,7 @@ from avcs.groups import (
 )
 from avcs.hardware import TAG_SPACING, _window_tag
 from avcs.ringsig import ManufactoryRegistry, forge_tuple, keygen, ring_sign, ring_verify, setup
-from helpers import PROPERTY, chi_square, last_row_doubling_scalar
+from helpers import PROPERTY, chi_square, last_row_doubling_scalar, opcode_trace
 
 TOY = ToyGroup(23)
 BIG_TOY = ToyGroup(2147483647)
@@ -1092,6 +1092,34 @@ def test_forge_on_a_prepared_key_has_one_operation_pattern(group, point_ops):
     for b in comb_doubling_scalars(group):
         for a in [1, group.q - 1] + [rng.randrange(1, group.q) for _ in range(5)]:
             assert point_ops(lambda: group.fixed_multi_mul([(b, E), (a, group.generator)])) == pattern
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_secret_scalars_run_one_opcode_path(group):
+    # every walk a secret scalar takes runs the same opcodes of groups.py
+    # for k and q - k, either parity, and any other scalar: the fold to
+    # the odd one and each digit's entry and sign are arithmetic, so no
+    # branch and no conditional expression reads the scalar
+    G, tag, comb, _, plain = (base for base, _ in fixed_bases(group))
+    cases = {
+        "G": lambda k, a: group.fixed_multi_muls([[(k, G)]]),
+        "tag": lambda k, a: group.fixed_multi_muls([[(k, tag)]]),
+        "comb": lambda k, a: group.fixed_multi_muls([[(k, comb)]]),
+        "plain": lambda k, a: group.fixed_multi_muls([[(k, plain)]]),
+        "forge on a comb": lambda b, a: group.fixed_multi_muls([[(b, comb), (a, G)]]),
+        "forge on a plain key": lambda b, a: group.fixed_multi_muls([[(b, plain), (a, G)]]),
+        "generator_muls": lambda k, a: group.generator_muls([k, a]),
+    }
+    q, rng = group.q, random.Random(2033)
+    # an even k and an odd a, each beside q minus it, then random pairs;
+    # none is an incomplete-addition pair, which the pattern tests pin
+    k, a = 2 * rng.randrange(1, q // 2), 2 * rng.randrange(1, q // 2) - 1
+    scalars = [(k, a), (q - k, a), (k, q - a), (q - k, q - a)]
+    scalars += [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(20)]
+    for name, fn in cases.items():
+        first = opcode_trace(groups, lambda: fn(*scalars[0]))
+        for pair in scalars[1:]:
+            assert opcode_trace(groups, lambda: fn(*pair)) == first, f"{name}: {pair} against {scalars[0]}"
 
 
 @st.composite

@@ -12,11 +12,10 @@ from avcs.errors import (
     ProvisioningError,
     SupervisorAuthError,
 )
-from avcs.groups import P192, P256, ToyGroup, _PreparedPoint, _regular_digits, _wnaf, count_group_ops
+from avcs.groups import P192, P256, CurveGroup, ToyGroup, _PreparedPoint, _regular_digits, _wnaf, count_group_ops
 from avcs.hardware import (
     TAG_SPACING,
     WINDOW_TAGS,
-    HardwareModule,
     ManualClock,
     PseudonymCertificate,
     _tags,
@@ -40,25 +39,6 @@ def test_join_rejects_unknown_manufactory():
     world = toy_world(1)
     with pytest.raises(ProvisioningError):
         join(world.mk, "ghost:123", world.registry, random.Random(1), clock=world.clock)
-
-
-def test_double_provision_rejected():
-    world = toy_world(1)
-    module = HardwareModule(world.registry, world.clock)
-    module.provision(world.mk, "m:extra-1", random.Random(2))
-    with pytest.raises(ProvisioningError):
-        module.provision(world.mk, "m:extra-1", random.Random(3))
-
-
-def test_unprovisioned_module_refuses_work():
-    world = toy_world(1)
-    module = HardwareModule(world.registry, world.clock)
-    with pytest.raises(ProvisioningError):
-        module.gen_pseudonym(["m:x"], 60, random.Random(1))
-    with pytest.raises(ProvisioningError):
-        module.gen_message(b"hi")
-    with pytest.raises(ProvisioningError):
-        module.identity
 
 
 def test_master_secret_never_surfaces():
@@ -437,3 +417,29 @@ def test_mint_still_counts_2r_plus_2_multiplications(group):
             module.gen_pseudonym(ring, 600, random.Random(4))
         assert (ops.scalar_muls, ops.extractions) == (2 * len(ring) + 2, len(ring))
         clock.advance(60.0)
+
+
+def test_secrets_never_reach_the_variable_time_sums(monkeypatch):
+    # multi_mul and multi_muls are variable time and take public scalars
+    # only; set-up (X), join (f, d), a mint (sk, R, T, the nonce l, every
+    # forgery's a and b), a message (its nonce) and a reveal never call them
+    calls = []
+    for name in ("multi_mul", "multi_muls"):
+        def spy(self, *args, _name=name, _original=getattr(CurveGroup, name)):
+            calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(CurveGroup, name, spy)
+    rng = random.Random(32)
+    mk = setup(P192, rng=rng, manufactory_id="m")
+    registry = ManufactoryRegistry(P192)
+    registry.register_master(mk)
+    module = join(mk, "m:car-0", registry, rng, clock=ManualClock(1000.0), supervisor_token=SUPERVISOR_TOKEN)
+    ring = [module.identity, "m:car-1", "m:car-2", "m:car-3"]
+    for members in (ring[:1], ring, ring):  # r = 1, then r = 4 on cold and on prepared keys
+        cert = module.gen_pseudonym(members, 600, rng)
+    module.gen_message(b"secret-free")
+    module.reveal_respond(cert.C, SUPERVISOR_TOKEN, rng)
+    assert calls == []
+    # the spies are live: a public check does call them
+    L = P192.hash_to_scalar("h2", cert.C + P192.encode_element(cert.R) + P192.encode_element(cert.T))
+    assert ring_verify(P192.encode_scalar(L), cert.S, registry) and calls
