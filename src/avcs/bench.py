@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 from .groups import OpCounter, count_group_ops, get_group
 from .hardware import TAG_SPACING, ManualClock, join
-from .ringsig import ManufactoryRegistry, forge_tuple, keygen, ring_sign, ring_verify, setup
+from .ringsig import ManufactoryRegistry, RingSignature, forge_tuple, keygen, ring_sign, ring_verify, setup
 from .transient import KEY_SPACING
 from .transient import verify as verify_transient
 from .vehicle import VehicleState, cert_fingerprint, encode_cert_frame, encode_message_frame
@@ -214,7 +214,8 @@ def _fixtures(curve: str, ring_sizes):
     ring_fns, stream_fns, sizes = {}, {}, {}
     for r in ring_sizes:
         ring = ids[:r]
-        sig = ring_sign(_PAYLOAD, ring, signer, 0, registry, rng)
+        # as a verifier reads it off the wire: each U_i decoded by the check
+        sig = RingSignature.from_bytes(ring_sign(_PAYLOAD, ring, signer, 0, registry, rng).to_bytes(group), group)
         assert ring_verify(_PAYLOAD, sig, registry)
         cert = sender_hsm.gen_pseudonym(ring, 600.0, rng)
         cert_frame = encode_cert_frame(cert, group)

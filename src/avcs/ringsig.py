@@ -481,17 +481,20 @@ def ring_verify(
     multiplication over 3r pairs (2r+1 distinct bases) checks
     ``sum s_i*(m_i*P - H1(U_i)*E_i - v_i*U_i) = 0``, with tuple i scaled
     by ``s_i = -z_i / v_i`` so that U_i's coefficient is ``z_i`` itself;
-    the nonzero v_i share one batch inversion.  The randomizers ``z_i``
-    lie in ``[1, 2**lam - 1]``, lam = bits(q)/2 rounded up (96 on P-192,
-    128 on P-256), and are hashed from the message and the signature by
-    ``hash_to_short`` (the Bellare-Garay-Rabin small-exponent batch
-    test, with the Schnorr challenge's width): one bad tuple
-    is always caught, several pass with probability at most
-    1/(2**lam - 1).  Every U_i is a fresh point, so its short scalar
-    halves ``multi_mul``'s doubling chain when the keys are prepared.
-    A tuple with ``v_i = 0`` keeps ``s_i = z_i``, and U_i's coefficient
-    is 0.  The r keys enter the registry's cache only if the signature
-    verifies; the keys of ids cached before the call are then prepared.
+    the nonzero v_i share one batch inversion.  The weight ``z_0`` is 1,
+    and ``z_i`` for i >= 1 lies in ``[1, 2**lam - 1]``, lam = bits(q)/2
+    rounded up (96 on P-192, 128 on P-256), hashed from the message and
+    the signature by ``hash_to_short`` (the Bellare-Garay-Rabin
+    small-exponent batch test, with the Schnorr challenge's width; one
+    weight can be fixed): a bad tuple 0 alone is always caught, and with
+    a bad tuple i >= 1 at most one value of its z_i cancels the rest, so
+    the errors pass with probability at most 1/(2**lam - 1).  Every U_i
+    is a fresh point: U_0's scalar 1 adds it as it stands, and the
+    others' short scalars halve ``multi_mul``'s doubling chain when the
+    keys are prepared.  A tuple with ``v_i = 0`` keeps ``s_i = z_i``,
+    and U_i's coefficient is 0.  The r keys enter the registry's cache
+    only if the signature verifies; the keys of ids cached before the
+    call are then prepared.
 
     Hostile-input safe: unknown manufactories, degenerate ids, shape
     violations and U_i bytes that decode to no point all reject rather
@@ -524,7 +527,7 @@ def ring_verify(
     pairs = []
     inverses = batch_inverse([v for _, _, v in sig.tuples], q)
     for i, ((m, U, v), point, E, v_inv) in enumerate(zip(sig.tuples, points, pubkeys, inverses)):
-        z = group.hash_to_short("batch", struct.pack(">I", i) + seed)
+        z = group.hash_to_short("batch", struct.pack(">I", i) + seed) if i else 1
         s, u = (-z * v_inv, z) if v else (z, 0)
         pairs += [(s * int.from_bytes(m, "big"), group.generator),
                   (-s * suite.h1(group, U), E), (u, point)]

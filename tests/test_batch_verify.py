@@ -4,7 +4,8 @@ ring_verify closes the hash chain and then checks all r tuple
 equations as one randomized multi-scalar multiplication.  These tests
 hold it to the unbatched rule of the oracle (the chain closes and every
 tuple verifies on its own), including on bad tuples whose errors cancel
-without the randomizers and on a tuple with v = 0, and check that a
+without the randomizers or with a second weight fixed at 1 beside
+tuple 0's, and on a tuple with v = 0, and check that a
 rejected signature leaves the registry's key cache as it was, while an
 accepted one prepares only the keys cached before it.
 """
@@ -138,6 +139,25 @@ def test_errors_that_cancel_unweighted_are_rejected():
     assert unweighted == 0
     for i in (0, 1):
         assert not verify_tuple(group, *bad.tuples[i], pubkeys[i])
+    assert chain_closes(b"batch", bad, registry)
+    assert not ring_verify(b"batch", bad, registry)
+
+
+def test_errors_that_cancel_under_two_unit_weights_are_rejected():
+    # z_0 = 1 is fixed; were z_1 fixed at 1 too, tuple i's error e_i would
+    # weigh -1/v_i, and these two errors would cancel
+    group = BIG_TOY
+    q = group.q
+    registry, sig = signed(group, 9, 3)
+    (m0, U0, v0), (m1, U1, v1) = sig.tuples[:2]
+    bad0 = (v0 + 1) % q  # e_0 = (v_0 - bad0) * U_0 = -U_0
+    bad1 = bad0 * v1 * U1 * pow(U0 + bad0 * U1, -1, q) % q  # e_1 = (v_1 - bad1) * U_1
+    bad = with_tuple(with_tuple(sig, 0, (m0, U0, bad0)), 1, (m1, U1, bad1))
+    pubkeys = [registry.extract_pubkey(id_str) for id_str in bad.ids]
+    errors = [(int.from_bytes(m, "big") - registry.suite.h1(group, U) * E - v * U) % q
+              for (m, U, v), E in zip(bad.tuples, pubkeys)]
+    assert errors[0] and errors[1] and not errors[2]
+    assert sum(-e * pow(v, -1, q) for e, (_, _, v) in zip(errors, bad.tuples)) % q == 0
     assert chain_closes(b"batch", bad, registry)
     assert not ring_verify(b"batch", bad, registry)
 

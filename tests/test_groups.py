@@ -372,6 +372,68 @@ def test_sum_points_matches_fold(case):
     assert ops.scalar_muls == 0
 
 
+def reference_lift(group, x, parity):
+    """The curve's y of that parity at x, or None, by one ``pow``."""
+    p = group._p
+    rhs = (x * x * x + group._a * x + group._b) % p
+    y = pow(rhs, (p + 1) // 4, p)
+    if y * y % p != rhs:
+        return None
+    return y if y & 1 == parity else p - y
+
+
+def reference_hash_to_group(group, tag, data):
+    """Try-and-increment on ``reference_lift``: the point and its attempts."""
+    for attempt in range(256):
+        x = int.from_bytes(digest32(tag, bytes([attempt]) + data), "big") % group._p
+        y = reference_lift(group, x, 0)
+        if y is not None:
+            return (x, y), attempt + 1
+    raise AssertionError("no point")  # pragma: no cover
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_root_chain_is_the_power_by_pow(group):
+    p = group._p
+    rng = random.Random(2033)
+    squares = [rng.randrange(1, p) ** 2 % p for _ in range(100)]
+    values = [0, 1, p - 1] + squares + [p - a for a in squares]  # -1 is no square: p = 3 mod 4
+    for a in values:
+        assert group._root(a) == pow(a, (p + 1) // 4, p)
+    assert all(group._root(a) ** 2 % p == a for a in squares)
+    assert not any(group._root(p - a) ** 2 % p == p - a for a in squares)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_decoding_and_hashing_match_a_pow_root(group):
+    # and each x -> y lift counts one root: a decode one, a hash one per attempt
+    n = group.element_byte_len - 1
+    rng = random.Random(2034)
+    on_curve = 0
+    for _ in range(300):
+        x = rng.randrange(group._p)
+        blob = bytes([2 + rng.randrange(2)]) + x.to_bytes(n, "big")
+        y = reference_lift(group, x, blob[0] & 1)
+        with count_group_ops() as ops:
+            if y is None:
+                with pytest.raises(ParseError):
+                    group.decode_element(blob)
+            else:
+                assert group.decode_element(blob) == (x, y)
+                on_curve += 1
+        assert ops.roots == 1
+    assert 100 < on_curve < 200
+    attempts = set()
+    for i in range(300):
+        data = rng.randbytes(i % 40)
+        point, tries = reference_hash_to_group(group, "h0", data)
+        with count_group_ops() as ops:
+            assert group.hash_to_group("h0", data) == point
+        assert ops.roots == tries
+        attempts.add(tries)
+    assert {1, 2, 3} <= attempts
+
+
 def test_batch_inverse_matches_pow_and_keeps_zeros():
     rng = random.Random(2015)
     for modulus in (23, P192.q, P192._p):
@@ -392,13 +454,17 @@ def test_batch_inverse_never_inverts_its_unblinded_product(monkeypatch):
     monkeypatch.setattr("avcs.groups.pow", recorded_pow, raising=False)
     rng = random.Random(2031)
     for modulus in (23, P192.q, P192._p, P256.q):
-        for values in ([rng.randrange(1, modulus)], [rng.randrange(modulus) for _ in range(6)] + [0], [0]):
+        for values in ([rng.randrange(1, modulus)], [rng.randrange(modulus) for _ in range(6)] + [0]):
             calls.clear()
             assert batch_inverse(values, modulus) == [pow(v, -1, modulus) if v else 0 for v in values]
             product = reduce(lambda a, b: a * b % modulus, (v for v in values if v), 1)
             assert len(calls) == 1 and calls[0][1:] == (-1, modulus)
             if modulus > 23:  # a blind of 1 in q - 1 leaves it as it is
                 assert calls[0][0] != product
+        # nothing to invert, such as the identity of an accepted check: no Euclid
+        calls.clear()
+        assert batch_inverse([0], modulus) == [0] and batch_inverse([0, 0], modulus) == [0, 0]
+        assert calls == []
     # two calls on the same values invert two different products
     calls.clear()
     batch_inverse([5, 7], P192.q), batch_inverse([5, 7], P192.q)
@@ -1291,16 +1357,40 @@ def test_ring_verify_over_prepared_keys_runs_a_half_length_chain(group, point_op
     assert ring_verify(b"half", sig, registry)
     assert all(isinstance(registry._cache[id_str], _PreparedPoint) for id_str in ring)
     group.scalar_mul(1, group.generator)  # build the table outside the count
-    # 96-bit (128-bit) randomizers on the fresh U_i: a chain to the first
-    # multiple of lcm(8, 32) above their top digit, lam here, doubling from
-    # the top step that holds a digit, lam - 1 here, and one doubling for
-    # each U_i's odd multiples; each key adds its comb's 32 columns at
-    # steps 0..31
+    # 96-bit (128-bit) randomizers on the fresh U_1..U_(r-1): a chain to
+    # the first multiple of lcm(8, 32) above their top digit, lam here,
+    # doubling from the top step that holds a digit, lam - 1 here, and one
+    # doubling for each of their odd multiples; U_0's weight is 1, so it
+    # is added as it stands at step 0, with no row; each key adds its
+    # comb's 32 columns at steps 0..31
     chain = {"p192": 95, "p256": 127}[group.group_id]
     assert chain == short_bits(group) - 1
-    doublings, additions, _ = point_ops(lambda: ring_verify(b"half", sig, registry))
-    assert doublings == chain + r
-    assert additions == {"p192": 240, "p256": 270}[group.group_id]
+    doublings, additions, inversions = point_ops(lambda: ring_verify(b"half", sig, registry))
+    assert doublings == chain + r - 1
+    assert additions == {"p192": 218, "p256": 241}[group.group_id]
+    assert inversions == 1  # U_1..U_(r-1)'s rows; the identity needs none
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_ring_verify_of_one_prepared_key_runs_the_comb_chain(group, point_ops):
+    mk = setup(group, n=16, rng=random.Random(14), manufactory_id="m")
+    registry = ManufactoryRegistry(group)
+    registry.register_master(mk)
+    registry.extract_pubkey("m:car-0")
+    sig = ring_sign(b"one", ["m:car-0"], keygen(mk, "m:car-0"), 0, registry, random.Random(4))
+    assert ring_verify(b"one", sig, registry)
+    assert isinstance(registry._cache["m:car-0"], _PreparedPoint)
+    group.scalar_mul(1, group.generator)  # build the table outside the count
+    # U_0's weight 1 puts it at step 0 with no row of odd multiples, so the
+    # comb's 32 columns set the chain: 31 doublings; G's rows add a
+    # width-9 NAF of s*m, and the identity takes no inversion
+    with count_group_ops() as ops:
+        assert ring_verify(b"one", sig, registry)
+    (m, U, v), E = sig.tuples[0], registry._cache["m:car-0"]
+    s = -pow(v, -1, group.q) * int.from_bytes(m, "big") % group.q
+    naf = len(_wnaf(s, 9))
+    assert (ops.doublings, ops.additions, ops.inversions) == (31, 32 + naf + 1, 0)
+    assert (ops.scalar_muls, ops.extractions) == (3, 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
