@@ -4,10 +4,12 @@ Every record times one operation at one ring size and carries the exact
 scalar-multiplication count of the timed calls, so the cost model can be
 checked against the measurements: signing is 2r-1 multiplications,
 verifying 3r, and a pseudonym certificate adds the two tag bindings
-plus one transient keypair on top of the ring signature.  Beside it, the
-doublings, mixed additions and inversions that ``count_group_ops``
-tallied, per call and averaged over the trials, say where the physical
-work went.
+plus one transient keypair on top of the ring signature.  Beside it
+every other ``OpCounter`` slot that ``count_group_ops`` tallied, per
+call and averaged over the trials, in slot order: the extractions, then
+the doublings, mixed additions, inversions, square roots and lane work
+that say where the physical work went.  The operation table counts
+through the same loop, so both reports carry the same operations.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ OPS = (
     "extract_cold",
 )
 
-CSV_HEADER = "curve,ring_size,op,mean_ms,median_ms,p95_ms,scalar_muls,size_bytes,doublings,additions,inversions"
+# every counted operation but scalar_muls, which has a column of its own
+_COUNTS = tuple(name for name in OpCounter.__slots__ if name != "scalar_muls")
+
+CSV_HEADER = "curve,ring_size,op,mean_ms,median_ms,p95_ms,scalar_muls,size_bytes," + ",".join(_COUNTS)
 
 # 10-char identities: one-letter manufactory, zero-padded unit number
 _BENCH_MFR = "b"
@@ -56,9 +61,8 @@ class BenchRecord:
     p95_ms: float
     scalar_muls: int
     size_bytes: int
-    doublings: float = 0.0  # per call, mean over the trials
-    additions: float = 0.0
-    inversions: float = 0.0
+    # per call, mean over the trials: every OpCounter slot but scalar_muls, in slot order
+    counts: tuple[float, ...] = (0.0,) * len(_COUNTS)
 
 
 def records_to_csv(records) -> str:
@@ -67,7 +71,7 @@ def records_to_csv(records) -> str:
         lines.append(
             f"{rec.curve},{rec.ring_size},{rec.op},{rec.mean_ms:.6f},"
             f"{rec.median_ms:.6f},{rec.p95_ms:.6f},{rec.scalar_muls},{rec.size_bytes},"
-            f"{rec.doublings:.6g},{rec.additions:.6g},{rec.inversions:.6g}"
+            + ",".join(f"{n:.6g}" for n in rec.counts)
         )
     return "\n".join(lines) + "\n"
 
@@ -119,14 +123,14 @@ def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0) -> dic
     the same noise distribution, which the linearity fit depends on.
     Every call runs in its own ``count_group_ops`` region with the clock
     read inside it, so the count comes from the timed calls and entering
-    the region is not timed.  Returns ``{key: (samples_ms, scalar_muls,
-    (doublings, additions, inversions))}``, the point operations per call
-    and averaged over the trials, and raises ``RuntimeError`` if a key's
-    count differs between trials.
+    the region is not timed.  Returns ``{key: (samples_ms, ops)}``, ops
+    an ``OpCounter`` summed over the key's trials, and raises
+    ``RuntimeError`` if a key's logical counts, scalar multiplications
+    and extractions, differ between trials.
     """
     samples = {key: [] for key in fns}
-    totals = {key: [0, 0, 0] for key in fns}
-    muls = {}
+    totals = {key: OpCounter() for key in fns}
+    logical = {}
     # collector pauses mid-trial would land on whichever op is unlucky
     was_enabled = gc.isenabled()
     gc.disable()
@@ -140,26 +144,27 @@ def _interleaved_trials(fns: dict, trials: int, min_seconds: float = 0.0) -> dic
                     start = time.perf_counter()
                     fn()
                     elapsed = time.perf_counter() - start
-                if muls.setdefault(key, ops.scalar_muls) != ops.scalar_muls:
+                got = (ops.scalar_muls, ops.extractions)
+                if logical.setdefault(key, got) != got:
                     raise RuntimeError(
-                        f"{key!r}: {ops.scalar_muls} scalar multiplications, "
-                        f"{muls[key]} on an earlier trial"
+                        f"{key!r}: {got} scalar multiplications and extractions, "
+                        f"{logical[key]} on an earlier trial"
                     )
                 samples[key].append(elapsed * 1000.0)
-                for i, n in enumerate((ops.doublings, ops.additions, ops.inversions)):
-                    totals[key][i] += n
+                total = totals[key]
+                for name in OpCounter.__slots__:
+                    setattr(total, name, getattr(total, name) + getattr(ops, name))
     finally:
         if was_enabled:
             gc.enable()
-    return {key: (samples[key], muls[key], tuple(n / len(samples[key]) for n in totals[key]))
-            for key in fns}
+    return {key: (samples[key], totals[key]) for key in fns}
 
 
-def _record(curve: str, r: int, op: str,
-            measured: tuple[list[float], int, tuple[float, float, float]], size: int) -> BenchRecord:
-    samples, muls, points = measured
+def _record(curve: str, r: int, op: str, measured: tuple[list[float], OpCounter], size: int) -> BenchRecord:
+    samples, ops = measured
+    n = len(samples)
     p95 = samples[0]  # one sample has no quantiles
-    if len(samples) > 1:
+    if n > 1:
         # linear interpolation between order statistics, as numpy's percentile
         p95 = statistics.quantiles(samples, n=20, method="inclusive")[-1]
     return BenchRecord(
@@ -169,11 +174,9 @@ def _record(curve: str, r: int, op: str,
         mean_ms=statistics.fmean(samples),
         median_ms=statistics.median(samples),
         p95_ms=p95,
-        scalar_muls=muls,
+        scalar_muls=ops.scalar_muls // n,
         size_bytes=size,
-        doublings=points[0],
-        additions=points[1],
-        inversions=points[2],
+        counts=tuple(getattr(ops, name) / n for name in _COUNTS),
     )
 
 
@@ -256,7 +259,7 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
     so the stream pass times each of them once and that one measurement
     is reported at every r: the records still hold one row per (op, r),
     r by r in ``OPS`` order.  Every trial of a row must make the same
-    number of scalar multiplications.
+    numbers of scalar multiplications and extractions.
     """
     if not 1 <= r_max <= 32:
         raise ValueError("r_max must lie in 1..32")
@@ -271,8 +274,9 @@ def run_benchmarks(curve: str, r_max: int = 10, trials: int = 30) -> list[BenchR
 
 
 def operation_table(curve: str) -> dict[str, OpCounter]:
-    """Each named operation run once on the benchmark's fixtures, as
-    ``count_group_ops`` tallies it: ``{name: counter}`` in table order.
+    """Each named operation run once on the benchmark's fixtures, in one
+    pass of ``run_benchmarks``' timing loop, as ``count_group_ops``
+    tallies it: ``{name: counter}`` in table order.
 
     The rows: every ``OPS`` entry at r = 1 and r = 4, warm as
     ``run_benchmarks`` times them, and named without an r where its work
@@ -312,8 +316,4 @@ def operation_table(curve: str) -> dict[str, OpCounter]:
         "register_master": lambda: ManufactoryRegistry(group).register_master(world.mk),
         "setup generator_muls": lambda: group.generator_muls(world.mk.X),
     })
-    table = {}
-    for name, fn in named.items():
-        with count_group_ops() as table[name]:
-            fn()
-    return table
+    return {name: ops for name, (_, ops) in _interleaved_trials(named, 1).items()}

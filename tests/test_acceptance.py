@@ -7,13 +7,14 @@ stated inline next to each assertion.
 
 import random
 import re
+import statistics
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from avcs.bench import avg_cost, linearity_r2, run_benchmarks
+from avcs.bench import _interleaved_trials, avg_cost, linearity_r2, run_benchmarks
 from avcs.cli import main as cli_main
 from avcs.errors import ParseError
 from avcs.groups import P192, P256, count_group_ops, get_group
@@ -195,14 +196,11 @@ def test_criterion_06_amortized_cost(p192_bench, capsys):
         app = hsm.gen_message(b"payload for send timing")
         fingerprint = cert_fingerprint(encode_cert_frame(cert, P192))
 
-        def mean_ms(fn, n=200):
-            t0 = time.perf_counter()
-            for _ in range(n):
-                fn()
-            return (time.perf_counter() - t0) / n * 1000.0
-
-        t_sp = mean_ms(lambda: encode_cert_frame(cert, P192))
-        t_sm = mean_ms(lambda: encode_message_frame(fingerprint, app.M, app.N))
+        timed = _interleaved_trials({
+            "cert": lambda: encode_cert_frame(cert, P192),
+            "message": lambda: encode_message_frame(fingerprint, app.M, app.N),
+        }, 200)
+        t_sp, t_sm = (statistics.fmean(timed[key][0]) for key in ("cert", "message"))
 
         tau = avg_cost(
             100, 10,

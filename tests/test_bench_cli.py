@@ -1,5 +1,7 @@
 """Cost model, benchmark records, and the command-line surface."""
 
+import csv
+import io
 import json
 import re
 import shlex
@@ -19,7 +21,7 @@ from avcs.bench import (
     run_benchmarks,
 )
 from avcs.cli import _COMMANDS, _build_parser, main
-from avcs.groups import OpCounter, get_group
+from avcs.groups import OpCounter, get_group, note_extraction
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -94,21 +96,31 @@ def test_run_benchmarks_counts_and_shape():
         assert rec.p95_ms >= rec.median_ms > 0
 
 
-def test_interleaved_trials_count_every_timed_call():
+def toy_scalar_mul():
     group = get_group(TOY)
-    calls = []
+    group.scalar_mul(3, group.generator)
 
+
+def test_interleaved_trials_count_every_timed_call():
     def steady():
-        group.scalar_mul(3, group.generator)
+        toy_scalar_mul()
+        note_extraction()
+
+    samples, ops = _interleaved_trials({"steady": steady}, 4)["steady"]
+    assert len(samples) == 4
+    # summed over the trials; the toy group makes no point operations
+    assert [getattr(ops, name) for name in OpCounter.__slots__] == [4, 4, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("count", [toy_scalar_mul, note_extraction], ids=["scalar_muls", "extractions"])
+def test_interleaved_trials_reject_a_logical_count_that_varies(count):
+    calls = []
 
     def alternating():
         calls.append(None)
         if len(calls) % 2 == 0:
-            steady()
+            count()
 
-    samples, muls, points = _interleaved_trials({"steady": steady}, 4)["steady"]
-    assert len(samples) == 4 and muls == 1
-    assert points == (0, 0, 0)  # the toy group makes no point operations
     with pytest.raises(RuntimeError, match="alternating"):
         _interleaved_trials({"alternating": alternating}, 4)
 
@@ -131,7 +143,7 @@ def test_run_benchmarks_validates_bounds():
 
 def test_csv_header_golden():
     assert CSV_HEADER == ("curve,ring_size,op,mean_ms,median_ms,p95_ms,scalar_muls,size_bytes,"
-                          "doublings,additions,inversions")
+                          "extractions,doublings,additions,inversions,roots,lane_additions,lane_steps")
     records = run_benchmarks(TOY, r_max=2, trials=2)
     csv = records_to_csv(records)
     lines = csv.strip().split("\n")
@@ -216,6 +228,12 @@ def test_cli_usage_error_exits_2(argv):
     assert exc.value.code == 2
 
 
+def test_readme_shows_the_csv_header():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    (line,) = re.findall(r"^```\n(curve,ring_size,.*)\n```$", text, flags=re.M)
+    assert line == CSV_HEADER
+
+
 def test_readme_cli_block_parses():
     text = (REPO / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"^## CLI\n\n```sh\n(.*?)^```", text, flags=re.M | re.S)
@@ -233,15 +251,19 @@ def test_cli_bench_writes_pinned_csv(tmp_path, capsys):
     rc = main(["bench", "--curve", "p192", "--rmax", "3", "--trials", "2",
                "--out", str(out)])
     assert rc == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + 3 * len(OPS)
-    sign_r3 = next(l for l in lines if ",3,ring_sign," in l)
-    assert sign_r3.split(",")[6] == "5"  # 2r-1 multiplications at r=3
-    extract_r3 = next(l for l in lines if ",3,extract_cold," in l)
-    assert extract_r3.split(",")[6:8] == ["0", "25"]  # additions only; a compressed p192 point
-    # its physical counts: no doubling, and one inversion for the extracted key
-    assert extract_r3.split(",")[8] == "0" and extract_r3.split(",")[10] == "1"
+    text = out.read_text()
+    assert text.split("\n", 1)[0] == CSV_HEADER
+    records = list(csv.DictReader(io.StringIO(text)))
+    assert len(records) == 3 * len(OPS)
+    rows = {(row["op"], row["ring_size"]): row for row in records}
+    assert rows["ring_sign", "3"]["scalar_muls"] == "5"  # 2r-1 multiplications at r=3
+    extract = rows["extract_cold", "3"]
+    # one uncached extraction of a compressed p192 point: additions only, one
+    # inversion for the extracted key, and no square root
+    assert (extract["scalar_muls"], extract["size_bytes"], extract["extractions"]) == ("0", "25", "1")
+    assert (extract["doublings"], extract["inversions"], extract["roots"]) == ("0", "1", "0")
+    # the r = 3 certificate decodes its pk and three U_i
+    assert rows["receive_cert", "3"]["roots"] == "4"
 
 
 def test_cli_sim_on_bundled_sybil_scenario(tmp_path, capsys):
