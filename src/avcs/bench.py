@@ -239,7 +239,7 @@ def _fixtures(curve: str, ring_sizes):
     assert verify_transient(group, pk, app.M, app.N)
     stream_fns["gen_message"] = lambda: sender_hsm.gen_message(_PAYLOAD)
     stream_fns["verify_message"] = lambda: verify_transient(group, pk, app.M, app.N)
-    stream_fns["extract_cold"] = lambda: registry._derive(next(cold_ids))
+    stream_fns["extract_cold"] = lambda: registry.derive_pubkey(next(cold_ids))
     sizes["gen_message"] = sizes["verify_message"] = len(msg_frame)
     sizes["extract_cold"] = group.element_byte_len
 

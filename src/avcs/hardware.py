@@ -199,9 +199,9 @@ class ApplicationMessage:
 class HardwareModule:
     """One vehicle's secure element, provisioned as it is constructed.
 
-    Construction is Join (:func:`join` is the same call): it derives the
-    identity key's ``d`` for ``id_str`` and draws the master secret ``f``
-    from ``rng``.  Both live in name-mangled private attributes and no
+    Construction is Join (``join`` is another name for this class): it
+    derives the identity key's ``d`` for ``id_str`` and draws the master
+    secret ``f`` from ``rng``.  Both live in name-mangled private attributes and no
     method returns them; only ``f * h0(C)`` / ``f * h1(window)`` bindings
     and ring signatures escape, and :meth:`window_tag` serves receivers too.
     """
@@ -308,12 +308,8 @@ class HardwareModule:
         return self._bind_and_sign(C, [self.identity], 0, now, rng)
 
 
-def join(mk, id_str: str, registry: ManufactoryRegistry, rng, *, clock=None,
-         min_span_time: float = 60.0, supervisor_token=None) -> HardwareModule:
-    """Join: a module provisioned for ``id_str``, as ``HardwareModule``
-    constructs it."""
-    return HardwareModule(mk, id_str, registry, rng, clock=clock, min_span_time=min_span_time,
-                          supervisor_token=supervisor_token)
+# Join provisions a module for an id: the constructor, under the paper's name
+join = HardwareModule
 
 
 def leak_master_secret(module: HardwareModule) -> int:

@@ -228,10 +228,12 @@ class ManufactoryRegistry:
         in the surrounding counting region whether or not it hits the
         cache.  The key is kept as it is: plain for a new id.
         """
-        return self._keep({id_str: self._derive(id_str)}, plain={id_str})[id_str]
+        return self._keep({id_str: self.derive_pubkey(id_str)}, plain={id_str})[id_str]
 
-    def _derive(self, id_str: str):
-        # extract_pubkey without caching: ring_sign and ring_verify cache through _keep
+    def derive_pubkey(self, id_str: str):
+        """``extract_pubkey`` without caching: a cached key is returned as
+        it is, and a new one is not kept.  ``ring_sign`` and
+        ``ring_verify`` cache through ``_keep``."""
         note_extraction()
         cached = self._cache.get(id_str)
         if cached is not None:
@@ -438,7 +440,7 @@ def ring_sign(
     if ring[signer_pos] != signer.id:
         raise ValueError("signer position does not hold the signer's id")
 
-    kept = registry._keep({id_str: registry._derive(id_str) for id_str in ring},
+    kept = registry._keep({id_str: registry.derive_pubkey(id_str) for id_str in ring},
                           plain={signer.id})
     pubkeys = [kept[id_str] for id_str in ring]
     q = group.q
@@ -518,7 +520,7 @@ def ring_verify(
     if w != sig.w:
         return False
     try:
-        pubkeys = [registry._derive(id_str) for id_str in sig.ids]
+        pubkeys = [registry.derive_pubkey(id_str) for id_str in sig.ids]
         points = [group.decode_element(U) if isinstance(U, bytes) else U for _, U, _ in sig.tuples]
         seed = digest32("batch", struct.pack(">I", len(msg)) + msg + sig.to_bytes(group))
     except (ValueError, ParseError, UnknownManufactoryError, DegenerateKeyError):

@@ -23,6 +23,7 @@ import random
 import typing
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 from . import transient
 from .errors import AvcsError, ScenarioError
@@ -60,6 +61,15 @@ class AdversarySpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One fleet run, checked as it is built.
+
+    Every value is checked at construction, whether the scenario comes
+    from a file, from code or from ``dataclasses.replace``: a bad value,
+    the curve included, raises ``ScenarioError``.  ``parse_scenario``
+    adds only the errors that belong to the file: unknown sections or
+    keys, and values that do not convert.
+    """
+
     seed: int
     n_vehicles: int
     duration: float
@@ -75,7 +85,7 @@ class Scenario:
     preseed_ids: bool = True
     adversaries: tuple[AdversarySpec, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_vehicles < 1:
             raise ScenarioError("n_vehicles must be at least 1")
         if self.duration <= 0:
@@ -115,6 +125,10 @@ class Scenario:
                 raise ScenarioError(f"adversary {adv.name!r}: ring must lie in 1..{MAX_RING}")
             if adv.kind == "compromised" and not 0 <= adv.vehicle < self.n_vehicles:
                 raise ScenarioError(f"adversary {adv.name!r}: vehicle index out of range")
+        try:
+            get_group(self.curve)
+        except (ValueError, AvcsError) as exc:
+            raise ScenarioError(str(exc)) from exc
 
 
 def _field_types(cls) -> dict:
@@ -136,44 +150,39 @@ _SECTIONS = {
 _ADVERSARY_KEYS = tuple(name for name in _ADVERSARY_FIELDS if name != "name")
 
 
-class _SectionReader:
-    """Pop typed values out of one INI section, complaining about leftovers."""
-
-    def __init__(self, section: str, items):
-        self.section = section
-        self.items = dict(items)
-
-    def take(self, key, conv, required):
-        """The value of ``key`` converted by ``conv``, or None if absent."""
-        if key not in self.items:
+def _read_section(section: str, items, types: dict, keys) -> dict:
+    """The present ``keys`` of one INI section, each converted to the type
+    in ``types``, as dataclass keyword arguments; an absent key keeps the
+    field default, and a missing required key or a leftover is an error."""
+    items = dict(items)
+    values = {}
+    for key in keys:
+        conv, required = types[key]
+        if key not in items:
             if required:
-                raise ScenarioError(f"[{self.section}] is missing required key {key!r}")
-            return None
-        raw = self.items.pop(key)
+                raise ScenarioError(f"[{section}] is missing required key {key!r}")
+            continue
+        raw = items.pop(key)
         try:
             if conv is bool:
-                return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-            return conv(raw)
+                values[key] = configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+            else:
+                values[key] = conv(raw)
         except (KeyError, TypeError, ValueError):
             raise ScenarioError(
-                f"[{self.section}] {key} = {raw!r} is not a valid {conv.__name__}"
+                f"[{section}] {key} = {raw!r} is not a valid {conv.__name__}"
             ) from None
-
-    def read(self, types: dict, keys) -> dict:
-        """The present ``keys`` as dataclass keyword arguments; no leftovers allowed."""
-        values = {}
-        for key in keys:
-            value = self.take(key, *types[key])
-            if value is not None:
-                values[key] = value
-        if self.items:
-            stray = ", ".join(sorted(self.items))
-            raise ScenarioError(f"[{self.section}] has unknown keys: {stray}")
-        return values
+    if items:
+        stray = ", ".join(sorted(items))
+        raise ScenarioError(f"[{section}] has unknown keys: {stray}")
+    return values
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Build a Scenario from INI text; absent keys keep the field defaults."""
+    """Build a Scenario from INI text; absent keys keep the field defaults.
+
+    Only the file's own errors are raised here; ``Scenario`` checks the
+    values."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -185,7 +194,7 @@ def parse_scenario(text: str) -> Scenario:
     values = {}
     for section, keys in _SECTIONS.items():
         items = cp[section] if section in cp else {}
-        values.update(_SectionReader(section, items).read(_SCENARIO_FIELDS, keys))
+        values.update(_read_section(section, items, _SCENARIO_FIELDS, keys))
 
     adversaries = []
     for section in cp.sections():
@@ -196,16 +205,10 @@ def parse_scenario(text: str) -> Scenario:
         name = section[len("adversary."):]
         if not name:
             raise ScenarioError("adversary section needs a name after the dot")
-        spec = _SectionReader(section, cp[section]).read(_ADVERSARY_FIELDS, _ADVERSARY_KEYS)
+        spec = _read_section(section, cp[section], _ADVERSARY_FIELDS, _ADVERSARY_KEYS)
         adversaries.append(AdversarySpec(name=name, **spec))
 
-    scenario = Scenario(**values, adversaries=tuple(adversaries))
-    scenario.validate()
-    try:
-        get_group(scenario.curve)
-    except (ValueError, AvcsError) as exc:
-        raise ScenarioError(str(exc)) from exc
-    return scenario
+    return Scenario(**values, adversaries=tuple(adversaries))
 
 
 def load_scenario(path) -> Scenario:
@@ -291,7 +294,6 @@ def render_text(report: RunReport) -> str:
 
 class _Sim:
     def __init__(self, scenario: Scenario):
-        scenario.validate()
         self.scenario = scenario
         self.group = get_group(scenario.curve)
         self.clock = ManualClock(0.0)
@@ -309,7 +311,6 @@ class _Sim:
         self.now = 0.0
 
         self.vehicles: list[tuple[str, VehicleState]] = []
-        self._vehicle_rng: dict[str, random.Random] = {}
         self._cert_expiry: dict[str, float] = {}
         self._taps = []            # called as tap(src, frame, time) on every broadcast
         self._last_arrival: dict[tuple[str, str], float] = {}
@@ -346,36 +347,27 @@ class _Sim:
             )
             veh = VehicleState(hsm, k=sc.k, ring_size=sc.ring_size)
             if sc.preseed_ids:
-                veh._harvest_ids(identities)
+                veh.harvest_ids(identities)
             self.vehicles.append((name, veh))
-            self._vehicle_rng[name] = rng
             # stagger stream starts so same-tick broadcasts stay distinguishable
             start = 0.01 * (i + 1)
             j = 0
             while (t := start + j / sc.msg_rate) < sc.duration:
-                self.schedule(t, self._make_tick(name, veh, j))
+                self.schedule(t, partial(self._tick, name, veh, rng, j))
                 j += 1
 
         for spec in sc.adversaries:
-            builder = {
-                "sybil": self._build_sybil,
-                "replay": self._build_replay,
-                "forger": self._build_forger,
-                "masquerade": self._build_masquerade,
-                "compromised": self._build_compromised,
-            }[spec.kind]
-            builder(spec)
+            # the kind was checked against ADVERSARY_KINDS when sc was built
+            getattr(self, f"_build_{spec.kind}")(spec)
 
-    def _make_tick(self, name: str, veh: VehicleState, j: int):
-        def tick():
-            rng = self._vehicle_rng[name]
-            if veh.current_certificate is None or self.now >= self._cert_expiry[name]:
-                cert = veh.make_pseudonym(self.scenario.cert_validity, rng)
-                self._cert_expiry[name] = cert.parse_c(self.group).expiration
-            payload = f"{name}/status/{j}".encode()
-            for frame in veh.send_next(payload):
-                self.broadcast(name, frame)
-        return tick
+    def _tick(self, name: str, veh: VehicleState, rng: random.Random, j: int) -> None:
+        """Vehicle ``name``'s ``j``-th message, after a new certificate if it has none live."""
+        if veh.current_certificate is None or self.now >= self._cert_expiry[name]:
+            cert = veh.make_pseudonym(self.scenario.cert_validity, rng)
+            self._cert_expiry[name] = cert.parse_c(self.group).expiration
+        payload = f"{name}/status/{j}".encode()
+        for frame in veh.send_next(payload):
+            self.broadcast(name, frame)
 
     # -- medium -------------------------------------------------------------
 
@@ -395,18 +387,23 @@ class _Sim:
             # frames on one src->dst path never overtake each other
             arrival = max(self.now + latency, self._last_arrival.get((src, dst), 0.0) + 1e-9)
             self._last_arrival[(src, dst)] = arrival
-            self.schedule(arrival, self._make_delivery(src, dst, veh, frame, kind))
+            self.schedule(arrival, partial(self._deliver, src, dst, veh, frame, kind))
 
-    def _make_delivery(self, src: str, dst: str, veh: VehicleState, frame: bytes, kind: str):
-        def deliver():
-            result = veh.receive(frame, self.now)
-            self.deliveries.append((self.now, src, dst, kind, result.outcome, result.reason))
-        return deliver
+    def _deliver(self, src: str, dst: str, veh: VehicleState, frame: bytes, kind: str) -> None:
+        result = veh.receive(frame, self.now)
+        self.deliveries.append((self.now, src, dst, kind, result.outcome, result.reason))
 
     # -- adversaries ----------------------------------------------------
 
     def _adv_rng(self, name: str) -> random.Random:
         return random.Random(f"{self.scenario.seed}/adversary/{name}")
+
+    def _every(self, spec: AdversarySpec, attempt) -> None:
+        """Run ``attempt``, then again every ``spec.period`` seconds while inside the run."""
+        attempt()
+        nxt = self.now + spec.period
+        if nxt < self.scenario.duration:
+            self.schedule(nxt, partial(self._every, spec, attempt))
 
     def _build_sybil(self, spec: AdversarySpec) -> None:
         """One module minting several certificates inside one window."""
@@ -477,11 +474,8 @@ class _Sim:
             msg = b"forged payload"
             sig = transient.sign(group, sk, pk, msg)
             self.broadcast(spec.name, encode_message_frame(cert_fingerprint(cert_frame), msg, sig))
-            nxt = self.now + spec.period
-            if nxt < self.scenario.duration:
-                self.schedule(nxt, attempt)
 
-        self.schedule(spec.start, attempt)
+        self.schedule(spec.start, partial(self._every, spec, attempt))
 
     def _build_masquerade(self, spec: AdversarySpec) -> None:
         """One genuinely forged tuple under someone else's id, glued wrong.
@@ -494,7 +488,7 @@ class _Sim:
         victim = spec.victim or f"{MANUFACTORY}:special-001"
         try:
             # uncached: the fleet's key cache stays untouched
-            E = self.registry._derive(victim)
+            E = self.registry.derive_pubkey(victim)
         except AvcsError as exc:
             raise ScenarioError(f"masquerade victim {victim!r}: {exc}") from exc
 
@@ -503,11 +497,8 @@ class _Sim:
             m, U, v = forge_tuple(group, E, rng)
             S = RingSignature(1, rng.randbytes(group.scalar_byte_len), (victim,), ((m, U, v),))
             self.broadcast(spec.name, encode_cert_frame(PseudonymCertificate(C, R, T, S), group))
-            nxt = self.now + spec.period
-            if nxt < self.scenario.duration:
-                self.schedule(nxt, attempt)
 
-        self.schedule(spec.start, attempt)
+        self.schedule(spec.start, partial(self._every, spec, attempt))
 
     def _build_compromised(self, spec: AdversarySpec) -> None:
         """A module's f leaks; the supervisor broadcasts it to rogue lists."""

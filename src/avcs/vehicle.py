@@ -196,7 +196,9 @@ class VehicleState:
             (entry.expiration for entry in self.pseudonym_buf.values()), default=math.inf
         )
 
-    def _harvest_ids(self, ids) -> None:
+    def harvest_ids(self, ids) -> None:
+        """Keep ``ids``, all but this vehicle's own, as the most recently
+        seen ring ids; past ``ID_CAPACITY`` the oldest go."""
         own = self.hsm.identity
         for id_str in ids:
             if id_str != own:
@@ -255,7 +257,7 @@ class VehicleState:
         self.pseudonym_buf[fingerprint] = _BufferedCert(frame, cert.T, parsed.pk, parsed.expiration)
         self._fingerprint_by_t[cert.T] = fingerprint
         self._earliest_expiration = min(self._earliest_expiration, parsed.expiration)
-        self._harvest_ids(cert.S.ids)
+        self.harvest_ids(cert.S.ids)
         return ReceiveResult("accept")
 
     def _receive_message(self, frame: bytes, now: float) -> ReceiveResult:

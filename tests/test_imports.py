@@ -1,6 +1,7 @@
 """Every name a module under src/avcs imports is used in that module, no
-module imports a sibling's private name, and the two group backends
-expose the same multiplication API.
+module imports a sibling's private name or reads another module's
+private attribute, and the two group backends expose the same
+multiplication API.
 
 The first check skips ``__init__.py``: its imports are the package's
 re-exports.
@@ -35,9 +36,30 @@ def test_every_import_is_used(path):
     assert sorted(set(imported_names(tree)) - used) == []
 
 
+def defined_names(tree):
+    """Every name a module's classes and functions define: their own names
+    and the attributes they store, each class-private ``__name`` also in
+    its mangled form ``_Class__name``."""
+    names = set()
+    for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+        for node in ast.walk(scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                name = node.attr
+            else:
+                continue
+            names.add(name)
+            if scope is not tree and name.startswith("__") and not name.endswith("__"):
+                names.add(f"_{scope.name.lstrip('_')}{name}")
+    return names
+
+
 def private_crossings(tree):
-    """Private names a module takes from a sibling: imported by name, or
-    read off a sibling module that is imported whole."""
+    """Private names a module takes from elsewhere: imported by name, read
+    off a sibling module that is imported whole, or read as an attribute
+    of anything but ``self`` or ``cls`` when the module defines no such
+    name itself."""
     siblings = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("avcs")):
@@ -50,6 +72,12 @@ def private_crossings(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in siblings and node.attr.startswith("_")):
             yield f"{node.value.id}.{node.attr}"
+    defined = defined_names(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__") and node.attr not in defined
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            yield ast.unparse(node)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

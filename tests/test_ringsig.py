@@ -201,7 +201,7 @@ def test_extraction_table_size_and_operation_counts(group, point_ops):
     for id_str in ids[:10]:
         bits = h0_bits(id_str)
         chunks = sum(any(bits[i : i + 4]) for i in range(0, 256, 4))
-        assert point_ops(lambda: registry._derive(id_str)) == (0, chunks, 1)
+        assert point_ops(lambda: registry.derive_pubkey(id_str)) == (0, chunks, 1)
         assert chunks <= 64
 
 

@@ -1,5 +1,6 @@
 """Scenario loading, event-loop determinism, adversary outcomes."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -104,6 +105,20 @@ def test_parse_bool_words(word, value):
     assert parse_scenario(MINIMAL + f"[protocol]\npreseed_ids ={word}\n").preseed_ids is value
 
 
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: toy_scenario(curve="p512"), "unknown group"),
+    (lambda: toy_scenario(curve="toy:4"), "must be prime"),
+    (lambda: toy_scenario(loss_rate=1.5), "loss_rate"),
+    (lambda: toy_scenario(adversaries=(AdversarySpec(name="x", kind="eavesdrop"),)),
+     "unknown adversary kind"),
+    (lambda: dataclasses.replace(toy_scenario(), k=0), "k must be at least 1"),
+], ids=["unknown-curve", "toy-not-prime", "loss-rate", "adversary-kind", "replace"])
+def test_scenario_checks_itself_as_it_is_built(build, fragment):
+    # the same ScenarioError as a file gives, before anything runs
+    with pytest.raises(ScenarioError, match=fragment):
+        build()
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario(tmp_path / "nope.ini")
@@ -111,8 +126,7 @@ def test_load_scenario_missing_file(tmp_path):
 
 def test_bundled_scenarios_parse():
     for path in sorted(SCENARIO_DIR.glob("*.ini")):
-        sc = load_scenario(path)
-        sc.validate()
+        load_scenario(path)
     assert len(list(SCENARIO_DIR.glob("*.ini"))) == 4
 
 

@@ -811,7 +811,7 @@ def test_id_buffer_eviction_oldest_first(monkeypatch):
     world = toy_world(1, preseed=False)
     v = world.vehicles[0]
     for i in range(5):
-        v._harvest_ids([f"m:h-{i}"])
+        v.harvest_ids([f"m:h-{i}"])
     assert list(v.id_buf) == ["m:h-2", "m:h-3", "m:h-4"]
 
 
@@ -834,7 +834,7 @@ def test_choose_ring_empty_buffer():
 def test_choose_ring_sampling_contract():
     world = toy_world(1, preseed=False, ring_size=10)
     v = world.vehicles[0]
-    v._harvest_ids([f"m:c-{i}" for i in range(100)])
+    v.harvest_ids([f"m:c-{i}" for i in range(100)])
     ring = v.choose_ring(random.Random(2))
     assert len(ring) == 10
     assert ring.count(v.hsm.identity) == 1
@@ -844,7 +844,7 @@ def test_choose_ring_sampling_contract():
 def test_choose_ring_position_uniform():
     world = toy_world(1, preseed=False, ring_size=4)
     v = world.vehicles[0]
-    v._harvest_ids([f"m:u-{i}" for i in range(10)])
+    v.harvest_ids([f"m:u-{i}" for i in range(10)])
     rng = random.Random(3)
     counts = [0, 0, 0, 0]
     for _ in range(1000):
