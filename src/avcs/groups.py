@@ -46,6 +46,13 @@ scalar multiplication.  The same region also counts the point operations
 (doublings, mixed additions, inversions, lane additions and lane steps)
 and square roots that every call made, each taken from the schedule of
 the code that runs it (:class:`OpCounter`).
+
+Logical counts follow the cost model whether a result is computed or
+recalled: a caller that recalls a multiple or a key it made earlier
+records it with :func:`note_scalar_muls` or :func:`note_extraction`,
+as a receiver does for the rogue-list T values it keeps per window and
+the registry for a cached key.  The physical counts record only what
+ran.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ __all__ = [
     "expand_bytes",
     "get_group",
     "note_extraction",
+    "note_scalar_muls",
     "take",
 ]
 
@@ -130,6 +138,10 @@ class OpCounter:
     and the affine lane additions and lane steps of ``generator_muls``
     and ``subset_sums``.  It also counts square roots, one per
     ``x -> y`` lift of a point decode or a hash-to-curve attempt.
+
+    The logical slots follow the cost model, so a multiplication or an
+    extraction whose result is recalled counts as if it ran; the
+    physical slots count only the work that ran.
     """
 
     __slots__ = ("scalar_muls", "extractions", "doublings", "additions", "inversions",
@@ -164,7 +176,8 @@ def count_group_ops():
         _counters.reset(token)
 
 
-def _note_scalar_mul(n: int = 1) -> None:
+def note_scalar_muls(n: int) -> None:
+    """Record ``n`` logical scalar multiplications, computed or recalled."""
     for counter in _counters.get():
         counter.scalar_muls += n
 
@@ -320,11 +333,11 @@ class ToyGroup(_ScalarCodec):
         return (a + b) % self.q
 
     def scalar_mul(self, k: int, a: int) -> int:
-        _note_scalar_mul()
+        note_scalar_muls(1)
         return (k % self.q) * a % self.q
 
     def generator_muls(self, scalars) -> list[int]:
-        _note_scalar_mul(len(scalars))
+        note_scalar_muls(len(scalars))
         return [k % self.q for k in scalars]
 
     def prepare(self, a: int, spacing: int | None = None) -> int:
@@ -332,7 +345,7 @@ class ToyGroup(_ScalarCodec):
         return a
 
     def multi_mul(self, pairs) -> int:
-        _note_scalar_mul(len(pairs))
+        note_scalar_muls(len(pairs))
         return sum(k * a for k, a in pairs) % self.q
 
     def multi_muls(self, sums) -> list[int]:
@@ -858,7 +871,7 @@ class CurveGroup(_ScalarCodec):
         in ``_sum``.  A zero scalar takes no lane.
         Where ``scalar_mul``'s addition meets its own operand, the lane's
         shared x coordinate sends it down ``add``'s exact path."""
-        _note_scalar_mul(len(scalars))
+        note_scalar_muls(len(scalars))
         q, G = self.q, self.generator
         lanes = [self._fixed_term(k % q, G)[2] for k in scalars if k % q]
         acc = []
@@ -884,7 +897,7 @@ class CurveGroup(_ScalarCodec):
     def fixed_multi_muls(self, sums):
         """``[fixed_multi_mul(pairs) for pairs in sums]``, one chain each,
         made affine together with one inversion."""
-        _note_scalar_mul(sum(map(len, sums)))
+        note_scalar_muls(sum(map(len, sums)))
         q = self.q
         return self._batch_to_affine([self._chain([self._fixed_term(k % q, a) for k, a in pairs
                                                    if k % q and a is not None]) for pairs in sums])
@@ -906,7 +919,7 @@ class CurveGroup(_ScalarCodec):
     def multi_muls(self, sums):
         """``[multi_mul(pairs) for pairs in sums]``, one chain each, made
         affine together with one inversion."""
-        _note_scalar_mul(sum(map(len, sums)))
+        note_scalar_muls(sum(map(len, sums)))
         return self._batch_to_affine([self._chain(self._multi_terms(pairs)) for pairs in sums])
 
     def _multi_terms(self, pairs):

@@ -18,7 +18,8 @@ window index for every module in the process; T itself is computed at
 every mint, on the tag's rows, and receivers test leaked f on it at C's
 issue second (``min_span_time`` is thus a protocol constant), on a comb
 built for that certificate alone if the window is not the receiver's
-current one and no tag of it is cached.
+current one and no tag of it is cached.  A receiver keeps the leaked
+f's multiples of its current windows' tags itself (``VehicleState``).
 
 The clock is injected: tests turn it by hand, the simulator feeds it
 the event-loop time, and the CLI uses the system clock.  The module
@@ -27,6 +28,7 @@ only insists it never runs backwards.
 
 from __future__ import annotations
 
+import hmac
 import io
 import math
 import struct
@@ -204,6 +206,7 @@ class HardwareModule:
     secret ``f`` from ``rng``.  Both live in name-mangled private attributes and no
     method returns them; only ``f * h0(C)`` / ``f * h1(window)`` bindings
     and ring signatures escape, and :meth:`window_tag` serves receivers too.
+    ``supervisor_token``, a str or bytes, authorises :meth:`reveal_respond`.
     """
 
     def __init__(self, mk, id_str: str, registry: ManufactoryRegistry, rng, *, clock=None,
@@ -258,10 +261,11 @@ class HardwareModule:
         looked up at time ``now``.  A window other than now's whose tag is
         not cached gets a signed comb that is used once, so an issue time
         that a received frame picks neither builds rows nor evicts a tag."""
-        window = self._window(t)
-        return _window_tag(self.group, window, window == self._window(now))
+        window = self.window(t)
+        return _window_tag(self.group, window, window == self.window(now))
 
-    def _window(self, t: float) -> int:
+    def window(self, t: float) -> int:
+        """The index of the ``min_span_time`` window that holds second floor(t)."""
         return math.floor(math.floor(t) / self.min_span_time)
 
     def gen_pseudonym(self, ring: list[str], validity: float, rng) -> PseudonymCertificate:
@@ -302,7 +306,11 @@ class HardwareModule:
         attributable by design).  Only R' participates in the match
         decision downstream.
         """
-        if self._supervisor_token is None or token != self._supervisor_token:
+        expected = self._supervisor_token
+        # a constant-time comparison of the UTF-8 or raw bytes; a token of
+        # another type than the configured one never matches
+        if expected is None or type(token) is not type(expected) or not hmac.compare_digest(
+                *(t.encode() if isinstance(t, str) else t for t in (token, expected))):
             raise SupervisorAuthError("reveal requires the supervisor capability")
         now = self._read_clock()
         return self._bind_and_sign(C, [self.identity], 0, now, rng)

@@ -17,6 +17,13 @@ failing check names the rejection:
 Buffered certificates are pruned lazily by expiration before the
 checks run, so a replayed stale certificate is reported as expired
 rather than duplicate.
+
+A receiver keeps the encoded rogue T values of each window that was its
+current window when it first scanned it, for the last WINDOW_TAGS such
+windows, and checks a later certificate from one of them by set
+membership; ``revoke`` drops them all.  A certificate from any other
+window is scanned and leaves nothing behind, so an issue time that a
+frame picks neither builds a set nor evicts one.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from dataclasses import dataclass
 
 from . import transient
 from .errors import ParseError, ProtocolError, ProvisioningError
-from .groups import digest32
-from .hardware import MAX_VALIDITY, HardwareModule, PseudonymCertificate, signed_message
+from .groups import digest32, note_scalar_muls
+from .hardware import MAX_VALIDITY, WINDOW_TAGS, HardwareModule, PseudonymCertificate, signed_message
 from .ringsig import MAX_RING, ring_verify
 
 __all__ = [
@@ -136,7 +143,9 @@ class VehicleState:
         self._fingerprint_by_t: dict[bytes, bytes] = {}
         self._earliest_expiration = math.inf
         self.id_buf: OrderedDict[str, None] = OrderedDict()
-        self.rogue_list: set[int] = set()
+        self.rogue_list: frozenset[int] = frozenset()  # replaced by revoke alone
+        # window -> encoded f * tag over rogue_list, oldest window first
+        self._rogue_ts: dict[int, frozenset[bytes]] = {}
         self.current_certificate: PseudonymCertificate | None = None
         self.certificate_frame: bytes | None = None
         self._stream_sent = 0
@@ -241,13 +250,9 @@ class VehicleState:
                 or parsed.expiration - parsed.issue > MAX_VALIDITY):
             return _reject("expired")
 
-        if self.rogue_list:
-            # leaked f values are public; the expiry checks bound the issue second.
-            # One multi_muls makes every entry's f * tag affine with one inversion
-            tag = self.hsm.window_tag(parsed.issue, now)
-            rogue_ts = group.multi_muls([[(f, tag)] for f in sorted(self.rogue_list)])
-            if cert.T in map(group.encode_element, rogue_ts):
-                return _reject("revoked")
+        # leaked f values are public; the expiry checks bound the issue second
+        if self.rogue_list and cert.T in self._rogue_ts_at(parsed.issue, now):
+            return _reject("revoked")
 
         if not ring_verify(signed_message(group, cert.C, cert.R, cert.T), cert.S, self.hsm.registry):
             return _reject("bad-signature")
@@ -259,6 +264,25 @@ class VehicleState:
         self._earliest_expiration = min(self._earliest_expiration, parsed.expiration)
         self.harvest_ids(cert.S.ids)
         return ReceiveResult("accept")
+
+    def _rogue_ts_at(self, issue: int, now: float) -> frozenset[bytes]:
+        """The encoded f * tag over every rogue f, for the window of second
+        ``issue``: recalled if it is kept, else one multi_muls, made affine
+        with one inversion, and kept if the window is now's.  A recall
+        counts the multiplications it stands for."""
+        hsm, group = self.hsm, self.hsm.group
+        window = hsm.window(issue)
+        ts = self._rogue_ts.get(window)
+        if ts is not None:
+            note_scalar_muls(len(self.rogue_list))
+            return ts
+        tag = hsm.window_tag(issue, now)
+        ts = frozenset(map(group.encode_element, group.multi_muls([[(f, tag)] for f in self.rogue_list])))
+        if window == hsm.window(now):
+            if len(self._rogue_ts) == WINDOW_TAGS:
+                del self._rogue_ts[next(iter(self._rogue_ts))]
+            self._rogue_ts[window] = ts
+        return ts
 
     def _receive_message(self, frame: bytes, now: float) -> ReceiveResult:
         group = self.hsm.group
@@ -281,8 +305,10 @@ class VehicleState:
     # -- supervision ------------------------------------------------------
 
     def revoke(self, f: int) -> None:
-        """Add a leaked master secret to the rogue list (idempotent)."""
-        self.rogue_list.add(f)
+        """Add a leaked master secret to the rogue list (idempotent) and
+        drop every kept set of rogue T values."""
+        self.rogue_list |= {f}
+        self._rogue_ts.clear()
 
 
 def reveal_check(sigma: PseudonymCertificate, sigma_prime: PseudonymCertificate,

@@ -1,5 +1,6 @@
 """Hardware module: provisioning, pseudonyms, messages, reveal."""
 
+import hmac
 import random
 import struct
 
@@ -212,6 +213,26 @@ def test_reveal_without_any_token_configured():
         module.reveal_respond(cert.C, None, random.Random(2))
 
 
+def test_reveal_compares_the_token_in_constant_time(monkeypatch):
+    world = toy_world(1)
+    module = world.vehicles[0].hsm
+    cert = module.gen_pseudonym([module.identity], 60, random.Random(1))
+    compared = []
+
+    def compare_digest(a, b):
+        compared.append((a, b))
+        return a == b
+
+    monkeypatch.setattr(hmac, "compare_digest", compare_digest)
+    # a token of another type, or one that is no ASCII, is refused, not a TypeError
+    for token in (SUPERVISOR_TOKEN.encode(), 7, "s\u00fcpervisor-token"):
+        with pytest.raises(SupervisorAuthError):
+            module.reveal_respond(cert.C, token, random.Random(2))
+    module.reveal_respond(cert.C, SUPERVISOR_TOKEN, random.Random(2))
+    assert compared == [("s\u00fcpervisor-token".encode(), SUPERVISOR_TOKEN.encode()),
+                        (SUPERVISOR_TOKEN.encode(), SUPERVISOR_TOKEN.encode())]
+
+
 def test_reveal_matrix_small():
     world = toy_world(5)
     modules = [v.hsm for v in world.vehicles]
@@ -337,7 +358,7 @@ def test_receiver_builds_rows_only_for_its_current_window(group):
     # an earlier or a later window, not cached: a comb, used once
     for t in (now - 600, now + 60):
         comb = module.window_tag(t, now)
-        assert comb.spacing is None and comb == _window_tag(group, module._window(t), build=False)
+        assert comb.spacing is None and comb == _window_tag(group, module.window(t), build=False)
         assert not _tags
     # the receiver's current window: rows, cached, and then found by any issue second in it
     tag = module.window_tag(now, now)

@@ -251,14 +251,19 @@ def test_old_unexpired_certificate_keeps_the_tag_cache_bounded(monkeypatch):
     for _ in range(WINDOW_TAGS):  # later windows push the old one's tag out
         clock.advance(60.0)
         revoking.make_pseudonym(600, random.Random(70))
+    plain.make_pseudonym(600, random.Random(72))  # the revoking receiver keeps now's set
+    assert revoking.receive(plain.certificate_frame, clock.now()).accepted
+    kept = dict(revoking._rogue_ts)
+    assert list(kept) == [math.floor(clock.now() / 60.0)]
     cached = list(_tags.items())
     spacings = counted_tag_prepares(monkeypatch, old_window)
     assert plain.receive(old, clock.now()).accepted
     assert revoking.receive(old, clock.now()).reason == "revoked"
     # each scan of the old window runs on a comb of its own: no rows are
-    # built, and the cached tags stay as they were
+    # built, the cached tags stay as they were, and no set is kept
     assert spacings == [None, None]
     assert list(_tags.items()) == cached
+    assert revoking._rogue_ts == kept
     cert = sender.make_pseudonym(600, random.Random(71))
     tag = P192.hash_to_group("h1", struct.pack(">Q", math.floor(clock.now() / 60.0)))
     assert cert.T == P192.scalar_mul(leak_master_secret(sender.hsm), tag)
@@ -268,6 +273,9 @@ def test_forged_old_window_frame_builds_no_tag_rows(monkeypatch):
     sender, receiver, clock = p192_pair()
     receiver.revoke(12345)
     sender.make_pseudonym(600, random.Random(74))  # caches this window's tag
+    assert receiver.receive(sender.certificate_frame, clock.now()).accepted
+    kept = dict(receiver._rogue_ts)
+    assert list(kept) == [math.floor(clock.now() / 60.0)]
     rng = random.Random(75)
     _, pk = transient.gen_keypair(P192, rng)
     R, T = (P192.scalar_mul(rng.randrange(1, P192.q), P192.generator) for _ in range(2))
@@ -279,9 +287,62 @@ def test_forged_old_window_frame_builds_no_tag_rows(monkeypatch):
     frame = encode_cert_frame(PseudonymCertificate(C, R, T, S), P192)
     for _ in range(2):
         assert receiver.receive(frame, clock.now()).reason == "bad-signature"
-    # a comb per scan, never kept: the frame cannot push a tag out
+    # a comb per scan, never kept: the frame cannot push a tag out, nor
+    # build or push out a set of rogue T values
     assert spacings == [None, None]
     assert list(_tags.items()) == cached
+    assert receiver._rogue_ts == kept
+
+
+def test_second_certificate_of_a_window_recalls_the_rogue_ts():
+    a, b, c, d, plain, revoking, clock = p192_pair(n=6)
+    ring = [v.hsm.identity for v in (a, b, c, d)]
+    rng = random.Random(76)
+    for f in (rng.randrange(1, P192.q) for _ in range(4)):
+        revoking.revoke(f)
+    for v in (a, b):  # two accepted signatures over the ring prepare its keys
+        v.make_pseudonym(600, rng, ring)
+        assert plain.receive(v.certificate_frame, clock.now()).accepted
+    clock.advance(60.0)
+    frames = []
+    for v in (a, b):
+        v.make_pseudonym(600, rng, ring)
+        frames.append(v.certificate_frame)
+    counts = []
+    for receiver, frame in ((revoking, frames[0]), (revoking, frames[1]), (plain, frames[1])):
+        with count_group_ops() as ops:
+            assert receiver.receive(frame, clock.now()).accepted
+        counts.append(ops)
+    for ops in counts[:2]:
+        assert (ops.scalar_muls, ops.extractions) == (3 * 4 + 4, 4)
+    # the first scan of a window is one multi_muls, with an inversion of
+    # its own; the second frame makes the work of a receiver with no entry
+    first, second, unrevoking = ((ops.doublings, ops.additions, ops.inversions) for ops in counts)
+    assert second == unrevoking
+    assert first[2] == second[2] + 1 == 2
+
+
+def test_revoke_drops_the_kept_rogue_ts():
+    world = toy_world(3, ring_size=2)
+    v0, v1, v2 = world.vehicles
+    v2.revoke(12345)
+    assert deliver_cert(v0, v2, seed=77)[0].accepted
+    assert list(v2._rogue_ts) == [world.clock.now() // 60]
+    v2.revoke(leak_master_secret(v1.hsm))  # in the middle of the window
+    assert v2._rogue_ts == {}
+    assert deliver_cert(v1, v2, seed=78)[0].reason == "revoked"
+
+
+def test_kept_rogue_ts_stay_bounded():
+    world = toy_world(2, ring_size=2)
+    v0, v1 = world.vehicles
+    v1.revoke(12345)
+    windows = []
+    for _ in range(3 * WINDOW_TAGS):
+        assert deliver_cert(v0, v1, seed=79)[0].accepted
+        windows.append(world.clock.now() // 60)
+        assert list(v1._rogue_ts) == windows[-WINDOW_TAGS:]
+        world.clock.advance(60.0)
 
 
 def test_revoke_idempotent():
