@@ -231,7 +231,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def batch_inverse(values, modulus: int) -> list[int]:
+def batch_inverse(values, modulus: int, *, public: bool = False) -> list[int]:
     """The inverse of each value modulo a prime, or 0 for a value of 0,
     from one ``pow`` (Montgomery's trick): invert the product of the
     nonzero values, then peel them off one multiplication at a time.
@@ -241,15 +241,17 @@ def batch_inverse(values, modulus: int) -> list[int]:
     the one extended Euclid do not depend on the values, which may be
     Jacobian Z coordinates of secret multiples or a secret nonce.  The
     factor never comes from a caller's rng, whose draws stay as they
-    are.  Values that are all 0, such as the identity an accepted
-    signature check sums to, come back as zeros with no blind and no
-    Euclid."""
+    are.  A call site whose values are all public, the variable-time
+    sums and a signature's published v_i, passes ``public=True`` and
+    inverts them as they are.  Values that are all 0, such as the
+    identity an accepted signature check sums to, come back as zeros
+    with no blind and no Euclid."""
     if not any(values):
         return [0] * len(values)
     prefix = [1]
     for v in values:
         prefix.append(prefix[-1] * v % modulus if v else prefix[-1])
-    blind = secrets.randbelow(modulus - 1) + 1
+    blind = 1 if public else secrets.randbelow(modulus - 1) + 1
     inv = pow(prefix[-1] * blind % modulus, -1, modulus) * blind % modulus
     out = [0] * len(values)
     for i in reversed(range(len(values))):
@@ -343,6 +345,9 @@ class ToyGroup(_ScalarCodec):
     def prepare(self, a: int, spacing: int | None = None) -> int:
         # multiplication is already one step here: nothing to precompute
         return a
+
+    def has_comb(self, a) -> bool:
+        return False
 
     def multi_mul(self, pairs) -> int:
         note_scalar_muls(len(pairs))
@@ -618,10 +623,10 @@ class CurveGroup(_ScalarCodec):
             x3 = (slope * slope - x1 - b[0]) % p
             acc[i] = (x3, (slope * (x1 - x3) - y1) % p)
 
-    def _batch_to_affine(self, pts):
+    def _batch_to_affine(self, pts, public: bool = False):
         # Jacobian points to affine ones, Z = 0 to None, with one inversion if any is finite
         p = self._p
-        zinvs = batch_inverse([pt[2] for pt in pts], p)
+        zinvs = batch_inverse([pt[2] for pt in pts], p, public=public)
         if any(zinvs):
             _note_points(0, 0, 1)
         out = []
@@ -635,7 +640,7 @@ class CurveGroup(_ScalarCodec):
     def add(self, a, b):
         return self.sum_points((a, b))
 
-    def _odd_multiples(self, points, rows: int, n: int, shift: int):
+    def _odd_multiples(self, points, rows: int, n: int, shift: int, public: bool = False):
         """Affine rows: the odd multiples 1, 3, ..., 2n-1 of
         ``2**(shift*j) * a`` for j < rows, for each finite point a in turn.
 
@@ -667,7 +672,7 @@ class CurveGroup(_ScalarCodec):
                         twice = double(twice)
                     base = twice
         _note_points(len(points) * (rows + (rows - 1) * (shift - 1)), len(jac) - len(points) * rows)
-        flat = self._batch_to_affine(jac)
+        flat = self._batch_to_affine(jac, public)
         return [flat[i : i + n] for i in range(0, len(flat), n)]
 
     @cached_property
@@ -706,6 +711,10 @@ class CurveGroup(_ScalarCodec):
         else:
             prepared.rows = self._odd_multiples([a], -(-lam // spacing), 4, spacing)
         return prepared
+
+    def has_comb(self, a) -> bool:
+        """Whether ``a`` carries the signed comb of ``prepare(a)``."""
+        return getattr(a, "spacing", 0) is None
 
     def _comb(self, a):
         """The comb's entries: entry e is ``B_0 + sum(+-B_j)``, taking
@@ -918,9 +927,10 @@ class CurveGroup(_ScalarCodec):
 
     def multi_muls(self, sums):
         """``[multi_mul(pairs) for pairs in sums]``, one chain each, made
-        affine together with one inversion."""
+        affine together with one inversion, unblinded: every input is
+        public."""
         note_scalar_muls(sum(map(len, sums)))
-        return self._batch_to_affine([self._chain(self._multi_terms(pairs)) for pairs in sums])
+        return self._batch_to_affine([self._chain(self._multi_terms(pairs)) for pairs in sums], public=True)
 
     def _multi_terms(self, pairs):
         q = self.q
@@ -933,7 +943,8 @@ class CurveGroup(_ScalarCodec):
         live = {pt: k for pt, k in merged.items() if k}
         fresh = [pt for pt, k in live.items() if pt not in tables and k != 1]
         if fresh:  # one row, which covers bit 0 alone
-            tables.update((pt, ([row], 1)) for pt, row in zip(fresh, self._odd_multiples(fresh, 1, 4, 0)))
+            rows = self._odd_multiples(fresh, 1, 4, 0, public=True)
+            tables.update((pt, ([row], 1)) for pt, row in zip(fresh, rows))
         terms = []
         for pt, k in live.items():
             rows, s = tables.get(pt) or ([[pt]], 1)  # a unit scalar adds its base as it stands

@@ -23,6 +23,13 @@ cyclically; the signer, holding the one private key, is the only
 member able to pick their ``m`` last (gluing the cycle shut) and still
 solve their tuple equation, via ``v_s = (m_s - d * H1(U_s)) / l``.
 
+:func:`ring_verify` solves a tuple's equation for U_i and compares its
+encoding with U_i's bytes when every ring key has a comb: a sum of two
+terms on the comb's short chain, with no square root and no weight.  A
+ring with a plain key shares that key's long chain in one
+small-exponent batch over every tuple, and so does a tuple with
+``v_i = 0`` on any ring.
+
 Randomness draw order inside :func:`ring_sign` is part of the tested
 interface (transcript tests replay it): per-forgery ``a`` then ``b`` in
 ascending ring order skipping the signer, redrawing both while
@@ -39,7 +46,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DegenerateKeyError, ParseError, UnknownManufactoryError
-from .groups import batch_inverse, digest32, expand_bytes, note_extraction, take
+from .groups import batch_inverse, digest32, expand_bytes, note_extraction, note_scalar_muls, take
 
 __all__ = [
     "HashSuite",
@@ -479,30 +486,40 @@ def ring_verify(
 ) -> bool:
     """Accept iff the ring equation closes and every tuple verifies.
 
-    The chain closes first, on hashes alone.  Then one multi-scalar
-    multiplication over 3r pairs (2r+1 distinct bases) checks
-    ``sum s_i*(m_i*P - H1(U_i)*E_i - v_i*U_i) = 0``, with tuple i scaled
-    by ``s_i = -z_i / v_i`` so that U_i's coefficient is ``z_i`` itself;
-    the nonzero v_i share one batch inversion.  The weight ``z_0`` is 1,
-    and ``z_i`` for i >= 1 lies in ``[1, 2**lam - 1]``, lam = bits(q)/2
-    rounded up (96 on P-192, 128 on P-256), hashed from the message and
-    the signature by ``hash_to_short`` (the Bellare-Garay-Rabin
-    small-exponent batch test, with the Schnorr challenge's width; one
-    weight can be fixed): a bad tuple 0 alone is always caught, and with
-    a bad tuple i >= 1 at most one value of its z_i cancels the rest, so
-    the errors pass with probability at most 1/(2**lam - 1).  Every U_i
-    is a fresh point: U_0's scalar 1 adds it as it stands, and the
-    others' short scalars halve ``multi_mul``'s doubling chain when the
-    keys are prepared.  A tuple with ``v_i = 0`` keeps ``s_i = z_i``,
-    and U_i's coefficient is 0.  The r keys enter the registry's cache
-    only if the signature verifies; the keys of ids cached before the
-    call are then prepared.
+    The chain closes first, on hashes alone.  Then one ``multi_muls``
+    call, made affine by one inversion, checks the tuple equations
+    ``m_i*P = H1(U_i)*E_i + v_i*U_i``; the nonzero v_i, which are
+    published, share one unblinded ``batch_inverse``.
 
+    When every ring key has a comb (``group.has_comb``: a key prepared
+    at its second use), a tuple with ``v_i != 0`` is a sum of its own,
+    ``U_i' = (m_i/v_i)*P - (H1(U_i)/v_i)*E_i`` on the comb's 32-step
+    chain, and verifies iff U_i' encodes to U_i's bytes, as
+    ``transient.verify`` compares R: exact, with U_i never decoded.  Its
+    term ``v_i*U_i`` is recorded with ``note_scalar_muls``.
+
+    Every tuple of a ring with a plain key, whose long chain is best
+    shared, and any tuple with ``v_i = 0`` go into one sum instead,
+    ``sum s_i*(m_i*P - H1(U_i)*E_i - v_i*U_i) = 0``, tuple i scaled by
+    ``s_i = -z_i / v_i`` so that U_i's coefficient is ``z_i`` itself
+    (``s_i = z_i`` and a coefficient 0 where ``v_i = 0``).  The first
+    tuple in the sum weighs 1 and each later one a ``z_i`` in
+    ``[1, 2**lam - 1]``, lam = bits(q)/2 rounded up (96 on P-192, 128
+    on P-256), hashed from the message and the signature by
+    ``hash_to_short``: the Bellare-Garay-Rabin small-exponent batch
+    test, in which one weight can be fixed.  A bad first tuple alone is
+    always caught, and with a bad later tuple at most one value of its
+    z_i cancels the rest, so the errors pass with probability at most
+    1/(2**lam - 1).  The first U_i is added as it stands, and the
+    others' short scalars ride on the shared chain.
+
+    The r keys enter the registry's cache only if the signature
+    verifies; the keys of ids cached before the call are then prepared.
     Hostile-input safe: unknown manufactories, degenerate ids, shape
     violations and U_i bytes that decode to no point all reject rather
-    than raise.  U_i bytes are decoded only once the chain closes and
-    the keys extract.  Costs exactly 3r logical scalar multiplications
-    and r extractions once the chain closes.
+    than raise.  Keys are extracted, and the shared sum's U_i decoded,
+    only once the chain closes.  Costs exactly 3r logical scalar
+    multiplications and r extractions once the chain closes.
     """
     group = registry.group
     suite = registry.suite
@@ -519,21 +536,32 @@ def ring_verify(
         j = (j + 1) % r
     if w != sig.w:
         return False
+    q, G = group.q, group.generator
+    # the shared sum must come to the identity, each tuple's own sum to its U
+    shared, seed = [], None
+    sums, expected = [shared], [group.encode_element(group.identity)]
     try:
         pubkeys = [registry.derive_pubkey(id_str) for id_str in sig.ids]
-        points = [group.decode_element(U) if isinstance(U, bytes) else U for _, U, _ in sig.tuples]
-        seed = digest32("batch", struct.pack(">I", len(msg)) + msg + sig.to_bytes(group))
+        combs = all(map(group.has_comb, pubkeys))
+        inverses = batch_inverse([v for _, _, v in sig.tuples], q, public=True)
+        for i, ((m, U, v), E, v_inv) in enumerate(zip(sig.tuples, pubkeys, inverses)):
+            m, e = int.from_bytes(m, "big"), suite.h1(group, U)
+            if combs and v:
+                sums.append([(m * v_inv, G), (-e * v_inv, E)])
+                expected.append(group.encode_element(U))
+                continue
+            if shared:
+                seed = seed or digest32("batch", struct.pack(">I", len(msg)) + msg + sig.to_bytes(group))
+                z = group.hash_to_short("batch", struct.pack(">I", i) + seed)
+            else:
+                z = 1
+            s, u = (-z * v_inv, z) if v else (z, 0)
+            point = group.decode_element(U) if isinstance(U, bytes) else U
+            shared += [(s * m, G), (-s * e, E), (u, point)]
     except (ValueError, ParseError, UnknownManufactoryError, DegenerateKeyError):
         return False
-    q = group.q
-    pairs = []
-    inverses = batch_inverse([v for _, _, v in sig.tuples], q)
-    for i, ((m, U, v), point, E, v_inv) in enumerate(zip(sig.tuples, points, pubkeys, inverses)):
-        z = group.hash_to_short("batch", struct.pack(">I", i) + seed) if i else 1
-        s, u = (-z * v_inv, z) if v else (z, 0)
-        pairs += [(s * int.from_bytes(m, "big"), group.generator),
-                  (-s * suite.h1(group, U), E), (u, point)]
-    if not group.is_identity(group.multi_mul(pairs)):
+    note_scalar_muls(len(sums) - 1)  # the v_i*U_i compared by encoding
+    if list(map(group.encode_element, group.multi_muls(sums))) != expected:
         return False
     registry._keep(dict(zip(sig.ids, pubkeys)))
     return True

@@ -1,20 +1,25 @@
-"""The batched ring_verify against the rule it batches.
+"""ring_verify's two checks against the rule they implement.
 
-ring_verify closes the hash chain and then checks all r tuple
-equations as one randomized multi-scalar multiplication.  These tests
-hold it to the unbatched rule of the oracle (the chain closes and every
-tuple verifies on its own), including on bad tuples whose errors cancel
-without the randomizers or with a second weight fixed at 1 beside
-tuple 0's, and on a tuple with v = 0, and check that a
-rejected signature leaves the registry's key cache as it was, while an
-accepted one prepares only the keys cached before it.
+ring_verify closes the hash chain and then checks the r tuple
+equations.  On a ring whose keys all have a comb, each tuple with
+v != 0 is solved for U and compared by its encoding; the other tuples,
+every tuple of a ring with a plain key and any tuple with v = 0, go
+into one randomized multi-scalar multiplication.  These tests hold both
+to the unbatched rule of the oracle (the chain closes and every tuple
+verifies on its own): the batch on toy groups, where no key has a comb,
+including bad tuples whose errors cancel without the randomizers or
+with a second weight fixed at 1 beside the first tuple's, and a tuple
+with v = 0; the comparison on P-192 comb keys, under mutated m, v and
+U bytes, swapped ids and a v = 0 tuple, whose U is still decoded.  They
+also check that a rejected signature leaves the registry's key cache as
+it was, while an accepted one prepares only the keys cached before it.
 """
 
 import random
 
 import pytest
 
-from avcs.errors import DegenerateKeyError
+from avcs.errors import DegenerateKeyError, ParseError
 from avcs.groups import P192, ToyGroup, _PreparedPoint, count_group_ops
 from avcs.ringsig import (
     PRODUCTION,
@@ -64,14 +69,16 @@ def signed(group, seed, r, msg=b"batch"):
 
 
 def unbatched(msg, sig, registry):
-    """The rule ring_verify batches: the chain closes and every tuple verifies."""
+    """The rule ring_verify implements: the chain closes and every tuple
+    verifies, a U whose bytes decode to no point failing its own."""
     group = registry.group
     suite = registry.suite
     try:
         pubkeys = [registry.extract_pubkey(id_str) for id_str in sig.ids]
-    except (ValueError, DegenerateKeyError):
+        tuples = [(m, group.decode_element(U) if isinstance(U, bytes) else U, v) for m, U, v in sig.tuples]
+    except (ValueError, ParseError, DegenerateKeyError):
         return False
-    return oracle_ring_verify(group, msg, sig.x, sig.w, sig.ids, sig.tuples, pubkeys,
+    return oracle_ring_verify(group, msg, sig.x, sig.w, sig.ids, tuples, pubkeys,
                               suite.h1, suite.chain)
 
 
@@ -284,3 +291,118 @@ def test_open_chain_costs_nothing():
     with count_group_ops() as ops:
         assert not ring_verify(b"batch", bad, registry)
     assert (ops.scalar_muls, ops.extractions) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# P-192 rings on comb keys: each tuple compared by U's encoding
+# ---------------------------------------------------------------------------
+
+
+def comb_signed(seed, r, msg=b"combs"):
+    """(mk, registry, sig) with every ring key prepared and each U_i the
+    bytes a receiver parses."""
+    mk, registry = world(P192, seed)
+    ring = usable_ids(mk, registry, r)
+    pos = random.Random(seed).randrange(r)
+    sig = ring_sign(msg, ring, keygen(mk, ring[pos]), pos, registry, random.Random(seed + 1))
+    assert ring_verify(msg, sig, registry)  # prepares the signer's key, cached plain
+    assert all(P192.has_comb(registry._cache[id_str]) for id_str in ring)
+    return mk, registry, RingSignature.from_bytes(sig.to_bytes(P192), P192)
+
+
+def off_curve_bytes(group):
+    x = next(x for x in range(1, 100) if group._lift_x(x, 0) is None)
+    return b"\x02" + x.to_bytes(group.element_byte_len - 1, "big")
+
+
+def mutate_on_combs(sig, rng, registry):
+    """``sig`` with one of m, v, U or the ids changed; the chain covers m
+    and w only, so every U and v mutant reaches the tuple check."""
+    group = registry.group
+    i = rng.randrange(sig.r)
+    m, U, v = sig.tuples[i]
+    kind = rng.randrange(8)
+    if kind == 0:
+        flipped = bytearray(m)
+        flipped[rng.randrange(len(m))] ^= 1 << rng.randrange(8)
+        return with_tuple(sig, i, (bytes(flipped), U, v))
+    if kind == 1:
+        return with_tuple(sig, i, (m, U, rng.randrange(1, group.q)))
+    if kind == 2:
+        other = group.encode_element(group.scalar_mul(rng.randrange(1, group.q), group.generator))
+        return with_tuple(sig, i, (m, other, v))
+    if kind == 3:
+        return with_tuple(sig, i, (m, bytes([U[0] ^ 1]) + U[1:], v))  # -U
+    if kind == 4:
+        return with_tuple(sig, i, (m, off_curve_bytes(group), v))
+    if kind == 5:
+        return with_tuple(sig, i, (m, group.encode_element(group.identity), v))
+    if kind == 6:
+        j = (i + 1 + rng.randrange(sig.r - 1)) % sig.r if sig.r > 1 else i
+        ids = list(sig.ids)
+        ids[i], ids[j] = ids[j], ids[i]
+        return RingSignature(sig.x, sig.w, tuple(ids), sig.tuples)
+    return with_tuple(sig, i, (m, sig.tuples[(i + 1) % sig.r][1], v))
+
+
+def test_comb_comparison_agrees_with_the_unbatched_rule_on_p192():
+    rng = random.Random(2025)
+    signatures = [comb_signed(500 + r, r)[1:] for r in (1, 2, 4)]
+    for registry, sig in signatures:
+        with count_group_ops() as ops:
+            assert ring_verify(b"combs", sig, registry)
+        assert (ops.roots, ops.scalar_muls, ops.extractions) == (0, 3 * sig.r, sig.r)
+        assert unbatched(b"combs", sig, registry)
+    tuple_rejects = 0
+    for _ in range(60):
+        registry, sig = rng.choice(signatures)
+        mutated = mutate_on_combs(sig, rng, registry)
+        with count_group_ops() as ops:
+            verdict = ring_verify(b"combs", mutated, registry)
+        assert verdict == unbatched(b"combs", mutated, registry)
+        if chain_closes(b"combs", mutated, registry):
+            assert ops.roots == 0  # compared by encoding, decoded never
+            tuple_rejects += not verdict
+    assert tuple_rejects >= 30
+
+
+def reglued(msg, ids, tuples, pos, d, registry, rng):
+    """A signature over ``tuples`` whose chain the holder of ``d`` at
+    ``pos`` closes, as ``ring_sign`` glues it: tuple ``pos`` is replaced."""
+    group, suite = registry.group, registry.suite
+    q, sbl, r = group.q, group.scalar_byte_len, len(ids)
+    tuples = list(tuples)
+    gamma = rng.randbytes(sbl)
+    w = [b""] * r
+    j = (pos + 1) % r
+    w[j] = suite.chain(group, msg, gamma)
+    for _ in range(r - 1):
+        w[(j + 1) % r] = suite.chain(group, msg, bytes(a ^ b for a, b in zip(w[j], tuples[j][0])))
+        j = (j + 1) % r
+    m = bytes(a ^ b for a, b in zip(gamma, w[pos]))
+    l = rng.randrange(1, q)
+    U = group.scalar_mul(l, group.generator)
+    v = (int.from_bytes(m, "big") - d * suite.h1(group, U)) * pow(l, -1, q) % q
+    tuples[pos] = (m, group.encode_element(U), v)
+    return RingSignature(1, w[0], tuple(ids), tuple(tuples))
+
+
+def test_a_v_zero_tuple_on_comb_keys_is_still_decoded():
+    # m = d*H1(U) and v = 0 verify for the holder of d whatever U's bytes
+    # hash to, so U is decoded, in the shared sum, and an x on no curve
+    # point rejects as the unbatched rule does
+    mk, registry, sig = comb_signed(61, 3)
+    rng = random.Random(62)
+    i, pos = 0, 1
+    d_i, d_pos = (keygen(mk, sig.ids[k]).d for k in (i, pos))
+    for U, expected in ((P192.encode_element(P192.scalar_mul(0xC0FFEE, P192.generator)), True),
+                        (off_curve_bytes(P192), False)):
+        m = (d_i * PRODUCTION.h1(P192, U) % P192.q).to_bytes(P192.scalar_byte_len, "big")
+        zero = reglued(b"combs", sig.ids, with_tuple(sig, i, (m, U, 0)).tuples, pos, d_pos, registry, rng)
+        assert all(P192.has_comb(registry._cache[id_str]) for id_str in zero.ids)
+        with count_group_ops() as ops:
+            assert ring_verify(b"combs", zero, registry) is expected
+        assert unbatched(b"combs", zero, registry) is expected
+        assert ops.roots == 1  # the v = 0 tuple's U alone
+        # a U that decodes to no point rejects before any multiplication
+        assert (ops.scalar_muls, ops.extractions) == (3 * zero.r if expected else 0, zero.r)

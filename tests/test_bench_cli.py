@@ -262,8 +262,9 @@ def test_cli_bench_writes_pinned_csv(tmp_path, capsys):
     # inversion for the extracted key, and no square root
     assert (extract["scalar_muls"], extract["size_bytes"], extract["extractions"]) == ("0", "25", "1")
     assert (extract["doublings"], extract["inversions"], extract["roots"]) == ("0", "1", "0")
-    # the r = 3 certificate decodes its pk and three U_i
-    assert rows["receive_cert", "3"]["roots"] == "4"
+    # the r = 3 certificate on warm comb keys decodes its pk alone: each
+    # U_i is compared by its encoding
+    assert rows["receive_cert", "3"]["roots"] == "1"
 
 
 def test_cli_sim_on_bundled_sybil_scenario(tmp_path, capsys):

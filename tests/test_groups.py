@@ -27,7 +27,7 @@ from avcs.groups import (
     note_extraction,
 )
 from avcs.hardware import TAG_SPACING, _window_tag
-from avcs.ringsig import ManufactoryRegistry, forge_tuple, keygen, ring_sign, ring_verify, setup
+from avcs.ringsig import ManufactoryRegistry, RingSignature, forge_tuple, keygen, ring_sign, ring_verify, setup
 from helpers import PROPERTY, chi_square, last_row_doubling_scalar, opcode_trace
 
 TOY = ToyGroup(23)
@@ -1343,54 +1343,75 @@ def test_multi_mul_across_layouts_matches_double_and_add(case):
     assert ops.scalar_muls == len(pairs)
 
 
-@pytest.mark.parametrize("group", CURVES, ids=str)
-def test_ring_verify_over_prepared_keys_runs_a_half_length_chain(group, point_ops):
-    mk = setup(group, n=16, rng=random.Random(12), manufactory_id="m")
+def comb_ring(group, seed, r, msg):
+    """A registry holding the r keys of a signature over ``msg`` prepared,
+    its signer's key included, and the signature, its U_i as bytes."""
+    mk = setup(group, n=16, rng=random.Random(seed), manufactory_id="m")
     registry = ManufactoryRegistry(group)
     registry.register_master(mk)
-    r = 4
     ring = [f"m:car-{i}" for i in range(r)]
     for id_str in ring:
         registry.extract_pubkey(id_str)
-    sig = ring_sign(b"half", ring, keygen(mk, ring[1]), 1, registry, random.Random(3))
+    sig = ring_sign(msg, ring, keygen(mk, ring[r // 2]), r // 2, registry, random.Random(seed))
     # the first acceptance prepares the signer's key, which was cached plain
-    assert ring_verify(b"half", sig, registry)
-    assert all(isinstance(registry._cache[id_str], _PreparedPoint) for id_str in ring)
+    assert ring_verify(msg, sig, registry)
+    assert all(group.has_comb(registry._cache[id_str]) for id_str in ring)
     group.scalar_mul(1, group.generator)  # build the table outside the count
-    # 96-bit (128-bit) randomizers on the fresh U_1..U_(r-1): a chain to
-    # the first multiple of lcm(8, 32) above their top digit, lam here,
-    # doubling from the top step that holds a digit, lam - 1 here, and one
-    # doubling for each of their odd multiples; U_0's weight is 1, so it
-    # is added as it stands at step 0, with no row; each key adds its
-    # comb's 32 columns at steps 0..31
-    chain = {"p192": 95, "p256": 127}[group.group_id]
-    assert chain == short_bits(group) - 1
-    doublings, additions, inversions = point_ops(lambda: ring_verify(b"half", sig, registry))
-    assert doublings == chain + r - 1
-    assert additions == {"p192": 218, "p256": 241}[group.group_id]
-    assert inversions == 1  # U_1..U_(r-1)'s rows; the identity needs none
+    return registry, RingSignature.from_bytes(sig.to_bytes(group), group)
+
+
+def comb_tuple_additions(group, sig):
+    """The additions of tuple i's own sum (m_i/v_i)*P - (H1(U_i)/v_i)*E_i:
+    the comb's 32 columns and a width-9 NAF of m_i/v_i on G's rows."""
+    q = group.q
+    return sum(32 + len(_wnaf(int.from_bytes(m, "big") * pow(v, -1, q) % q, 9)) for m, _, v in sig.tuples)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_ring_verify_of_one_prepared_key_runs_the_comb_chain(group, point_ops):
-    mk = setup(group, n=16, rng=random.Random(14), manufactory_id="m")
-    registry = ManufactoryRegistry(group)
-    registry.register_master(mk)
-    registry.extract_pubkey("m:car-0")
-    sig = ring_sign(b"one", ["m:car-0"], keygen(mk, "m:car-0"), 0, registry, random.Random(4))
-    assert ring_verify(b"one", sig, registry)
-    assert isinstance(registry._cache["m:car-0"], _PreparedPoint)
-    group.scalar_mul(1, group.generator)  # build the table outside the count
-    # U_0's weight 1 puts it at step 0 with no row of odd multiples, so the
-    # comb's 32 columns set the chain: 31 doublings; G's rows add a
-    # width-9 NAF of s*m, and the identity takes no inversion
+def test_ring_verify_over_prepared_keys_runs_one_comb_chain_per_tuple(group):
+    r = 4
+    registry, sig = comb_ring(group, 12, r, b"combs")
+    # each tuple is a sum of its own, compared with U_i by encoding: its
+    # key's comb sets a 32-step chain, 31 doublings, and the r sums share
+    # one inversion; no U_i is decoded
+    with count_group_ops() as ops:
+        assert ring_verify(b"combs", sig, registry)
+    assert (ops.doublings, ops.inversions, ops.roots) == (31 * r, 1, 0)
+    assert ops.additions == comb_tuple_additions(group, sig)
+    assert (ops.scalar_muls, ops.extractions) == (3 * r, r)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_ring_verify_of_one_prepared_key_runs_the_comb_chain(group):
+    registry, sig = comb_ring(group, 14, 1, b"one")
     with count_group_ops() as ops:
         assert ring_verify(b"one", sig, registry)
-    (m, U, v), E = sig.tuples[0], registry._cache["m:car-0"]
-    s = -pow(v, -1, group.q) * int.from_bytes(m, "big") % group.q
-    naf = len(_wnaf(s, 9))
-    assert (ops.doublings, ops.additions, ops.inversions) == (31, 32 + naf + 1, 0)
+    assert (ops.doublings, ops.additions, ops.inversions, ops.roots) == (
+        31, comb_tuple_additions(group, sig), 1, 0)
     assert (ops.scalar_muls, ops.extractions) == (3, 1)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_ring_verify_with_one_plain_key_stays_on_the_batch(group, point_ops):
+    r = 4
+    registry, sig = comb_ring(group, 15, r, b"plain")
+    E = registry._cache[sig.ids[1]] = tuple(registry._cache[sig.ids[1]])  # the same key, no comb
+    # acceptance prepares the key again, at the cost of a comb build
+    comb_doublings, _, comb_inversions = point_ops(lambda: group.prepare(E))
+    # one sum over all 3r pairs: every U_i decoded, and the plain key's
+    # full-width scalar sets one chain of up to bits(q) steps, shared by
+    # the other terms, plus a doubling for each fresh row (E, U_1..U_(r-1))
+    with count_group_ops() as ops:
+        assert ring_verify(b"plain", sig, registry)
+    assert ops.roots == r
+    bits = group.q.bit_length()
+    assert bits - 32 < ops.doublings - comb_doublings <= bits - 1 + r
+    assert ops.inversions - comb_inversions == 1  # the fresh rows; the identity needs none
+    assert (ops.scalar_muls, ops.extractions) == (3 * r, r)
+    # acceptance prepares the key again: the next check is back on the combs
+    with count_group_ops() as ops:
+        assert ring_verify(b"plain", sig, registry)
+    assert (ops.doublings, ops.roots) == (31 * r, 0)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)

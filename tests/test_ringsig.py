@@ -481,9 +481,9 @@ def test_signer_nonce_is_inverted_on_a_blinded_product(monkeypatch):
     # l gives d away, so its one Euclid must run on l times a blind, never on l
     inverted, pows = [], []
 
-    def recorded_batch_inverse(values, modulus):
-        inverted.append(list(values))
-        return batch_inverse(values, modulus)
+    def recorded_batch_inverse(values, modulus, **kwargs):
+        inverted.append((list(values), kwargs))
+        return batch_inverse(values, modulus, **kwargs)
 
     def recorded_pow(*args):
         pows.append(args)
@@ -496,7 +496,8 @@ def test_signer_nonce_is_inverted_on_a_blinded_product(monkeypatch):
     registry.register_master(mk)
     sig = ring_sign(b"nonce", ["m:solo"], keygen(mk, "m:solo"), 0, registry, random.Random(2))
     # the solo ring forges nothing, so its last batch is the nonce alone
-    (l,) = inverted[-1]
+    ([l], blinded) = inverted[-1]
+    assert blinded == {}  # the default: blinded
     assert 0 < l < P192.q and pows
     assert all(args[0] % P192.q != l for args in pows)
     assert ring_verify(b"nonce", sig, registry)

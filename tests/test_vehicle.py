@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import secrets
 import struct
 
 import pytest
@@ -24,7 +25,16 @@ from avcs.hardware import (
     pack_content,
     signed_message,
 )
-from avcs.ringsig import MAX_RING, PRODUCTION, ManufactoryRegistry, RingSignature, ring_sign, setup
+from avcs.ringsig import (
+    MAX_RING,
+    PRODUCTION,
+    ManufactoryRegistry,
+    RingSignature,
+    keygen,
+    ring_sign,
+    ring_verify,
+    setup,
+)
 from avcs.vehicle import (
     FRAME_CERT,
     FRAME_MSG,
@@ -660,10 +670,11 @@ def test_open_chain_ghost_ring_decodes_only_its_key(monkeypatch):
     assert (ops.scalar_muls, ops.extractions) == (0, 0)
 
 
-def ghost_ring_frame(clock, r, rng):
-    """A certificate frame whose ring of r fresh ids closes its chain, as
-    anyone can close one: the glue of ``ring_sign`` with every tuple's U
-    and v random, so it must end ``bad-signature``."""
+def ghost_ring_frame(clock, r, rng, ids=None):
+    """A certificate frame whose ring of r ids, fresh ones unless ``ids``
+    are given, closes its chain, as anyone can close one: the glue of
+    ``ring_sign`` with every tuple's U and v random, so it must end
+    ``bad-signature``."""
     sbl = P192.scalar_byte_len
 
     def point():
@@ -678,7 +689,7 @@ def ghost_ring_frame(clock, r, rng):
         w.append(PRODUCTION.chain(P192, msg, bytes(a ^ b for a, b in zip(w[-1], m))))
     ms.append(bytes(a ^ b for a, b in zip(gamma, w[-1])))
     tuples = tuple((m, point(), rng.randrange(1, P192.q)) for m in ms)
-    S = RingSignature(1, w[0], tuple(f"c:ghost-{i}" for i in range(r)), tuples)
+    S = RingSignature(1, w[0], tuple(ids or (f"c:ghost-{i}" for i in range(r))), tuples)
     return encode_cert_frame(PseudonymCertificate(C, R, T, S), P192)
 
 
@@ -720,6 +731,59 @@ def test_closed_ghost_rings_stay_inside_a_budget_linear_in_r():
         assert ops.doublings <= 200 + 2 * r, r
         assert ops.additions <= 150 + 150 * r, r
         assert ops.inversions <= 2 + r, r
+
+
+def test_closed_ghost_rings_over_comb_keys_cost_a_comb_chain_per_member():
+    # ids warm at the receiver, their keys prepared: each tuple is a sum of
+    # its own on its key's 32-step comb, at most 31 doublings, and 32
+    # column additions plus a width-9 NAF of a full-width scalar on G's
+    # rows (at most 22 digits); the r sums share one inversion, and the
+    # one square root is the transient key's, as no U_i is decoded
+    _, receiver, clock = p192_pair(seed=88)
+    registry = receiver.hsm.registry
+    rng = random.Random(89)
+    mk = setup(P192, rng=rng, manufactory_id="w")
+    registry.register_master(mk)
+    ids = [f"w:warm-{i}" for i in range(MAX_RING)]
+    sig = ring_sign(b"warm", ids, keygen(mk, ids[0]), 0, registry, rng)
+    assert ring_verify(b"warm", sig, registry)  # the second use of every id
+    assert all(P192.has_comb(registry._cache[id_str]) for id_str in ids)
+    for r in (1, 8, MAX_RING):
+        frame = ghost_ring_frame(clock, r, rng, ids=ids[:r])
+        with count_group_ops() as ops:
+            result = receiver.receive(frame, clock.now())
+        assert (result.outcome, result.reason) == ("reject", "bad-signature")
+        assert (ops.scalar_muls, ops.extractions) == (3 * r, r)
+        assert ops.doublings <= 31 * r, r
+        assert ops.additions <= (32 + 22) * r, r
+        assert (ops.inversions, ops.roots) == (1, 1), r
+
+
+def test_public_checks_draw_no_blind(monkeypatch):
+    # batch_inverse blinds where a secret can reach it, from secrets: a mint
+    # draws, while a certificate on comb keys and a message check, whose
+    # inversions see public values alone, draw nothing
+    sender, receiver, clock = p192_pair(seed=90)
+    draws = []
+    randbelow = secrets.randbelow
+    monkeypatch.setattr(secrets, "randbelow", lambda n: draws.append(n) or randbelow(n))
+    ring = [sender.hsm.identity, receiver.hsm.identity]
+    for seed in (91, 92):  # the second acceptance prepares every ring key
+        sender.make_pseudonym(600, random.Random(seed), ring=ring)
+        assert receiver.receive(sender.certificate_frame, clock.now()).accepted
+        clock.advance(60.0)
+    assert all(P192.has_comb(receiver.hsm.registry._cache[id_str]) for id_str in ring)
+    draws.clear()
+    sender.make_pseudonym(600, random.Random(93), ring=ring)
+    assert draws
+    draws.clear()
+    cert_frame, message = sender.send_next(b"public")
+    draws.clear()  # the message's nonce is secret
+    with count_group_ops() as ops:
+        assert receiver.receive(cert_frame, clock.now()).accepted
+    assert ops.roots == 1  # the transient key's: each U_i is compared by encoding
+    assert receiver.receive(message, clock.now()).accepted
+    assert draws == []
 
 
 def test_off_curve_u_closes_the_chain_and_is_a_bad_signature(monkeypatch):
