@@ -16,11 +16,11 @@ Two interchangeable backends sit behind one small interface:
   (``f * h0(C)``), and it runs one code path: the fold to the odd one of
   k and k - q and each digit's table entry and sign are integer
   arithmetic, never a branch.
-  ``fixed_multi_mul`` does the same for a sum over any mix of bases (a
-  forge's ``b*E + a*G``).  ``multi_mul`` is variable time and takes
-  public scalars only: the verification equations and the rogue-list
-  scan's leaked ``f``.  ``fixed_multi_muls`` and ``multi_muls`` make
-  several such sums and convert them to affine points with one shared
+  ``fixed_multi_muls`` does the same for several sums, each over any
+  mix of bases (a forge's ``b*E + a*G``).  ``multi_mul`` is variable
+  time and takes public scalars only: the verification equations and
+  the rogue-list scan's leaked ``f``.  ``fixed_multi_muls`` and
+  ``multi_muls`` convert their sums to affine points with one shared
   inversion (a mint's R and T, a ring's forgeries, a rogue scan).
 * :class:`ToyGroup` -- the additive group of integers modulo a small
   prime with generator 1.  Scalar multiplication is literal modular
@@ -36,8 +36,8 @@ needs its point: ``encode_element`` returns such bytes unchanged.
 Scalar multiplications are the unit of cost accounting for the
 signature scheme.  Wrap a region in :func:`count_group_ops` to get an
 exact count; outside such a region nothing is recorded.  ``multi_mul``
-over n pairs counts n, pairs it skips or merges included, and so does
-``fixed_multi_mul``; their list forms count the pairs of every sum;
+over n pairs counts n, pairs it skips or merges included;
+``multi_muls`` and ``fixed_multi_muls`` count the pairs of every sum;
 ``generator_muls`` over n scalars counts n, the n multiples of the
 generator a master set-up makes in shared lanes, where a lane that meets
 its own operand takes the exact slow path just as ``scalar_mul`` doubles
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
-import re
 import secrets
 import struct
 from contextlib import contextmanager
@@ -242,7 +241,8 @@ def batch_inverse(values, modulus: int, *, public: bool = False) -> list[int]:
     Jacobian Z coordinates of secret multiples or a secret nonce.  The
     factor never comes from a caller's rng, whose draws stay as they
     are.  A call site whose values are all public, the variable-time
-    sums and a signature's published v_i, passes ``public=True`` and
+    sums, the tables ``_odd_multiples`` and ``_comb`` build on public
+    bases and a signature's published v_i, passes ``public=True`` and
     inverts them as they are.  Values that are all 0, such as the
     identity an accepted signature check sums to, come back as zeros
     with no blind and no Euclid."""
@@ -357,7 +357,6 @@ class ToyGroup(_ScalarCodec):
         return [self.multi_mul(pairs) for pairs in sums]
 
     # literal multiplication has one pattern for every scalar
-    fixed_multi_mul = multi_mul
     fixed_multi_muls = multi_muls
 
     def sum_points(self, points) -> int:
@@ -552,9 +551,7 @@ class CurveGroup(_ScalarCodec):
         self._g = (params.gx, params.gy)
         self.identity = None
         self._teeth = -(-params.q.bit_length() // self._COMB_SPACING)
-        # _root's exponent (p + 1) / 4, top down, as (run of ones, zeros below it)
-        self._root_runs = [(len(ones), len(zeros))
-                           for ones, zeros in re.findall("(1+)(0*)", f"{(params.p + 1) >> 2:b}")]
+        self._root_exp = (params.p + 1) >> 2
 
     def __repr__(self) -> str:
         return f"CurveGroup({self.group_id})"
@@ -640,7 +637,7 @@ class CurveGroup(_ScalarCodec):
     def add(self, a, b):
         return self.sum_points((a, b))
 
-    def _odd_multiples(self, points, rows: int, n: int, shift: int, public: bool = False):
+    def _odd_multiples(self, points, rows: int, n: int, shift: int):
         """Affine rows: the odd multiples 1, 3, ..., 2n-1 of
         ``2**(shift*j) * a`` for j < rows, for each finite point a in turn.
 
@@ -654,7 +651,9 @@ class CurveGroup(_ScalarCodec):
         a = -3.  It cannot fire here: it needs a partial sum (2m - 1)B,
         m < n, equal to 2B (or to -2B for the branch to infinity), so
         (2m - 3)B or (2m + 1)B would vanish, and a finite point of a
-        group of large prime order has no such small multiple.
+        group of large prime order has no such small multiple.  The rows
+        are a function of public points alone, so the inversion is
+        unblinded.
         """
         double, add, p = self._jac_double, self._jac_add_affine, self._p
         jac = []
@@ -672,7 +671,7 @@ class CurveGroup(_ScalarCodec):
                         twice = double(twice)
                     base = twice
         _note_points(len(points) * (rows + (rows - 1) * (shift - 1)), len(jac) - len(points) * rows)
-        flat = self._batch_to_affine(jac, public)
+        flat = self._batch_to_affine(jac, public=True)
         return [flat[i : i + n] for i in range(0, len(flat), n)]
 
     @cached_property
@@ -719,9 +718,10 @@ class CurveGroup(_ScalarCodec):
     def _comb(self, a):
         """The comb's entries: entry e is ``B_0 + sum(+-B_j)``, taking
         +B_j where bit j - 1 of e is set, all affine from one inversion
-        after the teeth's own.  No addition here meets its own operand:
-        it would need ``sum(+-2**(32j))`` over j <= teeth - 1, a nonzero
-        integer below q in size, to be a multiple of q."""
+        after the teeth's own, both unblinded (a is public).  No addition
+        here meets its own operand: it would need ``sum(+-2**(32j))``
+        over j <= teeth - 1, a nonzero integer below q in size, to be a
+        multiple of q."""
         double, add, p = self._jac_double, self._jac_add_affine, self._p
         bases, pt = [], (*a, 1)
         for _ in range(self._teeth - 1):
@@ -729,10 +729,10 @@ class CurveGroup(_ScalarCodec):
                 pt = double(pt)
             bases.append(pt)
         sums = [(*a, 1)]
-        for x, y in self._batch_to_affine(bases):
+        for x, y in self._batch_to_affine(bases, public=True):
             sums = [add(s, (x, p - y)) for s in sums] + [add(s, (x, y)) for s in sums]
         _note_points(self._COMB_SPACING * len(bases), 2 * len(sums) - 2)
-        return self._batch_to_affine(sums)
+        return self._batch_to_affine(sums, public=True)
 
     def _odd_fold(self, k: int) -> int:
         """The odd one of ``k`` and ``k - q`` (q is odd), a scalar equal to
@@ -898,14 +898,10 @@ class CurveGroup(_ScalarCodec):
         sums = iter(acc)
         return [next(sums) if k % q else None for k in scalars]
 
-    def fixed_multi_mul(self, pairs):
-        """The sum of ``k * P`` over ``pairs``, any mix of bases, in an
-        operation pattern that the bases alone set."""
-        return self.fixed_multi_muls([pairs])[0]
-
     def fixed_multi_muls(self, sums):
-        """``[fixed_multi_mul(pairs) for pairs in sums]``, one chain each,
-        made affine together with one inversion."""
+        """For each list of pairs in ``sums``, the sum of ``k * P`` over
+        it, any mix of bases, in an operation pattern that the bases alone
+        set: one chain each, made affine together with one inversion."""
         note_scalar_muls(sum(map(len, sums)))
         q = self.q
         return self._batch_to_affine([self._chain([self._fixed_term(k % q, a) for k, a in pairs
@@ -943,7 +939,7 @@ class CurveGroup(_ScalarCodec):
         live = {pt: k for pt, k in merged.items() if k}
         fresh = [pt for pt, k in live.items() if pt not in tables and k != 1]
         if fresh:  # one row, which covers bit 0 alone
-            rows = self._odd_multiples(fresh, 1, 4, 0, public=True)
+            rows = self._odd_multiples(fresh, 1, 4, 0)
             tables.update((pt, ([row], 1)) for pt, row in zip(fresh, rows))
         terms = []
         for pt, k in live.items():
@@ -1030,48 +1026,9 @@ class CurveGroup(_ScalarCodec):
         return None
 
     def _root(self, a: int) -> int:
-        """``a**((p + 1) / 4)`` mod p, a's square root if it has one.
-
-        Horner over the exponent's runs of ones (P-192's is 128 ones and
-        then 62 zeros; P-256's is 32 ones, then two single ones), each run
-        of n ones a factor ``a**(2**n - 1)`` from ``_ones``: 189 squarings
-        and 7 multiplications on P-192, 253 and 7 on P-256, where ``pow``
-        with the whole exponent takes the squarings and about 40
-        multiplications (CPython's table of 16 odd powers, then one per
-        window of up to 5 bits).
-        """
+        """``a**((p + 1) / 4)`` mod p, a's square root if it has one, by one ``pow``."""
         _note_root()
-        p, squares = self._p, self._squares
-        n, zeros = self._root_runs[0]
-        y = self._ones(a, n)
-        for n, below in self._root_runs[1:]:
-            y = squares(y, zeros + n) * self._ones(a, n) % p
-            zeros = below
-        return squares(y, zeros)
-
-    def _ones(self, a: int, n: int) -> int:
-        """``a**(2**n - 1)`` mod p from the bits of n, top first: from
-        ``t = a**(2**m - 1)``, ``t**(2**m) * t`` doubles m, and then a one
-        bit takes one square times a."""
-        p = self._p
-        t, m = a, 1
-        for bit in f"{n:b}"[1:]:
-            t = self._squares(t, m) * t % p
-            m *= 2
-            if bit == "1":
-                t = t * t % p * a % p
-                m += 1
-        return t
-
-    def _squares(self, t: int, k: int) -> int:
-        """``t**(2**k)`` mod p: k squarings inside ``pow``, in chunks whose
-        exponent is at most 60 bits long; before a longer exponent CPython
-        builds a table of 16 odd powers, which a power of 2 never reads."""
-        p = self._p
-        while k > 59:
-            t = pow(t, 1 << 59, p)
-            k -= 59
-        return pow(t, 1 << k, p)
+        return pow(a, self._root_exp, self._p)
 
     # -- hashing into the structures -----------------------------------
 

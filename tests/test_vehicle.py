@@ -525,14 +525,16 @@ def test_message_after_cert_expiry_is_no_cert():
 # ---------------------------------------------------------------------------
 
 
-def p192_pair(seed=60, n=2):
+def p192_pair(seed=60, n=2, *, shared_registry=True):
     rng = random.Random(seed)
     mk = setup(P192, rng=rng, manufactory_id="c")
-    registry = ManufactoryRegistry(P192)
-    registry.register_master(mk)
+    registries = [ManufactoryRegistry(P192) for _ in range(1 if shared_registry else n)]
+    for registry in registries:
+        registry.register_master(mk)
     clock = ManualClock(1000.0)
     vehicles = [
-        VehicleState(join(mk, f"c:plate-{i}", registry, rng, clock=clock)) for i in range(n)
+        VehicleState(join(mk, f"c:plate-{i}", registries[i % len(registries)], rng, clock=clock))
+        for i in range(n)
     ]
     return (*vehicles, clock)
 
@@ -761,28 +763,40 @@ def test_closed_ghost_rings_over_comb_keys_cost_a_comb_chain_per_member():
 
 def test_public_checks_draw_no_blind(monkeypatch):
     # batch_inverse blinds where a secret can reach it, from secrets: a mint
-    # draws, while a certificate on comb keys and a message check, whose
+    # draws, while the tables of public points (a ring key's comb, a
+    # transient key's rows, a tag's rows) and the checks on them, whose
     # inversions see public values alone, draw nothing
-    sender, receiver, clock = p192_pair(seed=90)
+    # each vehicle keeps its own keys, so the receiver's own checks build its combs
+    sender, receiver, clock = p192_pair(seed=90, shared_registry=False)
     draws = []
     randbelow = secrets.randbelow
     monkeypatch.setattr(secrets, "randbelow", lambda n: draws.append(n) or randbelow(n))
     ring = [sender.hsm.identity, receiver.hsm.identity]
+    cache = receiver.hsm.registry._cache
     for seed in (91, 92):  # the second acceptance prepares every ring key
         sender.make_pseudonym(600, random.Random(seed), ring=ring)
+        assert not any(P192.has_comb(cache.get(id_str)) for id_str in ring)
+        draws.clear()  # the mint's, and on the second pass the first acceptance's cold keys
         assert receiver.receive(sender.certificate_frame, clock.now()).accepted
         clock.advance(60.0)
-    assert all(P192.has_comb(receiver.hsm.registry._cache[id_str]) for id_str in ring)
-    draws.clear()
+    assert all(P192.has_comb(cache[id_str]) for id_str in ring)
+    assert draws == []
     sender.make_pseudonym(600, random.Random(93), ring=ring)
     assert draws
-    draws.clear()
     cert_frame, message = sender.send_next(b"public")
     draws.clear()  # the message's nonce is secret
     with count_group_ops() as ops:
         assert receiver.receive(cert_frame, clock.now()).accepted
     assert ops.roots == 1  # the transient key's: each U_i is compared by encoding
     assert receiver.receive(message, clock.now()).accepted
+    assert draws == []
+    [second] = sender.send_next(b"prepares the key")
+    draws.clear()
+    assert receiver.receive(second, clock.now()).accepted
+    assert prepared_entries(receiver)
+    assert draws == []
+    tag = P192.hash_to_group("tag", b"window")
+    assert len(P192.prepare(tag, TAG_SPACING).rows) == 32
     assert draws == []
 
 
