@@ -11,11 +11,11 @@ Two interchangeable backends sit behind one small interface:
   for every nonzero scalar, bar a pair or two per curve where the
   addition meets its own operand, on a point prepared in rows of odd
   multiples (the generator, which the group holds prepared, and the
-  window tag of ``f * h1(window)``), on a prepared point's signed comb
-  (the ring keys of ``ringsig.forge_tuple``) and on any other point
-  (``f * h0(C)``), and it runs one code path: the fold to the odd one of
-  k and k - q and each digit's table entry and sign are integer
-  arithmetic, never a branch.
+  window tag of ``f * h1(window)``), on a prepared point's signed comb,
+  two tables 16 bits apart (the ring keys of ``ringsig.forge_tuple``),
+  and on any other point (``f * h0(C)``), and it runs one code path: the
+  fold to the odd one of k and k - q and each digit's table entry and
+  sign are integer arithmetic, never a branch.
   ``fixed_multi_muls`` does the same for several sums, each over any
   mix of bases (a forge's ``b*E + a*G``).  ``multi_mul`` is variable
   time and takes public scalars only: the verification equations and
@@ -134,9 +134,9 @@ class OpCounter:
     schedule of the code that runs them: Jacobian doublings, mixed
     additions (an addition onto the identity included), field inversions
     (one per conversion to affine coordinates and one per lane step),
-    and the affine lane additions and lane steps of ``generator_muls``
-    and ``subset_sums``.  It also counts square roots, one per
-    ``x -> y`` lift of a point decode or a hash-to-curve attempt.
+    and the affine lane additions and lane steps of ``generator_muls``,
+    ``subset_sums`` and a comb's build.  It also counts square roots, one
+    per ``x -> y`` lift of a point decode or a hash-to-curve attempt.
 
     The logical slots follow the cost model, so a multiplication or an
     extraction whose result is recalled counts as if it ran; the
@@ -240,12 +240,15 @@ def batch_inverse(values, modulus: int, *, public: bool = False) -> list[int]:
     the one extended Euclid do not depend on the values, which may be
     Jacobian Z coordinates of secret multiples or a secret nonce.  The
     factor never comes from a caller's rng, whose draws stay as they
-    are.  A call site whose values are all public, the variable-time
-    sums, the tables ``_odd_multiples`` and ``_comb`` build on public
-    bases and a signature's published v_i, passes ``public=True`` and
-    inverts them as they are.  Values that are all 0, such as the
-    identity an accepted signature check sums to, come back as zeros
-    with no blind and no Euclid."""
+    are.  A call site whose values are all public passes ``public=True``
+    and inverts them as they are: the variable-time sums, the tables
+    ``_odd_multiples`` and ``_comb`` build on public bases, the
+    ``subset_sums`` lanes of a public vector, a cold extraction's
+    ``sum_points`` and a signature's published v_i.  ``generator_muls``'
+    lanes, ``fixed_multi_muls``, ``add`` and a signer's nonce keep the
+    blind.  Values that are all 0, such as the identity an accepted
+    signature check sums to, come back as zeros with no blind and no
+    Euclid."""
     if not any(values):
         return [0] * len(values)
     prefix = [1]
@@ -359,7 +362,7 @@ class ToyGroup(_ScalarCodec):
     # literal multiplication has one pattern for every scalar
     fixed_multi_muls = multi_muls
 
-    def sum_points(self, points) -> int:
+    def sum_points(self, points, *, public: bool = False) -> int:
         return sum(points) % self.q
 
     def subset_sums(self, points, w: int) -> list[list[int]]:
@@ -480,7 +483,8 @@ class _PreparedPoint(tuple):
     goes wherever a point goes; ``scalar_mul`` and ``multi_mul`` also
     read its ``rows``, ``spacing`` bits apart (up to 8 bits apart, rows
     of ``2**(spacing-1)`` odd multiples that cover every scalar), or
-    with ``spacing`` None the one row of its signed comb.
+    with ``spacing`` None the two tables of its signed comb, the second
+    16 bits above the first.
     """
 
     rows: list
@@ -494,13 +498,14 @@ class CurveGroup(_ScalarCodec):
     A base that lives long, such as a certificate's transient key, a
     ring member's key or a window's h1 tag, can be given to ``prepare``
     once.  A ring key gets a signed comb (Lim-Lee, in the regular form
-    of Hedabou, Pinel and Beneteau): teeth = bits(q) / 32 bases
-    ``B_j = 2**(32j) * P`` and the ``2**(teeth-1)`` sums ``B_0 +- B_1
-    +- ... +- B_(teeth-1)``.  The generator is held prepared at spacing
-    8: row i holds 1, 3, ..., 255 times ``2**(8i) * G``.  A tag gets the
-    same shape at width 6: row i holds 1, 3, ..., 63 times ``2**(6i) *
-    P``.  A transient key gets rows of 1, 3, 5, 7 times ``2**(16j) * P``,
-    as many as its half-width challenges fill.
+    of Hedabou, Pinel and Beneteau) in two tables: teeth = bits(q) / 32
+    bases ``B_j = 2**(32j) * P``, the ``2**(teeth-1)`` sums ``B_0 +- B_1
+    +- ... +- B_(teeth-1)``, and the same sums times ``2**16``.  The
+    generator is held prepared at spacing 8: row i holds 1, 3, ..., 255
+    times ``2**(8i) * G``.  A tag gets the same shape at width 6: row i
+    holds 1, 3, ..., 63 times ``2**(6i) * P``.  A transient key gets rows
+    of 1, 3, 5, 7 times ``2**(16j) * P``, as many as its half-width
+    challenges fill.
 
     Every multiplication places its digits by bit position on one
     doubling chain (``_chain``), whose formulas run inline in ``_sum`` and
@@ -510,9 +515,10 @@ class CurveGroup(_ScalarCodec):
     into nonzero digits, and ``_sum`` takes each digit's entry and sign by
     arithmetic too, so neither its operations nor its code path depend
     on the scalar: on rows s bits apart, bits(q)/s odd digits (Joye-Tunstall),
-    one per row, with no doubling; on a comb, its 32 columns with a
-    doubling between; on any other point, a plain point equal to G
-    included, width-4 digits on a per-call row P, 3P, ..., 15P.  What
+    one per row, with no doubling; on a comb, its 32 columns two to a
+    step, one from each table, on 16 steps; on any other point, a plain
+    point equal to G included, width-4 digits on a per-call row P, 3P,
+    ..., 15P.  What
     each table and each walk costs, per curve, is a row of the README's
     operation table (``avcs.bench.operation_table``): ``prepare
     generator``, ``prepare comb``, ``scalar_mul G``, ``scalar_mul
@@ -522,19 +528,21 @@ class CurveGroup(_ScalarCodec):
     on a plain point (q = 17 mod 32, so q - 2 ends in the digit -1 after
     a partial sum of -P), for the generator's ``+-(510 * 256**(n-1) - q)``,
     for a tag's ``+-(126 * 2**186 - q)`` on P-192 (``+-(30 * 2**252 - q)``
-    on P-256) and for a comb's k = 2 * c_0 + q (column 0's value c_0 < 0)
-    and q - k, one addition meets its own operand and doubles instead.
+    on P-256) and for a comb's k = 2**17 * c_16 + q (column 16's value
+    c_16 < 0, added last from the second table) and q - k, one addition
+    meets its own operand and doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
     share one chain: as many steps as a prepared key's rows lie apart
-    (16 for a transient key, 6 for a tag), and on plain keys the first
-    multiple of 8 (of 32 beside a comb) above the half-width scalars'
-    top digit.
+    (16 for a transient key or a comb, 6 for a tag), and on plain keys
+    the first multiple of 8 (of 16 beside a comb) above the half-width
+    scalars' top digit, where a comb reads its first table alone.
     """
 
     _GEN_WIDTH = 8  # generator-table digits are odd and below 2**8 in size
     _ROW_WIDTH = 4  # per-call row digits are odd and below 2**4 in size
     _COMB_SPACING = 32  # a comb's teeth lie this many bits apart: its columns
+    _COMB_STEPS = 16  # its second table is its first shifted this far: a walk's steps
     _BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary string's digits as bytes 0, 1
 
     def __init__(self, params: _CurveParams):
@@ -597,23 +605,24 @@ class CurveGroup(_ScalarCodec):
         X3 = (R * R - HHH - 2 * V) % p
         return (X3, (R * (V - X3) - Y1 * HHH) % p, Z1 * H % p)
 
-    def _add_lanes(self, acc, pts):
+    def _add_lanes(self, acc, pts, *, public: bool = False):
         """Add ``pts[i]`` to ``acc[i]`` in place for every lane, in affine
         coordinates, all lanes sharing one ``batch_inverse`` (Montgomery's
         simultaneous inversion): about 6 field multiplications per
         addition.  A lane that holds the identity, or whose points share
         an x coordinate (P + P, P + (-P)), has a zero denominator, which
-        ``batch_inverse`` passes through as 0, and takes the exact ``add``
-        instead."""
+        ``batch_inverse`` passes through as 0, and takes the exact
+        ``sum_points`` instead.  Lanes of public points alone pass
+        ``public=True`` and invert unblinded."""
         p = self._p
         for counter in _counters.get():
             counter.lane_additions += len(pts)
             counter.lane_steps += 1
             counter.inversions += 1
-        zinvs = batch_inverse([b[0] - a[0] if a and b else 0 for a, b in zip(acc, pts)], p)
+        zinvs = batch_inverse([b[0] - a[0] if a and b else 0 for a, b in zip(acc, pts)], p, public=public)
         for i, (a, b, zinv) in enumerate(zip(acc, pts, zinvs)):
             if not zinv:
-                acc[i] = self.add(a, b)
+                acc[i] = self.sum_points((a, b), public=public)
                 continue
             x1, y1 = a
             slope = (b[1] - y1) * zinv % p
@@ -683,11 +692,12 @@ class CurveGroup(_ScalarCodec):
 
     def prepare(self, a, spacing: int | None = None):
         """``a`` with a table for ``scalar_mul`` and ``multi_mul``; counts
-        no scalar multiplication.  By default the signed comb of
-        2**(teeth-1) points.  A ``spacing`` s up to 8 gives the generator
-        table's shape: rows of 1, 3, ..., 2**s - 1 times ``2**(s*j) * a``,
-        j < ceil(bits(q) / s), which ``scalar_mul`` walks with no doubling
-        (s = 6 for a window tag).  A larger s gives rows of 1, 3, 5, 7
+        no scalar multiplication.  By default the signed comb: two
+        tables of 2**(teeth-1) points, the second 16 bits above the
+        first.  A ``spacing`` s up to 8 gives the generator table's shape:
+        rows of 1, 3, ..., 2**s - 1 times ``2**(s*j) * a``, j < ceil(bits(q)
+        / s), which ``scalar_mul`` walks with no doubling (s = 6 for a
+        window tag).  A larger s gives rows of 1, 3, 5, 7
         times ``2**(s*j) * a``, j < ceil(lam / s), lam = bits(q)/2 rounded
         up, for ``hash_to_short``'s scalars (s = 16 for a transient key).
         The point operations of each shape are the operation table's
@@ -704,7 +714,7 @@ class CurveGroup(_ScalarCodec):
         prepared = _PreparedPoint(a)
         prepared.spacing = spacing
         if spacing is None:
-            prepared.rows = [self._comb(a)]
+            prepared.rows = self._comb(a)
         elif spacing <= self._GEN_WIDTH:
             prepared.rows = self._odd_multiples([a], -(-bits // spacing), 1 << (spacing - 1), spacing)
         else:
@@ -716,23 +726,32 @@ class CurveGroup(_ScalarCodec):
         return getattr(a, "spacing", 0) is None
 
     def _comb(self, a):
-        """The comb's entries: entry e is ``B_0 + sum(+-B_j)``, taking
-        +B_j where bit j - 1 of e is set, all affine from one inversion
-        after the teeth's own, both unblinded (a is public).  No addition
-        here meets its own operand: it would need ``sum(+-2**(32j))``
-        over j <= teeth - 1, a nonzero integer below q in size, to be a
-        multiple of q."""
-        double, add, p = self._jac_double, self._jac_add_affine, self._p
-        bases, pt = [], (*a, 1)
-        for _ in range(self._teeth - 1):
-            for _ in range(self._COMB_SPACING):
-                pt = double(pt)
-            bases.append(pt)
-        sums = [(*a, 1)]
-        for x, y in self._batch_to_affine(bases, public=True):
-            sums = [add(s, (x, p - y)) for s in sums] + [add(s, (x, y)) for s in sums]
-        _note_points(self._COMB_SPACING * len(bases), 2 * len(sums) - 2)
-        return self._batch_to_affine(sums, public=True)
+        """The comb's two tables, T1 the 16-bit shift of T0: entry e of T0
+        is ``B_0 + sum(+-B_j)``, taking +B_j where bit j - 1 of e is set,
+        and entry e of T1 is ``2**16`` times it.  One doubling chain gives
+        ``2**(16i) * a`` for every i below 2 * teeth, made affine by one
+        inversion; then tooth j adds -+B_j to every entry of T0 and -+2**16
+        * B_j to every entry of T1 in one ``_add_lanes`` step, the entries
+        that take - first.  Every inversion is unblinded (a is public).
+        No lane meets its own operand or the identity: it would need
+        ``sum(+-2**(32j))`` over j <= teeth - 1, a nonzero integer below q
+        in size, to be a multiple of q."""
+        pt, shifts = (*a, 1), []
+        for _ in range(2 * self._teeth - 1):
+            for _ in range(self._COMB_STEPS):
+                pt = self._jac_double(pt)
+            shifts.append(pt)
+        _note_points(self._COMB_STEPS * len(shifts), 0)
+        bases = [tuple(a)] + self._batch_to_affine(shifts, public=True)
+        tables, p = [[bases[0]], [bases[1]]], self._p
+        for j in range(2, len(bases), 2):
+            acc, pts = [], []
+            for table, (x, y) in zip(tables, bases[j : j + 2]):
+                acc += table + table
+                pts += [(x, p - y)] * len(table) + [(x, y)] * len(table)
+            self._add_lanes(acc, pts, public=True)
+            tables = [acc[: len(acc) // 2], acc[len(acc) // 2 :]]
+        return tables
 
     def _odd_fold(self, k: int) -> int:
         """The odd one of ``k`` and ``k - q`` (q is odd), a scalar equal to
@@ -767,15 +786,15 @@ class CurveGroup(_ScalarCodec):
 
     def _fixed_term(self, k: int, a):
         """``k * a``, ``0 < k < q``, as a ``_chain`` term whose digits are
-        all nonzero: a comb's 32 columns, one bit apart, or regular width-w
-        digits, w bits apart, one per row of a point prepared in the
-        generator's shape (the generator itself at w = 8, a tag at its
-        spacing), and for any other point width-4 ones on a per-call row
-        P, 3P, ..., 15P.  Every k recodes ``_odd_fold(k)``, k or k - q, on
+        all nonzero: a comb's 32 columns, one bit apart, on its two tables
+        16 bits apart, or regular width-w digits, w bits apart, one per row
+        of a point prepared in the generator's shape (the generator itself
+        at w = 8, a tag at its spacing), and for any other point width-4
+        ones on a per-call row P, 3P, ..., 15P.  Every k recodes ``_odd_fold(k)``, k or k - q, on
         one path for either parity."""
         spacing = getattr(a, "spacing", 0)
         if spacing is None:
-            return a.rows, self._COMB_SPACING, self._comb_digits(k)
+            return a.rows, self._COMB_STEPS, self._comb_digits(k)
         if 0 < spacing <= self._GEN_WIDTH:
             rows, w = a.rows, spacing
         else:
@@ -879,7 +898,7 @@ class CurveGroup(_ScalarCodec):
         Each digit's entry and sign come from it by integer arithmetic, as
         in ``_sum``.  A zero scalar takes no lane.
         Where ``scalar_mul``'s addition meets its own operand, the lane's
-        shared x coordinate sends it down ``add``'s exact path."""
+        shared x coordinate sends it down ``sum_points``' exact path."""
         note_scalar_muls(len(scalars))
         q, G = self.q, self.generator
         lanes = [self._fixed_term(k % q, G)[2] for k in scalars if k % q]
@@ -917,7 +936,9 @@ class CurveGroup(_ScalarCodec):
         multiples P..7P as one row.  Each scalar is
         recoded once, on ``_chain``: into a NAF of width 4 on 4-entry
         rows, 7 on a tag's 32 and 9 on the generator's 128, none of whose
-        digits lies above its top bit, or on a comb into its 32 columns.
+        digits lies above its top bit, or on a comb into its 32 columns,
+        which a chain of 16 steps reads from both tables and a longer one
+        from the first.
         """
         return self.multi_muls([pairs])[0]
 
@@ -945,25 +966,26 @@ class CurveGroup(_ScalarCodec):
         for pt, k in live.items():
             rows, s = tables.get(pt) or ([[pt]], 1)  # a unit scalar adds its base as it stands
             if s is None:
-                terms.append((rows, self._COMB_SPACING, self._comb_digits(k)))
+                terms.append((rows, self._COMB_STEPS, self._comb_digits(k)))
             else:  # a NAF as wide as the rows hold (4 entries: width 4; 128: width 9)
                 terms.append((rows, s, _wnaf(k, len(rows[0]).bit_length() + 1)))
         return terms
 
-    def sum_points(self, points):
+    def sum_points(self, points, *, public: bool = False):
         """The sum of ``points``, the chain's one-step case: one row of
-        them, entry e added once (digit 2e + 1 at bit 0)."""
+        them, entry e added once (digit 2e + 1 at bit 0).  ``public``
+        passes to the one inversion's ``batch_inverse``."""
         row = [pt for pt in points if pt is not None]
-        return self._batch_to_affine([self._sum([[(row, 2 * e + 1) for e in range(len(row))]])])[0]
+        return self._batch_to_affine([self._sum([[(row, 2 * e + 1) for e in range(len(row))]])], public)[0]
 
     def subset_sums(self, points, w: int):
         """Row i: the sums of the subsets of ``points[w*i : w*i + w]``,
-        entry s summing the points at the set bits of s (``None`` if
-        that is the identity).  Built level by level: level t adds the
-        t-th point of every chunk to each nonempty entry below ``2**t``
-        in one ``_add_lanes`` step, so w - 1 steps with one inversion
-        each; a lane that meets its own operand or the identity takes
-        ``add``'s exact path."""
+        public points, entry s summing the points at the set bits of s
+        (``None`` if that is the identity).  Built level by level: level t
+        adds the t-th point of every chunk to each nonempty entry below
+        ``2**t`` in one ``_add_lanes`` step, so w - 1 steps with one
+        unblinded inversion each; a lane that meets its own operand or
+        the identity takes ``sum_points``' exact path."""
         chunks = [points[i : i + w] for i in range(0, len(points), w)]
         rows = [[None, chunk[0]] for chunk in chunks]
         for t in range(1, w):
@@ -971,7 +993,7 @@ class CurveGroup(_ScalarCodec):
             if not live:
                 break
             acc = [s for row, _ in live for s in row[1:]]
-            self._add_lanes(acc, [pt for row, pt in live for _ in row[1:]])
+            self._add_lanes(acc, [pt for row, pt in live for _ in row[1:]], public=True)
             sums = iter(acc)
             for row, pt in live:
                 row += [pt] + [next(sums) for _ in row[1:]]

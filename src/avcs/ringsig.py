@@ -25,7 +25,7 @@ solve their tuple equation, via ``v_s = (m_s - d * H1(U_s)) / l``.
 
 :func:`ring_verify` solves a tuple's equation for U_i and compares its
 encoding with U_i's bytes when every ring key has a comb: a sum of two
-terms on the comb's short chain, with no square root and no weight.  A
+terms on the comb's 16-step chain, with no square root and no weight.  A
 ring with a plain key shares that key's long chain in one
 small-exponent batch over every tuple, and so does a tuple with
 ``v_i = 0`` on any ring.
@@ -254,7 +254,7 @@ class ManufactoryRegistry:
         index = int(bytes(self.suite.bits(id_str, n))[::-1].translate(_BIT_DIGITS), 2)
         w = self._CHUNK_BITS
         mask = (1 << w) - 1
-        E = self.group.sum_points([row[index >> w * i & mask] for i, row in enumerate(rows)])
+        E = self.group.sum_points([row[index >> w * i & mask] for i, row in enumerate(rows)], public=True)
         if self.group.is_identity(E):
             raise DegenerateKeyError(f"identity {id_str!r} extracts to the identity element")
         return E
@@ -493,7 +493,7 @@ def ring_verify(
 
     When every ring key has a comb (``group.has_comb``: a key prepared
     at its second use), a tuple with ``v_i != 0`` is a sum of its own,
-    ``U_i' = (m_i/v_i)*P - (H1(U_i)/v_i)*E_i`` on the comb's 32-step
+    ``U_i' = (m_i/v_i)*P - (H1(U_i)/v_i)*E_i`` on the comb's 16-step
     chain, and verifies iff U_i' encodes to U_i's bytes, as
     ``transient.verify`` compares R: exact, with U_i never decoded.  Its
     term ``v_i*U_i`` is recorded with ``note_scalar_muls``.

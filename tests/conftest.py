@@ -12,8 +12,8 @@ def point_ops():
     tallies them: every conversion to affine coordinates takes one
     inversion, and so does every ``_add_lanes`` step.  After the call,
     ``point_ops.lanes`` holds its (lane additions, lane steps): a step of
-    m lanes adds m, whether or not a lane then takes the exact ``add``,
-    whose own operations count in the tuple."""
+    m lanes adds m, whether or not a lane then takes the exact
+    ``sum_points``, whose own operations count in the tuple."""
 
     def pattern(fn):
         with count_group_ops() as ops:

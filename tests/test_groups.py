@@ -637,14 +637,14 @@ def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypa
         row.i = i
     monkeypatch.setattr(group.generator, "rows", comb)
     key = group.scalar_mul(0xBEEF, G)
-    # the chain is C = 16 beside a transient key, 32 beside a ring key's
-    # signed comb, and lam beside a fresh base whose scalar's top bit is
-    # lam - 1; the signed comb adds one column per step, whatever its
-    # scalar.  Doublings wait for the first addition, at the top step that
-    # holds a digit: step 0 beside the key's one digit, the comb's column
-    # 31, and the fresh base's top bit
+    # the chain is C = 16 beside a transient key or a ring key's signed
+    # comb, and lam beside a fresh base whose scalar's top bit is lam - 1;
+    # the signed comb adds two columns per step, one from each of its
+    # tables, whatever its scalar.  Doublings wait for the first addition,
+    # at the top step that holds a digit: step 0 beside the key's one
+    # digit, the comb's columns 15 and 31, and the fresh base's top bit
     for other, k, C, top in ((group.prepare(key, transient.KEY_SPACING), 1, 16, 0),
-                             (group.prepare(key), 1, 32, 31),
+                             (group.prepare(key), 1, 16, 15),
                              (key, 2 ** (lam - 1) + 1, lam, lam - 1)):
         # 255 at the foot of each C-bit chunk j: one width-9 digit, added
         # from comb row j * C / 8
@@ -739,28 +739,34 @@ def test_transient_prepare_builds_rows_16_bits_apart(group, point_ops):
 
 
 def comb_entry(group, e):
-    """The multiple of the base that the comb's entry e holds:
-    ``1 + sum(+-2**(32j))`` over teeth j >= 1, + where bit j - 1 of e is set."""
+    """The multiple of the base that entry e of the comb's first table
+    holds: ``1 + sum(+-2**(32j))`` over teeth j >= 1, + where bit j - 1 of
+    e is set.  Its second table's entry e holds ``2**16`` times it."""
     return 1 + sum((1 if e >> (j - 1) & 1 else -1) << 32 * j for j in range(1, group._teeth))
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_ring_key_prepare_builds_a_signed_comb(group, point_ops):
     pt = group.scalar_mul(0xBEEF, group.generator)
-    # teeth = bits(q) / 32 bases 2**(32j) * pt, 32 doublings apart, then
-    # every sum B_0 +- B_1 +- ... in 2 + 4 + ... + 2**(teeth-1) additions,
-    # each level from the last: one inversion for the teeth, one for the sums
+    # one chain of 2 * teeth - 1 runs of 16 doublings gives 2**(16i) * pt,
+    # teeth = bits(q) / 32, made affine by one inversion; then each tooth
+    # j >= 1 adds -+2**(32j) * pt to every entry of the first table and
+    # -+2**(32j + 16) * pt to every entry of the second in one lane step:
+    # 4 + 8 + ... + 2**teeth lane additions, one inversion per step
     teeth = {"p192": 6, "p256": 8}[group.group_id]
     assert teeth == group._teeth == -(-group.q.bit_length() // 32)
-    cost = {"p192": (160, 62, 2), "p256": (224, 254, 2)}[group.group_id]
-    assert point_ops(lambda: group.prepare(pt)) == cost == (32 * (teeth - 1), 2**teeth - 2, 2)
+    cost = {"p192": (176, 0, 6), "p256": (240, 0, 8)}[group.group_id]
+    assert point_ops(lambda: group.prepare(pt)) == cost == (16 * (2 * teeth - 1), 0, teeth)
+    lanes = {"p192": (124, 5), "p256": (508, 7)}[group.group_id]
+    assert point_ops.lanes == lanes == (2 ** (teeth + 1) - 4, teeth - 1)
     comb = group.prepare(pt)
-    # 32 points per ring key or window tag on P-192, as the 8 rows of 4
-    # it replaces; 128 on P-256
-    assert comb.spacing is None and [len(row) for row in comb.rows] == [2 ** (teeth - 1)]
-    assert sum(map(len, comb.rows)) == {"p192": 32, "p256": 128}[group.group_id]
-    for e in (0, 1, 2 ** (teeth - 2), 2 ** (teeth - 1) - 1):
-        assert comb.rows[0][e] == double_and_add(group, comb_entry(group, e), pt)
+    # two tables of 32 points per ring key or window tag on P-192, 64 in
+    # all; two of 128 on P-256, 256 in all
+    assert comb.spacing is None and [len(row) for row in comb.rows] == [2 ** (teeth - 1)] * 2
+    assert sum(map(len, comb.rows)) == {"p192": 64, "p256": 256}[group.group_id]
+    for e in range(2 ** (teeth - 1)):
+        assert [comb.rows[t][e] for t in (0, 1)] == [
+            double_and_add(group, comb_entry(group, e) << 16 * t, pt) for t in (0, 1)]
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -1046,27 +1052,35 @@ def comb_doubling_scalars(group):
     """Every scalar whose comb walk meets an addition's own operand,
     found by exhaustive search.
 
-    Before column t < 31 is added, the partial sum is
-    ``A = sum(c_u * 2**(u - t))`` over the columns u > t, even, while
-    c_t is odd: the addition doubles iff ``A = c_t + m * q`` with m
-    nonzero.  With c the largest column, ``|A| <= c * (2**(32 - t) - 2)``,
-    which leaves such an m only at the last column t = 0 on either
-    curve, so k = A + c_0 = 2 * c_0 + m * q for one of the 2**teeth
-    column values c_0.  A candidate is kept if its own columns make the
-    walk's partial sum meet c_0, and so is q minus it.
+    The walk's 16 steps run from step 15 down to step 0, and step t
+    adds column t from the first table, then ``2**16`` times column
+    t + 16 from the second.  Every column c_u is odd, so the partial sum
+    before a first-table addition is even against an odd addend, and
+    before a second-table one odd against an even addend: an addition
+    doubles iff its partial sum is its addend plus m * q with m nonzero.
+    With c the largest column, the partial sum and the addend together
+    are at most ``c * ((2**16 + 1) * (2**(16 - t) - 2) + 1)`` in size
+    before column t, and ``c * (2**16 + 1) * (2**(16 - t) - 1)`` before
+    column t + 16, which reaches q only at the last addition, column 16
+    at step 0, on either curve.  There ``k = 2**17 * c_16 + m * q`` for
+    one of the 2**teeth column values c_16.  A candidate is kept if its
+    own columns make the walk's partial sum meet ``2**16 * c_16``, and so
+    is q minus it.
     """
     q, teeth = group.q, group._teeth
     largest = comb_entry(group, 2 ** (teeth - 1) - 1)
-    assert [t for t in range(31) if largest * (2 ** (32 - t) - 1) >= q] == [0]
+    first = [t for t in range(16) if largest * ((2**16 + 1) * (2 ** (16 - t) - 2) + 1) >= q]
+    second = [t for t in range(16) if largest * (2**16 + 1) * (2 ** (16 - t) - 1) >= q]
+    assert (first, second) == ([], [0])
     found = set()
-    # |m| * q <= |A| + |c_0| <= largest * (2**32 - 1) = 2**(32 * teeth) - 1 < 2q
-    for c0, m in product((s * comb_entry(group, e) for e in range(2 ** (teeth - 1)) for s in (1, -1)),
-                         (-1, 1)):
-        k = 2 * c0 + m * q
+    # |m| * q <= largest * (2**32 - 1) = 2**(32 * teeth) - 1 < 2q
+    for c16, m in product((s * comb_entry(group, e) for e in range(2 ** (teeth - 1)) for s in (1, -1)),
+                          (-1, 1)):
+        k = (c16 << 17) + m * q
         if 0 < k < q:
             columns = comb_columns(group, k)
             assert sum(c << t for t, c in enumerate(columns)) % q == k
-            if (k - columns[0] - columns[0]) % q == 0:
+            if (k - (columns[16] << 17)) % q == 0:
                 found |= {k, q - k}
     return sorted(found)
 
@@ -1102,20 +1116,23 @@ def test_generator_multiples_have_one_operation_pattern(group, point_ops):
     assert q % 32 == 17
     for k in (2, q - 2):
         assert pattern(k, base) == (per_call[0] + 1, *per_call[1:])
-    # a prepared base: its signed comb's 32 columns, most significant
-    # first, one addition each and a doubling between, and no table to build
+    # a prepared base: its signed comb's 32 columns on 16 steps, most
+    # significant first, two additions each (one per table) and a doubling
+    # between, and no table to build
     prepared = group.prepare(base)
-    assert {pattern(k, prepared) for k in scalars} == {(31, 32, 1)}
-    # the one pair on each curve whose last addition, column 0's c_0, meets
-    # a partial sum of k - c_0 = c_0 mod q: k = 2 * c_0 + q and q - k
+    assert {pattern(k, prepared) for k in scalars} == {(15, 32, 1)}
+    # the one pair on each curve whose last addition, 2**16 times column
+    # 16's c_16 from the second table, meets a partial sum of k - 2**16 *
+    # c_16 = 2**16 * c_16 mod q: k = 2**17 * c_16 + q and q - k
     exceptions = comb_doubling_scalars(group)
     assert len(exceptions) == 2 and sum(exceptions) == q
     k = max(exceptions, key=lambda k: k & 1)
-    assert k == 2 * comb_columns(group, k)[0] + q
+    assert k == (comb_columns(group, k)[16] << 17) + q
     if group is P192:
-        assert k == 0xFFFFFFFDFFFFFFFDFFFFFFFD99DEF834146BC9B3B4D22833
+        assert k == 0xFFFDFFFFFFFDFFFFFFFDFFFF99DCF8361469C9B1B4D02831
+        assert q - k == 2**17 * comb_entry(group, 2 ** (group._teeth - 1) - 1)
     for k in exceptions:
-        assert pattern(k, prepared) == (32, 32, 1)
+        assert pattern(k, prepared) == (16, 32, 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -1146,15 +1163,16 @@ def test_forge_on_a_prepared_key_has_one_operation_pattern(group, point_ops):
     E = group.prepare(group.scalar_mul(0xF00D, group.generator))
     group.scalar_mul(1, group.generator)  # build the table outside the count
     patterns = {point_ops(lambda: forge_tuple(group, E, random.Random(seed))) for seed in range(50)}
-    # one chain: b*E's comb columns at steps 31..0 (31 doublings, one
-    # addition each) and a*G's width-8 digits at steps 0, 8, 16 and 24
-    # (one addition each, from rows 0, 4, 8, ...), and one inversion for U
-    pattern = {"p192": (31, 56, 1), "p256": (31, 64, 1)}[group.group_id]
+    # one chain: b*E's comb columns at steps 15..0 (15 doublings, two
+    # additions each, one per table) and a*G's width-8 digits at steps 0
+    # and 8 (one addition each, from rows 0, 2, 4, ...), and one inversion
+    # for U
+    pattern = {"p192": (15, 56, 1), "p256": (15, 64, 1)}[group.group_id]
     assert patterns == {pattern}
-    # column 0 comes first at step 0, after a's digits at steps 8, 16 and
-    # 24, whose sum is even, nonzero and below 2q in size, so no multiple
-    # of q: the comb's own pair, whose walk meets c_0 there, never doubles
-    # in a forge
+    # column 16 comes second at step 0, after a's digits at step 8, whose
+    # sum is 2**8 times an odd number and below q in size, so no multiple
+    # of q: the comb's own pair, whose walk meets 2**16 * c_16 there, never
+    # doubles in a forge
     rng = random.Random(2005)
     for b in comb_doubling_scalars(group):
         for a in [1, group.q - 1] + [rng.randrange(1, group.q) for _ in range(5)]:
@@ -1194,7 +1212,8 @@ def comb_cases(draw):
     """(group, k, plain base, its comb): k is 1, 2, q - 1, q - 2, the pair
     whose last addition doubles, a scalar whose 32 columns all take +
     entries or all take - ones (and q minus it), or any scalar, negatives
-    and multiples of q included."""
+    and multiples of q included.  The comb's walk reads both its tables,
+    16 bits apart, on one chain of 16 steps."""
     group = draw(st.sampled_from(CURVES))
     q, n = group.q, 32 * group._teeth
     # bits 0..31 of (k + 2**n - 1) / 2 give the columns' signs
@@ -1218,6 +1237,25 @@ def test_comb_walks_match_double_and_add(case, data):
     # a forge's U = b*E + a*G, cancellations included
     a = data.draw(st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(-2 * q, 2 * q)))
     assert group.fixed_multi_muls([[(k, comb), (a, G)]])[0] == affine_add(group, expected, double_and_add(group, a, G))
+
+
+@PROPERTY
+@given(st.sampled_from(CURVES), st.data())
+def test_comb_walk_on_either_chain_matches_double_and_add(group, data):
+    # a random scalar on a random key's comb: alone, its walk reads both
+    # tables on one pattern of 16 steps; beside a plain point's full-width
+    # scalar, whose chain is longer, it reads the first table alone
+    q, G = group.q, group.generator
+    base = double_and_add(group, data.draw(st.integers(1, q - 1)), G)
+    comb = group.prepare(base)
+    k, j = data.draw(st.integers(1, q - 1)), data.draw(st.integers(2**(q.bit_length() - 1), q - 1))
+    expected = double_and_add(group, k, base)
+    group.scalar_mul(1, G)  # build the table outside the count
+    with count_group_ops() as ops:
+        assert group.scalar_mul(k, comb) == expected
+    assert (ops.doublings, ops.additions) == (15, 32)
+    plain = group.hash_to_group("test-base", b"long chain")
+    assert group.multi_mul([(k, comb), (j, plain)]) == affine_add(group, expected, double_and_add(group, j, plain))
 
 
 @st.composite
@@ -1363,7 +1401,8 @@ def comb_ring(group, seed, r, msg):
 
 def comb_tuple_additions(group, sig):
     """The additions of tuple i's own sum (m_i/v_i)*P - (H1(U_i)/v_i)*E_i:
-    the comb's 32 columns and a width-9 NAF of m_i/v_i on G's rows."""
+    the comb's 32 columns, two per step, and a width-9 NAF of m_i/v_i on
+    G's rows."""
     q = group.q
     return sum(32 + len(_wnaf(int.from_bytes(m, "big") * pow(v, -1, q) % q, 9)) for m, _, v in sig.tuples)
 
@@ -1373,11 +1412,11 @@ def test_ring_verify_over_prepared_keys_runs_one_comb_chain_per_tuple(group):
     r = 4
     registry, sig = comb_ring(group, 12, r, b"combs")
     # each tuple is a sum of its own, compared with U_i by encoding: its
-    # key's comb sets a 32-step chain, 31 doublings, and the r sums share
+    # key's comb sets a 16-step chain, 15 doublings, and the r sums share
     # one inversion; no U_i is decoded
     with count_group_ops() as ops:
         assert ring_verify(b"combs", sig, registry)
-    assert (ops.doublings, ops.inversions, ops.roots) == (31 * r, 1, 0)
+    assert (ops.doublings, ops.inversions, ops.roots) == (15 * r, 1, 0)
     assert ops.additions == comb_tuple_additions(group, sig)
     assert (ops.scalar_muls, ops.extractions) == (3 * r, r)
 
@@ -1388,7 +1427,7 @@ def test_ring_verify_of_one_prepared_key_runs_the_comb_chain(group):
     with count_group_ops() as ops:
         assert ring_verify(b"one", sig, registry)
     assert (ops.doublings, ops.additions, ops.inversions, ops.roots) == (
-        31, comb_tuple_additions(group, sig), 1, 0)
+        15, comb_tuple_additions(group, sig), 1, 0)
     assert (ops.scalar_muls, ops.extractions) == (3, 1)
 
 
@@ -1412,7 +1451,7 @@ def test_ring_verify_with_one_plain_key_stays_on_the_batch(group, point_ops):
     # acceptance prepares the key again: the next check is back on the combs
     with count_group_ops() as ops:
         assert ring_verify(b"plain", sig, registry)
-    assert (ops.doublings, ops.roots) == (31 * r, 0)
+    assert (ops.doublings, ops.roots) == (15 * r, 0)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -1429,7 +1468,7 @@ def test_warm_ring_sign_walks_each_key_comb_once(group, point_ops):
     group.scalar_mul(1, group.generator)  # build the table outside the count
     patterns = {point_ops(lambda: ring_sign(b"warm", ring, sk, 2, registry, random.Random(seed)))
                 for seed in range(10)}
-    # r - 1 forges at (31, 32 + bits(q)/8) made affine together by one
-    # inversion, and the signer's l*G at (0, bits(q)/8, 1): 93 doublings on
+    # r - 1 forges at (15, 32 + bits(q)/8) made affine together by one
+    # inversion, and the signer's l*G at (0, bits(q)/8, 1): 45 doublings on
     # either curve
-    assert patterns == {{"p192": (93, 192, 2), "p256": (93, 224, 2)}[group.group_id]}
+    assert patterns == {{"p192": (45, 192, 2), "p256": (45, 224, 2)}[group.group_id]}

@@ -424,9 +424,9 @@ def test_warm_mint_shares_its_inversions(group, point_ops):
         module.gen_pseudonym(ring, 600, random.Random(seed))
     # sk*G (0, bits(q)/8, 1); R on a per-call row and T on the tag's rows,
     # (189, 55, 1) and (0, 32) on P-192, made affine by one more inversion;
-    # three forges at (31, 56) and one inversion; the signer's l*G (0, 24, 1)
+    # three forges at (15, 56) and one inversion; the signer's l*G (0, 24, 1)
     patterns = {point_ops(lambda: module.gen_pseudonym(ring, 600, random.Random(seed))) for seed in range(2, 6)}
-    assert patterns == {{"p192": (282, 303, 5), "p256": (346, 370, 5)}[group.group_id]}
+    assert patterns == {{"p192": (234, 303, 5), "p256": (298, 370, 5)}[group.group_id]}
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)

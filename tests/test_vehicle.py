@@ -737,7 +737,7 @@ def test_closed_ghost_rings_stay_inside_a_budget_linear_in_r():
 
 def test_closed_ghost_rings_over_comb_keys_cost_a_comb_chain_per_member():
     # ids warm at the receiver, their keys prepared: each tuple is a sum of
-    # its own on its key's 32-step comb, at most 31 doublings, and 32
+    # its own on its key's 16-step comb chain, at most 15 doublings, and 32
     # column additions plus a width-9 NAF of a full-width scalar on G's
     # rows (at most 22 digits); the r sums share one inversion, and the
     # one square root is the transient key's, as no U_i is decoded
@@ -756,16 +756,17 @@ def test_closed_ghost_rings_over_comb_keys_cost_a_comb_chain_per_member():
             result = receiver.receive(frame, clock.now())
         assert (result.outcome, result.reason) == ("reject", "bad-signature")
         assert (ops.scalar_muls, ops.extractions) == (3 * r, r)
-        assert ops.doublings <= 31 * r, r
+        assert ops.doublings <= 15 * r, r
         assert ops.additions <= (32 + 22) * r, r
         assert (ops.inversions, ops.roots) == (1, 1), r
 
 
 def test_public_checks_draw_no_blind(monkeypatch):
     # batch_inverse blinds where a secret can reach it, from secrets: a mint
-    # draws, while the tables of public points (a ring key's comb, a
-    # transient key's rows, a tag's rows) and the checks on them, whose
-    # inversions see public values alone, draw nothing
+    # and a master set-up draw, while the tables of public points (a ring
+    # key's comb, a transient key's rows, a tag's rows, a registry's subset
+    # sums), cold extractions and the checks on them, whose inversions see
+    # public values alone, draw nothing
     # each vehicle keeps its own keys, so the receiver's own checks build its combs
     sender, receiver, clock = p192_pair(seed=90, shared_registry=False)
     draws = []
@@ -773,13 +774,19 @@ def test_public_checks_draw_no_blind(monkeypatch):
     monkeypatch.setattr(secrets, "randbelow", lambda n: draws.append(n) or randbelow(n))
     ring = [sender.hsm.identity, receiver.hsm.identity]
     cache = receiver.hsm.registry._cache
-    for seed in (91, 92):  # the second acceptance prepares every ring key
+    assert sender.hsm.identity not in cache
+    for seed in (91, 92):  # the first acceptance extracts the sender's key cold, the second prepares every key
         sender.make_pseudonym(600, random.Random(seed), ring=ring)
         assert not any(P192.has_comb(cache.get(id_str)) for id_str in ring)
-        draws.clear()  # the mint's, and on the second pass the first acceptance's cold keys
+        draws.clear()  # the mint's
         assert receiver.receive(sender.certificate_frame, clock.now()).accepted
+        assert draws == []
         clock.advance(60.0)
     assert all(P192.has_comb(cache[id_str]) for id_str in ring)
+    mk = setup(P192, rng=random.Random(94), manufactory_id="d")
+    assert draws  # generator_muls' lanes over the secret X keep the blind
+    draws.clear()
+    ManufactoryRegistry(P192).register_master(mk)
     assert draws == []
     sender.make_pseudonym(600, random.Random(93), ring=ring)
     assert draws
