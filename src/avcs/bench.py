@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .groups import OpCounter, count_group_ops, get_group
-from .hardware import TAG_SPACING, ManualClock, join
+from .hardware import ManualClock, join
 from .ringsig import ManufactoryRegistry, RingSignature, forge_tuple, keygen, ring_sign, ring_verify, setup
 from .transient import KEY_SPACING
 from .transient import verify as verify_transient
@@ -281,9 +281,9 @@ def operation_table(curve: str) -> dict[str, OpCounter]:
     The rows: every ``OPS`` entry at r = 1 and r = 4, warm as
     ``run_benchmarks`` times them, and named without an r where its work
     does not depend on r; ``prepare`` for each table shape (a
-    ring key's comb, a window tag's rows, a transient key's rows, the
-    generator's rows); ``scalar_mul`` on G, on a tag, on a comb and on a
-    plain point; a message check on a plain key; a forgery on a key met
+    ring key's or a window tag's comb, a transient key's rows, the
+    generator's rows); ``scalar_mul`` on G, on a comb and on a plain
+    point; a message check on a plain key; a forgery on a key met
     for the first time; a 4-entry rogue scan; ``register_master``; and
     ``setup``'s ``generator_muls``.  Scalars come from the fixtures'
     seeded rng, so every count, those of the variable-time sums
@@ -303,11 +303,9 @@ def operation_table(curve: str) -> dict[str, OpCounter]:
         named.update({op: fns[op]} if op in fns else {f"{op} r={r}": fns[op, r] for r in (1, 4)})
     named.update({
         "prepare comb": lambda: group.prepare(pk),
-        "prepare tag rows": lambda: group.prepare(tuple(tag), TAG_SPACING),
         "prepare transient key": lambda: group.prepare(pk, KEY_SPACING),
         "prepare generator": lambda: group.prepare(tuple(group.generator), 8),
         "scalar_mul G": lambda: group.scalar_mul(ks[0], group.generator),
-        "scalar_mul tag": lambda: group.scalar_mul(ks[0], tag),
         "scalar_mul comb": lambda: group.scalar_mul(ks[0], comb),
         "scalar_mul plain": lambda: group.scalar_mul(ks[0], pk),
         "verify_message plain key": lambda: verify_transient(group, pk, world.app.M, world.app.N),

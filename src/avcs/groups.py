@@ -10,9 +10,9 @@ Two interchangeable backends sit behind one small interface:
   share one inversion.  ``scalar_mul`` makes the same point operations
   for every nonzero scalar, bar a pair or two per curve where the
   addition meets its own operand, on a point prepared in rows of odd
-  multiples (the generator, which the group holds prepared, and the
-  window tag of ``f * h1(window)``), on a prepared point's signed comb,
-  two tables 16 bits apart (the ring keys of ``ringsig.forge_tuple``),
+  multiples (the generator, which the group holds prepared), on a
+  prepared point's signed comb, two tables 16 bits apart (the ring keys
+  of ``ringsig.forge_tuple`` and the window tag of ``f * h1(window)``),
   and on any other point (``f * h0(C)``), and it runs one code path: the
   fold to the odd one of k and k - q and each digit's table entry and
   sign are integer arithmetic, never a branch.
@@ -242,7 +242,8 @@ def batch_inverse(values, modulus: int, *, public: bool = False) -> list[int]:
     factor never comes from a caller's rng, whose draws stay as they
     are.  A call site whose values are all public passes ``public=True``
     and inverts them as they are: the variable-time sums, the tables
-    ``_odd_multiples`` and ``_comb`` build on public bases, the
+    ``_odd_multiples`` and ``_comb`` build on public bases (the
+    generator, ring keys, window tags and transient keys), the
     ``subset_sums`` lanes of a public vector, a cold extraction's
     ``sum_points`` and a signature's published v_i.  ``generator_muls``'
     lanes, ``fixed_multi_muls``, ``add`` and a signer's nonce keep the
@@ -497,14 +498,13 @@ class CurveGroup(_ScalarCodec):
     Elements are affine ``(x, y)`` tuples, identity is ``None``.
     A base that lives long, such as a certificate's transient key, a
     ring member's key or a window's h1 tag, can be given to ``prepare``
-    once.  A ring key gets a signed comb (Lim-Lee, in the regular form
-    of Hedabou, Pinel and Beneteau) in two tables: teeth = bits(q) / 32
-    bases ``B_j = 2**(32j) * P``, the ``2**(teeth-1)`` sums ``B_0 +- B_1
-    +- ... +- B_(teeth-1)``, and the same sums times ``2**16``.  The
-    generator is held prepared at spacing 8: row i holds 1, 3, ..., 255
-    times ``2**(8i) * G``.  A tag gets the same shape at width 6: row i
-    holds 1, 3, ..., 63 times ``2**(6i) * P``.  A transient key gets rows
-    of 1, 3, 5, 7 times ``2**(16j) * P``, as many as its half-width
+    once.  A ring key or a tag gets a signed comb (Lim-Lee, in the
+    regular form of Hedabou, Pinel and Beneteau) in two tables: teeth =
+    bits(q) / 32 bases ``B_j = 2**(32j) * P``, the ``2**(teeth-1)`` sums
+    ``B_0 +- B_1 +- ... +- B_(teeth-1)``, and the same sums times
+    ``2**16``.  The generator is held prepared at spacing 8: row i holds
+    1, 3, ..., 255 times ``2**(8i) * G``.  A transient key gets rows of
+    1, 3, 5, 7 times ``2**(16j) * P``, as many as its half-width
     challenges fill.
 
     Every multiplication places its digits by bit position on one
@@ -526,15 +526,14 @@ class CurveGroup(_ScalarCodec):
     Every addition of a walk or of an odd-multiple table is one mixed
     Jacobian-plus-affine formula, and it is incomplete: for 2 and q - 2
     on a plain point (q = 17 mod 32, so q - 2 ends in the digit -1 after
-    a partial sum of -P), for the generator's ``+-(510 * 256**(n-1) - q)``,
-    for a tag's ``+-(126 * 2**186 - q)`` on P-192 (``+-(30 * 2**252 - q)``
-    on P-256) and for a comb's k = 2**17 * c_16 + q (column 16's value
+    a partial sum of -P), for the generator's ``+-(510 * 256**(n-1) - q)``
+    and for a comb's k = 2**17 * c_16 + q (column 16's value
     c_16 < 0, added last from the second table) and q - k, one addition
     meets its own operand and doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
     share one chain: as many steps as a prepared key's rows lie apart
-    (16 for a transient key or a comb, 6 for a tag), and on plain keys
+    (16 for a transient key or a comb), and on plain keys
     the first multiple of 8 (of 16 beside a comb) above the half-width
     scalars' top digit, where a comb reads its first table alone.
     """
@@ -696,13 +695,13 @@ class CurveGroup(_ScalarCodec):
         tables of 2**(teeth-1) points, the second 16 bits above the
         first.  A ``spacing`` s up to 8 gives the generator table's shape:
         rows of 1, 3, ..., 2**s - 1 times ``2**(s*j) * a``, j < ceil(bits(q)
-        / s), which ``scalar_mul`` walks with no doubling (s = 6 for a
-        window tag).  A larger s gives rows of 1, 3, 5, 7
+        / s), which ``scalar_mul`` walks with no doubling (s = 8 for the
+        generator).  A larger s gives rows of 1, 3, 5, 7
         times ``2**(s*j) * a``, j < ceil(lam / s), lam = bits(q)/2 rounded
         up, for ``hash_to_short``'s scalars (s = 16 for a transient key).
         The point operations of each shape are the operation table's
-        ``prepare comb``, ``prepare tag rows``, ``prepare transient key``
-        and ``prepare generator`` rows.  The identity, and a point prepared
+        ``prepare comb``, ``prepare transient key`` and ``prepare
+        generator`` rows.  The identity, and a point prepared
         at the same spacing, come back as they are.
         """
         bits = self.q.bit_length()
@@ -789,7 +788,7 @@ class CurveGroup(_ScalarCodec):
         all nonzero: a comb's 32 columns, one bit apart, on its two tables
         16 bits apart, or regular width-w digits, w bits apart, one per row
         of a point prepared in the generator's shape (the generator itself
-        at w = 8, a tag at its spacing), and for any other point width-4
+        at w = 8), and for any other point width-4
         ones on a per-call row P, 3P, ..., 15P.  Every k recodes ``_odd_fold(k)``, k or k - q, on
         one path for either parity."""
         spacing = getattr(a, "spacing", 0)
@@ -814,7 +813,7 @@ class CurveGroup(_ScalarCodec):
         (i, d) is added at step i mod C from row ``(i // C) * (C /
         spacing)``, so rows that fall short are read at row 0 alone, and
         steps above the top digit are dropped: multiples of the generator
-        or of a tag take one step, a sum with no digit none.
+        take one step, a sum with no digit none.
         """
         spacing, top = 1, 0
         for rows, s, digits in terms:
@@ -935,7 +934,7 @@ class CurveGroup(_ScalarCodec):
         scalar is 1 is added as it stands, and any other base gets its odd
         multiples P..7P as one row.  Each scalar is
         recoded once, on ``_chain``: into a NAF of width 4 on 4-entry
-        rows, 7 on a tag's 32 and 9 on the generator's 128, none of whose
+        rows and 9 on the generator's 128, none of whose
         digits lies above its top bit, or on a comb into its 32 columns,
         which a chain of 16 steps reads from both tables and a longer one
         from the first.

@@ -14,12 +14,13 @@ times, ``R = f * h0(C)`` binds the certificate content to ``f``
 (two certificates in one window share T -- the Sybil tell), and ``S``
 ring-signs ``h2(C || R || T)`` under a ring of the module's choosing.
 The tag h1(window) is public, so it is hashed and prepared once per
-window index for every module in the process; T itself is computed at
-every mint, on the tag's rows, and receivers test leaked f on it at C's
-issue second (``min_span_time`` is thus a protocol constant), on a comb
-built for that certificate alone if the window is not the receiver's
-current one and no tag of it is cached.  A receiver keeps the leaked
-f's multiples of its current windows' tags itself (``VehicleState``).
+window index for every module in the process, on the signed comb of a
+ring key; T itself is computed at every mint, on the tag's comb, and
+receivers test leaked f on it at C's issue second (``min_span_time`` is
+thus a protocol constant), on a comb that nobody keeps if the window is
+not the receiver's current one and no tag of it is cached.  A receiver
+keeps the leaked f's multiples of its current windows' tags itself
+(``VehicleState``).
 
 The clock is injected: tests turn it by hand, the simulator feeds it
 the event-loop time, and the CLI uses the system clock.  The module
@@ -61,7 +62,6 @@ __all__ = [
 
 TRANSIENT_SCHEME_ID = 1
 WINDOW_TAGS = 4  # windows whose prepared tag stays cached, process-wide
-TAG_SPACING = 6  # a window tag's rows lie 6 bits apart: 32 rows of 32 points on P-192
 # seconds from a certificate's issue to its expiration, at most: twice
 # the longest validity in use (an hour), so a module can mint up to one
 # second less, the second that rounding C's times down and up can add
@@ -83,22 +83,20 @@ def pack_content(group, pk, now: float, validity: float) -> bytes:
 _tags: dict = {}  # (group, window) -> prepared tag, least recently used first
 
 
-def _window_tag(group, window: int, build: bool = True):
-    """h1(window) in the generator table's shape at width 6, so ``f *
-    h1(window)`` takes no doubling and a rogue entry's ``multi_mul`` a
-    6-step chain; shared by modules and receivers, and the WINDOW_TAGS
-    most recently used stay cached.  A miss costs one hash-to-curve and
-    the operation table's ``prepare tag rows``.  With ``build`` False a
-    miss leaves the cache as it is and returns h1(window) on a signed
-    comb instead, ``prepare comb``: a rogue entry then walks its 32
-    columns."""
+def _window_tag(group, window: int, keep: bool = True):
+    """h1(window) on the signed comb of ``prepare``, as a ring key is, so
+    ``f * h1(window)`` and a rogue entry's ``multi_mul`` each walk one
+    16-step chain; shared by modules and receivers.  A miss costs one
+    hash-to-curve and the operation table's ``prepare comb``.  With
+    ``keep`` the WINDOW_TAGS most recently used stay cached; with
+    ``keep`` False a miss leaves the cache as it is, and the tag is used
+    once."""
     key = (group, window)
     tag = _tags.pop(key, None)
     if tag is None:
-        tag = group.hash_to_group("h1", struct.pack(">Q", window))
-        if not build:
-            return group.prepare(tag)
-        tag = group.prepare(tag, TAG_SPACING)
+        tag = group.prepare(group.hash_to_group("h1", struct.pack(">Q", window)))
+        if not keep:
+            return tag
         if len(_tags) == WINDOW_TAGS:
             del _tags[next(iter(_tags))]
     _tags[key] = tag
@@ -259,8 +257,8 @@ class HardwareModule:
     def window_tag(self, t: float, now: float):
         """The prepared h1 tag of the window that holds second floor(t),
         looked up at time ``now``.  A window other than now's whose tag is
-        not cached gets a signed comb that is used once, so an issue time
-        that a received frame picks neither builds rows nor evicts a tag."""
+        not cached gets a comb that is used once, so an issue time that a
+        received frame picks neither keeps a tag nor evicts one."""
         window = self.window(t)
         return _window_tag(self.group, window, window == self.window(now))
 

@@ -52,8 +52,7 @@ def toy_world(n=3, *, q=2147483647, n_bits=256, k=10, ring_size=3, min_span=60.0
 
 def last_row_doubling_scalar(group, w=8):
     """The odd scalar whose last addition on rows of width-``w`` regular
-    digits (the generator's table at w = 8, a window tag's at 6) meets
-    its own operand.
+    digits (the generator's table at w = 8) meets its own operand.
 
     With n = ceil(bits(q) / w) rows, the partial sum before row i and
     the entry ``d_i * 2**(w*i)`` added there differ by a nonzero amount
@@ -61,10 +60,9 @@ def last_row_doubling_scalar(group, w=8):
     last.  The last addition, of digit d, doubles when the partial sum
     ``k - d * 2**(w*(n-1))`` is ``d * 2**(w*(n-1)) - q``.  The search
     keeps each odd d whose k lies in (0, q) and recodes to end in d; on
-    both curves exactly one does.  Where w divides bits(q) it is
-    d = 2**w - 1 (255 for the generator, 63 for a tag on P-192); a tag
-    on P-256 has 43 rows over 258 bits, and its d is 15.  ``q`` minus
-    it is recoded the same way with every digit's sign flipped.
+    both curves exactly one does.  Where w divides bits(q), as 8 does on
+    both curves, it is d = 2**w - 1.  ``q`` minus it is recoded the same
+    way with every digit's sign flipped.
     """
     q = group.q
     n = -(-q.bit_length() // w)

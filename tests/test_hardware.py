@@ -13,9 +13,8 @@ from avcs.errors import (
     ProvisioningError,
     SupervisorAuthError,
 )
-from avcs.groups import P192, P256, CurveGroup, ToyGroup, _PreparedPoint, _regular_digits, _wnaf, count_group_ops
+from avcs.groups import P192, P256, CurveGroup, ToyGroup, _PreparedPoint, count_group_ops
 from avcs.hardware import (
-    TAG_SPACING,
     WINDOW_TAGS,
     ManualClock,
     PseudonymCertificate,
@@ -26,7 +25,7 @@ from avcs.hardware import (
 )
 from avcs.ringsig import ManufactoryRegistry, RingSignature, ring_verify, setup
 from avcs.vehicle import reveal_check
-from helpers import SUPERVISOR_TOKEN, last_row_doubling_scalar, toy_world
+from helpers import SUPERVISOR_TOKEN, toy_world
 
 BIG_TOY = ToyGroup(2147483647)
 
@@ -320,11 +319,10 @@ def test_t_from_the_cached_tag_matches_the_plain_point(group):
             cert = module.gen_pseudonym([module.identity], 600, random.Random(i))
             assert cert.T == plain_t(group, module, window)
         tag = _window_tag(group, window)
-        # rows 6 bits apart, 32 odd multiples each: 32 rows and 1024
-        # points on P-192, 43 rows and 1376 points on P-256
-        assert isinstance(tag, _PreparedPoint) and tag.spacing == TAG_SPACING == 6
-        assert {len(row) for row in tag.rows} == {32}
-        assert sum(map(len, tag.rows)) == {"p192": 1024, "p256": 1376}[group.group_id]
+        # a ring key's signed comb: two tables of 32 points on P-192, 64
+        # in all, and two of 128 on P-256, 256 in all
+        assert isinstance(tag, _PreparedPoint) and group.has_comb(tag)
+        assert sum(map(len, tag.rows)) == {"p192": 64, "p256": 256}[group.group_id]
         assert tag == group.hash_to_group("h1", struct.pack(">Q", window))
 
 
@@ -351,55 +349,43 @@ def test_window_tag_cache_stays_bounded(group):
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_receiver_builds_rows_only_for_its_current_window(group):
+def test_receiver_keeps_a_tag_only_for_its_current_window(group):
     clock, (module,) = curve_modules(group, min_spans=(60.0,))
     _tags.clear()
     now = clock.now()  # window 16
     # an earlier or a later window, not cached: a comb, used once
     for t in (now - 600, now + 60):
         comb = module.window_tag(t, now)
-        assert comb.spacing is None and comb == _window_tag(group, module.window(t), build=False)
+        assert group.has_comb(comb) and comb == _window_tag(group, module.window(t), keep=False)
+        assert module.window_tag(t, now) is not comb
         assert not _tags
-    # the receiver's current window: rows, cached, and then found by any issue second in it
+    # the receiver's current window: a comb, cached, and then found by any issue second in it
     tag = module.window_tag(now, now)
-    assert tag.spacing == TAG_SPACING and list(_tags) == [(group, 16)]
+    assert group.has_comb(tag) and list(_tags) == [(group, 16)]
     assert module.window_tag(now, now + 600) is tag
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_t_takes_the_row_walk_for_every_secret(group, point_ops):
+def test_t_takes_the_comb_walk_for_every_secret(group, point_ops):
     tag = _window_tag(group, 16)
     q = group.q
     rng = random.Random(2014)
     secrets = [1, 2, q - 1, q - 2] + [rng.randrange(1, q) for _ in range(20)]
-    # one width-6 digit per row, one addition each, no doubling, one
-    # inversion; a random secret meets the pair below with probability 2/q
-    rows = {"p192": 32, "p256": 43}[group.group_id]
-    assert {point_ops(lambda: group.scalar_mul(f, tag)) for f in secrets} == {(0, rows, 1)}
-    # each curve's one incomplete-addition pair on these rows: the last
-    # addition, of digit 63 on P-192 and 15 on P-256, meets its own operand
-    last = last_row_doubling_scalar(group, TAG_SPACING)
-    assert last == {"p192": 126 * 2**186 - q, "p256": 30 * 2**252 - q}[group.group_id]
-    assert _regular_digits(last, rows, TAG_SPACING)[-1][1] == {"p192": 63, "p256": 15}[group.group_id]
-    if group is P192:
-        assert last == 0xF80000000000000000000000662107C9EB94364E4B2DD7CF
-    for f in (last, q - last):
-        assert point_ops(lambda: group.scalar_mul(f, tag)) == (1, rows, 1)
+    # the comb's 32 columns two to a step on a 16-step chain, one
+    # inversion; a random secret meets the comb's incomplete-addition
+    # pair (pinned in test_groups) with probability 2/q
+    assert {point_ops(lambda: group.scalar_mul(f, tag)) for f in secrets} == {(15, 32, 1)}
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-def test_rogue_entry_runs_a_six_step_chain(group, point_ops):
-    # multi_mul reads the tag's rows 6 bits apart as its chain: width-7 NAF
-    # digits from 32-entry rows and one inversion per leaked f, doubling
-    # from the top step that holds a digit: 5 but for the smallest f
+def test_rogue_entry_runs_one_comb_walk(group, point_ops):
+    # multi_mul reads the tag's comb as T does: its 32 columns, every one
+    # nonzero, two to a step on a 16-step chain, and one inversion per
+    # leaked f, the smallest f included
     tag = _window_tag(group, 16)
     rng = random.Random(2015)
-    chains = []
     for f in [1, 2, group.q - 1] + [rng.randrange(1, group.q) for _ in range(20)]:
-        doublings, _, inversions = point_ops(lambda: group.multi_mul([(f, tag)]))
-        assert (doublings, inversions) == (max(i % 6 for i, _ in _wnaf(f, 7)), 1)
-        chains.append(doublings)
-    assert chains == [0, 1] + [5] * 21
+        assert point_ops(lambda: group.multi_mul([(f, tag)])) == (15, 32, 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -422,11 +408,11 @@ def test_warm_mint_shares_its_inversions(group, point_ops):
     ring = [module.identity, "m:ghost-1", "m:ghost-2", "m:ghost-3"]
     for seed in range(2):  # cold ring keys, then keys prepared at second use
         module.gen_pseudonym(ring, 600, random.Random(seed))
-    # sk*G (0, bits(q)/8, 1); R on a per-call row and T on the tag's rows,
-    # (189, 55, 1) and (0, 32) on P-192, made affine by one more inversion;
+    # sk*G (0, bits(q)/8, 1); R on a per-call row and T on the tag's comb,
+    # (189, 55, 1) and (15, 32) on P-192, made affine by one more inversion;
     # three forges at (15, 56) and one inversion; the signer's l*G (0, 24, 1)
     patterns = {point_ops(lambda: module.gen_pseudonym(ring, 600, random.Random(seed))) for seed in range(2, 6)}
-    assert patterns == {{"p192": (234, 303, 5), "p256": (298, 370, 5)}[group.group_id]}
+    assert patterns == {{"p192": (249, 303, 5), "p256": (313, 359, 5)}[group.group_id]}
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)

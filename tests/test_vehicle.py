@@ -15,7 +15,6 @@ from avcs.errors import ParseError, ProvisioningError
 from avcs.groups import P192, _PreparedPoint, count_group_ops
 from avcs.hardware import (
     MAX_VALIDITY,
-    TAG_SPACING,
     WINDOW_TAGS,
     ManualClock,
     PseudonymCertificate,
@@ -238,13 +237,13 @@ def test_fractional_span_takes_the_window_from_the_issue_second():
 
 def counted_tag_prepares(monkeypatch, window):
     """The spacing of each table ``P192.prepare`` builds from here on for
-    h1(window), or for any point at a tag's spacing."""
+    h1(window): None for a comb."""
     spacings, prepare = [], P192.prepare
     tag = P192.hash_to_group("h1", struct.pack(">Q", window))
 
     def counted_prepare(a, *args):
         out = prepare(a, *args)
-        if out is not a and (out == tag or out.spacing == TAG_SPACING):
+        if out is not a and out == tag:
             spacings.append(out.spacing)
         return out
 
@@ -269,8 +268,8 @@ def test_old_unexpired_certificate_keeps_the_tag_cache_bounded(monkeypatch):
     spacings = counted_tag_prepares(monkeypatch, old_window)
     assert plain.receive(old, clock.now()).accepted
     assert revoking.receive(old, clock.now()).reason == "revoked"
-    # each scan of the old window runs on a comb of its own: no rows are
-    # built, the cached tags stay as they were, and no set is kept
+    # each scan of the old window runs on a comb of its own, which nobody
+    # keeps: the cached tags stay as they were, and no set is kept
     assert spacings == [None, None]
     assert list(_tags.items()) == cached
     assert revoking._rogue_ts == kept
@@ -279,7 +278,7 @@ def test_old_unexpired_certificate_keeps_the_tag_cache_bounded(monkeypatch):
     assert cert.T == P192.scalar_mul(leak_master_secret(sender.hsm), tag)
 
 
-def test_forged_old_window_frame_builds_no_tag_rows(monkeypatch):
+def test_forged_old_window_frame_keeps_no_tag(monkeypatch):
     sender, receiver, clock = p192_pair()
     receiver.revoke(12345)
     sender.make_pseudonym(600, random.Random(74))  # caches this window's tag
@@ -764,7 +763,7 @@ def test_closed_ghost_rings_over_comb_keys_cost_a_comb_chain_per_member():
 def test_public_checks_draw_no_blind(monkeypatch):
     # batch_inverse blinds where a secret can reach it, from secrets: a mint
     # and a master set-up draw, while the tables of public points (a ring
-    # key's comb, a transient key's rows, a tag's rows, a registry's subset
+    # key's or a window tag's comb, a transient key's rows, a registry's subset
     # sums), cold extractions and the checks on them, whose inversions see
     # public values alone, draw nothing
     # each vehicle keeps its own keys, so the receiver's own checks build its combs
@@ -802,8 +801,8 @@ def test_public_checks_draw_no_blind(monkeypatch):
     assert receiver.receive(second, clock.now()).accepted
     assert prepared_entries(receiver)
     assert draws == []
-    tag = P192.hash_to_group("tag", b"window")
-    assert len(P192.prepare(tag, TAG_SPACING).rows) == 32
+    # a window tag nobody has cached: a comb of 64 points
+    assert sum(map(len, receiver.hsm.window_tag(clock.now() + 6000, clock.now()).rows)) == 64
     assert draws == []
 
 
