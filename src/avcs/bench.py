@@ -282,13 +282,14 @@ def operation_table(curve: str) -> dict[str, OpCounter]:
     ``run_benchmarks`` times them, and named without an r where its work
     does not depend on r; ``prepare`` for each table shape (a
     ring key's or a window tag's comb, a transient key's rows, the
-    generator's rows); ``scalar_mul`` on G, on a comb and on a plain
-    point; a message check on a plain key; a forgery on a key met
-    for the first time; a 4-entry rogue scan; ``register_master``; and
-    ``setup``'s ``generator_muls``.  Scalars come from the fixtures'
-    seeded rng, so every count, those of the variable-time sums
-    included, is the same in every process.  The README's cost model
-    carries this table for each curve.
+    generator's comb, built afresh by the generator property's own
+    function); ``scalar_mul`` on G, on a comb and on a plain point; a
+    message check on a plain key; a forgery on a key met for the first
+    time; a 4-entry rogue scan; ``register_master``; and a master
+    ``setup``.  Scalars come from the fixtures' seeded rng, so every
+    count, those of the variable-time sums included, is the same in
+    every process.  The README's cost model carries this table for each
+    curve.
     """
     world, ring_fns, stream_fns, _ = _fixtures(curve, (1, 4))
     group, rng, q = world.group, world.rng, world.group.q
@@ -304,7 +305,7 @@ def operation_table(curve: str) -> dict[str, OpCounter]:
     named.update({
         "prepare comb": lambda: group.prepare(pk),
         "prepare transient key": lambda: group.prepare(pk, KEY_SPACING),
-        "prepare generator": lambda: group.prepare(tuple(group.generator), 8),
+        "prepare generator": lambda: type(group).generator.func(group),
         "scalar_mul G": lambda: group.scalar_mul(ks[0], group.generator),
         "scalar_mul comb": lambda: group.scalar_mul(ks[0], comb),
         "scalar_mul plain": lambda: group.scalar_mul(ks[0], pk),
@@ -312,6 +313,6 @@ def operation_table(curve: str) -> dict[str, OpCounter]:
         "forge cold key": lambda: forge_tuple(group, cold, rng),
         "rogue scan 4 entries": lambda: group.multi_muls([[(f, tag)] for f in ks]),
         "register_master": lambda: ManufactoryRegistry(group).register_master(world.mk),
-        "setup generator_muls": lambda: group.generator_muls(world.mk.X),
+        "setup": lambda: setup(group, rng=random.Random(f"bench/{curve}/setup"), manufactory_id=_BENCH_MFR),
     })
     return {name: ops for name, (_, ops) in _interleaved_trials(named, 1).items()}

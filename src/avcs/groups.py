@@ -8,12 +8,11 @@ Two interchangeable backends sit behind one small interface:
   doubling and one mixed (Jacobian plus affine) addition formula, the
   latter incomplete, and affine lanes of independent additions that
   share one inversion.  ``scalar_mul`` makes the same point operations
-  for every nonzero scalar, bar a pair or two per curve where the
-  addition meets its own operand, on a point prepared in rows of odd
-  multiples (the generator, which the group holds prepared), on a
-  prepared point's signed comb, two tables 16 bits apart (the ring keys
-  of ``ringsig.forge_tuple`` and the window tag of ``f * h1(window)``),
-  and on any other point (``f * h0(C)``), and it runs one code path: the
+  for every nonzero scalar, bar a pair per base where the addition
+  meets its own operand, on a signed comb (the generator's, which the
+  group holds prepared, and a prepared point's: the ring keys of
+  ``ringsig.forge_tuple`` and the window tag of ``f * h1(window)``) and
+  on any other point (``f * h0(C)``), and it runs one code path: the
   fold to the odd one of k and k - q and each digit's table entry and
   sign are integer arithmetic, never a branch.
   ``fixed_multi_muls`` does the same for several sums, each over any
@@ -38,10 +37,7 @@ signature scheme.  Wrap a region in :func:`count_group_ops` to get an
 exact count; outside such a region nothing is recorded.  ``multi_mul``
 over n pairs counts n, pairs it skips or merges included;
 ``multi_muls`` and ``fixed_multi_muls`` count the pairs of every sum;
-``generator_muls`` over n scalars counts n, the n multiples of the
-generator a master set-up makes in shared lanes, where a lane that meets
-its own operand takes the exact slow path just as ``scalar_mul`` doubles
-there; ``prepare``, ``sum_points``, ``subset_sums`` and ``add`` count no
+``prepare``, ``sum_points``, ``subset_sums`` and ``add`` count no
 scalar multiplication.  The same region also counts the point operations
 (doublings, mixed additions, inversions, lane additions and lane steps)
 and square roots that every call made, each taken from the schedule of
@@ -134,8 +130,8 @@ class OpCounter:
     schedule of the code that runs them: Jacobian doublings, mixed
     additions (an addition onto the identity included), field inversions
     (one per conversion to affine coordinates and one per lane step),
-    and the affine lane additions and lane steps of ``generator_muls``,
-    ``subset_sums`` and a comb's build.  It also counts square roots, one
+    and the affine lane additions and lane steps of ``subset_sums`` and
+    a comb's build.  It also counts square roots, one
     per ``x -> y`` lift of a point decode or a hash-to-curve attempt.
 
     The logical slots follow the cost model, so a multiplication or an
@@ -243,13 +239,14 @@ def batch_inverse(values, modulus: int, *, public: bool = False) -> list[int]:
     are.  A call site whose values are all public passes ``public=True``
     and inverts them as they are: the variable-time sums, the tables
     ``_odd_multiples`` and ``_comb`` build on public bases (the
-    generator, ring keys, window tags and transient keys), the
-    ``subset_sums`` lanes of a public vector, a cold extraction's
-    ``sum_points`` and a signature's published v_i.  ``generator_muls``'
-    lanes, ``fixed_multi_muls``, ``add`` and a signer's nonce keep the
-    blind.  Values that are all 0, such as the identity an accepted
-    signature check sums to, come back as zeros with no blind and no
-    Euclid."""
+    generator, ring keys, window tags and transient keys), every
+    ``_add_lanes`` step and ``sum_points`` (a comb's build, the
+    ``subset_sums`` of a public vector, a cold extraction, ``add``) and
+    a signature's published v_i.  ``fixed_multi_muls`` (a master
+    set-up's multiples of its secret vector among its sums), a forgery's
+    b and a signer's nonce keep the blind.  Values that are all 0, such
+    as the identity an accepted signature check sums to, come back as
+    zeros with no blind and no Euclid."""
     if not any(values):
         return [0] * len(values)
     prefix = [1]
@@ -342,10 +339,6 @@ class ToyGroup(_ScalarCodec):
         note_scalar_muls(1)
         return (k % self.q) * a % self.q
 
-    def generator_muls(self, scalars) -> list[int]:
-        note_scalar_muls(len(scalars))
-        return [k % self.q for k in scalars]
-
     def prepare(self, a: int, spacing: int | None = None) -> int:
         # multiplication is already one step here: nothing to precompute
         return a
@@ -363,7 +356,7 @@ class ToyGroup(_ScalarCodec):
     # literal multiplication has one pattern for every scalar
     fixed_multi_muls = multi_muls
 
-    def sum_points(self, points, *, public: bool = False) -> int:
+    def sum_points(self, points) -> int:
         return sum(points) % self.q
 
     def subset_sums(self, points, w: int) -> list[list[int]]:
@@ -482,14 +475,17 @@ class _PreparedPoint(tuple):
 
     It equals, hashes and encodes as the plain ``(x, y)`` point, so it
     goes wherever a point goes; ``scalar_mul`` and ``multi_mul`` also
-    read its ``rows``, ``spacing`` bits apart (up to 8 bits apart, rows
-    of ``2**(spacing-1)`` odd multiples that cover every scalar), or
-    with ``spacing`` None the two tables of its signed comb, the second
-    16 bits above the first.
+    read its ``rows``.  With ``spacing`` None they are the tables of a
+    signed comb whose ``comb`` is (the teeth's spacing, the tables'
+    offset): (32, 16) for a ring key or a window tag, two tables, and
+    for the generator (16, 8), two tables, on P-192 and (24, 8), three,
+    on P-256.  Otherwise they are rows of 1, 3, 5, 7 times the point,
+    ``spacing`` bits apart.
     """
 
     rows: list
     spacing: int | None
+    comb: tuple[int, int] | None = None
 
 
 class CurveGroup(_ScalarCodec):
@@ -502,9 +498,10 @@ class CurveGroup(_ScalarCodec):
     regular form of Hedabou, Pinel and Beneteau) in two tables: teeth =
     bits(q) / 32 bases ``B_j = 2**(32j) * P``, the ``2**(teeth-1)`` sums
     ``B_0 +- B_1 +- ... +- B_(teeth-1)``, and the same sums times
-    ``2**16``.  The generator is held prepared at spacing 8: row i holds
-    1, 3, ..., 255 times ``2**(8i) * G``.  A transient key gets rows of
-    1, 3, 5, 7 times ``2**(16j) * P``, as many as its half-width
+    ``2**16``.  The generator is held on a comb of the same kind whose
+    walk takes 8 steps: teeth 16 bits apart in two tables 8 bits apart
+    on P-192, 24 bits apart in three on P-256.  A transient key gets
+    rows of 1, 3, 5, 7 times ``2**(16j) * P``, as many as its half-width
     challenges fill.
 
     Every multiplication places its digits by bit position on one
@@ -514,34 +511,34 @@ class CurveGroup(_ScalarCodec):
     and q - k, the latter negated, picked by arithmetic (``_odd_fold``),
     into nonzero digits, and ``_sum`` takes each digit's entry and sign by
     arithmetic too, so neither its operations nor its code path depend
-    on the scalar: on rows s bits apart, bits(q)/s odd digits (Joye-Tunstall),
-    one per row, with no doubling; on a comb, its 32 columns two to a
-    step, one from each table, on 16 steps; on any other point, a plain
-    point equal to G included, width-4 digits on a per-call row P, 3P,
-    ..., 15P.  What
-    each table and each walk costs, per curve, is a row of the README's
-    operation table (``avcs.bench.operation_table``): ``prepare
-    generator``, ``prepare comb``, ``scalar_mul G``, ``scalar_mul
-    plain`` and so on.
+    on the scalar: on a comb, one column per bit of a tooth, one from
+    each table per step (a ring key's 32 on 16 steps, G's 16 or 24 on
+    8); on any other point, a plain point equal to G included, width-4
+    digits on a per-call row P, 3P, ..., 15P.  What each table and each
+    walk costs, per curve, is a row of the README's operation table
+    (``avcs.bench.operation_table``): ``prepare generator``, ``prepare
+    comb``, ``scalar_mul G``, ``scalar_mul plain`` and so on.
     Every addition of a walk or of an odd-multiple table is one mixed
     Jacobian-plus-affine formula, and it is incomplete: for 2 and q - 2
     on a plain point (q = 17 mod 32, so q - 2 ends in the digit -1 after
-    a partial sum of -P), for the generator's ``+-(510 * 256**(n-1) - q)``
-    and for a comb's k = 2**17 * c_16 + q (column 16's value
-    c_16 < 0, added last from the second table) and q - k, one addition
-    meets its own operand and doubles instead.
+    a partial sum of -P), and on a comb for k = 2**(L+1) * c_L + M * q
+    and q - k, c_L being k's column L added last, from the last table
+    (L = 16, M = 1 on a ring key's comb; on G's, L = 8, M = 1 on P-192
+    and L = 16, M = 3 on P-256), one addition meets its own operand and
+    doubles instead.
     ``multi_mul`` evaluates a whole public equation (a signature check,
     the rogue-list scan) in one interleaved pass (Straus), so n terms
     share one chain: as many steps as a prepared key's rows lie apart
-    (16 for a transient key or a comb), and on plain keys
-    the first multiple of 8 (of 16 beside a comb) above the half-width
-    scalars' top digit, where a comb reads its first table alone.
+    (16 for a transient key or a ring key's comb, 8 for G alone), and on
+    plain keys the first multiple of 8 (of 16 beside a comb) above the
+    half-width scalars' top digit, where a comb reads its first table
+    alone.
     """
 
-    _GEN_WIDTH = 8  # generator-table digits are odd and below 2**8 in size
     _ROW_WIDTH = 4  # per-call row digits are odd and below 2**4 in size
-    _COMB_SPACING = 32  # a comb's teeth lie this many bits apart: its columns
+    _COMB_SPACING = 32  # a ring key's teeth lie this many bits apart: its columns
     _COMB_STEPS = 16  # its second table is its first shifted this far: a walk's steps
+    _GEN_STEPS = 8  # the generator's tables lie this far apart: its walk's steps
     _BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary string's digits as bytes 0, 1
 
     def __init__(self, params: _CurveParams):
@@ -557,7 +554,6 @@ class CurveGroup(_ScalarCodec):
         self.element_byte_len = 1 + self._field_byte_len
         self._g = (params.gx, params.gy)
         self.identity = None
-        self._teeth = -(-params.q.bit_length() // self._COMB_SPACING)
         self._root_exp = (params.p + 1) >> 2
 
     def __repr__(self) -> str:
@@ -604,24 +600,24 @@ class CurveGroup(_ScalarCodec):
         X3 = (R * R - HHH - 2 * V) % p
         return (X3, (R * (V - X3) - Y1 * HHH) % p, Z1 * H % p)
 
-    def _add_lanes(self, acc, pts, *, public: bool = False):
+    def _add_lanes(self, acc, pts):
         """Add ``pts[i]`` to ``acc[i]`` in place for every lane, in affine
         coordinates, all lanes sharing one ``batch_inverse`` (Montgomery's
         simultaneous inversion): about 6 field multiplications per
         addition.  A lane that holds the identity, or whose points share
         an x coordinate (P + P, P + (-P)), has a zero denominator, which
         ``batch_inverse`` passes through as 0, and takes the exact
-        ``sum_points`` instead.  Lanes of public points alone pass
-        ``public=True`` and invert unblinded."""
+        ``sum_points`` instead.  Every caller adds public points (a comb's
+        build, ``subset_sums``), so the inversion is unblinded."""
         p = self._p
         for counter in _counters.get():
             counter.lane_additions += len(pts)
             counter.lane_steps += 1
             counter.inversions += 1
-        zinvs = batch_inverse([b[0] - a[0] if a and b else 0 for a, b in zip(acc, pts)], p, public=public)
+        zinvs = batch_inverse([b[0] - a[0] if a and b else 0 for a, b in zip(acc, pts)], p, public=True)
         for i, (a, b, zinv) in enumerate(zip(acc, pts, zinvs)):
             if not zinv:
-                acc[i] = self.sum_points((a, b), public=public)
+                acc[i] = self.sum_points((a, b))
                 continue
             x1, y1 = a
             slope = (b[1] - y1) * zinv % p
@@ -684,73 +680,75 @@ class CurveGroup(_ScalarCodec):
 
     @cached_property
     def generator(self):
-        """G, prepared at spacing 8: row i holds the odd multiples 1, 3,
-        ..., 255 of ``2**(8i) * G``, built on first use (the operation
-        table's ``prepare generator`` row)."""
-        return self.prepare(self._g, self._GEN_WIDTH)
+        """G on a signed comb of 8-step walks: teeth 8 * ceil(bits(q) / 96)
+        bits apart, so that a table holds at most 2048 points, in tables 8
+        bits apart: two of 2048 points on P-192 and three of 1024 on
+        P-256, built on first use (the operation table's ``prepare
+        generator`` row)."""
+        return self._comb(self._g, 8 * -(-self.q.bit_length() // 96), self._GEN_STEPS)
 
     def prepare(self, a, spacing: int | None = None):
         """``a`` with a table for ``scalar_mul`` and ``multi_mul``; counts
-        no scalar multiplication.  By default the signed comb: two
-        tables of 2**(teeth-1) points, the second 16 bits above the
-        first.  A ``spacing`` s up to 8 gives the generator table's shape:
-        rows of 1, 3, ..., 2**s - 1 times ``2**(s*j) * a``, j < ceil(bits(q)
-        / s), which ``scalar_mul`` walks with no doubling (s = 8 for the
-        generator).  A larger s gives rows of 1, 3, 5, 7
-        times ``2**(s*j) * a``, j < ceil(lam / s), lam = bits(q)/2 rounded
-        up, for ``hash_to_short``'s scalars (s = 16 for a transient key).
-        The point operations of each shape are the operation table's
-        ``prepare comb``, ``prepare transient key`` and ``prepare
-        generator`` rows.  The identity, and a point prepared
-        at the same spacing, come back as they are.
+        no scalar multiplication.  By default a ring key's signed comb:
+        teeth 32 bits apart, in two tables of 2**(teeth-1) points, the
+        second 16 bits above the first.  A ``spacing`` s gives rows of 1,
+        3, 5, 7 times ``2**(s*j) * a``, j < ceil(lam / s), lam = bits(q)/2
+        rounded up, for ``hash_to_short``'s scalars (s = 16 for a
+        transient key), which ``multi_mul`` alone reads.  The point
+        operations of each shape are the operation table's ``prepare
+        comb`` and ``prepare transient key`` rows.  The identity, and a
+        point prepared at the same spacing, come back as they are.
         """
-        bits = self.q.bit_length()
-        lam = -(-bits // 2)
+        lam = -(-self.q.bit_length() // 2)
         if spacing is not None and not 0 < spacing <= lam:
             raise ValueError(f"a prepared point's rows lie 1..{lam} bits apart")
         if a is None or getattr(a, "spacing", 0) == spacing:
             return a
+        if spacing is None:
+            return self._comb(a, self._COMB_SPACING, self._COMB_STEPS)
         prepared = _PreparedPoint(a)
         prepared.spacing = spacing
-        if spacing is None:
-            prepared.rows = self._comb(a)
-        elif spacing <= self._GEN_WIDTH:
-            prepared.rows = self._odd_multiples([a], -(-bits // spacing), 1 << (spacing - 1), spacing)
-        else:
-            prepared.rows = self._odd_multiples([a], -(-lam // spacing), 4, spacing)
+        prepared.rows = self._odd_multiples([a], -(-lam // spacing), 4, spacing)
         return prepared
 
     def has_comb(self, a) -> bool:
-        """Whether ``a`` carries the signed comb of ``prepare(a)``."""
-        return getattr(a, "spacing", 0) is None
+        """Whether ``a`` carries a signed comb: a ring key's, a window
+        tag's or the generator's."""
+        return getattr(a, "comb", None) is not None
 
-    def _comb(self, a):
-        """The comb's two tables, T1 the 16-bit shift of T0: entry e of T0
-        is ``B_0 + sum(+-B_j)``, taking +B_j where bit j - 1 of e is set,
-        and entry e of T1 is ``2**16`` times it.  One doubling chain gives
-        ``2**(16i) * a`` for every i below 2 * teeth, made affine by one
-        inversion; then tooth j adds -+B_j to every entry of T0 and -+2**16
-        * B_j to every entry of T1 in one ``_add_lanes`` step, the entries
-        that take - first.  Every inversion is unblinded (a is public).
-        No lane meets its own operand or the identity: it would need
-        ``sum(+-2**(32j))`` over j <= teeth - 1, a nonzero integer below q
-        in size, to be a multiple of q."""
+    def _comb(self, a, spacing: int, offset: int):
+        """``a`` prepared on a signed comb of teeth ``B_j = 2**(spacing*j) *
+        a`` in tables T_0, ..., T_(m-1), m = spacing / offset, each the
+        ``offset``-bit shift of the one before: entry e of T_0 is ``B_0 +
+        sum(+-B_j)``, taking +B_j where bit j - 1 of e is set, and entry e
+        of T_i is ``2**(offset*i)`` times it.  One doubling chain gives
+        ``2**(offset*i) * a`` for every i below m * teeth, made affine by
+        one inversion; then tooth j adds -+B_j, times each table's shift,
+        to every entry of every table in one ``_add_lanes`` step, the
+        entries that take - first.  Every inversion is unblinded (a is
+        public).  No lane meets its own operand or the identity: it would
+        need ``sum(+-2**(spacing*j))`` over j <= teeth - 1, a nonzero
+        integer below q in size, to be a multiple of q."""
+        m, teeth = spacing // offset, -(-self.q.bit_length() // spacing)
         pt, shifts = (*a, 1), []
-        for _ in range(2 * self._teeth - 1):
-            for _ in range(self._COMB_STEPS):
+        for _ in range(m * teeth - 1):
+            for _ in range(offset):
                 pt = self._jac_double(pt)
             shifts.append(pt)
-        _note_points(self._COMB_STEPS * len(shifts), 0)
+        _note_points(offset * len(shifts), 0)
         bases = [tuple(a)] + self._batch_to_affine(shifts, public=True)
-        tables, p = [[bases[0]], [bases[1]]], self._p
-        for j in range(2, len(bases), 2):
+        tables, p = [[base] for base in bases[:m]], self._p
+        for j in range(m, len(bases), m):
             acc, pts = [], []
-            for table, (x, y) in zip(tables, bases[j : j + 2]):
+            for table, (x, y) in zip(tables, bases[j : j + m]):
                 acc += table + table
                 pts += [(x, p - y)] * len(table) + [(x, y)] * len(table)
-            self._add_lanes(acc, pts, public=True)
-            tables = [acc[: len(acc) // 2], acc[len(acc) // 2 :]]
-        return tables
+            self._add_lanes(acc, pts)
+            n = len(acc) // m
+            tables = [acc[i : i + n] for i in range(0, len(acc), n)]
+        prepared = _PreparedPoint(a)
+        prepared.rows, prepared.spacing, prepared.comb = tables, None, (spacing, offset)
+        return prepared
 
     def _odd_fold(self, k: int) -> int:
         """The odd one of ``k`` and ``k - q`` (q is odd), a scalar equal to
@@ -759,61 +757,60 @@ class CurveGroup(_ScalarCodec):
         negative value as it is and give it negated digits."""
         return k - (self.q & ((k & 1) - 1))
 
-    def _comb_digits(self, k: int) -> list[tuple[int, int]]:
-        """The comb's columns of ``0 < k < q`` as (position, digit) pairs,
-        column t at bit t.
+    def _comb_digits(self, k: int, spacing: int) -> list[tuple[int, int]]:
+        """The columns of ``0 < k < q`` on a comb of teeth ``spacing`` bits
+        apart, as (position, digit) pairs, column t at bit t.
 
-        An odd k, ``|k| < 2**n``, is ``sum(s_i * 2**i)`` over i < n = 32 *
-        teeth with every s_i = +-1, s_i = +1 where bit i of ``(k + 2**n -
-        1) / 2`` is set.
-        Column t is ``sum(s_(t+32j) * 2**(32j))`` over the teeth j, so
-        ``k = sum(column_t * 2**t)``.  Its digit is ``+-(2e + 1)``: entry
-        e of the comb, negated if the digit is, as s_t gives B_0's sign.
-        The recoding runs on ``_odd_fold(k)``: for a negative one, k - q,
-        every s_i flips, so every digit is q - k's negated.  A column whose
-        s_t is -1 gets its digit by arithmetic too, so nothing branches on k.
+        An odd k, ``|k| < 2**n``, is ``sum(s_i * 2**i)`` over i < n =
+        spacing * teeth with every s_i = +-1, s_i = +1 where bit i of ``(k
+        + 2**n - 1) / 2`` is set.  Column t is ``sum(s_(t+spacing*j) *
+        2**(spacing*j))`` over the teeth j, so ``k = sum(column_t *
+        2**t)``.  Its digit is ``+-(2e + 1)``: entry e of the comb, negated
+        if the digit is, as s_t gives B_0's sign.  The recoding runs on
+        ``_odd_fold(k)``: for a negative one, k - q, every s_i flips, so
+        every digit is q - k's negated.  A column whose s_t is -1 gets its
+        digit by arithmetic too, so nothing branches on k.
         """
         k = self._odd_fold(k)
-        teeth, s = self._teeth, self._COMB_SPACING
-        n = s * teeth
-        bits = format((k + (1 << n) - 1) >> 1, f"0{n}b").encode().translate(self._BITS)
-        # byte t of v holds bit t of every tooth, tooth j at bit j (teeth <= 8)
-        v = sum(int.from_bytes(bits[n - s * j - s : n - s * j], "big") << j for j in range(teeth))
+        teeth = -(-self.q.bit_length() // spacing)
+        n = spacing * teeth
+        # each binary digit as a 16-bit word 0 or 1
+        bits = format((k + (1 << n) - 1) >> 1, f"0{n}b").encode("utf-16-be").translate(self._BITS)
+        # word t of v holds bit t of every tooth, tooth j at bit j (teeth <= 16)
+        v = sum(int.from_bytes(bits[2 * (n - spacing * j - spacing) : 2 * (n - spacing * j)], "big") << j
+                for j in range(teeth))
+        columns = struct.unpack(f"<{spacing}H", v.to_bytes(2 * spacing, "little"))
         # an even column c (s_t = -1) is entry 2**(teeth-1) - 1 - c/2, negated
         flip = 1 - (1 << teeth)
-        return [(t, c + ((c & 1) - 1 & flip)) for t, c in enumerate(v.to_bytes(s, "little"))]
+        return [(t, c + ((c & 1) - 1 & flip)) for t, c in enumerate(columns)]
 
     def _fixed_term(self, k: int, a):
         """``k * a``, ``0 < k < q``, as a ``_chain`` term whose digits are
-        all nonzero: a comb's 32 columns, one bit apart, on its two tables
-        16 bits apart, or regular width-w digits, w bits apart, one per row
-        of a point prepared in the generator's shape (the generator itself
-        at w = 8), and for any other point width-4
-        ones on a per-call row P, 3P, ..., 15P.  Every k recodes ``_odd_fold(k)``, k or k - q, on
-        one path for either parity."""
-        spacing = getattr(a, "spacing", 0)
-        if spacing is None:
-            return a.rows, self._COMB_STEPS, self._comb_digits(k)
-        if 0 < spacing <= self._GEN_WIDTH:
-            rows, w = a.rows, spacing
-        else:
-            w = self._ROW_WIDTH
-            rows = self._odd_multiples([a], 1, 1 << (w - 1), 0)
+        all nonzero: a comb's columns, one bit apart, on its tables, or
+        for any other point width-4 regular digits on a per-call row P,
+        3P, ..., 15P.  Every k recodes ``_odd_fold(k)``, k or k - q, on one
+        path for either parity."""
+        if self.has_comb(a):
+            spacing, offset = a.comb
+            return a.rows, offset, self._comb_digits(k, spacing)
+        w = self._ROW_WIDTH
+        rows = self._odd_multiples([a], 1, 1 << (w - 1), 0)
         return rows, w, _regular_digits(self._odd_fold(k), -(-self.q.bit_length() // w), w)
 
     def _chain(self, terms):
         """The Jacobian sum of ``d * 2**i`` times each term's base over its
         digits (i, d), lowest first, for terms (rows, spacing, digits)
         whose row j holds the odd multiples 1, 3, ... of
-        ``2**(spacing*j)`` times it.
+        ``2**(spacing*j)`` times it; on a comb, row j is table j, and d
+        names an entry and its sign.
 
         The chain is C steps: the least common multiple of the spacings
         of the terms whose rows reach past their top digit, raised to its
         first multiple above the top digit of every other term.  Digit
         (i, d) is added at step i mod C from row ``(i // C) * (C /
         spacing)``, so rows that fall short are read at row 0 alone, and
-        steps above the top digit are dropped: multiples of the generator
-        take one step, a sum with no digit none.
+        steps above the top digit are dropped: a sum with no digit takes
+        none.
         """
         spacing, top = 1, 0
         for rows, s, digits in terms:
@@ -888,34 +885,6 @@ class CurveGroup(_ScalarCodec):
     def scalar_mul(self, k: int, a):
         return self.fixed_multi_muls([[(k, a)]])[0]
 
-    def generator_muls(self, scalars):
-        """``[k * G for k in scalars]``, counted as ``len(scalars)`` scalar
-        multiplications: ``scalar_mul``'s digits of every scalar, walked
-        row by row with each row's additions in one ``_add_lanes`` step,
-        one step with one inversion per row after the first and no
-        doubling (the operation table's ``setup generator_muls`` row).
-        Each digit's entry and sign come from it by integer arithmetic, as
-        in ``_sum``.  A zero scalar takes no lane.
-        Where ``scalar_mul``'s addition meets its own operand, the lane's
-        shared x coordinate sends it down ``sum_points``' exact path."""
-        note_scalar_muls(len(scalars))
-        q, G = self.q, self.generator
-        lanes = [self._fixed_term(k % q, G)[2] for k in scalars if k % q]
-        acc = []
-        for i, row in enumerate(G.rows):
-            pts = []
-            for digits in lanes:
-                d = digits[i][1]
-                s = d >> 31
-                x, y = row[(d ^ s) >> 1]
-                pts.append((x, y * (1 | s)))
-            if acc:
-                self._add_lanes(acc, pts)
-            else:
-                acc = pts
-        sums = iter(acc)
-        return [next(sums) if k % q else None for k in scalars]
-
     def fixed_multi_muls(self, sums):
         """For each list of pairs in ``sums``, the sum of ``k * P`` over
         it, any mix of bases, in an operation pattern that the bases alone
@@ -929,15 +898,14 @@ class CurveGroup(_ScalarCodec):
         """The sum of ``k * P`` over ``pairs``; variable time, so every
         scalar must be public.
 
-        Equal points are merged first.  A prepared base's rows lie its
-        ``prepare`` spacing apart (8 bits for the generator), a base whose
-        scalar is 1 is added as it stands, and any other base gets its odd
-        multiples P..7P as one row.  Each scalar is
-        recoded once, on ``_chain``: into a NAF of width 4 on 4-entry
-        rows and 9 on the generator's 128, none of whose
-        digits lies above its top bit, or on a comb into its 32 columns,
-        which a chain of 16 steps reads from both tables and a longer one
-        from the first.
+        Equal points are merged first.  A base with a comb (the generator,
+        a ring key, a window tag) is recoded into its columns, which a
+        chain as long as its walk reads from every table and a longer one
+        from fewer.  A transient key's rows lie its ``prepare`` spacing
+        apart, a base whose scalar is 1 is added as it stands, and any
+        other base gets its odd multiples P..7P as one row; their scalars
+        are recoded into NAFs of width 4, none of whose digits lies above
+        its top bit.  Every term is placed on one ``_chain``.
         """
         return self.multi_muls([pairs])[0]
 
@@ -955,27 +923,25 @@ class CurveGroup(_ScalarCodec):
             if pt is not None:
                 merged[pt] = (merged.get(pt, 0) + k) % q
                 if isinstance(pt, _PreparedPoint):
-                    tables[pt] = pt.rows, pt.spacing
+                    tables[pt] = pt.rows, *(pt.comb or (0, pt.spacing))
         live = {pt: k for pt, k in merged.items() if k}
         fresh = [pt for pt, k in live.items() if pt not in tables and k != 1]
         if fresh:  # one row, which covers bit 0 alone
             rows = self._odd_multiples(fresh, 1, 4, 0)
-            tables.update((pt, ([row], 1)) for pt, row in zip(fresh, rows))
+            tables.update((pt, ([row], 0, 1)) for pt, row in zip(fresh, rows))
         terms = []
         for pt, k in live.items():
-            rows, s = tables.get(pt) or ([[pt]], 1)  # a unit scalar adds its base as it stands
-            if s is None:
-                terms.append((rows, self._COMB_STEPS, self._comb_digits(k)))
-            else:  # a NAF as wide as the rows hold (4 entries: width 4; 128: width 9)
-                terms.append((rows, s, _wnaf(k, len(rows[0]).bit_length() + 1)))
+            # a comb's columns, or a NAF of width 4 on 4-entry rows; a unit scalar adds its base as it stands
+            rows, comb, s = tables.get(pt) or ([[pt]], 0, 1)
+            terms.append((rows, s, self._comb_digits(k, comb) if comb else _wnaf(k, 4)))
         return terms
 
-    def sum_points(self, points, *, public: bool = False):
-        """The sum of ``points``, the chain's one-step case: one row of
-        them, entry e added once (digit 2e + 1 at bit 0).  ``public``
-        passes to the one inversion's ``batch_inverse``."""
+    def sum_points(self, points):
+        """The sum of ``points``, public points, the chain's one-step case:
+        one row of them, entry e added once (digit 2e + 1 at bit 0), made
+        affine by one unblinded inversion."""
         row = [pt for pt in points if pt is not None]
-        return self._batch_to_affine([self._sum([[(row, 2 * e + 1) for e in range(len(row))]])], public)[0]
+        return self._batch_to_affine([self._sum([[(row, 2 * e + 1) for e in range(len(row))]])], public=True)[0]
 
     def subset_sums(self, points, w: int):
         """Row i: the sums of the subsets of ``points[w*i : w*i + w]``,
@@ -992,7 +958,7 @@ class CurveGroup(_ScalarCodec):
             if not live:
                 break
             acc = [s for row, _ in live for s in row[1:]]
-            self._add_lanes(acc, [pt for row, pt in live for _ in row[1:]], public=True)
+            self._add_lanes(acc, [pt for row, pt in live for _ in row[1:]])
             sums = iter(acc)
             for row, pt in live:
                 row += [pt] + [next(sums) for _ in row[1:]]

@@ -89,17 +89,18 @@ def _window_tag(group, window: int, keep: bool = True):
     16-step chain; shared by modules and receivers.  A miss costs one
     hash-to-curve and the operation table's ``prepare comb``.  With
     ``keep`` the WINDOW_TAGS most recently used stay cached; with
-    ``keep`` False a miss leaves the cache as it is, and the tag is used
-    once."""
+    ``keep`` False the cache is left as it is, its order included, and
+    a tag that a miss builds is used once."""
     key = (group, window)
-    tag = _tags.pop(key, None)
+    tag = _tags.get(key)
     if tag is None:
         tag = group.prepare(group.hash_to_group("h1", struct.pack(">Q", window)))
-        if not keep:
-            return tag
+    elif keep:
+        del _tags[key]
+    if keep:
         if len(_tags) == WINDOW_TAGS:
             del _tags[next(iter(_tags))]
-    _tags[key] = tag
+        _tags[key] = tag
     return tag
 
 

@@ -51,6 +51,7 @@ from .groups import batch_inverse, digest32, expand_bytes, note_extraction, note
 __all__ = [
     "HashSuite",
     "IdentityKey",
+    "MAX_ID_BYTES",
     "MAX_RING",
     "ManufactoryRegistry",
     "MasterKeyPair",
@@ -71,6 +72,7 @@ __all__ = [
 N_BITS = 256
 
 MAX_RING = 64  # members: anyone can close a ring's chain, and a check's work is linear in its members
+MAX_ID_BYTES = 64  # an id's UTF-8 bytes: a receiver keeps the ids of every ring it accepts
 
 # h0_bits's bytes from and to the digits of a base-2 string
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -78,7 +80,11 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def split_id(id_str: str) -> tuple[str, str]:
-    """Split ``"manufactory:identity"``; both halves must be nonempty."""
+    """Split ``"manufactory:identity"``; both halves must be nonempty, and
+    the id at most ``MAX_ID_BYTES`` UTF-8 bytes.  Every id a key is
+    derived, extracted or provisioned for passes here."""
+    if len(id_str.encode("utf-8")) > MAX_ID_BYTES:
+        raise ValueError(f"identity above {MAX_ID_BYTES} bytes")
     mfr, sep, rest = id_str.partition(":")
     if not sep or not mfr or not rest:
         raise ValueError(f"identity must look like 'manufactory:identity', got {id_str!r}")
@@ -151,18 +157,17 @@ def setup(group, n: int = N_BITS, rng=None, manufactory_id: str = "mfr") -> Mast
 
     Production uses n = 256 (the bit length of the identity hash);
     tests may shrink it, since H0 is asked for exactly n bits.  Y is
-    one ``group.generator_muls`` over X, counted as n scalar
-    multiplications: on a curve, one lane step per generator table row,
-    each sharing one inversion (the operation table's ``setup
-    generator_muls`` row), where a lane that meets its own operand takes
-    the exact slow path, as ``scalar_mul`` doubles there.
+    one ``group.fixed_multi_muls`` over X, counted as n scalar
+    multiplications: on a curve, one walk of the generator's comb per
+    scalar, all made affine by one blinded inversion (the operation
+    table's ``setup`` row).
     """
     if rng is None:
         raise ValueError("an rng is required")
     if n < 1:
         raise ValueError("n must be positive")
     X = tuple(rng.randrange(1, group.q) for _ in range(n))
-    Y = tuple(group.generator_muls(X))
+    Y = tuple(group.fixed_multi_muls([[(x, group.generator)] for x in X]))
     return MasterKeyPair(manufactory_id, group, n, X, Y)
 
 
@@ -254,7 +259,7 @@ class ManufactoryRegistry:
         index = int(bytes(self.suite.bits(id_str, n))[::-1].translate(_BIT_DIGITS), 2)
         w = self._CHUNK_BITS
         mask = (1 << w) - 1
-        E = self.group.sum_points([row[index >> w * i & mask] for i, row in enumerate(rows)], public=True)
+        E = self.group.sum_points([row[index >> w * i & mask] for i, row in enumerate(rows)])
         if self.group.is_identity(E):
             raise DegenerateKeyError(f"identity {id_str!r} extracts to the identity element")
         return E
@@ -360,8 +365,8 @@ class RingSignature:
         out += self.w
         for id_str in self.ids:
             raw = id_str.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise ValueError("identity string too long to serialize")
+            if len(raw) > MAX_ID_BYTES:
+                raise ValueError(f"identity above {MAX_ID_BYTES} bytes")
             out += struct.pack(">H", len(raw)) + raw
         for m, U, v in self.tuples:
             out += m + group.encode_element(U) + group.encode_scalar(v)
@@ -375,7 +380,8 @@ class RingSignature:
         checked (a tuple's m, U and v all three), so a short stream
         raises :class:`ParseError` naming what is truncated; bytes after
         the signature stay unread.  A ring above ``MAX_RING`` members
-        fails before any id is read.  Each U_i stays the bytes that
+        fails before any id is read, and an id above ``MAX_ID_BYTES``
+        before its bytes are.  Each U_i stays the bytes that
         ``group.check_encoding`` passed: :func:`ring_verify` decodes it
         only once the chain closes.
         """
@@ -390,6 +396,8 @@ class RingSignature:
         ids = []
         for _ in range(r):
             (id_len,) = struct.unpack(">H", take(stream, 2, "identity length"))
+            if id_len > MAX_ID_BYTES:
+                raise ParseError(f"identity of {id_len} bytes, above {MAX_ID_BYTES}")
             raw = take(stream, id_len, "identity bytes")
             try:
                 id_str = raw.decode("utf-8")
@@ -435,7 +443,8 @@ def ring_sign(
     enters the registry's cache.  A forgery against an id the cache
     held before the call runs on that key prepared, and the prepared
     key stays cached; an id seen for the first time, and the signer's
-    own id, get no table.
+    own id, get no table.  An id above ``MAX_ID_BYTES`` is refused with
+    ``ValueError`` as its key is derived (``split_id``).
     """
     group = registry.group
     suite = registry.suite

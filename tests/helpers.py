@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 from hypothesis import settings
 
-from avcs.groups import ToyGroup, _regular_digits
+from avcs.groups import ToyGroup
 from avcs.hardware import ManualClock, join
 from avcs.ringsig import ManufactoryRegistry, setup
 from avcs.vehicle import VehicleState
@@ -48,28 +48,6 @@ def toy_world(n=3, *, q=2147483647, n_bits=256, k=10, ring_size=3, min_span=60.0
         group=group, mk=mk, registry=registry, clock=clock,
         vehicles=vehicles, rng=rng,
     )
-
-
-def last_row_doubling_scalar(group, w=8):
-    """The odd scalar whose last addition on rows of width-``w`` regular
-    digits (the generator's table at w = 8) meets its own operand.
-
-    With n = ceil(bits(q) / w) rows, the partial sum before row i and
-    the entry ``d_i * 2**(w*i)`` added there differ by a nonzero amount
-    below ``2**(w*(i+1))`` in size, less than q for every row but the
-    last.  The last addition, of digit d, doubles when the partial sum
-    ``k - d * 2**(w*(n-1))`` is ``d * 2**(w*(n-1)) - q``.  The search
-    keeps each odd d whose k lies in (0, q) and recodes to end in d; on
-    both curves exactly one does.  Where w divides bits(q), as 8 does on
-    both curves, it is d = 2**w - 1.  ``q`` minus it is recoded the same
-    way with every digit's sign flipped.
-    """
-    q = group.q
-    n = -(-q.bit_length() // w)
-    found = [k for d in range(1, 2**w, 2)
-             if 0 < (k := 2 * d * 2 ** (w * (n - 1)) - q) < q and _regular_digits(k, n, w)[-1][1] == d]
-    assert len(found) == 1
-    return found[0]
 
 
 def opcode_trace(module, fn):

@@ -17,7 +17,6 @@ from avcs.groups import (
     P256,
     ToyGroup,
     _PreparedPoint,
-    _regular_digits,
     _wnaf,
     batch_inverse,
     count_group_ops,
@@ -28,7 +27,7 @@ from avcs.groups import (
 )
 from avcs.hardware import _window_tag
 from avcs.ringsig import ManufactoryRegistry, RingSignature, forge_tuple, keygen, ring_sign, ring_verify, setup
-from helpers import PROPERTY, chi_square, last_row_doubling_scalar, opcode_trace
+from helpers import PROPERTY, chi_square, opcode_trace
 
 TOY = ToyGroup(23)
 BIG_TOY = ToyGroup(2147483647)
@@ -616,84 +615,74 @@ def test_prepare_counts_nothing_and_keeps_the_point(group):
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypatch):
     G, lam = group.generator, short_bits(group)
-    table = group.generator.rows
-    # the comb: row i holds 1, 3, ..., 255 times 2**(8i) * G; 24 rows of
-    # 128 points on P-192, 32 on P-256
-    assert {len(row) for row in table} == {128}
-    assert sum(map(len, table)) == {"p192": 3072, "p256": 4096}[group.group_id]
-    for i in (1, 12, len(table) - 1):
-        assert [table[i][m >> 1] for m in (1, 3, 255)] == [
-            double_and_add(group, m * 2 ** (8 * i), G) for m in (1, 3, 255)
-        ]
+    # the generator's comb: teeth 16 bits apart in two tables 8 apart on
+    # P-192, 24 apart in three on P-256; table i holds 2**(8i) times the
+    # first, and each scalar has one column per bit of a tooth
+    spacing, m = {"p192": (16, 2), "p256": (24, 3)}[group.group_id]
+    assert G.spacing is None and G.comb == (spacing, 8) and len(G.rows) == m
     read = []
 
-    class Row(list):
-        def __getitem__(self, m):
+    class Table(list):
+        def __getitem__(self, e):
             read.append(self.i)
-            return list.__getitem__(self, m)
+            return list.__getitem__(self, e)
 
-    comb = [Row(row) for row in table]
-    for i, row in enumerate(comb):
-        row.i = i
-    monkeypatch.setattr(group.generator, "rows", comb)
+    tables = [Table(table) for table in G.rows]
+    for i, table in enumerate(tables):
+        table.i = i
+    monkeypatch.setattr(G, "rows", tables)
     key = group.scalar_mul(0xBEEF, G)
+    rng = random.Random(2019)
     # the chain is C = 16 beside a transient key or a ring key's signed
-    # comb, and lam beside a fresh base whose scalar's top bit is lam - 1;
-    # the signed comb adds two columns per step, one from each of its
-    # tables, whatever its scalar.  Doublings wait for the first addition,
-    # at the top step that holds a digit: step 0 beside the key's one
-    # digit, the comb's columns 15 and 31, and the fresh base's top bit
-    for other, k, C, top in ((group.prepare(key, transient.KEY_SPACING), 1, 16, 0),
+    # comb, and lam beside a fresh base whose scalar's top bit is lam - 1:
+    # G's column t lands at step t mod C from table (t // C) * (C / 8), so
+    # C = 16 reads every second table and C = lam the first alone.  Every
+    # column is nonzero, so G adds one entry per column, and the chain
+    # doubles from its top step that holds a digit: step 15 of G's columns
+    # on C = 16, and the fresh base's top bit on C = lam
+    for other, k, C, top in ((group.prepare(key, transient.KEY_SPACING), 1, 16, 15),
                              (group.prepare(key), 1, 16, 15),
                              (key, 2 ** (lam - 1) + 1, lam, lam - 1)):
-        # 255 at the foot of each C-bit chunk j: one width-9 digit, added
-        # from comb row j * C / 8
-        chunks = range(group.q.bit_length() // C)
-        s = sum(255 << C * j for j in chunks)
+        s = rng.randrange(1, group.q)
         read.clear()
         ops = point_ops(lambda: group.multi_mul([(s, G), (k, other)]))
-        assert set(read) == {j * C // 8 for j in chunks}
+        assert set(read) == {t // C * (C // 8) for t in range(spacing)}
+        assert len(read) == spacing
         if other is key:  # one doubling and 3 additions for its odd multiples
-            assert ops == (top + 1, len(chunks) + 2 + 3, 2)
+            assert ops == (top + 1, spacing + 2 + 3, 2)
         else:
-            assert ops == (top, len(chunks) + (32 if other.spacing is None else 1), 1)
+            assert ops == (top, spacing + (32 if group.has_comb(other) else 1), 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_prepared_check_runs_one_short_doubling_chain(group, point_ops):
-    # a message check on a key prepared at transient.KEY_SPACING: comb
-    # rows 8 bits apart and key rows 16 apart make one chain of 16 steps
-    # on either curve, which doubles from its top step that holds a
-    # digit: step 15 for most checks
+    # a message check on a key prepared at transient.KEY_SPACING: the
+    # generator's tables 8 bits apart and key rows 16 apart make one chain
+    # of 16 steps on either curve, which doubles from step 15, where G's
+    # top column lies in the first table
     sk, pk = transient.gen_keypair(group, random.Random(2014))
     prepared = group.prepare(pk, transient.KEY_SPACING)
-    group.scalar_mul(1, group.generator)  # build the table outside the count
-    additions, chains = [], []
+    columns = group.generator.comb[0]
     for i in range(50):
         msg = b"beacon %d" % i
         signature = transient.sign(group, sk, pk, msg)
         assert transient.verify(group, prepared, msg, signature)
-        doublings, adds, inversions = point_ops(lambda: transient.verify(group, prepared, msg, signature))
         s, e = check_scalars(group, pk, msg, signature)
-        assert (doublings, inversions) == (top_step(16, _wnaf(s, 9), _wnaf(e, 4)), 1)
-        additions.append(adds)
-        chains.append(doublings)
-    assert max(chains) == 15 and chains.count(15) >= 40
-    # one addition per NAF digit: width 9 on the full-width s, width 4 on
-    # the half-width e
-    assert sum(additions) / len(additions) <= {"p192": 40, "p256": 53}[group.group_id]
+        # one addition per column of G (16 on P-192, 24 on P-256) and per
+        # width-4 NAF digit of the half-width e
+        assert point_ops(lambda: transient.verify(group, prepared, msg, signature)) == (
+            15, columns + len(_wnaf(e, 4)), 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_plain_key_check_runs_a_half_length_chain(group, point_ops):
     # a half-width challenge on a plain key: one chain to the first
     # multiple of 8 above its top digit (lam for each of these ten), which
-    # doubles from its top step that holds a digit, and one more doubling
-    # for the key's odd multiples
+    # doubles from e's top digit, and one more doubling for the key's odd
+    # multiples: G's columns all lie below it, read from G's first table
     sk, pk = transient.gen_keypair(group, random.Random(2015))
-    group.scalar_mul(1, group.generator)  # build the table outside the count
     additions, chains = 0, []
-    lam = short_bits(group)
+    lam, columns = short_bits(group), group.generator.comb[0]
     for i in range(10):
         msg = b"first %d" % i
         signature = transient.sign(group, sk, pk, msg)
@@ -701,12 +690,14 @@ def test_plain_key_check_runs_a_half_length_chain(group, point_ops):
         doublings, adds, _ = point_ops(lambda: transient.verify(group, pk, msg, signature))
         s, e = check_scalars(group, pk, msg, signature)
         assert (_wnaf(e, 4)[-1][0] // 8 + 1) * 8 == lam
-        assert doublings == top_step(lam, _wnaf(s, 9), _wnaf(e, 4)) + 1 <= lam
+        assert doublings == top_step(lam, group._comb_digits(s, columns), _wnaf(e, 4)) + 1 <= lam
+        # 3 additions for the key's odd multiples, one per column of G and per NAF digit of e
+        assert adds == 3 + columns + len(_wnaf(e, 4))
         additions += adds
         chains.append(doublings)
-    assert chains == {"p192": [96, 95, 94, 96, 95, 96, 95, 95, 95, 96],
-                      "p256": [125, 127, 127, 127, 128, 128, 128, 128, 126, 127]}[group.group_id]
-    assert additions == {"p192": 430, "p256": 547}[group.group_id]
+    assert chains == {"p192": [96, 94, 91, 94, 95, 95, 95, 95, 95, 93],
+                      "p256": [125, 127, 127, 126, 122, 128, 128, 128, 124, 127]}[group.group_id]
+    assert additions == {"p192": 394, "p256": 532}[group.group_id]
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -730,19 +721,90 @@ def test_transient_prepare_builds_rows_16_bits_apart(group, point_ops):
     assert group.prepare(short, transient.KEY_SPACING) is short and group.prepare(full) is full
     assert group.prepare(full, transient.KEY_SPACING).rows == short.rows
     assert group.prepare(short).rows == full.rows
-    wide = group.prepare(full, 32)
-    assert wide.spacing == 32 and len(wide.rows) == -(-lam // 32)
-    assert wide.rows[1] == [double_and_add(group, m << 32, pt) for m in (1, 3, 5, 7)]
+    # and any other spacing, 8 bits included, gives the same shape
+    for spacing in (8, 32):
+        rows = group.prepare(full, spacing)
+        assert rows.spacing == spacing and len(rows.rows) == -(-lam // spacing)
+        assert rows.rows[1] == [double_and_add(group, m << spacing, pt) for m in (1, 3, 5, 7)]
     for spacing in (0, lam + 1):
         with pytest.raises(ValueError):
             group.prepare(pt, spacing)
 
 
-def comb_entry(group, e):
+def comb_teeth(group, comb):
+    """The teeth of a comb-prepared point: bits(q) / its teeth's spacing."""
+    return -(-group.q.bit_length() // comb.comb[0])
+
+
+def comb_entry(group, comb, e):
     """The multiple of the base that entry e of the comb's first table
-    holds: ``1 + sum(+-2**(32j))`` over teeth j >= 1, + where bit j - 1 of
-    e is set.  Its second table's entry e holds ``2**16`` times it."""
-    return 1 + sum((1 if e >> (j - 1) & 1 else -1) << 32 * j for j in range(1, group._teeth))
+    holds: ``1 + sum(+-2**(spacing*j))`` over teeth j >= 1, + where bit
+    j - 1 of e is set.  Its table i's entry e holds ``2**(offset*i)``
+    times it."""
+    spacing = comb.comb[0]
+    return 1 + sum((1 if e >> (j - 1) & 1 else -1) << spacing * j for j in range(1, comb_teeth(group, comb)))
+
+
+def comb_columns(group, comb, k):
+    """The column values of ``k``'s walk on ``comb``, least significant
+    first: each digit's entry as a multiple of the base, with its sign."""
+    return [(1 if d > 0 else -1) * comb_entry(group, comb, abs(d) >> 1)
+            for _, d in group._comb_digits(k, comb.comb[0])]
+
+
+def digit_sums_of_q(q, positions):
+    """Each nonzero multiple M * q that is a +-1-digit sum over the bit
+    ``positions``, as (M, the set of positions whose digit is +1): M * q
+    is such a sum iff ``(M * q + sum(2**b)) / 2`` is an integer >= 0
+    whose set bits lie in ``positions``, and then those bits are the +1
+    digits.  A +-1-digit sum is never 0: its lowest digit is odd at its
+    own bit."""
+    union = sum(1 << b for b in positions)
+    found = []
+    for M in range(-(union // q), union // q + 1):
+        v = M * q + union
+        if M and v >= 0 and v % 2 == 0 and (v >> 1) & ~union == 0:
+            found.append((M, {b for b in positions if v >> b + 1 & 1}))
+    return found
+
+
+@cache
+def comb_doubling_scalars(group, shape):
+    """Every scalar in (0, q) whose walk on a comb of this shape, (the
+    teeth's spacing, the tables' offset), meets an addition's own
+    operand or sums to the identity before its end, derived from the
+    order of the walk.
+
+    The recoding writes k's odd fold K as ``sum(s_b * 2**b)`` over
+    b < n = spacing * teeth, every s_b = +-1.  Bit b lies in column
+    b mod spacing, which step b mod offset adds from table (b mod
+    spacing) // offset, and the steps run from offset - 1 down to 0,
+    each adding its columns table by table.  So at step t the partial
+    sum before an addition and the addend are 2**-t times +-1-digit sums
+    over disjoint sets of bit positions, and the addition doubles (or
+    reaches the identity) iff the partial sum minus (plus) the addend,
+    a +-1-digit sum over the union of both sets, is a multiple of q
+    (``digit_sums_of_q``).  On every comb here only the walk's last
+    addition, column L = offset * (m - 1) from table m - 1 at step 0,
+    admits one.  There the union holds every bit, so each M gives one K:
+    K = M * q for the identity, which |K| < q rules out, and for a
+    doubling the digits with column L's flipped, ``K = 2**(L+1) * c_L +
+    M * q``, kept if |K| < q.
+    """
+    q = group.q
+    spacing, offset = shape
+    m, n = spacing // offset, spacing * -(-q.bit_length() // spacing)
+    meets, found = set(), set()
+    for t, i in product(range(offset), range(m)):
+        table = {b: b % spacing // offset for b in range(n) if b % offset >= t}
+        added = {b for b in table if b % offset == t and table[b] == i}
+        for M, plus in digit_sums_of_q(q, [b for b in table if b % offset > t or table[b] <= i]):
+            meets.add((t, i))
+            K = sum((1 if b in plus else -1) * (-1 if b in added else 1) << b for b in range(n))
+            if abs(K) < q:
+                found |= {K % q, -K % q}
+    assert meets == {(0, m - 1)}
+    return tuple(sorted(found))
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -754,7 +816,7 @@ def test_ring_key_prepare_builds_a_signed_comb(group, point_ops):
     # -+2**(32j + 16) * pt to every entry of the second in one lane step:
     # 4 + 8 + ... + 2**teeth lane additions, one inversion per step
     teeth = {"p192": 6, "p256": 8}[group.group_id]
-    assert teeth == group._teeth == -(-group.q.bit_length() // 32)
+    assert teeth == -(-group.q.bit_length() // 32)
     cost = {"p192": (176, 0, 6), "p256": (240, 0, 8)}[group.group_id]
     assert point_ops(lambda: group.prepare(pt)) == cost == (16 * (2 * teeth - 1), 0, teeth)
     lanes = {"p192": (124, 5), "p256": (508, 7)}[group.group_id]
@@ -762,39 +824,35 @@ def test_ring_key_prepare_builds_a_signed_comb(group, point_ops):
     comb = group.prepare(pt)
     # two tables of 32 points per ring key or window tag on P-192, 64 in
     # all; two of 128 on P-256, 256 in all
-    assert comb.spacing is None and [len(row) for row in comb.rows] == [2 ** (teeth - 1)] * 2
+    assert comb.spacing is None and comb.comb == (32, 16) and comb_teeth(group, comb) == teeth
+    assert [len(row) for row in comb.rows] == [2 ** (teeth - 1)] * 2
     assert sum(map(len, comb.rows)) == {"p192": 64, "p256": 256}[group.group_id]
     for e in range(2 ** (teeth - 1)):
         assert [comb.rows[t][e] for t in (0, 1)] == [
-            double_and_add(group, comb_entry(group, e) << 16 * t, pt) for t in (0, 1)]
+            double_and_add(group, comb_entry(group, comb, e) << 16 * t, pt) for t in (0, 1)]
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
-@pytest.mark.parametrize("w", [6, 8])
-def test_row_prepare_builds_the_generator_table_shape(group, w, point_ops):
-    pt = group.hash_to_group("test-base", b"rows")
-    # rows at a spacing w up to 8: ceil(bits(q) / w) rows of the odd
-    # multiples 1, 3, ..., 2**w - 1 of 2**(wj) * pt, one doubling per row
-    # and w - 1 between rows, 2**(w-1) - 1 additions per row, one
-    # inversion for all; at w = 8, the operation table's `prepare generator`
-    rows = -(-group.q.bit_length() // w)
-    cost = {("p192", 6): (187, 992, 1), ("p256", 6): (253, 1333, 1),
-            ("p192", 8): (185, 3048, 1), ("p256", 8): (249, 4064, 1)}[group.group_id, w]
-    assert point_ops(lambda: group.prepare(pt, w)) == cost
-    assert cost == (rows + (w - 1) * (rows - 1), (2 ** (w - 1) - 1) * rows, 1)
-    table = group.prepare(pt, w)
-    assert table == pt and table.spacing == w
-    assert [len(row) for row in table.rows] == [2 ** (w - 1)] * rows
-    odd = (1, 3, 2**w - 1)
-    for j in (0, 1, rows - 1):
-        assert [table.rows[j][m >> 1] for m in odd] == [double_and_add(group, m << w * j, pt) for m in odd]
-    # the same spacing comes back as it is; the comb is another layout
-    assert group.prepare(table, w) is table and group.prepare(table).spacing is None
-    # the generator's rows are the same shape at width 8; at 9 the rows
-    # turn to 4 entries over lam bits
+def test_generator_prepare_builds_a_signed_comb(group, point_ops):
+    # the generator's comb: teeth 8 * ceil(bits(q) / 96) bits apart, in
+    # m tables 8 bits apart, built as a ring key's comb is: one chain of
+    # m * teeth - 1 runs of 8 doublings, one inversion, then one lane step
+    # per tooth j >= 1 over every table, m * (4 + 8 + ... + 2**teeth) lane
+    # additions; the operation table's `prepare generator`
+    spacing, m, teeth = {"p192": (16, 2, 12), "p256": (24, 3, 11)}[group.group_id]
+    assert spacing == 8 * -(-group.q.bit_length() // 96) and teeth == -(-group.q.bit_length() // spacing)
+    build = type(group).generator.func  # the cached property's own function, run afresh
+    cost = {"p192": (184, 0, 12), "p256": (256, 0, 11)}[group.group_id]
+    assert point_ops(lambda: build(group)) == cost == (8 * (m * teeth - 1), 0, teeth)
+    lanes = {"p192": (8188, 11), "p256": (6138, 10)}[group.group_id]
+    assert point_ops.lanes == lanes == (m * (2**teeth - 2), teeth - 1)
     G = group.generator
-    assert group.prepare((G[0], G[1]), 8).rows == G.rows
-    assert [len(row) for row in group.prepare(pt, 9).rows] == [4] * -(-short_bits(group) // 9)
+    assert build(group).rows == G.rows and G.spacing is None and G.comb == (spacing, 8)
+    # two tables of 2048 points on P-192 and three of 1024 on P-256
+    assert [len(table) for table in G.rows] == {"p192": [2048] * 2, "p256": [1024] * 3}[group.group_id]
+    for e in (0, 1, 2 ** (teeth - 2), 2 ** (teeth - 1) - 1):
+        assert [G.rows[t][e] for t in range(m)] == [
+            double_and_add(group, comb_entry(group, G, e) << 8 * t, G) for t in range(m)]
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -816,7 +874,7 @@ def test_transient_key_stays_exact_past_its_rows(group, point_ops):
         assert point_ops(lambda: group.scalar_mul(k, short)) == point_ops(lambda: group.scalar_mul(k, pt))
 
 
-# --- scalar_mul's one loop, over the generator's table or a per-call row,
+# --- scalar_mul's one loop, over a comb or a per-call row,
 # --- against double-and-add
 
 
@@ -846,7 +904,7 @@ def generator_scalars(draw):
     group = draw(st.sampled_from(CURVES))
     q = group.q
     special = [0, 1, 2, 3, 15, 16, 17, 255, 256, 257, q - 2, q - 1, q, q + 1, 2 * q, -1, -2,
-               last_row_doubling_scalar(group), q - last_row_doubling_scalar(group)]
+               *comb_doubling_scalars(group, group.generator.comb)]
     k = draw(st.one_of(st.sampled_from(special), st.integers(-2 * q, 2 * q)))
     base = draw(st.sampled_from([group.generator] + other_bases(group)))
     return group, k, base
@@ -879,16 +937,16 @@ def test_fixed_multi_mul_matches_double_and_add(case, data):
 @cache
 def fixed_bases(group):
     """One base of each layout a fixed-pattern sum walks, with its
-    documented incomplete-addition pair: the generator's rows, the signed
-    comb of a ring key or a window tag, and a transient key and a plain
-    point, both on the per-call row.  Hashed points, so that no base is a
-    known multiple of another."""
+    documented incomplete-addition pair: the generator's signed comb, the
+    signed comb of a ring key or a window tag, and a transient key and a
+    plain point, both on the per-call row.  Hashed points, so that no base
+    is a known multiple of another."""
     q = group.q
     point = {name: group.hash_to_group("test-base", name.encode()) for name in ("comb", "key", "plain")}
-    gen = last_row_doubling_scalar(group)
+    comb = group.prepare(point["comb"])
     return [
-        (group.generator, (gen, q - gen)),
-        (group.prepare(point["comb"]), tuple(comb_doubling_scalars(group))),
+        (group.generator, comb_doubling_scalars(group, group.generator.comb)),
+        (comb, comb_doubling_scalars(group, comb.comb)),
         (group.prepare(point["key"], transient.KEY_SPACING), (2, q - 2)),
         (point["plain"], (2, q - 2)),
     ]
@@ -1000,111 +1058,48 @@ def test_add_lanes_matches_reference_add(group):
         assert acc == [affine_add(group, a, b) for a, b in lanes]
 
 
-@pytest.mark.parametrize("group", CURVES, ids=str)
-def test_generator_muls_match_scalar_mul(group):
-    G, q = group.generator, group.q
-    last = last_row_doubling_scalar(group)
-    # edge scalars, the generator table's two exceptional ones among them
-    rng = random.Random(1987)
-    scalars = [0, 1, 2, q - 1, q - 2, last, q - last] + [rng.randrange(q) for _ in range(256)]
+@pytest.mark.parametrize("group", (P192, P256, BIG_TOY), ids=str)
+def test_setup_multiples_match_scalar_mul(group):
+    # a master set-up's Y is one fixed_multi_muls of one sum per scalar on
+    # the generator (test_ringsig checks Y itself): here over edge scalars,
+    # on a curve the generator comb's pair among them
+    q, G = group.q, group.generator
+    edges = [0, 1, 2, q - 1, q - 2, q, q + 5, -3]
+    if not isinstance(group, ToyGroup):
+        edges += comb_doubling_scalars(group, G.comb)
     with count_group_ops() as ops:
-        lanes = group.generator_muls(scalars)
-    assert ops.scalar_muls == len(scalars)
-    assert lanes == [group.scalar_mul(k, G) for k in scalars]
-    assert lanes[:7] == [double_and_add(group, k, G) for k in scalars[:7]]
-    assert group.generator_muls([]) == [] and group.generator_muls([0, group.q]) == [None, None]
-
-
-def test_toy_generator_muls_match_scalar_mul():
-    q = BIG_TOY.q
-    scalars = [0, 1, 2, q - 1, q, q + 5, -3, 2**40]
-    with count_group_ops() as ops:
-        lanes = BIG_TOY.generator_muls(scalars)
-    assert ops.scalar_muls == len(scalars)
-    assert lanes == [BIG_TOY.scalar_mul(k, BIG_TOY.generator) for k in scalars]
-
-
-@pytest.mark.parametrize("group", CURVES, ids=str)
-def test_generator_muls_take_one_lane_step_per_table_row(group, point_ops):
-    group.scalar_mul(1, group.generator)  # build the table outside the count
-    # the first row's digits start every lane; each later row is one step
-    steps = {"p192": 23, "p256": 31}[group.group_id]
-    assert steps == len(group.generator.rows) - 1
-    rng = random.Random(2020)
-    for n in (1, 17, 256):
-        X = [rng.randrange(1, group.q) for _ in range(n)]
-        with count_group_ops() as ops:
-            assert point_ops(lambda: group.generator_muls(X)) == (0, 0, steps)
-        assert point_ops.lanes == (steps * n, steps)
-        assert ops.scalar_muls == n
-    # where scalar_mul's last addition doubles, the lane takes the exact add:
-    # a mixed addition from the identity, one that doubles, one conversion
-    for k in (last_row_doubling_scalar(group), group.q - last_row_doubling_scalar(group)):
-        assert point_ops(lambda: group.generator_muls([k])) == (1, 2, steps + 1)
-
-
-def comb_columns(group, k):
-    """The column values of ``k``'s comb walk, least significant first:
-    each digit's entry as a multiple of the base, with its sign."""
-    return [(1 if d > 0 else -1) * comb_entry(group, abs(d) >> 1) for _, d in group._comb_digits(k)]
-
-
-def comb_doubling_scalars(group):
-    """Every scalar whose comb walk meets an addition's own operand,
-    found by exhaustive search.
-
-    The walk's 16 steps run from step 15 down to step 0, and step t
-    adds column t from the first table, then ``2**16`` times column
-    t + 16 from the second.  Every column c_u is odd, so the partial sum
-    before a first-table addition is even against an odd addend, and
-    before a second-table one odd against an even addend: an addition
-    doubles iff its partial sum is its addend plus m * q with m nonzero.
-    With c the largest column, the partial sum and the addend together
-    are at most ``c * ((2**16 + 1) * (2**(16 - t) - 2) + 1)`` in size
-    before column t, and ``c * (2**16 + 1) * (2**(16 - t) - 1)`` before
-    column t + 16, which reaches q only at the last addition, column 16
-    at step 0, on either curve.  There ``k = 2**17 * c_16 + m * q`` for
-    one of the 2**teeth column values c_16.  A candidate is kept if its
-    own columns make the walk's partial sum meet ``2**16 * c_16``, and so
-    is q minus it.
-    """
-    q, teeth = group.q, group._teeth
-    largest = comb_entry(group, 2 ** (teeth - 1) - 1)
-    first = [t for t in range(16) if largest * ((2**16 + 1) * (2 ** (16 - t) - 2) + 1) >= q]
-    second = [t for t in range(16) if largest * (2**16 + 1) * (2 ** (16 - t) - 1) >= q]
-    assert (first, second) == ([], [0])
-    found = set()
-    # |m| * q <= largest * (2**32 - 1) = 2**(32 * teeth) - 1 < 2q
-    for c16, m in product((s * comb_entry(group, e) for e in range(2 ** (teeth - 1)) for s in (1, -1)),
-                          (-1, 1)):
-        k = (c16 << 17) + m * q
-        if 0 < k < q:
-            columns = comb_columns(group, k)
-            assert sum(c << t for t, c in enumerate(columns)) % q == k
-            if (k - (columns[16] << 17)) % q == 0:
-                found |= {k, q - k}
-    return sorted(found)
+        assert group.fixed_multi_muls([[(k, G)] for k in edges]) == [reference_mul(group, k, G) for k in edges]
+    assert ops.scalar_muls == len(edges)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_generator_multiples_have_one_operation_pattern(group, point_ops):
-    group.scalar_mul(1, group.generator)  # build the table outside the count
+    G = group.generator
 
-    def pattern(k, base=group.generator):
+    def pattern(k, base=G):
         return point_ops(lambda: group.scalar_mul(k, base))
 
     rng = random.Random(2009)
     q = group.q
     scalars = [1, 2, q - 1, q - 2] + [rng.randrange(1, q) for _ in range(50)]
-    # one addition per width-8 digit, one digit per table row, no doubling
-    rows = {"p192": 24, "p256": 32}[group.group_id]
-    assert rows == -(-q.bit_length() // 8)
-    assert {pattern(k) for k in scalars} == {(0, rows, 1)}
-    last = last_row_doubling_scalar(group)
-    assert last & 1 and 0 < last < q and _regular_digits(last, rows, 8)[-1] == (8 * (rows - 1), 255)
-    # the incomplete addition formula's one exception on each curve
-    for k in (last, q - last):
-        assert pattern(k) == (1, rows, 1)
+    # the generator's comb: its 16 columns on P-192 (24 on P-256), one
+    # addition each, one from each of its tables per step of an 8-step
+    # walk, 7 doublings between
+    columns = {"p192": 16, "p256": 24}[group.group_id]
+    assert columns == G.comb[0]
+    assert {pattern(k) for k in scalars} == {(7, columns, 1)}
+    # the pair on each curve whose last addition, 2**L times column L's c_L
+    # from the last table (L = 8 on P-192, 16 on P-256), meets a partial sum
+    # of k - 2**L * c_L = 2**L * c_L mod q: k = 2**(L+1) * c_L + M * q and q - k
+    L = {"p192": 8, "p256": 16}[group.group_id]
+    exceptions = comb_doubling_scalars(group, G.comb)
+    assert len(exceptions) == 2 and sum(exceptions) == q
+    k = max(exceptions, key=lambda k: k & 1)
+    assert (k - (comb_columns(group, G, k)[L] << L + 1)) % q == 0
+    assert k == {"p192": 0xFDFFFDFFFDFFFDFFFDFFFDFF9BDEFA36166BCBB1B6D22A31,
+                 "p256": 0xFFFFFDFD00020002FDFFFFFDFFFFFDFF36B6F008F746DB8CDB2D6248F52B6FF3}[group.group_id]
+    for k in exceptions:
+        assert pattern(k) == (8, columns, 1)
     # any other base: its per-call row P..15P stays at width 4 whatever the
     # generator's width (one doubling, 7 mixed additions, one inversion),
     # then its bits(q)/4 digits, one at each of bits 0, 4, 8, ..., on a
@@ -1125,13 +1120,13 @@ def test_generator_multiples_have_one_operation_pattern(group, point_ops):
     # the one pair on each curve whose last addition, 2**16 times column
     # 16's c_16 from the second table, meets a partial sum of k - 2**16 *
     # c_16 = 2**16 * c_16 mod q: k = 2**17 * c_16 + q and q - k
-    exceptions = comb_doubling_scalars(group)
+    exceptions = comb_doubling_scalars(group, prepared.comb)
     assert len(exceptions) == 2 and sum(exceptions) == q
     k = max(exceptions, key=lambda k: k & 1)
-    assert k == (comb_columns(group, k)[16] << 17) + q
+    assert k == (comb_columns(group, prepared, k)[16] << 17) + q
     if group is P192:
         assert k == 0xFFFDFFFFFFFDFFFFFFFDFFFF99DCF8361469C9B1B4D02831
-        assert q - k == 2**17 * comb_entry(group, 2 ** (group._teeth - 1) - 1)
+        assert q - k == 2**17 * comb_entry(group, prepared, 2 ** (comb_teeth(group, prepared) - 1) - 1)
     for k in exceptions:
         assert pattern(k, prepared) == (16, 32, 1)
 
@@ -1156,26 +1151,28 @@ def test_a_plain_point_equal_to_the_generator_takes_the_per_call_row(group, poin
     k = rng.randrange(3, q - 2)
     per_call = {"p192": (189, 55, 2), "p256": (253, 71, 2)}[group.group_id]
     assert point_ops(lambda: group.scalar_mul(k, plain)) == per_call
-    assert point_ops(lambda: group.scalar_mul(k, G)) == (0, -(-q.bit_length() // 8), 1)
+    assert point_ops(lambda: group.scalar_mul(k, G)) == (7, G.comb[0], 1)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_forge_on_a_prepared_key_has_one_operation_pattern(group, point_ops):
     E = group.prepare(group.scalar_mul(0xF00D, group.generator))
-    group.scalar_mul(1, group.generator)  # build the table outside the count
     patterns = {point_ops(lambda: forge_tuple(group, E, random.Random(seed))) for seed in range(50)}
     # one chain: b*E's comb columns at steps 15..0 (15 doublings, two
-    # additions each, one per table) and a*G's width-8 digits at steps 0
-    # and 8 (one addition each, from rows 0, 2, 4, ...), and one inversion
-    # for U
-    pattern = {"p192": (15, 56, 1), "p256": (15, 64, 1)}[group.group_id]
+    # additions each, one per table) and a*G's columns, one addition each
+    # at steps 15..0 from G's first table, and on P-256 its columns 16..23
+    # at steps 7..0 from its third; and one inversion for U
+    pattern = {"p192": (15, 48, 1), "p256": (15, 56, 1)}[group.group_id]
     assert patterns == {pattern}
-    # column 16 comes second at step 0, after a's digits at step 8, whose
-    # sum is 2**8 times an odd number and below q in size, so no multiple
-    # of q: the comb's own pair, whose walk meets 2**16 * c_16 there, never
-    # doubles in a forge
+    # step 0 adds E's columns 0 and 16, then G's: before E's column 16 the
+    # partial sum is E's own, 2**16 * c_16 * E for b in E's pair, plus a's
+    # columns above step 0, a +-1-digit sum over the bits of a that lie
+    # off step 0, which no multiple of q is: the comb's own pair, whose walk
+    # meets 2**16 * c_16 there, never doubles in a forge
+    n, spacing = {"p192": (192, 16), "p256": (264, 24)}[group.group_id]
+    assert digit_sums_of_q(group.q, [b for b in range(n) if b % spacing not in (0, 16)]) == []
     rng = random.Random(2005)
-    for b in comb_doubling_scalars(group):
+    for b in comb_doubling_scalars(group, E.comb):
         for a in [1, group.q - 1] + [rng.randrange(1, group.q) for _ in range(5)]:
             assert point_ops(lambda: group.fixed_multi_muls([[(b, E), (a, group.generator)]])[0]) == pattern
 
@@ -1186,7 +1183,8 @@ def test_secret_scalars_run_one_opcode_path(group):
     # for k and q - k, either parity, and any other scalar: the fold to
     # the odd one and each digit's entry and sign are arithmetic, so no
     # branch and no conditional expression reads the scalar
-    G, comb, _, plain = (base for base, _ in fixed_bases(group))
+    bases = fixed_bases(group)
+    G, comb, _, plain = (base for base, _ in bases)
     tag = _window_tag(group, 16)
     cases = {
         "G": lambda k, a: group.fixed_multi_muls([[(k, G)]]),
@@ -1195,11 +1193,10 @@ def test_secret_scalars_run_one_opcode_path(group):
         "plain": lambda k, a: group.fixed_multi_muls([[(k, plain)]]),
         "forge on a comb": lambda b, a: group.fixed_multi_muls([[(b, comb), (a, G)]]),
         "forge on a plain key": lambda b, a: group.fixed_multi_muls([[(b, plain), (a, G)]]),
-        "generator_muls": lambda k, a: group.generator_muls([k, a]),
+        "setup": lambda k, a: group.fixed_multi_muls([[(k, G)], [(a, G)]]),
     }
     q, rng = group.q, random.Random(2033)
-    # an even k and an odd a, each beside q minus it, then random pairs;
-    # none is an incomplete-addition pair, which the pattern tests pin
+    # an even k and an odd a, each beside q minus it, then random pairs
     k, a = 2 * rng.randrange(1, q // 2), 2 * rng.randrange(1, q // 2) - 1
     scalars = [(k, a), (q - k, a), (k, q - a), (q - k, q - a)]
     scalars += [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(20)]
@@ -1207,25 +1204,46 @@ def test_secret_scalars_run_one_opcode_path(group):
         first = opcode_trace(groups, lambda: fn(*scalars[0]))
         for pair in scalars[1:]:
             assert opcode_trace(groups, lambda: fn(*pair)) == first, f"{name}: {pair} against {scalars[0]}"
+    # the incomplete-addition pairs, which the pattern tests pin, are the
+    # exceptions: G's comb pair, a ring key's comb pair, and 2 and q - 2 on
+    # the per-call row; none is among the scalars above, and each takes
+    # another path on its base alone
+    assert not {m for pair in scalars for m in pair} & {m for _, special in bases for m in special}
+    for name, (_, special) in (("G", bases[0]), ("comb", bases[1]), ("plain", bases[3])):
+        first = opcode_trace(groups, lambda: cases[name](scalars[0][0], None))
+        assert len(special) == 2
+        for m in special:
+            assert opcode_trace(groups, lambda: cases[name](m, None)) != first, f"{name}: {m}"
 
 
 @st.composite
 def comb_cases(draw):
-    """(group, k, plain base, its comb): k is 1, 2, q - 1, q - 2, the pair
-    whose last addition doubles, a scalar whose 32 columns all take +
-    entries or all take - ones (and q minus it), or any scalar, negatives
-    and multiples of q included.  The comb's walk reads both its tables,
-    16 bits apart, on one chain of 16 steps."""
+    """(group, k, plain base, its comb): the comb is a ring key's, of a
+    random multiple of G, or the generator's own.  k is 1, 2, q - 1,
+    q - 2, the pair whose last addition doubles, a scalar whose columns
+    all take + entries or all take - ones (and q minus it), or any
+    scalar, negatives and multiples of q included.  The comb's walk
+    reads all its tables on one chain as long as its offset: 16 steps
+    for a ring key's two tables, 8 for the generator's two (P-192) or
+    three (P-256)."""
     group = draw(st.sampled_from(CURVES))
-    q, n = group.q, 32 * group._teeth
-    # bits 0..31 of (k + 2**n - 1) / 2 give the columns' signs
-    high = draw(st.integers(0, 2 ** (n - 32) - 1))
-    uniform = [2 * (high << 32 | low) - (2**n - 1) for low in (0, 2**32 - 1)]
-    special = [1, 2, q - 1, q - 2] + comb_doubling_scalars(group)
+    q = group.q
+    if draw(st.booleans()):
+        base = group.scalar_mul(draw(st.integers(1, q - 1)), group.generator)
+        comb = group.prepare(base)
+    else:
+        comb = group.generator
+        base = tuple(comb)
+    spacing = comb.comb[0]
+    n = spacing * comb_teeth(group, comb)
+    # bits 0..spacing-1 of u = (k + 2**n - 1) / 2 give the columns' signs,
+    # and |k| < q holds u within q / 2 of 2**(n-1)
+    high = draw(st.integers(((1 << n - 1) - q // 2 >> spacing) + 1, ((1 << n - 1) + q // 2 >> spacing) - 1))
+    uniform = [2 * (high << spacing | low) - (2**n - 1) for low in (0, 2**spacing - 1)]
+    special = [1, 2, q - 1, q - 2, *comb_doubling_scalars(group, comb.comb)]
     special += [m for k in uniform if 0 < k < q for m in (k, q - k)]
     k = draw(st.one_of(st.sampled_from(special), st.integers(-2 * q, 2 * q)))
-    base = group.scalar_mul(draw(st.integers(1, q - 1)), group.generator)
-    return group, k, base, group.prepare(base)
+    return group, k, base, comb
 
 
 @PROPERTY
@@ -1242,20 +1260,25 @@ def test_comb_walks_match_double_and_add(case, data):
 
 
 @PROPERTY
-@given(st.sampled_from(CURVES), st.data())
-def test_comb_walk_on_either_chain_matches_double_and_add(group, data):
-    # a random scalar on a random key's comb: alone, its walk reads both
-    # tables on one pattern of 16 steps; beside a plain point's full-width
-    # scalar, whose chain is longer, it reads the first table alone
+@given(st.sampled_from(CURVES), st.booleans(), st.data())
+def test_comb_walk_on_either_chain_matches_double_and_add(group, generator, data):
+    # a random scalar on a random key's comb or on the generator's: alone,
+    # its walk reads every table on one pattern as long as its offset, one
+    # addition per column (16 steps and 32 additions on a key, 8 steps and
+    # 16 or 24 on G); beside a plain point's full-width scalar, whose chain
+    # is longer, it reads the first table alone
     q, G = group.q, group.generator
-    base = double_and_add(group, data.draw(st.integers(1, q - 1)), G)
-    comb = group.prepare(base)
+    if generator:
+        base = comb = G
+    else:
+        base = double_and_add(group, data.draw(st.integers(1, q - 1)), G)
+        comb = group.prepare(base)
     k, j = data.draw(st.integers(1, q - 1)), data.draw(st.integers(2**(q.bit_length() - 1), q - 1))
     expected = double_and_add(group, k, base)
-    group.scalar_mul(1, G)  # build the table outside the count
     with count_group_ops() as ops:
         assert group.scalar_mul(k, comb) == expected
-    assert (ops.doublings, ops.additions) == (15, 32)
+    spacing, offset = comb.comb
+    assert (ops.doublings, ops.additions) == (offset - 1, spacing)
     plain = group.hash_to_group("test-base", b"long chain")
     assert group.multi_mul([(k, comb), (j, plain)]) == affine_add(group, expected, double_and_add(group, j, plain))
 
@@ -1266,10 +1289,10 @@ def tag_cases(draw):
     q - 2, the comb's pair whose last addition doubles, or any scalar,
     negatives and multiples of q included."""
     group = draw(st.sampled_from(CURVES))
-    q = group.q
-    k = draw(st.one_of(st.sampled_from([1, 2, q - 1, q - 2, *comb_doubling_scalars(group)]),
+    q, tag = group.q, _window_tag(group, draw(st.integers(0, 1)))
+    k = draw(st.one_of(st.sampled_from([1, 2, q - 1, q - 2, *comb_doubling_scalars(group, tag.comb)]),
                        st.integers(-2 * q, 2 * q)))
-    return group, k, _window_tag(group, draw(st.integers(0, 1)))
+    return group, k, tag
 
 
 @PROPERTY
@@ -1339,7 +1362,7 @@ def test_generator_multiple_counts_one_scalar_mul(group):
             assert ops.scalar_muls == 1
 
 
-# --- multi_mul across layouts: the generator's rows, a signed comb,
+# --- multi_mul across layouts: the generator's comb, a ring key's comb,
 # --- transient rows and fresh bases in one call, against double-and-add
 
 
@@ -1351,11 +1374,11 @@ def reference_mul(group, k, pt):
 
 @st.composite
 def layout_cases(draw):
-    """(group, pairs) mixing the generator, a ring key's signed comb, a
-    transient key's rows 16 bits apart and fresh points.  A point can
-    repeat, in one layout or in two (the transient key and its plain
-    point), and scalars are 0 or sit around the generator rows' and the
-    key rows' spacings, lam and full width: past a transient key's rows
+    """(group, pairs) mixing the generator's comb, a ring key's signed
+    comb, a transient key's rows 16 bits apart and fresh points.  A point
+    can repeat, in one layout or in two (the transient key and its plain
+    point), and scalars are 0 or sit around the tables' and the key
+    rows' spacings, lam and full width: past a transient key's rows
     included."""
     group = draw(st.sampled_from(MSM_GROUPS))
     q, L, lam = group.q, slice_bits(group), short_bits(group)
@@ -1404,10 +1427,9 @@ def comb_ring(group, seed, r, msg):
 
 def comb_tuple_additions(group, sig):
     """The additions of tuple i's own sum (m_i/v_i)*P - (H1(U_i)/v_i)*E_i:
-    the comb's 32 columns, two per step, and a width-9 NAF of m_i/v_i on
-    G's rows."""
-    q = group.q
-    return sum(32 + len(_wnaf(int.from_bytes(m, "big") * pow(v, -1, q) % q, 9)) for m, _, v in sig.tuples)
+    the key comb's 32 columns, two per step, and G's 16 columns (24 on
+    P-256), whatever the scalars."""
+    return len(sig.tuples) * (32 + group.generator.comb[0])
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
@@ -1471,7 +1493,7 @@ def test_warm_ring_sign_walks_each_key_comb_once(group, point_ops):
     group.scalar_mul(1, group.generator)  # build the table outside the count
     patterns = {point_ops(lambda: ring_sign(b"warm", ring, sk, 2, registry, random.Random(seed)))
                 for seed in range(10)}
-    # r - 1 forges at (15, 32 + bits(q)/8) made affine together by one
-    # inversion, and the signer's l*G at (0, bits(q)/8, 1): 45 doublings on
-    # either curve
-    assert patterns == {{"p192": (45, 192, 2), "p256": (45, 224, 2)}[group.group_id]}
+    # r - 1 forges at (15, 32 + c) made affine together by one inversion,
+    # and the signer's l*G at (7, c, 1), c the generator's 16 columns (24 on
+    # P-256): 52 doublings on either curve
+    assert patterns == {{"p192": (52, 160, 2), "p256": (52, 192, 2)}[group.group_id]}

@@ -366,6 +366,26 @@ def test_receiver_keeps_a_tag_only_for_its_current_window(group):
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
+def test_a_tag_used_once_leaves_the_cache_order_alone(group):
+    # windows 1-4 cached, 1 the least recently used: a frame that names
+    # window 1 reads its tag without moving it, so the next miss that
+    # keeps a tag evicts window 1, not window 2
+    _tags.clear()
+    for window in range(1, WINDOW_TAGS + 1):
+        _window_tag(group, window)
+    before = list(_tags.items())
+    assert _window_tag(group, 1, keep=False) is _tags[(group, 1)]
+    assert list(_tags.items()) == before
+    _window_tag(group, 9, keep=False)  # a miss used once
+    assert list(_tags.items()) == before
+    _window_tag(group, 5)
+    assert list(_tags) == [(group, w) for w in (2, 3, 4, 5)]
+    # a hit that keeps its tag moves it to the recently used end
+    _window_tag(group, 2)
+    assert list(_tags) == [(group, w) for w in (3, 4, 5, 2)]
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
 def test_t_takes_the_comb_walk_for_every_secret(group, point_ops):
     tag = _window_tag(group, 16)
     q = group.q
@@ -408,11 +428,12 @@ def test_warm_mint_shares_its_inversions(group, point_ops):
     ring = [module.identity, "m:ghost-1", "m:ghost-2", "m:ghost-3"]
     for seed in range(2):  # cold ring keys, then keys prepared at second use
         module.gen_pseudonym(ring, 600, random.Random(seed))
-    # sk*G (0, bits(q)/8, 1); R on a per-call row and T on the tag's comb,
-    # (189, 55, 1) and (15, 32) on P-192, made affine by one more inversion;
-    # three forges at (15, 56) and one inversion; the signer's l*G (0, 24, 1)
+    # sk*G on the generator's comb (7, 16, 1) on P-192; R on a per-call row
+    # and T on the tag's comb, (189, 55) and (15, 32), made affine by one
+    # more inversion; three forges at (15, 48) and one inversion; the
+    # signer's l*G (7, 16, 1)
     patterns = {point_ops(lambda: module.gen_pseudonym(ring, 600, random.Random(seed))) for seed in range(2, 6)}
-    assert patterns == {{"p192": (249, 303, 5), "p256": (313, 359, 5)}[group.group_id]}
+    assert patterns == {{"p192": (263, 263, 5), "p256": (327, 319, 5)}[group.group_id]}
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)

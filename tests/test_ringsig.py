@@ -8,7 +8,9 @@ import pytest
 
 from avcs.errors import DegenerateKeyError, ParseError, UnknownManufactoryError
 from avcs.groups import P192, P256, ToyGroup, _PreparedPoint, batch_inverse, count_group_ops, expand_bytes
+from avcs.hardware import join
 from avcs.ringsig import (
+    MAX_ID_BYTES,
     MAX_RING,
     PRODUCTION,
     HashSuite,
@@ -80,7 +82,7 @@ def test_setup_defining_relation():
     mk192 = setup(P192, n=4, rng=random.Random(1), manufactory_id="m")
     for x, y in zip(mk192.X, mk192.Y):
         assert P192.scalar_mul(x, P192.generator) == y
-    # the production length, whose points share generator_muls' lane steps
+    # the production length, one fixed_multi_muls over X on the generator's comb
     for group in (P192, P256):
         with count_group_ops() as ops:
             mk = setup(group, rng=random.Random(2), manufactory_id="m")
@@ -400,6 +402,33 @@ def make_big_toy_ring(registry, mk, r, seed):
     pos = rng.randrange(r)
     signer = keygen(mk, ring[pos])
     return ring, signer, pos
+
+
+def test_ids_above_max_id_bytes_are_refused_and_unparseable():
+    # the cap counts UTF-8 bytes: 31 two-byte characters after "m:" make
+    # an id of exactly MAX_ID_BYTES, one more byte is over
+    mk, registry = big_toy_setup(seed=162)
+    signer = keygen(mk, "m:signer")
+    longest = "m:" + "\u00e9" * 31
+    over = longest + "x"
+    assert len(longest.encode()) == MAX_ID_BYTES == 64 and len(over) < MAX_ID_BYTES
+    sig = ring_sign(b"cap", [signer.id, longest], signer, 0, registry, random.Random(1))
+    blob = sig.to_bytes(BIG_TOY)
+    parsed = RingSignature.from_bytes(blob, BIG_TOY)
+    assert parsed.ids == (signer.id, longest) and ring_verify(b"cap", parsed, registry)
+    # signing, serializing and provisioning refuse a longer id
+    with pytest.raises(ValueError, match="above 64 bytes"):
+        ring_sign(b"cap", [signer.id, over], signer, 0, registry, random.Random(1))
+    assert over not in registry._cache
+    with pytest.raises(ValueError, match="above 64 bytes"):
+        RingSignature(sig.x, sig.w, (signer.id, over), sig.tuples).to_bytes(BIG_TOY)
+    with pytest.raises(ValueError, match="above 64 bytes"):
+        join(mk, "m:" + "v" * 63, registry, random.Random(2))
+    # on the wire it fails at its length, before its bytes are read
+    field = struct.pack(">H", MAX_ID_BYTES) + longest.encode()
+    assert blob.count(field) == 1
+    with pytest.raises(ParseError, match="identity of 65 bytes"):
+        RingSignature.from_bytes(blob.replace(field, struct.pack(">H", 65) + over.encode()), BIG_TOY)
 
 
 def test_sign_verify_round_trip_every_position():

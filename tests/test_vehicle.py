@@ -25,6 +25,7 @@ from avcs.hardware import (
     signed_message,
 )
 from avcs.ringsig import (
+    MAX_ID_BYTES,
     MAX_RING,
     PRODUCTION,
     ManufactoryRegistry,
@@ -712,6 +713,23 @@ def test_ring_above_the_cap_is_malformed_before_any_multiplication():
         VehicleState(receiver.hsm, ring_size=MAX_RING + 1)
 
 
+def test_an_id_above_the_cap_is_malformed_before_any_multiplication():
+    _, receiver, clock = p192_pair(seed=88)
+    rng = random.Random(89)
+    longest = "c:" + "g" * (MAX_ID_BYTES - 2)
+    frame = ghost_ring_frame(clock, 2, rng, ids=("c:ghost-0", longest))
+    assert receiver.receive(frame, clock.now()).reason == "bad-signature"
+    # the same frame with one more byte in that id, which no signer can
+    # serialize: the parser stops at its length
+    field = struct.pack(">H", MAX_ID_BYTES) + longest.encode()
+    over = frame.replace(field, struct.pack(">H", MAX_ID_BYTES + 1) + longest.encode() + b"g")
+    with count_group_ops() as ops:
+        result = receiver.receive(over, clock.now())
+    assert (result.outcome, result.reason) == ("reject", "malformed")
+    assert (ops.scalar_muls, ops.extractions, ops.roots) == (0, 0, 0)
+    assert "c:" + "g" * (MAX_ID_BYTES - 1) not in receiver.id_buf
+
+
 def test_closed_ghost_rings_stay_inside_a_budget_linear_in_r():
     # the most an attacker-closed ring of r cold ids can cost on P-192,
     # whatever the tuples: one chain to at most 200 steps (full-width
@@ -719,8 +737,9 @@ def test_closed_ghost_rings_stay_inside_a_budget_linear_in_r():
     # plus one doubling for each E_i's and U_i's odd multiples; per
     # member at most 64 additions for its cold extraction, 3 + 3 for
     # the odd multiples and width-4 NAF digits of a full-width scalar on
-    # E_i (49) and a 96-bit one on U_i (25), with 150 for the generator's
-    # merged term; one inversion per cold extraction, one for the fresh
+    # E_i (49) and a 96-bit one on U_i (25), with at most 150 for the
+    # generator's merged term (its comb's 16 columns); one inversion per
+    # cold extraction, one for the fresh
     # bases' rows and one for the sum
     _, receiver, clock = p192_pair(seed=86)
     rng = random.Random(87)
@@ -736,10 +755,10 @@ def test_closed_ghost_rings_stay_inside_a_budget_linear_in_r():
 
 def test_closed_ghost_rings_over_comb_keys_cost_a_comb_chain_per_member():
     # ids warm at the receiver, their keys prepared: each tuple is a sum of
-    # its own on its key's 16-step comb chain, at most 15 doublings, and 32
-    # column additions plus a width-9 NAF of a full-width scalar on G's
-    # rows (at most 22 digits); the r sums share one inversion, and the
-    # one square root is the transient key's, as no U_i is decoded
+    # its own on its key's 16-step comb chain, 15 doublings, as G's
+    # columns fill every step, and 32 column additions plus G's 16 from its
+    # first table; the r sums share one inversion, and the one square
+    # root is the transient key's, as no U_i is decoded
     _, receiver, clock = p192_pair(seed=88)
     registry = receiver.hsm.registry
     rng = random.Random(89)
@@ -755,22 +774,25 @@ def test_closed_ghost_rings_over_comb_keys_cost_a_comb_chain_per_member():
             result = receiver.receive(frame, clock.now())
         assert (result.outcome, result.reason) == ("reject", "bad-signature")
         assert (ops.scalar_muls, ops.extractions) == (3 * r, r)
-        assert ops.doublings <= 15 * r, r
-        assert ops.additions <= (32 + 22) * r, r
+        assert (ops.doublings, ops.additions) == (15 * r, (32 + 16) * r), r
         assert (ops.inversions, ops.roots) == (1, 1), r
 
 
 def test_public_checks_draw_no_blind(monkeypatch):
-    # batch_inverse blinds where a secret can reach it, from secrets: a mint
-    # and a master set-up draw, while the tables of public points (a ring
-    # key's or a window tag's comb, a transient key's rows, a registry's subset
-    # sums), cold extractions and the checks on them, whose inversions see
-    # public values alone, draw nothing
+    # batch_inverse blinds where a secret can reach it, from secrets: a mint,
+    # a master set-up and a signer's nonce draw, while the tables of public
+    # points (the generator's, a ring key's or a window tag's comb, a
+    # transient key's rows, a registry's subset sums), cold extractions and
+    # the checks on them, whose inversions see public values alone, draw
+    # nothing
     # each vehicle keeps its own keys, so the receiver's own checks build its combs
     sender, receiver, clock = p192_pair(seed=90, shared_registry=False)
     draws = []
     randbelow = secrets.randbelow
     monkeypatch.setattr(secrets, "randbelow", lambda n: draws.append(n) or randbelow(n))
+    assert type(P192).generator.func(P192).rows == P192.generator.rows  # the generator's comb, built afresh
+    assert receiver.hsm.registry.derive_pubkey("c:cold-0") is not None  # an extraction nobody cached
+    assert draws == []
     ring = [sender.hsm.identity, receiver.hsm.identity]
     cache = receiver.hsm.registry._cache
     assert sender.hsm.identity not in cache
@@ -782,11 +804,16 @@ def test_public_checks_draw_no_blind(monkeypatch):
         assert draws == []
         clock.advance(60.0)
     assert all(P192.has_comb(cache[id_str]) for id_str in ring)
-    mk = setup(P192, rng=random.Random(94), manufactory_id="d")
-    assert draws  # generator_muls' lanes over the secret X keep the blind
     draws.clear()
-    ManufactoryRegistry(P192).register_master(mk)
+    mk = setup(P192, rng=random.Random(94), manufactory_id="d")
+    assert len(draws) == 1  # the one conversion of the multiples of the secret X keeps the blind
+    draws.clear()
+    registry = ManufactoryRegistry(P192)
+    registry.register_master(mk)
     assert draws == []
+    # a ring of one: U_s = l*G's conversion and the inverse of the signer's l
+    ring_sign(b"nonce", ["d:signer"], keygen(mk, "d:signer"), 0, registry, random.Random(95))
+    assert len(draws) == 2
     sender.make_pseudonym(600, random.Random(93), ring=ring)
     assert draws
     cert_frame, message = sender.send_next(b"public")
