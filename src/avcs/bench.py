@@ -25,7 +25,6 @@ from types import SimpleNamespace
 from .groups import OpCounter, count_group_ops, get_group
 from .hardware import ManualClock, join
 from .ringsig import ManufactoryRegistry, RingSignature, forge_tuple, keygen, ring_sign, ring_verify, setup
-from .transient import KEY_SPACING
 from .transient import verify as verify_transient
 from .vehicle import VehicleState, cert_fingerprint, encode_cert_frame, encode_message_frame
 
@@ -92,8 +91,9 @@ def avg_cost(n: int, k: int, t_gm: float, t_gp: float, t_sm: float,
     return (n * t_gm + t_gp + n * t_sm + (n / k) * t_sp + n * t_vm + t_vp) / n
 
 
-def linearity_r2(records, op: str, *, r_min: int = 2) -> float:
-    """R-squared of a straight-line fit of median latency against ring size.
+def linearity_r2(records, op: str) -> float:
+    """R-squared of a straight-line fit of median latency against ring
+    size, over the ring sizes from 2 up.
 
     The median, not the mean: a single descheduled trial would otherwise
     drag a whole point off the line.
@@ -101,10 +101,10 @@ def linearity_r2(records, op: str, *, r_min: int = 2) -> float:
     pts = sorted(
         (rec.ring_size, rec.median_ms)
         for rec in records
-        if rec.op == op and rec.ring_size >= r_min
+        if rec.op == op and rec.ring_size >= 2
     )
     if len(pts) < 3:
-        raise ValueError(f"need at least 3 ring sizes >= {r_min} for op {op!r}")
+        raise ValueError(f"need at least 3 ring sizes >= 2 for op {op!r}")
     xs, ys = zip(*pts)
     slope, intercept = statistics.linear_regression(xs, ys)
     mean = statistics.fmean(ys)
@@ -235,7 +235,7 @@ def _fixtures(curve: str, ring_sizes):
     app = sender_hsm.gen_message(_PAYLOAD)
     msg_frame = encode_message_frame(cert_fingerprint(cert_frame), app.M, app.N)
     # a receiver's steady state from a certificate's third message on
-    pk = group.prepare(cert.parse_c(group).pk, KEY_SPACING)
+    pk = group.prepare(cert.parse_c(group).pk, short=True)
     assert verify_transient(group, pk, app.M, app.N)
     stream_fns["gen_message"] = lambda: sender_hsm.gen_message(_PAYLOAD)
     stream_fns["verify_message"] = lambda: verify_transient(group, pk, app.M, app.N)
@@ -304,7 +304,7 @@ def operation_table(curve: str) -> dict[str, OpCounter]:
         named.update({op: fns[op]} if op in fns else {f"{op} r={r}": fns[op, r] for r in (1, 4)})
     named.update({
         "prepare comb": lambda: group.prepare(pk),
-        "prepare transient key": lambda: group.prepare(pk, KEY_SPACING),
+        "prepare transient key": lambda: group.prepare(pk, short=True),
         "prepare generator": lambda: type(group).generator.func(group),
         "scalar_mul G": lambda: group.scalar_mul(ks[0], group.generator),
         "scalar_mul comb": lambda: group.scalar_mul(ks[0], comb),

@@ -60,7 +60,6 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 from .errors import MappingError, ParseError
 
@@ -339,7 +338,7 @@ class ToyGroup(_ScalarCodec):
         note_scalar_muls(1)
         return (k % self.q) * a % self.q
 
-    def prepare(self, a: int, spacing: int | None = None) -> int:
+    def prepare(self, a: int, short: bool = False) -> int:
         # multiplication is already one step here: nothing to precompute
         return a
 
@@ -475,16 +474,15 @@ class _PreparedPoint(tuple):
 
     It equals, hashes and encodes as the plain ``(x, y)`` point, so it
     goes wherever a point goes; ``scalar_mul`` and ``multi_mul`` also
-    read its ``rows``.  With ``spacing`` None they are the tables of a
-    signed comb whose ``comb`` is (the teeth's spacing, the tables'
-    offset): (32, 16) for a ring key or a window tag, two tables, and
-    for the generator (16, 8), two tables, on P-192 and (24, 8), three,
-    on P-256.  Otherwise they are rows of 1, 3, 5, 7 times the point,
-    ``spacing`` bits apart.
+    read its ``rows``.  On a signed comb they are its tables, and
+    ``comb`` is (the teeth's spacing, the tables' offset): (32, 16) for a
+    ring key or a window tag, two tables, and for the generator (16, 8),
+    two tables, on P-192 and (24, 8), three, on P-256.  With ``comb``
+    None they are a transient key's short rows of 1, 3, 5, 7 times the
+    point, 16 bits apart.
     """
 
     rows: list
-    spacing: int | None
     comb: tuple[int, int] | None = None
 
 
@@ -501,8 +499,8 @@ class CurveGroup(_ScalarCodec):
     ``2**16``.  The generator is held on a comb of the same kind whose
     walk takes 8 steps: teeth 16 bits apart in two tables 8 bits apart
     on P-192, 24 bits apart in three on P-256.  A transient key gets
-    rows of 1, 3, 5, 7 times ``2**(16j) * P``, as many as its half-width
-    challenges fill.
+    short rows of 1, 3, 5, 7 times ``2**(16j) * P``, as many as its
+    half-width challenges fill: the other of ``prepare``'s two shapes.
 
     Every multiplication places its digits by bit position on one
     doubling chain (``_chain``), whose formulas run inline in ``_sum`` and
@@ -537,7 +535,7 @@ class CurveGroup(_ScalarCodec):
 
     _ROW_WIDTH = 4  # per-call row digits are odd and below 2**4 in size
     _COMB_SPACING = 32  # a ring key's teeth lie this many bits apart: its columns
-    _COMB_STEPS = 16  # its second table is its first shifted this far: a walk's steps
+    _COMB_STEPS = 16  # its tables lie this far apart, a walk's steps, and so do a transient key's rows
     _GEN_STEPS = 8  # the generator's tables lie this far apart: its walk's steps
     _BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary string's digits as bytes 0, 1
 
@@ -687,28 +685,25 @@ class CurveGroup(_ScalarCodec):
         generator`` row)."""
         return self._comb(self._g, 8 * -(-self.q.bit_length() // 96), self._GEN_STEPS)
 
-    def prepare(self, a, spacing: int | None = None):
+    def prepare(self, a, short: bool = False):
         """``a`` with a table for ``scalar_mul`` and ``multi_mul``; counts
         no scalar multiplication.  By default a ring key's signed comb:
         teeth 32 bits apart, in two tables of 2**(teeth-1) points, the
-        second 16 bits above the first.  A ``spacing`` s gives rows of 1,
-        3, 5, 7 times ``2**(s*j) * a``, j < ceil(lam / s), lam = bits(q)/2
-        rounded up, for ``hash_to_short``'s scalars (s = 16 for a
-        transient key), which ``multi_mul`` alone reads.  The point
-        operations of each shape are the operation table's ``prepare
-        comb`` and ``prepare transient key`` rows.  The identity, and a
-        point prepared at the same spacing, come back as they are.
+        second 16 bits above the first.  ``short`` gives a transient key's
+        rows of 1, 3, 5, 7 times ``2**(16j) * a``, j < ceil(lam / 16), lam
+        = bits(q)/2 rounded up, for ``hash_to_short``'s scalars, which
+        ``multi_mul`` alone reads: ``_COMB_STEPS`` apart, on a comb walk's
+        chain.  The operation table's ``prepare comb`` and ``prepare
+        transient key`` rows count each shape.  The identity, and a point
+        in the same shape, come back as they are.
         """
-        lam = -(-self.q.bit_length() // 2)
-        if spacing is not None and not 0 < spacing <= lam:
-            raise ValueError(f"a prepared point's rows lie 1..{lam} bits apart")
-        if a is None or getattr(a, "spacing", 0) == spacing:
+        if a is None or isinstance(a, _PreparedPoint) and (a.comb is None) == short:
             return a
-        if spacing is None:
-            return self._comb(a, self._COMB_SPACING, self._COMB_STEPS)
+        steps = self._COMB_STEPS
+        if not short:
+            return self._comb(a, self._COMB_SPACING, steps)
         prepared = _PreparedPoint(a)
-        prepared.spacing = spacing
-        prepared.rows = self._odd_multiples([a], -(-lam // spacing), 4, spacing)
+        prepared.rows = self._odd_multiples([a], -(-self.q.bit_length() // (2 * steps)), 4, steps)
         return prepared
 
     def has_comb(self, a) -> bool:
@@ -747,7 +742,7 @@ class CurveGroup(_ScalarCodec):
             n = len(acc) // m
             tables = [acc[i : i + n] for i in range(0, len(acc), n)]
         prepared = _PreparedPoint(a)
-        prepared.rows, prepared.spacing, prepared.comb = tables, None, (spacing, offset)
+        prepared.rows, prepared.comb = tables, (spacing, offset)
         return prepared
 
     def _odd_fold(self, k: int) -> int:
@@ -804,18 +799,18 @@ class CurveGroup(_ScalarCodec):
         ``2**(spacing*j)`` times it; on a comb, row j is table j, and d
         names an entry and its sign.
 
-        The chain is C steps: the least common multiple of the spacings
-        of the terms whose rows reach past their top digit, raised to its
-        first multiple above the top digit of every other term.  Digit
-        (i, d) is added at step i mod C from row ``(i // C) * (C /
-        spacing)``, so rows that fall short are read at row 0 alone, and
-        steps above the top digit are dropped: a sum with no digit takes
-        none.
+        The chain is C steps: the largest spacing of the terms whose rows
+        reach past their top digit, raised to its first multiple above the
+        top digit of every other term.  Every spacing is 1, 4, 8 or 16, so
+        each divides the largest.  Digit (i, d) is added at step i mod C
+        from row ``(i // C) * (C / spacing)``, so rows that fall short are
+        read at row 0 alone, and steps above the top digit are dropped: a
+        sum with no digit takes none.
         """
         spacing, top = 1, 0
         for rows, s, digits in terms:
             if digits[-1][0] < len(rows) * s:
-                spacing = lcm(spacing, s)
+                spacing = max(spacing, s)
             else:
                 top = max(top, digits[-1][0])
         C = (top // spacing + 1) * spacing
@@ -901,11 +896,11 @@ class CurveGroup(_ScalarCodec):
         Equal points are merged first.  A base with a comb (the generator,
         a ring key, a window tag) is recoded into its columns, which a
         chain as long as its walk reads from every table and a longer one
-        from fewer.  A transient key's rows lie its ``prepare`` spacing
-        apart, a base whose scalar is 1 is added as it stands, and any
-        other base gets its odd multiples P..7P as one row; their scalars
-        are recoded into NAFs of width 4, none of whose digits lies above
-        its top bit.  Every term is placed on one ``_chain``.
+        from fewer.  A transient key's short rows lie 16 bits apart, a
+        base whose scalar is 1 is added as it stands, and any other base
+        gets its odd multiples P..7P as one row; their scalars are
+        recoded into NAFs of width 4, none of whose digits lies above its
+        top bit.  Every term is placed on one ``_chain``.
         """
         return self.multi_muls([pairs])[0]
 
@@ -923,7 +918,7 @@ class CurveGroup(_ScalarCodec):
             if pt is not None:
                 merged[pt] = (merged.get(pt, 0) + k) % q
                 if isinstance(pt, _PreparedPoint):
-                    tables[pt] = pt.rows, *(pt.comb or (0, pt.spacing))
+                    tables[pt] = pt.rows, *(pt.comb or (0, self._COMB_STEPS))
         live = {pt: k for pt, k in merged.items() if k}
         fresh = [pt for pt, k in live.items() if pt not in tables and k != 1]
         if fresh:  # one row, which covers bit 0 alone

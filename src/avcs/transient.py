@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 
-__all__ = ["KEY_SPACING", "gen_keypair", "sign", "signature_byte_len", "verify"]
-
-# a prepared key's rows lie 16 bits apart: a check on it runs a 16-step chain
-KEY_SPACING = 16
+__all__ = ["gen_keypair", "sign", "signature_byte_len", "verify"]
 
 
 def gen_keypair(group, rng):
@@ -54,7 +51,7 @@ def verify(group, pk, msg: bytes, signature: bytes) -> bool:
     Hostile-input safe; two logical scalar muls.  The challenge e is
     half width (``hash_to_short``) and enters with its own sign, so on a
     plain key the doubling chain is the first multiple of 8 above the top
-    digit of e's NAF.  On ``group.prepare(pk, KEY_SPACING)``, whose rows
+    digit of e's NAF.  On ``group.prepare(pk, short=True)``, whose rows
     lie 16 bits apart and cover e, it is 16 steps.  The operation
     table's ``verify_message plain key`` and ``verify_message`` rows
     count both.

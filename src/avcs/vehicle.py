@@ -119,7 +119,7 @@ def _reject(reason: str) -> ReceiveResult:
 class _BufferedCert:
     frame: bytes
     t_enc: bytes
-    pk: object  # prepared at KEY_SPACING at the second message that verifies
+    pk: object  # prepared short (a transient key's rows) at the second message that verifies
     expiration: int
     carried_message: bool = False
 
@@ -262,7 +262,11 @@ class VehicleState:
         self.pseudonym_buf[fingerprint] = _BufferedCert(frame, cert.T, parsed.pk, parsed.expiration)
         self._fingerprint_by_t[cert.T] = fingerprint
         self._earliest_expiration = min(self._earliest_expiration, parsed.expiration)
-        self.harvest_ids(cert.S.ids)
+        ids = cert.S.ids
+        if len(ids) > self.ring_size:  # ring_size ids, by a hash keyed to us: the sender cannot choose
+            key = fingerprint + self.hsm.identity.encode()
+            ids = sorted(ids, key=lambda id_str: digest32("harvest", key + id_str.encode()))[: self.ring_size]
+        self.harvest_ids(ids)
         return ReceiveResult("accept")
 
     def _rogue_ts_at(self, issue: int, now: float) -> frozenset[bytes]:
@@ -295,8 +299,8 @@ class VehicleState:
         if entry is None:
             return _reject("no-cert")
         # a certificate that has carried one valid message likely carries
-        # more: from the second on, its key is checked on a prepared base
-        pk = group.prepare(entry.pk, transient.KEY_SPACING) if entry.carried_message else entry.pk
+        # more: from the second on, its key is checked on short rows
+        pk = group.prepare(entry.pk, short=True) if entry.carried_message else entry.pk
         if not transient.verify(group, pk, M, N):
             return _reject("bad-signature")
         entry.pk, entry.carried_message = pk, True

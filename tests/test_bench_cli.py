@@ -193,7 +193,7 @@ def test_linearity_r2_on_synthetic_data():
     ]
     assert linearity_r2(noisy, "ring_sign") == pytest.approx(0.64)
     with pytest.raises(ValueError):
-        linearity_r2(perfect[:3], "ring_sign")  # only r=2,3 survive the r_min cut
+        linearity_r2(perfect[:3], "ring_sign")  # only r=2,3 survive the r >= 2 cut
     with pytest.raises(ValueError):
         linearity_r2(perfect, "ring_verify")
 

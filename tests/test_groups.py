@@ -557,10 +557,10 @@ def check_scalars(group, pk, msg, signature):
 @st.composite
 def prepared_cases(draw):
     """(group, pairs with some bases prepared, the same pairs unprepared):
-    each prepared base has the signed comb, a transient key's rows 16
-    bits apart, or 4 rows L = bits(q)/8 bits apart.  Scalars include the
-    bounds of a row and of each layout's reach (L, 16 and lam bits, 4L
-    and 7L); a base can appear both prepared and plain."""
+    each prepared base has the signed comb or a transient key's short
+    rows 16 bits apart.  Scalars include the bounds of a row and of each
+    layout's reach (16 and lam bits), and of L = bits(q)/8, 4L and 7L
+    bits; a base can appear both prepared and plain."""
     group = draw(st.sampled_from(MSM_GROUPS))
     q, L, lam = group.q, slice_bits(group), short_bits(group)
     multiples = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
@@ -574,9 +574,9 @@ def prepared_cases(draw):
         st.integers(-2 * q, 2 * q),
     )
     plain = draw(st.lists(st.tuples(scalars, st.sampled_from(bases)), max_size=6))
-    layouts = st.sampled_from(["plain", None, transient.KEY_SPACING, L])
+    layouts = st.sampled_from(["plain", "comb", "short"])
     chosen = draw(st.lists(layouts, min_size=len(plain), max_size=len(plain)))
-    pairs = [(k, pt if layout == "plain" else group.prepare(pt, layout))
+    pairs = [(k, pt if layout == "plain" else group.prepare(pt, short=layout == "short"))
              for (k, pt), layout in zip(plain, chosen)]
     return group, pairs, plain
 
@@ -619,7 +619,7 @@ def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypa
     # P-192, 24 apart in three on P-256; table i holds 2**(8i) times the
     # first, and each scalar has one column per bit of a tooth
     spacing, m = {"p192": (16, 2), "p256": (24, 3)}[group.group_id]
-    assert G.spacing is None and G.comb == (spacing, 8) and len(G.rows) == m
+    assert G.comb == (spacing, 8) and len(G.rows) == m
     read = []
 
     class Table(list):
@@ -640,7 +640,7 @@ def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypa
     # column is nonzero, so G adds one entry per column, and the chain
     # doubles from its top step that holds a digit: step 15 of G's columns
     # on C = 16, and the fresh base's top bit on C = lam
-    for other, k, C, top in ((group.prepare(key, transient.KEY_SPACING), 1, 16, 15),
+    for other, k, C, top in ((group.prepare(key, short=True), 1, 16, 15),
                              (group.prepare(key), 1, 16, 15),
                              (key, 2 ** (lam - 1) + 1, lam, lam - 1)):
         s = rng.randrange(1, group.q)
@@ -656,12 +656,12 @@ def test_multi_mul_reads_comb_rows_at_stride_c_over_8(group, point_ops, monkeypa
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_prepared_check_runs_one_short_doubling_chain(group, point_ops):
-    # a message check on a key prepared at transient.KEY_SPACING: the
+    # a message check on a key prepared short, its rows 16 bits apart: the
     # generator's tables 8 bits apart and key rows 16 apart make one chain
     # of 16 steps on either curve, which doubles from step 15, where G's
     # top column lies in the first table
     sk, pk = transient.gen_keypair(group, random.Random(2014))
-    prepared = group.prepare(pk, transient.KEY_SPACING)
+    prepared = group.prepare(pk, short=True)
     columns = group.generator.comb[0]
     for i in range(50):
         msg = b"beacon %d" % i
@@ -707,28 +707,19 @@ def test_transient_prepare_builds_rows_16_bits_apart(group, point_ops):
     # ceil(lam / 16) rows from one inversion: each row is built where its
     # base's double is affine
     rows = {"p192": 6, "p256": 8}[group.group_id]
-    assert rows == -(-lam // transient.KEY_SPACING)
+    assert rows == -(-lam // 16)
     cost = {"p192": (81, 18, 1), "p256": (113, 24, 1)}[group.group_id]
-    assert point_ops(lambda: group.prepare(pt, transient.KEY_SPACING)) == cost
+    assert point_ops(lambda: group.prepare(pt, short=True)) == cost
     assert cost == (rows + 15 * (rows - 1), 3 * rows, 1)
-    short, full = group.prepare(pt, transient.KEY_SPACING), group.prepare(pt)
-    assert short == pt and (short.spacing, full.spacing) == (16, None)
+    short, full = group.prepare(pt, short=True), group.prepare(pt)
+    assert short == pt and (short.comb, full.comb) == (None, (32, 16))
     assert len(short.rows) == rows
     for j in (0, 1, rows - 1):
         assert short.rows[j] == [double_and_add(group, m << 16 * j, pt) for m in (1, 3, 5, 7)]
-    # the same layout: the same object; another layout: a table of its own,
-    # rows 32 bits apart included, though the comb's teeth lie 32 apart
-    assert group.prepare(short, transient.KEY_SPACING) is short and group.prepare(full) is full
-    assert group.prepare(full, transient.KEY_SPACING).rows == short.rows
+    # the same shape: the same object; the other shape: a table of its own
+    assert group.prepare(short, short=True) is short and group.prepare(full) is full
+    assert group.prepare(full, short=True).rows == short.rows
     assert group.prepare(short).rows == full.rows
-    # and any other spacing, 8 bits included, gives the same shape
-    for spacing in (8, 32):
-        rows = group.prepare(full, spacing)
-        assert rows.spacing == spacing and len(rows.rows) == -(-lam // spacing)
-        assert rows.rows[1] == [double_and_add(group, m << spacing, pt) for m in (1, 3, 5, 7)]
-    for spacing in (0, lam + 1):
-        with pytest.raises(ValueError):
-            group.prepare(pt, spacing)
 
 
 def comb_teeth(group, comb):
@@ -824,7 +815,7 @@ def test_ring_key_prepare_builds_a_signed_comb(group, point_ops):
     comb = group.prepare(pt)
     # two tables of 32 points per ring key or window tag on P-192, 64 in
     # all; two of 128 on P-256, 256 in all
-    assert comb.spacing is None and comb.comb == (32, 16) and comb_teeth(group, comb) == teeth
+    assert comb.comb == (32, 16) and comb_teeth(group, comb) == teeth
     assert [len(row) for row in comb.rows] == [2 ** (teeth - 1)] * 2
     assert sum(map(len, comb.rows)) == {"p192": 64, "p256": 256}[group.group_id]
     for e in range(2 ** (teeth - 1)):
@@ -847,7 +838,7 @@ def test_generator_prepare_builds_a_signed_comb(group, point_ops):
     lanes = {"p192": (8188, 11), "p256": (6138, 10)}[group.group_id]
     assert point_ops.lanes == lanes == (m * (2**teeth - 2), teeth - 1)
     G = group.generator
-    assert build(group).rows == G.rows and G.spacing is None and G.comb == (spacing, 8)
+    assert build(group).rows == G.rows and G.comb == (spacing, 8)
     # two tables of 2048 points on P-192 and three of 1024 on P-256
     assert [len(table) for table in G.rows] == {"p192": [2048] * 2, "p256": [1024] * 3}[group.group_id]
     for e in (0, 1, 2 ** (teeth - 2), 2 ** (teeth - 1) - 1):
@@ -863,7 +854,7 @@ def test_transient_key_stays_exact_past_its_rows(group, point_ops):
     # that digit's step; scalar_mul never reads them at all
     lam, G = short_bits(group), group.generator
     pt = group.scalar_mul(0xBEEF, G)
-    short = group.prepare(pt, transient.KEY_SPACING)
+    short = group.prepare(pt, short=True)
     for k in (2**lam - 1, 2**lam, 2 ** (lam + 40), group.q - 1):
         expected = double_and_add(group, k, pt)
         assert group.multi_mul([(k, short)]) == group.multi_mul([(k, pt)]) == expected
@@ -947,7 +938,7 @@ def fixed_bases(group):
     return [
         (group.generator, comb_doubling_scalars(group, group.generator.comb)),
         (comb, comb_doubling_scalars(group, comb.comb)),
-        (group.prepare(point["key"], transient.KEY_SPACING), (2, q - 2)),
+        (group.prepare(point["key"], short=True), (2, q - 2)),
         (point["plain"], (2, q - 2)),
     ]
 
@@ -1236,7 +1227,7 @@ def comb_cases(draw):
         base = tuple(comb)
     spacing = comb.comb[0]
     n = spacing * comb_teeth(group, comb)
-    # bits 0..spacing-1 of u = (k + 2**n - 1) / 2 give the columns' signs,
+    # the low spacing bits of u = (k + 2**n - 1) / 2 give the columns' signs,
     # and |k| < q holds u within q / 2 of 2**(n-1)
     high = draw(st.integers(((1 << n - 1) - q // 2 >> spacing) + 1, ((1 << n - 1) + q // 2 >> spacing) - 1))
     uniform = [2 * (high << spacing | low) - (2**n - 1) for low in (0, 2**spacing - 1)]
@@ -1315,7 +1306,7 @@ def test_multi_mul_with_a_comb_matches_double_and_add(case, data):
     group, k, base, comb = case
     q, lam, G = group.q, short_bits(group), group.generator
     key = group.hash_to_group("test-base", b"comb")
-    bases = [G, key, group.prepare(key, transient.KEY_SPACING), comb, base]
+    bases = [G, key, group.prepare(key, short=True), comb, base]
     scalars = st.one_of(st.just(k), st.integers(1, 2**lam - 1), st.integers(-2 * q, 2 * q))
     pairs = [(k, comb)] + data.draw(st.lists(st.tuples(scalars, st.sampled_from(bases)), max_size=5))
     if data.draw(st.booleans()):
@@ -1385,7 +1376,7 @@ def layout_cases(draw):
     G = group.generator
     key = group.scalar_mul(0xBEEF, G)
     ring_key = group.prepare(group.scalar_mul(7, G))
-    bases = [G, key, group.prepare(key, transient.KEY_SPACING), ring_key]
+    bases = [G, key, group.prepare(key, short=True), ring_key]
     bases += [group.scalar_mul(k, G) for k in (5, 0xF00D)]
     widths = [1, 8, 15, 16, 17, L, L + 1, lam - 1, lam, lam + 1, q.bit_length()]
     bits = st.sampled_from([n for n in widths if 0 < n <= q.bit_length()])

@@ -10,6 +10,7 @@ from avcs import transient
 from avcs.errors import (
     ClockError,
     ParseError,
+    ProtocolError,
     ProvisioningError,
     SupervisorAuthError,
 )
@@ -201,6 +202,20 @@ def test_reveal_round_trip_and_auth():
     assert not reveal_check(cert, response_b, world.group)
     # fresh T'/S' come back but only R' decides
     assert response_a.C == cert.C
+
+
+def test_reveal_check_refuses_a_response_to_another_c():
+    # a response that answers another certificate's C is a protocol error,
+    # not a no-match, whichever module gave it
+    world = toy_world(2)
+    a, b = (v.hsm for v in world.vehicles)
+    cert_a = a.gen_pseudonym([a.identity], 60, random.Random(1))
+    cert_b = b.gen_pseudonym([b.identity], 60, random.Random(2))
+    for module, seed in ((a, 3), (b, 4)):
+        response = module.reveal_respond(cert_b.C, SUPERVISOR_TOKEN, random.Random(seed))
+        with pytest.raises(ProtocolError, match="different C"):
+            reveal_check(cert_a, response, world.group)
+    assert reveal_check(cert_b, b.reveal_respond(cert_b.C, SUPERVISOR_TOKEN, random.Random(5)), world.group)
 
 
 def test_reveal_without_any_token_configured():

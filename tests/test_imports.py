@@ -1,7 +1,7 @@
 """Every name a module under src/avcs imports is used in that module, no
 module imports a sibling's private name or reads another module's
-private attribute, and the two group backends expose the same
-public methods.
+private attribute, every ``__all__`` entry names what its module
+defines, and the two group backends expose the same public methods.
 
 The first check skips ``__init__.py``: its imports are the package's
 re-exports.
@@ -84,6 +84,33 @@ def private_crossings(tree):
 def test_no_private_name_crosses_modules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert list(private_crossings(tree)) == []
+
+
+def exports_and_definitions(tree, package: bool):
+    """A module's ``__all__`` entries (none if it has no ``__all__``), and
+    the names it defines at its top level: its functions, classes and
+    assignment targets, and for the package its imports, which are its
+    re-exports."""
+    exports, defined = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    exports = ast.literal_eval(node.value)
+                defined.update(name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+        elif package and isinstance(node, ast.ImportFrom):
+            defined.update(alias.asname or alias.name for alias in node.names)
+    return exports, defined
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_all_entry_names_a_definition(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exports, defined = exports_and_definitions(tree, package=path.name == "__init__.py")
+    assert sorted(set(exports) - defined) == []
+    assert len(exports) == len(set(exports))
 
 
 GROUP_API = sorted(name for name, value in vars(CurveGroup).items()

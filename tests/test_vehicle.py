@@ -237,19 +237,19 @@ def test_fractional_span_takes_the_window_from_the_issue_second():
 
 
 def counted_tag_prepares(monkeypatch, window):
-    """The spacing of each table ``P192.prepare`` builds from here on for
-    h1(window): None for a comb."""
-    spacings, prepare = [], P192.prepare
+    """The comb shape of each table ``P192.prepare`` builds from here on
+    for h1(window): (32, 16) for a ring key's comb, None for short rows."""
+    shapes, prepare = [], P192.prepare
     tag = P192.hash_to_group("h1", struct.pack(">Q", window))
 
     def counted_prepare(a, *args):
         out = prepare(a, *args)
         if out is not a and out == tag:
-            spacings.append(out.spacing)
+            shapes.append(out.comb)
         return out
 
     monkeypatch.setattr(P192, "prepare", counted_prepare)
-    return spacings
+    return shapes
 
 
 def test_old_unexpired_certificate_keeps_the_tag_cache_bounded(monkeypatch):
@@ -266,12 +266,12 @@ def test_old_unexpired_certificate_keeps_the_tag_cache_bounded(monkeypatch):
     kept = dict(revoking._rogue_ts)
     assert list(kept) == [math.floor(clock.now() / 60.0)]
     cached = list(_tags.items())
-    spacings = counted_tag_prepares(monkeypatch, old_window)
+    shapes = counted_tag_prepares(monkeypatch, old_window)
     assert plain.receive(old, clock.now()).accepted
     assert revoking.receive(old, clock.now()).reason == "revoked"
     # each scan of the old window runs on a comb of its own, which nobody
     # keeps: the cached tags stay as they were, and no set is kept
-    assert spacings == [None, None]
+    assert shapes == [(32, 16), (32, 16)]
     assert list(_tags.items()) == cached
     assert revoking._rogue_ts == kept
     cert = sender.make_pseudonym(600, random.Random(71))
@@ -291,7 +291,7 @@ def test_forged_old_window_frame_keeps_no_tag(monkeypatch):
     R, T = (P192.scalar_mul(rng.randrange(1, P192.q), P192.generator) for _ in range(2))
     S = sender.current_certificate.S
     cached = list(_tags.items())
-    spacings = counted_tag_prepares(monkeypatch, math.floor(clock.now() / 60.0) - 10)
+    shapes = counted_tag_prepares(monkeypatch, math.floor(clock.now() / 60.0) - 10)
     # issued 10 windows back, expiring in an hour: both expiry checks pass
     C = pack_content(P192, pk, clock.now() - 600, 4200)
     frame = encode_cert_frame(PseudonymCertificate(C, R, T, S), P192)
@@ -299,7 +299,7 @@ def test_forged_old_window_frame_keeps_no_tag(monkeypatch):
         assert receiver.receive(frame, clock.now()).reason == "bad-signature"
     # a comb per scan, never kept: the frame cannot push a tag out, nor
     # build or push out a set of rogue T values
-    assert spacings == [None, None]
+    assert shapes == [(32, 16), (32, 16)]
     assert list(_tags.items()) == cached
     assert receiver._rogue_ts == kept
 
@@ -566,7 +566,7 @@ def test_second_accepted_message_prepares_the_key():
         keys.append(entry.pk)
     assert not isinstance(keys[0], _PreparedPoint)
     assert isinstance(keys[1], _PreparedPoint)
-    assert keys[1].spacing == transient.KEY_SPACING  # the layout a challenge fills
+    assert keys[1].comb is None  # short rows, the layout a challenge fills
     assert keys[1] is keys[2] is keys[3]  # built once, then reused
 
 
@@ -976,6 +976,21 @@ def test_id_harvest_excludes_own_id():
     v0.make_pseudonym(600, random.Random(40), ring=ring)
     assert v1.receive(v0.certificate_frame, world.clock.now()).accepted
     assert set(v1.id_buf) == {v0.hsm.identity, v2.hsm.identity}
+
+
+def test_a_ring_larger_than_ours_gives_at_most_ring_size_ids():
+    # an unmodified module signs any ring that holds its own id once, so its
+    # owner can mint over 63 ghost ids: each receiver keeps at most
+    # ring_size of them, picked by a hash keyed to that receiver
+    world = toy_world(3, preseed=False, ring_size=4)
+    v0, v1, v2 = world.vehicles
+    ghosts = [f"m:ghost-{i:02d}" for i in range(63)]
+    v0.make_pseudonym(600, random.Random(42), ring=[v0.hsm.identity] + ghosts)
+    for receiver in (v1, v2):
+        assert receiver.receive(v0.certificate_frame, world.clock.now()).accepted
+        assert 0 < len(receiver.id_buf) <= receiver.ring_size
+        assert set(receiver.id_buf) <= {v0.hsm.identity, *ghosts}
+    assert set(v1.id_buf) != set(v2.id_buf)
 
 
 def test_id_buffer_eviction_oldest_first(monkeypatch):
