@@ -14,13 +14,13 @@ times, ``R = f * h0(C)`` binds the certificate content to ``f``
 (two certificates in one window share T -- the Sybil tell), and ``S``
 ring-signs ``h2(C || R || T)`` under a ring of the module's choosing.
 The tag h1(window) is public, so it is hashed and prepared once per
-window index for every module in the process, on the signed comb of a
-ring key; T itself is computed at every mint, on the tag's comb, and
-receivers test leaked f on it at C's issue second (``min_span_time`` is
-thus a protocol constant), on a comb that nobody keeps if the window is
-not the receiver's current one and no tag of it is cached.  A receiver
-keeps the leaked f's multiples of its current windows' tags itself
-(``VehicleState``).
+window index for the modules and receivers of one registry, on the
+signed comb of a ring key; T itself is computed at every mint, on the
+tag's comb, and receivers test leaked f on it at C's issue second
+(``min_span_time`` is thus a protocol constant), on a comb that nobody
+keeps unless the window is the receiver's current one or its tag is
+kept.  A receiver keeps the leaked f's multiples of its current
+windows' tags itself, by :func:`keep_window` too (``VehicleState``).
 
 The clock is injected: tests turn it by hand, the simulator feeds it
 the event-loop time, and the CLI uses the system clock.  The module
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 TRANSIENT_SCHEME_ID = 1
-WINDOW_TAGS = 4  # windows whose prepared tag stays cached, process-wide
+WINDOW_TAGS = 4  # windows a per-window cache keeps
 # seconds from a certificate's issue to its expiration, at most: twice
 # the longest validity in use (an hour), so a module can mint up to one
 # second less, the second that rounding C's times down and up can add
@@ -80,28 +80,20 @@ def pack_content(group, pk, now: float, validity: float) -> bytes:
     )
 
 
-_tags: dict = {}  # (group, window) -> prepared tag, least recently used first
-
-
-def _window_tag(group, window: int, keep: bool = True):
-    """h1(window) on the signed comb of ``prepare``, as a ring key is, so
-    ``f * h1(window)`` and a rogue entry's ``multi_mul`` each walk one
-    16-step chain; shared by modules and receivers.  A miss costs one
-    hash-to-curve and the operation table's ``prepare comb``.  With
-    ``keep`` the WINDOW_TAGS most recently used stay cached; with
-    ``keep`` False the cache is left as it is, its order included, and
-    a tag that a miss builds is used once."""
-    key = (group, window)
-    tag = _tags.get(key)
-    if tag is None:
-        tag = group.prepare(group.hash_to_group("h1", struct.pack(">Q", window)))
-    elif keep:
-        del _tags[key]
-    if keep:
-        if len(_tags) == WINDOW_TAGS:
-            del _tags[next(iter(_tags))]
-        _tags[key] = tag
-    return tag
+def keep_window(kept: dict, window: int, current: int, build):
+    """``kept[window]``, else ``build()``, kept only if ``window`` is
+    ``current``, the oldest window out past WINDOW_TAGS.  A value of any
+    other window is used once, so a time that a received frame picks
+    neither keeps an entry nor evicts one.  A hit leaves the order alone:
+    under one clock a kept current window is the newest kept."""
+    value = kept.get(window)
+    if value is None:
+        value = build()
+        if window == current:
+            if len(kept) == WINDOW_TAGS:
+                del kept[next(iter(kept))]
+            kept[window] = value
+    return value
 
 
 def signed_message(group, C: bytes, R, T) -> bytes:
@@ -204,14 +196,14 @@ class HardwareModule:
     derives the identity key's ``d`` for ``id_str`` and draws the master
     secret ``f`` from ``rng``.  Both live in name-mangled private attributes and no
     method returns them; only ``f * h0(C)`` / ``f * h1(window)`` bindings
-    and ring signatures escape, and :meth:`window_tag` serves receivers too.
+    and ring signatures escape, and :meth:`window_tag`, on ``registry``'s tags, serves receivers too.
     ``supervisor_token``, a str or bytes, authorises :meth:`reveal_respond`.
     """
 
     def __init__(self, mk, id_str: str, registry: ManufactoryRegistry, rng, *, clock=None,
                  min_span_time: float = 60.0, supervisor_token=None):
-        if min_span_time <= 0:
-            raise ValueError("min_span_time must be positive")
+        if not 0 < min_span_time < math.inf:
+            raise ValueError("min_span_time must be positive and finite")
         mfr, _ = split_id(id_str)
         if not registry.knows(mfr):
             raise ProvisioningError(f"manufactory {mfr!r} is not registered")
@@ -257,11 +249,12 @@ class HardwareModule:
 
     def window_tag(self, t: float, now: float):
         """The prepared h1 tag of the window that holds second floor(t),
-        looked up at time ``now``.  A window other than now's whose tag is
-        not cached gets a comb that is used once, so an issue time that a
-        received frame picks neither keeps a tag nor evicts one."""
-        window = self.window(t)
-        return _window_tag(self.group, window, window == self.window(now))
+        looked up at time ``now`` in the registry's tags by
+        :func:`keep_window`: a hash-to-curve and the operation table's
+        ``prepare comb`` on a miss, kept only if the window is now's."""
+        window, group = self.window(t), self.group
+        return keep_window(self.registry.window_tags, window, self.window(now), lambda: group.prepare(
+            group.hash_to_group("h1", struct.pack(">Q", window))))
 
     def window(self, t: float) -> int:
         """The index of the ``min_span_time`` window that holds second floor(t)."""

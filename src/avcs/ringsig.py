@@ -207,8 +207,10 @@ class ManufactoryRegistry:
     (``group.prepare``, which keeps it equal) at its second use: when
     ``ring_sign`` forges against it, or ``ring_verify`` accepts a
     signature over it, while its id is already cached.  An id seen once
-    keeps a plain key, and a rejected signature keeps nothing.  Nothing
-    here locks: a registry belongs to one thread.
+    keeps a plain key, and a rejected signature keeps nothing.  The
+    modules and receivers that share a registry (one run's) keep their
+    prepared h1 tags in ``window_tags``, by window index.  Nothing here
+    locks: a registry belongs to one thread.
     """
 
     _CHUNK_BITS = 4  # points of Y per table row
@@ -219,6 +221,7 @@ class ManufactoryRegistry:
         self.suite = suite
         self._tables: dict[str, tuple[int, list]] = {}
         self._cache: dict[str, object] = {}
+        self.window_tags: dict[int, object] = {}
 
     def register(self, manufactory_id: str, Y) -> None:
         """Build the extraction table of ``Y``, replacing any earlier one,

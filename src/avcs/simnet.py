@@ -19,6 +19,7 @@ import configparser
 import heapq
 import itertools
 import json
+import math
 import random
 import typing
 from collections import Counter
@@ -63,11 +64,10 @@ class AdversarySpec:
 class Scenario:
     """One fleet run, checked as it is built.
 
-    Every value is checked at construction, whether the scenario comes
-    from a file, from code or from ``dataclasses.replace``: a bad value,
-    the curve included, raises ``ScenarioError``.  ``parse_scenario``
-    adds only the errors that belong to the file: unknown sections or
-    keys, and values that do not convert.
+    Every value, the curve and any non-finite float included, is checked
+    at construction, from a file, from code or from ``dataclasses.replace``,
+    and a bad one raises ``ScenarioError``.  ``parse_scenario`` adds only
+    the file's own errors: unknown sections or keys, and unconvertible values.
     """
 
     seed: int
@@ -86,6 +86,11 @@ class Scenario:
     adversaries: tuple[AdversarySpec, ...] = ()
 
     def __post_init__(self) -> None:
+        for spec in (self, *self.adversaries):
+            where = "" if spec is self else f"adversary {spec.name!r}: "
+            for name, value in vars(spec).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ScenarioError(f"{where}{name} must be finite")
         if self.n_vehicles < 1:
             raise ScenarioError("n_vehicles must be at least 1")
         if self.duration <= 0:

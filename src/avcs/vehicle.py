@@ -23,20 +23,20 @@ current window when it first scanned it, for the last WINDOW_TAGS such
 windows, and checks a later certificate from one of them by set
 membership; ``revoke`` drops them all.  A certificate from any other
 window is scanned and leaves nothing behind, so an issue time that a
-frame picks neither builds a set nor evicts one.
+frame picks neither builds a set nor evicts one (``hardware.keep_window``,
+the rule of the window tags that a run's modules share on its registry).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import transient
 from .errors import ParseError, ProtocolError, ProvisioningError
 from .groups import digest32, note_scalar_muls
-from .hardware import MAX_VALIDITY, WINDOW_TAGS, HardwareModule, PseudonymCertificate, signed_message
+from .hardware import MAX_VALIDITY, HardwareModule, PseudonymCertificate, keep_window, signed_message
 from .ringsig import MAX_RING, ring_verify
 
 __all__ = [
@@ -137,12 +137,12 @@ class VehicleState:
         self.hsm = hsm
         self.k = k
         self.ring_size = ring_size
-        self.pseudonym_buf: OrderedDict[bytes, _BufferedCert] = OrderedDict()
-        # kept in step with pseudonym_buf: the fingerprint buffered under
-        # each encoded T, and the earliest buffered expiration
-        self._fingerprint_by_t: dict[bytes, bytes] = {}
+        self.pseudonym_buf: dict[bytes, _BufferedCert] = {}
+        # kept in step with pseudonym_buf: its encoded T values, and the
+        # earliest buffered expiration
+        self._buffered_ts: set[bytes] = set()
         self._earliest_expiration = math.inf
-        self.id_buf: OrderedDict[str, None] = OrderedDict()
+        self.id_buf: dict[str, None] = {}  # oldest first
         self.rogue_list: frozenset[int] = frozenset()  # replaced by revoke alone
         # window -> encoded f * tag over rogue_list, oldest window first
         self._rogue_ts: dict[int, frozenset[bytes]] = {}
@@ -200,7 +200,7 @@ class VehicleState:
             if now > entry.expiration + CLOCK_SKEW
         ]
         for fp in dead:
-            del self._fingerprint_by_t[self.pseudonym_buf.pop(fp).t_enc]
+            self._buffered_ts.remove(self.pseudonym_buf.pop(fp).t_enc)
         self._earliest_expiration = min(
             (entry.expiration for entry in self.pseudonym_buf.values()), default=math.inf
         )
@@ -211,10 +211,10 @@ class VehicleState:
         own = self.hsm.identity
         for id_str in ids:
             if id_str != own:
+                self.id_buf.pop(id_str, None)
                 self.id_buf[id_str] = None
-                self.id_buf.move_to_end(id_str)
         while len(self.id_buf) > self.ID_CAPACITY:
-            self.id_buf.popitem(last=False)
+            del self.id_buf[next(iter(self.id_buf))]
 
     def receive(self, frame: bytes, now: float) -> ReceiveResult:
         """Run one hostile frame through the pipeline."""
@@ -241,7 +241,7 @@ class VehicleState:
             return _reject("malformed")
 
         # R and T stay the bytes that parsed: no equation reads their points
-        if cert.T in self._fingerprint_by_t:
+        if cert.T in self._buffered_ts:
             return _reject("sybil")
 
         # a validity above the cap is no time at which the certificate holds,
@@ -258,9 +258,9 @@ class VehicleState:
             return _reject("bad-signature")
 
         if entry is not None:  # another frame with this fingerprint: replace it
-            del self._fingerprint_by_t[entry.t_enc]
+            self._buffered_ts.remove(entry.t_enc)
         self.pseudonym_buf[fingerprint] = _BufferedCert(frame, cert.T, parsed.pk, parsed.expiration)
-        self._fingerprint_by_t[cert.T] = fingerprint
+        self._buffered_ts.add(cert.T)
         self._earliest_expiration = min(self._earliest_expiration, parsed.expiration)
         ids = cert.S.ids
         if len(ids) > self.ring_size:  # ring_size ids, by a hash keyed to us: the sender cannot choose
@@ -271,22 +271,19 @@ class VehicleState:
 
     def _rogue_ts_at(self, issue: int, now: float) -> frozenset[bytes]:
         """The encoded f * tag over every rogue f, for the window of second
-        ``issue``: recalled if it is kept, else one multi_muls, made affine
-        with one inversion, and kept if the window is now's.  A recall
-        counts the multiplications it stands for."""
+        ``issue``, by ``keep_window``: recalled if it is kept, else one
+        multi_muls, made affine with one inversion, and kept if the window
+        is now's.  A recall counts the multiplications it stands for."""
         hsm, group = self.hsm, self.hsm.group
         window = hsm.window(issue)
-        ts = self._rogue_ts.get(window)
-        if ts is not None:
+        if window in self._rogue_ts:
             note_scalar_muls(len(self.rogue_list))
-            return ts
-        tag = hsm.window_tag(issue, now)
-        ts = frozenset(map(group.encode_element, group.multi_muls([[(f, tag)] for f in self.rogue_list])))
-        if window == hsm.window(now):
-            if len(self._rogue_ts) == WINDOW_TAGS:
-                del self._rogue_ts[next(iter(self._rogue_ts))]
-            self._rogue_ts[window] = ts
-        return ts
+
+        def scan():
+            tag = hsm.window_tag(issue, now)
+            return frozenset(map(group.encode_element, group.multi_muls([[(f, tag)] for f in self.rogue_list])))
+
+        return keep_window(self._rogue_ts, window, hsm.window(now), scan)
 
     def _receive_message(self, frame: bytes, now: float) -> ReceiveResult:
         group = self.hsm.group

@@ -25,7 +25,6 @@ from avcs.groups import (
     get_group,
     note_extraction,
 )
-from avcs.hardware import _window_tag
 from avcs.ringsig import ManufactoryRegistry, RingSignature, forge_tuple, keygen, ring_sign, ring_verify, setup
 from helpers import PROPERTY, chi_square, opcode_trace
 
@@ -1176,7 +1175,7 @@ def test_secret_scalars_run_one_opcode_path(group):
     # branch and no conditional expression reads the scalar
     bases = fixed_bases(group)
     G, comb, _, plain = (base for base, _ in bases)
-    tag = _window_tag(group, 16)
+    tag = window_tag(group, 16)
     cases = {
         "G": lambda k, a: group.fixed_multi_muls([[(k, G)]]),
         "a mint's R and T": lambda k, a: group.fixed_multi_muls([[(k, plain)], [(k, tag)]]),
@@ -1274,13 +1273,19 @@ def test_comb_walk_on_either_chain_matches_double_and_add(group, generator, data
     assert group.multi_mul([(k, comb), (j, plain)]) == affine_add(group, expected, double_and_add(group, j, plain))
 
 
+@cache
+def window_tag(group, window):
+    """h1(window) on the comb a hardware module prepares it on."""
+    return group.prepare(group.hash_to_group("h1", struct.pack(">Q", window)))
+
+
 @st.composite
 def tag_cases(draw):
     """(group, k, tag): a window tag's comb and k among 1, 2, q - 1,
     q - 2, the comb's pair whose last addition doubles, or any scalar,
     negatives and multiples of q included."""
     group = draw(st.sampled_from(CURVES))
-    q, tag = group.q, _window_tag(group, draw(st.integers(0, 1)))
+    q, tag = group.q, window_tag(group, draw(st.integers(0, 1)))
     k = draw(st.one_of(st.sampled_from([1, 2, q - 1, q - 2, *comb_doubling_scalars(group, tag.comb)]),
                        st.integers(-2 * q, 2 * q)))
     return group, k, tag

@@ -1,6 +1,7 @@
 """Hardware module: provisioning, pseudonyms, messages, reveal."""
 
 import hmac
+import math
 import random
 import struct
 
@@ -19,9 +20,8 @@ from avcs.hardware import (
     WINDOW_TAGS,
     ManualClock,
     PseudonymCertificate,
-    _tags,
-    _window_tag,
     join,
+    keep_window,
     leak_master_secret,
 )
 from avcs.ringsig import ManufactoryRegistry, RingSignature, ring_verify, setup
@@ -40,6 +40,13 @@ def test_join_rejects_unknown_manufactory():
     world = toy_world(1)
     with pytest.raises(ProvisioningError):
         join(world.mk, "ghost:123", world.registry, random.Random(1), clock=world.clock)
+
+
+@pytest.mark.parametrize("span", [0.0, -1.0, math.nan, math.inf])
+def test_min_span_time_must_be_positive_and_finite(span):
+    world = toy_world(1)
+    with pytest.raises(ValueError, match="min_span_time"):
+        join(world.mk, "m:span", world.registry, random.Random(1), clock=world.clock, min_span_time=span)
 
 
 def test_master_secret_never_surfaces():
@@ -302,7 +309,7 @@ def test_parse_c_rejects_malformed():
     with pytest.raises(ParseError):
         wrong_scheme.parse_c(group)
 
-# --- T = f * h1(window) on the curves: one prepared tag per window, shared
+# --- T = f * h1(window) on the curves: one prepared tag per window, per registry
 
 
 CURVES = [P192, P256]
@@ -333,7 +340,7 @@ def test_t_from_the_cached_tag_matches_the_plain_point(group):
         for i, module in enumerate(modules):
             cert = module.gen_pseudonym([module.identity], 600, random.Random(i))
             assert cert.T == plain_t(group, module, window)
-        tag = _window_tag(group, window)
+        tag = modules[0].registry.window_tags[window]
         # a ring key's signed comb: two tables of 32 points on P-192, 64
         # in all, and two of 128 on P-256, 256 in all
         assert isinstance(tag, _PreparedPoint) and group.has_comb(tag)
@@ -345,11 +352,11 @@ def test_t_from_the_cached_tag_matches_the_plain_point(group):
 def test_modules_with_other_spans_share_the_tag_of_one_window_index(group):
     # 1000 s is window 16 for a 60 s span and for a 61 s span alike
     _, (a, b) = curve_modules(group, min_spans=(60.0, 61.0))
-    _tags.clear()
+    tags = a.registry.window_tags
     ta = a.gen_pseudonym([a.identity], 600, random.Random(1)).T
-    tag = _tags[(group, 16)]
+    tag = tags[16]
     tb = b.gen_pseudonym([b.identity], 600, random.Random(2)).T
-    assert list(_tags) == [(group, 16)] and _tags[(group, 16)] is tag
+    assert list(tags) == [16] and tags[16] is tag
     assert ta == plain_t(group, a, 16) and tb == plain_t(group, b, 16)
 
 
@@ -358,51 +365,89 @@ def test_window_tag_cache_stays_bounded(group):
     clock, (module,) = curve_modules(group, min_spans=(60.0,))
     for _ in range(10):
         module.gen_pseudonym([module.identity], 600, random.Random(3))
-        assert len(_tags) <= WINDOW_TAGS
+        assert len(module.registry.window_tags) <= WINDOW_TAGS
         clock.advance(60.0)
-    assert len(_tags) == WINDOW_TAGS
+    assert list(module.registry.window_tags) == [22, 23, 24, 25]
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+def test_a_module_on_a_fresh_registry_builds_its_own_tag(group):
+    # window 16 is prepared on one registry; a module on another registry
+    # neither finds it nor shares it: it builds the tag's comb itself
+    _, (a,) = curve_modules(group, min_spans=(60.0,))
+    _, (b,) = curve_modules(group, min_spans=(60.0,))
+    a.gen_pseudonym([a.identity], 600, random.Random(1))
+    with count_group_ops() as ops:
+        tag = b.window_tag(1000.0, 1000.0)
+    assert ops.lane_additions == {"p192": 124, "p256": 508}[group.group_id]
+    assert a.registry.window_tags[16] is not tag and b.registry.window_tags == {16: tag}
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_receiver_keeps_a_tag_only_for_its_current_window(group):
     clock, (module,) = curve_modules(group, min_spans=(60.0,))
-    _tags.clear()
+    tags = module.registry.window_tags
     now = clock.now()  # window 16
     # an earlier or a later window, not cached: a comb, used once
     for t in (now - 600, now + 60):
         comb = module.window_tag(t, now)
-        assert group.has_comb(comb) and comb == _window_tag(group, module.window(t), keep=False)
+        assert group.has_comb(comb)
+        assert comb == group.hash_to_group("h1", struct.pack(">Q", module.window(t)))
         assert module.window_tag(t, now) is not comb
-        assert not _tags
+        assert not tags
     # the receiver's current window: a comb, cached, and then found by any issue second in it
     tag = module.window_tag(now, now)
-    assert group.has_comb(tag) and list(_tags) == [(group, 16)]
+    assert group.has_comb(tag) and list(tags) == [16]
     assert module.window_tag(now, now + 600) is tag
 
 
-@pytest.mark.parametrize("group", CURVES, ids=str)
-def test_a_tag_used_once_leaves_the_cache_order_alone(group):
-    # windows 1-4 cached, 1 the least recently used: a frame that names
-    # window 1 reads its tag without moving it, so the next miss that
-    # keeps a tag evicts window 1, not window 2
-    _tags.clear()
-    for window in range(1, WINDOW_TAGS + 1):
-        _window_tag(group, window)
-    before = list(_tags.items())
-    assert _window_tag(group, 1, keep=False) is _tags[(group, 1)]
-    assert list(_tags.items()) == before
-    _window_tag(group, 9, keep=False)  # a miss used once
-    assert list(_tags.items()) == before
-    _window_tag(group, 5)
-    assert list(_tags) == [(group, w) for w in (2, 3, 4, 5)]
-    # a hit that keeps its tag moves it to the recently used end
-    _window_tag(group, 2)
-    assert list(_tags) == [(group, w) for w in (3, 4, 5, 2)]
+def kept_windows(kept, windows, current=None):
+    """keep_window over ``windows``, each current unless ``current`` is
+    given; the windows whose value was built, in order."""
+    built = []
+    for window in windows:
+        value = keep_window(kept, window, window if current is None else current,
+                            lambda window=window: built.append(window) or f"v{window}")
+        assert value == f"v{window}"
+    return built
+
+
+def test_keep_window_keeps_a_current_window():
+    kept = {}
+    assert kept_windows(kept, [3, 3, 3]) == [3]
+    assert kept == {3: "v3"}
+
+
+def test_keep_window_uses_another_window_once():
+    kept = {3: "v3"}
+    # a window other than the current one: built at every use, kept never,
+    # and nothing is evicted, however many there are
+    assert kept_windows(kept, [1, 2, 9, 1, 1], current=3) == [1, 2, 9, 1, 1]
+    assert kept == {3: "v3"}
+
+
+def test_keep_window_stays_bounded_oldest_out():
+    kept = {}
+    assert kept_windows(kept, range(10)) == list(range(10))
+    assert list(kept) == list(range(10 - WINDOW_TAGS, 10))
+
+
+def test_a_hit_leaves_the_order_alone():
+    # windows 1-4 kept, 1 the oldest: a frame that names window 1 reads
+    # its value without moving it, so the next window kept evicts window 1
+    kept = {}
+    kept_windows(kept, range(1, WINDOW_TAGS + 1))
+    before = list(kept.items())
+    assert kept_windows(kept, [1], current=WINDOW_TAGS) == []
+    assert kept_windows(kept, [WINDOW_TAGS]) == []
+    assert list(kept.items()) == before
+    assert kept_windows(kept, [WINDOW_TAGS + 1]) == [WINDOW_TAGS + 1]
+    assert list(kept) == list(range(2, WINDOW_TAGS + 2))
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
 def test_t_takes_the_comb_walk_for_every_secret(group, point_ops):
-    tag = _window_tag(group, 16)
+    tag = group.prepare(group.hash_to_group("h1", struct.pack(">Q", 16)))
     q = group.q
     rng = random.Random(2014)
     secrets = [1, 2, q - 1, q - 2] + [rng.randrange(1, q) for _ in range(20)]
@@ -417,7 +462,7 @@ def test_rogue_entry_runs_one_comb_walk(group, point_ops):
     # multi_mul reads the tag's comb as T does: its 32 columns, every one
     # nonzero, two to a step on a 16-step chain, and one inversion per
     # leaked f, the smallest f included
-    tag = _window_tag(group, 16)
+    tag = group.prepare(group.hash_to_group("h1", struct.pack(">Q", 16)))
     rng = random.Random(2015)
     for f in [1, 2, group.q - 1] + [rng.randrange(1, group.q) for _ in range(20)]:
         assert point_ops(lambda: group.multi_mul([(f, tag)])) == (15, 32, 1)
@@ -427,7 +472,7 @@ def test_rogue_entry_runs_one_comb_walk(group, point_ops):
 def test_rogue_scan_makes_its_entries_affine_with_one_inversion(group, point_ops):
     # the receiver's scan is one multi_muls over its entries: each entry's
     # chain as alone, and one inversion for all of them
-    tag = _window_tag(group, 16)
+    tag = group.prepare(group.hash_to_group("h1", struct.pack(">Q", 16)))
     rng = random.Random(2016)
     secrets = [rng.randrange(1, group.q) for _ in range(4)]
     alone = [point_ops(lambda: group.multi_mul([(f, tag)])) for f in secrets]

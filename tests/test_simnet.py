@@ -10,6 +10,7 @@ import pytest
 
 from avcs.cli import main as cli_main
 from avcs.errors import ScenarioError
+from avcs.groups import OpCounter, count_group_ops, get_group
 from avcs.simnet import (
     COUNTER_KEYS,
     AdversarySpec,
@@ -97,6 +98,33 @@ kind = forger
 ])
 def test_parse_rejects_bad_scenarios(text, fragment):
     with pytest.raises(ScenarioError, match=fragment):
+        parse_scenario(text)
+
+
+FLOAT_KEYS = [
+    ("scenario", "duration"),
+    ("protocol", "min_span_time"), ("protocol", "cert_validity"), ("protocol", "msg_rate"),
+    ("medium", "loss_rate"), ("medium", "latency_min_ms"), ("medium", "latency_max_ms"),
+    ("adversary.x", "start"), ("adversary.x", "period"),
+]
+
+
+def test_float_keys_are_every_float_field():
+    floats = {f.name for cls in (Scenario, AdversarySpec) for f in dataclasses.fields(cls)
+              if f.type in ("float", float)}
+    assert {key for _, key in FLOAT_KEYS} == floats
+
+
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+@pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_numbers(section, key, word):
+    # parsed only: an infinite duration or message rate never ends a run
+    text = MINIMAL + f"[{section}]\n{key} = {word}\n"
+    if section == "scenario":
+        text = MINIMAL.replace("duration = 4.0", f"duration = {word}")
+    elif section == "adversary.x":
+        text += "kind = forger\n"
+    with pytest.raises(ScenarioError, match=f"{key} must be finite"):
         parse_scenario(text)
 
 
@@ -225,6 +253,20 @@ def test_same_seed_identical_logs():
     assert first.events == second.events
     assert first.counters == second.counters
     assert first.delivery_ratio == second.delivery_ratio
+
+
+@pytest.mark.parametrize("name", ["attacks", "clean", "lossy", "sybil"])
+def test_a_bundled_scenario_does_the_same_work_when_run_again(name):
+    # nothing a run prepares outlives it, so a second run in the process
+    # does the first one's work, operation for operation
+    sc = load_scenario(SCENARIO_DIR / f"{name}.ini")
+    get_group(sc.curve).generator  # G's comb belongs to the group: built once per process
+    runs = []
+    for _ in range(2):
+        with count_group_ops() as ops:
+            report = run(sc)
+        runs.append((report.events, {slot: getattr(ops, slot) for slot in OpCounter.__slots__}))
+    assert runs[0] == runs[1]
 
 
 def test_different_seed_different_log():

@@ -18,7 +18,6 @@ from avcs.hardware import (
     WINDOW_TAGS,
     ManualClock,
     PseudonymCertificate,
-    _tags,
     join,
     leak_master_secret,
     pack_content,
@@ -265,14 +264,15 @@ def test_old_unexpired_certificate_keeps_the_tag_cache_bounded(monkeypatch):
     assert revoking.receive(plain.certificate_frame, clock.now()).accepted
     kept = dict(revoking._rogue_ts)
     assert list(kept) == [math.floor(clock.now() / 60.0)]
-    cached = list(_tags.items())
+    tags = revoking.hsm.registry.window_tags
+    cached = list(tags.items())
     shapes = counted_tag_prepares(monkeypatch, old_window)
     assert plain.receive(old, clock.now()).accepted
     assert revoking.receive(old, clock.now()).reason == "revoked"
     # each scan of the old window runs on a comb of its own, which nobody
     # keeps: the cached tags stay as they were, and no set is kept
     assert shapes == [(32, 16), (32, 16)]
-    assert list(_tags.items()) == cached
+    assert list(tags.items()) == cached
     assert revoking._rogue_ts == kept
     cert = sender.make_pseudonym(600, random.Random(71))
     tag = P192.hash_to_group("h1", struct.pack(">Q", math.floor(clock.now() / 60.0)))
@@ -290,7 +290,8 @@ def test_forged_old_window_frame_keeps_no_tag(monkeypatch):
     _, pk = transient.gen_keypair(P192, rng)
     R, T = (P192.scalar_mul(rng.randrange(1, P192.q), P192.generator) for _ in range(2))
     S = sender.current_certificate.S
-    cached = list(_tags.items())
+    tags = receiver.hsm.registry.window_tags
+    cached = list(tags.items())
     shapes = counted_tag_prepares(monkeypatch, math.floor(clock.now() / 60.0) - 10)
     # issued 10 windows back, expiring in an hour: both expiry checks pass
     C = pack_content(P192, pk, clock.now() - 600, 4200)
@@ -300,7 +301,7 @@ def test_forged_old_window_frame_keeps_no_tag(monkeypatch):
     # a comb per scan, never kept: the frame cannot push a tag out, nor
     # build or push out a set of rogue T values
     assert shapes == [(32, 16), (32, 16)]
-    assert list(_tags.items()) == cached
+    assert list(tags.items()) == cached
     assert receiver._rogue_ts == kept
 
 
