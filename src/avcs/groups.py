@@ -541,7 +541,7 @@ class CurveGroup(_ScalarCodec):
 
     def __init__(self, params: _CurveParams):
         if params.a != -3:
-            raise ValueError("_jac_double assumes the curve coefficient a = -3")
+            raise ValueError("_sum assumes the curve coefficient a = -3")
         self._p = params.p
         self._a = params.a % params.p
         self._b = params.b
@@ -565,38 +565,6 @@ class CurveGroup(_ScalarCodec):
     # -- Jacobian core ------------------------------------------------------
     #
     # (X, Y, Z) represents affine (X/Z^2, Y/Z^3); Z == 0 is infinity.
-
-    def _jac_double(self, pt):
-        X, Y, Z = pt
-        p = self._p
-        if not Y or not Z:
-            return (1, 1, 0)
-        YY = Y * Y % p
-        S = 4 * X * YY % p
-        ZZ = Z * Z % p
-        M = 3 * (X - ZZ) * (X + ZZ) % p  # 3X^2 + a*Z^4 with a = -3
-        X3 = (M * M - 2 * S) % p
-        Y3 = (M * (S - X3) - 8 * YY * YY) % p
-        Z3 = 2 * Y * Z % p
-        return (X3, Y3, Z3)
-
-    def _jac_add_affine(self, pt1, pt2):
-        # pt1 Jacobian, pt2 a finite affine point: Z2 = 1 saves work
-        X1, Y1, Z1 = pt1
-        x2, y2 = pt2
-        if not Z1:
-            return (x2, y2, 1)
-        p = self._p
-        Z1Z1 = Z1 * Z1 % p
-        H = (x2 * Z1Z1 - X1) % p
-        R = (y2 * Z1 * Z1Z1 - Y1) % p
-        if not H:
-            return (1, 1, 0) if R else self._jac_double(pt1)
-        HH = H * H % p
-        HHH = H * HH % p
-        V = X1 * HH % p
-        X3 = (R * R - HHH - 2 * V) % p
-        return (X3, (R * (V - X3) - Y1 * HHH) % p, Z1 * H % p)
 
     def _add_lanes(self, acc, pts):
         """Add ``pts[i]`` to ``acc[i]`` in place for every lane, in affine
@@ -643,36 +611,34 @@ class CurveGroup(_ScalarCodec):
         """Affine rows: the odd multiples 1, 3, ..., 2n-1 of
         ``2**(shift*j) * a`` for j < rows, for each finite point a in turn.
 
-        One doubling chain per point gives every row's base B and its
-        double D = (X, Y, Z).  Each row is built on the isomorphic curve
-        (x, y) -> (x * Z**2, y * Z**3), where D is the affine (X, Y), so
-        it takes n - 1 mixed additions and no inversion of its own; an
-        entry's z there times Z is its z on this curve, and all rows
-        share one inversion.  The mixed addition does not read a or b,
-        so it holds on that curve too, but its doubling branch assumes
-        a = -3.  It cannot fire here: it needs a partial sum (2m - 1)B,
-        m < n, equal to 2B (or to -2B for the branch to infinity), so
-        (2m - 3)B or (2m + 1)B would vanish, and a finite point of a
-        group of large prime order has no such small multiple.  The rows
-        are a function of public points alone, so the inversion is
-        unblinded.
+        One doubling chain per point, run by ``_sum``, gives every row's
+        base B and its double D = (X, Y, Z).  Each row is built on the
+        isomorphic curve (x, y) -> (x * Z**2, y * Z**3), where D is the
+        affine (X, Y), so it takes n - 1 of ``_sum``'s mixed additions and
+        no inversion of its own; an entry's z there times Z is its z on
+        this curve, and all rows share one inversion.  The mixed addition
+        does not read a or b, so it holds on that curve too, but its
+        doubling branch assumes a = -3.  It cannot fire here: it needs a
+        partial sum (2m - 1)B, m < n, equal to 2B (or to -2B for the
+        branch to infinity), so (2m - 3)B or (2m + 1)B would vanish, and
+        a finite point of a group of large prime order has no such small
+        multiple.  The rows are a function of public points alone, so the
+        inversion is unblinded.
         """
-        double, add, p = self._jac_double, self._jac_add_affine, self._p
+        run, p = self._sum, self._p
         jac = []
         for x, y in points:
             base = (x, y, 1)
             for j in range(rows):
-                X, Y, Z = twice = double(base)
+                X, Y, Z = twice = run([[], []], base)
                 ZZ = Z * Z % p
+                plus = [[([(X, Y)], 1)]]
                 row = [(base[0] * ZZ % p, base[1] * ZZ * Z % p, base[2])]
                 for _ in range(n - 1):
-                    row.append(add(row[-1], (X, Y)))
+                    row.append(run(plus, row[-1]))
                 jac.extend((X1, Y1, Z1 * Z % p) for X1, Y1, Z1 in row)
                 if j + 1 < rows:
-                    for _ in range(shift - 1):
-                        twice = double(twice)
-                    base = twice
-        _note_points(len(points) * (rows + (rows - 1) * (shift - 1)), len(jac) - len(points) * rows)
+                    base = run([[]] * shift, twice)
         flat = self._batch_to_affine(jac, public=True)
         return [flat[i : i + n] for i in range(0, len(flat), n)]
 
@@ -727,10 +693,8 @@ class CurveGroup(_ScalarCodec):
         m, teeth = spacing // offset, -(-self.q.bit_length() // spacing)
         pt, shifts = (*a, 1), []
         for _ in range(m * teeth - 1):
-            for _ in range(offset):
-                pt = self._jac_double(pt)
+            pt = self._sum([[]] * (offset + 1), pt)
             shifts.append(pt)
-        _note_points(offset * len(shifts), 0)
         bases = [tuple(a)] + self._batch_to_affine(shifts, public=True)
         tables, p = [[base] for base in bases[:m]], self._p
         for j in range(m, len(bases), m):
@@ -823,25 +787,30 @@ class CurveGroup(_ScalarCodec):
             steps.pop()
         return self._sum(steps)
 
-    def _sum(self, steps):
-        """The Jacobian point at the end of a doubling chain: from the top
-        of ``steps``, lists of (row, d) lowest first, double the sum and
-        then add ``d`` times each row's base: entry ``|d| >> 1`` with its y
-        times d's sign.  Entry and sign come from d by integer arithmetic,
-        so a digit's sign takes no branch; a y left negative is reduced
-        by the next formula or by the conversion to affine.
+    def _sum(self, steps, acc=(0, 0, 0)):
+        """The Jacobian point at the end of a doubling chain that starts at
+        the Jacobian sum ``acc``: from the top of ``steps``, lists of (row,
+        d) lowest first, add ``d`` times each row's base onto the sum, a
+        step below the top after doubling the sum: entry ``|d| >> 1`` with
+        its y times d's sign.  Entry and sign come from d by integer
+        arithmetic, so a digit's sign takes no branch; a y left negative
+        is reduced by the next formula or by the conversion to affine.
+        Empty steps make a run of doublings: ``[[]] * (n + 1)`` doubles
+        ``acc`` n times.
 
-        The formulas run inline.  Doublings wait for the first addition
-        and for any sum that reaches the identity; an addition that meets
-        its own operand doubles instead.  The counts come from the
-        schedule: every digit is one addition, every step below the first
-        addition one doubling, corrected where those two cases ran.
+        This is the one place where the group evaluates and counts a
+        Jacobian doubling (a = -3) or a mixed addition; the affine lanes
+        of ``_add_lanes`` are the others' one exception.  Doublings skip a
+        sum at the identity, and an addition that meets its own operand
+        doubles instead.  The counts come from the schedule: every digit
+        is one addition, every doubling that ran one doubling.
         """
         p = self._p
-        doublings = len(steps)
-        X = Y = Z = 0
-        for adds in reversed(steps):
-            if Z:  # 2(X, Y, Z) with a = -3
+        doublings = 0
+        X, Y, Z = acc
+        for i, adds in enumerate(reversed(steps)):
+            if i and Z:  # 2(X, Y, Z) with a = -3 below the top step
+                doublings += 1
                 YY = Y * Y % p
                 S = 4 * X * YY % p
                 ZZ = Z * Z % p
@@ -849,8 +818,6 @@ class CurveGroup(_ScalarCodec):
                 Z = 2 * Y * Z % p
                 X = (M * M - 2 * S) % p
                 Y = (M * (S - X) - 8 * YY * YY) % p
-            else:
-                doublings -= 1
             for row, d in adds:
                 s = d >> 31  # 0 for d > 0, -1 for d < 0: every |d| < 2**31
                 x, y = row[(d ^ s) >> 1]
@@ -864,9 +831,8 @@ class CurveGroup(_ScalarCodec):
                 if not H:
                     if R:
                         Z = 0
-                    else:
-                        X, Y, Z = self._jac_double((X, Y, Z))
-                        doublings += 1
+                    else:  # P + P: a doubling, which counts itself
+                        X, Y, Z = self._sum([[], []], (X, Y, Z))
                     continue
                 HH = H * H % p
                 HHH = H * HH % p

@@ -1344,9 +1344,39 @@ def test_a_minus_3_doubling_matches_the_generic_formula(group):
         x, y = group.scalar_mul(rng.randrange(1, group.q), group.generator)
         Z = rng.randrange(2, p)
         pt = (x * Z * Z % p, y * Z * Z * Z % p, Z)
-        assert group._jac_double(pt) == generic_double(pt)
+        assert group._sum([[], []], pt) == generic_double(pt)
+    # infinity stays infinity: Z == 0, whatever X and Y the formula leaves
     for pt in [(1, 1, 0), (rng.randrange(p), 0, rng.randrange(1, p))]:
-        assert group._jac_double(pt) == generic_double(pt) == (1, 1, 0)
+        assert group._sum([[], []], pt)[2] == generic_double(pt)[2] == 0
+
+
+def jacobian(group, pt, rng):
+    # an affine point in Jacobian coordinates with a random Z
+    p, Z = group._p, rng.randrange(2, group._p)
+    return (pt[0] * Z * Z % p, pt[1] * Z * Z * Z % p, Z)
+
+
+@pytest.mark.parametrize("group", CURVES, ids=str)
+@pytest.mark.parametrize("digits, from_acc, doublings", [
+    ([[1]], True, 0),  # acc + D: one addition, no doubling
+    ([[]] * 6, True, 5),  # 32 * acc: a run of five doublings, no addition
+    ([[3], [], [-1, 7], [-5]], True, 3),  # a chain from a nonzero acc
+    ([[3], [], [-1, 7], [-5]], False, 3),  # the same chain from the identity
+    ([[1], [], [], []], False, 0),  # the identity doubles for free
+], ids=["add", "double", "chain", "chain-from-identity", "late-first-addition"])
+def test_sum_runs_double_and_add_from_its_start(group, digits, from_acc, doublings):
+    # steps lowest first: the top step adds onto acc, each lower one doubles and then adds
+    rng = random.Random(4601)
+    a, d = rng.randrange(1, group.q), rng.randrange(1, group.q)
+    row = group._odd_multiples([group.scalar_mul(d, group.generator)], 1, 4, 0)[0]
+    acc = jacobian(group, group.scalar_mul(a, group.generator), rng) if from_acc else (0, 0, 0)
+    steps = [[(row, digit) for digit in step] for step in digits]
+    with count_group_ops() as ops:
+        total = group._sum(steps, acc)
+    k = a * from_acc << len(steps) - 1
+    k += sum(digit * d << i for i, step in enumerate(digits) for digit in step)
+    assert group._batch_to_affine([total])[0] == group.scalar_mul(k, group.generator)
+    assert (ops.doublings, ops.additions, ops.inversions) == (doublings, sum(map(len, digits)), 0)
 
 
 @pytest.mark.parametrize("group", CURVES, ids=str)
