@@ -24,7 +24,9 @@ windows' tags itself, by :func:`keep_window` too (``VehicleState``).
 
 The clock is injected: tests turn it by hand, the simulator feeds it
 the event-loop time, and the CLI uses the system clock.  The module
-only insists it never runs backwards.
+only insists it never runs backwards.  So is a mint's or a reveal's
+rng, whose every draw the module hedges (``_Hedged``); ``join`` takes f
+from the provisioning rng as it is, as the manufactory is trusted.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass
+from itertools import count
 
 from . import transient
 from .errors import (
@@ -43,7 +46,7 @@ from .errors import (
     ProvisioningError,
     SupervisorAuthError,
 )
-from .groups import take
+from .groups import digest32, expand_bytes, take
 from .ringsig import ManufactoryRegistry, RingSignature, keygen, ring_sign, split_id
 
 __all__ = [
@@ -189,6 +192,24 @@ class ApplicationMessage:
     N: bytes
 
 
+class _Hedged:
+    """The host's rng as the module draws from it.  Each ``randrange(lo,
+    hi)`` takes the host's draw, so the host's stream moves as it would,
+    and returns instead a hash of that draw, a key derived from f and a
+    counter the module never repeats, reduced into [lo, hi) from twice
+    the range's width: hedged draws, as in RFC 6979 and hedged signing.
+    A host that replays its rng state gets no draw of the module again."""
+
+    def __init__(self, rng, key: bytes, counter):
+        self._rng, self._key, self._counter = rng, key, counter
+
+    def randrange(self, lo: int, hi: int) -> int:
+        width = ((hi - lo).bit_length() + 7) // 8
+        draw = (self._rng.randrange(lo, hi) - lo).to_bytes(width, "big")
+        seed = self._key + next(self._counter).to_bytes(8, "big") + draw
+        return lo + int.from_bytes(expand_bytes("hedge", seed, 2 * width), "big") % (hi - lo)
+
+
 class HardwareModule:
     """One vehicle's secure element, provisioned as it is constructed.
 
@@ -213,6 +234,7 @@ class HardwareModule:
         self._supervisor_token = supervisor_token
         self.__identity_key = keygen(mk, id_str, suite=registry.suite)
         self.__f = rng.randrange(1, registry.group.q)
+        self.__hedge = digest32("hedge key", registry.group.encode_scalar(self.__f)), count()
         self._transient = None
         self._last_time = None
 
@@ -276,6 +298,7 @@ class HardwareModule:
             raise ValueError("ring contains duplicate ids")
         group = self.group
         now = self._read_clock()
+        rng = _Hedged(rng, *self.__hedge)
 
         sk, pk = transient.gen_keypair(group, rng)
         C = pack_content(group, pk, now, validity)
@@ -305,7 +328,7 @@ class HardwareModule:
                 *(t.encode() if isinstance(t, str) else t for t in (token, expected))):
             raise SupervisorAuthError("reveal requires the supervisor capability")
         now = self._read_clock()
-        return self._bind_and_sign(C, [self.identity], 0, now, rng)
+        return self._bind_and_sign(C, [self.identity], 0, now, _Hedged(rng, *self.__hedge))
 
 
 # Join provisions a module for an id: the constructor, under the paper's name

@@ -24,7 +24,7 @@ from avcs.hardware import (
     keep_window,
     leak_master_secret,
 )
-from avcs.ringsig import ManufactoryRegistry, RingSignature, ring_verify, setup
+from avcs.ringsig import ManufactoryRegistry, RingSignature, keygen, ring_verify, setup
 from avcs.vehicle import reveal_check
 from helpers import SUPERVISOR_TOKEN, toy_world
 
@@ -174,6 +174,37 @@ def test_singleton_ring_exposes_identity_and_verifies():
         "h2", cert.C + group.encode_element(cert.R) + group.encode_element(cert.T)
     )
     assert ring_verify(group.encode_scalar(L), cert.S, world.registry)
+
+
+def replayed_mints(world):
+    """Two mints over one ring, 100 s apart, each given the same rng state."""
+    module = world.vehicles[0].hsm
+    ring = [v.hsm.identity for v in world.vehicles]
+    certs = []
+    for _ in range(2):
+        certs.append(module.gen_pseudonym(ring, 60, random.Random(1234)))
+        world.clock.advance(100.0)
+    return module, certs
+
+
+def test_a_replayed_rng_state_gives_the_host_no_identity_key():
+    world = toy_world(3)
+    module, (c1, c2) = replayed_mints(world)
+    group, q = world.group, world.group.q
+    (m1, U1, v1), (m2, U2, v2) = c1.S.tuples[0], c2.S.tuples[0]  # the signer's, at position 0
+    m1, m2 = (int.from_bytes(m, "big") for m in (m1, m2))
+    # had the nonce l repeated, l = (m1 - m2) / (v1 - v2) and d = (m1 - v1*l) / h1(U)
+    l = (m1 - m2) * pow(v1 - v2, -1, q) % q
+    d = (m1 - v1 * l) * pow(world.registry.suite.h1(group, U1), -1, q) % q
+    assert d != keygen(world.mk, module.identity, suite=world.registry.suite).d
+    assert U1 != U2
+
+
+def test_certificates_minted_from_one_rng_state_share_no_tuple():
+    _, (c1, c2) = replayed_mints(toy_world(3))
+    assert c1.S.ids == c2.S.ids
+    assert not {U for _, U, _ in c1.S.tuples} & {U for _, U, _ in c2.S.tuples}
+    assert c1.parse_c(BIG_TOY).pk != c2.parse_c(BIG_TOY).pk
 
 
 def test_gen_message_requires_transient_key():
