@@ -119,7 +119,7 @@ def _reject(reason: str) -> ReceiveResult:
 class _BufferedCert:
     frame: bytes
     t_enc: bytes
-    pk: object  # prepared short (a transient key's rows) at the second message that verifies
+    pk: object  # prepared short (a transient key's rows) at the first message checked after one verifies
     expiration: int
     carried_message: bool = False
 
@@ -295,12 +295,13 @@ class VehicleState:
         entry = self.pseudonym_buf.get(fingerprint)
         if entry is None:
             return _reject("no-cert")
-        # a certificate that has carried one valid message likely carries
-        # more: from the second on, its key is checked on short rows
-        pk = group.prepare(entry.pk, short=True) if entry.carried_message else entry.pk
-        if not transient.verify(group, pk, M, N):
+        # a certificate that has carried one valid message likely carries more: from
+        # then on its key is checked on short rows, kept whatever the verdict
+        if entry.carried_message:
+            entry.pk = group.prepare(entry.pk, short=True)
+        if not transient.verify(group, entry.pk, M, N):
             return _reject("bad-signature")
-        entry.pk, entry.carried_message = pk, True
+        entry.carried_message = True
         return ReceiveResult("accept", payload=M)
 
     # -- supervision ------------------------------------------------------

@@ -571,18 +571,36 @@ def test_second_accepted_message_prepares_the_key():
     assert keys[1] is keys[2] is keys[3]  # built once, then reused
 
 
-def test_bad_message_prepares_nothing():
+def test_rows_wait_for_a_good_message_and_outlive_a_bad_one():
     sender, receiver, clock = p192_pair()
     sender.make_pseudonym(600, random.Random(62))
     cert_frame, first = sender.send_next(b"m0")
     assert receiver.receive(cert_frame, clock.now()).accepted
     entry = receiver.pseudonym_buf[cert_fingerprint(cert_frame)]
-    for frame in (corrupted(first), first, corrupted(sender.send_next(b"m1")[-1])):
+    for frame in (corrupted(first), first):
         verdict = receiver.receive(frame, clock.now())
         assert verdict.accepted == (frame is first)
         assert not isinstance(entry.pk, _PreparedPoint)
+    # after one good message the key is prepared, and a bad message keeps the rows
+    assert receiver.receive(corrupted(sender.send_next(b"m1")[-1]), clock.now()).reason == "bad-signature"
+    rows = entry.pk
+    assert isinstance(rows, _PreparedPoint)
     assert receiver.receive(sender.send_next(b"m2")[-1], clock.now()).accepted
-    assert isinstance(entry.pk, _PreparedPoint)
+    assert entry.pk is rows
+
+
+def test_a_bad_message_after_the_rows_are_built_builds_none():
+    sender, receiver, clock = p192_pair()
+    sender.make_pseudonym(600, random.Random(62))
+    cert_frame, first = sender.send_next(b"m0")
+    assert receiver.receive(cert_frame, clock.now()).accepted and receiver.receive(first, clock.now()).accepted
+    assert receiver.receive(corrupted(sender.send_next(b"m1")[-1]), clock.now()).reason == "bad-signature"
+    bad = corrupted(sender.send_next(b"m2")[-1])
+    with count_group_ops() as ops:
+        verdict = receiver.receive(bad, clock.now())
+    # a check on the kept rows: 15 doublings and one inversion; its additions follow e's NAF
+    assert verdict.reason == "bad-signature"
+    assert (ops.doublings, ops.inversions, ops.lane_additions) == (15, 1, 0)
 
 
 def test_pruned_certificate_drops_its_table():
