@@ -5,11 +5,11 @@ Two interchangeable backends sit behind one small interface:
 * :class:`CurveGroup` -- the NIST curves P-192 and P-256, written in
   Jacobian coordinates.  No dependency-free arithmetic backend is
   packaged for this interpreter, so the point math lives here: one
-  doubling and one mixed (Jacobian plus affine) addition formula, the
-  latter incomplete, and affine lanes of independent additions that
-  share one inversion.  ``scalar_mul`` makes the same point operations
-  for every nonzero scalar, bar a pair per base where the addition
-  meets its own operand, on a signed comb (the generator's, which the
+  kernel, ``_sum``, evaluates and counts every doubling and mixed
+  (Jacobian plus affine) addition, the latter incomplete, and affine
+  lanes of independent additions share one inversion.  ``scalar_mul``
+  makes the same point operations for every nonzero scalar, bar a pair
+  per base where the addition meets its own operand, on a signed comb (the generator's, which the
   group holds prepared, and a prepared point's: the ring keys of
   ``ringsig.forge_tuple`` and the window tag of ``f * h1(window)``) and
   on any other point (``f * h0(C)``), and it runs one code path: the
@@ -503,9 +503,10 @@ class CurveGroup(_ScalarCodec):
     half-width challenges fill: the other of ``prepare``'s two shapes.
 
     Every multiplication places its digits by bit position on one
-    doubling chain (``_chain``), whose formulas run inline in ``_sum`` and
-    whose sum stays Jacobian until the call makes all of its sums affine
-    with one inversion.  ``scalar_mul`` recodes the odd one of k
+    doubling chain (``_chain``), run by ``_sum``, the one kernel that
+    evaluates and counts a doubling or a mixed addition, for the tables'
+    builds too; the sum stays Jacobian until the call makes all of its
+    sums affine with one inversion.  ``scalar_mul`` recodes the odd one of k
     and q - k, the latter negated, picked by arithmetic (``_odd_fold``),
     into nonzero digits, and ``_sum`` takes each digit's entry and sign by
     arithmetic too, so neither its operations nor its code path depend
