@@ -748,3 +748,35 @@ def test_wire_rejects_semantic_garbage():
     bad_utf8[first_id_at] = 0xFF
     with pytest.raises(ParseError):
         RingSignature.from_bytes(bytes(bad_utf8), BIG_TOY)
+
+
+def eliminate(rows, rhs, q):
+    """Gauss-Jordan elimination of ``rows * X = rhs`` mod q: the rank, and
+    X if it is the one solution."""
+    m, n, rank = [list(row) + [b] for row, b in zip(rows, rhs)], len(rows[0]), 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, q)
+        m[rank] = [v * inv % q for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = [(a - m[i][col] * b) % q for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank, (tuple(row[-1] for row in m) if rank == n else None)
+
+
+def test_n_identity_keys_give_the_master_vector_and_n_minus_one_do_not():
+    # d = sum(h_i * x_i) is linear in X: n keys whose hash vectors are independent
+    # determine X, and with it every identity key of the manufactory
+    n, q = 16, P192.q
+    mk = setup(P192, n=n, rng=random.Random(1984), manufactory_id="acme")
+    ids = [f"acme:mod-{i}" for i in range(n)]
+    rows, ds = [h0_bits(id_str, n) for id_str in ids], [keygen(mk, id_str).d for id_str in ids]
+    rank, X = eliminate(rows, ds, q)
+    assert rank == n and X == mk.X
+    victim = "acme:victim"
+    assert sum(h * x for h, x in zip(h0_bits(victim, n), X)) % q == keygen(mk, victim).d
+    assert eliminate(rows[:-1], ds[:-1], q) == (n - 1, None)
