@@ -9,12 +9,12 @@ Two interchangeable backends sit behind one small interface:
   (Jacobian plus affine) addition, the latter incomplete, and affine
   lanes of independent additions share one inversion.  ``scalar_mul``
   makes the same point operations for every nonzero scalar, bar a pair
-  per base where the addition meets its own operand, on a signed comb (the generator's, which the
-  group holds prepared, and a prepared point's: the ring keys of
-  ``ringsig.forge_tuple`` and the window tag of ``f * h1(window)``) and
-  on any other point (``f * h0(C)``), and it runs one code path: the
-  fold to the odd one of k and k - q and each digit's table entry and
-  sign are integer arithmetic, never a branch.
+  per base where the addition meets its own operand, on a signed comb
+  (the generator's, which the group holds prepared, and a prepared
+  point's: the ring keys of ``ringsig.forge_tuple`` and the window tag
+  of ``f * h1(window)``) and on any other point (``f * h0(C)``), and it
+  runs one code path: the fold to the odd one of k and k - q and each
+  digit's table entry and sign are integer arithmetic, never a branch.
   ``fixed_multi_muls`` does the same for several sums, each over any
   mix of bases (a forge's ``b*E + a*G``).  ``multi_mul`` is variable
   time and takes public scalars only: the verification equations and
@@ -506,17 +506,18 @@ class CurveGroup(_ScalarCodec):
     doubling chain (``_chain``), run by ``_sum``, the one kernel that
     evaluates and counts a doubling or a mixed addition, for the tables'
     builds too; the sum stays Jacobian until the call makes all of its
-    sums affine with one inversion.  ``scalar_mul`` recodes the odd one of k
-    and q - k, the latter negated, picked by arithmetic (``_odd_fold``),
-    into nonzero digits, and ``_sum`` takes each digit's entry and sign by
-    arithmetic too, so neither its operations nor its code path depend
-    on the scalar: on a comb, one column per bit of a tooth, one from
-    each table per step (a ring key's 32 on 16 steps, G's 16 or 24 on
-    8); on any other point, a plain point equal to G included, width-4
-    digits on a per-call row P, 3P, ..., 15P.  What each table and each
-    walk costs, per curve, is a row of the README's operation table
-    (``avcs.bench.operation_table``): ``prepare generator``, ``prepare
-    comb``, ``scalar_mul G``, ``scalar_mul plain`` and so on.
+    sums affine with one inversion.  ``scalar_mul`` recodes the odd one
+    of k and q - k, the latter negated, picked by arithmetic
+    (``_odd_fold``), into nonzero digits, and ``_sum`` takes each
+    digit's entry and sign by arithmetic too, so neither its operations
+    nor its code path depend on the scalar: on a comb, one column per
+    bit of a tooth, one from each table per step (a ring key's 32 on 16
+    steps, G's 16 or 24 on 8); on any other point, a plain point equal
+    to G included, width-4 digits on a per-call row P, 3P, ..., 15P.
+    What each table and each walk costs, per curve, is a row of the
+    README's operation table (``avcs.bench.operation_table``):
+    ``prepare generator``, ``prepare comb``, ``scalar_mul G``, ``scalar_mul
+    plain`` and so on.
     Every addition of a walk or of an odd-multiple table is one mixed
     Jacobian-plus-affine formula, and it is incomplete: for 2 and q - 2
     on a plain point (q = 17 mod 32, so q - 2 ends in the digit -1 after
@@ -800,8 +801,8 @@ class CurveGroup(_ScalarCodec):
         ``acc`` n times.
 
         This is the one place where the group evaluates and counts a
-        Jacobian doubling (a = -3) or a mixed addition; the affine lanes
-        of ``_add_lanes`` are the others' one exception.  Doublings skip a
+        Jacobian doubling (a = -3) or a mixed addition; only the affine
+        lanes of ``_add_lanes`` add apart from it.  Doublings skip a
         sum at the identity, and an addition that meets its own operand
         doubles instead.  The counts come from the schedule: every digit
         is one addition, every doubling that ran one doubling.
